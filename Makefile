@@ -2,7 +2,7 @@
 # the full test suite under the race detector.
 GO ?= go
 
-.PHONY: build test vet race fuzz bench bench3 bench4 bench5 bench7 bench8 bench9 bench10 benchdiff benchsmoke chaostest ckptsmoke obssmoke healthtest simtest elastictest soaktest tunetest ci
+.PHONY: build test vet race fuzz bench bench3 bench4 bench5 bench7 bench8 bench9 bench10 benchdiff benchsmoke traintest obssmoke healthtest simtest soaktest tunetest ci
 
 # The hot-kernel benchmarks behind the bench/BENCH_2.json speedup report.
 BENCH_PATTERN = BenchmarkMatMul|BenchmarkConvForwardBackward|BenchmarkCodecCompress|BenchmarkCodecDecompress|BenchmarkRingTrainingE2E
@@ -77,16 +77,24 @@ bench5:
 benchsmoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)|$(BENCH3_PATTERN)' -benchtime=1x .
 
-# Crash-recovery chaos gate: a 4-node elastic run with an injected
-# mid-step crash must shrink to 3 survivors and the post-recovery
-# checkpoint must resume bit-identically.
-chaostest:
-	$(GO) test ./internal/train -run 'TestElasticCrashRecovery' -count=1
-
-# Checkpoint round-trip smoke: durable stop/resume equals the
-# uninterrupted run, and corrupt checkpoints are rejected with fallback.
-ckptsmoke:
-	$(GO) test ./internal/train -run 'TestElasticStopResumeMatchesUninterrupted|TestRunCheckpointRoundTripAndCorruptFallback' -count=1
+# Training-runner gate, under the race detector — the name-selected
+# slices of internal/train in one run:
+#  - the conformance table: every data plane × collective × chunking the
+#    entry points reach lands bit-identical to the in-process ring, also
+#    over lossy links and through a switch fallback on a dead uplink;
+#  - crash recovery: a 4-node elastic run with an injected mid-step crash
+#    must shrink to 3 survivors and the post-recovery checkpoint must
+#    resume bit-identically;
+#  - checkpoint round trip: durable stop/resume equals the uninterrupted
+#    run, and corrupt checkpoints are rejected with fallback;
+#  - elastic scale-out: a 4-node TCP ring loses a worker to a chaos crash,
+#    the replacement rejoins from the newest checkpoint and the post-join
+#    trail resumes bit-identically; and a control-link partition must
+#    evict, fail the minority closed, and heal back to full membership.
+# Several minutes under -race, hence the headroom on the timeout.
+TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestElasticCrashRecovery|TestElasticStopResumeMatchesUninterrupted|TestRunCheckpointRoundTripAndCorruptFallback|TestElasticTCPJoin|TestElasticTCPPartitionHeal|TestGCCheckpointsKeepsNewestValid
+traintest:
+	$(GO) test ./internal/train -run '$(TRAINTEST_PATTERN)' -count=1 -race -timeout 30m
 
 # Observability smoke, in three acts:
 #  1. legacy single-file path — a traced run must render a non-empty
@@ -119,15 +127,6 @@ simtest:
 # the worker aggregator's incast at every scale >= 8 nodes.
 bench7:
 	$(GO) run ./cmd/incbench -bench7 bench/BENCH_7.json
-
-# Elastic scale-out acceptance gate, under the race detector: a 4-node
-# TCP ring loses a worker to a chaos crash, the replacement rejoins from
-# the newest checkpoint and the post-join trail resumes bit-identically;
-# and a control-link partition must evict, fail the minority closed, and
-# heal back to full membership. Several minutes under -race, hence the
-# headroom on the timeout.
-elastictest:
-	$(GO) test ./internal/train -run 'TestElasticTCPJoin|TestElasticTCPPartitionHeal|TestGCCheckpointsKeepsNewestValid' -count=1 -race -timeout 20m
 
 # Switch->ring fallback cost report: the fluid-flow model's and the
 # measured runner's degraded (post-fallback) iteration must stay within
@@ -212,4 +211,4 @@ soaktest:
 	$(GO) test -race -timeout 30m ./internal/soak -run 'TestSoak$$' -count=1 -v \
 		-soak-trials=$(SOAK_TRIALS) -soak-seed=$(SOAK_SEED) -soak-budget=20m
 
-ci: vet simtest chaostest ckptsmoke obssmoke healthtest tunetest elastictest soaktest race benchsmoke benchdiff
+ci: vet simtest traintest obssmoke healthtest tunetest soaktest race benchsmoke benchdiff

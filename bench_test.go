@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -293,7 +294,9 @@ func BenchmarkRingAllReduce(b *testing.B) {
 					go func(id int) {
 						defer wg.Done()
 						g := append([]float32(nil), grad...)
-						ring.AllReduce(f.Endpoint(id), g, tos, nil)
+						if err := ring.AllReduceCtx(context.Background(), f.Endpoint(id), g, tos, nil, ring.Options{}); err != nil {
+							b.Error(err)
+						}
 					}(id)
 				}
 				wg.Wait()
@@ -362,7 +365,9 @@ func BenchmarkTCPRingAllReduce(b *testing.B) {
 					go func(id int) {
 						defer wg.Done()
 						g := append([]float32(nil), grad...)
-						ring.AllReduce(cluster.Node(id), g, tos, nil)
+						if err := ring.AllReduceCtx(context.Background(), cluster.Node(id), g, tos, nil, ring.Options{}); err != nil {
+							b.Error(err)
+						}
 					}(id)
 				}
 				wg.Wait()

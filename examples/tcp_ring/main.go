@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -53,7 +54,9 @@ func main() {
 			go func(id int) {
 				defer wg.Done()
 				g := append([]float32(nil), inputs[id]...)
-				ring.AllReduce(cluster.Node(id), g, tos, finalize)
+				if err := ring.AllReduceCtx(context.Background(), cluster.Node(id), g, tos, finalize, ring.Options{}); err != nil {
+					log.Fatal(err)
+				}
 			}(id)
 		}
 		wg.Wait()

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -114,18 +116,19 @@ func SelfTest(w io.Writer, o Options) error {
 			}
 		}
 		out := make([][]float32, n)
+		errs := make([]error, n)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				g := append([]float32(nil), inputs[i]...)
-				ring.AllReduce(f.Endpoint(i), g, 0, nil)
+				errs[i] = ring.AllReduceCtx(context.Background(), f.Endpoint(i), g, 0, nil, ring.Options{})
 				out[i] = g
 			}(i)
 		}
 		wg.Wait()
-		ok := true
+		ok := errors.Join(errs...) == nil
 		for node := range out {
 			for j := range want {
 				if float64(out[node][j]) != want[j] {

@@ -25,6 +25,7 @@ package hierarchy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -116,7 +117,7 @@ func levelOptions(opt ring.Options, tagOffset int) ring.Options {
 	return opt
 }
 
-// AllReduce performs the hierarchical global gradient sum on worker id:
+// AllReduceCtx performs the hierarchical global gradient sum on worker id:
 // intra-group ring, inter-group exchange per the topology mode, and an
 // intra-group broadcast of the global result. On return every worker's
 // grad holds the global sum. Leaders' inter-group gradient legs honour
@@ -124,19 +125,11 @@ func levelOptions(opt ring.Options, tagOffset int) ring.Options {
 // already-summed gradient from the aggregator, which the paper's WA
 // system would send as weights — we keep it uncompressed for parity).
 //
-// All t.Workers workers must call AllReduce concurrently; in tree mode
-// RunAggregator must run on node t.AggregatorID().
+// All t.Workers workers must call it concurrently; in tree mode
+// RunAggregatorCtx must run on node t.AggregatorID().
 //
-// AllReduce is the legacy panic-on-failure wrapper around AllReduceCtx.
-func AllReduce(t Topology, e *comm.Endpoint, grad []float32, tos uint8, finalize func([]float32)) {
-	if err := AllReduceCtx(context.Background(), t, comm.AsCtxPeer(e), grad, tos, finalize, ring.Options{}); err != nil {
-		panic(err)
-	}
-}
-
-// AllReduceCtx is the fault-tolerant form of AllReduce: transport
-// anomalies and context cancellation surface as errors instead of
-// panicking the worker goroutine. Both ring levels delegate to
+// Transport anomalies and context cancellation surface as errors. Both
+// ring levels delegate to
 // ring.AllReduceGroupCtx, so opt's StepTimeout bounds every individual
 // hop (a wedged peer surfaces as a timeout naming the link, without the
 // caller having to cancel) and opt's ChunkSize pipelines each block.
@@ -208,19 +201,11 @@ func recvStep(ctx context.Context, e comm.CtxPeer, opt ring.Options, src int, ta
 	return e.RecvCtx(sctx, src, tag)
 }
 
-// RunAggregator is the global aggregator loop body for one iteration of
+// RunAggregatorCtx is the global aggregator loop body for one iteration of
 // ModeAggregatorTree: it sums the group leaders' vectors and sends the
-// result back. It is the legacy panic-on-failure wrapper around
-// RunAggregatorCtx.
-func RunAggregator(t Topology, e *comm.Endpoint, gradLen int) {
-	if err := RunAggregatorCtx(context.Background(), t, comm.AsCtxPeer(e), gradLen, ring.Options{}); err != nil {
-		panic(err)
-	}
-}
-
-// RunAggregatorCtx is the error-returning form of RunAggregator. Each
-// per-leader gather and result leg is bounded by opt.StepTimeout, so one
-// wedged leader fails the step with an error naming it.
+// result back. Each per-leader gather and result leg is bounded by
+// opt.StepTimeout, so one wedged leader fails the step with an error
+// naming it.
 func RunAggregatorCtx(ctx context.Context, t Topology, e comm.CtxPeer, gradLen int, opt ring.Options) error {
 	sum := make([]float32, gradLen)
 	leaders := make([]int, t.Groups())
@@ -258,24 +243,31 @@ func RunAllReduce(t Topology, proc comm.WireProcessor, inputs [][]float32, tos u
 		return nil, nil, fmt.Errorf("hierarchy: %d inputs for %d workers", len(inputs), t.Workers)
 	}
 	f := comm.NewFabric(t.FabricSize(), proc)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	out := make([][]float32, t.Workers)
+	errs := make([]error, t.FabricSize())
 	var wg sync.WaitGroup
-	if t.Mode == ModeAggregatorTree {
+	run := func(id int, body func() error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			RunAggregator(t, f.Endpoint(t.AggregatorID()), len(inputs[0]))
+			if errs[id] = body(); errs[id] != nil {
+				cancel() // unblock the other nodes
+			}
 		}()
 	}
+	if t.Mode == ModeAggregatorTree {
+		run(t.AggregatorID(), func() error {
+			return RunAggregatorCtx(ctx, t, f.Endpoint(t.AggregatorID()), len(inputs[0]), ring.Options{})
+		})
+	}
 	for id := 0; id < t.Workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			g := append([]float32(nil), inputs[id]...)
-			AllReduce(t, f.Endpoint(id), g, tos, finalize)
-			out[id] = g
-		}(id)
+		run(id, func() error {
+			out[id] = append([]float32(nil), inputs[id]...)
+			return AllReduceCtx(ctx, t, f.Endpoint(id), out[id], tos, finalize, ring.Options{})
+		})
 	}
 	wg.Wait()
-	return out, f, nil
+	return out, f, errors.Join(errs...)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"inceptionn/internal/comm"
+	"inceptionn/internal/ring"
 )
 
 // Additional collectives rounding out the OpenMPI-like API surface of the
@@ -80,7 +81,7 @@ func (c *Comm) ReduceScatterCtx(ctx context.Context, vec []float32) ([]float32, 
 	for s := 1; s <= n-1; s++ {
 		sendBlk := ((rank-s+1)%n + n) % n
 		recvBlk := ((rank-s)%n + n) % n
-		lo, hi := scatterBounds(len(work), n, sendBlk)
+		lo, hi := ring.BlockBounds(len(work), n, sendBlk)
 		if err := c.sendStep(ctx, right, work[lo:hi], c.tos, tagReduceScatter+s); err != nil {
 			return nil, err
 		}
@@ -88,7 +89,7 @@ func (c *Comm) ReduceScatterCtx(ctx context.Context, vec []float32) ([]float32, 
 		if err != nil {
 			return nil, err
 		}
-		lo, hi = scatterBounds(len(work), n, recvBlk)
+		lo, hi = ring.BlockBounds(len(work), n, recvBlk)
 		local := work[lo:hi]
 		for i, v := range rb {
 			local[i] += v
@@ -98,7 +99,7 @@ func (c *Comm) ReduceScatterCtx(ctx context.Context, vec []float32) ([]float32, 
 	// which is exactly the block its right neighbour should return; one
 	// final shift gives every rank its own block.
 	ownBlk := (rank + 1) % n
-	lo, hi := scatterBounds(len(work), n, ownBlk)
+	lo, hi := ring.BlockBounds(len(work), n, ownBlk)
 	if err := c.sendStep(ctx, right, work[lo:hi], c.tos, tagReduceScatter); err != nil {
 		return nil, err
 	}
@@ -107,25 +108,6 @@ func (c *Comm) ReduceScatterCtx(ctx context.Context, vec []float32) ([]float32, 
 		return nil, err
 	}
 	return append([]float32(nil), rb...), nil
-}
-
-// scatterBounds mirrors the ring package's block partition.
-func scatterBounds(n, parts, b int) (lo, hi int) {
-	per := n / parts
-	rem := n % parts
-	lo = b*per + minInt(b, rem)
-	size := per
-	if b < rem {
-		size++
-	}
-	return lo, lo + size
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Scatter distributes root's per-rank chunks: root passes chunks indexed

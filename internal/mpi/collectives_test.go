@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"inceptionn/internal/ring"
 )
 
 func TestAllGather(t *testing.T) {
@@ -48,7 +50,7 @@ func TestReduceScatter(t *testing.T) {
 		// Expected sum at index i: i * (1+2+...+n).
 		tri := float32(n * (n + 1) / 2)
 		for rank := 0; rank < n; rank++ {
-			lo, hi := scatterBounds(length, n, rank)
+			lo, hi := ring.BlockBounds(length, n, rank)
 			out := results[rank]
 			if len(out) != hi-lo {
 				t.Fatalf("n=%d rank=%d: block size %d, want %d", n, rank, len(out), hi-lo)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"inceptionn/internal/ring"
 )
 
 // In-network switch all-reduce (NetReduce-style, arXiv:2009.09736): one
@@ -161,12 +163,12 @@ func (c *Comm) SwitchServeCtx(ctx context.Context, gradLen int, opt SwitchOption
 			ports[wi] = rb
 		}
 		combined := out[:hi-lo]
-		// Combine per ring block: scatterBounds partitions the full
+		// Combine per ring block: ring.BlockBounds partitions the full
 		// gradient into p blocks exactly as the ring does; within block b
 		// the accumulation starts at port b and walks the ports in rotated
 		// order, matching the ring's left-associated summation bit for bit.
 		for b := 0; b < p; b++ {
-			blo, bhi := scatterBounds(gradLen, p, b)
+			blo, bhi := ring.BlockBounds(gradLen, p, b)
 			if blo < lo {
 				blo = lo
 			}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"inceptionn/internal/ring"
 )
 
 // runSwitchWorld executes one switch all-reduce over p workers plus the
@@ -166,7 +168,7 @@ func TestScatterBoundsTiling(t *testing.T) {
 			next := 0
 			minSize, maxSize := n, 0
 			for b := 0; b < parts; b++ {
-				lo, hi := scatterBounds(n, parts, b)
+				lo, hi := ring.BlockBounds(n, parts, b)
 				if lo != next {
 					t.Fatalf("n=%d parts=%d block %d: lo=%d, want %d (gap or overlap)", n, parts, b, lo, next)
 				}
@@ -181,7 +183,7 @@ func TestScatterBoundsTiling(t *testing.T) {
 					maxSize = size
 				}
 				if b > 0 {
-					prevLo, prevHi := scatterBounds(n, parts, b-1)
+					prevLo, prevHi := ring.BlockBounds(n, parts, b-1)
 					if prevHi-prevLo < size {
 						t.Fatalf("n=%d parts=%d block %d larger than block %d", n, parts, b, b-1)
 					}
@@ -223,7 +225,7 @@ func TestReduceScatterUneven(t *testing.T) {
 			})
 			sumRanks := float32(n * (n + 1) / 2)
 			for r := 0; r < n; r++ {
-				lo, hi := scatterBounds(vecLen, n, r)
+				lo, hi := ring.BlockBounds(vecLen, n, r)
 				if len(shards[r]) != hi-lo {
 					t.Fatalf("n=%d len=%d rank=%d: shard len %d, want %d", n, vecLen, r, len(shards[r]), hi-lo)
 				}

@@ -27,8 +27,10 @@ import (
 	"inceptionn/internal/obs"
 )
 
-// Block boundaries: block b of a length-n vector split N ways.
-func blockBounds(n, parts, b int) (lo, hi int) {
+// BlockBounds returns block b of a length-n vector split parts ways: the
+// partition every ring-order collective in the repo shares (the first
+// n%parts blocks are one element longer).
+func BlockBounds(n, parts, b int) (lo, hi int) {
 	per := n / parts
 	rem := n % parts
 	lo = b*per + min(b, rem)
@@ -37,13 +39,6 @@ func blockBounds(n, parts, b int) (lo, hi int) {
 		size++
 	}
 	return lo, lo + size
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Tag bases for the two phases; step index is added so that a lagging
@@ -130,10 +125,10 @@ func chunkBounds(blockLen, chunk, c int) (lo, hi int) {
 	return lo, hi
 }
 
-// AllReduce performs the in-place gradient exchange of Algorithm 1 on node
-// e.ID() of an N-node ring: on return, grad holds the elementwise sum of
-// every node's input vector. All N nodes must call AllReduce concurrently
-// with equal-length vectors. tos selects per-packet NIC treatment
+// AllReduceCtx performs the in-place gradient exchange of Algorithm 1 on
+// node e.ID() of an N-node ring: on return, grad holds the elementwise sum
+// of every node's input vector. All N nodes must call it concurrently with
+// equal-length vectors. tos selects per-packet NIC treatment
 // (comm.ToSCompress enables in-network lossy compression of every leg).
 //
 // finalize, if non-nil, is applied in place to the node's fully aggregated
@@ -144,16 +139,8 @@ func chunkBounds(blockLen, chunk, c int) (lo, hi int) {
 // version, and the model replicas drift apart. The codec is idempotent, so
 // applying it at the owner makes every replica bit-identical.
 //
-// AllReduce is the legacy panic-on-failure wrapper around AllReduceCtx.
-func AllReduce(e comm.Peer, grad []float32, tos uint8, finalize func([]float32)) {
-	if err := AllReduceCtx(context.Background(), comm.AsCtxPeer(e), grad, tos, finalize, Options{}); err != nil {
-		panic(fmt.Sprintf("ring: %v", err))
-	}
-}
-
-// AllReduceCtx is the fault-tolerant form of AllReduce: transport
-// anomalies, per-step deadline expiries (stragglers, partitions), and
-// context cancellation return errors instead of panicking, so a training
+// Transport anomalies, per-step deadline expiries (stragglers,
+// partitions), and context cancellation return errors, so a training
 // driver can retry, evict the failed node, or abort cleanly.
 func AllReduceCtx(ctx context.Context, e comm.CtxPeer, grad []float32, tos uint8, finalize func([]float32), opt Options) error {
 	return AllReduceGroupCtx(ctx, e, nil, grad, tos, finalize, opt)
@@ -232,8 +219,8 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 			defer cancel()
 		}
 
-		slo, shi := blockBounds(len(grad), n, sendBlk)
-		rlo, rhi := blockBounds(len(grad), n, recvBlk)
+		slo, shi := BlockBounds(len(grad), n, sendBlk)
+		rlo, rhi := BlockBounds(len(grad), n, recvBlk)
 		sendBuf, recvBuf := grad[slo:shi], grad[rlo:rhi]
 
 		if chunk <= 0 {
@@ -362,7 +349,7 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 
 	if finalize != nil {
 		// The fully aggregated block this node owns after P1.
-		lo, hi := blockBounds(len(grad), n, (rank+1)%n)
+		lo, hi := BlockBounds(len(grad), n, (rank+1)%n)
 		finalize(grad[lo:hi])
 	}
 
@@ -383,18 +370,12 @@ const (
 	tagWeightsDn = 3001
 )
 
-// WorkerExchange is one worker's side of the conventional worker-aggregator
-// iteration (paper Fig. 2): send the local gradient up to the aggregator,
-// receive the updated weights back. gradTos controls compression of the
-// gradient leg (the only compressible leg in this topology — the returned
-// weights cannot tolerate loss, per the paper's Fig. 4). The received
-// weight vector is returned.
-func WorkerExchange(e comm.Peer, aggregator int, grad []float32, gradTos uint8) []float32 {
-	e.Send(aggregator, grad, gradTos, tagGradUp)
-	return e.Recv(aggregator, tagWeightsDn)
-}
-
-// WorkerExchangeCtx is the error-returning form of WorkerExchange.
+// WorkerExchangeCtx is one worker's side of the conventional
+// worker-aggregator iteration (paper Fig. 2): send the local gradient up to
+// the aggregator, receive the updated weights back. gradTos controls
+// compression of the gradient leg (the only compressible leg in this
+// topology — the returned weights cannot tolerate loss, per the paper's
+// Fig. 4). The received weight vector is returned.
 func WorkerExchangeCtx(ctx context.Context, e comm.CtxPeer, aggregator int, grad []float32, gradTos uint8) ([]float32, error) {
 	if err := e.SendCtx(ctx, aggregator, grad, gradTos, tagGradUp); err != nil {
 		return nil, fmt.Errorf("ring: worker %d gradient up: %w", e.ID(), err)
@@ -404,16 +385,6 @@ func WorkerExchangeCtx(ctx context.Context, e comm.CtxPeer, aggregator int, grad
 		return nil, fmt.Errorf("ring: worker %d weights down: %w", e.ID(), err)
 	}
 	return w, nil
-}
-
-// AggregateStep is the aggregator's side: gather gradients from workers,
-// sum them, let update produce the new weight vector, and broadcast it.
-// workers lists worker node ids. update receives the summed gradient and
-// must return the weight vector to broadcast.
-func AggregateStep(e comm.Peer, workers []int, gradLen int, update func(sum []float32) []float32) {
-	if err := AggregateStepCtx(context.Background(), comm.AsCtxPeer(e), workers, gradLen, update, Options{}); err != nil {
-		panic(fmt.Sprintf("ring: %v", err))
-	}
 }
 
 // StepContext derives the per-operation deadline context from o: with a
@@ -428,10 +399,13 @@ func (o Options) StepContext(ctx context.Context) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// AggregateStepCtx is the error-returning form of AggregateStep. With
-// opt.StepTimeout set, every per-worker gather and broadcast leg is
-// individually deadline-bounded: one wedged worker fails the step with an
-// error identifying it rather than hanging the aggregator.
+// AggregateStepCtx is the aggregator's side: gather gradients from workers,
+// sum them, let update produce the new weight vector, and broadcast it.
+// workers lists worker node ids. update receives the summed gradient and
+// must return the weight vector to broadcast. With opt.StepTimeout set,
+// every per-worker gather and broadcast leg is individually
+// deadline-bounded: one wedged worker fails the step with an error
+// identifying it rather than hanging the aggregator.
 func AggregateStepCtx(ctx context.Context, e comm.CtxPeer, workers []int, gradLen int, update func(sum []float32) []float32, opt Options) error {
 	sum := make([]float32, gradLen)
 	for _, w := range workers {

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -24,24 +25,30 @@ func finalizeFor(proc comm.WireProcessor, tos uint8) func([]float32) {
 	}
 }
 
-// runAllReduce executes AllReduce on n concurrent nodes with the given
-// per-node inputs and returns each node's resulting vector.
-func runAllReduce(t *testing.T, proc comm.WireProcessor, inputs [][]float32, tos uint8) ([][]float32, *comm.Fabric) {
+// runAllReduce executes AllReduceCtx concurrently on n nodes with the
+// given per-node inputs and options and returns each node's resulting
+// vector; any node error fails the test.
+func runAllReduce(t *testing.T, proc comm.WireProcessor, inputs [][]float32, tos uint8, opt Options) ([][]float32, *comm.Fabric) {
 	t.Helper()
 	n := len(inputs)
 	f := comm.NewFabric(n, proc)
 	out := make([][]float32, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g := append([]float32(nil), inputs[i]...)
-			AllReduce(f.Endpoint(i), g, tos, finalizeFor(proc, tos))
-			out[i] = g
+			out[i] = append([]float32(nil), inputs[i]...)
+			errs[i] = AllReduceCtx(context.Background(), f.Endpoint(i), out[i], tos, finalizeFor(proc, tos), opt)
 		}(i)
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
 	return out, f
 }
 
@@ -50,7 +57,7 @@ func TestBlockBounds(t *testing.T) {
 	total := 0
 	prevHi := 0
 	for b := 0; b < 4; b++ {
-		lo, hi := blockBounds(10, 4, b)
+		lo, hi := BlockBounds(10, 4, b)
 		if lo != prevHi {
 			t.Fatalf("block %d starts at %d, want %d", b, lo, prevHi)
 		}
@@ -63,7 +70,7 @@ func TestBlockBounds(t *testing.T) {
 }
 
 func TestAllReduceSingleNode(t *testing.T) {
-	out, _ := runAllReduce(t, nil, [][]float32{{1, 2, 3}}, 0)
+	out, _ := runAllReduce(t, nil, [][]float32{{1, 2, 3}}, 0, Options{})
 	if out[0][0] != 1 || out[0][2] != 3 {
 		t.Fatalf("single-node allreduce changed data: %v", out[0])
 	}
@@ -78,7 +85,7 @@ func TestAllReduceSumsExactly(t *testing.T) {
 		{4, 40, 400, 4000, 5},
 	}
 	want := []float32{10, 100, 1000, 10000, 14}
-	out, _ := runAllReduce(t, nil, inputs, 0)
+	out, _ := runAllReduce(t, nil, inputs, 0, Options{})
 	for node := range out {
 		for i := range want {
 			if out[node][i] != want[i] {
@@ -100,7 +107,7 @@ func TestAllReduceAllNodesIdentical(t *testing.T) {
 			inputs[i][j] = float32(rng.NormFloat64())
 		}
 	}
-	out, _ := runAllReduce(t, nil, inputs, 0)
+	out, _ := runAllReduce(t, nil, inputs, 0, Options{})
 	for node := 1; node < n; node++ {
 		for i := range out[0] {
 			if out[node][i] != out[0][i] {
@@ -128,7 +135,7 @@ func TestAllReduceMatchesSequentialSum(t *testing.T) {
 					want[j] += float64(v)
 				}
 			}
-			out, _ := runAllReduce(t, nil, inputs, 0)
+			out, _ := runAllReduce(t, nil, inputs, 0, Options{})
 			for j := range want {
 				if math.Abs(float64(out[0][j])-want[j]) > 1e-4*(math.Abs(want[j])+1) {
 					t.Fatalf("n=%d len=%d elem %d: got %g want %g",
@@ -148,7 +155,7 @@ func TestAllReduceBalancedTraffic(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = make([]float32, length)
 	}
-	out, f := runAllReduce(t, nil, inputs, 0)
+	out, f := runAllReduce(t, nil, inputs, 0, Options{})
 	_ = out
 	wantPerLink := int64(4 * length * 2 * (n - 1) / n)
 	for i := 0; i < n; i++ {
@@ -180,7 +187,7 @@ func TestAllReduceWithCompressionBoundedError(t *testing.T) {
 		}
 	}
 	bound := fpcodec.MustBound(10)
-	out, f := runAllReduce(t, comm.CodecProcessor{Bound: bound}, inputs, comm.ToSCompress)
+	out, f := runAllReduce(t, comm.CodecProcessor{Bound: bound}, inputs, comm.ToSCompress, Options{})
 	// Each element passes through at most 2(n-1) compression stages; errors
 	// can accumulate linearly in the worst case.
 	tol := bound.MaxError() * float64(2*(n-1))
@@ -211,17 +218,20 @@ func TestQuickAllReduceProperty(t *testing.T) {
 		}
 		fab := comm.NewFabric(n, nil)
 		out := make([][]float32, n)
+		errs := make([]error, n)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				g := append([]float32(nil), inputs[i]...)
-				AllReduce(fab.Endpoint(i), g, 0, nil)
-				out[i] = g
+				out[i] = append([]float32(nil), inputs[i]...)
+				errs[i] = AllReduceCtx(context.Background(), fab.Endpoint(i), out[i], 0, nil, Options{})
 			}(i)
 		}
 		wg.Wait()
+		if errors.Join(errs...) != nil {
+			return false
+		}
 		for node := range out {
 			for j := range want {
 				if float64(out[node][j]) != want[j] {
@@ -247,13 +257,16 @@ func TestWorkerAggregatorExchange(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		AggregateStep(f.Endpoint(aggID), []int{0, 1, 2, 3}, gradLen, func(sum []float32) []float32 {
+		err := AggregateStepCtx(context.Background(), f.Endpoint(aggID), []int{0, 1, 2, 3}, gradLen, func(sum []float32) []float32 {
 			w := make([]float32, len(sum))
 			for i, v := range sum {
 				w[i] = -v
 			}
 			return w
-		})
+		}, Options{})
+		if err != nil {
+			t.Error(err)
+		}
 	}()
 
 	results := make([][]float32, workers)
@@ -265,7 +278,10 @@ func TestWorkerAggregatorExchange(t *testing.T) {
 			for j := range g {
 				g[j] = float32(i + 1)
 			}
-			results[i] = WorkerExchange(f.Endpoint(i), aggID, g, 0)
+			var err error
+			if results[i], err = WorkerExchangeCtx(context.Background(), f.Endpoint(i), aggID, g, 0); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -297,9 +313,12 @@ func TestWorkerAggregatorCompressedGradLegOnly(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		AggregateStep(f.Endpoint(aggID), []int{0, 1}, gradLen, func(sum []float32) []float32 {
+		err := AggregateStepCtx(context.Background(), f.Endpoint(aggID), []int{0, 1}, gradLen, func(sum []float32) []float32 {
 			return sum
-		})
+		}, Options{})
+		if err != nil {
+			t.Error(err)
+		}
 	}()
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -309,7 +328,9 @@ func TestWorkerAggregatorCompressedGradLegOnly(t *testing.T) {
 			for j := range g {
 				g[j] = 1e-5 // compresses to the 2-bit class
 			}
-			WorkerExchange(f.Endpoint(i), aggID, g, comm.ToSCompress)
+			if _, err := WorkerExchangeCtx(context.Background(), f.Endpoint(i), aggID, g, comm.ToSCompress); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -321,34 +342,6 @@ func TestWorkerAggregatorCompressedGradLegOnly(t *testing.T) {
 	if down != 4*gradLen {
 		t.Errorf("weight leg must be uncompressed: %d bytes", down)
 	}
-}
-
-// runAllReduceCtx executes AllReduceCtx concurrently on n nodes with the
-// given options and returns each node's resulting vector; any node error
-// fails the test.
-func runAllReduceCtx(t *testing.T, proc comm.WireProcessor, inputs [][]float32, tos uint8, opt Options) [][]float32 {
-	t.Helper()
-	n := len(inputs)
-	f := comm.NewFabric(n, proc)
-	out := make([][]float32, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := append([]float32(nil), inputs[i]...)
-			errs[i] = AllReduceCtx(context.Background(), comm.AsCtxPeer(f.Endpoint(i)), g, tos, finalizeFor(proc, tos), opt)
-			out[i] = g
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	return out
 }
 
 // TestAllReduceChunkedBitIdentical pins the pipelining contract: for any
@@ -375,9 +368,9 @@ func TestAllReduceChunkedBitIdentical(t *testing.T) {
 		if proc != nil {
 			tos = comm.ToSCompress
 		}
-		want := runAllReduceCtx(t, proc, inputs, tos, Options{})
+		want, _ := runAllReduce(t, proc, inputs, tos, Options{})
 		for _, chunkSize := range []int{1, 64, 1000, 3000, vec * 2} {
-			got := runAllReduceCtx(t, proc, inputs, tos, Options{ChunkSize: chunkSize})
+			got, _ := runAllReduce(t, proc, inputs, tos, Options{ChunkSize: chunkSize})
 			for i := range got {
 				for j := range got[i] {
 					if math.Float32bits(got[i][j]) != math.Float32bits(want[i][j]) {
@@ -395,7 +388,7 @@ func TestAllReduceChunkedBitIdentical(t *testing.T) {
 func TestAllReduceChunkedShortVector(t *testing.T) {
 	inputs := [][]float32{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
 	want := []float32{16, 20}
-	out := runAllReduceCtx(t, nil, inputs, 0, Options{ChunkSize: 8})
+	out, _ := runAllReduce(t, nil, inputs, 0, Options{ChunkSize: 8})
 	for i := range out {
 		for j, v := range out[i] {
 			if v != want[j] {

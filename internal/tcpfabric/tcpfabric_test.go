@@ -1,6 +1,7 @@
 package tcpfabric
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -145,7 +146,9 @@ func TestRingAllReduceOverRealTCP(t *testing.T) {
 			go func(id int) {
 				defer wg.Done()
 				g := append([]float32(nil), inputs[id]...)
-				ring.AllReduce(c.Node(id), g, tos, finalize)
+				if err := ring.AllReduceCtx(context.Background(), c.Node(id), g, tos, finalize, ring.Options{}); err != nil {
+					t.Error(err)
+				}
 				out[id] = g
 			}(id)
 		}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
 	"inceptionn/internal/elastic"
 	"inceptionn/internal/fault"
@@ -33,29 +32,12 @@ var ErrInterrupted = errors.New("train: run interrupted; resume from checkpoint 
 // failing it (it crashed and self-reported, or was evicted).
 var errWorkerDone = errors.New("train: worker left the membership")
 
-// elasticSnap is one retained iteration boundary. Snapshots are taken
-// right before each gradient exchange; because a ring exchange cannot
-// complete without every member engaging, survivors are at most one
-// iteration apart, so keeping two suffices to cover any replay point the
-// recovery protocol can pick.
-type elasticSnap struct {
-	iter        int
-	cursor      uint64    // loader position *before* this iteration's batch
-	weights     []float32 // pre-update
-	velocity    []float32 // pre-update
-	residualPre []float32 // error-feedback state before this iteration folded in
-	residual    []float32 // ... and after (what a replay must restore)
-	grad        []float32 // post-feedback local gradient, ready to exchange
-}
-
-// elasticWorker extends the fixed-topology worker with a seekable loader,
-// the replay snapshots, and its membership + data-plane endpoints.
+// elasticWorker extends the worker (seekable loader, replay snapshots
+// armed) with its membership + data-plane endpoints.
 type elasticWorker struct {
 	*worker
-	sl    *data.StepLoader
-	snaps [2]*elasticSnap // [0] newest
-	m     elastic.Membership
-	peer  *elastic.Peer
+	m    elastic.Membership
+	peer *elastic.Peer
 	// ctx scopes this worker *generation*: cancelling it aborts every
 	// blocked wait (exchange receives, gathers, sync transfers) without
 	// consuming in-flight frames, so a superseded generation can be torn
@@ -64,22 +46,16 @@ type elasticWorker struct {
 	ctx context.Context
 }
 
+// newElasticWorker builds worker id, restored from ck when resuming.
 func newElasticWorker(id int, build Builder, trainDS data.Dataset, o Options, ck *Checkpoint) (*elasticWorker, error) {
-	w := newWorker(id, build, trainDS, o)
-	// Shard by the full universe, not the live member count: survivor
-	// shards never change across evictions, so recovery and resume see
-	// identical sample streams. The rand-based loader is replaced with the
-	// counter-based one whose position is a serializable cursor.
-	shard := data.NewPartition(trainDS, id, o.Workers)
-	sl := data.NewStepLoader(shard, o.BatchPerNode, o.Seed+int64(1000+id))
-	w.loader = sl
-	ew := &elasticWorker{worker: w, sl: sl}
+	ew := &elasticWorker{worker: newWorker(id, build, trainDS, o, true)}
+	ew.armSnapshots()
 	if ck != nil {
 		ew.net.SetWeightVector(ck.Weights)
 		if err := ew.sgd.SetVelocityVector(ew.net.Params(), ck.Velocity); err != nil {
 			return nil, err
 		}
-		sl.Seek(ck.Cursors[id])
+		ew.sl.Seek(ck.Cursors[id])
 		if res := ck.Residuals[id]; res != nil {
 			if ew.residual == nil || len(res) != len(ew.residual) {
 				return nil, fmt.Errorf("train: checkpoint residual for worker %d does not match run options", id)
@@ -88,60 +64,6 @@ func newElasticWorker(id int, build Builder, trainDS data.Dataset, o Options, ck
 		}
 	}
 	return ew, nil
-}
-
-// takeSnapshot records the state needed to replay iteration iter. A
-// snapshot for an iteration already on file (a replayed one) replaces it
-// in place, so the previous iteration — which a straggling survivor may
-// still force us back to — is never evicted early.
-func (w *elasticWorker) takeSnapshot(iter int, residualPre []float32) {
-	s := &elasticSnap{
-		iter:        iter,
-		cursor:      w.sl.Cursor() - 1, // Next() already advanced past iter's batch
-		weights:     w.net.WeightVector(nil),
-		velocity:    w.sgd.VelocityVector(w.net.Params(), nil),
-		residualPre: residualPre,
-		grad:        append([]float32(nil), w.grad...),
-	}
-	if w.residual != nil {
-		s.residual = append([]float32(nil), w.residual...)
-	}
-	if w.snaps[0] != nil && w.snaps[0].iter == iter {
-		w.snaps[0] = s
-		return
-	}
-	w.snaps[1], w.snaps[0] = w.snaps[0], s
-}
-
-// snapFor returns the retained snapshot for iter, or nil.
-func (w *elasticWorker) snapFor(iter int) *elasticSnap {
-	for _, s := range w.snaps {
-		if s != nil && s.iter == iter {
-			return s
-		}
-	}
-	return nil
-}
-
-// restoreSnapshot rewinds the worker to the pre-exchange state of iter:
-// weights, optimizer state, loader cursor (past iter's batch), the
-// post-feedback residual, and the retained local gradient, which the
-// replayed exchange reuses instead of recomputing.
-func (w *elasticWorker) restoreSnapshot(iter int) error {
-	s := w.snapFor(iter)
-	if s == nil {
-		return fmt.Errorf("train: worker %d has no snapshot for iteration %d (survivor skew exceeded the retained window)", w.id, iter)
-	}
-	w.net.SetWeightVector(s.weights)
-	if err := w.sgd.SetVelocityVector(w.net.Params(), s.velocity); err != nil {
-		return err
-	}
-	w.sl.Seek(s.cursor + 1)
-	w.grad = append(w.grad[:0], s.grad...)
-	if w.residual != nil && s.residual != nil {
-		copy(w.residual, s.residual)
-	}
-	return nil
 }
 
 // syncTagOffset is the in-band tag (relative to the epoch's TagBase) of
@@ -153,164 +75,96 @@ const syncTagOffset = 1 << 19
 // elasticRun is the shared state of one RunElastic/RunElasticTCP
 // invocation. member hands each worker its membership endpoint (the
 // shared in-process coordinator, or that worker's TCP control-channel
-// client); transport hands it its data-plane endpoint plus an optional
-// cleanup.
+// client).
 type elasticRun struct {
-	o         Options
-	iters     int
+	*session
 	startIter int
+	coord     *elastic.Coordinator
 	member    func(id int) elastic.Membership
-	transport func(id int) (elastic.Transport, func())
-	finalize  func([]float32) // owner-block finalizer for the exchange
-	testDS    data.Dataset
 
-	ctx    context.Context
-	cancel context.CancelFunc
+	replays  *obs.Counter   // elastic_replays (nil-safe)
+	ckptHist *obs.Histogram // checkpoint_write_seconds (nil-safe)
 
-	// Per-worker wall-clock attribution (indexed by worker id; each
-	// goroutine owns its slot, wg.Wait orders the final read).
-	computeNs []int64
-	commNs    []int64
-	replays   *obs.Counter   // elastic_replays (nil-safe)
-	ckptHist  *obs.Histogram // checkpoint_write_seconds (nil-safe)
-
-	mu      sync.Mutex
-	evals   map[int]EvalPoint // keyed by iter; replays overwrite
-	weights map[int][]float32
-	final   map[int][2]float64 // leader's final (acc, loss)
+	// finished holds what each worker that completed or halted left behind:
+	// its weights, and — from the one that led the final view — the final
+	// accuracy and loss. Under session.mu.
+	finished map[int]Result
 }
 
-func (r *elasticRun) recordEval(p EvalPoint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evals[p.Iter] = p
-}
-
-func (r *elasticRun) storeWeights(id int, w []float32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.weights[id] = w
-}
-
-func (r *elasticRun) storeFinal(id int, acc, loss float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.final[id] = [2]float64{acc, loss}
-}
-
-// RunElastic trains like runRing but survives worker death and supports
-// durable checkpoint/resume. It requires the ring algorithm: the exchange
-// must be rebuildable over an arbitrary member subset, which
-// ring.AllReduceGroupCtx provides. On a graceful stop (Options.Stop) it
-// returns the partial result and ErrInterrupted.
-func RunElastic(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	ck, err := prepareElastic(build, iters, &o)
-	if err != nil {
-		return Result{}, err
-	}
-
-	fabric := comm.NewFabric(o.Workers, o.Processor)
-	fabric.SetRecorder(o.Obs)
-	coord := elastic.NewCoordinator(o.Workers, elastic.Config{SuspectAfter: o.SuspectAfter, Obs: o.Obs})
-	defer coord.Close()
-	if o.SuspectAfter > 0 {
-		coord.WatchFabric(fabric)
-	}
-	var inj *fault.Injector
-	if o.Chaos != nil {
-		inj = fault.NewInjector(o.Workers, *o.Chaos)
-	}
-
+// newElasticRun starts the membership side of a run over plane: the
+// coordinator, with the members that were dead at checkpoint ck (nil when
+// starting fresh) re-declared so the resumed view matches. The caller
+// closes r.coord.
+func newElasticRun(plane *dataPlane, build Builder, trainDS, testDS data.Dataset, iters int, o Options, ck *Checkpoint) *elasticRun {
 	r := &elasticRun{
-		o: o, iters: iters, testDS: testDS,
-		finalize: o.finalizer(),
-		member:   func(int) elastic.Membership { return coord },
-		transport: func(id int) (elastic.Transport, func()) {
-			if inj != nil {
-				fp := fault.Wrap(fabric.Endpoint(id), inj, fault.Options{Finalize: o.finalizer()})
-				return fp, fp.Close
-			}
-			return fabric.Endpoint(id), nil
-		},
-		computeNs: make([]int64, o.Workers),
-		commNs:    make([]int64, o.Workers),
-		replays:   o.Obs.Counter("elastic_replays"),
-		ckptHist:  o.Obs.Histogram("checkpoint_write_seconds"),
-		evals:     make(map[int]EvalPoint),
-		weights:   make(map[int][]float32),
-		final:     make(map[int][2]float64),
+		session:  newSession(plane, build, trainDS, testDS, iters, o),
+		coord:    elastic.NewCoordinator(o.Workers, elastic.Config{SuspectAfter: o.SuspectAfter, Obs: o.Obs}),
+		replays:  o.Obs.Counter("elastic_replays"),
+		ckptHist: o.Obs.Histogram("checkpoint_write_seconds"),
+		finished: make(map[int]Result),
 	}
 	if ck != nil {
 		r.startIter = ck.NextIter
-		// Re-declare the checkpoint's dead so the resumed view has the same
-		// members (the epoch number may differ; tags only matter within one
-		// process lifetime).
+		// The epoch number may differ from the checkpoint's; tags only matter
+		// within one process lifetime.
 		for id := 0; id < o.Workers; id++ {
 			if !ck.contains(id) {
-				coord.ReportDead(id, fmt.Errorf("train: node %d was dead at checkpoint (epoch %d)", id, ck.Epoch))
+				r.coord.ReportDead(id, fmt.Errorf("train: node %d was dead at checkpoint (epoch %d)", id, ck.Epoch))
 			}
 		}
 	}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
-	defer r.cancel()
+	return r
+}
 
-	view := coord.View()
-	errs := make([]error, o.Workers)
-	var wg sync.WaitGroup
-	for _, id := range view.Members {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			err := r.worker(r.ctx, id, build, trainDS, ck, false)
-			if errors.Is(err, errWorkerDone) {
-				err = nil
-			}
-			errs[id] = err
-			if err != nil && !errors.Is(err, ErrInterrupted) {
-				r.cancel() // a real fault: unblock the siblings
-			}
-		}(id)
+// finish records worker w's end state; the final view's leader also
+// evaluates its replica.
+func (r *elasticRun) finish(w *elasticWorker, leader bool) {
+	end := Result{FinalWeights: w.net.WeightVector(nil)}
+	if leader {
+		end.FinalAcc, end.FinalLoss = evaluate(w.net, r.testDS, r.o.EvalSamples)
 	}
-	wg.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.finished[w.id] = end
+}
 
+// failsRun reports whether a worker's exit is a real fault, as opposed to
+// success, leaving the membership, or halting on request.
+func failsRun(err error) bool {
+	return err != nil && !errors.Is(err, errWorkerDone) && !errors.Is(err, ErrInterrupted)
+}
+
+// outcome folds the workers' exits (errs, in any order) and end states
+// into the run's result.
+func (r *elasticRun) outcome(errs []error) (Result, error) {
 	interrupted := false
 	var hard []error
 	for _, err := range errs {
-		if errors.Is(err, ErrInterrupted) {
-			interrupted = true
-			continue
+		if failsRun(err) {
+			hard = append(hard, err)
 		}
-		hard = append(hard, err)
+		interrupted = interrupted || errors.Is(err, ErrInterrupted)
 	}
 	if err := firstError(hard); err != nil {
 		return Result{}, err
-	}
-
-	var res Result
-	r.mu.Lock()
-	iterKeys := make([]int, 0, len(r.evals))
-	for it := range r.evals {
-		iterKeys = append(iterKeys, it)
-	}
-	sort.Ints(iterKeys)
-	for _, it := range iterKeys {
-		res.Evals = append(res.Evals, r.evals[it])
 	}
 	// Completed workers depart the membership, so the final view may be
 	// empty: the result leader is the lowest id that actually finished and
 	// stored weights (completion order mirrors view leadership — the
 	// lowest live id runs the evaluations).
+	r.mu.Lock()
 	lead := -1
-	for id := range r.weights {
+	for id := range r.finished {
 		if lead < 0 || id < lead {
 			lead = id
 		}
 	}
+	end := r.finished[lead]
+	r.mu.Unlock()
 	if lead < 0 {
-		r.mu.Unlock()
 		var causes []string
-		for id := 0; id < o.Workers; id++ {
-			if c := coord.DeathCause(id); c != nil {
+		for id := 0; id < r.o.Workers; id++ {
+			if c := r.coord.DeathCause(id); c != nil {
 				causes = append(causes, fmt.Sprintf("node %d: %v", id, c))
 			}
 		}
@@ -320,37 +174,61 @@ func RunElastic(build Builder, trainDS, testDS data.Dataset, iters int, o Option
 		}
 		return Result{}, fmt.Errorf("train: no member completed the run (%s)", detail)
 	}
-	res.FinalWeights = r.weights[lead]
-	if fl, ok := r.final[lead]; ok {
-		res.FinalAcc, res.FinalLoss = fl[0], fl[1]
+	res := r.result()
+	res.FinalWeights, res.FinalAcc, res.FinalLoss = end.FinalWeights, end.FinalAcc, end.FinalLoss
+	if !r.plane.countsRaw() && !r.o.Compress {
+		res.RawBytes = res.WireBytes // raw path: every payload byte hits the wire as-is
 	}
-	r.mu.Unlock()
-	res.RawBytes = fabric.TotalRawBytes()
-	res.WireBytes = fabric.TotalWireBytes()
-	res.ComputeSeconds = nsSeconds(r.computeNs)
-	res.CommSeconds = nsSeconds(r.commNs)
-	res.StragglerWaitSeconds = fabricRecvWaitSeconds(fabric)
 	if interrupted {
 		return res, ErrInterrupted
 	}
 	return res, nil
 }
 
+// RunElastic trains like Run's ring but survives worker death and supports
+// durable checkpoint/resume. It requires the ring algorithm: the exchange
+// must be rebuildable over an arbitrary member subset, which
+// ring.AllReduceGroupCtx provides. On a graceful stop (Options.Stop) it
+// returns the partial result and ErrInterrupted.
+func RunElastic(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
+	ck, err := prepareElastic(build, iters, &o, false)
+	if err != nil {
+		return Result{}, err
+	}
+	plane := newFabricPlane(o.Workers, o)
+	r := newElasticRun(plane, build, trainDS, testDS, iters, o, ck)
+	defer r.cancel()
+	defer r.coord.Close()
+	if o.SuspectAfter > 0 {
+		r.coord.WatchFabric(plane.fabric)
+	}
+	r.member = func(int) elastic.Membership { return r.coord }
+
+	errs := make([]error, o.Workers)
+	var wg sync.WaitGroup
+	for _, id := range r.coord.View().Members {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			errs[id] = r.worker(r.ctx, id, ck, false)
+			if failsRun(errs[id]) {
+				r.cancel() // unblock the siblings
+			}
+		}(id)
+	}
+	wg.Wait()
+	return r.outcome(errs)
+}
+
 // prepareElastic validates the options an elastic run requires, applies
 // their defaults in place, and loads the resume checkpoint if requested
 // (nil when starting fresh).
-func prepareElastic(build Builder, iters int, o *Options) (*Checkpoint, error) {
-	if o.Workers < 1 {
-		return nil, fmt.Errorf("train: %d workers", o.Workers)
-	}
-	if o.BatchPerNode < 1 {
-		return nil, fmt.Errorf("train: batch per node %d", o.BatchPerNode)
-	}
+func prepareElastic(build Builder, iters int, o *Options, tcp bool) (*Checkpoint, error) {
 	if o.Algo != Ring {
 		return nil, fmt.Errorf("train: elastic training requires the ring algorithm (got %s)", o.Algo)
 	}
-	if o.EvalSamples == 0 {
-		o.EvalSamples = 256
+	if _, err := o.prepare(tcp); err != nil {
+		return nil, err
 	}
 	if o.RecoveryWait <= 0 {
 		o.RecoveryWait = 5 * time.Second
@@ -404,26 +282,21 @@ func (ck *Checkpoint) contains(id int) bool {
 // joining worker (already admitted to the membership by the caller)
 // rendezvouses first to splice into the ring and synchronize its state
 // from a survivor before it trains.
-func (r *elasticRun) worker(ctx context.Context, id int, build Builder, trainDS data.Dataset, ck *Checkpoint, joining bool) error {
+func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining bool) error {
 	o := r.o
-	w, err := newElasticWorker(id, build, trainDS, o, ck)
+	w, err := newElasticWorker(id, r.build, r.trainDS, o, ck)
 	if err != nil {
 		return err
 	}
 	w.ctx = ctx
 	w.m = r.member(id)
-	tp, cleanup := r.transport(id)
-	if cleanup != nil {
-		defer cleanup()
-	}
+	tp, cleanup := r.plane.peer(id)
+	defer cleanup()
 	w.peer = elastic.NewPeer(tp)
 
 	iter := r.startIter
 	pending := false   // a snapshot for iter exists and its exchange has not committed
 	recovered := false // last committed iteration was a post-recovery replay
-	iterHist := o.Obs.Histogram("train_iter_seconds")
-	lossGauge := o.Obs.Gauge("train_loss")
-	var lastLoss float64
 	// view is the membership this worker last operated under — the epoch
 	// its exchanges commit under, its checkpoint gathers are keyed by, and
 	// the one it halts or completes with. A successful exchange implies
@@ -474,25 +347,8 @@ func (r *elasticRun) worker(ctx context.Context, id int, build Builder, trainDS 
 		}
 		view = cur
 		if !pending {
-			t0 := time.Now()
-			csp := o.Obs.Span(id, iter, obs.PhaseCompute)
-			lastLoss = w.localGradient()
-			o.straggle(id)
-			if o.LocalGradTransform != nil {
-				o.LocalGradTransform(w.grad)
-			}
-			var residualPre []float32
-			if w.residual != nil {
-				residualPre = append([]float32(nil), w.residual...)
-			}
-			w.applyErrorFeedback(o)
-			csp.End()
-			if id == view.Leader() && o.GradHook != nil {
-				o.GradHook(iter, w.grad)
-			}
-			w.takeSnapshot(iter, residualPre)
+			r.computeStep(w.worker, iter, id == view.Leader())
 			pending = true
-			r.computeNs[id] += time.Since(t0).Nanoseconds()
 		}
 
 		// The exchange runs under the epoch context: a death declaration
@@ -507,10 +363,10 @@ func (r *elasticRun) worker(ctx context.Context, id int, build Builder, trainDS 
 			ObsIter:     iter,
 		}
 		tx := time.Now()
-		exErr := ring.AllReduceGroupCtx(exCtx, w.peer, view.Members, w.grad, o.gradTos(), r.finalize, ropt)
+		exErr := ring.AllReduceGroupCtx(exCtx, w.peer, view.Members, w.grad, o.gradTos(), r.plane.finalize, ropt)
 		stopLink()
 		exCancel()
-		r.commNs[id] += time.Since(tx).Nanoseconds()
+		r.tallies[id].comm += time.Since(tx).Nanoseconds()
 
 		if exErr != nil && errors.Is(exErr, fault.ErrCrashed) {
 			// This node is the casualty: its own transport refuses service.
@@ -529,19 +385,8 @@ func (r *elasticRun) worker(ctx context.Context, id int, build Builder, trainDS 
 			// rolls this commit back deterministically when a survivor
 			// aborted the same iteration.
 			// Renormalize by the members that contributed.
-			ta := time.Now()
-			w.applyAveraged(iter, w.grad, o, len(view.Members))
-			r.computeNs[id] += time.Since(ta).Nanoseconds()
+			r.commitStep(w.worker, iter, passStart, nil, len(view.Members), id == view.Leader())
 			pending = false
-			o.Health.ObserveStep(id, iter, time.Since(passStart))
-			if id == view.Leader() {
-				iterHist.Observe(time.Since(passStart))
-				lossGauge.Set(lastLoss)
-			}
-			if id == view.Leader() && o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == r.iters-1) {
-				acc, loss := evaluate(w.net, r.testDS, o.EvalSamples)
-				r.recordEval(EvalPoint{Iter: iter + 1, Accuracy: acc, Loss: loss})
-			}
 			iter++
 			if o.CheckpointDir != "" && iter < r.iters &&
 				(recovered || (o.CheckpointEvery > 0 && (iter-r.startIter)%o.CheckpointEvery == 0)) {
@@ -581,11 +426,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, build Builder, trainDS 
 			return err
 		}
 	}
-	r.storeWeights(id, w.net.WeightVector(nil))
-	if id == view.Leader() {
-		acc, loss := evaluate(w.net, r.testDS, o.EvalSamples)
-		r.storeFinal(id, acc, loss)
-	}
+	r.finish(w, id == view.Leader())
 	// Leave the membership so a survivor still mid-recovery never blocks
 	// on this exited worker: the departure advances the epoch, failing its
 	// rendezvous, and it re-resolves against the shrunken view.
@@ -771,7 +612,7 @@ func (r *elasticRun) joinSync(w *elasticWorker, from int, cur elastic.View, repl
 			w.residual[i] = 0
 		}
 	}
-	w.snaps = [2]*elasticSnap{}
+	w.armSnapshots() // drops the retained ones
 	return nil
 }
 
@@ -793,7 +634,7 @@ func (r *elasticRun) halt(w *elasticWorker, id, iter int, pending bool, view ela
 			return err
 		}
 	}
-	r.storeWeights(id, w.net.WeightVector(nil))
+	r.finish(w, false)
 	w.m.Depart(id)
 	return ErrInterrupted
 }

@@ -10,20 +10,15 @@ package train
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"inceptionn/internal/data"
 	"inceptionn/internal/elastic"
-	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/tcpfabric"
 )
 
 // tcpElastic is the mutable shared state of one RunElasticTCP invocation
@@ -31,14 +26,9 @@ import (
 // across worker generations), the rejoin bookkeeping, and the run
 // outcome accumulators.
 type tcpElastic struct {
-	run     *elasticRun
-	o       Options
-	build   Builder
-	trainDS data.Dataset
-	cluster *tcpfabric.Cluster
-	coord   *elastic.Coordinator
-	srv     *elastic.CtrlServer
-	inj     *fault.Injector
+	run *elasticRun
+	o   Options
+	srv *elastic.CtrlServer
 
 	partitionAfter time.Duration
 	ctrlSeqs       []atomic.Uint64 // per-id chaos sequence, across client generations
@@ -46,14 +36,13 @@ type tcpElastic struct {
 
 	wg sync.WaitGroup
 
-	mu          sync.Mutex
-	clients     []*elastic.Client
-	rejoining   []bool
-	genCancel   []context.CancelFunc // cancels the id's current worker generation
-	genDone     []chan struct{}      // closed when that generation has fully exited
-	finishing   bool
-	interrupted bool
-	errs        []error
+	mu        sync.Mutex
+	clients   []*elastic.Client
+	rejoining []bool
+	genCancel []context.CancelFunc // cancels the id's current worker generation
+	genDone   []chan struct{}      // closed when that generation has fully exited
+	finishing bool
+	errs      []error // every worker generation's exit
 }
 
 // RunElasticTCP trains like RunElastic but over loopback TCP sockets:
@@ -65,43 +54,28 @@ type tcpElastic struct {
 // links addressed to elastic.CtrlPeer. With o.Join, evicted workers are
 // revived and rejoin the ring (see tcpElastic.rejoin).
 func RunElasticTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Options, bound fpcodec.Bound) (Result, error) {
-	ck, err := prepareElastic(build, iters, &o)
+	ck, err := prepareElastic(build, iters, &o, true)
 	if err != nil {
 		return Result{}, err
 	}
-
-	copts := tcpfabric.ClusterOptions{Compress: o.Compress, Bound: bound, Obs: o.Obs}
-	var inj *fault.Injector
-	if o.Chaos != nil {
-		inj = fault.NewInjector(o.Workers, *o.Chaos)
-		copts.Chaos = inj
-	}
-	cluster, err := tcpfabric.NewClusterWithOptions(o.Workers, copts)
+	plane, err := newTCPPlane(o.Workers, o, bound)
 	if err != nil {
 		return Result{}, err
 	}
-	defer cluster.Close()
-
-	coord := elastic.NewCoordinator(o.Workers, elastic.Config{SuspectAfter: o.SuspectAfter, Obs: o.Obs})
-	defer coord.Close()
+	defer plane.Close()
+	r := newElasticRun(plane, build, trainDS, testDS, iters, o, ck)
+	defer r.cancel()
+	defer r.coord.Close()
 	addr := o.CoordAddr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	srv, err := elastic.ServeCtrl(addr, coord)
+	srv, err := elastic.ServeCtrl(addr, r.coord)
 	if err != nil {
 		return Result{}, err
 	}
 	defer srv.Close()
 
-	var finalize func([]float32)
-	if o.Compress {
-		finalize = func(b []float32) {
-			for i, v := range b {
-				b[i] = fpcodec.Roundtrip(v, bound)
-			}
-		}
-	}
 	// The client-side partition threshold tracks the server-side suspect
 	// threshold: a worker that cannot reach the coordinator halts on
 	// roughly the same clock that would evict it, so neither side lingers
@@ -110,22 +84,8 @@ func RunElasticTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Opt
 	if o.SuspectAfter > 0 {
 		partitionAfter = 2 * o.SuspectAfter
 	}
-
-	r := &elasticRun{
-		o: o, iters: iters, testDS: testDS,
-		finalize:  finalize,
-		transport: func(id int) (elastic.Transport, func()) { return cluster.Node(id), nil },
-		computeNs: make([]int64, o.Workers),
-		commNs:    make([]int64, o.Workers),
-		replays:   o.Obs.Counter("elastic_replays"),
-		ckptHist:  o.Obs.Histogram("checkpoint_write_seconds"),
-		evals:     make(map[int]EvalPoint),
-		weights:   make(map[int][]float32),
-		final:     make(map[int][2]float64),
-	}
 	t := &tcpElastic{
-		run: r, o: o, build: build, trainDS: trainDS,
-		cluster: cluster, coord: coord, srv: srv, inj: inj,
+		run: r, o: o, srv: srv,
 		partitionAfter: partitionAfter,
 		ctrlSeqs:       make([]atomic.Uint64, o.Workers),
 		obsJoinRuns:    o.Obs.Counter("elastic_join_workers"),
@@ -135,35 +95,17 @@ func RunElasticTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Opt
 		genDone:        make([]chan struct{}, o.Workers),
 	}
 	r.member = t.member
-	if ck != nil {
-		r.startIter = ck.NextIter
-		for id := 0; id < o.Workers; id++ {
-			if !ck.contains(id) {
-				coord.ReportDead(id, fmt.Errorf("train: node %d was dead at checkpoint (epoch %d)", id, ck.Epoch))
-			}
-		}
-	}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
-	defer r.cancel()
 
 	// A node's transport anomalies (exhausted retransmits, stream desync)
 	// are soft evidence for the failure detector, not a run abort: in an
 	// elastic run the usual cause is a dead peer, and the membership
 	// protocol — not the fabric — decides what that means.
-	for id := 0; id < o.Workers; id++ {
-		go func(id int, errCh <-chan error) {
-			for {
-				select {
-				case err := <-errCh:
-					coord.ReportAnomaly(id, err)
-				case <-r.ctx.Done():
-					return
-				}
-			}
-		}(id, cluster.Node(id).Errors())
-	}
+	plane.watch(r.ctx, func(id int, err error) bool {
+		r.coord.ReportAnomaly(id, err)
+		return true
+	})
 
-	view := coord.View()
+	view := r.coord.View()
 	for _, id := range view.Members {
 		cl, err := t.dial(id)
 		if err != nil {
@@ -184,7 +126,7 @@ func RunElasticTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Opt
 		t.wg.Add(1)
 		go func(id int) {
 			defer t.wg.Done()
-			t.finish(id, t.runWorker(id, ck, false))
+			t.finish(t.runWorker(id, ck, false))
 		}(id)
 	}
 	// Two-phase wait: a rejoin in flight holds the WaitGroup, but one that
@@ -198,60 +140,8 @@ func RunElasticTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Opt
 	t.wg.Wait()
 
 	t.mu.Lock()
-	hard := append([]error(nil), t.errs...)
-	interrupted := t.interrupted
-	t.mu.Unlock()
-	if err := firstError(hard); err != nil {
-		return Result{}, err
-	}
-
-	var res Result
-	r.mu.Lock()
-	iterKeys := make([]int, 0, len(r.evals))
-	for it := range r.evals {
-		iterKeys = append(iterKeys, it)
-	}
-	sort.Ints(iterKeys)
-	for _, it := range iterKeys {
-		res.Evals = append(res.Evals, r.evals[it])
-	}
-	lead := -1
-	for id := range r.weights {
-		if lead < 0 || id < lead {
-			lead = id
-		}
-	}
-	if lead < 0 {
-		r.mu.Unlock()
-		var causes []string
-		for id := 0; id < o.Workers; id++ {
-			if c := coord.DeathCause(id); c != nil {
-				causes = append(causes, fmt.Sprintf("node %d: %v", id, c))
-			}
-		}
-		detail := "no death evidence recorded"
-		if len(causes) > 0 {
-			detail = strings.Join(causes, "; ")
-		}
-		return Result{}, fmt.Errorf("train: no member completed the run (%s)", detail)
-	}
-	res.FinalWeights = r.weights[lead]
-	if fl, ok := r.final[lead]; ok {
-		res.FinalAcc, res.FinalLoss = fl[0], fl[1]
-	}
-	r.mu.Unlock()
-	for id := 0; id < o.Workers; id++ {
-		res.WireBytes += cluster.Node(id).SentBytes()
-	}
-	if !o.Compress {
-		res.RawBytes = res.WireBytes // raw path: every payload byte hits the wire as-is
-	}
-	res.ComputeSeconds = nsSeconds(r.computeNs)
-	res.CommSeconds = nsSeconds(r.commNs)
-	if interrupted {
-		return res, ErrInterrupted
-	}
-	return res, nil
+	defer t.mu.Unlock()
+	return r.outcome(t.errs)
 }
 
 // member hands a worker its current control client. Generations of the
@@ -284,7 +174,7 @@ func (t *tcpElastic) closeClients() {
 func (t *tcpElastic) dial(id int) (*elastic.Client, error) {
 	return elastic.DialCtrl(t.srv.Addr(), id, elastic.CtrlOptions{
 		PartitionAfter: t.partitionAfter,
-		Chaos:          t.inj,
+		Chaos:          t.run.plane.inj,
 		Seq:            &t.ctrlSeqs[id],
 	})
 }
@@ -333,26 +223,21 @@ func (t *tcpElastic) runWorker(id int, ck *Checkpoint, joining bool) error {
 			}
 		}()
 	}
-	err := t.run.worker(gctx, id, t.build, t.trainDS, ck, joining)
+	err := t.run.worker(gctx, id, ck, joining)
 	if gctx.Err() != nil && t.run.ctx.Err() == nil {
 		return errWorkerDone // superseded by a newer generation
 	}
 	return err
 }
 
-// finish folds one worker generation's outcome into the run result.
-func (t *tcpElastic) finish(id int, err error) {
-	if err == nil || errors.Is(err, errWorkerDone) {
-		return
-	}
+// finish folds one worker generation's exit into the run's.
+func (t *tcpElastic) finish(err error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if errors.Is(err, ErrInterrupted) {
-		t.interrupted = true
-		return
-	}
 	t.errs = append(t.errs, err)
-	t.run.cancel() // a real fault: unblock the siblings
+	t.mu.Unlock()
+	if failsRun(err) {
+		t.run.cancel() // unblock the siblings
+	}
 }
 
 // janitor watches the coordinator's epoch sequence and starts a rejoin
@@ -361,14 +246,14 @@ func (t *tcpElastic) finish(id int, err error) {
 // event stream the workers do, so a join it triggers can never race past
 // the eviction that motivated it.
 func (t *tcpElastic) janitor() {
-	known := t.coord.View()
+	known := t.run.coord.View()
 	for {
-		v, _, err := t.coord.WaitEvent(t.run.ctx, known.Epoch)
+		v, _, err := t.run.coord.WaitEvent(t.run.ctx, known.Epoch)
 		if err != nil {
 			return // run over or coordinator closed
 		}
 		for _, id := range known.Members {
-			if !v.Contains(id) && t.coord.DeathCause(id) != nil {
+			if !v.Contains(id) && t.run.coord.DeathCause(id) != nil {
 				t.rejoin(id)
 			}
 		}
@@ -394,7 +279,7 @@ func (t *tcpElastic) rejoin(id int) {
 			t.rejoining[id] = false
 			t.mu.Unlock()
 		}()
-		t.finish(id, t.rejoinWorker(id))
+		t.finish(t.rejoinWorker(id))
 	}()
 }
 
@@ -422,8 +307,8 @@ func (t *tcpElastic) rejoinWorker(id int) error {
 			return errWorkerDone
 		}
 	}
-	if t.inj != nil {
-		t.inj.Revive(id)
+	if inj := t.run.plane.inj; inj != nil {
+		inj.Revive(id)
 	}
 	var ck *Checkpoint
 	if t.o.CheckpointDir != "" {

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,34 +45,4 @@ func TestRingStallSurfacesAsError(t *testing.T) {
 		t.Fatalf("stalled worker did not surface an error (res=%+v)", res)
 	}
 	t.Logf("got expected error: %v", err)
-}
-
-// TestRingChunkedTrainingBitIdentical runs the same ring training with and
-// without the pipelined chunked exchange and requires bit-identical final
-// weights — chunking must be purely a scheduling change.
-func TestRingChunkedTrainingBitIdentical(t *testing.T) {
-	trainDS, testDS := digitsData()
-
-	run := func(chunk int) []float32 {
-		o := digitsOptions()
-		o.ChunkSize = chunk
-		res, err := Run(models.NewHDCSmall, trainDS, testDS, 25, o)
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
-		}
-		return res.FinalWeights
-	}
-
-	want := run(0)
-	for _, chunk := range []int{100, 4096} {
-		got := run(chunk)
-		if len(got) != len(want) {
-			t.Fatalf("chunk=%d: %d weights, want %d", chunk, len(got), len(want))
-		}
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("chunk=%d: weight %d diverged: %g vs %g", chunk, i, got[i], want[i])
-			}
-		}
-	}
 }

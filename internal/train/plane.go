@@ -1,0 +1,154 @@
+package train
+
+import (
+	"context"
+	"time"
+
+	"inceptionn/internal/comm"
+	"inceptionn/internal/elastic"
+	"inceptionn/internal/fault"
+	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/tcpfabric"
+)
+
+// dataPlane is the wire under a run: n nodes that exchange float32
+// vectors, either over the in-process comm.Fabric (fabric set) or over
+// loopback TCP sockets (cluster set). It owns everything a runner needs
+// from the wire and nothing about what is sent over it: each node's peer,
+// the owner-block finalizer matching the wire's codec, chaos injection, the
+// anomaly watcher, the traffic and receive-wait totals, and Close.
+type dataPlane struct {
+	n       int
+	fabric  *comm.Fabric
+	cluster *tcpfabric.Cluster
+	// inj is the run's fault injector (nil without Options.Chaos). The
+	// elastic TCP runner shares it with the control channel and revives
+	// crashed nodes through it.
+	inj *fault.Injector
+	// finalize is the owner-block finalizer for the exchange: with
+	// compression enabled, a node's own fully aggregated block is passed
+	// through the same codec path every other replica observes (Algorithm
+	// 1's local compress/decompress, lines 6 and 20), keeping all model
+	// replicas bit-identical. Nil when the wire is lossless.
+	finalize func([]float32)
+}
+
+func newInjector(n int, o Options) *fault.Injector {
+	if o.Chaos == nil {
+		return nil
+	}
+	return fault.NewInjector(n, *o.Chaos)
+}
+
+// newFabricPlane builds the in-process plane: o.Processor models the NIC
+// datapath, and with o.Chaos every peer runs behind the fault wrapper's
+// checksum/retransmit protocol.
+func newFabricPlane(n int, o Options) *dataPlane {
+	p := &dataPlane{n: n, fabric: comm.NewFabric(n, o.Processor), inj: newInjector(n, o)}
+	p.fabric.SetRecorder(o.Obs)
+	if o.Compress && o.Processor != nil {
+		proc := o.Processor
+		p.finalize = func(b []float32) {
+			out, _ := proc.Process(b, comm.ToSCompress)
+			copy(b, out)
+		}
+	}
+	return p
+}
+
+// newTCPPlane builds the loopback-socket plane. Options.Processor is
+// ignored — the TCP fabric embeds its own NIC engines; bound selects their
+// error bound, and the finalizer applies the same codec.
+func newTCPPlane(n int, o Options, bound fpcodec.Bound) (*dataPlane, error) {
+	p := &dataPlane{n: n, inj: newInjector(n, o)}
+	var err error
+	p.cluster, err = tcpfabric.NewClusterWithOptions(n, tcpfabric.ClusterOptions{
+		Compress: o.Compress, Bound: bound, Chaos: p.inj, Obs: o.Obs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if o.Compress {
+		p.finalize = func(b []float32) {
+			for i, v := range b {
+				b[i] = fpcodec.Roundtrip(v, bound)
+			}
+		}
+	}
+	return p, nil
+}
+
+// peer returns node id's endpoint and the cleanup to run when its user is
+// done with it.
+func (p *dataPlane) peer(id int) (elastic.Transport, func()) {
+	switch {
+	case p.cluster != nil:
+		return p.cluster.Node(id), func() {}
+	case p.inj != nil:
+		fp := fault.Wrap(p.fabric.Endpoint(id), p.inj, fault.Options{Finalize: p.finalize})
+		return fp, fp.Close
+	}
+	return p.fabric.Endpoint(id), func() {}
+}
+
+// watch starts the anomaly watcher: handle receives transport-level
+// failures that no exchange blocks on directly — exhausted retries on a
+// NACKed frame, a torn frame, stream desync — which must reach the runner
+// rather than leave a collective spinning on recovery probes forever.
+// handle returns whether to keep watching that node; everything stops with
+// ctx. Only the TCP fabric reports anomalies out of band (the in-process
+// peers return theirs from the failing call).
+func (p *dataPlane) watch(ctx context.Context, handle func(id int, err error) (again bool)) {
+	if p.cluster == nil {
+		return
+	}
+	for id := 0; id < p.n; id++ {
+		go func(id int, errCh <-chan error) {
+			for {
+				select {
+				case err := <-errCh:
+					if !handle(id, err) {
+						return
+					}
+				case <-ctx.Done():
+					return
+				}
+			}
+		}(id, p.cluster.Node(id).Errors())
+	}
+}
+
+// countsRaw reports whether traffic's raw total is measured. The TCP
+// fabric does not count pre-codec bytes; a runner on it substitutes what it
+// knows about its own exchange.
+func (p *dataPlane) countsRaw() bool { return p.cluster == nil }
+
+// traffic returns the run's totals: payload bytes before the codec (0
+// unless countsRaw), bytes on the wire, and the time receivers sat blocked
+// on their links (the straggler signal).
+func (p *dataPlane) traffic() (raw, wire int64, recvWait time.Duration) {
+	// Both fabrics keep one comm.LinkStats per directed node pair.
+	var linkStats func(i, j int) *comm.LinkStats
+	if p.cluster != nil {
+		linkStats = func(i, j int) *comm.LinkStats { return p.cluster.Node(i).LinkStats(j) }
+		for i := 0; i < p.n; i++ {
+			wire += p.cluster.Node(i).SentBytes()
+		}
+	} else {
+		linkStats = p.fabric.Stats
+		raw, wire = p.fabric.TotalRawBytes(), p.fabric.TotalWireBytes()
+	}
+	for i := 0; i < p.n; i++ {
+		for j := 0; j < p.n; j++ {
+			recvWait += time.Duration(linkStats(i, j).RecvWaitNanos.Load())
+		}
+	}
+	return raw, wire, recvWait
+}
+
+// Close releases the plane's sockets (the in-process fabric holds none).
+func (p *dataPlane) Close() {
+	if p.cluster != nil {
+		p.cluster.Close()
+	}
+}

@@ -9,29 +9,6 @@ import (
 	"inceptionn/internal/models"
 )
 
-// TestSwitchTCPBitIdenticalToRing: the switch collective over genuine
-// loopback sockets, uncompressed, must land on the same bits as the
-// in-process ring run.
-func TestSwitchTCPBitIdenticalToRing(t *testing.T) {
-	const iters = 8
-	ref := ringReference(t, iters)
-	trainDS, testDS := digitsData()
-	o := digitsOptions()
-	o.Algo = SwitchReduce
-	o.EvalEvery = 4
-	res, err := RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, iters, o, fpcodec.MustBound(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fallbacks != 0 {
-		t.Fatalf("spurious fallback over a clean fabric: %q", res.FallbackCause)
-	}
-	assertBitIdentical(t, res, ref)
-	if res.WireBytes == 0 || res.RawBytes == 0 {
-		t.Error("no traffic recorded")
-	}
-}
-
 // TestSwitchTCPFallbackOnSwitchKill kills the switch node mid-run over
 // real sockets: the run must trip the fallback, finish on the ring band,
 // and still match the uninterrupted ring reference bit for bit.

@@ -18,19 +18,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"inceptionn/internal/comm"
-	"inceptionn/internal/data"
 	"inceptionn/internal/elastic"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/mpi"
 	"inceptionn/internal/obs"
 	"inceptionn/internal/obs/health"
-	"inceptionn/internal/ring"
 )
 
 // fallbackTagOffset re-bands the fallback ring's traffic above every tag
@@ -38,79 +34,6 @@ import (
 // stride), so a frame from the abandoned switch exchange can never alias
 // a ring step even on a transport that mixes streams.
 var fallbackTagOffset = elastic.TagBase(1)
-
-// switchJoinTimeout bounds how long the runner waits for the switch
-// goroutine after every worker has exited. A serve still blocked past it
-// is a leak, reported as the run's error instead of stranding a
-// goroutine (and, under -race in tests, failing the build's leak checks).
-const switchJoinTimeout = 10 * time.Second
-
-// switchSnap is one retained iteration boundary of a switch worker. As
-// in the elastic runner, a snapshot is taken right before each exchange;
-// the switch protocol cannot complete an iteration for any worker until
-// every worker has engaged it, so survivors are at most one iteration
-// apart and two snapshots cover any replay point the gate can pick.
-type switchSnap struct {
-	iter     int
-	weights  []float32 // pre-update
-	velocity []float32 // pre-update
-	residual []float32 // post-fold error-feedback state
-	grad     []float32 // post-feedback local gradient, ready to exchange
-}
-
-// switchWorker extends the fixed-topology worker with replay snapshots.
-// Unlike the elastic worker it keeps the plain rand-based loader: replays
-// reuse the snapshot's retained gradient, so the data stream advances
-// exactly once per iteration and never needs seeking.
-type switchWorker struct {
-	*worker
-	snaps [2]*switchSnap // [0] newest
-}
-
-func (w *switchWorker) takeSnapshot(iter int) {
-	s := &switchSnap{
-		iter:     iter,
-		weights:  w.net.WeightVector(nil),
-		velocity: w.sgd.VelocityVector(w.net.Params(), nil),
-		grad:     append([]float32(nil), w.grad...),
-	}
-	if w.residual != nil {
-		s.residual = append([]float32(nil), w.residual...)
-	}
-	if w.snaps[0] != nil && w.snaps[0].iter == iter {
-		w.snaps[0] = s
-		return
-	}
-	w.snaps[1], w.snaps[0] = w.snaps[0], s
-}
-
-func (w *switchWorker) snapFor(iter int) *switchSnap {
-	for _, s := range w.snaps {
-		if s != nil && s.iter == iter {
-			return s
-		}
-	}
-	return nil
-}
-
-// restoreSnapshot rewinds to the pre-exchange state of iter: weights,
-// optimizer state, residual, and the retained local gradient, which the
-// replayed exchange reuses instead of recomputing.
-func (w *switchWorker) restoreSnapshot(iter int) error {
-	s := w.snapFor(iter)
-	if s == nil {
-		return fmt.Errorf("train: worker %d has no snapshot for iteration %d (survivor skew exceeded the retained window)", w.id, iter)
-	}
-	w.net.SetWeightVector(s.weights)
-	if err := w.sgd.SetVelocityVector(w.net.Params(), s.velocity); err != nil {
-		return err
-	}
-	w.grad = append(w.grad[:0], s.grad...)
-	if w.residual != nil && s.residual != nil {
-		copy(w.residual, s.residual)
-	}
-	return nil
-}
 
 // fallbackGate is the one-shot switch-failure consensus object shared by
 // every worker of a self-healing run. Tripping it (once, ever) cancels
@@ -134,11 +57,14 @@ type fallbackGate struct {
 	swCtx    context.Context
 	swCancel context.CancelFunc
 
+	// mons grade each worker's exchange errors (soft strikes are per
+	// worker); indexed by worker id, each used by that worker alone.
+	mons []mpi.SwitchMonitor
+
 	mu        sync.Mutex
 	tripped   bool
 	class     mpi.SwitchFaultClass
 	cause     string
-	tripIter  int
 	detect    time.Duration
 	trippedCh chan struct{}
 
@@ -156,6 +82,7 @@ func newFallbackGate(runCtx context.Context, workers, swID int, rec *obs.Recorde
 		swID:       swID,
 		rec:        rec,
 		health:     he,
+		mons:       make([]mpi.SwitchMonitor, workers),
 		trippedCh:  make(chan struct{}),
 		contrib:    make(map[int]int, workers),
 		resolvedCh: make(chan struct{}),
@@ -183,7 +110,7 @@ func (g *fallbackGate) trip(iter int, class mpi.SwitchFaultClass, cause string, 
 		return
 	}
 	g.tripped = true
-	g.class, g.cause, g.tripIter, g.detect = class, cause, iter, detect
+	g.class, g.cause, g.detect = class, cause, detect
 	close(g.trippedCh)
 	g.mu.Unlock()
 	g.swCancel()
@@ -199,10 +126,40 @@ func (g *fallbackGate) trip(iter int, class mpi.SwitchFaultClass, cause string, 
 }
 
 // verdict returns the trip facts (valid once tripped).
-func (g *fallbackGate) verdict() (class mpi.SwitchFaultClass, cause string, iter int, detect time.Duration) {
+func (g *fallbackGate) verdict() (class mpi.SwitchFaultClass, cause string, detect time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.class, g.cause, g.tripIter, g.detect
+	return g.class, g.cause, g.detect
+}
+
+// absorb grades a worker's failed switch exchange (started detect ago) and
+// reports whether the fallback absorbs it: true means the gate is tripped —
+// by this error or a sibling's — and the caller should re-enter its loop
+// to join the replay; false means the error stands as the run's.
+func (g *fallbackGate) absorb(id, iter int, err error, detect time.Duration) bool {
+	if errors.Is(err, fault.ErrCrashed) || errors.Is(err, fault.ErrClosed) {
+		// This worker is the casualty, not the switch: fail closed. Falling
+		// back cannot save a run missing a gradient shard.
+		return false
+	}
+	if confirmed, class, cause := g.mons[id].Observe(err); confirmed && !g.isTripped() {
+		g.trip(iter, class, cause, detect)
+	}
+	// Unconfirmed and nobody tripped: an unrelated cancellation (a sibling's
+	// hard fault) — the error stands.
+	return g.isTripped()
+}
+
+// tripOnAnomaly handles an out-of-band fabric anomaly: while the switch
+// path is live a hard one is evidence against it and trips the gate.
+// Reports whether it did.
+func (g *fallbackGate) tripOnAnomaly(err error) bool {
+	class, cause := mpi.GradeSwitchFault(err)
+	if g.isTripped() || !class.Hard() {
+		return false
+	}
+	g.trip(-1, class, "fabric anomaly: "+cause, 0)
+	return true
 }
 
 // resolve is the replay rendezvous: each worker contributes the
@@ -260,86 +217,17 @@ func (g *fallbackGate) finish(ctx context.Context) bool {
 	}
 }
 
-// switchRun is the shared state of one SwitchReduce training run, used by
-// both the in-process runner (runSwitch) and the TCP runner
-// (RunSwitchTCP). transport hands each node its data-plane peer plus an
-// optional cleanup.
-type switchRun struct {
-	o        Options
-	iters    int
-	build    Builder
-	trainDS  data.Dataset
-	testDS   data.Dataset
-	gradLen  int
-	swID     int
-	swOpt    mpi.SwitchOptions
-	finalize func([]float32)
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	gate   *fallbackGate // nil when Options.SwitchFallback is off
-
-	computeNs []int64
-	commNs    []int64
-	errs      []error // per worker id
-
-	mu    sync.Mutex
-	evals map[int]EvalPoint // keyed by iter; replays overwrite
-	res   Result            // leader's finals, under mu
-}
-
-func newSwitchRun(build Builder, trainDS, testDS data.Dataset, iters int, o Options, finalize func([]float32)) *switchRun {
-	r := &switchRun{
-		o: o, iters: iters, build: build, trainDS: trainDS, testDS: testDS,
-		gradLen:  build(rand.New(rand.NewSource(o.Seed))).NumParams(),
-		swID:     o.Workers,
-		swOpt:    mpi.SwitchOptions{ChunkFloats: o.SwitchChunk},
-		finalize: finalize,
-
-		computeNs: make([]int64, o.Workers),
-		commNs:    make([]int64, o.Workers),
-		errs:      make([]error, o.Workers),
-		evals:     make(map[int]EvalPoint),
-	}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
-	if o.SwitchFallback {
-		r.gate = newFallbackGate(r.ctx, o.Workers, r.swID, o.Obs, o.Health)
-	}
-	return r
-}
-
-func (r *switchRun) fail(id int, err error) {
-	r.errs[id] = err
-	r.cancel() // unblock the siblings and the serve loop
-}
-
-func (r *switchRun) recordEval(p EvalPoint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evals[p.Iter] = p
-}
-
-// exchangeCtx is the context switch-path exchanges run under: the gate's
-// cancellable switch scope when fallback is armed, the run context
-// otherwise.
-func (r *switchRun) exchangeCtx() context.Context {
-	if r.gate != nil {
-		return r.gate.swCtx
-	}
-	return r.ctx
-}
-
-// enterFallback moves one worker onto the ring path: rendezvous on the
-// replay point, then restore the snapshot when this worker has anything
-// in flight or ahead of the replay point. Returns the iteration to
-// resume at and whether its exchange-ready gradient is already loaded.
-func (r *switchRun) enterFallback(w *switchWorker, id, iter int, pending bool) (int, bool, error) {
-	replay, err := r.gate.resolve(r.ctx, id, iter)
+// enter moves one worker onto the fallback path: rendezvous on the replay
+// point, then restore the snapshot when this worker has anything in flight
+// or ahead of the replay point. Returns the iteration to resume at and
+// whether its exchange-ready gradient is already loaded.
+func (g *fallbackGate) enter(ctx context.Context, w *worker, iter int, pending bool) (int, bool, error) {
+	replay, err := g.resolve(ctx, w.id, iter)
 	if err != nil {
-		return 0, false, fmt.Errorf("train: worker %d fallback rendezvous: %w", id, err)
+		return 0, false, fmt.Errorf("train: worker %d fallback rendezvous: %w", w.id, err)
 	}
 	if replay < iter || pending {
-		rsp := r.o.Obs.Span(id, replay, obs.PhaseReplay)
+		rsp := g.rec.Span(w.id, replay, obs.PhaseReplay)
 		rerr := w.restoreSnapshot(replay)
 		rsp.End()
 		if rerr != nil {
@@ -350,181 +238,65 @@ func (r *switchRun) enterFallback(w *switchWorker, id, iter int, pending bool) (
 	return iter, false, nil
 }
 
-// runWorker is one worker's whole training loop: switch exchanges until
-// the gate trips (if ever), then ring exchanges to the end. The outer
-// loop exists for the completion drain — a worker that finished on the
-// switch path can be resurrected into the replay.
-func (r *switchRun) runWorker(id int, tp comm.Peer) {
-	o := r.o
-	w := &switchWorker{worker: newWorker(id, r.build, r.trainDS, o)}
-	c := mpi.WorldPeer(tp)
-	c.CollectiveCommComp(o.Compress)
-	c.SetStepTimeout(o.StepTimeout)
-	e := comm.AsCtxPeer(tp)
-	ringMembers := make([]int, o.Workers)
-	for i := range ringMembers {
-		ringMembers[i] = i
+// switchCollective is in-network aggregation: node o.Workers is the
+// programmable switch's reduction unit (mpi.SwitchServeCtx); every worker
+// streams its gradient through it chunk by chunk and receives the combined
+// gradient back. The combine is bit-exact with the ring collective, so a
+// SwitchReduce run lands on the same weights as a Ring run (verified by
+// tests). With o.SwitchFallback the run survives the switch's death by
+// finishing on the ring.
+func switchCollective(o Options) collective {
+	swOpt := mpi.SwitchOptions{ChunkFloats: o.SwitchChunk}
+	world := func(p comm.CtxPeer) *mpi.Comm {
+		c := mpi.WorldPeer(p)
+		c.CollectiveCommComp(o.Compress)
+		c.SetStepTimeout(o.StepTimeout)
+		return c
 	}
-
-	iterHist := o.Obs.Histogram("train_iter_seconds")
-	lossGauge := o.Obs.Gauge("train_loss")
-	var lastLoss float64
-	var mon mpi.SwitchMonitor
-	ringMode := false
-	iter, pending := 0, false
-
-	for {
-		for iter < r.iters {
-			if !ringMode && r.gate != nil && r.gate.isTripped() {
-				// A sibling (or the switch itself) confirmed the failure
-				// while this worker was between exchanges.
-				ringMode = true
-				var err error
-				iter, pending, err = r.enterFallback(w, id, iter, pending)
-				if err != nil {
-					r.fail(id, err)
-					return
-				}
-				continue
+	c := collective{
+		bind: func(r *fixedRun, p comm.CtxPeer) exchangeFn {
+			c := world(p)
+			return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
+				xsp := o.Obs.Span(w.id, iter, obs.PhaseSend)
+				defer xsp.End()
+				return nil, c.AllReduceSwitchCtx(ctx, w.grad, o.Workers, swOpt)
 			}
-			passStart := time.Now()
-			if !pending && r.gate != nil {
-				if w.snapFor(iter) != nil {
-					// A replay rewound this worker past an iteration it had
-					// already computed: reuse the retained gradient so Next()
-					// is never called twice for one iteration and the rand
-					// loader stream stays exactly the fault-free one.
-					if err := w.restoreSnapshot(iter); err != nil {
-						r.fail(id, err)
-						return
-					}
-					pending = true
-				}
-			}
-			if !pending {
-				t0 := time.Now()
-				csp := o.Obs.Span(id, iter, obs.PhaseCompute)
-				lastLoss = w.localGradient()
-				o.straggle(id)
-				if o.LocalGradTransform != nil {
-					o.LocalGradTransform(w.grad)
-				}
-				w.applyErrorFeedback(o)
-				csp.End()
-				if id == 0 && o.GradHook != nil {
-					o.GradHook(iter, w.grad)
-				}
-				if r.gate != nil {
-					w.takeSnapshot(iter)
-				}
-				pending = true
-				r.computeNs[id] += time.Since(t0).Nanoseconds()
-			}
-
-			tx := time.Now()
-			var exErr error
-			if !ringMode {
-				xsp := o.Obs.Span(id, iter, obs.PhaseSend)
-				exErr = c.AllReduceSwitchCtx(r.exchangeCtx(), w.grad, r.swID, r.swOpt)
-				xsp.End()
-			} else {
-				ropt := ring.Options{
-					StepTimeout: o.StepTimeout,
-					ChunkSize:   o.ChunkSize,
-					TagOffset:   fallbackTagOffset,
-					Obs:         o.Obs,
-					ObsIter:     iter,
-				}
-				exErr = ring.AllReduceGroupCtx(r.ctx, e, ringMembers, w.grad, o.gradTos(), r.finalize, ropt)
-			}
-			r.commNs[id] += time.Since(tx).Nanoseconds()
-
-			if exErr != nil {
-				if !ringMode && r.gate != nil {
-					if errors.Is(exErr, fault.ErrCrashed) || errors.Is(exErr, fault.ErrClosed) {
-						// This worker is the casualty, not the switch: fail
-						// closed. Falling back cannot save a run missing a
-						// gradient shard.
-						r.fail(id, fmt.Errorf("train: worker %d iter %d: %w", id, iter, exErr))
-						return
-					}
-					confirmed, class, cause := mon.Observe(exErr)
-					if confirmed && !r.gate.isTripped() {
-						r.gate.trip(iter, class, cause, time.Since(tx))
-					}
-					if r.gate.isTripped() {
-						continue // loop top engages the fallback
-					}
-					// Unconfirmed and nobody tripped: an unrelated
-					// cancellation (a sibling's hard fault) — fall through.
-				}
-				r.fail(id, fmt.Errorf("train: worker %d iter %d: %w", id, iter, exErr))
-				return
-			}
-
-			ta := time.Now()
-			w.applyAveraged(iter, w.grad, o, o.Workers)
-			r.computeNs[id] += time.Since(ta).Nanoseconds()
-			pending = false
-			o.Health.ObserveStep(id, iter, time.Since(passStart))
-			if id == 0 {
-				iterHist.Observe(time.Since(passStart))
-				lossGauge.Set(lastLoss)
-				if o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == r.iters-1) {
-					acc, loss := evaluate(w.net, r.testDS, o.EvalSamples)
-					r.recordEval(EvalPoint{Iter: iter + 1, Accuracy: acc, Loss: loss})
-				}
-			}
-			iter++
-		}
-
-		if ringMode || r.gate == nil {
-			break // ring completion is final; so is an unarmed switch run
-		}
-		if !r.gate.finish(r.ctx) {
-			break
-		}
-		// Resurrected: the switch died during a straggler's exchange after
-		// this worker already finished — rejoin at the agreed replay point.
-		ringMode = true
-		var err error
-		iter, pending, err = r.enterFallback(w, id, iter, pending)
-		if err != nil {
-			r.fail(id, err)
-			return
-		}
+		},
+		serve: func(r *fixedRun, p comm.CtxPeer, gradLen int) error {
+			c := world(p)
+			c.SetFinalize(r.plane.finalize)
+			return serveSwitch(r, c, gradLen, swOpt)
+		},
+		// The vector goes up and comes down once per worker.
+		rawFloats: func(n int) int64 { return 2 * int64(n) },
 	}
-
-	if id == 0 {
-		acc, loss := evaluate(w.net, r.testDS, o.EvalSamples)
-		r.mu.Lock()
-		r.res.FinalAcc, r.res.FinalLoss = acc, loss
-		r.res.FinalWeights = w.net.WeightVector(nil)
-		r.mu.Unlock()
+	if o.SwitchFallback {
+		ring := ringCollective(fallbackTagOffset)
+		c.fallback = &ring
 	}
+	return c
 }
 
-// runServe is the switch goroutine: iters rounds of the reduction unit.
+// serveSwitch is the switch goroutine: iters rounds of the reduction unit.
 // With fallback armed it self-reports hard evidence (its own transport or
 // protocol giving up) by tripping the gate with zero detection latency; a
 // serve-side stall is evidence against a *port*, not the switch, so it is
 // only surfaced as an anomaly for the post-run merge.
-func (r *switchRun) runServe(tp comm.Peer, serveErr chan<- error) {
-	c := mpi.WorldPeer(tp)
-	c.CollectiveCommComp(r.o.Compress)
-	c.SetFinalize(r.finalize)
-	c.SetStepTimeout(r.o.StepTimeout)
+func serveSwitch(r *fixedRun, c *mpi.Comm, gradLen int, swOpt mpi.SwitchOptions) error {
+	ctx := r.ctx
+	if r.gate != nil {
+		ctx = r.gate.swCtx
+	}
 	for k := 0; k < r.iters; k++ {
-		err := c.SwitchServeCtx(r.exchangeCtx(), r.gradLen, r.swOpt)
+		err := c.SwitchServeCtx(ctx, gradLen, swOpt)
 		if err == nil {
 			continue
 		}
-		if r.gate == nil {
-			serveErr <- fmt.Errorf("train: switch iter %d: %w", k, err)
-			r.cancel()
-			return
-		}
 		class, cause := mpi.GradeSwitchFault(err)
+		err = fmt.Errorf("train: switch iter %d: %w", k, err)
+		if r.gate == nil {
+			return err
+		}
 		switch {
 		case r.gate.isTripped() || class == mpi.SwitchFaultUnrelated:
 			// Expected teardown: the fallback is engaged, or the run was
@@ -535,100 +307,9 @@ func (r *switchRun) runServe(tp comm.Peer, serveErr chan<- error) {
 			// Stall: a port went quiet. Condemning the switch here would
 			// trigger a replay into a ring missing a member; leave the
 			// verdict to the workers and surface the evidence.
-			serveErr <- fmt.Errorf("train: switch iter %d: %w", k, err)
+			return err
 		}
-		return
+		return nil
 	}
-}
-
-// execute runs the serve goroutine plus all workers over the given
-// transport and assembles the per-run result (traffic totals are the
-// caller's, since they are fabric-specific).
-func (r *switchRun) execute(transport func(id int) (comm.Peer, func())) (Result, error) {
-	serveErr := make(chan error, 1)
-	serveDone := make(chan struct{})
-	swTp, swCleanup := transport(r.swID)
-	go func() {
-		defer close(serveDone)
-		if swCleanup != nil {
-			defer swCleanup()
-		}
-		r.runServe(swTp, serveErr)
-	}()
-
-	var wg sync.WaitGroup
-	for id := 0; id < r.o.Workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tp, cleanup := transport(id)
-			if cleanup != nil {
-				defer cleanup()
-			}
-			r.runWorker(id, tp)
-		}(id)
-	}
-	wg.Wait()
-
-	// Reap the switch goroutine with a bounded join: cancel its contexts,
-	// then wait. A serve still blocked after that is a leak — reported as
-	// the run's failure rather than silently stranded.
-	if r.gate != nil {
-		r.gate.swCancel()
-	}
-	r.cancel()
-	select {
-	case <-serveDone:
-	case <-time.After(switchJoinTimeout):
-		return Result{}, fmt.Errorf("train: switch goroutine leaked: still serving %s after every worker exited", switchJoinTimeout)
-	}
-
-	firstErr := firstError(r.errs)
-	select {
-	case serr := <-serveErr:
-		// The serve anomaly is the root cause when no worker hit a more
-		// specific fault — unless the fallback engaged, in which case the
-		// switch's errors are the expected symptoms of its death.
-		if (firstErr == nil || errors.Is(firstErr, context.Canceled)) &&
-			(r.gate == nil || !r.gate.isTripped()) {
-			firstErr = serr
-		}
-	default:
-	}
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-
-	var res Result
-	r.mu.Lock()
-	iterKeys := make([]int, 0, len(r.evals))
-	for it := range r.evals {
-		iterKeys = append(iterKeys, it)
-	}
-	sort.Ints(iterKeys)
-	for _, it := range iterKeys {
-		res.Evals = append(res.Evals, r.evals[it])
-	}
-	res.FinalAcc, res.FinalLoss = r.res.FinalAcc, r.res.FinalLoss
-	res.FinalWeights = r.res.FinalWeights
-	r.mu.Unlock()
-	res.ComputeSeconds = nsSeconds(r.computeNs)
-	res.CommSeconds = nsSeconds(r.commNs)
-	if r.gate != nil && r.gate.isTripped() {
-		class, cause, _, detect := r.gate.verdict()
-		res.Fallbacks = 1
-		res.FallbackDetectSeconds = detect.Seconds()
-		res.FallbackCause = fmt.Sprintf("%s: %s", class, cause)
-	}
-	return res, nil
-}
-
-// fallbackIter returns the iteration the gate tripped at (or -1), for
-// traffic accounting.
-func (r *switchRun) fallbackIter() int {
-	if r.gate == nil || !r.gate.isTripped() {
-		return -1
-	}
-	_, _, iter, _ := r.gate.verdict()
-	return iter
+	return nil
 }

@@ -1,19 +1,8 @@
 package train
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
-
 	"inceptionn/internal/data"
-	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
-	"inceptionn/internal/obs"
-	"inceptionn/internal/ring"
-	"inceptionn/internal/tcpfabric"
 )
 
 // RunRingTCP trains with the gradient-centric ring algorithm over genuine
@@ -27,136 +16,33 @@ import (
 // worker error (timeout, exhausted retries, crashed node) aborts the run
 // and is returned instead of panicking the process.
 func RunRingTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Options, bound fpcodec.Bound) (Result, error) {
-	if o.Workers < 1 {
-		return Result{}, fmt.Errorf("train: %d workers", o.Workers)
-	}
-	if o.BatchPerNode < 1 {
-		return Result{}, fmt.Errorf("train: batch per node %d", o.BatchPerNode)
-	}
-	if o.EvalSamples == 0 {
-		o.EvalSamples = 256
-	}
-	copts := tcpfabric.ClusterOptions{Compress: o.Compress, Bound: bound, Obs: o.Obs}
-	if o.Chaos != nil {
-		copts.Chaos = fault.NewInjector(o.Workers, *o.Chaos)
-	}
-	cluster, err := tcpfabric.NewClusterWithOptions(o.Workers, copts)
+	o.Algo = Ring
+	return runTCP(build, trainDS, testDS, iters, o, bound)
+}
+
+// RunSwitchTCP trains with the in-network switch collective over genuine
+// loopback TCP sockets: node o.Workers is the switch's reduction unit,
+// and as in RunRingTCP the fabric's own engines (error bound: bound)
+// replace Options.Processor.
+//
+// o.StepTimeout bounds each protocol step, o.Chaos injects deterministic
+// transport faults, and o.SwitchFallback makes the run survive the
+// switch node's death by falling back to the ring collective mid-run,
+// bit-exact with an uninterrupted ring run (see switchheal.go).
+func RunSwitchTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Options, bound fpcodec.Bound) (Result, error) {
+	o.Algo = SwitchReduce
+	return runTCP(build, trainDS, testDS, iters, o, bound)
+}
+
+// runTCP is Run over the loopback-socket data plane.
+func runTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Options, bound fpcodec.Bound) (Result, error) {
+	c, err := o.prepare(true)
 	if err != nil {
 		return Result{}, err
 	}
-	defer cluster.Close()
-
-	// The finalize hook (replica identity under lossy compression) uses
-	// the same codec the fabric's engines apply.
-	var finalize func([]float32)
-	if o.Compress {
-		finalize = func(b []float32) {
-			for i, v := range b {
-				b[i] = fpcodec.Roundtrip(v, bound)
-			}
-		}
+	plane, err := newTCPPlane(c.nodes(o.Workers), o, bound)
+	if err != nil {
+		return Result{}, err
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Watch every node's anomaly channel: a transport-level failure that no
-	// worker blocks on directly — exhausted retries on a NACKed frame, a
-	// torn frame, stream desync — must still abort the run rather than
-	// leave the ring spinning on recovery probes forever.
-	var fabricMu sync.Mutex
-	var fabricErr error
-	for id := 0; id < o.Workers; id++ {
-		go func(errCh <-chan error) {
-			select {
-			case err := <-errCh:
-				fabricMu.Lock()
-				if fabricErr == nil {
-					fabricErr = err
-				}
-				fabricMu.Unlock()
-				cancel()
-			case <-ctx.Done():
-			}
-		}(cluster.Node(id).Errors())
-	}
-
-	var res Result
-	var wg sync.WaitGroup
-	errs := make([]error, o.Workers)
-	computeNs := make([]int64, o.Workers)
-	commNs := make([]int64, o.Workers)
-	for id := 0; id < o.Workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := newWorker(id, build, trainDS, o)
-			node := cluster.Node(id)
-			iterHist := o.Obs.Histogram("train_iter_seconds")
-			lossGauge := o.Obs.Gauge("train_loss")
-			for iter := 0; iter < iters; iter++ {
-				t0 := time.Now()
-				csp := o.Obs.Span(id, iter, obs.PhaseCompute)
-				loss := w.localGradient()
-				o.straggle(id)
-				if o.LocalGradTransform != nil {
-					o.LocalGradTransform(w.grad)
-				}
-				csp.End()
-				if id == 0 && o.GradHook != nil {
-					o.GradHook(iter, w.grad)
-				}
-				tc := time.Now()
-				computeNs[id] += tc.Sub(t0).Nanoseconds()
-				if err := ring.AllReduceCtx(ctx, node, w.grad, o.gradTos(), finalize,
-					o.ringOptions(iter)); err != nil {
-					errs[id] = fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
-					cancel() // unblock the other workers' ring steps
-					return
-				}
-				tx := time.Now()
-				commNs[id] += tx.Sub(tc).Nanoseconds()
-				w.applyAveraged(iter, w.grad, o, o.Workers)
-				computeNs[id] += time.Since(tx).Nanoseconds()
-				o.Health.ObserveStep(id, iter, time.Since(t0))
-				if id == 0 {
-					iterHist.Observe(time.Since(t0))
-					lossGauge.Set(loss)
-				}
-				if id == 0 && o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == iters-1) {
-					acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-					res.Evals = append(res.Evals, EvalPoint{Iter: iter + 1, Accuracy: acc, Loss: loss})
-				}
-			}
-			if id == 0 {
-				acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-				res.FinalAcc, res.FinalLoss = acc, loss
-				res.FinalWeights = w.net.WeightVector(nil)
-			}
-		}(id)
-	}
-	wg.Wait()
-	// Report the causal failure: the worker that hit the real fault, not
-	// one that merely observed the cancellation it triggered.
-	firstErr := firstError(errs)
-	fabricMu.Lock()
-	if fabricErr != nil && (firstErr == nil || errors.Is(firstErr, context.Canceled)) {
-		// The fabric anomaly is the root cause; worker errors are just the
-		// cancellation it triggered.
-		firstErr = fabricErr
-	}
-	fabricMu.Unlock()
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	for id := 0; id < o.Workers; id++ {
-		res.WireBytes += cluster.Node(id).SentBytes()
-	}
-	res.ComputeSeconds = nsSeconds(computeNs)
-	res.CommSeconds = nsSeconds(commNs)
-	// Raw bytes: each worker ships 2(N-1)/N of the model per iteration.
-	modelBytes := int64(4 * build(rand.New(rand.NewSource(o.Seed))).NumParams())
-	perWorkerPerIter := modelBytes * 2 * int64(o.Workers-1) / int64(o.Workers)
-	res.RawBytes = perWorkerPerIter * int64(iters) * int64(o.Workers)
-	return res, nil
+	return runFixed(plane, c, build, trainDS, testDS, iters, o, nil)
 }

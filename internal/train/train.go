@@ -3,6 +3,15 @@
 // gradient-centric ring exchange (Algorithm 1) or the worker-aggregator
 // baseline. It produces the accuracy results behind the paper's Figs. 4,
 // 13 and 14 and collects the gradient streams behind Fig. 5 and Table III.
+//
+// Algorithm 1 is one worker loop — local gradient, exchange, update — and
+// so is this package: every exported runner is a thin wrapper that picks a
+// data plane (plane.go: in-process fabric or loopback TCP) and a
+// collective (loop.go: ring, worker-aggregator, the two hierarchies, the
+// in-network switch) for the one fixed-membership loop, runFixed, whose
+// iterations are session.computeStep → the collective's exchange →
+// session.commitStep. The elastic runners (elastic.go) add a membership
+// protocol around the same halves, plane and replay snapshots.
 package train
 
 import (
@@ -10,13 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
 	"inceptionn/internal/fault"
-	"inceptionn/internal/hierarchy"
 	"inceptionn/internal/nn"
 	"inceptionn/internal/obs"
 	"inceptionn/internal/obs/health"
@@ -55,11 +62,12 @@ func (a Algorithm) String() string {
 		return "worker-aggregator"
 	case HierarchicalTree:
 		return "hierarchical-tree"
+	case HierarchicalRing:
+		return "hierarchical-ring"
 	case SwitchReduce:
 		return "switch"
-	default:
-		return "hierarchical-ring"
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // Options configure a distributed training run.
@@ -125,8 +133,9 @@ type Options struct {
 	SwitchFallback bool
 	// Chaos, if non-nil, injects deterministic transport faults (drops,
 	// corruption, duplication, delay, partitions, crashes — see
-	// internal/fault) into the wire traffic of RunRingTCP, RunSwitchTCP,
-	// RunElastic, and the in-process SwitchReduce runner. The fabric's
+	// internal/fault) into the run's wire traffic: through the TCP
+	// fabric's own injector, or by putting every in-process peer behind
+	// the fault wrapper's checksum/retransmit protocol. The fabric's
 	// retransmit protocol repairs recoverable faults transparently;
 	// unrecoverable ones surface as errors (or, with SwitchFallback, as a
 	// mid-run fallback when the casualty is the switch).
@@ -195,9 +204,10 @@ type Options struct {
 	// (Seide et al.'s 1-bit SGD technique, cited by the paper as [25]):
 	// each worker adds the previous iteration's compression error to its
 	// local gradient before the exchange, so quantization error is
-	// deferred rather than lost. Requires Compress and a Processor; the
-	// codec's idempotence makes the locally-computed feedback exact for
-	// the first compression stage.
+	// deferred rather than lost. Requires Compress and a Processor, hence
+	// the in-process fabric (the TCP runners, whose fabric embeds its own
+	// codec, reject it); the codec's idempotence makes the
+	// locally-computed feedback exact for the first compression stage.
 	ErrorFeedback bool
 }
 
@@ -222,8 +232,8 @@ type Result struct {
 	// communication split): time in local gradient computation + weight
 	// update, time blocked in the gradient exchange, and — a subset of
 	// CommSeconds — time receivers sat waiting on peers (the straggler
-	// signal, from the fabric's per-link wait counters). Populated by the
-	// in-process runners whether or not Options.Obs is set.
+	// signal, from the data plane's per-link wait counters). Populated by
+	// every multi-worker runner whether or not Options.Obs is set.
 	ComputeSeconds       float64
 	CommSeconds          float64
 	StragglerWaitSeconds float64
@@ -248,31 +258,37 @@ type Result struct {
 // Builder constructs a model replica from a seed-derived RNG.
 type Builder func(*rand.Rand) *nn.Network
 
-// Run trains for iters iterations and returns the result. The training
-// dataset is sharded across workers (the paper's Dᵢ partitions); the test
-// dataset is used for evaluation.
-func Run(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	if o.Workers < 1 {
-		return Result{}, fmt.Errorf("train: %d workers", o.Workers)
-	}
-	if o.BatchPerNode < 1 {
-		return Result{}, fmt.Errorf("train: batch per node %d", o.BatchPerNode)
+// prepare is the one place a run's options are checked and defaulted. It
+// returns the collective o.Algo selects; tcp says the run uses the TCP data
+// plane, which embeds its own codec and ignores Options.Processor.
+func (o *Options) prepare(tcp bool) (collective, error) {
+	switch {
+	case o.Workers < 1:
+		return collective{}, fmt.Errorf("train: %d workers", o.Workers)
+	case o.BatchPerNode < 1:
+		return collective{}, fmt.Errorf("train: batch per node %d", o.BatchPerNode)
+	case o.ErrorFeedback && (tcp || !o.Compress || o.Processor == nil):
+		return collective{}, fmt.Errorf("train: ErrorFeedback requires Compress and a Processor on the in-process fabric (the TCP fabric's codec cannot report what it delivered)")
+	case o.Algo == SwitchReduce && o.SwitchFallback && o.StepTimeout <= 0:
+		return collective{}, fmt.Errorf("train: SwitchFallback requires StepTimeout > 0 (stall detection needs a deadline)")
 	}
 	if o.EvalSamples == 0 {
 		o.EvalSamples = 256
 	}
-	switch o.Algo {
-	case Ring:
-		return runRing(build, trainDS, testDS, iters, o)
-	case WorkerAggregator:
-		return runWA(build, trainDS, testDS, iters, o)
-	case HierarchicalTree, HierarchicalRing:
-		return runHierarchical(build, trainDS, testDS, iters, o)
-	case SwitchReduce:
-		return runSwitch(build, trainDS, testDS, iters, o)
-	default:
-		return Result{}, fmt.Errorf("train: unknown algorithm %d", o.Algo)
+	return collectiveFor(*o)
+}
+
+// Run trains for iters iterations over the in-process fabric and returns
+// the result. The training dataset is sharded across workers (the paper's
+// Dᵢ partitions); the test dataset is used for evaluation. A failed
+// exchange on any worker cancels its siblings and surfaces as the returned
+// error.
+func Run(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
+	c, err := o.prepare(false)
+	if err != nil {
+		return Result{}, err
 	}
+	return runFixed(newFabricPlane(c.nodes(o.Workers), o), c, build, trainDS, testDS, iters, o, nil)
 }
 
 // straggle injects the configured per-iteration compute delay for worker
@@ -289,26 +305,6 @@ func (o Options) straggle(id int) {
 // attributed to it).
 func (o Options) ringOptions(iter int) ring.Options {
 	return ring.Options{StepTimeout: o.StepTimeout, ChunkSize: o.ChunkSize, Obs: o.Obs, ObsIter: iter}
-}
-
-// nsSeconds sums a per-worker nanosecond tally into seconds.
-func nsSeconds(ns []int64) float64 {
-	var total int64
-	for _, v := range ns {
-		total += v
-	}
-	return time.Duration(total).Seconds()
-}
-
-// fabricRecvWaitSeconds sums receive-wait time over every fabric link.
-func fabricRecvWaitSeconds(f *comm.Fabric) float64 {
-	var total int64
-	for i := 0; i < f.N(); i++ {
-		for j := 0; j < f.N(); j++ {
-			total += f.Stats(i, j).RecvWaitNanos.Load()
-		}
-	}
-	return time.Duration(total).Seconds()
 }
 
 // firstError picks the causal failure out of a per-worker error array: the
@@ -347,462 +343,6 @@ func (o Options) checkpointKeep() int {
 	return o.CheckpointKeep
 }
 
-// finalizer returns the owner-block finalizer for the ring exchange: with
-// compression enabled, the node's own fully aggregated block is passed
-// through the same NIC codec path every other replica observes (Algorithm
-// 1's local compress/decompress, lines 6 and 20), keeping all model
-// replicas bit-identical.
-func (o Options) finalizer() func([]float32) {
-	if !o.Compress || o.Processor == nil {
-		return nil
-	}
-	proc := o.Processor
-	return func(b []float32) {
-		out, _ := proc.Process(b, comm.ToSCompress)
-		copy(b, out)
-	}
-}
-
-// batchSource abstracts the minibatch stream: data.Loader for the fixed
-// runners, data.StepLoader (seekable) for the elastic runner.
-type batchSource interface {
-	Next() data.Batch
-}
-
-// worker is the per-node training state.
-type worker struct {
-	id       int
-	net      *nn.Network
-	sgd      *opt.SGD
-	loader   batchSource
-	grad     []float32
-	residual []float32 // error-feedback state (nil unless enabled)
-}
-
-func newWorker(id int, build Builder, trainDS data.Dataset, o Options) *worker {
-	// All replicas are built from the same seed, so they start identical —
-	// the paper's "initialize by the same model weights w0". Data loading
-	// uses a per-worker seed over the worker's own shard.
-	modelRng := rand.New(rand.NewSource(o.Seed))
-	net := build(modelRng)
-	shard := data.NewPartition(trainDS, id, o.Workers)
-	loader := data.NewLoader(shard, o.BatchPerNode, rand.New(rand.NewSource(o.Seed+int64(1000+id))))
-	w := &worker{
-		id:     id,
-		net:    net,
-		sgd:    opt.NewSGD(o.Schedule.Base, o.Momentum, o.WeightDecay),
-		loader: loader,
-		grad:   make([]float32, 0, net.NumParams()),
-	}
-	if o.ErrorFeedback && o.Compress && o.Processor != nil {
-		w.residual = make([]float32, net.NumParams())
-	}
-	return w
-}
-
-// applyErrorFeedback folds the residual into the gradient, replaces the
-// gradient with what the codec will deliver, and stores the new error.
-func (w *worker) applyErrorFeedback(o Options) {
-	if w.residual == nil {
-		return
-	}
-	for i := range w.grad {
-		w.grad[i] += w.residual[i]
-	}
-	delivered, _ := o.Processor.Process(w.grad, comm.ToSCompress)
-	for i := range w.grad {
-		w.residual[i] = w.grad[i] - delivered[i]
-		w.grad[i] = delivered[i]
-	}
-}
-
-// localGradient runs one forward/backward pass and fills w.grad with the
-// flattened local gradient.
-func (w *worker) localGradient() float64 {
-	batch := w.loader.Next()
-	w.net.ZeroGrads()
-	logits := w.net.Forward(batch.X, true)
-	var sce nn.SoftmaxCrossEntropy
-	loss, dlogits := sce.Loss(logits, batch.Labels)
-	w.net.Backward(dlogits)
-	w.grad = w.net.GradVector(w.grad[:0])
-	return loss
-}
-
-// applyAveraged applies the summed gradient (divided by n, the number of
-// replicas that contributed) via the local optimizer and runs the optional
-// weight transform. The fixed runners always pass o.Workers; the elastic
-// runner passes the live member count, renormalizing the average after an
-// eviction.
-func (w *worker) applyAveraged(iter int, summed []float32, o Options, n int) {
-	inv := float32(1) / float32(n)
-	for i := range summed {
-		summed[i] *= inv
-	}
-	w.net.SetGradVector(summed)
-	w.sgd.LR = o.Schedule.At(iter)
-	w.sgd.Step(w.net.Params())
-	if o.WeightTransform != nil {
-		wv := w.net.WeightVector(nil)
-		o.WeightTransform(wv)
-		w.net.SetWeightVector(wv)
-	}
-}
-
-// evaluate measures accuracy and loss on up to n samples of ds.
-func evaluate(net *nn.Network, ds data.Dataset, n int) (acc, loss float64) {
-	if n > ds.Len() {
-		n = ds.Len()
-	}
-	const evalBatch = 64
-	var sce nn.SoftmaxCrossEntropy
-	correct, total := 0, 0
-	var lossSum float64
-	for off := 0; off < n; off += evalBatch {
-		hi := off + evalBatch
-		if hi > n {
-			hi = n
-		}
-		idx := make([]int, hi-off)
-		for i := range idx {
-			idx[i] = off + i
-		}
-		b := data.MakeBatch(ds, idx)
-		logits := net.Forward(b.X, false)
-		l, _ := sce.Loss(logits, b.Labels)
-		lossSum += l * float64(len(idx))
-		pred := nn.Predict(logits)
-		for i, p := range pred {
-			if p == b.Labels[i] {
-				correct++
-			}
-		}
-		total += len(idx)
-	}
-	return float64(correct) / float64(total), lossSum / float64(total)
-}
-
-// runRing executes the INCEPTIONN training loop (Algorithm 1): every
-// worker exchanges gradients with its ring neighbours; there is no
-// aggregator node. A failed exchange on any worker cancels its siblings
-// and surfaces as the returned error.
-func runRing(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	fabric := comm.NewFabric(o.Workers, o.Processor)
-	fabric.SetRecorder(o.Obs)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var res Result
-	var wg sync.WaitGroup
-	errs := make([]error, o.Workers)
-	computeNs := make([]int64, o.Workers)
-	commNs := make([]int64, o.Workers)
-	for id := 0; id < o.Workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := newWorker(id, build, trainDS, o)
-			e := comm.AsCtxPeer(fabric.Endpoint(id))
-			iterHist := o.Obs.Histogram("train_iter_seconds")
-			lossGauge := o.Obs.Gauge("train_loss")
-			for iter := 0; iter < iters; iter++ {
-				t0 := time.Now()
-				csp := o.Obs.Span(id, iter, obs.PhaseCompute)
-				loss := w.localGradient()
-				o.straggle(id)
-				if o.LocalGradTransform != nil {
-					o.LocalGradTransform(w.grad)
-				}
-				w.applyErrorFeedback(o)
-				csp.End()
-				if id == 0 && o.GradHook != nil {
-					o.GradHook(iter, w.grad)
-				}
-				tc := time.Now()
-				computeNs[id] += tc.Sub(t0).Nanoseconds()
-				if err := ring.AllReduceCtx(ctx, e, w.grad, o.gradTos(), o.finalizer(), o.ringOptions(iter)); err != nil {
-					errs[id] = fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
-					cancel() // unblock the other workers' ring steps
-					return
-				}
-				tx := time.Now()
-				commNs[id] += tx.Sub(tc).Nanoseconds()
-				w.applyAveraged(iter, w.grad, o, o.Workers)
-				computeNs[id] += time.Since(tx).Nanoseconds()
-				o.Health.ObserveStep(id, iter, time.Since(t0))
-				if id == 0 {
-					iterHist.Observe(time.Since(t0))
-					lossGauge.Set(loss)
-				}
-				if id == 0 && o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == iters-1) {
-					acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-					res.Evals = append(res.Evals, EvalPoint{Iter: iter + 1, Accuracy: acc, Loss: loss})
-				}
-			}
-			if id == 0 {
-				acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-				res.FinalAcc, res.FinalLoss = acc, loss
-				res.FinalWeights = w.net.WeightVector(nil)
-			}
-		}(id)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return Result{}, err
-	}
-	res.RawBytes = fabric.TotalRawBytes()
-	res.WireBytes = fabric.TotalWireBytes()
-	res.ComputeSeconds = nsSeconds(computeNs)
-	res.CommSeconds = nsSeconds(commNs)
-	res.StragglerWaitSeconds = fabricRecvWaitSeconds(fabric)
-	return res, nil
-}
-
-// runSwitch executes the in-network aggregation loop: node o.Workers is
-// the programmable switch's reduction unit (mpi.SwitchServeCtx); every
-// worker streams its gradient through it chunk by chunk and receives the
-// combined gradient back. The combine is bit-exact with the ring
-// collective, so a SwitchReduce run lands on the same weights as a Ring
-// run (verified by tests). With o.SwitchFallback the run survives the
-// switch's death by falling back to the ring mid-training (see
-// switchheal.go); o.Chaos injects deterministic transport faults.
-func runSwitch(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	if o.SwitchFallback && o.StepTimeout <= 0 {
-		return Result{}, fmt.Errorf("train: SwitchFallback requires StepTimeout > 0 (stall detection needs a deadline)")
-	}
-	fabric := comm.NewFabric(o.Workers+1, o.Processor)
-	fabric.SetRecorder(o.Obs)
-	var inj *fault.Injector
-	if o.Chaos != nil {
-		inj = fault.NewInjector(o.Workers+1, *o.Chaos)
-	}
-	r := newSwitchRun(build, trainDS, testDS, iters, o, o.finalizer())
-	defer r.cancel()
-	res, err := r.execute(func(id int) (comm.Peer, func()) {
-		if inj != nil {
-			fp := fault.Wrap(fabric.Endpoint(id), inj, fault.Options{Finalize: o.finalizer()})
-			return fp, fp.Close
-		}
-		return fabric.Endpoint(id), nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res.RawBytes = fabric.TotalRawBytes()
-	res.WireBytes = fabric.TotalWireBytes()
-	res.StragglerWaitSeconds = fabricRecvWaitSeconds(fabric)
-	return res, nil
-}
-
-// runWA executes the conventional worker-aggregator loop (paper Fig. 2):
-// node o.Workers is the designated aggregator; it holds the master weights
-// and optimizer state, sums the workers' gradients, updates, and
-// broadcasts weights. Only the gradient leg is compressible.
-func runWA(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	fabric := comm.NewFabric(o.Workers+1, o.Processor)
-	fabric.SetRecorder(o.Obs)
-	aggID := o.Workers
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var res Result
-	var wg sync.WaitGroup
-	errs := make([]error, o.Workers+1)
-	computeNs := make([]int64, o.Workers)
-	commNs := make([]int64, o.Workers)
-
-	// Aggregator.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		net := build(rand.New(rand.NewSource(o.Seed)))
-		sgd := opt.NewSGD(o.Schedule.Base, o.Momentum, o.WeightDecay)
-		workers := make([]int, o.Workers)
-		for i := range workers {
-			workers[i] = i
-		}
-		gradLen := net.NumParams()
-		e := comm.AsCtxPeer(fabric.Endpoint(aggID))
-		for iter := 0; iter < iters; iter++ {
-			err := ring.AggregateStepCtx(ctx, e, workers, gradLen, func(sum []float32) []float32 {
-				inv := float32(1) / float32(o.Workers)
-				for i := range sum {
-					sum[i] *= inv
-				}
-				net.SetGradVector(sum)
-				sgd.LR = o.Schedule.At(iter)
-				sgd.Step(net.Params())
-				wv := net.WeightVector(nil)
-				if o.WeightTransform != nil {
-					o.WeightTransform(wv)
-					net.SetWeightVector(wv)
-				}
-				return wv
-			}, o.ringOptions(iter))
-			if err != nil {
-				errs[aggID] = fmt.Errorf("train: aggregator iter %d: %w", iter, err)
-				cancel()
-				return
-			}
-		}
-		acc, loss := evaluate(net, testDS, o.EvalSamples)
-		res.FinalAcc, res.FinalLoss = acc, loss
-		res.FinalWeights = net.WeightVector(nil)
-	}()
-
-	for id := 0; id < o.Workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := newWorker(id, build, trainDS, o)
-			e := comm.AsCtxPeer(fabric.Endpoint(id))
-			iterHist := o.Obs.Histogram("train_iter_seconds")
-			lossGauge := o.Obs.Gauge("train_loss")
-			for iter := 0; iter < iters; iter++ {
-				t0 := time.Now()
-				csp := o.Obs.Span(id, iter, obs.PhaseCompute)
-				loss := w.localGradient()
-				o.straggle(id)
-				if o.LocalGradTransform != nil {
-					o.LocalGradTransform(w.grad)
-				}
-				w.applyErrorFeedback(o)
-				csp.End()
-				if id == 0 && o.GradHook != nil {
-					o.GradHook(iter, w.grad)
-				}
-				tc := time.Now()
-				computeNs[id] += tc.Sub(t0).Nanoseconds()
-				weights, err := ring.WorkerExchangeCtx(ctx, e, aggID, w.grad, o.gradTos())
-				if err != nil {
-					errs[id] = fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
-					cancel()
-					return
-				}
-				commNs[id] += time.Since(tc).Nanoseconds()
-				w.net.SetWeightVector(weights)
-				o.Health.ObserveStep(id, iter, time.Since(t0))
-				if id == 0 {
-					iterHist.Observe(time.Since(t0))
-					lossGauge.Set(loss)
-				}
-				if id == 0 && o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == iters-1) {
-					acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-					res.Evals = append(res.Evals, EvalPoint{Iter: iter + 1, Accuracy: acc, Loss: loss})
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return Result{}, err
-	}
-	res.RawBytes = fabric.TotalRawBytes()
-	res.WireBytes = fabric.TotalWireBytes()
-	res.ComputeSeconds = nsSeconds(computeNs)
-	res.CommSeconds = nsSeconds(commNs)
-	res.StragglerWaitSeconds = fabricRecvWaitSeconds(fabric)
-	return res, nil
-}
-
-// runHierarchical executes the multi-level organizations of the paper's
-// Fig. 1b (ring groups under a global aggregator) and Fig. 1c (rings at
-// every level), via internal/hierarchy.
-func runHierarchical(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	mode := hierarchy.ModeRingOfLeaders
-	if o.Algo == HierarchicalTree {
-		mode = hierarchy.ModeAggregatorTree
-	}
-	topo := hierarchy.Topology{Workers: o.Workers, GroupSize: o.GroupSize, Mode: mode}
-	if err := topo.Validate(); err != nil {
-		return Result{}, err
-	}
-	fabric := comm.NewFabric(topo.FabricSize(), o.Processor)
-	fabric.SetRecorder(o.Obs)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var res Result
-	var wg sync.WaitGroup
-	errs := make([]error, topo.FabricSize())
-	computeNs := make([]int64, o.Workers)
-	commNs := make([]int64, o.Workers)
-
-	if mode == hierarchy.ModeAggregatorTree {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gradLen := build(rand.New(rand.NewSource(o.Seed))).NumParams()
-			aggID := topo.AggregatorID()
-			e := comm.AsCtxPeer(fabric.Endpoint(aggID))
-			for iter := 0; iter < iters; iter++ {
-				if err := hierarchy.RunAggregatorCtx(ctx, topo, e, gradLen, o.ringOptions(iter)); err != nil {
-					errs[aggID] = fmt.Errorf("train: aggregator iter %d: %w", iter, err)
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-
-	for id := 0; id < o.Workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := newWorker(id, build, trainDS, o)
-			e := comm.AsCtxPeer(fabric.Endpoint(id))
-			iterHist := o.Obs.Histogram("train_iter_seconds")
-			lossGauge := o.Obs.Gauge("train_loss")
-			for iter := 0; iter < iters; iter++ {
-				t0 := time.Now()
-				csp := o.Obs.Span(id, iter, obs.PhaseCompute)
-				loss := w.localGradient()
-				o.straggle(id)
-				if o.LocalGradTransform != nil {
-					o.LocalGradTransform(w.grad)
-				}
-				w.applyErrorFeedback(o)
-				csp.End()
-				if id == 0 && o.GradHook != nil {
-					o.GradHook(iter, w.grad)
-				}
-				tc := time.Now()
-				computeNs[id] += tc.Sub(t0).Nanoseconds()
-				if err := hierarchy.AllReduceCtx(ctx, topo, e, w.grad, o.gradTos(), o.finalizer(), o.ringOptions(iter)); err != nil {
-					errs[id] = fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
-					cancel()
-					return
-				}
-				tx := time.Now()
-				commNs[id] += tx.Sub(tc).Nanoseconds()
-				w.applyAveraged(iter, w.grad, o, o.Workers)
-				computeNs[id] += time.Since(tx).Nanoseconds()
-				o.Health.ObserveStep(id, iter, time.Since(t0))
-				if id == 0 {
-					iterHist.Observe(time.Since(t0))
-					lossGauge.Set(loss)
-				}
-				if id == 0 && o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == iters-1) {
-					acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-					res.Evals = append(res.Evals, EvalPoint{Iter: iter + 1, Accuracy: acc, Loss: loss})
-				}
-			}
-			if id == 0 {
-				acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-				res.FinalAcc, res.FinalLoss = acc, loss
-				res.FinalWeights = w.net.WeightVector(nil)
-			}
-		}(id)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return Result{}, err
-	}
-	res.RawBytes = fabric.TotalRawBytes()
-	res.WireBytes = fabric.TotalWireBytes()
-	res.ComputeSeconds = nsSeconds(computeNs)
-	res.CommSeconds = nsSeconds(commNs)
-	res.StragglerWaitSeconds = fabricRecvWaitSeconds(fabric)
-	return res, nil
-}
-
 // RunSingle trains one replica on the full dataset without any
 // communication — the reference for distributed-equivalence tests.
 func RunSingle(build Builder, trainDS, testDS data.Dataset, iters int, o Options) Result {
@@ -816,14 +356,12 @@ func RunSingle(build Builder, trainDS, testDS data.Dataset, iters int, o Options
 	}
 	var res Result
 	for iter := 0; iter < iters; iter++ {
-		w.localGradient()
-		w.grad = w.net.GradVector(w.grad[:0])
-		w.net.SetGradVector(w.grad)
+		// The optimizer steps on the gradient where backward left it.
+		w.forwardBackward()
 		w.sgd.LR = o.Schedule.At(iter)
 		w.sgd.Step(w.net.Params())
 	}
-	acc, loss := evaluate(w.net, testDS, o.EvalSamples)
-	res.FinalAcc, res.FinalLoss = acc, loss
+	res.FinalAcc, res.FinalLoss = evaluate(w.net, testDS, o.EvalSamples)
 	res.FinalWeights = w.net.WeightVector(nil)
 	return res
 }
@@ -834,37 +372,11 @@ func ReplicaWeights(build Builder, trainDS data.Dataset, iters int, o Options) (
 	if o.Algo != Ring {
 		return nil, fmt.Errorf("train: ReplicaWeights requires the ring algorithm")
 	}
-	fabric := comm.NewFabric(o.Workers, o.Processor)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := make([][]float32, o.Workers)
-	errs := make([]error, o.Workers)
-	var wg sync.WaitGroup
-	for id := 0; id < o.Workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := newWorker(id, build, trainDS, o)
-			e := comm.AsCtxPeer(fabric.Endpoint(id))
-			for iter := 0; iter < iters; iter++ {
-				w.localGradient()
-				if o.LocalGradTransform != nil {
-					o.LocalGradTransform(w.grad)
-				}
-				w.applyErrorFeedback(o)
-				if err := ring.AllReduceCtx(ctx, e, w.grad, o.gradTos(), o.finalizer(), o.ringOptions(iter)); err != nil {
-					errs[id] = fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
-					cancel()
-					return
-				}
-				w.applyAveraged(iter, w.grad, o, o.Workers)
-			}
-			out[id] = w.net.WeightVector(nil)
-		}(id)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	c, err := o.prepare(false)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	replicas := make([][]float32, o.Workers)
+	_, err = runFixed(newFabricPlane(o.Workers, o), c, build, trainDS, nil, iters, o, replicas)
+	return replicas, err
 }

@@ -233,6 +233,39 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o); err == nil {
 		t.Error("expected error for zero batch")
 	}
+	if _, err := ReplicaWeights(models.NewHDCSmall, trainDS, 1, o); err == nil {
+		t.Error("ReplicaWeights: expected error for zero batch")
+	}
+	o = digitsOptions()
+	o.Algo = Algorithm(99)
+	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o); err == nil {
+		t.Error("expected error for an unknown algorithm")
+	}
+	if got := o.Algo.String(); got != "Algorithm(99)" {
+		t.Errorf("Algorithm(99).String() = %q", got)
+	}
+
+	// Error feedback needs the codec to say what it delivered: only the
+	// in-process fabric's Processor can, and only when compressing.
+	bound := fpcodec.MustBound(10)
+	o = digitsOptions()
+	o.ErrorFeedback = true
+	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o); err == nil {
+		t.Error("expected error for ErrorFeedback without Compress and a Processor")
+	}
+	o.Compress, o.Processor = true, comm.CodecProcessor{Bound: bound}
+	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o); err != nil {
+		t.Errorf("ErrorFeedback with Compress and a Processor: %v", err)
+	}
+	for name, run := range map[string]func() (Result, error){
+		"RunRingTCP":    func() (Result, error) { return RunRingTCP(models.NewHDCSmall, trainDS, testDS, 1, o, bound) },
+		"RunSwitchTCP":  func() (Result, error) { return RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, 1, o, bound) },
+		"RunElasticTCP": func() (Result, error) { return RunElasticTCP(models.NewHDCSmall, trainDS, testDS, 1, o, bound) },
+	} {
+		if _, err := run(); err == nil {
+			t.Errorf("%s: expected error for ErrorFeedback over the TCP fabric", name)
+		}
+	}
 }
 
 func TestRunSingleConverges(t *testing.T) {
