@@ -2,16 +2,7 @@
 # the full test suite under the race detector.
 GO ?= go
 
-.PHONY: build test vet race fuzz bench bench3 bench4 bench5 bench7 bench8 bench9 bench10 benchdiff benchsmoke traintest obssmoke healthtest simtest soaktest tunetest ci
-
-# The hot-kernel benchmarks behind the bench/BENCH_2.json speedup report.
-BENCH_PATTERN = BenchmarkMatMul|BenchmarkConvForwardBackward|BenchmarkCodecCompress|BenchmarkCodecDecompress|BenchmarkRingTrainingE2E
-# The checkpoint write/restore latency benchmarks behind bench/BENCH_3.json.
-BENCH3_PATTERN = BenchmarkCheckpointWrite|BenchmarkCheckpointRestore
-# The observability-overhead pair behind bench/BENCH_4.json.
-BENCH4_PATTERN = BenchmarkObsOverhead
-# The trace-collection benchmarks behind bench/BENCH_5.json.
-BENCH5_PATTERN = BenchmarkCollectorMerge|BenchmarkObsOverhead
+.PHONY: build test vet race fuzz bench traintest obssmoke simtest healthtest tunetest soaktest ci
 
 build:
 	$(GO) build ./...
@@ -23,9 +14,13 @@ vet:
 	$(GO) vet ./...
 
 # Race-detector run of the packages with real concurrency (transports,
-# collectives, training loops) plus everything else. The training
-# convergence suite alone runs ~30 min under -race on a single core,
-# hence the generous timeout.
+# collectives, training loops) plus everything else. The timeout is per
+# package and is not generous on a small box: measured on 2 vCPUs the run
+# took 67 min of wall clock, internal/experiments hit the 60 min limit
+# (TestFig4Output alone had run 45 min) and internal/train (54 min)
+# failed its wall-clock gates, which the race runtime distorts; the
+# name-selected targets below are the slices that hold under -race there
+# (ROADMAP, "State the contract once" (d)).
 race:
 	$(GO) test -race -timeout 60m ./...
 
@@ -34,48 +29,11 @@ race:
 fuzz:
 	$(GO) test ./internal/tcpfabric -run FuzzFrameDecode -fuzz FuzzFrameDecode -fuzztime 30s
 
-# Hot-kernel benchmark report: run the kernel/codec/training benchmarks
-# once pinned to a single core and once with the default parallelism, then
-# emit bench/BENCH_2.json with per-benchmark ns/op, B/op, and the
-# multi-core speedup. On a single-core machine both runs coincide
-# (speedup ≈ 1).
+# The repo's one benchmark (BENCHMARK.json runs the same program through
+# bench/perf/run.sh): five end-to-end training workloads plus the
+# per-layer budget; see bench/perf/README.md.
 bench:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . | tee bench/bench_single.txt
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . | tee bench/bench_multi.txt
-	$(GO) run ./cmd/benchjson -single bench/bench_single.txt -multi bench/bench_multi.txt -out bench/BENCH_2.json
-
-# Checkpoint write/restore latency report (elastic training durability).
-bench3:
-	$(GO) test -run '^$$' -bench '$(BENCH3_PATTERN)' -benchmem . | tee bench/bench_ckpt.txt
-	$(GO) run ./cmd/benchjson -multi bench/bench_ckpt.txt -out bench/BENCH_3.json
-
-# Observability-overhead report: the same end-to-end training run with the
-# recorder detached and attached; bench/BENCH_4.json fails the build when
-# the recorder costs more than 2% wall clock.
-bench4:
-	$(GO) test -run '^$$' -bench '$(BENCH4_PATTERN)' -benchtime 5x -count 1 . | tee bench/bench_obs.txt
-	$(GO) run ./cmd/benchjson -multi bench/bench_obs.txt \
-		-overhead-off 'BenchmarkObsOverhead/recorderOff' \
-		-overhead-on 'BenchmarkObsOverhead/recorderOn' \
-		-max-overhead-pct 2 -out bench/BENCH_4.json
-
-# Trace-collection report: the cross-node merge must sustain its
-# throughput floor and the recorder must stay under the 2% overhead
-# bound; bench/BENCH_5.json fails the build otherwise.
-bench5:
-	$(GO) test -run '^$$' -bench 'BenchmarkCollectorMerge' -benchmem . | tee bench/bench_collect.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkObsOverhead' -benchtime 5x -count 1 . | tee -a bench/bench_collect.txt
-	$(GO) run ./cmd/benchjson -multi bench/bench_collect.txt \
-		-overhead-off 'BenchmarkObsOverhead/recorderOff' \
-		-overhead-on 'BenchmarkObsOverhead/recorderOn' \
-		-max-overhead-pct 2 \
-		-min-mb-per-s 'BenchmarkCollectorMerge:50' \
-		-out bench/BENCH_5.json
-
-# One-iteration smoke run of the same benchmarks, to keep them compiling
-# and executing under CI without paying for a full measurement.
-benchsmoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)|$(BENCH3_PATTERN)' -benchtime=1x .
+	$(GO) run ./bench/perf
 
 # Training-runner gate, under the race detector — the name-selected
 # slices of internal/train in one run:
@@ -122,69 +80,17 @@ obssmoke:
 simtest:
 	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/mpi
 
-# In-network switch aggregation report: closed-form WA vs ring vs switch
-# exchange times at 4/8/16 nodes. The run fails unless the switch beats
-# the worker aggregator's incast at every scale >= 8 nodes.
-bench7:
-	$(GO) run ./cmd/incbench -bench7 bench/BENCH_7.json
-
-# Switch->ring fallback cost report: the fluid-flow model's and the
-# measured runner's degraded (post-fallback) iteration must stay within
-# 1.15x a plain ring iteration, and a silently stalled switch must be
-# detected within 2x the step deadline. Writes bench/BENCH_8.json and
-# fails the build on any gate.
-bench8:
-	$(GO) run ./cmd/incbench -bench8 bench/BENCH_8.json
-
-# Health-engine overhead report: the same end-to-end training run with the
-# recorder attached in both variants, plus the streaming health engine
-# (detectors + flight recorder + poller) in the second. bench/BENCH_9.json
-# fails the build when the engine costs more than 2% wall clock.
-bench9:
-	$(GO) test -run '^$$' -bench 'BenchmarkHealthOverhead' -benchtime 10x -count 1 . | tee bench/bench_health.txt
-	$(GO) run ./cmd/benchjson -multi bench/bench_health.txt \
-		-overhead-off 'BenchmarkHealthOverhead/healthOff' \
-		-overhead-on 'BenchmarkHealthOverhead/healthOn' \
-		-max-overhead-pct 2 -out bench/BENCH_9.json
-
 # Auto-tuner acceptance gate: the tune package's unit suite under the
 # race detector (the strict timing gate skips itself there — the race
 # runtime's ~30x slowdown changes the machine the probes measure), then
 # the end-to-end probe→fit→validate loop without -race with the timing
-# gate armed: the fitted model must track a pooled 3-run measured holdout's
-# communication phases within 15% (one refit retry on a miss).
+# gates armed: the fitted model must track a pooled 3-run measured holdout's
+# communication phases within 15% (one refit retry on a miss), and the
+# tuner's pick must measure within 1.10x of the brute-force best of every
+# ranked candidate.
 tunetest:
 	$(GO) test -race ./internal/tune -count=1
 	TUNE_STRICT=1 $(GO) test ./internal/tune -run 'TestAutoTuneEndToEnd' -count=1 -timeout 15m
-
-# Auto-tuner pick-quality report: AutoTune probes and plans on the
-# in-process fabric, then every ranked candidate is brute-force measured.
-# bench/BENCH_10.json fails the build unless the tuner's pick measures
-# within 1.10x of the brute-force best and the fitted model tracks a
-# pooled measured holdout within 15%.
-bench10:
-	$(GO) run ./cmd/incbench -bench10 bench/BENCH_10.json
-
-# Bench regression gate: re-measure the health-overhead pair and the
-# auto-tuner plan sweep, then diff each fresh report against its
-# checked-in baseline (bench/BENCH_9.json, bench/BENCH_10.json); any
-# shared benchmark regressing beyond its bound (fractional) fails CI.
-# Widen the bounds (e.g. MAX_REGRESS=0.35) on noisy shared hardware.
-# BENCH10's bound is wide by design: its entries are ~15ms end-to-end
-# training iterations whose absolute times swing with machine load — the
-# pick-vs-best and holdout gates inside bench10 are the real acceptance
-# criteria, the diff only catches order-of-magnitude collapses.
-MAX_REGRESS ?= 0.10
-BENCH10_MAX_REGRESS ?= 0.60
-benchdiff:
-	$(GO) test -run '^$$' -bench 'BenchmarkHealthOverhead' -benchtime 10x -count 1 . | tee bench/bench_health_ci.txt
-	$(GO) run ./cmd/benchjson -multi bench/bench_health_ci.txt \
-		-overhead-off 'BenchmarkHealthOverhead/healthOff' \
-		-overhead-on 'BenchmarkHealthOverhead/healthOn' \
-		-out bench/BENCH_9_ci.json
-	$(GO) run ./cmd/benchjson -diff -max-regress $(MAX_REGRESS) bench/BENCH_9.json bench/BENCH_9_ci.json
-	$(GO) run ./cmd/incbench -bench10 bench/BENCH_10_ci.json
-	$(GO) run ./cmd/benchjson -diff -max-regress $(BENCH10_MAX_REGRESS) bench/BENCH_10.json bench/BENCH_10_ci.json
 
 # Health-engine gate: the streaming detectors' seeded incident-injection
 # suite under the race detector (stragglers, degraded links, counter
@@ -211,4 +117,4 @@ soaktest:
 	$(GO) test -race -timeout 30m ./internal/soak -run 'TestSoak$$' -count=1 -v \
 		-soak-trials=$(SOAK_TRIALS) -soak-seed=$(SOAK_SEED) -soak-budget=20m
 
-ci: vet simtest traintest obssmoke healthtest tunetest soaktest race benchsmoke benchdiff
+ci: vet simtest traintest obssmoke healthtest tunetest soaktest race

@@ -7,37 +7,28 @@
 //	incbench -run fig12
 //	incbench -run all [-full] [-seed N]
 //	incbench -strategy switch
+//	incbench -selftest
 //	incbench -simtrace sim.jsonl [-sim-strategy ring|switch] [-sim-workers 4] [-sim-straggle 2:5ms]
-//	incbench -bench7 bench/BENCH_7.json
 //
 // The -simtrace mode writes a fluid-flow-simulated gradient exchange
 // (ring, or the in-network switch reduction) as a span trace in the same
 // schema a real run emits, so `inctrace blame` and `inctrace calibrate
-// -measured run.jsonl -sim sim.jsonl` work on it directly. The -bench7
-// mode emits switch-vs-ring-vs-WA exchange times at 4/8/16 nodes, gated
-// on the switch beating the worker-aggregator incast at >= 8 nodes.
+// -measured run.jsonl -sim sim.jsonl` work on it directly. Performance is
+// measured by bench/perf, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"inceptionn/internal/data"
 	"inceptionn/internal/eventsim"
 	"inceptionn/internal/experiments"
-	"inceptionn/internal/fault"
-	"inceptionn/internal/fpcodec"
-	"inceptionn/internal/models"
 	"inceptionn/internal/netsim"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/opt"
-	"inceptionn/internal/train"
 )
 
 // parseSimStraggle parses "node:dur[,node:dur...]" (e.g. "2:5ms") into
@@ -148,225 +139,6 @@ func runSimTrace(out string, c simTraceConfig) error {
 	return nil
 }
 
-// bench7Result is one strategy-vs-strategy exchange-time sample of
-// bench/BENCH_7.json.
-type bench7Result struct {
-	Nodes         int     `json:"nodes"`
-	WASeconds     float64 `json:"wa_seconds"`
-	RingSeconds   float64 `json:"ring_seconds"`
-	SwitchSeconds float64 `json:"switch_seconds"`
-	SwitchVsWA    float64 `json:"switch_vs_wa_speedup"`
-	SwitchVsRing  float64 `json:"switch_vs_ring_speedup"`
-}
-
-// runBench7 writes the PR 7 benchmark artifact: closed-form exchange
-// times of WA vs ring vs in-network switch at 4/8/16 simulated nodes on
-// AlexNet-scale gradients, gated on the switch beating the
-// worker-aggregator incast at >= 8 nodes.
-func runBench7(out string, modelBytes int64) error {
-	p := netsim.Default10GbE()
-	var results []bench7Result
-	failed := false
-	for _, nodes := range []int{4, 8, 16} {
-		wa := p.WorkerAggregator(nodes, modelBytes, netsim.Plain(modelBytes), netsim.Plain(modelBytes)).Total()
-		ring := p.Ring(nodes, modelBytes, netsim.Plain(netsim.RingBlockBytes(modelBytes, nodes))).Total()
-		sw := p.SwitchAllReduce(nodes, modelBytes, nil).Total()
-		results = append(results, bench7Result{
-			Nodes: nodes, WASeconds: wa, RingSeconds: ring, SwitchSeconds: sw,
-			SwitchVsWA: wa / sw, SwitchVsRing: ring / sw,
-		})
-		fmt.Printf("bench7: %2d nodes  wa=%.3fs ring=%.3fs switch=%.3fs (switch %.2fx vs wa)\n",
-			nodes, wa, ring, sw, wa/sw)
-		if nodes >= 8 && sw >= wa {
-			fmt.Fprintf(os.Stderr, "bench7: GATE FAILED at %d nodes: switch %.3fs >= wa %.3fs\n", nodes, sw, wa)
-			failed = true
-		}
-	}
-	doc := struct {
-		Bench      string         `json:"bench"`
-		ModelBytes int64          `json:"model_bytes"`
-		Gate       string         `json:"gate"`
-		Pass       bool           `json:"pass"`
-		Results    []bench7Result `json:"results"`
-	}{
-		Bench:      "switch-vs-wa-vs-ring exchange time (netsim closed form, 10GbE)",
-		ModelBytes: modelBytes,
-		Gate:       "switch beats worker-aggregator incast at >= 8 nodes",
-		Pass:       !failed,
-		Results:    results,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(out); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("bench7: wrote %s\n", out)
-	if failed {
-		return fmt.Errorf("switch strategy did not beat WA at >= 8 nodes")
-	}
-	return nil
-}
-
-// runBench8 writes the PR 8 benchmark artifact: the cost of the
-// self-healing switch collective's mid-run fallback to the ring, gated
-// three ways — the fluid-flow model's degraded (post-fallback) iteration
-// must stay within 1.15x a bare ring iteration, the measured degraded
-// band on the real runner must too, and a silently stalled switch must
-// be detected within 2x the configured step deadline.
-func runBench8(out string) error {
-	const workers = 4
-
-	// Model: fallback cost on the fluid-flow simulator at 10GbE,
-	// AlexNet-scale gradients, 16 GB/s snapshot memcpy.
-	np := netsim.Default10GbE()
-	p := eventsim.Params{
-		LineRate:  np.LineRate,
-		StreamCap: np.StreamEfficiency * np.LineRate,
-		Latency:   np.Latency,
-	}
-	modelBytes := float64(models.AlexNet.ParamBytes)
-	const modelStepTimeout = 0.25
-	mc := eventsim.SwitchFallbackCost(p, workers, modelBytes, 1<<20, 1/np.LineRate, modelStepTimeout, 1.0/16e9, 1)
-	bareRing := eventsim.RingTime(p, workers, modelBytes/workers, 0)
-	modelRatio := mc.DegradedIterSeconds / bareRing
-	fmt.Printf("bench8: model  degraded=%.4fs ring=%.4fs (%.3fx), trip penalty=%.3fs\n",
-		mc.DegradedIterSeconds, bareRing, modelRatio, mc.TotalPenaltySeconds)
-
-	// Measured: both runners over the same loopback-TCP fabric, switch
-	// killed during the very first multicast (transport self-report, so
-	// detection adds ~nothing and the healed run's wall clock is the
-	// degraded band itself: 30 ring iterations plus the one replayed).
-	trainDS, testDS := data.NewDigits(4000, 1), data.NewDigits(500, 99)
-	base := train.Options{
-		Workers:      workers,
-		BatchPerNode: 16,
-		Schedule:     opt.StepSchedule{Base: 0.02, Factor: 5, Every: 200},
-		Momentum:     0.9,
-		WeightDecay:  0.00005,
-		Seed:         42,
-		EvalSamples:  64,
-	}
-	const iters = 30
-	bound := fpcodec.MustBound(10) // codec unused: both runs are uncompressed
-
-	ringO := base
-	t0 := time.Now()
-	ringRes, err := train.RunRingTCP(models.NewHDCSmall, trainDS, testDS, iters, ringO, bound)
-	if err != nil {
-		return fmt.Errorf("bench8 ring baseline: %w", err)
-	}
-	ringWall := time.Since(t0).Seconds()
-
-	healO := base
-	healO.Algo = train.SwitchReduce
-	healO.SwitchFallback = true
-	healO.StepTimeout = 5 * time.Second
-	healO.Chaos = &fault.Config{Seed: 8, CrashAfter: map[int]uint64{workers: 2}}
-	t0 = time.Now()
-	healRes, err := train.RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, iters, healO, bound)
-	if err != nil {
-		return fmt.Errorf("bench8 healed run: %w", err)
-	}
-	healWall := time.Since(t0).Seconds()
-	if healRes.Fallbacks != 1 {
-		return fmt.Errorf("bench8 healed run: fallbacks = %d, want 1", healRes.Fallbacks)
-	}
-	for i := range healRes.FinalWeights {
-		if healRes.FinalWeights[i] != ringRes.FinalWeights[i] {
-			return fmt.Errorf("bench8 healed run diverged from the ring at weight %d", i)
-		}
-	}
-	measuredRatio := (healWall / float64(iters+1)) / (ringWall / float64(iters))
-	fmt.Printf("bench8: run    degraded=%.4fs/iter ring=%.4fs/iter (%.3fx), bit-exact after healing\n",
-		healWall/float64(iters+1), ringWall/float64(iters), measuredRatio)
-
-	// Measured detection latency: a silent stall (partitioned uplink, no
-	// self-report anywhere) must confirm within two step deadlines.
-	detO := base
-	detO.Algo = train.SwitchReduce
-	detO.SwitchFallback = true
-	detO.StepTimeout = 250 * time.Millisecond
-	detO.Chaos = &fault.Config{Seed: 9, Links: map[fault.Link]fault.LinkFaults{
-		{Src: 1, Dst: workers}: fault.Partition(2),
-	}}
-	detRes, err := train.Run(models.NewHDCSmall, trainDS, testDS, 8, detO)
-	if err != nil {
-		return fmt.Errorf("bench8 detection run: %w", err)
-	}
-	if detRes.Fallbacks != 1 {
-		return fmt.Errorf("bench8 detection run: fallbacks = %d, want 1", detRes.Fallbacks)
-	}
-	detectGate := 2 * detO.StepTimeout.Seconds()
-	fmt.Printf("bench8: detect stall confirmed in %.3fs (gate %.3fs) — %s\n",
-		detRes.FallbackDetectSeconds, detectGate, detRes.FallbackCause)
-
-	var fails []string
-	if modelRatio > 1.15 {
-		fails = append(fails, fmt.Sprintf("model degraded/ring ratio %.3f > 1.15", modelRatio))
-	}
-	if measuredRatio > 1.15 {
-		fails = append(fails, fmt.Sprintf("measured degraded/ring ratio %.3f > 1.15", measuredRatio))
-	}
-	if detRes.FallbackDetectSeconds > detectGate {
-		fails = append(fails, fmt.Sprintf("detection %.3fs > 2x step timeout %.3fs", detRes.FallbackDetectSeconds, detectGate))
-	}
-	doc := struct {
-		Bench                string  `json:"bench"`
-		Gate                 string  `json:"gate"`
-		Pass                 bool    `json:"pass"`
-		ModelDegradedSec     float64 `json:"model_degraded_iter_seconds"`
-		ModelRingSec         float64 `json:"model_ring_iter_seconds"`
-		ModelRatio           float64 `json:"model_degraded_vs_ring"`
-		ModelTripPenaltySec  float64 `json:"model_trip_penalty_seconds"`
-		MeasuredDegradedSec  float64 `json:"measured_degraded_iter_seconds"`
-		MeasuredRingSec      float64 `json:"measured_ring_iter_seconds"`
-		MeasuredRatio        float64 `json:"measured_degraded_vs_ring"`
-		MeasuredDetectSec    float64 `json:"measured_detect_seconds"`
-		DetectGateSec        float64 `json:"detect_gate_seconds"`
-		MeasuredFallbackWhy  string  `json:"measured_fallback_cause"`
-		BitExactAfterHealing bool    `json:"bit_exact_after_healing"`
-	}{
-		Bench:                "switch->ring fallback cost (eventsim model + measured self-healing runner)",
-		Gate:                 "degraded iteration <= 1.15x plain ring (model and measured); stall detected <= 2x step timeout",
-		Pass:                 len(fails) == 0,
-		ModelDegradedSec:     mc.DegradedIterSeconds,
-		ModelRingSec:         bareRing,
-		ModelRatio:           modelRatio,
-		ModelTripPenaltySec:  mc.TotalPenaltySeconds,
-		MeasuredDegradedSec:  healWall / float64(iters+1),
-		MeasuredRingSec:      ringWall / float64(iters),
-		MeasuredRatio:        measuredRatio,
-		MeasuredDetectSec:    detRes.FallbackDetectSeconds,
-		DetectGateSec:        detectGate,
-		MeasuredFallbackWhy:  detRes.FallbackCause,
-		BitExactAfterHealing: true,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(out); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("bench8: wrote %s\n", out)
-	if len(fails) > 0 {
-		return fmt.Errorf("bench8 gate failed: %s", strings.Join(fails, "; "))
-	}
-	return nil
-}
-
 func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	run := flag.String("run", "all", "experiment to run (name or 'all')")
@@ -383,10 +155,6 @@ func main() {
 	simSwitchMem := flag.Int64("sim-switch-mem", 1<<20, "simtrace switch: on-switch aggregation buffer bytes")
 	simSwitchRate := flag.Float64("sim-switch-rate", 0, "simtrace switch: combine throughput bytes/s (0 = line rate)")
 	strategy := flag.String("strategy", "", "shorthand for -run switch etc: print one strategy comparison (e.g. 'switch')")
-	bench7 := flag.String("bench7", "", "write switch-vs-ring-vs-WA exchange benchmarks (JSON) to this file and exit")
-	bench7Bytes := flag.Int64("bench7-bytes", 0, "bench7: gradient bytes (0 = AlexNet's 233 MB)")
-	bench8 := flag.String("bench8", "", "write the switch->ring fallback cost benchmark (JSON) to this file and exit")
-	bench10 := flag.String("bench10", "", "write the auto-tuner pick-vs-brute-force benchmark (JSON) to this file and exit")
 	flag.Parse()
 
 	if *simtrace != "" {
@@ -396,34 +164,6 @@ func main() {
 			switchMem: *simSwitchMem, switchRate: *simSwitchRate,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "incbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench7 != "" {
-		bytes := *bench7Bytes
-		if bytes <= 0 {
-			bytes = models.AlexNet.ParamBytes
-		}
-		if err := runBench7(*bench7, bytes); err != nil {
-			fmt.Fprintln(os.Stderr, "incbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench8 != "" {
-		if err := runBench8(*bench8); err != nil {
-			fmt.Fprintln(os.Stderr, "incbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench10 != "" {
-		if err := runBench10(*bench10); err != nil {
 			fmt.Fprintln(os.Stderr, "incbench:", err)
 			os.Exit(1)
 		}

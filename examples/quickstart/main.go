@@ -8,17 +8,20 @@ import (
 	"log"
 	"math/rand"
 
-	"inceptionn/internal/core"
+	"inceptionn/internal/bitio"
+	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 	"inceptionn/internal/trainsim"
 )
 
 func main() {
-	sys, err := core.New(core.DefaultConfig())
+	// The paper's primary configuration: four workers, error bound 2^-10.
+	cfg := trainsim.Default()
+	bound, err := fpcodec.NewBound(cfg.BoundExp)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(sys.Summary())
+	fmt.Printf("INCEPTIONN: %d workers, bound %v, NIC engine model, compression on\n", cfg.Workers, bound)
 
 	// A gradient-shaped vector: tight around zero, rare large values.
 	rng := rand.New(rand.NewSource(1))
@@ -31,12 +34,13 @@ func main() {
 		}
 	}
 
-	data, bits := sys.Compress(grad)
+	w := bitio.NewWriter(len(grad))
+	fpcodec.CompressStream(w, grad, bound)
 	fmt.Printf("compressed %d floats: %d -> %d bytes (ratio %.1fx)\n",
-		len(grad), 4*len(grad), len(data), sys.Ratio(grad))
+		len(grad), 4*len(grad), len(w.Bytes()), fpcodec.Ratio(grad, bound))
 
-	restored, err := sys.Decompress(data, bits, len(grad))
-	if err != nil {
+	restored := make([]float32, len(grad))
+	if err := fpcodec.DecompressStream(bitio.NewReader(w.Bytes(), w.Len()), restored, bound); err != nil {
 		log.Fatal(err)
 	}
 	var maxErr float64
@@ -49,14 +53,13 @@ func main() {
 			maxErr = e
 		}
 	}
-	fmt.Printf("max reconstruction error: %.2e (guarantee %.2e)\n", maxErr, sys.Bound().MaxError())
+	fmt.Printf("max reconstruction error: %.2e (guarantee %.2e)\n", maxErr, bound.MaxError())
 
 	// Full-size estimates from the Table-II-calibrated simulator.
 	fmt.Println("\nper-iteration estimates on the paper's testbed scale:")
-	cfg := trainsim.Default()
 	for _, spec := range models.Evaluated() {
 		wa := cfg.IterTime(trainsim.WA, spec)
-		inc := sys.Estimate(spec)
+		inc := cfg.IterTime(trainsim.INCC, spec)
 		fmt.Printf("  %-10s WA %7.4fs  ->  INC+C %7.4fs  (%.1fx speedup)\n",
 			spec.Name, wa.Total(), inc.Total(), wa.Total()/inc.Total())
 	}

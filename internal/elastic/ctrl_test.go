@@ -126,7 +126,12 @@ func TestCtrlJoinAfterDepart(t *testing.T) {
 // refused) and the coordinator's failure detector evicts it with a
 // partition-graded cause.
 func TestCtrlPartitionFailsClosed(t *testing.T) {
-	coord := NewCoordinator(2, Config{SuspectAfter: 300 * time.Millisecond})
+	// SuspectAfter must leave the client time to fail closed first: until
+	// it declares partition (PartitionAfter plus one ≤200ms retry backoff)
+	// every reconnect's hello marks the link up again, and an eviction
+	// landing in such a window is graded "link up". At 300ms the two raced
+	// and the grade assertion below failed 5 runs in 10 on an idle box.
+	coord := NewCoordinator(2, Config{SuspectAfter: time.Second})
 	defer coord.Close()
 	srv, err := ServeCtrl("127.0.0.1:0", coord)
 	if err != nil {

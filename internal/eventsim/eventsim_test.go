@@ -240,3 +240,14 @@ func TestDelayVariantsMatchBaseWithoutDelays(t *testing.T) {
 		t.Errorf("ring: %g vs %g", c, d)
 	}
 }
+
+// BenchmarkEventSim measures the discrete-event simulator on the Fig. 15
+// workload (it backs the validation tests).
+func BenchmarkEventSim(b *testing.B) {
+	p := Params{LineRate: 1.25e9, StreamCap: 0.5625e9, Latency: 30e-6}
+	n := float64(models.AlexNet.ParamBytes)
+	for i := 0; i < b.N; i++ {
+		WorkerAggregatorTime(p, 8, n, n, 0.01)
+		RingTime(p, 8, n/8, 0.001)
+	}
+}

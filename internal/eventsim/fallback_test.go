@@ -28,8 +28,8 @@ func TestSwitchFallbackCost(t *testing.T) {
 	}
 
 	// The degraded band is the ring collective plus snapshot bookkeeping:
-	// it must cost more than a bare ring iteration but stay within the
-	// bench gate's 1.15× envelope for any realistic memcpy rate.
+	// it must cost more than a bare ring iteration but stay within a
+	// 1.15× envelope of it for any realistic memcpy rate.
 	ring := RingTime(p, 4, modelBytes/4, 0)
 	if c.DegradedIterSeconds <= ring {
 		t.Errorf("degraded %g should exceed bare ring %g (snapshot overhead)", c.DegradedIterSeconds, ring)

@@ -11,8 +11,7 @@ import (
 // Additional collectives rounding out the OpenMPI-like API surface of the
 // paper's Sec. VI-B. AllGather and ReduceScatter are the two halves of the
 // ring AllReduce (Fig. 6's P2 and P1 phases respectively), exposed
-// separately; Scatter is Bcast's counterpart. Each has a fault-tolerant
-// Ctx form; the bare method panics on failure, as the legacy API did.
+// separately; Scatter is Bcast's counterpart.
 
 // Tag bases for the additional collectives.
 const (
@@ -21,18 +20,9 @@ const (
 	tagScatter       = 7300
 )
 
-// AllGather concatenates every rank's vec (all must have equal length)
+// AllGatherCtx concatenates every rank's vec (all must have equal length)
 // into one vector ordered by rank, using the ring pipeline (each link
 // carries (p−1)·len bytes, balanced like the paper's exchange).
-func (c *Comm) AllGather(vec []float32) []float32 {
-	out, err := c.AllGatherCtx(context.Background(), vec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// AllGatherCtx is the fault-tolerant AllGather.
 func (c *Comm) AllGatherCtx(ctx context.Context, vec []float32) ([]float32, error) {
 	n, rank := c.Size(), c.Rank()
 	out := make([]float32, n*len(vec))
@@ -57,19 +47,10 @@ func (c *Comm) AllGatherCtx(ctx context.Context, vec []float32) ([]float32, erro
 	return out, nil
 }
 
-// ReduceScatter sums vec elementwise across ranks and returns this rank's
-// 1/p block of the result (blocks are the same contiguous partition the
-// ring AllReduce uses; rank i receives block i). All vectors must have
+// ReduceScatterCtx sums vec elementwise across ranks and returns this
+// rank's 1/p block of the result (blocks are the same contiguous partition
+// the ring AllReduce uses; rank i receives block i). All vectors must have
 // equal length.
-func (c *Comm) ReduceScatter(vec []float32) []float32 {
-	out, err := c.ReduceScatterCtx(context.Background(), vec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// ReduceScatterCtx is the fault-tolerant ReduceScatter.
 func (c *Comm) ReduceScatterCtx(ctx context.Context, vec []float32) ([]float32, error) {
 	n, rank := c.Size(), c.Rank()
 	if n == 1 {
@@ -110,18 +91,9 @@ func (c *Comm) ReduceScatterCtx(ctx context.Context, vec []float32) ([]float32, 
 	return append([]float32(nil), rb...), nil
 }
 
-// Scatter distributes root's per-rank chunks: root passes chunks indexed
-// by rank (each chunk may differ in length); every rank returns its own
-// chunk. Non-root ranks pass nil.
-func (c *Comm) Scatter(chunks [][]float32, root int) []float32 {
-	out, err := c.ScatterCtx(context.Background(), chunks, root)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// ScatterCtx is the fault-tolerant Scatter.
+// ScatterCtx distributes root's per-rank chunks: root passes chunks
+// indexed by rank (each chunk may differ in length); every rank returns
+// its own chunk. Non-root ranks pass nil.
 func (c *Comm) ScatterCtx(ctx context.Context, chunks [][]float32, root int) ([]float32, error) {
 	n, rank := c.Size(), c.Rank()
 	if rank == root {

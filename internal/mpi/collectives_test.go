@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -14,7 +15,10 @@ func TestAllGather(t *testing.T) {
 		results := make([][]float32, n)
 		runRanks(t, n, nil, func(c *Comm) {
 			vec := []float32{float32(c.Rank()), float32(c.Rank() * 10)}
-			out := c.AllGather(vec)
+			out, err := c.AllGatherCtx(context.Background(), vec)
+			if err != nil {
+				t.Error(err)
+			}
 			mu.Lock()
 			results[c.Rank()] = out
 			mu.Unlock()
@@ -42,7 +46,10 @@ func TestReduceScatter(t *testing.T) {
 			for i := range vec {
 				vec[i] = float32(i * (c.Rank() + 1))
 			}
-			out := c.ReduceScatter(vec)
+			out, err := c.ReduceScatterCtx(context.Background(), vec)
+			if err != nil {
+				t.Error(err)
+			}
 			mu.Lock()
 			results[c.Rank()] = out
 			mu.Unlock()
@@ -77,8 +84,14 @@ func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 		for i := range vec {
 			vec[i] = float32((c.Rank() + 1) * (i + 1))
 		}
-		block := c.ReduceScatter(vec)
-		full := c.AllGather(block)
+		block, err := c.ReduceScatterCtx(context.Background(), vec)
+		if err != nil {
+			t.Error(err)
+		}
+		full, err := c.AllGatherCtx(context.Background(), block)
+		if err != nil {
+			t.Error(err)
+		}
 		mu.Lock()
 		results[c.Rank()] = full
 		mu.Unlock()
@@ -109,7 +122,10 @@ func TestScatter(t *testing.T) {
 				}
 			}
 		}
-		out := c.Scatter(chunks, root)
+		out, err := c.ScatterCtx(context.Background(), chunks, root)
+		if err != nil {
+			t.Error(err)
+		}
 		mu.Lock()
 		results[c.Rank()] = out
 		mu.Unlock()
@@ -126,13 +142,10 @@ func TestScatter(t *testing.T) {
 	}
 }
 
-func TestScatterPanicsOnBadChunkCount(t *testing.T) {
+func TestScatterRejectsBadChunkCount(t *testing.T) {
 	f := newTestFabric(2)
 	c := World(f, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.Scatter(make([][]float32, 3), 0)
+	if _, err := c.ScatterCtx(context.Background(), make([][]float32, 3), 0); err == nil {
+		t.Fatal("expected an error for 3 chunks on 2 ranks")
+	}
 }

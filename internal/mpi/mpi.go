@@ -6,12 +6,10 @@
 // collectives with ToS 0x28, opting them into in-NIC lossy compression
 // (the setsockopt path in Fig. 11).
 //
-// Every collective has two forms: the legacy panic-on-failure method
-// (AllReduce, Bcast, …) and a fault-tolerant Ctx variant (AllReduceCtx,
-// BcastCtx, …) that honours context deadlines, applies the communicator's
-// per-step timeout, and returns transport errors — the surface a
-// production training loop drives so a partition or straggler becomes a
-// recoverable error rather than a crashed process.
+// The collectives take a context and return an error (AllReduceCtx,
+// BcastCtx, …): each honours context deadlines, applies the communicator's
+// per-step timeout, and returns transport errors, so a partition or
+// straggler becomes a recoverable error rather than a crashed process.
 package mpi
 
 import (
@@ -160,33 +158,19 @@ const (
 	tagBarrier = 7000
 )
 
-// AllReduce sums vec elementwise across all ranks, in place, using the
+// AllReduceCtx sums vec elementwise across all ranks, in place, using the
 // gradient-centric ring exchange (Algorithm 1). All ranks must call it
-// concurrently with equal-length vectors.
-func (c *Comm) AllReduce(vec []float32) {
-	if err := c.AllReduceCtx(context.Background(), vec); err != nil {
-		panic(err.Error())
-	}
-}
-
-// AllReduceCtx is the fault-tolerant AllReduce: deadline expiries and
-// transport errors are returned, and the communicator's step timeout
-// bounds each ring hop.
+// concurrently with equal-length vectors. Deadline expiries and transport
+// errors are returned, and the communicator's step timeout bounds each
+// ring hop.
 func (c *Comm) AllReduceCtx(ctx context.Context, vec []float32) error {
 	return ring.AllReduceGroupCtx(ctx, c.e, c.members, vec, c.tos, c.finalize, ring.Options{StepTimeout: c.stepTimeout})
 }
 
-// Bcast distributes root's vec to all ranks, in place, over a binomial
+// BcastCtx distributes root's vec to all ranks, in place, over a binomial
 // tree (log₂ p rounds, matching the (1+log p)·α latency term of the
 // paper's cost model). Broadcast payloads are weights in this codebase, so
 // they are never ToS-tagged regardless of CollectiveCommComp.
-func (c *Comm) Bcast(vec []float32, root int) {
-	if err := c.BcastCtx(context.Background(), vec, root); err != nil {
-		panic(err.Error())
-	}
-}
-
-// BcastCtx is the fault-tolerant Bcast.
 func (c *Comm) BcastCtx(ctx context.Context, vec []float32, root int) error {
 	n, rank := c.Size(), c.Rank()
 	if n == 1 {
@@ -228,16 +212,9 @@ func (c *Comm) BcastCtx(ctx context.Context, vec []float32, root int) error {
 	return nil
 }
 
-// Reduce sums vec elementwise across ranks into root's vec (other ranks'
-// vectors are left untouched), over a binomial tree. Reduce payloads are
-// gradients, so the ToS flag applies.
-func (c *Comm) Reduce(vec []float32, root int) {
-	if err := c.ReduceCtx(context.Background(), vec, root); err != nil {
-		panic(err.Error())
-	}
-}
-
-// ReduceCtx is the fault-tolerant Reduce.
+// ReduceCtx sums vec elementwise across ranks into root's vec (other
+// ranks' vectors are left untouched), over a binomial tree. Reduce
+// payloads are gradients, so the ToS flag applies.
 func (c *Comm) ReduceCtx(ctx context.Context, vec []float32, root int) error {
 	return c.reduceTree(ctx, vec, root, c.tos, tagReduce)
 }
@@ -277,17 +254,8 @@ func (c *Comm) reduceTree(ctx context.Context, vec []float32, root int, tos uint
 	return nil
 }
 
-// Gather collects every rank's vec at root, returned indexed by rank; other
-// ranks receive nil. Vectors may differ in length.
-func (c *Comm) Gather(vec []float32, root int) [][]float32 {
-	out, err := c.GatherCtx(context.Background(), vec, root)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// GatherCtx is the fault-tolerant Gather.
+// GatherCtx collects every rank's vec at root, returned indexed by rank;
+// other ranks receive nil. Vectors may differ in length.
 func (c *Comm) GatherCtx(ctx context.Context, vec []float32, root int) ([][]float32, error) {
 	n, rank := c.Size(), c.Rank()
 	if rank != root {
@@ -311,17 +279,10 @@ func (c *Comm) GatherCtx(ctx context.Context, vec []float32, root int) ([][]floa
 	return out, nil
 }
 
-// Barrier blocks until all ranks have entered it.
-func (c *Comm) Barrier() {
-	if err := c.BarrierCtx(context.Background()); err != nil {
-		panic(err.Error())
-	}
-}
-
-// BarrierCtx is the fault-tolerant Barrier: it reduces a token to rank 0
-// and broadcasts it back, with every hop deadline-bounded, so a crashed
-// or partitioned rank turns the barrier into an error instead of a
-// distributed hang.
+// BarrierCtx blocks until all ranks have entered it: it reduces a token
+// to rank 0 and broadcasts it back, with every hop deadline-bounded, so a
+// crashed or partitioned rank turns the barrier into an error instead of
+// a distributed hang.
 func (c *Comm) BarrierCtx(ctx context.Context) error {
 	token := []float32{1}
 	// Barrier tokens never ride the lossy codec.

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -37,7 +38,9 @@ func TestBcastAllRoots(t *testing.T) {
 						vec[i] = float32(i + 100*root)
 					}
 				}
-				c.Bcast(vec, root)
+				if err := c.BcastCtx(context.Background(), vec, root); err != nil {
+					t.Error(err)
+				}
 				mu.Lock()
 				results[c.Rank()] = vec
 				mu.Unlock()
@@ -60,7 +63,9 @@ func TestReduceSums(t *testing.T) {
 			var rootVec []float32
 			runRanks(t, n, nil, func(c *Comm) {
 				vec := []float32{float32(c.Rank() + 1), 2}
-				c.Reduce(vec, root)
+				if err := c.ReduceCtx(context.Background(), vec, root); err != nil {
+					t.Error(err)
+				}
 				if c.Rank() == root {
 					mu.Lock()
 					rootVec = vec
@@ -81,7 +86,9 @@ func TestAllReduceMatchesReduceBcast(t *testing.T) {
 	results := make([][]float32, n)
 	runRanks(t, n, nil, func(c *Comm) {
 		vec := []float32{float32(c.Rank()), 1, float32(c.Rank() * c.Rank())}
-		c.AllReduce(vec)
+		if err := c.AllReduceCtx(context.Background(), vec); err != nil {
+			t.Error(err)
+		}
 		mu.Lock()
 		results[c.Rank()] = vec
 		mu.Unlock()
@@ -105,7 +112,10 @@ func TestGather(t *testing.T) {
 		for i := range vec {
 			vec[i] = float32(c.Rank())
 		}
-		res := c.Gather(vec, 2)
+		res, err := c.GatherCtx(context.Background(), vec, 2)
+		if err != nil {
+			t.Error(err)
+		}
 		if c.Rank() == 2 {
 			mu.Lock()
 			gathered = res
@@ -132,7 +142,9 @@ func TestBarrierCompletes(t *testing.T) {
 		go func() {
 			runRanks(t, n, nil, func(c *Comm) {
 				for i := 0; i < 10; i++ {
-					c.Barrier()
+					if err := c.BarrierCtx(context.Background()); err != nil {
+						t.Error(err)
+					}
 				}
 			})
 			close(done)
@@ -154,7 +166,9 @@ func TestCollectiveCommCompTagsGradientTraffic(t *testing.T) {
 		for i := range vec {
 			vec[i] = 1e-5
 		}
-		c.AllReduce(vec)
+		if err := c.AllReduceCtx(context.Background(), vec); err != nil {
+			t.Error(err)
+		}
 	})
 	if f.TotalWireBytes() >= f.TotalRawBytes()/4 {
 		t.Errorf("compressed collectives moved %d wire bytes for %d raw",
@@ -165,7 +179,9 @@ func TestCollectiveCommCompTagsGradientTraffic(t *testing.T) {
 	f2 := runRanks(t, n, comm.CodecProcessor{Bound: bound}, func(c *Comm) {
 		c.CollectiveCommComp(false)
 		vec := make([]float32, 8192)
-		c.AllReduce(vec)
+		if err := c.AllReduceCtx(context.Background(), vec); err != nil {
+			t.Error(err)
+		}
 	})
 	if f2.TotalWireBytes() <= f2.TotalRawBytes() {
 		t.Errorf("uncompressed wire bytes %d <= raw %d", f2.TotalWireBytes(), f2.TotalRawBytes())
@@ -186,7 +202,9 @@ func TestBcastNeverCompressed(t *testing.T) {
 				vec[i] = 1e-5 // would be crushed to 0 by the codec
 			}
 		}
-		c.Bcast(vec, 0)
+		if err := c.BcastCtx(context.Background(), vec, 0); err != nil {
+			t.Error(err)
+		}
 		mu.Lock()
 		results[c.Rank()] = vec
 		mu.Unlock()

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -30,7 +31,9 @@ func TestSubWorldCollectives(t *testing.T) {
 				t.Errorf("node %d: Size = %d, want 3", id, c.Size())
 			}
 			vec := []float32{float32(id + 1), float32(10 * (id + 1))}
-			c.AllReduce(vec)
+			if err := c.AllReduceCtx(context.Background(), vec); err != nil {
+				t.Error(err)
+			}
 			mu.Lock()
 			results[id] = vec
 			mu.Unlock()

@@ -67,7 +67,9 @@ func TestAllReduceSwitchBitExactWithRing(t *testing.T) {
 				for i := range vec {
 					vec[i] = fill(c.Rank(), i)
 				}
-				c.AllReduce(vec)
+				if err := c.AllReduceCtx(context.Background(), vec); err != nil {
+					t.Error(err)
+				}
 				mu.Lock()
 				want[c.Rank()] = vec
 				mu.Unlock()

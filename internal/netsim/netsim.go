@@ -249,7 +249,7 @@ func (p Params) Ring(workers int, modelBytes int64, blockTraffic Traffic) Exchan
 		return Exchange{}
 	}
 	// Exact per-block sizing: when the model does not divide evenly, the
-	// block partition (internal/ring's blockBounds) gives the first
+	// block partition (ring.BlockBounds) gives the first
 	// modelBytes mod workers blocks one extra byte. Every reduce-scatter
 	// step sums the largest block somewhere on the ring, so the lockstep
 	// critical path carries ceil(modelBytes/workers) per step — truncating

@@ -142,7 +142,7 @@ func TestRingNonDivisibleSumRegression(t *testing.T) {
 		{4, 233_000_001},
 		{3, 5},
 	} {
-		// Brute force the partition internal/ring's blockBounds produces:
+		// Brute force the partition ring.BlockBounds produces:
 		// block b gets per (+1 for the first rem blocks). Every
 		// reduce-scatter step sums each block once somewhere on the ring,
 		// so the lockstep critical path carries the largest block per step.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestMergeOutOfOrderAndWrapped(t *testing.T) {
@@ -255,5 +257,44 @@ func TestCollectorLiveEndpoints(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no per-source clock offset gauges in %v", snap)
+	}
+}
+
+// BenchmarkCollectorMerge measures the cross-node trace merge: eight
+// per-node span sets with distinct trace-meta epochs aligned,
+// node-forced, time-sorted, and rebased onto one timeline.
+func BenchmarkCollectorMerge(b *testing.B) {
+	const nodes = 8
+	const spansPerNode = 4096
+	sources := make([][]Span, nodes)
+	for n := range sources {
+		spans := make([]Span, spansPerNode)
+		for i := range spans {
+			spans[i] = Span{
+				Node:  n,
+				Iter:  i / int(NumPhases),
+				Phase: Phase(i % int(NumPhases)),
+				Start: int64(i) * 1000,
+				Dur:   900,
+			}
+		}
+		sources[n] = spans
+	}
+	var span Span
+	b.SetBytes(int64(nodes * spansPerNode * int(unsafe.Sizeof(span))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewCollector()
+		for n, spans := range sources {
+			c.AddSpans(fmt.Sprintf("node%d", n), n, int64(1_000_000+n*137), spans)
+		}
+		m, err := c.Merge()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(m.Spans) != nodes*spansPerNode {
+			b.Fatalf("merged %d spans, want %d", len(m.Spans), nodes*spansPerNode)
+		}
 	}
 }

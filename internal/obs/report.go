@@ -163,7 +163,7 @@ func RenderTimeline(w io.Writer, spans []Span, width int) {
 			if blo >= hi {
 				break
 			}
-			ov := math_min(hi, bhi) - math_max(lo, blo)
+			ov := min(hi, bhi) - max(lo, blo)
 			if ov > 0 {
 				row[bi][s.Phase] += ov
 			}
@@ -198,20 +198,6 @@ func jnum(v interface{}) string {
 	default:
 		return fmt.Sprintf("%v", v)
 	}
-}
-
-func math_min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func math_max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RenderMetrics writes a flat metric snapshot (from Registry.Snapshot or

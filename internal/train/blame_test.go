@@ -21,22 +21,28 @@ func TestBlameFindsInjectedStraggler(t *testing.T) {
 	o.Obs = obs.NewRecorder(reg, tracer)
 	o.StepTimeout = 30 * time.Second
 	const slow = 2
-	// 25ms per iteration dwarfs the loopback ring's natural jitter (GC
-	// pauses and scheduler noise reach a few ms on a shared runner).
-	o.Straggler = map[int]time.Duration{slow: 25 * time.Millisecond}
+	// 60ms per iteration, as in TestHealthStragglerOpensOneIncident: on a
+	// quiet box a few ms of GC and scheduler jitter is all there is to
+	// dwarf, but `go test ./...` overlaps this package with
+	// internal/experiments, and with both cores taken another node
+	// out-waited a 25ms injection in 12 of 40 runs (0 of 40 at 60ms).
+	// This widens the margin, it does not remove the wall clock; the
+	// deterministic fix — an injectable clock, ROADMAP "State the
+	// contract once" (d) — is still open.
+	o.Straggler = map[int]time.Duration{slow: 60 * time.Millisecond}
 
 	if _, err := RunRingTCP(models.NewHDCSmall, trainDS, testDS, 20, o, fpcodec.MustBound(10)); err != nil {
 		t.Fatal(err)
 	}
 
 	// 2ms balance threshold: scheduling jitter stays below it, the
-	// injected 25ms does not.
+	// injected 60ms does not.
 	r := obs.AttributeCriticalPath(tracer.Snapshot(), 2*time.Millisecond)
 	if len(r.Nodes) != o.Workers {
 		t.Fatalf("attribution covers nodes %v, want %d nodes", r.Nodes, o.Workers)
 	}
 	if r.Attributed == 0 {
-		t.Fatal("no iterations attributed despite a 5ms/iter straggler")
+		t.Fatal("no iterations attributed despite a 60ms/iter straggler")
 	}
 	node, share := r.Gating()
 	if node != slow || share < 0.9 {

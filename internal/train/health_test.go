@@ -6,11 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"inceptionn/internal/data"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 	"inceptionn/internal/obs"
 	"inceptionn/internal/obs/health"
+	"inceptionn/internal/opt"
 )
 
 // healthOptions tunes the engine for short test runs: two warmup
@@ -39,10 +41,10 @@ func TestHealthStragglerOpensOneIncident(t *testing.T) {
 	o.Obs = obs.NewRecorder(obs.NewRegistry(), tracer)
 	o.StepTimeout = 30 * time.Second
 	const slow = 2
-	// 60ms, not blame_test's 25ms: the dump replay judges only the
-	// flight recorder's window around the incident (the run's earliest,
-	// noisiest iterations), and under -race scheduler noise reaches tens
-	// of ms — the injection must dwarf it inside that short window too.
+	// 60ms: the dump replay judges only the flight recorder's window
+	// around the incident (the run's earliest, noisiest iterations), and
+	// under -race scheduler noise reaches tens of ms — the injection must
+	// dwarf it inside that short window too.
 	o.Straggler = map[int]time.Duration{slow: 60 * time.Millisecond}
 
 	dir := t.TempDir()
@@ -280,4 +282,53 @@ func TestHealthSwitchTCPFallbackTraceMetaAligns(t *testing.T) {
 	if len(m.Spans) != len(spans) {
 		t.Fatalf("merged %d spans, trace held %d", len(m.Spans), len(spans))
 	}
+}
+
+// BenchmarkHealthOverhead quantifies the health-engine tax: the same
+// end-to-end ring training run with the recorder attached in both
+// variants, plus a live streaming health engine (detectors + flight
+// recorder + background poller) in the second. 25 iterations per op:
+// long enough that the 4-goroutine lockstep's scheduling jitter averages
+// out. Ungated: on a 2-core box the pair's run-to-run spread exceeds the
+// engine's cost (the last checked-in pair read -2.5%).
+func BenchmarkHealthOverhead(b *testing.B) {
+	trainDS := data.NewDigits(1024, 7)
+	testDS := data.NewDigits(128, 8)
+	base := func() Options {
+		return Options{
+			Workers:      4,
+			Algo:         Ring,
+			BatchPerNode: 16,
+			Schedule:     opt.StepSchedule{Base: 0.02},
+			Momentum:     0.9,
+			Seed:         42,
+			EvalSamples:  64,
+			ChunkSize:    4096,
+			Obs:          obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(1<<16)),
+		}
+	}
+	b.Run("healthOff", func(b *testing.B) {
+		o := base()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(models.NewHDCSmall, trainDS, testDS, 25, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("healthOn", func(b *testing.B) {
+		o := base()
+		// A fresh engine per run so every run's iterations are analyzed
+		// in full (the engine skips already-analyzed iteration indices),
+		// and Close's tail drain is part of the measured cost.
+		for i := 0; i < b.N; i++ {
+			e := health.New(o.Obs, health.Options{})
+			e.Start(100 * time.Millisecond)
+			o.Health = e
+			_, err := Run(models.NewHDCSmall, trainDS, testDS, 25, o)
+			e.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -232,9 +232,10 @@ type SoftwareCodec struct {
 }
 
 // DefaultSoftwareCodecs returns throughput/ratio figures measured with
-// this repository's own Go implementations (see bench_test.go) at the
-// scale of the paper's CPUs: a Snappy-family LZ, an SZ-family predictive
-// codec, and simple LSB truncation with bit packing.
+// this repository's own Go implementations (the benchmarks beside
+// internal/compress/lz, szlike and truncate) at the scale of the paper's
+// CPUs: a Snappy-family LZ, an SZ-family predictive codec, and simple LSB
+// truncation with bit packing.
 func DefaultSoftwareCodecs() []SoftwareCodec {
 	return []SoftwareCodec{
 		{Name: "Snappy", CompressMBps: 250, DecompressMBps: 500, Ratio: 1.05, Lossless: true},

@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"inceptionn/internal/data"
 	"inceptionn/internal/fpcodec"
@@ -33,11 +34,11 @@ func testOptions(workers int) train.Options {
 
 // TestAutoTuneEndToEnd exercises the whole observe→model→tune loop on
 // the in-process fabric: probe runs, fit, ranked plans, an applied
-// winner, self-describing meta, gauges. Timing-based acceptance gates
-// (winner within 10% of brute-force best; comm rel err ≤ 15%) run in
-// `make bench10`, which measures on a quiet testbed protocol — here the
-// structural contract is asserted, plus the gates when TUNE_STRICT=1
-// (set by `make tunetest`).
+// winner, self-describing meta, gauges. The structural contract is
+// asserted on every run; the two timing-based acceptance gates (comm rel
+// err ≤ 15% on a pooled holdout; winner within 10% of the brute-force
+// best) run only when TUNE_STRICT=1 (set by `make tunetest`) and never
+// under -race.
 func TestAutoTuneEndToEnd(t *testing.T) {
 	o := testOptions(4)
 	o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
@@ -165,6 +166,56 @@ func TestAutoTuneEndToEnd(t *testing.T) {
 	}
 	if maxErr > 0.15 {
 		t.Fatalf("pooled holdout comm max |rel err| = %.3f > 0.15", maxErr)
+	}
+
+	// Pick quality: brute-force measure every candidate the planner
+	// ranked; the tuner's pick must measure within pickSlack of the best.
+	const pickSlack = 1.10
+	measure := func(p Plan) float64 {
+		t.Helper()
+		// Min of two runs: the standard robust statistic against
+		// run-level scheduler drift.
+		const iters = 16
+		best := inf
+		for attempt := 0; attempt < 2; attempt++ {
+			t0 := time.Now()
+			if _, err := train.Run(models.NewHDCSmall, trainDS, testDS, iters, Apply(o, p)); err != nil {
+				t.Fatalf("candidate %s: %v", p.PlanOption, err)
+			}
+			best = min(best, time.Since(t0).Seconds()/iters)
+		}
+		return best
+	}
+	var bestPlan Plan
+	bestSec, chosenSec := inf, inf
+	for _, p := range res.Plans {
+		sec := measure(p)
+		if sec < bestSec {
+			bestSec, bestPlan = sec, p
+		}
+		if p.PlanOption == res.Chosen.PlanOption {
+			chosenSec = sec
+		}
+	}
+	if chosenSec == inf {
+		t.Fatalf("chosen plan %s not among the ranked candidates", res.Chosen.PlanOption)
+	}
+	// The top plans are often predicted within 1-2% of each other, so the
+	// sweep's min-of-2 can rank them by scheduler noise alone. When the
+	// quick ratio misses the gate, re-measure the two contenders head to
+	// head, alternating runs so load drift hits both, and gate on the
+	// deeper minima.
+	if chosenSec/bestSec > pickSlack {
+		for round := 0; round < 3; round++ {
+			chosenSec = min(chosenSec, measure(res.Chosen))
+			bestSec = min(bestSec, measure(bestPlan))
+		}
+	}
+	t.Logf("pick %s measures %.4fs/iter, %.3fx the brute-force best (%s, %.4fs/iter) of %d candidates",
+		res.Chosen.PlanOption, chosenSec, chosenSec/bestSec, bestPlan.PlanOption, bestSec, len(res.Plans))
+	if chosenSec/bestSec > pickSlack {
+		t.Fatalf("pick %s measures %.3fx the brute-force best %s, want ≤ %.2fx",
+			res.Chosen.PlanOption, chosenSec/bestSec, bestPlan.PlanOption, pickSlack)
 	}
 }
 

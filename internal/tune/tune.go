@@ -203,7 +203,7 @@ type Fitted struct {
 // DefaultCodecRate is the planner's prior for the lossy codec's
 // throughput when no compressed sample was fitted (raw bytes/s; the
 // repo's measured fpcodec compress+decompress rate is ~140/125 MB/s,
-// see BENCH_2).
+// bench/perf's fpcodec.compress_mb_s and fpcodec.decompress_mb_s).
 const DefaultCodecRate = 130e6
 
 // DefaultRatio is the planner's prior wire compression ratio when no
