@@ -12,6 +12,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:" $$unformatted; exit 1; }
 
 # Race-detector run of the packages with real concurrency (transports,
 # collectives, training loops) plus everything else. The timeout is per
@@ -74,11 +75,13 @@ obssmoke:
 	$(GO) test ./internal/obs -run 'TestCollectorLiveEndpoints' -count=1
 
 # Simulator/collective correctness gate, under the race detector: the
-# closed-form network model, the event-driven simulator, and the MPI-style
-# collectives (including the switch all-reduce's bit-exactness-with-ring
-# and the uneven-partition regression suites) in one focused run.
+# whole model stack — the closed-form network model with the paper's
+# analytic formulas, the event-driven simulator, and the Table II/III
+# calibration on top of them — and the MPI-style collectives (including
+# the switch all-reduce's bit-exactness-with-ring and the uneven-partition
+# regression suites) in one focused run.
 simtest:
-	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/mpi
+	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/trainsim ./internal/mpi
 
 # Auto-tuner acceptance gate: the tune package's unit suite under the
 # race detector (the strict timing gate skips itself there — the race

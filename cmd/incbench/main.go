@@ -80,40 +80,21 @@ func runSimTrace(out string, c simTraceConfig) error {
 		return err
 	}
 	np := netsim.Default10GbE()
-	p := eventsim.Params{
-		LineRate:  np.LineRate,
-		StreamCap: np.StreamEfficiency * np.LineRate,
-		Latency:   np.Latency,
-	}
+	np.SwitchMemBytes, np.SwitchSumRate = c.switchMem, c.switchRate
 
-	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1 << 18)
-	rec := obs.NewRecorder(reg, tr)
-	var baseNs int64
-	totalSec := 0.0
-	for iter := 0; iter < c.iters; iter++ {
-		var dur float64
-		switch c.strategy {
-		case "ring":
-			blockBytes := float64(netsim.RingBlockBytes(c.bytes, c.workers))
-			dur = eventsim.RingTraceDelays(p, c.workers, blockBytes, blockBytes/np.SumRate,
-				c.compute, delays, rec, iter, baseNs)
-		case "switch":
-			mem := c.switchMem
-			if mem <= 0 {
-				mem = 1 << 20
-			}
-			rate := c.switchRate
-			if rate <= 0 {
-				rate = np.LineRate
-			}
-			dur = eventsim.SwitchTraceDelays(p, c.workers, float64(c.bytes), float64(mem),
-				1/rate, c.compute, delays, rec, iter, baseNs)
-		default:
-			return fmt.Errorf("unknown -sim-strategy %q (want ring or switch)", c.strategy)
-		}
-		baseNs += int64(dur * 1e9)
-		totalSec += dur
+	// The flows carry the raw gradient bytes (no Traffic): -sim-bytes is
+	// what each link moves.
+	totalSec, err := eventsim.Replay(np, eventsim.Iteration{
+		Strategy:        c.strategy,
+		Workers:         c.workers,
+		ModelBytes:      c.bytes,
+		SumDelayPerStep: np.SumTime(netsim.RingBlockBytes(c.bytes, c.workers)),
+		Compute:         c.compute,
+		NodeDelay:       delays,
+	}, c.iters, obs.NewRecorder(obs.NewRegistry(), tr))
+	if err != nil {
+		return fmt.Errorf("-sim-strategy: %w", err)
 	}
 
 	f, err := os.Create(out)

@@ -111,10 +111,10 @@ func main() {
 	lr := flag.Float64("lr", 0.02, "base learning rate")
 	compress := flag.Bool("compress", false, "enable in-NIC lossy gradient compression")
 	tcp := flag.Bool("tcp", false, "run the ring exchange over genuine loopback TCP sockets")
-	chaosDrop := flag.Float64("chaos-drop", 0, "TCP chaos: frame drop rate on every link (0..1)")
-	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "TCP chaos: frame bit-flip rate on every link (0..1)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "TCP chaos: deterministic injection seed")
-	stepTimeout := flag.Duration("step-timeout", 0, "TCP: per-hop ring deadline (0 = none), e.g. 10s")
+	chaosDrop := flag.Float64("chaos-drop", 0, "chaos: frame drop rate on every link (0..1)")
+	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "chaos: frame bit-flip rate on every link (0..1)")
+	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: deterministic injection seed")
+	stepTimeout := flag.Duration("step-timeout", 0, "per-hop collective deadline (0 = none), e.g. 10s")
 	bound := flag.Int("bound", 10, "codec error bound exponent E (bound 2^-E)")
 	elastic := flag.Bool("elastic", false, "use the elastic ring runner: failure detection, ring reconfiguration, graceful SIGINT/SIGTERM halt")
 	checkpointDir := flag.String("checkpoint-dir", "", "elastic: write durable checkpoints into this directory (implies -elastic)")
@@ -127,7 +127,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed for model init and data")
 	samples := flag.Int("samples", 4000, "synthetic training samples")
 	evalEvery := flag.Int("eval", 50, "evaluate every N iterations")
-	chaosCrash := flag.String("chaos-crash", "", "chaos: crash nodes after N frame sends, e.g. \"2:65\" or \"1:40,3:200\" (requires -tcp or -elastic)")
+	chaosCrash := flag.String("chaos-crash", "", "chaos: crash nodes after N frame sends, e.g. \"2:65\" or \"1:40,3:200\"")
 	metricsAddr := flag.String("metrics-addr", "", "serve live observability on this address (/metrics JSON or ?format=prom, /trace JSONL, /clock, /debug/pprof), e.g. 127.0.0.1:8080")
 	traceOut := flag.String("trace-out", "", "write the step trace as JSONL to this file when the run ends (inctrace reads it)")
 	traceDir := flag.String("trace-dir", "", "also split the trace into per-node JSONL files (trace_node<N>.jsonl) in this directory, for `inctrace merge`")
@@ -249,10 +249,6 @@ func main() {
 
 	if *checkpointDir != "" {
 		*elastic = true
-	}
-	if !*tcp && !*elastic && *algo != "switch" && (*chaosDrop > 0 || *chaosCorrupt > 0 || *chaosCrash != "" || *stepTimeout > 0) {
-		fmt.Fprintln(os.Stderr, "inctrain: -chaos-* and -step-timeout require -tcp, -elastic, or -algo switch")
-		os.Exit(2)
 	}
 	if *switchFallback {
 		if *algo != "switch" {

@@ -7,14 +7,13 @@ package main
 import (
 	"fmt"
 
-	"inceptionn/internal/costmodel"
 	"inceptionn/internal/models"
 	"inceptionn/internal/trainsim"
 )
 
 func main() {
 	spec := models.ResNet50
-	analytic := costmodel.Default10GbE()
+	analytic := trainsim.Default().Net
 
 	fmt.Printf("gradient exchange time for %s (%d MB of gradients)\n\n",
 		spec.Name, spec.ParamBytes/(1<<20))
@@ -27,11 +26,11 @@ func main() {
 		inc := cfg.ExchangeTime(trainsim.INC, spec)
 		fmt.Printf("%6d | %11.3fs %11.3fs | %11.3fs %11.3fs | %7.2fx\n",
 			nodes, wa, inc,
-			analytic.WorkerAggregator(nodes, spec.ParamBytes),
-			analytic.Ring(nodes, spec.ParamBytes),
+			analytic.AnalyticWorkerAggregator(nodes, spec.ParamBytes),
+			analytic.AnalyticRing(nodes, spec.ParamBytes),
 			wa/inc)
 	}
 	fmt.Printf("\nring asymptote (p->inf bandwidth terms): %.3fs\n",
-		analytic.RingAsymptote(spec.ParamBytes))
+		analytic.AnalyticRingAsymptote(spec.ParamBytes))
 	fmt.Println("WA grows linearly with cluster size; the ring saturates - the paper's Fig. 15.")
 }

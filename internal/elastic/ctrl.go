@@ -807,7 +807,7 @@ func (cl *Client) retryDelay(attempt int) time.Duration {
 	h += 0x9E3779B97F4A7C15
 	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 	h ^= h >> 31
-	u := float64(h>>11) / float64(1 << 53)
+	u := float64(h>>11) / float64(1<<53)
 	return time.Duration(float64(base) * (0.5 + 0.5*u))
 }
 

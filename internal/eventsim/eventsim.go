@@ -19,9 +19,9 @@ import (
 	"inceptionn/internal/obs"
 )
 
-// Params describe the simulated cluster (compare netsim.Params; the
-// per-packet stack cost is intentionally absent — this simulator validates
-// the pure bandwidth/latency behaviour).
+// Params describe the simulated cluster (FromNet derives them from
+// netsim.Params; the per-packet stack cost is intentionally absent — this
+// simulator validates the pure bandwidth/latency behaviour).
 type Params struct {
 	LineRate  float64 // link capacity per direction, bytes/s
 	StreamCap float64 // per-flow rate ceiling, bytes/s
@@ -350,102 +350,92 @@ func (s *Sim) allocateRates() {
 	}
 }
 
-// WorkerAggregatorTimeDelays is WorkerAggregatorTime with an extra
-// per-worker send delay (straggler model: nodeDelay[w] seconds before each
-// of worker w's transfers starts).
+// delayAt returns delays[i], or 0 past the end of a short (or nil) slice.
+func delayAt(delays []float64, i int) float64 {
+	if i < len(delays) {
+		return delays[i]
+	}
+	return 0
+}
+
+// latest returns the last delivery among a run's flows. Every strategy
+// DAG ends in flows that deliver to workers, so this is the time the last
+// worker holds the result.
+func latest(times []float64) float64 {
+	var last float64
+	for _, t := range times {
+		if t > last {
+			last = t
+		}
+	}
+	return last
+}
+
+// WorkerAggregatorTimeDelays builds and runs the WA exchange DAG: p workers
+// send gradBytes to the aggregator concurrently, the aggregator spends
+// sumDelay, then sends weightBytes back to every worker. nodeDelay
+// (optional) is the straggler model: nodeDelay[w] seconds before worker
+// w's upload starts. Returns the time the last worker holds the weights.
 func WorkerAggregatorTimeDelays(p Params, workers int, gradBytes, weightBytes, sumDelay float64, nodeDelay []float64) float64 {
 	s := New(p, workers+1)
 	agg := workers
 	up := make([]FlowID, workers)
 	for w := 0; w < workers; w++ {
-		d := 0.0
-		if w < len(nodeDelay) {
-			d = nodeDelay[w]
-		}
-		up[w] = s.AddFlow(w, agg, gradBytes, nil, d)
+		up[w] = s.AddFlow(w, agg, gradBytes, nil, delayAt(nodeDelay, w))
 	}
-	down := make([]FlowID, workers)
 	for w := 0; w < workers; w++ {
-		down[w] = s.AddFlow(agg, w, weightBytes, up, sumDelay)
+		s.AddFlow(agg, w, weightBytes, up, sumDelay)
 	}
-	times := s.Run()
-	var last float64
-	for _, id := range down {
-		if times[id] > last {
-			last = times[id]
-		}
-	}
-	return last
+	return latest(s.Run())
 }
 
-// RingTimeDelays is RingTime with an extra per-node send delay: a single
-// straggler stalls every one of its 2(p−1) pipeline steps, so the ring is
-// far more straggler-sensitive than the aggregator exchange — the known
-// trade-off of synchronous ring collectives, quantified in ablation G.
+// ringDAG builds the ring exchange's flow DAG on s, which must span
+// workers nodes: 2(p−1) steps; in every step each node forwards one block
+// to its right neighbour, and a node's send in step s+1 depends on its own
+// receive in step s (plus sumDelayPerStep during the reduce-scatter
+// phase). firstDelay[node] stalls only the node's first send (its compute
+// phase); sendDelay[node] stalls every one of its sends. Returns
+// sent[step][node], the flow node forwards in that step.
+func ringDAG(s *Sim, workers int, blockBytes, sumDelayPerStep float64, firstDelay, sendDelay []float64) [][]FlowID {
+	steps := 2 * (workers - 1)
+	sent := make([][]FlowID, steps)
+	var prev []FlowID // prev[node]: the node's receive in the previous step
+	for step := range sent {
+		sent[step] = make([]FlowID, workers)
+		cur := make([]FlowID, workers)
+		for node := 0; node < workers; node++ {
+			var deps []FlowID
+			delay := delayAt(sendDelay, node)
+			if prev == nil {
+				delay += delayAt(firstDelay, node)
+			} else {
+				deps = []FlowID{prev[node]}
+				if step < workers-1 {
+					delay += sumDelayPerStep
+				}
+			}
+			right := (node + 1) % workers
+			sent[step][node] = s.AddFlow(node, right, blockBytes, deps, delay)
+			cur[right] = sent[step][node]
+		}
+		prev = cur
+	}
+	return sent
+}
+
+// RingTimeDelays builds and runs the ring exchange DAG and returns the
+// time the last node finishes. nodeDelay (optional) delays every send of
+// a node: a single straggler stalls every one of its 2(p−1) pipeline
+// steps, so the ring is far more straggler-sensitive than the aggregator
+// exchange — the known trade-off of synchronous ring collectives,
+// quantified in ablation G.
 func RingTimeDelays(p Params, workers int, blockBytes, sumDelayPerStep float64, nodeDelay []float64) float64 {
 	if workers < 2 {
 		return 0
 	}
 	s := New(p, workers)
-	steps := 2 * (workers - 1)
-	prev := make([]FlowID, workers)
-	for i := range prev {
-		prev[i] = -1
-	}
-	var all []FlowID
-	for step := 0; step < steps; step++ {
-		cur := make([]FlowID, workers)
-		for node := 0; node < workers; node++ {
-			right := (node + 1) % workers
-			var deps []FlowID
-			if prev[node] >= 0 {
-				deps = append(deps, prev[node])
-			}
-			delay := 0.0
-			if step < workers-1 && prev[node] >= 0 {
-				delay = sumDelayPerStep
-			}
-			if node < len(nodeDelay) {
-				delay += nodeDelay[node]
-			}
-			cur[right] = s.AddFlow(node, right, blockBytes, deps, delay)
-			all = append(all, cur[right])
-		}
-		prev = cur
-	}
-	times := s.Run()
-	var last float64
-	for _, id := range all {
-		if times[id] > last {
-			last = times[id]
-		}
-	}
-	return last
-}
-
-// WorkerAggregatorTime builds and runs the WA exchange DAG: p workers send
-// gradBytes to the aggregator concurrently, the aggregator spends sumDelay,
-// then sends weightBytes back to every worker. Returns the time the last
-// worker holds the weights.
-func WorkerAggregatorTime(p Params, workers int, gradBytes, weightBytes, sumDelay float64) float64 {
-	s := New(p, workers+1)
-	agg := workers
-	up := make([]FlowID, workers)
-	for w := 0; w < workers; w++ {
-		up[w] = s.AddFlow(w, agg, gradBytes, nil, 0)
-	}
-	var last float64
-	down := make([]FlowID, workers)
-	for w := 0; w < workers; w++ {
-		down[w] = s.AddFlow(agg, w, weightBytes, up, sumDelay)
-	}
-	times := s.Run()
-	for _, id := range down {
-		if times[id] > last {
-			last = times[id]
-		}
-	}
-	return last
+	ringDAG(s, workers, blockBytes, sumDelayPerStep, nil, nodeDelay)
+	return latest(s.Run())
 }
 
 // switchDAG builds the in-network switch all-reduce flow DAG on s, which
@@ -479,11 +469,10 @@ func switchDAG(s *Sim, workers int, chunkSizes []float64, combinePerByte float64
 		up[k] = make([]FlowID, workers)
 		for w := 0; w < workers; w++ {
 			var deps []FlowID
-			delay := 0.0
+			delay := delayAt(nodeDelay, w)
 			if prevUp[w] >= 0 {
 				deps = append(deps, prevUp[w])
-			} else if w < len(nodeDelay) {
-				delay = nodeDelay[w]
+				delay = 0
 			}
 			up[k][w] = s.AddFlow(w, workers+w, bytes, deps, delay)
 			prevUp[w] = up[k][w]
@@ -525,72 +514,14 @@ func switchChunks(modelBytes, chunkBytes float64) []float64 {
 // combinePerByte seconds (serialized across chunks), and combined chunks
 // multicast back down every port. nodeDelay adds per-worker straggler
 // delay before the first upload. Returns the time the last worker holds
-// the fully combined gradient.
+// the fully combined gradient — downloads of different chunks overlap on
+// the downlinks (down_k only waits for combine_k), so that is when the
+// last of ALL chunks lands, not the last-indexed one.
 func SwitchTimeDelays(p Params, workers int, modelBytes, chunkBytes, combinePerByte float64, nodeDelay []float64) float64 {
 	if workers < 1 || modelBytes <= 0 {
 		return 0
 	}
 	s := New(p, 2*workers)
-	_, down, _ := switchDAG(s, workers, switchChunks(modelBytes, chunkBytes), combinePerByte, nodeDelay)
-	times := s.Run()
-	// Downloads of different chunks overlap on the downlinks (down_k only
-	// waits for combine_k), so a large chunk's multicast can outlive the
-	// small tail chunk's — the exchange ends when the last of ALL chunks
-	// lands, not the last-indexed one.
-	var last float64
-	for _, chunk := range down {
-		for _, id := range chunk {
-			if times[id] > last {
-				last = times[id]
-			}
-		}
-	}
-	return last
-}
-
-// SwitchTime is SwitchTimeDelays without stragglers.
-func SwitchTime(p Params, workers int, modelBytes, chunkBytes, combinePerByte float64) float64 {
-	return SwitchTimeDelays(p, workers, modelBytes, chunkBytes, combinePerByte, nil)
-}
-
-// RingTime builds and runs the ring exchange DAG: 2(p−1) steps; in step s
-// every node forwards one block to its right neighbour, and a node's send
-// in step s+1 depends on its own receive in step s (plus sumDelay during
-// the reduce-scatter phase). Returns the time the last node finishes.
-func RingTime(p Params, workers int, blockBytes, sumDelayPerStep float64) float64 {
-	if workers < 2 {
-		return 0
-	}
-	s := New(p, workers)
-	steps := 2 * (workers - 1)
-	prev := make([]FlowID, workers) // node's receive in the previous step
-	for i := range prev {
-		prev[i] = -1
-	}
-	var all []FlowID
-	for step := 0; step < steps; step++ {
-		cur := make([]FlowID, workers)
-		for node := 0; node < workers; node++ {
-			right := (node + 1) % workers
-			var deps []FlowID
-			if prev[node] >= 0 {
-				deps = append(deps, prev[node])
-			}
-			delay := 0.0
-			if step < workers-1 && prev[node] >= 0 {
-				delay = sumDelayPerStep
-			}
-			cur[right] = s.AddFlow(node, right, blockBytes, deps, delay)
-			all = append(all, cur[right])
-		}
-		prev = cur
-	}
-	times := s.Run()
-	var last float64
-	for _, id := range all {
-		if times[id] > last {
-			last = times[id]
-		}
-	}
-	return last
+	switchDAG(s, workers, switchChunks(modelBytes, chunkBytes), combinePerByte, nodeDelay)
+	return latest(s.Run())
 }

@@ -8,9 +8,7 @@ import (
 	"inceptionn/internal/netsim"
 )
 
-func testParams() Params {
-	return Params{LineRate: 1.25e9, StreamCap: 0.45 * 1.25e9, Latency: 30e-6}
-}
+func testParams() Params { return FromNet(netsim.Default10GbE()) }
 
 func TestSingleFlow(t *testing.T) {
 	p := testParams()
@@ -112,7 +110,7 @@ func TestWAMatchesClosedForm(t *testing.T) {
 	for _, spec := range []models.Spec{models.AlexNet, models.HDC} {
 		n := float64(spec.ParamBytes)
 		sum := 3 * n / np.SumRate
-		ev := WorkerAggregatorTime(ep, 4, n, n, sum)
+		ev := WorkerAggregatorTimeDelays(ep, 4, n, n, sum, nil)
 		cf := np.WorkerAggregator(4, spec.ParamBytes,
 			netsim.Plain(spec.ParamBytes), netsim.Plain(spec.ParamBytes)).Total()
 		// The closed form adds packet headers (+~4%) and fixed latency;
@@ -133,7 +131,7 @@ func TestRingMatchesClosedForm(t *testing.T) {
 		workers := 4
 		block := float64(spec.ParamBytes) / float64(workers)
 		sumPerStep := block / np.SumRate
-		ev := RingTime(ep, workers, block, sumPerStep)
+		ev := RingTimeDelays(ep, workers, block, sumPerStep, nil)
 		cf := np.Ring(workers, spec.ParamBytes, netsim.Plain(spec.ParamBytes/int64(workers))).Total()
 		if rel := math.Abs(ev-cf) / cf; rel > 0.12 {
 			t.Errorf("%s: event %gs vs closed-form %gs (%.1f%% apart)",
@@ -148,8 +146,8 @@ func TestRingBeatsWAInEventSim(t *testing.T) {
 	ep := testParams()
 	for _, workers := range []int{2, 4, 8} {
 		n := float64(models.ResNet50.ParamBytes)
-		wa := WorkerAggregatorTime(ep, workers, n, n, 3*n/8e9)
-		ringT := RingTime(ep, workers, n/float64(workers), n/float64(workers)/8e9)
+		wa := WorkerAggregatorTimeDelays(ep, workers, n, n, 3*n/8e9, nil)
+		ringT := RingTimeDelays(ep, workers, n/float64(workers), n/float64(workers)/8e9, nil)
 		if ringT >= wa {
 			t.Errorf("workers=%d: ring %g >= WA %g", workers, ringT, wa)
 		}
@@ -160,10 +158,10 @@ func TestRingBeatsWAInEventSim(t *testing.T) {
 func TestScalabilityShapeInEventSim(t *testing.T) {
 	ep := testParams()
 	n := float64(models.AlexNet.ParamBytes)
-	wa4 := WorkerAggregatorTime(ep, 4, n, n, 0)
-	wa8 := WorkerAggregatorTime(ep, 8, n, n, 0)
-	ring4 := RingTime(ep, 4, n/4, 0)
-	ring8 := RingTime(ep, 8, n/8, 0)
+	wa4 := WorkerAggregatorTimeDelays(ep, 4, n, n, 0, nil)
+	wa8 := WorkerAggregatorTimeDelays(ep, 8, n, n, 0, nil)
+	ring4 := RingTimeDelays(ep, 4, n/4, 0, nil)
+	ring8 := RingTimeDelays(ep, 8, n/8, 0, nil)
 	if wa8 < 1.6*wa4 {
 		t.Errorf("WA 4→8: %g → %g, expected ~2x", wa4, wa8)
 	}
@@ -224,30 +222,13 @@ func TestStragglerSensitivity(t *testing.T) {
 	}
 }
 
-// TestDelayVariantsMatchBaseWithoutDelays: the *Delays builders reduce to
-// the plain builders when every delay is zero.
-func TestDelayVariantsMatchBaseWithoutDelays(t *testing.T) {
-	p := testParams()
-	n := 10e6
-	a := WorkerAggregatorTime(p, 4, n, n, 0.01)
-	b := WorkerAggregatorTimeDelays(p, 4, n, n, 0.01, nil)
-	if math.Abs(a-b) > 1e-12 {
-		t.Errorf("WA: %g vs %g", a, b)
-	}
-	c := RingTime(p, 4, n/4, 0.001)
-	d := RingTimeDelays(p, 4, n/4, 0.001, nil)
-	if math.Abs(c-d) > 1e-12 {
-		t.Errorf("ring: %g vs %g", c, d)
-	}
-}
-
 // BenchmarkEventSim measures the discrete-event simulator on the Fig. 15
 // workload (it backs the validation tests).
 func BenchmarkEventSim(b *testing.B) {
-	p := Params{LineRate: 1.25e9, StreamCap: 0.5625e9, Latency: 30e-6}
+	p := testParams()
 	n := float64(models.AlexNet.ParamBytes)
 	for i := 0; i < b.N; i++ {
-		WorkerAggregatorTime(p, 8, n, n, 0.01)
-		RingTime(p, 8, n/8, 0.001)
+		WorkerAggregatorTimeDelays(p, 8, n, n, 0.01, nil)
+		RingTimeDelays(p, 8, n/8, 0.001, nil)
 	}
 }

@@ -26,8 +26,8 @@ func SwitchFallbackCost(p Params, workers int, modelBytes, chunkBytes, combinePe
 	if softStrikes < 1 {
 		softStrikes = 1
 	}
-	sw := SwitchTime(p, workers, modelBytes, chunkBytes, combinePerByte)
-	ring := RingTime(p, workers, modelBytes/float64(workers), 0)
+	sw := SwitchTimeDelays(p, workers, modelBytes, chunkBytes, combinePerByte, nil)
+	ring := RingTimeDelays(p, workers, modelBytes/float64(workers), 0, nil)
 	snap := 4 * modelBytes * snapCopyPerByte
 	c := FallbackCost{
 		DetectSeconds:       float64(softStrikes) * stepTimeout,

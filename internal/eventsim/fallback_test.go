@@ -23,14 +23,14 @@ func TestSwitchFallbackCost(t *testing.T) {
 	if want := c.DetectSeconds + c.ReplaySeconds; math.Abs(c.TotalPenaltySeconds-want) > 1e-12 {
 		t.Errorf("total penalty %g, want detect+replay %g", c.TotalPenaltySeconds, want)
 	}
-	if c.ReplaySeconds != RingTime(p, 4, modelBytes/4, 0) {
+	if c.ReplaySeconds != RingTimeDelays(p, 4, modelBytes/4, 0, nil) {
 		t.Errorf("replay %g, want one ring exchange", c.ReplaySeconds)
 	}
 
 	// The degraded band is the ring collective plus snapshot bookkeeping:
 	// it must cost more than a bare ring iteration but stay within a
 	// 1.15× envelope of it for any realistic memcpy rate.
-	ring := RingTime(p, 4, modelBytes/4, 0)
+	ring := RingTimeDelays(p, 4, modelBytes/4, 0, nil)
 	if c.DegradedIterSeconds <= ring {
 		t.Errorf("degraded %g should exceed bare ring %g (snapshot overhead)", c.DegradedIterSeconds, ring)
 	}

@@ -61,7 +61,7 @@ func TestSwitchMatchesClosedForm(t *testing.T) {
 	for _, spec := range []models.Spec{models.AlexNet, models.HDC} {
 		for _, workers := range []int{4, 8} {
 			n := float64(spec.ParamBytes)
-			ev := SwitchTime(ep, workers, n, float64(np.SwitchMemBytes), combinePerByte)
+			ev := SwitchTimeDelays(ep, workers, n, float64(np.SwitchMemBytes), combinePerByte, nil)
 			cf := np.SwitchAllReduce(workers, spec.ParamBytes, nil).Total()
 			if rel := math.Abs(ev-cf) / cf; rel > 0.10 {
 				t.Errorf("%s workers=%d: event %gs vs closed-form %gs (%.1f%% apart)",
@@ -78,8 +78,8 @@ func TestSwitchBeatsWAInEventSim(t *testing.T) {
 	n := float64(models.AlexNet.ParamBytes)
 	sumRate := 8e9
 	for _, workers := range []int{8, 16} {
-		wa := WorkerAggregatorTime(ep, workers, n, n, float64(workers-1)*n/sumRate)
-		sw := SwitchTime(ep, workers, n, 8<<20, 1/sumRate)
+		wa := WorkerAggregatorTimeDelays(ep, workers, n, n, float64(workers-1)*n/sumRate, nil)
+		sw := SwitchTimeDelays(ep, workers, n, 8<<20, 1/sumRate, nil)
 		if sw >= wa {
 			t.Errorf("workers=%d: switch %gs >= WA %gs", workers, sw, wa)
 		}
@@ -88,14 +88,14 @@ func TestSwitchBeatsWAInEventSim(t *testing.T) {
 
 func TestSwitchTimeDegenerate(t *testing.T) {
 	ep := testParams()
-	if got := SwitchTime(ep, 0, 1e6, 1e5, 1e-10); got != 0 {
+	if got := SwitchTimeDelays(ep, 0, 1e6, 1e5, 1e-10, nil); got != 0 {
 		t.Errorf("workers=0: %g, want 0", got)
 	}
-	if got := SwitchTime(ep, 4, 0, 1e5, 1e-10); got != 0 {
+	if got := SwitchTimeDelays(ep, 4, 0, 1e5, 1e-10, nil); got != 0 {
 		t.Errorf("bytes=0: %g, want 0", got)
 	}
 	// One worker still round-trips its own gradient through the switch.
-	if got := SwitchTime(ep, 1, 1e6, 1e5, 1e-10); got <= 0 {
+	if got := SwitchTimeDelays(ep, 1, 1e6, 1e5, 1e-10, nil); got <= 0 {
 		t.Errorf("workers=1: %g, want > 0", got)
 	}
 }
@@ -107,20 +107,17 @@ func TestSwitchTimeDegenerate(t *testing.T) {
 // every worker queues on the downlink — with the stall visible as switch
 // reduce spans.
 func TestSwitchTraceBlameNamesThrottledSwitch(t *testing.T) {
-	p := testParams()
+	np := netsim.Default10GbE()
+	np.SwitchMemBytes = 1e5
+	np.SwitchSumRate = np.LineRate / 10 // combine 10x slower than the link
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(8192)
 	rec := obs.NewRecorder(reg, tr)
 
 	const workers = 4
-	combinePerByte := 10 / p.LineRate // combine 10x slower than the link
-	var baseNs int64
-	for iter := 0; iter < 3; iter++ {
-		total := SwitchTraceDelays(p, workers, 1e6, 1e5, combinePerByte, 2e-3, nil, rec, iter, baseNs)
-		if total <= 0 {
-			t.Fatalf("iter %d: non-positive exchange time %g", iter, total)
-		}
-		baseNs += int64(total * 1e9)
+	it := Iteration{Strategy: "switch", Workers: workers, ModelBytes: 1e6, Compute: 2e-3}
+	if total, err := Replay(np, it, 3, rec); err != nil || total <= 0 {
+		t.Fatalf("Replay = %g, %v; want a positive exchange time", total, err)
 	}
 
 	spans := tr.Snapshot()
@@ -150,7 +147,7 @@ func TestSwitchTraceBlameNamesThrottledSwitch(t *testing.T) {
 // reproduce the plain DAG's finish time exactly.
 func TestSwitchTraceMatchesSwitchTime(t *testing.T) {
 	p := testParams()
-	want := SwitchTime(p, 4, 2.5e6, 1e6, 2e-10)
+	want := SwitchTimeDelays(p, 4, 2.5e6, 1e6, 2e-10, nil)
 	got := SwitchTraceDelays(p, 4, 2.5e6, 1e6, 2e-10, 0, nil, nil, 0, 0)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("trace variant %g, plain %g", got, want)

@@ -4,21 +4,21 @@ import (
 	"inceptionn/internal/obs"
 )
 
-// RingTraceDelays runs the ring-exchange DAG of RingTimeDelays and emits
-// the full per-phase span schema a measured run produces — compute, send,
-// recv, reduce — on the simulator's virtual timeline (RecordRaw), so
-// `inctrace` can aggregate, blame, and calibrate simulated iterations
-// exactly like real ones.
-//
-// computeTime is each node's compute phase before its first send;
-// nodeDelay (optional, per node) adds straggler compute on top. Recv
-// spans follow the measured ring's convention — the wait between the end
-// of a node's own step send and the arrival of its inbound block — which
-// preserves the straggler inversion (minimum wait at the slow node) the
-// critical-path attribution keys on. baseNs shifts every emitted span on
-// the trace timeline, so consecutive iterations chain instead of
-// overlapping at virtual t=0. Returns the exchange finish time in
-// virtual seconds (relative to the iteration start, excluding baseNs).
+// traced attaches rec to s and records every worker's compute phase — the
+// prologue the span-emitting strategy functions share. It returns each
+// worker's delay before its first send: computeTime plus its optional
+// straggler share of nodeDelay.
+func traced(s *Sim, workers int, computeTime float64, nodeDelay []float64, rec *obs.Recorder, iter int, baseNs int64) []float64 {
+	s.SetObs(rec, iter)
+	s.baseNs = baseNs
+	compute := make([]float64, workers)
+	for node := range compute {
+		compute[node] = computeTime + delayAt(nodeDelay, node)
+		rec.RecordRaw(node, iter, obs.PhaseCompute, baseNs, secNs(compute[node]))
+	}
+	return compute
+}
+
 // SwitchTraceDelays runs the in-network switch all-reduce DAG of
 // SwitchTimeDelays and emits the measured-run span schema on the
 // simulator's virtual timeline: compute/send/recv spans for each worker,
@@ -35,8 +35,6 @@ func SwitchTraceDelays(p Params, workers int, modelBytes, chunkBytes, combinePer
 		return 0
 	}
 	s := New(p, 2*workers)
-	s.SetObs(rec, iter)
-	s.baseNs = baseNs
 	// Collapse the per-port sim nodes onto one logical switch node.
 	s.spanNode = make([]int, 2*workers)
 	for n := range s.spanNode {
@@ -46,17 +44,9 @@ func SwitchTraceDelays(p Params, workers int, modelBytes, chunkBytes, combinePer
 		}
 	}
 
-	delays := make([]float64, workers)
-	for node := 0; node < workers; node++ {
-		delays[node] = computeTime
-		if node < len(nodeDelay) {
-			delays[node] += nodeDelay[node]
-		}
-		rec.RecordRaw(node, iter, obs.PhaseCompute, baseNs, secNs(delays[node]))
-	}
-
 	sizes := switchChunks(modelBytes, chunkBytes)
-	up, down, combine := switchDAG(s, workers, sizes, combinePerByte, delays)
+	compute := traced(s, workers, computeTime, nodeDelay, rec, iter, baseNs)
+	up, down, combine := switchDAG(s, workers, sizes, combinePerByte, compute)
 	times := s.Run()
 
 	last := 0.0
@@ -105,51 +95,28 @@ func SwitchTraceDelays(p Params, workers int, modelBytes, chunkBytes, combinePer
 	return last
 }
 
+// RingTraceDelays runs the ring-exchange DAG of RingTimeDelays and emits
+// the full per-phase span schema a measured run produces — compute, send,
+// recv, reduce — on the simulator's virtual timeline (RecordRaw), so
+// `inctrace` can aggregate, blame, and calibrate simulated iterations
+// exactly like real ones.
+//
+// computeTime is each node's compute phase before its first send;
+// nodeDelay (optional, per node) adds straggler compute on top. Recv
+// spans follow the measured ring's convention — the wait between the end
+// of a node's own step send and the arrival of its inbound block — which
+// preserves the straggler inversion (minimum wait at the slow node) the
+// critical-path attribution keys on. baseNs shifts every emitted span on
+// the trace timeline, so consecutive iterations chain instead of
+// overlapping at virtual t=0. Returns the exchange finish time in
+// virtual seconds (relative to the iteration start, excluding baseNs).
 func RingTraceDelays(p Params, workers int, blockBytes, sumDelayPerStep, computeTime float64, nodeDelay []float64, rec *obs.Recorder, iter int, baseNs int64) float64 {
 	if workers < 2 {
 		return 0
 	}
 	s := New(p, workers)
-	s.SetObs(rec, iter)
-	s.baseNs = baseNs
-
-	compute := make([]float64, workers)
-	for node := 0; node < workers; node++ {
-		compute[node] = computeTime
-		if node < len(nodeDelay) {
-			compute[node] += nodeDelay[node]
-		}
-		rec.RecordRaw(node, iter, obs.PhaseCompute, baseNs, secNs(compute[node]))
-	}
-
-	steps := 2 * (workers - 1)
-	prev := make([]FlowID, workers)
-	for i := range prev {
-		prev[i] = -1
-	}
-	// sent[step][node] is the flow node forwards in that step.
-	sent := make([][]FlowID, steps)
-	for step := 0; step < steps; step++ {
-		sent[step] = make([]FlowID, workers)
-		cur := make([]FlowID, workers)
-		for node := 0; node < workers; node++ {
-			right := (node + 1) % workers
-			var deps []FlowID
-			delay := 0.0
-			if prev[node] >= 0 {
-				deps = append(deps, prev[node])
-				if step < workers-1 {
-					delay = sumDelayPerStep
-				}
-			} else {
-				delay = compute[node]
-			}
-			id := s.AddFlow(node, right, blockBytes, deps, delay)
-			sent[step][node] = id
-			cur[right] = id
-		}
-		prev = cur
-	}
+	compute := traced(s, workers, computeTime, nodeDelay, rec, iter, baseNs)
+	sent := ringDAG(s, workers, blockBytes, sumDelayPerStep, compute, nil)
 	times := s.Run()
 
 	// Reconstruct the recv and reduce phases from the resolved flow
@@ -159,7 +126,7 @@ func RingTraceDelays(p Params, workers int, blockBytes, sumDelayPerStep, compute
 	for i := range inbound {
 		inbound[i] = -1
 	}
-	for step := 0; step < steps; step++ {
+	for step := range sent {
 		for node := 0; node < workers; node++ {
 			right := (node + 1) % workers
 			fid := sent[step][node]

@@ -1,26 +1,33 @@
 package eventsim
 
 import (
+	"math"
 	"testing"
 
+	"inceptionn/internal/netsim"
 	"inceptionn/internal/obs"
 )
 
 func TestRingTraceDelaysSchema(t *testing.T) {
-	p := Params{LineRate: 1.25e9, StreamCap: 0.45 * 1.25e9, Latency: 30e-6}
+	np := netsim.Default10GbE()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(4096)
 	rec := obs.NewRecorder(reg, tr)
 
-	const workers = 4
-	delays := []float64{0, 0, 5e-3, 0} // node 2 straggles 5ms per iteration
-	var baseNs int64
-	for iter := 0; iter < 5; iter++ {
-		total := RingTraceDelays(p, workers, 1e6, 1e-4, 2e-3, delays, rec, iter, baseNs)
-		if total <= 0 {
-			t.Fatalf("iter %d: non-positive exchange time %g", iter, total)
-		}
-		baseNs += int64(total * 1e9)
+	// 1 MB blocks, node 2 straggles 5ms per iteration.
+	it := Iteration{Strategy: "ring", Workers: 4, ModelBytes: 4e6, SumDelayPerStep: 1e-4,
+		Compute: 2e-3, NodeDelay: []float64{0, 0, 5e-3, 0}}
+	total, err := Replay(np, it, 5, rec)
+	if err != nil || total <= 0 {
+		t.Fatalf("Replay = %g, %v; want a positive exchange time", total, err)
+	}
+	// Replay chains iterations on one timeline and sums what each returns.
+	if one := RingTraceDelays(FromNet(np), 4, 1e6, 1e-4, 2e-3, it.NodeDelay, nil, 0, 0); math.Abs(total-5*one) > 1e-12 {
+		t.Fatalf("Replay total %g, want 5 x %g", total, one)
+	}
+	it.Strategy = "worker-aggregator"
+	if _, err := Replay(np, it, 1, nil); err == nil {
+		t.Fatal("Replay accepted a strategy with no span-emitting model")
 	}
 
 	spans := tr.Snapshot()

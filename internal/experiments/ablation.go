@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"inceptionn/internal/costmodel"
 	"inceptionn/internal/eventsim"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
@@ -14,10 +13,6 @@ import (
 	"inceptionn/internal/nic"
 	"inceptionn/internal/trainsim"
 )
-
-// analyticParams returns the α-β-γ constants used alongside the simulator
-// in Fig. 15.
-func analyticParams() costmodel.Params { return costmodel.Default10GbE() }
 
 // Ablations prints the design-choice studies listed in DESIGN.md §5.
 func Ablations(w io.Writer, o Options) error {
@@ -61,12 +56,13 @@ func Ablations(w io.Writer, o Options) error {
 	spec := models.AlexNet
 	n := spec.ParamBytes
 	ratio := trainsim.CompressionRatio(spec, cfg.BoundExp)
-	wa := cfg.Net.WorkerAggregator(cfg.Workers, n, netsim.Plain(n), netsim.Plain(n)).Total()
-	waGradLeg := cfg.Net.WorkerAggregator(cfg.Workers, n, netsim.NICCompressed(n, ratio), netsim.Plain(n)).Total()
-	// Hypothetical: compressing the weight leg too (unsafe per Fig. 4).
+	wa := cfg.ExchangeTime(trainsim.WA, spec)
+	waGradLeg := cfg.ExchangeTime(trainsim.WAC, spec)
+	// Hypothetical: compressing the weight leg too (unsafe per Fig. 4) —
+	// no strategy does this, so it is billed by hand.
 	waBothLegs := cfg.Net.WorkerAggregator(cfg.Workers, n,
 		netsim.NICCompressed(n, ratio), netsim.NICCompressed(n, ratio)).Total()
-	ring := cfg.Net.Ring(cfg.Workers, n, netsim.NICCompressed(n/int64(cfg.Workers), ratio)).Total()
+	ring := cfg.ExchangeTime(trainsim.INCC, spec)
 	fmt.Fprintf(w, "  WA, no compression:            %8.4fs (1.00)\n", wa)
 	fmt.Fprintf(w, "  WA, gradient leg only (legal): %8.4fs (%.2f)\n", waGradLeg, waGradLeg/wa)
 	fmt.Fprintf(w, "  WA, both legs (UNSAFE for w):  %8.4fs (%.2f)\n", waBothLegs, waBothLegs/wa)
@@ -86,7 +82,6 @@ func Ablations(w io.Writer, o Options) error {
 	}
 
 	header(w, "Ablation E: analytic vs simulated scalability (ResNet-50 exchange)")
-	am := analyticParams()
 	fmt.Fprintf(w, "  %-6s %12s %12s %12s %12s\n", "nodes", "sim WA", "sim INC", "analytic WA", "analytic INC")
 	for _, nodes := range []int{4, 8, 16, 32} {
 		c := trainsim.Default()
@@ -95,8 +90,8 @@ func Ablations(w io.Writer, o Options) error {
 			nodes,
 			c.ExchangeTime(trainsim.WA, models.ResNet50),
 			c.ExchangeTime(trainsim.INC, models.ResNet50),
-			am.WorkerAggregator(nodes, models.ResNet50.ParamBytes),
-			am.Ring(nodes, models.ResNet50.ParamBytes))
+			c.Net.AnalyticWorkerAggregator(nodes, models.ResNet50.ParamBytes),
+			c.Net.AnalyticRing(nodes, models.ResNet50.ParamBytes))
 	}
 
 	header(w, "Ablation F: Fig. 1 organizations at 16 workers (exchange time, ResNet-50)")
@@ -121,7 +116,7 @@ func Ablations(w io.Writer, o Options) error {
 		"flat 16-node ring (for reference)", flat16Ring, flat16Ring/flat)
 
 	header(w, "Ablation G: straggler sensitivity (one worker delayed by d per send, event sim)")
-	ep := eventsim.Params{LineRate: 1.25e9, StreamCap: 0.45 * 1.25e9, Latency: 30e-6}
+	ep := eventsim.FromNet(cfg.Net)
 	nBytes := float64(models.ResNet50.ParamBytes)
 	fmt.Fprintf(w, "  %-10s %12s %12s %14s %14s\n", "delay d", "WA", "ring", "WA penalty", "ring penalty")
 	waBase := eventsim.WorkerAggregatorTimeDelays(ep, 4, nBytes, nBytes, 0, nil)

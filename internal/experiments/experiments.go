@@ -27,9 +27,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns quick, deterministic settings.
-func DefaultOptions() Options { return Options{Quick: true, Seed: 42} }
-
 // iters scales an iteration budget by the quick/full mode.
 func (o Options) iters(full int) int {
 	if o.Quick {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -52,6 +54,52 @@ func runExperiment(t *testing.T, name string) string {
 		t.Fatalf("%s produced only %d bytes", name, len(out))
 	}
 	return out
+}
+
+// TestClosedFormOutputsMatchCheckedIn: bench/incbench_output.txt (cited by
+// EXPERIMENTS.md) is `incbench -run all` at the default seed. The
+// closed-form experiments are pure functions of the model stack, so each
+// must reproduce its section byte for byte — a moved digit is a changed
+// model. fig7 prints wall-clock codec rates and the rest train; the
+// substring tests below cover those.
+func TestClosedFormOutputsMatchCheckedIn(t *testing.T) {
+	raw, err := os.ReadFile("../../bench/incbench_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := string(raw)
+	const rule = "\n################ "
+	for _, name := range []string{"fig3", "table2", "fig12", "fig15", "switch", "ablation"} {
+		e, _ := Lookup(name)
+		header := fmt.Sprintf("%s%s: %s ################\n", rule, e.Name, e.Title)
+		i := strings.Index(golden, header)
+		if i < 0 {
+			t.Errorf("%s: no section in bench/incbench_output.txt", name)
+			continue
+		}
+		want := golden[i+len(header):]
+		if j := strings.Index(want, rule); j >= 0 {
+			want = want[:j]
+		}
+		var buf bytes.Buffer
+		if err := e.Run(&buf, Options{Quick: true, Seed: 42}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := buf.String(); got != want {
+			t.Errorf("%s differs from its checked-in section at %s", name, firstDiff(got, want))
+		}
+	}
+}
+
+// firstDiff names the first line at which two outputs part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("line %d: one ends early (got %d lines, want %d)", min(len(g), len(w))+1, len(g), len(w))
 }
 
 func TestFig3Output(t *testing.T) {

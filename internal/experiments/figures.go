@@ -236,7 +236,6 @@ func timeToAccuracy(w io.Writer, o Options) error {
 	return nil
 }
 
-// Fig15 prints the gradient-exchange time versus cluster size for both
 // SwitchStrategy compares the in-network switch reduction (NetReduce-style
 // per-port combine, arXiv:2009.09736) against the WA and ring exchanges,
 // with a Fig. 13/14-style per-phase breakdown: transfer vs summation vs
@@ -245,25 +244,22 @@ func timeToAccuracy(w io.Writer, o Options) error {
 // `inctrace blame` attributes the exchange to the switch itself.
 func SwitchStrategy(w io.Writer, o Options) error {
 	header(w, "In-network switch aggregation: exchange breakdown vs WA/ring")
+	net := netsim.Default10GbE()
+	rows := []struct{ name, strategy string }{
+		{"wa", "worker-aggregator"}, {"ring", "ring"}, {"switch", "switch"},
+	}
 	for _, spec := range models.Evaluated() {
 		fmt.Fprintf(w, "  %s (%d MB)\n", spec.Name, spec.ParamBytes>>20)
 		fmt.Fprintf(w, "    %-6s %-8s %10s %10s %10s %10s\n",
 			"nodes", "strategy", "transfer", "sum", "latency", "total")
 		for _, nodes := range []int{4, 8, 16} {
-			cfg := trainsim.Default()
-			cfg.Workers = nodes
-			n := spec.ParamBytes
-			rows := []struct {
-				name string
-				ex   netsim.Exchange
-			}{
-				{"wa", cfg.Net.WorkerAggregator(nodes, n, netsim.Plain(n), netsim.Plain(n))},
-				{"ring", cfg.Net.Ring(nodes, n, netsim.Plain(netsim.RingBlockBytes(n, nodes)))},
-				{"switch", cfg.Net.SwitchAllReduce(nodes, n, nil)},
-			}
 			for _, r := range rows {
+				ex, err := net.Exchange(netsim.Strategy{Name: r.strategy, Workers: nodes, ModelBytes: spec.ParamBytes})
+				if err != nil {
+					return err
+				}
 				fmt.Fprintf(w, "    %-6d %-8s %9.3fs %9.3fs %9.6fs %9.3fs\n",
-					nodes, r.name, r.ex.Transfer, r.ex.Sum, r.ex.Latency, r.ex.Total())
+					nodes, r.name, ex.Transfer, ex.Sum, ex.Latency, ex.Total())
 			}
 		}
 		fmt.Fprintln(w)
@@ -276,7 +272,10 @@ func SwitchStrategy(w io.Writer, o Options) error {
 	for _, nodes := range []int{4, 8, 16} {
 		p := netsim.Default10GbE()
 		p.SwitchSumRate = p.LineRate / 10
-		ex := p.SwitchAllReduce(nodes, spec.ParamBytes, nil)
+		ex, err := p.Exchange(netsim.Strategy{Name: "switch", Workers: nodes, ModelBytes: spec.ParamBytes})
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "    %-6d %9.3fs %9.3fs %9.3fs\n", nodes, ex.Transfer, ex.Sum, ex.Total())
 	}
 	fmt.Fprintln(w, "\n  (blame a throttled run: incbench -simtrace sim.jsonl -sim-strategy switch \\")
@@ -284,6 +283,7 @@ func SwitchStrategy(w io.Writer, o Options) error {
 	return nil
 }
 
+// Fig15 prints the gradient-exchange time versus cluster size for both
 // algorithms (paper Fig. 15), plus the α-β-γ analytic model's prediction.
 func Fig15(w io.Writer, o Options) error {
 	header(w, "Fig. 15: gradient exchange time vs number of nodes (normalized to 4-node WA)")
@@ -299,11 +299,11 @@ func Fig15(w io.Writer, o Options) error {
 			if nodes == 4 {
 				base = wa
 			}
-			am := analyticParams()
+			am := cfg.Net
 			fmt.Fprintf(w, "    %-6d %9.3f  %9.3f  %11.3f  %11.3f\n",
 				nodes, wa/base, inc/base,
-				am.WorkerAggregator(nodes, spec.ParamBytes)/am.WorkerAggregator(4, spec.ParamBytes),
-				am.Ring(nodes, spec.ParamBytes)/am.WorkerAggregator(4, spec.ParamBytes))
+				am.AnalyticWorkerAggregator(nodes, spec.ParamBytes)/am.AnalyticWorkerAggregator(4, spec.ParamBytes),
+				am.AnalyticRing(nodes, spec.ParamBytes)/am.AnalyticWorkerAggregator(4, spec.ParamBytes))
 		}
 		fmt.Fprintln(w)
 	}

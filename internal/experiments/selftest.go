@@ -158,9 +158,8 @@ func SelfTest(w io.Writer, o Options) error {
 	{
 		np := netsim.Default10GbE()
 		np.PerPacketTime = 0
-		ep := eventsim.Params{LineRate: np.LineRate, StreamCap: np.StreamEfficiency * np.LineRate, Latency: np.Latency}
 		n := int64(100 << 20)
-		ev := eventsim.WorkerAggregatorTime(ep, 4, float64(n), float64(n), 3*float64(n)/np.SumRate)
+		ev := eventsim.WorkerAggregatorTimeDelays(eventsim.FromNet(np), 4, float64(n), float64(n), 3*float64(n)/np.SumRate, nil)
 		cf := np.WorkerAggregator(4, n, netsim.Plain(n), netsim.Plain(n)).Total()
 		rel := math.Abs(ev-cf) / cf
 		check("event sim vs closed form (WA exchange)", rel < 0.10,

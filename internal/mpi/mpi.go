@@ -112,7 +112,7 @@ func (c *Comm) CollectiveCommComp(enabled bool) {
 func (c *Comm) Compressing() bool { return c.tos == comm.ToSCompress }
 
 // SetFinalize installs the function applied to this rank's fully
-// aggregated ring block during AllReduce (see ring.AllReduce); required
+// aggregated ring block during AllReduce (see ring.AllReduceCtx); required
 // for bit-identical replicas when compression is enabled.
 func (c *Comm) SetFinalize(f func([]float32)) { c.finalize = f }
 

@@ -79,14 +79,6 @@ func (o SwitchOptions) Validate(n int) error {
 	return nil
 }
 
-// AllReduceSwitch is AllReduceSwitchCtx with the legacy panic-on-failure
-// contract.
-func (c *Comm) AllReduceSwitch(vec []float32, sw int, opt SwitchOptions) {
-	if err := c.AllReduceSwitchCtx(context.Background(), vec, sw, opt); err != nil {
-		panic(err.Error())
-	}
-}
-
 // AllReduceSwitchCtx sums vec elementwise across all worker ranks, in
 // place, through the switch at rank sw (which must concurrently run
 // SwitchServeCtx with the same options and vector length). Each chunk is

@@ -22,6 +22,10 @@
 //  4. Summation rate. Sum-reduction costs 1/SumRate seconds per byte,
 //     concentrated at the aggregator in WA but spread across workers in
 //     the ring algorithm.
+//
+// The same Params also drive the paper's own α-β-γ formulas (Sec. VIII-D,
+// analytic.go) and, through eventsim.FromNet, the fluid-flow event model
+// that validates this closed form.
 package netsim
 
 import (
@@ -68,16 +72,18 @@ func Default10GbE() Params {
 	}
 }
 
-// switchSumRate resolves the switch combine rate (0 = line rate).
-func (p Params) switchSumRate() float64 {
+// SwitchRate resolves the switch combine rate (SwitchSumRate, 0 = line
+// rate). Every consumer of the switch defaults reads them here.
+func (p Params) SwitchRate() float64 {
 	if p.SwitchSumRate > 0 {
 		return p.SwitchSumRate
 	}
 	return p.LineRate
 }
 
-// switchMemBytes resolves the on-switch buffer bound (0 = 1 MiB).
-func (p Params) switchMemBytes() int64 {
+// SwitchMem resolves the on-switch buffer bound (SwitchMemBytes, 0 =
+// 1 MiB).
+func (p Params) SwitchMem() int64 {
 	if p.SwitchMemBytes > 0 {
 		return p.SwitchMemBytes
 	}
@@ -175,6 +181,56 @@ type Exchange struct {
 
 // Total returns the critical-path exchange time.
 func (e Exchange) Total() float64 { return e.Transfer + e.Sum + e.Latency }
+
+// Strategy names one gradient-exchange strategy at one scale. Name is a
+// train.Algorithm.String() name: "worker-aggregator", "ring",
+// "hierarchical-tree", "hierarchical-ring" or "switch".
+type Strategy struct {
+	Name       string
+	Workers    int
+	ModelBytes int64
+	GroupSize  int // workers per group; hierarchical strategies only
+	// Gradient packetizes a gradient-carrying message of the given raw
+	// size (Plain, or NICCompressed below a compressing NIC); nil means
+	// Plain.
+	Gradient func(rawBytes int64) Traffic
+}
+
+// Exchange simulates one iteration of strategy s. It is the one statement
+// of what each strategy puts on the wire: which legs carry gradients and
+// take s.Gradient (the WA up leg, every ring block, the hierarchy's group
+// and leader legs, the switch's per-port streams), which carry weights or
+// reduced results and always travel Plain (the WA broadcast, the
+// hierarchy's result legs — lossy compression is unsafe there, Fig. 4),
+// and how the model is blocked (RingBlockBytes per ring level).
+func (p Params) Exchange(s Strategy) (Exchange, error) {
+	grad := s.Gradient
+	if grad == nil {
+		grad = Plain
+	}
+	n := s.ModelBytes
+	switch s.Name {
+	case "worker-aggregator":
+		return p.WorkerAggregator(s.Workers, n, grad(n), Plain(n)), nil
+	case "ring":
+		return p.Ring(s.Workers, n, grad(RingBlockBytes(n, s.Workers))), nil
+	case "switch":
+		return p.SwitchAllReduce(s.Workers, n, grad), nil
+	case "hierarchical-tree", "hierarchical-ring":
+		g := s.GroupSize
+		if g < 2 || s.Workers%g != 0 {
+			return Exchange{}, fmt.Errorf("netsim: group size %d does not divide %d workers into groups of >= 2", g, s.Workers)
+		}
+		groups := s.Workers / g
+		tree := s.Name == "hierarchical-tree"
+		leader := grad(n)
+		if !tree {
+			leader = grad(RingBlockBytes(n, groups))
+		}
+		return p.Hierarchical(groups, g, n, tree, grad(RingBlockBytes(n, g)), leader, Plain(n)), nil
+	}
+	return Exchange{}, fmt.Errorf("netsim: unknown strategy %q", s.Name)
+}
 
 // WorkerAggregator simulates one iteration of the conventional exchange
 // (paper Fig. 2) with p workers and one aggregator: all workers send their
@@ -296,12 +352,12 @@ func (p Params) SwitchAllReduce(workers int, modelBytes int64, traffic func(int6
 	if traffic == nil {
 		traffic = Plain
 	}
-	mem := p.switchMemBytes()
+	mem := p.SwitchMem()
 	chunks := (modelBytes + mem - 1) / mem
 	tail := modelBytes - (chunks-1)*mem
 
 	stage := func(bytes int64) (u, s float64) {
-		return p.StreamTime(traffic(bytes), 1), float64(bytes) / p.switchSumRate()
+		return p.StreamTime(traffic(bytes), 1), float64(bytes) / p.SwitchRate()
 	}
 	uFull, sFull := stage(mem)
 	uTail, sTail := stage(tail)

@@ -202,3 +202,43 @@ func TestHierarchicalBetweenFlatExtremes(t *testing.T) {
 		t.Errorf("Fig 1c (%g) not faster than Fig 1b (%g)", rings, tree)
 	}
 }
+
+// TestExchangePerStrategyLegs: Exchange is the one place that decides what
+// a strategy puts on the wire — s.Gradient on the gradient legs only (the
+// WA broadcast and the hierarchy's result legs stay Plain), ceil-division
+// blocks per ring level — and rejects what no runner can execute.
+func TestExchangePerStrategyLegs(t *testing.T) {
+	p := Default10GbE()
+	n := int64(98<<20) + 3 // divisible by none of the worker counts below
+	comp := func(b int64) Traffic { return NICCompressed(b, 4) }
+	for _, tc := range []struct {
+		s    Strategy
+		want Exchange
+	}{
+		{Strategy{Name: "worker-aggregator", Workers: 4}, p.WorkerAggregator(4, n, comp(n), Plain(n))},
+		{Strategy{Name: "ring", Workers: 6}, p.Ring(6, n, comp(RingBlockBytes(n, 6)))},
+		{Strategy{Name: "switch", Workers: 8}, p.SwitchAllReduce(8, n, comp)},
+		{Strategy{Name: "hierarchical-tree", Workers: 16, GroupSize: 4},
+			p.Hierarchical(4, 4, n, true, comp(RingBlockBytes(n, 4)), comp(n), Plain(n))},
+		{Strategy{Name: "hierarchical-ring", Workers: 12, GroupSize: 4},
+			p.Hierarchical(3, 4, n, false, comp(RingBlockBytes(n, 4)), comp(RingBlockBytes(n, 3)), Plain(n))},
+	} {
+		tc.s.ModelBytes, tc.s.Gradient = n, comp
+		if got, err := p.Exchange(tc.s); err != nil || got != tc.want {
+			t.Errorf("%s: Exchange = %+v, %v; want %+v", tc.s.Name, got, err, tc.want)
+		}
+	}
+	if got, _ := p.Exchange(Strategy{Name: "ring", Workers: 6, ModelBytes: n}); got != p.Ring(6, n, Plain(RingBlockBytes(n, 6))) {
+		t.Errorf("nil Gradient is not Plain: %+v", got)
+	}
+	for _, bad := range []Strategy{
+		{Name: "carrier-pigeon", Workers: 4},
+		{Name: "hierarchical-tree", Workers: 16, GroupSize: 3},
+		{Name: "hierarchical-ring", Workers: 16, GroupSize: 1},
+	} {
+		bad.ModelBytes = n
+		if _, err := p.Exchange(bad); err == nil {
+			t.Errorf("Exchange accepted %+v", bad)
+		}
+	}
+}

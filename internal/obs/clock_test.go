@@ -73,7 +73,7 @@ func TestEstimateClockKeepsMinRTTSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.UncertaintyNs > (5 * time.Millisecond).Nanoseconds()/2 {
+	if est.UncertaintyNs > (5*time.Millisecond).Nanoseconds()/2 {
 		t.Fatalf("uncertainty %dns: min-RTT sample not selected", est.UncertaintyNs)
 	}
 }

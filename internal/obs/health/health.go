@@ -27,8 +27,9 @@
 //   - retransmit_rate / crc_rate / suspect: rate-of-change thresholds on
 //     the transport and membership counters, polled.
 //   - fallback / eviction: point incidents (opened closed) for the
-//     self-healing events — a confirmed switch death or a member
-//     eviction — pushed by the runners or caught from the counters.
+//     self-healing events — a confirmed switch death (pushed by the
+//     runner's gate, or caught from its counter) or a member eviction
+//     (caught from its counter).
 //   - heartbeat_gap: the elastic heartbeat counter stalling while the
 //     membership gauge says the ring is populated.
 //   - compression_drift: EWMA drift of the codec's compression-ratio
@@ -363,24 +364,6 @@ func (e *Engine) NotifyFallback(node, iter int, cause string, detect time.Durati
 		iterLo: iter, iterHi: iter,
 		value: detect.Seconds(),
 		cause: fmt.Sprintf("collective fallback: %s (detected in %s)", cause, detect),
-	})
-}
-
-// NotifyEviction reports a membership eviction as a critical point
-// incident (the poll path also catches evictions via the counter; a
-// pushed event is attributed to the node and deduplicated there).
-func (e *Engine) NotifyEviction(node int, cause string) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.pullSpansLocked()
-	e.evictHandled++
-	e.openLocked(incidentSpec{
-		detector: "eviction", point: true,
-		node: node, phase: obs.PhaseReplay, sev: SevCritical,
-		cause: "member evicted: " + cause,
 	})
 }
 

@@ -313,7 +313,6 @@ func TestNilEngineIsSafe(t *testing.T) {
 	var e *Engine
 	e.ObserveStep(0, 0, time.Second)
 	e.NotifyFallback(1, 2, "x", time.Second)
-	e.NotifyEviction(1, "x")
 	e.Poll()
 	e.Start(time.Millisecond)
 	e.Close()

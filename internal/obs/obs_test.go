@@ -269,6 +269,11 @@ func TestAggregateAndRender(t *testing.T) {
 	if !strings.Contains(lines[1], "c") || !strings.Contains(lines[2], "r") {
 		t.Errorf("timeline glyphs wrong:\n%s", tl.String())
 	}
+	for p := Phase(0); p < NumPhases; p++ {
+		if key := string(timelineChars[p]) + "=" + p.String(); !strings.Contains(lines[0], key) {
+			t.Errorf("timeline legend does not name %q:\n%s", key, lines[0])
+		}
+	}
 }
 
 // TestRenderMetrics smoke-tests the CLI snapshot printer on both native

@@ -169,7 +169,7 @@ func RenderTimeline(w io.Writer, spans []Span, width int) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "timeline (%.3fs wall, %d buckets of %.1fms; c=compute z=compress s=send r=recv +=reduce d=decompress K=checkpoint R=replay .=idle)\n",
+	fmt.Fprintf(w, "timeline (%.3fs wall, %d buckets of %.1fms; c=compute z=compress s=send r=recv +=reduce d=decompress K=checkpoint R=replay F=fallback .=idle)\n",
 		b.Wall().Seconds(), width, bucketNs/1e6)
 	for _, nb := range b.Nodes {
 		row := occ[nb.Node]

@@ -99,13 +99,6 @@ func (t *Tensor) FillRandn(rng *rand.Rand, std float64) {
 	}
 }
 
-// FillUniform fills the tensor with U(-a, a) samples from rng.
-func (t *Tensor) FillUniform(rng *rand.Rand, a float64) {
-	for i := range t.Data {
-		t.Data[i] = float32((rng.Float64()*2 - 1) * a)
-	}
-}
-
 // AddInPlace computes t += o elementwise. Shapes must carry equal sizes.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	if len(t.Data) != len(o.Data) {

@@ -128,23 +128,31 @@ func computePerIter(spec models.Spec) float64 {
 	return (b.Forward + b.Backward + b.GPUCopy + b.Update) / 100
 }
 
+// exchange simulates one exchange of the named netsim strategy for spec;
+// compressed puts the model's in-NIC compression ratio on every gradient
+// leg.
+func (c Config) exchange(name string, spec models.Spec, workers, groupSize int, compressed bool) netsim.Exchange {
+	s := netsim.Strategy{Name: name, Workers: workers, ModelBytes: spec.ParamBytes, GroupSize: groupSize}
+	if compressed {
+		ratio := CompressionRatio(spec, c.BoundExp)
+		s.Gradient = func(n int64) netsim.Traffic { return netsim.NICCompressed(n, ratio) }
+	}
+	ex, err := c.Net.Exchange(s)
+	if err != nil {
+		// The names are fixed below; only a group size that does not
+		// divide the workers — a caller's bug — gets here.
+		panic(err)
+	}
+	return ex
+}
+
 // IterTime simulates one training iteration of the given system.
 func (c Config) IterTime(sys System, spec models.Spec) Breakdown {
-	n := spec.ParamBytes
-	blk := netsim.RingBlockBytes(n, c.Workers)
-	ratio := CompressionRatio(spec, c.BoundExp)
-	var ex netsim.Exchange
-	switch sys {
-	case WA:
-		ex = c.Net.WorkerAggregator(c.Workers, n, netsim.Plain(n), netsim.Plain(n))
-	case WAC:
-		// Only the worker→aggregator gradient leg is compressible.
-		ex = c.Net.WorkerAggregator(c.Workers, n, netsim.NICCompressed(n, ratio), netsim.Plain(n))
-	case INC:
-		ex = c.Net.Ring(c.Workers, n, netsim.Plain(blk))
-	case INCC:
-		ex = c.Net.Ring(c.Workers, n, netsim.NICCompressed(blk, ratio))
+	name := "worker-aggregator"
+	if sys == INC || sys == INCC {
+		name = "ring"
 	}
+	ex := c.exchange(name, spec, c.Workers, 0, sys == WAC || sys == INCC)
 	return Breakdown{Compute: computePerIter(spec), Exchange: ex.Total()}
 }
 
@@ -159,40 +167,11 @@ func (c Config) ExchangeTime(sys System, spec models.Spec) float64 {
 // compressed enables in-NIC compression on every gradient leg (the result
 // broadcast stays uncompressed).
 func (c Config) HierarchicalExchangeTime(spec models.Spec, groups, groupSize int, tree, compressed bool) float64 {
-	n := spec.ParamBytes
-	block := netsim.RingBlockBytes(n, groupSize)
-	leaderBlock := netsim.RingBlockBytes(n, groups)
-	ratio := 1.0
-	if compressed {
-		ratio = CompressionRatio(spec, c.BoundExp)
+	name := "hierarchical-ring"
+	if tree {
+		name = "hierarchical-tree"
 	}
-	traffic := func(bytes int64) netsim.Traffic {
-		if compressed {
-			return netsim.NICCompressed(bytes, ratio)
-		}
-		return netsim.Plain(bytes)
-	}
-	leaderTraffic := traffic(n)
-	if !tree {
-		leaderTraffic = traffic(leaderBlock)
-	}
-	return c.Net.Hierarchical(groups, groupSize, n, tree,
-		traffic(block), leaderTraffic, netsim.Plain(n)).Total()
-}
-
-// SwitchExchangeTime simulates the in-network switch all-reduce exchange
-// (per-port combine at Net.SwitchSumRate, chunked through Net.SwitchMemBytes,
-// multicast down): the fifth strategy beside WA/ring/hierarchical, grounded
-// in NetReduce-style switch aggregation. compressed enables in-NIC
-// compression on the per-port gradient streams.
-func (c Config) SwitchExchangeTime(spec models.Spec, compressed bool) float64 {
-	n := spec.ParamBytes
-	traffic := netsim.Plain
-	if compressed {
-		ratio := CompressionRatio(spec, c.BoundExp)
-		traffic = func(bytes int64) netsim.Traffic { return netsim.NICCompressed(bytes, ratio) }
-	}
-	return c.Net.SwitchAllReduce(c.Workers, n, traffic).Total()
+	return c.exchange(name, spec, groups*groupSize, groupSize, compressed).Total()
 }
 
 // CommShare returns the fraction of iteration time spent in the exchange

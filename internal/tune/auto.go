@@ -50,11 +50,11 @@ const probeWarmup = 2
 // ranked plans at the run's scale, the winning plan, and the what-if
 // extrapolation.
 type AutoResult struct {
-	Workload Workload  `json:"workload"`
-	Fit      *Fitted   `json:"fit"`
-	Plans    []Plan    `json:"plans"`
-	Chosen   Plan      `json:"chosen"`
-	WhatIf   []WhatIf  `json:"what_if"`
+	Workload Workload `json:"workload"`
+	Fit      *Fitted  `json:"fit"`
+	Plans    []Plan   `json:"plans"`
+	Chosen   Plan     `json:"chosen"`
+	WhatIf   []WhatIf `json:"what_if"`
 	// ProbeSeconds is the wall-clock cost of the probe and
 	// verification runs.
 	ProbeSeconds float64 `json:"probe_seconds"`

@@ -141,12 +141,18 @@ func TestFitCodecFromCompressedSample(t *testing.T) {
 	comp := syntheticSample(Workload{Workers: 4, ModelBytes: 4 << 20, Strategy: "ring", Iters: 2, Compress: true, Ratio: 3.2}, 50e-6, 1e9, 4e8, 1e-3)
 	// Codec spans ride the transport with iter −1 (they are not part of
 	// an iteration's phase cells); total seconds sized to the rate.
-	raw := rawBytesSent(comp.Workload) * float64(comp.Workload.Iters)
+	raw := float64(comp.Workload.Workers) * codecBytes(comp.Workload, 0) * float64(comp.Workload.Iters)
 	comp.Spans = append(comp.Spans,
 		obs.Span{Node: 0, Iter: -1, Phase: obs.PhaseCompress, Start: 0, Dur: int64(raw / codecRate * 0.6 * 1e9)},
 		obs.Span{Node: 0, Iter: -1, Phase: obs.PhaseDecompress, Start: 0, Dur: int64(raw / codecRate * 0.4 * 1e9)},
 	)
-	f, err := Fit([]Sample{plain, comp}, netsim.Params{})
+	// A Workload records no group size, so a hierarchical sample cannot
+	// size its codec input: its codec spans must not move the rate.
+	hier := Sample{
+		Workload: Workload{Workers: 4, ModelBytes: 4 << 20, Strategy: "hierarchical-ring", Iters: 2, Compress: true, Ratio: 2},
+		Spans:    []obs.Span{{Node: 0, Iter: -1, Phase: obs.PhaseCompress, Dur: 1e9}},
+	}
+	f, err := Fit([]Sample{plain, comp, hier}, netsim.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

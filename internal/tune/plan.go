@@ -125,99 +125,66 @@ func groupSizes(p int) []int {
 
 // Predict runs one plan option through the fitted closed-form model.
 //
-// The transport/summation structure comes from the fitted
-// netsim.Params' exchange models; on top of those the planner accounts
+// The transport/summation structure is netsim.Params.Exchange's on the
+// fitted parameters; on top of it the planner accounts what only it knows:
 // (a) the per-message cost α of chunked transports, (b) the codec's CPU
 // time, and (c) chunk pipelining: with K chunks per step the codec and
 // reduction overlap the transport, so a step costs
 // max(parts) + (sum−max)/K instead of the serial sum (fill-and-drain).
 func (pl *Planner) Predict(opt PlanOption) Plan {
 	f := pl.Fit
-	p := f.Params
 	w := pl.workload(opt)
-	traffic := w.traffic
-	alpha := 2 * p.Latency
-	codecRate := pl.effCodecRate()
-
-	var transport, reduce, codec float64
-	var pipeChunks int64 = 1
-
-	switch opt.Strategy {
-	case "ring":
-		ex := p.Ring(pl.Workers, pl.ModelBytes, traffic(w.blockBytes()))
-		steps := float64(2 * (pl.Workers - 1))
-		k := w.chunksPerBlock()
-		// netsim's Latency term already bills α (=2·Latency) once per
-		// step; chunking multiplies the per-message cost by K.
-		transport = ex.Transfer + steps*alpha*float64(k)
-		reduce = ex.Sum
-		if opt.Compress {
-			codec = steps * float64(w.blockBytes()) / codecRate
-		}
-		pipeChunks = k
-	case "worker-aggregator":
-		// Gradients up are compressed; the weight broadcast down stays
-		// raw (the runner's aggregator sends exact weights).
-		ex := p.WorkerAggregator(pl.Workers, pl.ModelBytes, traffic(pl.ModelBytes), netsim.Plain(pl.ModelBytes))
-		transport = ex.Transfer + ex.Latency
-		reduce = ex.Sum
-		if opt.Compress {
-			codec = float64(pl.ModelBytes) / codecRate
-		}
-	case "switch":
-		ps := p
-		if opt.ChunkFloats > 0 {
-			ps.SwitchMemBytes = int64(opt.ChunkFloats) * 4
-		}
-		var fn func(int64) netsim.Traffic
-		if opt.Compress {
-			r := pl.effRatio()
-			fn = func(n int64) netsim.Traffic { return netsim.NICCompressed(n, r) }
-		}
-		ex := ps.SwitchAllReduce(pl.Workers, pl.ModelBytes, fn)
-		transport = ex.Transfer + ex.Latency
-		reduce = ex.Sum
-		if opt.Compress {
-			codec = float64(pl.ModelBytes) / codecRate
-		}
-		mem := ps.SwitchMemBytes
-		if mem <= 0 {
-			mem = 1 << 20
-		}
-		pipeChunks = (pl.ModelBytes + mem - 1) / mem
-	case "hierarchical-tree", "hierarchical-ring":
-		g := opt.GroupSize
-		if g < 2 || pl.Workers%g != 0 {
-			return Plan{PlanOption: opt, PredIterSec: inf}
-		}
-		groups := pl.Workers / g
-		tree := opt.Strategy == "hierarchical-tree"
-		var leader netsim.Traffic
-		if tree {
-			leader = traffic(pl.ModelBytes)
-		} else {
-			leader = traffic(netsim.RingBlockBytes(pl.ModelBytes, groups))
-		}
-		ex := p.Hierarchical(groups, g, pl.ModelBytes, tree,
-			traffic(netsim.RingBlockBytes(pl.ModelBytes, g)), leader, netsim.Plain(pl.ModelBytes))
-		transport = ex.Transfer + ex.Latency
-		reduce = ex.Sum
-		if opt.Compress {
-			// Intra-group ring legs plus the leader exchange.
-			codec = float64(2*(g-1))*float64(netsim.RingBlockBytes(pl.ModelBytes, g))/codecRate +
-				float64(pl.ModelBytes)/codecRate
-		}
-	default:
+	p := f.netParams(w)
+	ex, err := p.Exchange(netsim.Strategy{Name: opt.Strategy, Workers: pl.Workers,
+		ModelBytes: pl.ModelBytes, GroupSize: opt.GroupSize, Gradient: w.traffic})
+	if err != nil {
 		return Plan{PlanOption: opt, PredIterSec: inf}
 	}
 
-	exchange := overlap(transport, reduce+codec, pipeChunks)
+	transport := ex.Transfer + ex.Latency
+	var pipeChunks int64 = 1
+	switch opt.Strategy {
+	case "ring":
+		// netsim's Latency term bills α (=2·Latency) once per step;
+		// chunking multiplies the per-message cost by K.
+		pipeChunks = w.chunksPerBlock()
+		transport = ex.Transfer + ex.Latency*float64(pipeChunks)
+	case "switch":
+		pipeChunks = (pl.ModelBytes + p.SwitchMem() - 1) / p.SwitchMem()
+	}
+	codec := 0.0
+	if opt.Compress {
+		codec = codecBytes(w, opt.GroupSize) / pl.effCodecRate()
+	}
+
+	exchange := overlap(transport, ex.Sum+codec, pipeChunks)
 	return Plan{
 		PlanOption:      opt,
 		PredIterSec:     f.ComputeSec + exchange + f.OverheadSec,
 		PredExchangeSec: exchange,
 		PredCodecSec:    codec,
 	}
+}
+
+// codecBytes returns the raw bytes the busiest worker pushes through the
+// codec in one iteration: the payload of every gradient leg it sends. In
+// the flat strategies every worker sends alike; in the hierarchical ones
+// the busiest worker is a group leader, billed its 2(g−1) intra-group
+// ring blocks plus one whole gradient for the leader exchange (exact for
+// the tree's up leg, a floor for the leader ring's 2(G−1) blocks).
+// Without a group size a hierarchical workload has no count and returns 0.
+func codecBytes(w Workload, groupSize int) float64 {
+	n := float64(w.ModelBytes)
+	switch w.Strategy {
+	case "ring":
+		return float64(2*(w.Workers-1)) * float64(w.blockBytes())
+	case "hierarchical-tree", "hierarchical-ring":
+		if groupSize < 2 {
+			return 0
+		}
+		return float64(2*(groupSize-1))*float64(netsim.RingBlockBytes(w.ModelBytes, groupSize)) + n
+	}
+	return n // worker-aggregator, switch: the whole gradient, once
 }
 
 const inf = 1e18

@@ -1,28 +1,10 @@
 package tune
 
 import (
-	"inceptionn/internal/eventsim"
+	"math"
+
 	"inceptionn/internal/obs"
 )
-
-// replayRing runs one fitted-ring iteration through the fluid-flow
-// simulator, emitting the measured-run span schema, and returns the
-// iteration's virtual duration. The flows carry the workload's wire
-// bytes (after compression) while the reduction delay reproduces the
-// measured reduce cell (see Fitted.sumDelayPerStep).
-func replayRing(ep eventsim.Params, f *Fitted, w Workload, rec *obs.Recorder, iter int, baseNs int64) float64 {
-	wireBlock := float64(w.traffic(w.blockBytes()).WireBytes)
-	return eventsim.RingTraceDelays(ep, w.Workers, wireBlock,
-		f.sumDelayPerStep(w), f.ComputeSec, nil, rec, iter, baseNs)
-}
-
-// replaySwitch runs one fitted switch all-reduce iteration through the
-// fluid-flow simulator (logical switch node id == workers).
-func replaySwitch(ep eventsim.Params, f *Fitted, w Workload, chunkBytes, combinePerByte float64, rec *obs.Recorder, iter int, baseNs int64) float64 {
-	wireModel := float64(w.traffic(w.ModelBytes).WireBytes)
-	return eventsim.SwitchTraceDelays(ep, w.Workers, wireModel, chunkBytes,
-		combinePerByte, f.ComputeSec, nil, rec, iter, baseNs)
-}
 
 // Validate replays a fresh measured sample (one the fit has not seen)
 // through the fitted simulator and returns the per-phase calibration —
@@ -64,19 +46,12 @@ func (f *Fitted) Validate(s Sample) (*obs.Calibration, float64) {
 			continue
 		}
 		if pc.MeasuredMean > 0 && pc.SimCells > 0 {
-			if e := abs(pc.RelErr); e > maxErr {
+			if e := math.Abs(pc.RelErr); e > maxErr {
 				maxErr = e
 			}
 		}
 	}
 	return cal, maxErr
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // CrossCheck runs the plan's workload through the fitted event
@@ -86,29 +61,11 @@ func abs(x float64) float64 {
 // not model intra-step chunk pipelining, so chunked ring plans
 // cross-check against their unchunked equivalent.
 func (pl *Planner) CrossCheck(opt PlanOption) float64 {
-	w := pl.workload(opt)
-	f := pl.Fit
-	ep := f.eventParams()
-	switch opt.Strategy {
-	case "ring":
-		dur := replayRing(ep, f, w, nil, 0, 0)
-		return dur + f.OverheadSec
-	case "switch":
-		mem := f.Params.SwitchMemBytes
-		if opt.ChunkFloats > 0 {
-			mem = int64(opt.ChunkFloats) * 4
-		}
-		if mem <= 0 {
-			mem = 1 << 20
-		}
-		rate := f.Params.SwitchSumRate
-		if rate <= 0 {
-			rate = f.Params.LineRate
-		}
-		dur := replaySwitch(ep, f, w, float64(mem), 1/rate, nil, 0, 0)
-		return dur + f.OverheadSec
+	dur, err := pl.Fit.replay(pl.workload(opt), 1, nil)
+	if err != nil {
+		return 0
 	}
-	return 0
+	return dur + pl.Fit.OverheadSec
 }
 
 // workload converts a plan option into the workload it would produce at

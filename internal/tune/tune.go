@@ -19,11 +19,10 @@
 //     fitting workload through the fitted event simulator and diffing
 //     with obs.Calibrate.
 //  2. Plan: Planner sweeps the candidate grid through the fitted
-//     closed-form models (netsim.Ring / WorkerAggregator /
-//     SwitchAllReduce / Hierarchical plus the fitted codec cost and the
-//     chunk-pipelining overlap), ranks by predicted iteration time, and
-//     cross-checks the top plans dynamically with the fluid-flow
-//     event simulator (eventsim.RingTraceDelays / SwitchTraceDelays).
+//     closed-form model (netsim.Params.Exchange plus the fitted codec
+//     cost and the chunk-pipelining overlap), ranks by predicted
+//     iteration time, and cross-checks the top plans dynamically with
+//     the fluid-flow event simulator (eventsim.Replay).
 //     What-if extrapolation re-runs the sweep at simulated scales far
 //     past the testbed (100s–1000s of nodes) with FireCaffe-style
 //     hierarchical reduction trees in the candidate set.
@@ -235,7 +234,7 @@ func Fit(samples []Sample, prior netsim.Params) (*Fitted, error) {
 
 	var send, reduce, compute []cell
 	var switchReduce []cell
-	codecSec, codecBytes := 0.0, 0.0
+	codecSec, codecRaw := 0.0, 0.0
 	ratio := 0.0
 
 	for _, s := range samples {
@@ -280,20 +279,24 @@ func Fit(samples []Sample, prior netsim.Params) (*Fitted, error) {
 		// the in-process fabric (they belong to the transport, not an
 		// iteration), so they are summed straight off the span list. The
 		// raw bytes processed are what the workload pushed through the
-		// wire processor: every send leg's raw payload.
+		// wire processor: every worker's codecBytes. A Workload does not
+		// record the hierarchical group size, so a hierarchical sample
+		// cannot size its codec input and contributes its ratio only.
 		if w.Compress {
-			for _, sp := range s.Spans {
-				if sp.Phase == obs.PhaseCompress || sp.Phase == obs.PhaseDecompress {
-					codecSec += float64(sp.Dur) / 1e9
-				}
-			}
-			iters := w.Iters
-			if iters <= 0 {
-				iters = spanIters(s.Spans)
-			}
-			codecBytes += rawBytesSent(w) * float64(iters)
 			if r := w.ratio(); r > ratio {
 				ratio = r
+			}
+			if perWorker := codecBytes(w, 0); perWorker > 0 {
+				for _, sp := range s.Spans {
+					if sp.Phase == obs.PhaseCompress || sp.Phase == obs.PhaseDecompress {
+						codecSec += float64(sp.Dur) / 1e9
+					}
+				}
+				iters := w.Iters
+				if iters <= 0 {
+					iters = spanIters(s.Spans)
+				}
+				codecRaw += float64(w.Workers) * perWorker * float64(iters)
 			}
 		}
 	}
@@ -372,8 +375,8 @@ func Fit(samples []Sample, prior netsim.Params) (*Fitted, error) {
 	}
 
 	// --- codec --------------------------------------------------------
-	if codecSec > 0 && codecBytes > 0 {
-		f.CodecRate = codecBytes / codecSec
+	if codecSec > 0 && codecRaw > 0 {
+		f.CodecRate = codecRaw / codecSec
 		f.Ratio = ratio
 		f.Coverage = append(f.Coverage, fmt.Sprintf("codec: fitted %.0f MB/s at ratio %.2fx", f.CodecRate/1e6, ratio))
 	} else {
@@ -519,21 +522,6 @@ func spanIters(spans []obs.Span) int {
 	return len(seen)
 }
 
-// rawBytesSent returns the raw payload bytes one iteration pushes
-// through the wire processor across all workers (what the codec
-// actually compressed).
-func rawBytesSent(w Workload) float64 {
-	switch w.Strategy {
-	case "ring", "hierarchical-ring":
-		// 2(p−1) block sends per node per iteration.
-		return float64(w.Workers) * float64(2*(w.Workers-1)) * float64(w.blockBytes())
-	case "switch":
-		return float64(w.Workers) * float64(w.ModelBytes)
-	default: // worker-aggregator, hierarchical-tree
-		return float64(w.Workers) * float64(w.ModelBytes)
-	}
-}
-
 // fitOverhead sets OverheadSec from the first ring sample: measured
 // iteration wall time minus the fitted model's phase prediction.
 func (f *Fitted) fitOverhead(samples []Sample) {
@@ -619,39 +607,41 @@ func (f *Fitted) calibrateReplay(samples []Sample) {
 	}
 }
 
+// netParams returns the fitted cluster as workload w runs on it: a switch
+// workload's chunking bounds the on-switch buffer.
+func (f *Fitted) netParams(w Workload) netsim.Params {
+	p := f.Params
+	if w.Strategy == "switch" && w.ChunkFloats > 0 {
+		p.SwitchMemBytes = int64(w.ChunkFloats) * 4
+	}
+	return p
+}
+
+// replay runs iters iterations of the workload through the fitted event
+// simulator (eventsim.Replay), emitting the measured-run span schema into
+// rec, and returns their summed virtual duration. The flows carry the
+// workload's wire bytes (after compression) while the ring's reduction
+// delay reproduces the measured reduce cell (see sumDelayPerStep).
+func (f *Fitted) replay(w Workload, iters int, rec *obs.Recorder) (float64, error) {
+	return eventsim.Replay(f.netParams(w), eventsim.Iteration{
+		Strategy:        w.Strategy,
+		Workers:         w.Workers,
+		ModelBytes:      w.ModelBytes,
+		Traffic:         w.traffic,
+		SumDelayPerStep: f.sumDelayPerStep(w),
+		Compute:         f.ComputeSec,
+	}, iters, rec)
+}
+
 // ReplaySpans simulates iters iterations of the workload through the
 // fitted event simulator and returns the emitted spans on a virtual
 // timeline — the dynamic cross-check against a measured trace. Only the
 // ring and switch strategies have span-emitting event models; other
 // strategies return nil.
 func (f *Fitted) ReplaySpans(w Workload, iters int) []obs.Span {
-	ep := f.eventParams()
-	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1 << 18)
-	rec := obs.NewRecorder(reg, tr)
-	var baseNs int64
-	for iter := 0; iter < iters; iter++ {
-		var dur float64
-		switch w.Strategy {
-		case "ring":
-			dur = replayRing(ep, f, w, rec, iter, baseNs)
-		case "switch":
-			mem := f.Params.SwitchMemBytes
-			if w.ChunkFloats > 0 {
-				mem = int64(w.ChunkFloats) * 4
-			}
-			if mem <= 0 {
-				mem = 1 << 20
-			}
-			rate := f.Params.SwitchSumRate
-			if rate <= 0 {
-				rate = f.Params.LineRate
-			}
-			dur = replaySwitch(ep, f, w, float64(mem), 1/rate, rec, iter, baseNs)
-		default:
-			return nil
-		}
-		baseNs += int64(dur*1e9) + 1
+	if _, err := f.replay(w, iters, obs.NewRecorder(obs.NewRegistry(), tr)); err != nil {
+		return nil
 	}
 	spans := tr.Snapshot()
 	if w.Strategy == "ring" {
@@ -669,16 +659,6 @@ func (f *Fitted) ReplaySpans(w Workload, iters int) []obs.Span {
 		}
 	}
 	return spans
-}
-
-// eventParams maps the fitted netsim parameters onto the fluid-flow
-// simulator's: per-flow cap β, link capacity, per-flow latency.
-func (f *Fitted) eventParams() eventsim.Params {
-	return eventsim.Params{
-		LineRate:  f.Params.LineRate,
-		StreamCap: f.Params.StreamEfficiency * f.Params.LineRate,
-		Latency:   f.Params.Latency,
-	}
 }
 
 // sumDelayPerStep returns the per-step reduction delay that reproduces
@@ -727,18 +707,6 @@ func (f *Fitted) RenderFit(w io.Writer) {
 		}
 		fmt.Fprintf(w, "\nmax |rel err| on communication phases: %.1f%%\n", 100*f.MaxCommRelErr)
 	}
-}
-
-// ScaleMap returns the non-unit scale factors keyed by phase name (the
-// JSON-friendly form of Scale).
-func (f *Fitted) ScaleMap() map[string]float64 {
-	out := make(map[string]float64)
-	for p := obs.Phase(0); p < obs.NumPhases; p++ {
-		if f.Scale[p] != 1 {
-			out[p.String()] = f.Scale[p]
-		}
-	}
-	return out
 }
 
 // sortPlans orders plans by predicted iteration time, ties broken by
