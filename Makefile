@@ -77,11 +77,16 @@ obssmoke:
 # Simulator/collective correctness gate, under the race detector: the
 # whole model stack — the closed-form network model with the paper's
 # analytic formulas, the event-driven simulator, and the Table II/III
-# calibration on top of them — and the MPI-style collectives (including
-# the switch all-reduce's bit-exactness-with-ring and the uneven-partition
-# regression suites) in one focused run.
+# calibration on top of them — and the wire and collective stack of
+# DESIGN.md §3c, whose packages run real goroutines (ring's chunk sender,
+# fault's link pumps, tcpfabric's read loops) and otherwise reach the race
+# detector only through the all-or-nothing `race` target: the transports
+# (comm, fault, tcpfabric), the ring and hub primitives, hierarchy, and the
+# MPI-style collectives (including the switch all-reduce's
+# bit-exactness-with-ring suite) in one focused run.
 simtest:
-	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/trainsim ./internal/mpi
+	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/trainsim ./internal/mpi \
+		./internal/comm ./internal/fault ./internal/tcpfabric ./internal/ring ./internal/hierarchy
 
 # Auto-tuner acceptance gate: the tune package's unit suite under the
 # race detector (the strict timing gate skips itself there — the race

@@ -268,65 +268,39 @@ func (f *Fabric) ResetStats() {
 	}
 }
 
-// Peer is the transport-independent interface the collective algorithms
-// run over: the in-process Endpoint below implements it, and so does the
-// real-TCP endpoint in internal/tcpfabric.
-type Peer interface {
+// CtxPeer is the one peer contract the collective algorithms in
+// internal/ring, internal/mpi and internal/hierarchy run over: the
+// in-process Endpoint below implements it, and so do the real-TCP node in
+// internal/tcpfabric, the chaos wrapper in internal/fault and the epoch
+// filter in internal/elastic. Sends and receives take a context whose
+// deadline or cancellation bounds the operation, and every anomaly —
+// transport failure, expired deadline, tag mismatch — is an error, never a
+// panic.
+type CtxPeer interface {
 	// ID returns this node's id in [0, N).
 	ID() int
 	// N returns the number of nodes.
 	N() int
-	// Send transmits payload to dst with the given ToS and tag.
-	Send(dst int, payload []float32, tos uint8, tag int)
-	// Recv blocks for the next payload from src, which must carry tag.
-	Recv(src int, tag int) []float32
-}
-
-// CtxPeer is the fault-tolerant extension of Peer: sends and receives take
-// a context whose deadline or cancellation bounds the operation, and
-// anomalies surface as errors instead of panics. The collective algorithms
-// in internal/ring and internal/mpi run on this interface; the panic-style
-// Peer methods remain as thin wrappers for legacy callers.
-type CtxPeer interface {
-	Peer
-	// SendCtx transmits payload to dst, honouring ctx cancellation. A
-	// fault-tolerant transport may block here for retransmissions.
+	// SendCtx transmits payload to dst with the given ToS and tag,
+	// honouring ctx cancellation. The caller may reuse payload as soon as
+	// it returns. A fault-tolerant transport may block here for
+	// retransmissions.
 	SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error
 	// RecvCtx blocks for the next payload from src until ctx is done. A
 	// tag mismatch is a protocol error, returned rather than panicked.
 	RecvCtx(ctx context.Context, src int, tag int) ([]float32, error)
 }
 
-// ctxAdapter lifts a plain Peer to CtxPeer with blocking semantics: the
-// context is checked before each operation but cannot interrupt one in
-// flight (the underlying transport has no cancellation hook).
-type ctxAdapter struct {
-	Peer
-}
-
-func (a ctxAdapter) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	a.Send(dst, payload, tos, tag)
-	return nil
-}
-
-func (a ctxAdapter) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.Recv(src, tag), nil
-}
-
-// AsCtxPeer returns p itself when it already implements CtxPeer, and
-// otherwise wraps it in a best-effort adapter that checks the context
-// between operations but cannot interrupt a blocked one.
-func AsCtxPeer(p Peer) CtxPeer {
-	if cp, ok := p.(CtxPeer); ok {
-		return cp
-	}
-	return ctxAdapter{p}
+// Transport is a CtxPeer with the untagged demultiplexing receive that
+// wrappers which interpret tags themselves are built on: internal/fault's
+// link pumps (ACK/NACK vs data) and internal/elastic's epoch filter
+// (discarding residue of aborted exchanges). Endpoint, tcpfabric.Node and
+// fault.Peer implement it.
+type Transport interface {
+	CtxPeer
+	// RecvMessageCtx returns the next payload from src whatever its tag,
+	// along with the tag it carried.
+	RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error)
 }
 
 // Endpoint is one node's interface to the fabric.
@@ -354,7 +328,7 @@ func (e *Endpoint) process(payload []float32, tos uint8) ([]float32, int64) {
 	return recv, payloadBytes
 }
 
-var _ Peer = (*Endpoint)(nil)
+var _ Transport = (*Endpoint)(nil)
 
 // ID returns this endpoint's node id.
 func (e *Endpoint) ID() int { return e.id }
@@ -362,41 +336,16 @@ func (e *Endpoint) ID() int { return e.id }
 // N returns the number of nodes in the fabric.
 func (e *Endpoint) N() int { return e.f.n }
 
-// Send transmits payload to node dst with the given ToS. The payload is
-// copied through the wire processor, so the caller may reuse its buffer.
-// tag must match the receiver's Recv tag (streams are ordered per link, so
-// tags serve as a protocol assertion rather than reordering).
-func (e *Endpoint) Send(dst int, payload []float32, tos uint8, tag int) {
-	recv, payloadBytes := e.process(payload, tos)
-	if len(payload) > 0 && len(recv) > 0 && &recv[0] == &payload[0] {
-		// Identity path: copy so sender buffer reuse cannot race receiver.
-		recv = append([]float32(nil), payload...)
-	}
-	s := e.f.stats[e.id][dst]
-	s.Messages.Add(1)
-	s.RawBytes.Add(4 * int64(len(payload)))
-	s.PayloadBytes.Add(payloadBytes)
-	s.WireBytes.Add(WireBytes(payloadBytes))
-	e.f.chans[e.id][dst] <- message{payload: recv, tag: tag}
-}
-
-// Recv blocks until a payload arrives from node src and returns it. The
-// message's tag must equal tag.
-func (e *Endpoint) Recv(src int, tag int) []float32 {
-	m := <-e.f.chans[src][e.id]
-	if m.tag != tag {
-		panic(fmt.Sprintf("comm: node %d expected tag %d from %d, got %d", e.id, tag, src, m.tag))
-	}
-	return m.payload
-}
-
-var _ CtxPeer = (*Endpoint)(nil)
-
-// SendCtx implements CtxPeer: like Send, but gives up with ctx.Err() if
-// the (deeply buffered) stream would block past the context deadline.
+// SendCtx transmits payload to node dst with the given ToS, giving up with
+// ctx.Err() if the (deeply buffered) stream would block past the context
+// deadline. The payload is copied through the wire processor, so the
+// caller may reuse its buffer. tag must match the receiver's RecvCtx tag
+// (streams are ordered per link, so tags serve as a protocol assertion
+// rather than reordering).
 func (e *Endpoint) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {
 	recv, payloadBytes := e.process(payload, tos)
 	if len(payload) > 0 && len(recv) > 0 && &recv[0] == &payload[0] {
+		// Identity path: copy so sender buffer reuse cannot race receiver.
 		recv = append([]float32(nil), payload...)
 	}
 	s := e.f.stats[e.id][dst]
@@ -413,8 +362,9 @@ func (e *Endpoint) SendCtx(ctx context.Context, dst int, payload []float32, tos 
 	return nil
 }
 
-// RecvCtx implements CtxPeer: like Recv, but bounded by ctx and recording
-// the blocked time into the link's straggler stats.
+// RecvCtx blocks until a payload arrives from node src or ctx is done,
+// recording the blocked time into the link's straggler stats. The
+// message's tag must equal tag.
 func (e *Endpoint) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
 	payload, got, err := e.RecvMessageCtx(ctx, src)
 	if err != nil {

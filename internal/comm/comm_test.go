@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -26,11 +27,29 @@ func TestWireBytes(t *testing.T) {
 	}
 }
 
+// send and recv are the tests' shorthands over the one transport
+// contract; send reports with t.Error so it may run off the test goroutine.
+func send(t *testing.T, e *Endpoint, dst int, payload []float32, tos uint8, tag int) {
+	t.Helper()
+	if err := e.SendCtx(context.Background(), dst, payload, tos, tag); err != nil {
+		t.Error(err)
+	}
+}
+
+func recv(t *testing.T, e *Endpoint, src, tag int) []float32 {
+	t.Helper()
+	got, err := e.RecvCtx(context.Background(), src, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestSendRecvBasic(t *testing.T) {
 	f := NewFabric(2, nil)
 	a, b := f.Endpoint(0), f.Endpoint(1)
-	go a.Send(1, []float32{1, 2, 3}, 0, 7)
-	got := b.Recv(0, 7)
+	go send(t, a, 1, []float32{1, 2, 3}, 0, 7)
+	got := recv(t, b, 0, 7)
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("received %v", got)
 	}
@@ -40,30 +59,19 @@ func TestSendCopiesPayload(t *testing.T) {
 	f := NewFabric(2, nil)
 	a, b := f.Endpoint(0), f.Endpoint(1)
 	buf := []float32{1, 2, 3}
-	a.Send(1, buf, 0, 0)
+	send(t, a, 1, buf, 0, 0)
 	buf[0] = 99 // sender reuses its buffer
-	got := b.Recv(0, 0)
+	got := recv(t, b, 0, 0)
 	if got[0] != 1 {
 		t.Fatalf("receiver observed sender mutation: %v", got)
 	}
 }
 
-func TestTagMismatchPanics(t *testing.T) {
-	f := NewFabric(2, nil)
-	f.Endpoint(0).Send(1, []float32{1}, 0, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on tag mismatch")
-		}
-	}()
-	f.Endpoint(1).Recv(0, 6)
-}
-
 func TestStatsAccounting(t *testing.T) {
 	f := NewFabric(2, nil)
 	payload := make([]float32, 1000) // 4000 bytes: 3 packets
-	f.Endpoint(0).Send(1, payload, 0, 0)
-	f.Endpoint(1).Recv(0, 0)
+	send(t, f.Endpoint(0), 1, payload, 0, 0)
+	recv(t, f.Endpoint(1), 0, 0)
 	s := f.Stats(0, 1)
 	if s.Messages.Load() != 1 {
 		t.Errorf("messages = %d", s.Messages.Load())
@@ -95,8 +103,8 @@ func TestCodecProcessorCompressesOnlyToS(t *testing.T) {
 	}
 
 	// Untagged: bytes unchanged, values exact.
-	a.Send(1, payload, 0, 1)
-	got := b.Recv(0, 1)
+	send(t, a, 1, payload, 0, 1)
+	got := recv(t, b, 0, 1)
 	for i := range payload {
 		if got[i] != payload[i] {
 			t.Fatal("untagged payload modified")
@@ -108,8 +116,8 @@ func TestCodecProcessorCompressesOnlyToS(t *testing.T) {
 	f.ResetStats()
 
 	// Tagged: far fewer bytes, values within the error bound.
-	a.Send(1, payload, ToSCompress, 2)
-	got = b.Recv(0, 2)
+	send(t, a, 1, payload, ToSCompress, 2)
+	got = recv(t, b, 0, 2)
 	bound := fpcodec.MustBound(10).MaxError()
 	for i := range payload {
 		if math.Abs(float64(got[i])-float64(payload[i])) > bound {
@@ -139,15 +147,15 @@ func TestConcurrentPairwiseTraffic(t *testing.T) {
 					if peer == id {
 						continue
 					}
-					e.Send(peer, []float32{float32(id), float32(round)}, 0, round)
+					send(t, e, peer, []float32{float32(id), float32(round)}, 0, round)
 				}
 				for peer := 0; peer < n; peer++ {
 					if peer == id {
 						continue
 					}
-					m := e.Recv(peer, round)
-					if int(m[0]) != peer || int(m[1]) != round {
-						t.Errorf("node %d: bad message %v from %d round %d", id, m, peer, round)
+					m, err := e.RecvCtx(context.Background(), peer, round)
+					if err != nil || int(m[0]) != peer || int(m[1]) != round {
+						t.Errorf("node %d: bad message %v (%v) from %d round %d", id, m, err, peer, round)
 						return
 					}
 				}

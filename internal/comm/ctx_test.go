@@ -67,7 +67,7 @@ func TestRecvMessageCtxRecordsWait(t *testing.T) {
 	f := NewFabric(2, nil)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		f.Endpoint(0).Send(1, []float32{9}, 0, 1)
+		send(t, f.Endpoint(0), 1, []float32{9}, 0, 1)
 	}()
 	payload, tag, err := f.Endpoint(1).RecvMessageCtx(context.Background(), 0)
 	if err != nil {
@@ -78,43 +78,6 @@ func TestRecvMessageCtxRecordsWait(t *testing.T) {
 	}
 	if f.Stats(0, 1).MaxRecvWaitNanos.Load() < (10 * time.Millisecond).Nanoseconds() {
 		t.Error("recv wait below the injected 30ms delay")
-	}
-}
-
-func TestAsCtxPeerIdentity(t *testing.T) {
-	f := NewFabric(2, nil)
-	e := f.Endpoint(0)
-	if AsCtxPeer(e) != CtxPeer(e) {
-		t.Fatal("endpoint re-wrapped instead of used directly")
-	}
-}
-
-// minimalPeer implements only the blocking Peer interface, forcing
-// AsCtxPeer to adapt it.
-type minimalPeer struct{ payload []float32 }
-
-func (m *minimalPeer) ID() int { return 0 }
-func (m *minimalPeer) N() int  { return 2 }
-func (m *minimalPeer) Send(dst int, payload []float32, tos uint8, tag int) {
-	m.payload = append([]float32(nil), payload...)
-}
-func (m *minimalPeer) Recv(src int, tag int) []float32 { return m.payload }
-
-func TestAsCtxPeerAdaptsBlockingPeer(t *testing.T) {
-	p := &minimalPeer{}
-	cp := AsCtxPeer(p)
-	if err := cp.SendCtx(context.Background(), 1, []float32{5}, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cp.RecvCtx(context.Background(), 1, 0)
-	if err != nil || got[0] != 5 {
-		t.Fatalf("adapter roundtrip: %v %v", got, err)
-	}
-	// A pre-cancelled context must be honoured between (not during) ops.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := cp.SendCtx(ctx, 1, []float32{5}, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want Canceled, got %v", err)
 	}
 }
 

@@ -320,15 +320,23 @@ func TestWatchErrorsClassifiesEvidence(t *testing.T) {
 	}
 }
 
+// send puts one frame on an in-process link, failing the test on error.
+func send(t *testing.T, e *comm.Endpoint, dst int, payload []float32, tag int) {
+	t.Helper()
+	if err := e.SendCtx(context.Background(), dst, payload, 0, tag); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPeerDiscardsStaleEpochFrames(t *testing.T) {
 	f := comm.NewFabric(2, nil)
 	sender, receiver := f.Endpoint(0), NewPeer(f.Endpoint(1))
 	ctx := context.Background()
 
 	// Residue from an aborted epoch-0 exchange, then the epoch-1 frame.
-	sender.Send(1, []float32{1}, 0, TagBase(0)+1001)
-	sender.Send(1, []float32{2}, 0, TagBase(0)+2003)
-	sender.Send(1, []float32{42}, 0, TagBase(1)+1001)
+	send(t, sender, 1, []float32{1}, TagBase(0)+1001)
+	send(t, sender, 1, []float32{2}, TagBase(0)+2003)
+	send(t, sender, 1, []float32{42}, TagBase(1)+1001)
 
 	got, err := receiver.RecvCtx(ctx, 0, TagBase(1)+1001)
 	if err != nil {
@@ -342,7 +350,7 @@ func TestPeerDiscardsStaleEpochFrames(t *testing.T) {
 	}
 
 	// A same-epoch tag mismatch is a protocol error, not a discard.
-	sender.Send(1, []float32{7}, 0, TagBase(1)+2000)
+	send(t, sender, 1, []float32{7}, TagBase(1)+2000)
 	if _, err := receiver.RecvCtx(ctx, 0, TagBase(1)+1002); err == nil {
 		t.Fatal("same-epoch tag mismatch not reported")
 	}
@@ -358,9 +366,9 @@ func TestReconfiguredRingOverEpochTags(t *testing.T) {
 		peers[id] = NewPeer(f.Endpoint(id))
 	}
 	// Stale epoch-0 frames on every ring link of the new membership.
-	f.Endpoint(3).Send(0, []float32{9, 9, 9}, 0, TagBase(0)+1001)
-	f.Endpoint(0).Send(1, []float32{9, 9, 9}, 0, TagBase(0)+1001)
-	f.Endpoint(1).Send(3, []float32{9, 9, 9}, 0, TagBase(0)+1002)
+	send(t, f.Endpoint(3), 0, []float32{9, 9, 9}, TagBase(0)+1001)
+	send(t, f.Endpoint(0), 1, []float32{9, 9, 9}, TagBase(0)+1001)
+	send(t, f.Endpoint(1), 3, []float32{9, 9, 9}, TagBase(0)+1002)
 
 	opt := ring.Options{TagOffset: TagBase(1), StepTimeout: 5 * time.Second}
 	vecs := map[int][]float32{

@@ -14,8 +14,8 @@ import (
 // EpochTagStride partitions the tag space into per-epoch bands: every
 // collective of membership epoch e runs with ring.Options.TagOffset =
 // TagBase(e), so its tags fall in [e·stride, (e+1)·stride). All existing
-// tag bases (ring ≤ ~2e4, mpi ≤ 7e3, hierarchy ≤ 2.4e4) fit far below
-// one stride.
+// tag bases (ring ≤ ~2e4, mpi ≤ 7.6e3, hierarchy ≤ 2.4e4 — its tree legs
+// carry ring's 3000/3001) fit far below one stride.
 const EpochTagStride = 1 << 20
 
 // TagBase returns the tag offset collectives of membership epoch e must
@@ -25,14 +25,6 @@ func TagBase(epoch int) int { return epoch * EpochTagStride }
 // tagEpoch recovers the epoch band a tag belongs to.
 func tagEpoch(tag int) int { return tag / EpochTagStride }
 
-// Transport is the fabric surface the elastic peer requires: context
-// send/recv plus the untagged demultiplexing receive used to inspect and
-// discard stale frames. Both comm.Endpoint and fault.Peer implement it.
-type Transport interface {
-	comm.CtxPeer
-	RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error)
-}
-
 // Peer filters receives by epoch band: a frame tagged with an *older*
 // epoch than the one the caller expects is residue of an aborted
 // exchange — logged by count and silently discarded — while a frame from
@@ -40,39 +32,27 @@ type Transport interface {
 // Sends pass through untouched (the collective's TagOffset already
 // stamps them).
 //
+// It is built on the transport's untagged demultiplexing receive, which
+// is how stale frames are inspected and discarded; comm.Endpoint,
+// tcpfabric.Node and fault.Peer all provide it.
+//
 // Peer is safe for the same concurrent use pattern as the underlying
 // transport (one logical receiver per link).
 type Peer struct {
-	t       Transport
+	t       comm.Transport
 	dropped int64
 }
 
 // NewPeer wraps t with epoch filtering.
-func NewPeer(t Transport) *Peer { return &Peer{t: t} }
+func NewPeer(t comm.Transport) *Peer { return &Peer{t: t} }
 
 var _ comm.CtxPeer = (*Peer)(nil)
 
-// ID implements comm.Peer.
+// ID implements comm.CtxPeer.
 func (p *Peer) ID() int { return p.t.ID() }
 
-// N implements comm.Peer.
+// N implements comm.CtxPeer.
 func (p *Peer) N() int { return p.t.N() }
-
-// Send implements comm.Peer (blocking wrapper).
-func (p *Peer) Send(dst int, payload []float32, tos uint8, tag int) {
-	if err := p.SendCtx(context.Background(), dst, payload, tos, tag); err != nil {
-		panic(err.Error())
-	}
-}
-
-// Recv implements comm.Peer (blocking wrapper).
-func (p *Peer) Recv(src int, tag int) []float32 {
-	b, err := p.RecvCtx(context.Background(), src, tag)
-	if err != nil {
-		panic(err.Error())
-	}
-	return b
-}
 
 // SendCtx implements comm.CtxPeer.
 func (p *Peer) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {

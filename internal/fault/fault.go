@@ -1,5 +1,5 @@
 // Package fault is the chaos-engineering layer of the transport stack: a
-// deterministic, seeded fault injector plus a comm.Peer wrapper that
+// deterministic, seeded fault injector plus a comm.CtxPeer wrapper that
 // subjects the collective algorithms to frame drops, bit-flip corruption,
 // duplication, reordering delay, per-link partitions, and node crashes —
 // the anomaly classes a production 10 GbE fabric actually exhibits — while

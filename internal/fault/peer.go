@@ -25,16 +25,6 @@ var (
 	ErrClosed = errors.New("fault: peer closed")
 )
 
-// Transport is the raw-link surface the wrapper runs over: ordered,
-// per-link message streams with an untagged receive primitive the link
-// pumps demultiplex. *comm.Endpoint implements it.
-type Transport interface {
-	ID() int
-	N() int
-	Send(dst int, payload []float32, tos uint8, tag int)
-	RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error)
-}
-
 // Frame kinds carried in the header's first float.
 const (
 	kindData float32 = 0
@@ -105,19 +95,21 @@ type ackEvent struct {
 	nack bool
 }
 
-// Peer wraps a Transport with deterministic chaos injection and the
-// stop-and-wait ARQ that recovers from it: data frames carry a CRC32-C
-// checksum and per-link sequence number; a background pump per incoming
-// link verifies, dedupes, ACKs good frames and NACKs corrupt ones; the
-// sender retransmits on NACK or timeout with exponential backoff until
-// ACKed or the attempt budget runs out. Control frames (ACK/NACK) ride
-// the underlying reliable stream and are never faulted — the chaos models
-// a lossy data plane under a reliable (in-process) control plane.
+// Peer wraps a comm.Transport (ordered per-link message streams with an
+// untagged receive the link pumps demultiplex; *comm.Endpoint is the one
+// in use) with deterministic chaos injection and the stop-and-wait ARQ
+// that recovers from it: data frames carry a CRC32-C checksum and per-link
+// sequence number; a background pump per incoming link verifies, dedupes,
+// ACKs good frames and NACKs corrupt ones; the sender retransmits on NACK
+// or timeout with exponential backoff until ACKed or the attempt budget
+// runs out. Control frames (ACK/NACK) ride the underlying reliable stream
+// and are never faulted — the chaos models a lossy data plane under a
+// reliable (in-process) control plane.
 //
 // A Peer owns its Transport exclusively: no other goroutine may call the
 // transport's receive methods while the wrapper is live.
 type Peer struct {
-	t    Transport
+	t    comm.Transport
 	inj  *Injector
 	opts Options
 
@@ -136,11 +128,11 @@ type Peer struct {
 	wg     sync.WaitGroup
 }
 
-var _ comm.CtxPeer = (*Peer)(nil)
+var _ comm.Transport = (*Peer)(nil)
 
 // Wrap builds the chaos wrapper around t using injector inj (nil for no
 // faults — the wrapper then just adds checksums and ACK traffic).
-func Wrap(t Transport, inj *Injector, opts Options) *Peer {
+func Wrap(t comm.Transport, inj *Injector, opts Options) *Peer {
 	n := t.N()
 	if inj == nil {
 		inj = NewInjector(n, Config{})
@@ -179,32 +171,15 @@ func (p *Peer) Close() {
 	}
 }
 
-// ID implements comm.Peer.
+// ID implements comm.CtxPeer.
 func (p *Peer) ID() int { return p.t.ID() }
 
-// N implements comm.Peer.
+// N implements comm.CtxPeer.
 func (p *Peer) N() int { return p.t.N() }
 
 // LinkStats returns this node's recovery counters for traffic exchanged
 // with peer (NACKs it issued, retransmits it performed, receive waits).
 func (p *Peer) LinkStats(peer int) *comm.LinkStats { return p.stats[peer] }
-
-// Send implements comm.Peer by panicking on unrecoverable faults, matching
-// the legacy transport contract.
-func (p *Peer) Send(dst int, payload []float32, tos uint8, tag int) {
-	if err := p.SendCtx(context.Background(), dst, payload, tos, tag); err != nil {
-		panic(fmt.Sprintf("fault: send %d->%d: %v", p.ID(), dst, err))
-	}
-}
-
-// Recv implements comm.Peer.
-func (p *Peer) Recv(src int, tag int) []float32 {
-	out, err := p.RecvCtx(context.Background(), src, tag)
-	if err != nil {
-		panic(fmt.Sprintf("fault: recv %d<-%d: %v", p.ID(), src, err))
-	}
-	return out
-}
 
 // SendCtx transmits payload reliably: it blocks until the receiver ACKs
 // the frame, retransmitting through injected drops and corruption, and
@@ -257,9 +232,13 @@ func (p *Peer) SendCtx(ctx context.Context, dst int, payload []float32, tos uint
 				idx := headerLen + bit/32
 				out[idx] = math.Float32frombits(math.Float32bits(out[idx]) ^ 1<<(bit%32))
 			}
-			p.t.Send(dst, out, tos, tag)
+			if err := p.put(dst, out, tos, tag); err != nil {
+				return err
+			}
 			if v.Duplicate {
-				p.t.Send(dst, out, tos, tag)
+				if err := p.put(dst, out, tos, tag); err != nil {
+					return err
+				}
 			}
 		}
 		// Await the receiver's verdict for this seq.
@@ -332,10 +311,23 @@ func (p *Peer) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, err
 	}
 }
 
+// put places one frame on the underlying stream under the wrapper's own
+// context (the pumps have no caller's), so Close unblocks a sender or pump
+// parked on a full stream.
+func (p *Peer) put(dst int, frame []float32, tos uint8, tag int) error {
+	err := p.t.SendCtx(p.ctx, dst, frame, tos, tag)
+	if err != nil && p.ctx.Err() != nil {
+		return ErrClosed
+	}
+	return err
+}
+
 // sendCtl emits an ACK or NACK for seq on the (reliable) control plane.
 func (p *Peer) sendCtl(dst int, kind float32, seq uint64) {
 	ctl := []float32{kind, float32(seq % (1 << 24)), 0, 0, 0}
-	p.t.Send(dst, ctl, 0, 0)
+	// A failed put means the wrapper is closing: the pump's next receive
+	// returns and ends it.
+	_ = p.put(dst, ctl, 0, 0)
 }
 
 // pump is the per-link demultiplexer: it owns all receives from src,

@@ -244,3 +244,29 @@ func TestTagMismatchIsError(t *testing.T) {
 		t.Fatal("tag mismatch did not error")
 	}
 }
+
+// TestCloseUnblocksSenderOnFullStream: the wrapper puts frames on the raw
+// stream under its own context, so a sender parked on a full stream (the
+// far node is gone and nothing drains it) returns when the wrapper closes.
+func TestCloseUnblocksSenderOnFullStream(t *testing.T) {
+	f := comm.NewFabric(2, nil)
+	raw := f.Endpoint(0)
+	fill, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	for raw.SendCtx(fill, 1, nil, 0, 0) == nil {
+		// until the unread 0→1 stream is full
+	}
+	p := Wrap(raw, nil, Options{})
+	sent := make(chan error, 1)
+	go func() { sent <- p.SendCtx(context.Background(), 1, []float32{1}, 0, 0) }()
+	time.Sleep(20 * time.Millisecond) // let the sender park
+	p.Close()
+	select {
+	case err := <-sent:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sender still parked on the full stream after Close")
+	}
+}

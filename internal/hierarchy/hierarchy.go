@@ -98,13 +98,21 @@ func (t Topology) leader(id int) bool {
 	return rank == 0
 }
 
-// Tags for the leader↔member and leader↔aggregator legs, plus the tag
-// offsets that keep the two ring levels' tag spaces disjoint (the links
-// are disjoint too, but disjoint tags make misrouted frames loud).
+// leaders returns the group leaders' node ids, in group order.
+func (t Topology) leaders() []int {
+	ids := make([]int, t.Groups())
+	for i := range ids {
+		ids[i] = i * t.GroupSize
+	}
+	return ids
+}
+
+// Tag for the leader→member leg (the leader↔aggregator legs are ring's
+// worker-aggregator exchange and carry its tags), plus the tag offsets
+// that keep the two ring levels' tag spaces disjoint (the links are
+// disjoint too, but disjoint tags make misrouted frames loud).
 const (
 	tagLeaderDown = 9500
-	tagGradUp     = 9600
-	tagResultDown = 9601
 
 	groupTagOffset  = 8000
 	leaderTagOffset = 16000
@@ -128,12 +136,12 @@ func levelOptions(opt ring.Options, tagOffset int) ring.Options {
 // All t.Workers workers must call it concurrently; in tree mode
 // RunAggregatorCtx must run on node t.AggregatorID().
 //
-// Transport anomalies and context cancellation surface as errors. Both
-// ring levels delegate to
-// ring.AllReduceGroupCtx, so opt's StepTimeout bounds every individual
-// hop (a wedged peer surfaces as a timeout naming the link, without the
-// caller having to cancel) and opt's ChunkSize pipelines each block.
-// The leader↔member and leader↔aggregator legs honour the deadline too.
+// Transport anomalies, wrong-sized payloads and context cancellation
+// surface as errors. Both ring levels delegate to ring.AllReduceGroupCtx,
+// so opt's StepTimeout bounds every individual hop (a wedged peer surfaces
+// as a timeout naming the link, without the caller having to cancel) and
+// opt's ChunkSize pipelines each block. The leader→member legs and the
+// leader's round trip through the aggregator honour the deadline too.
 func AllReduceCtx(ctx context.Context, t Topology, e comm.CtxPeer, grad []float32, tos uint8, finalize func([]float32), opt ring.Options) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -154,82 +162,42 @@ func AllReduceCtx(ctx context.Context, t Topology, e comm.CtxPeer, grad []float3
 	if t.leader(id) {
 		switch t.Mode {
 		case ModeRingOfLeaders:
-			leaders := make([]int, t.Groups())
-			for i := range leaders {
-				leaders[i] = i * t.GroupSize
-			}
-			if err := ring.AllReduceGroupCtx(ctx, e, leaders, grad, tos, finalize, levelOptions(opt, leaderTagOffset)); err != nil {
+			if err := ring.AllReduceGroupCtx(ctx, e, t.leaders(), grad, tos, finalize, levelOptions(opt, leaderTagOffset)); err != nil {
 				return fmt.Errorf("hierarchy: leader ring: %w", err)
 			}
 		case ModeAggregatorTree:
-			if err := sendStep(ctx, e, opt, t.AggregatorID(), grad, tos, tagGradUp); err != nil {
-				return fmt.Errorf("hierarchy: leader %d gradient up: %w", id, err)
-			}
-			rb, err := recvStep(ctx, e, opt, t.AggregatorID(), tagResultDown)
+			// The leader is a worker of the global aggregator's hub step.
+			xctx, cancel := opt.StepContext(ctx)
+			rb, err := ring.WorkerExchangeCtx(xctx, e, t.AggregatorID(), grad, tos)
+			cancel()
 			if err != nil {
-				return fmt.Errorf("hierarchy: leader %d result down: %w", id, err)
+				return fmt.Errorf("hierarchy: leader %d via aggregator: %w", id, err)
 			}
 			copy(grad, rb)
 		}
 		// Level 3: broadcast the global result inside the group.
 		for _, member := range groupIDs[1:] {
-			if err := sendStep(ctx, e, opt, member, grad, 0, tagLeaderDown); err != nil {
-				return fmt.Errorf("hierarchy: leader %d broadcast to %d: %w", id, member, err)
+			if err := opt.SendStep(ctx, e, member, grad, 0, tagLeaderDown); err != nil {
+				return fmt.Errorf("hierarchy: leader broadcast: %w", err)
 			}
 		}
 	} else {
-		rb, err := recvStep(ctx, e, opt, groupIDs[0], tagLeaderDown)
+		rb, err := opt.RecvStep(ctx, e, groupIDs[0], tagLeaderDown, len(grad))
 		if err != nil {
-			return fmt.Errorf("hierarchy: member %d awaiting leader %d: %w", id, groupIDs[0], err)
+			return fmt.Errorf("hierarchy: member awaiting leader: %w", err)
 		}
 		copy(grad, rb)
 	}
 	return nil
 }
 
-// sendStep is one deadline-bounded point-to-point send.
-func sendStep(ctx context.Context, e comm.CtxPeer, opt ring.Options, dst int, vec []float32, tos uint8, tag int) error {
-	sctx, cancel := opt.StepContext(ctx)
-	defer cancel()
-	return e.SendCtx(sctx, dst, vec, tos, tag)
-}
-
-// recvStep is one deadline-bounded point-to-point receive.
-func recvStep(ctx context.Context, e comm.CtxPeer, opt ring.Options, src int, tag int) ([]float32, error) {
-	sctx, cancel := opt.StepContext(ctx)
-	defer cancel()
-	return e.RecvCtx(sctx, src, tag)
-}
-
 // RunAggregatorCtx is the global aggregator loop body for one iteration of
-// ModeAggregatorTree: it sums the group leaders' vectors and sends the
-// result back. Each per-leader gather and result leg is bounded by
+// ModeAggregatorTree: ring's hub step over the group leaders, returning
+// the sum itself. Each per-leader gather and result leg is bounded by
 // opt.StepTimeout, so one wedged leader fails the step with an error
 // naming it.
 func RunAggregatorCtx(ctx context.Context, t Topology, e comm.CtxPeer, gradLen int, opt ring.Options) error {
-	sum := make([]float32, gradLen)
-	leaders := make([]int, t.Groups())
-	for i := range leaders {
-		leaders[i] = i * t.GroupSize
-	}
-	for _, l := range leaders {
-		g, err := recvStep(ctx, e, opt, l, tagGradUp)
-		if err != nil {
-			return fmt.Errorf("hierarchy: aggregator gather from %d: %w", l, err)
-		}
-		if len(g) != gradLen {
-			return fmt.Errorf("hierarchy: aggregator got %d floats from %d, want %d", len(g), l, gradLen)
-		}
-		for i, v := range g {
-			sum[i] += v
-		}
-	}
-	for _, l := range leaders {
-		if err := sendStep(ctx, e, opt, l, sum, 0, tagResultDown); err != nil {
-			return fmt.Errorf("hierarchy: aggregator result to %d: %w", l, err)
-		}
-	}
-	return nil
+	return ring.AggregateStepCtx(ctx, e, t.leaders(), gradLen, func(sum []float32) []float32 { return sum }, opt)
 }
 
 // RunAllReduce is a convenience harness: it spins up the full topology on

@@ -32,7 +32,7 @@ func TestAllReduceCtxTimeoutOnStalledWorker(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			g := []float32{float32(id), 1}
-			errs[id] = AllReduceCtx(ctx, topo, comm.AsCtxPeer(f.Endpoint(id)), g, 0, nil, opt)
+			errs[id] = AllReduceCtx(ctx, topo, f.Endpoint(id), g, 0, nil, opt)
 		}(id)
 	}
 	done := make(chan struct{})
@@ -46,5 +46,39 @@ func TestAllReduceCtxTimeoutOnStalledWorker(t *testing.T) {
 	// the one reporting the step deadline.
 	if errs[2] == nil || !errors.Is(errs[2], context.DeadlineExceeded) {
 		t.Fatalf("worker 2: err = %v, want a step deadline", errs[2])
+	}
+}
+
+// TestWrongSizedLegIsError: the two down legs copy a peer's vector into
+// grad, so a payload of any other length must fail the exchange instead
+// of being copied short. Each row plays one hop's sender by hand.
+func TestWrongSizedLegIsError(t *testing.T) {
+	topo := Topology{Workers: 2, GroupSize: 2, Mode: ModeAggregatorTree}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rows := map[string]func(f *comm.Fabric) error{
+		// The aggregator returns one float too many to leader 0.
+		"aggregator-down": func(f *comm.Fabric) error {
+			go ring.AllReduceGroupCtx(ctx, f.Endpoint(1), []int{0, 1}, []float32{3, 4}, 0, nil, ring.Options{TagOffset: groupTagOffset})
+			go ring.AggregateStepCtx(ctx, f.Endpoint(topo.AggregatorID()), []int{0}, 2,
+				func(sum []float32) []float32 { return append(sum, 0) }, ring.Options{})
+			return AllReduceCtx(ctx, topo, f.Endpoint(0), []float32{1, 2}, 0, nil, ring.Options{})
+		},
+		// Leader 0 broadcasts one float too many to member 1.
+		"leader-down": func(f *comm.Fabric) error {
+			go func() {
+				e := f.Endpoint(0)
+				if ring.AllReduceGroupCtx(ctx, e, []int{0, 1}, []float32{1, 2}, 0, nil, ring.Options{TagOffset: groupTagOffset}) == nil {
+					_ = e.SendCtx(ctx, 1, []float32{4, 6, 0}, 0, tagLeaderDown)
+				}
+			}()
+			return AllReduceCtx(ctx, topo, f.Endpoint(1), []float32{3, 4}, 0, nil, ring.Options{})
+		},
+	}
+	for name, run := range rows {
+		err := run(comm.NewFabric(topo.FabricSize(), nil))
+		if err == nil || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want a payload-length error", name, err)
+		}
 	}
 }

@@ -21,81 +21,28 @@ import (
 	"inceptionn/internal/ring"
 )
 
-// Comm is a communicator: one rank's handle on the collective group.
-// A communicator may span the whole fabric (World) or an arbitrary member
-// subset (SubWorld); ranks are always dense [0, Size()) and are mapped to
-// fabric ids internally, which is how an elastic run rebuilds its
-// neighbor maps after evicting a failed node.
+// Comm is a communicator: one rank's handle on the collective group, which
+// spans the whole fabric (rank = node id).
 type Comm struct {
-	e           comm.CtxPeer
-	members     []int // fabric ids by rank; nil = identity (full fabric)
-	rank        int   // this process's rank within members
-	tos         uint8
-	finalize    func([]float32)
-	stepTimeout time.Duration
+	e        comm.CtxPeer
+	tos      uint8
+	finalize func([]float32)
+	opt      ring.Options // StepTimeout only: the bounded legs' deadline
 }
 
 // World returns rank id's communicator over fabric f.
-func World(f *comm.Fabric, id int) *Comm {
-	return &Comm{e: f.Endpoint(id), rank: id}
-}
+func World(f *comm.Fabric, id int) *Comm { return WorldPeer(f.Endpoint(id)) }
 
 // WorldPeer returns a communicator over any transport peer — an
 // in-process endpoint, a TCP fabric node, or a chaos-wrapped peer from
-// internal/fault. Peers that do not implement comm.CtxPeer are adapted
-// with blocking semantics.
-func WorldPeer(p comm.Peer) *Comm {
-	return &Comm{e: comm.AsCtxPeer(p), rank: p.ID()}
-}
-
-// SubWorld returns a communicator restricted to the given fabric ids, in
-// rank order; p's own id must be a member. Collectives on a SubWorld only
-// touch member links — the other fabric nodes are invisible — so a
-// training run that loses a node can continue on the survivors by
-// rebuilding its communicator over the (n−1)-member view.
-func SubWorld(p comm.Peer, members []int) (*Comm, error) {
-	n := p.N()
-	seen := make(map[int]bool, len(members))
-	rank := -1
-	for i, m := range members {
-		if m < 0 || m >= n {
-			return nil, fmt.Errorf("mpi: member %d out of fabric range [0,%d)", m, n)
-		}
-		if seen[m] {
-			return nil, fmt.Errorf("mpi: duplicate member %d", m)
-		}
-		seen[m] = true
-		if m == p.ID() {
-			rank = i
-		}
-	}
-	if rank < 0 {
-		return nil, fmt.Errorf("mpi: node %d is not in member list %v", p.ID(), members)
-	}
-	return &Comm{e: comm.AsCtxPeer(p), members: append([]int(nil), members...), rank: rank}, nil
-}
+// internal/fault.
+func WorldPeer(p comm.CtxPeer) *Comm { return &Comm{e: p} }
 
 // Rank returns this process's rank.
-func (c *Comm) Rank() int { return c.rank }
+func (c *Comm) Rank() int { return c.e.ID() }
 
 // Size returns the communicator size.
-func (c *Comm) Size() int {
-	if c.members == nil {
-		return c.e.N()
-	}
-	return len(c.members)
-}
-
-// id maps a communicator rank to its fabric id.
-func (c *Comm) id(rank int) int {
-	if c.members == nil {
-		return rank
-	}
-	return c.members[rank]
-}
-
-// Members returns the fabric ids by rank (nil for a full-fabric World).
-func (c *Comm) Members() []int { return c.members }
+func (c *Comm) Size() int { return c.e.N() }
 
 // CollectiveCommComp enables or disables lossy compression for subsequent
 // collectives on this communicator by setting the packet ToS field, exactly
@@ -119,36 +66,7 @@ func (c *Comm) SetFinalize(f func([]float32)) { c.finalize = f }
 // SetStepTimeout bounds every individual send/recv step of the Ctx
 // collectives: a link that stalls longer returns a timeout error naming
 // the peer, which is how stragglers and partitions surface. 0 disables.
-func (c *Comm) SetStepTimeout(d time.Duration) { c.stepTimeout = d }
-
-// stepCtx derives the per-step context.
-func (c *Comm) stepCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.stepTimeout > 0 {
-		return context.WithTimeout(ctx, c.stepTimeout)
-	}
-	return ctx, func() {}
-}
-
-// sendStep is one deadline-bounded send to the given communicator rank.
-func (c *Comm) sendStep(ctx context.Context, dst int, vec []float32, tos uint8, tag int) error {
-	sctx, cancel := c.stepCtx(ctx)
-	defer cancel()
-	if err := c.e.SendCtx(sctx, c.id(dst), vec, tos, tag); err != nil {
-		return fmt.Errorf("mpi: rank %d send to rank %d: %w", c.Rank(), dst, err)
-	}
-	return nil
-}
-
-// recvStep is one deadline-bounded receive from the given communicator rank.
-func (c *Comm) recvStep(ctx context.Context, src int, tag int) ([]float32, error) {
-	sctx, cancel := c.stepCtx(ctx)
-	defer cancel()
-	rb, err := c.e.RecvCtx(sctx, c.id(src), tag)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: rank %d recv from rank %d: %w", c.Rank(), src, err)
-	}
-	return rb, nil
-}
+func (c *Comm) SetStepTimeout(d time.Duration) { c.opt.StepTimeout = d }
 
 // Tag bases; collectives use disjoint spaces from internal/ring.
 const (
@@ -164,7 +82,7 @@ const (
 // errors are returned, and the communicator's step timeout bounds each
 // ring hop.
 func (c *Comm) AllReduceCtx(ctx context.Context, vec []float32) error {
-	return ring.AllReduceGroupCtx(ctx, c.e, c.members, vec, c.tos, c.finalize, ring.Options{StepTimeout: c.stepTimeout})
+	return ring.AllReduceCtx(ctx, c.e, vec, c.tos, c.finalize, c.opt)
 }
 
 // BcastCtx distributes root's vec to all ranks, in place, over a binomial
@@ -192,13 +110,13 @@ func (c *Comm) BcastCtx(ctx context.Context, vec []float32, root int) error {
 		case vrank%(2*dist) == 0:
 			if received && vrank+dist < n {
 				peer := (vrank + dist + root) % n
-				if err := c.sendStep(ctx, peer, vec, 0, tagBcast+dist); err != nil {
+				if err := c.opt.SendStep(ctx, c.e, peer, vec, 0, tagBcast+dist); err != nil {
 					return err
 				}
 			}
 		case vrank%(2*dist) == dist:
 			peer := (vrank - dist + root) % n
-			rb, err := c.recvStep(ctx, peer, tagBcast+dist)
+			rb, err := c.opt.RecvStep(ctx, c.e, peer, tagBcast+dist, len(vec))
 			if err != nil {
 				return err
 			}
@@ -235,7 +153,7 @@ func (c *Comm) reduceTree(ctx context.Context, vec []float32, root int, tos uint
 		if vrank%(2*dist) == 0 {
 			if vrank+dist < n {
 				peer := (vrank + dist + root) % n
-				rb, err := c.recvStep(ctx, peer, tagBase+dist)
+				rb, err := c.opt.RecvStep(ctx, c.e, peer, tagBase+dist, len(acc))
 				if err != nil {
 					return err
 				}
@@ -245,7 +163,7 @@ func (c *Comm) reduceTree(ctx context.Context, vec []float32, root int, tos uint
 			}
 		} else if vrank%(2*dist) == dist {
 			peer := (vrank - dist + root) % n
-			if err := c.sendStep(ctx, peer, acc, tos, tagBase+dist); err != nil {
+			if err := c.opt.SendStep(ctx, c.e, peer, acc, tos, tagBase+dist); err != nil {
 				return err
 			}
 			break
@@ -259,7 +177,7 @@ func (c *Comm) reduceTree(ctx context.Context, vec []float32, root int, tos uint
 func (c *Comm) GatherCtx(ctx context.Context, vec []float32, root int) ([][]float32, error) {
 	n, rank := c.Size(), c.Rank()
 	if rank != root {
-		if err := c.sendStep(ctx, root, vec, c.tos, tagGather); err != nil {
+		if err := c.opt.SendStep(ctx, c.e, root, vec, c.tos, tagGather); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -270,7 +188,7 @@ func (c *Comm) GatherCtx(ctx context.Context, vec []float32, root int) ([][]floa
 		if r == root {
 			continue
 		}
-		rb, err := c.recvStep(ctx, r, tagGather)
+		rb, err := c.opt.RecvStep(ctx, c.e, r, tagGather, ring.AnyLen) // ragged by contract
 		if err != nil {
 			return nil, err
 		}

@@ -78,6 +78,18 @@ func TestReduceSums(t *testing.T) {
 			}
 		}
 	}
+	// Mismatch rows: a peer's vector is never indexed or copied on trust.
+	// Rank 1 holds 3 floats against rank 0's 2, so the receiving side of
+	// each tree leg must return an error (not panic, not copy short).
+	runRanks(t, 2, nil, func(c *Comm) {
+		vec := make([]float32, 2+c.Rank())
+		if err := c.ReduceCtx(context.Background(), vec, 0); (err != nil) != (c.Rank() == 0) {
+			t.Errorf("mismatched reduce, rank %d: err = %v", c.Rank(), err)
+		}
+		if err := c.BcastCtx(context.Background(), vec, 0); (err != nil) != (c.Rank() == 1) {
+			t.Errorf("mismatched bcast, rank %d: err = %v", c.Rank(), err)
+		}
+	})
 }
 
 func TestAllReduceMatchesReduceBcast(t *testing.T) {

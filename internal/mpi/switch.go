@@ -89,8 +89,8 @@ func (c *Comm) AllReduceSwitchCtx(ctx context.Context, vec []float32, sw int, op
 	if sw < 0 || sw >= c.Size() {
 		return fmt.Errorf("mpi: switch rank %d outside [0,%d)", sw, c.Size())
 	}
-	if c.rank == sw {
-		return fmt.Errorf("mpi: rank %d is the switch; run SwitchServeCtx instead", c.rank)
+	if c.Rank() == sw {
+		return fmt.Errorf("mpi: rank %d is the switch; run SwitchServeCtx instead", c.Rank())
 	}
 	if err := opt.Validate(len(vec)); err != nil {
 		return err
@@ -101,10 +101,12 @@ func (c *Comm) AllReduceSwitchCtx(ctx context.Context, vec []float32, sw int, op
 		if hi > len(vec) {
 			hi = len(vec)
 		}
-		if err := c.sendStep(ctx, sw, vec[lo:hi], c.tos, tagSwitchUp+k%switchTagMod); err != nil {
+		if err := c.opt.SendStep(ctx, c.e, sw, vec[lo:hi], c.tos, tagSwitchUp+k%switchTagMod); err != nil {
 			return err
 		}
-		rb, err := c.recvStep(ctx, sw, tagSwitchDown+k%switchTagMod)
+		// AnyLen here and in SwitchServeCtx: a wrong size is graded below,
+		// as ErrSwitchProtocol.
+		rb, err := c.opt.RecvStep(ctx, c.e, sw, tagSwitchDown+k%switchTagMod, ring.AnyLen)
 		if err != nil {
 			return err
 		}
@@ -129,7 +131,7 @@ func (c *Comm) SwitchServeCtx(ctx context.Context, gradLen int, opt SwitchOption
 	}
 	workers := make([]int, 0, p)
 	for r := 0; r < c.Size(); r++ {
-		if r != c.rank {
+		if r != c.Rank() {
 			workers = append(workers, r)
 		}
 	}
@@ -145,7 +147,7 @@ func (c *Comm) SwitchServeCtx(ctx context.Context, gradLen int, opt SwitchOption
 			hi = gradLen
 		}
 		for wi, r := range workers {
-			rb, err := c.recvStep(ctx, r, tagSwitchUp+k%switchTagMod)
+			rb, err := c.opt.RecvStep(ctx, c.e, r, tagSwitchUp+k%switchTagMod, ring.AnyLen)
 			if err != nil {
 				return err
 			}
@@ -186,7 +188,7 @@ func (c *Comm) SwitchServeCtx(ctx context.Context, gradLen int, opt SwitchOption
 			c.finalize(combined)
 		}
 		for _, r := range workers {
-			if err := c.sendStep(ctx, r, combined, c.tos, tagSwitchDown+k%switchTagMod); err != nil {
+			if err := c.opt.SendStep(ctx, c.e, r, combined, c.tos, tagSwitchDown+k%switchTagMod); err != nil {
 				return err
 			}
 		}

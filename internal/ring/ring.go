@@ -375,14 +375,17 @@ const (
 // the aggregator, receive the updated weights back. gradTos controls
 // compression of the gradient leg (the only compressible leg in this
 // topology — the returned weights cannot tolerate loss, per the paper's
-// Fig. 4). The received weight vector is returned.
+// Fig. 4). The received vector — one weight per gradient element — is
+// returned. ctx bounds the whole exchange: the down leg cannot start before
+// the hub has heard from every worker, so the two legs share one deadline.
 func WorkerExchangeCtx(ctx context.Context, e comm.CtxPeer, aggregator int, grad []float32, gradTos uint8) ([]float32, error) {
-	if err := e.SendCtx(ctx, aggregator, grad, gradTos, tagGradUp); err != nil {
-		return nil, fmt.Errorf("ring: worker %d gradient up: %w", e.ID(), err)
+	var leg Options // no per-leg deadline: ctx is the exchange's
+	if err := leg.SendStep(ctx, e, aggregator, grad, gradTos, tagGradUp); err != nil {
+		return nil, fmt.Errorf("ring: worker gradient up: %w", err)
 	}
-	w, err := e.RecvCtx(ctx, aggregator, tagWeightsDn)
+	w, err := leg.RecvStep(ctx, e, aggregator, tagWeightsDn, len(grad))
 	if err != nil {
-		return nil, fmt.Errorf("ring: worker %d weights down: %w", e.ID(), err)
+		return nil, fmt.Errorf("ring: worker weights down: %w", err)
 	}
 	return w, nil
 }
@@ -390,8 +393,7 @@ func WorkerExchangeCtx(ctx context.Context, e comm.CtxPeer, aggregator int, grad
 // StepContext derives the per-operation deadline context from o: with a
 // StepTimeout each individual send/recv is bounded, so a single wedged
 // peer surfaces as a timeout error naming the hop instead of blocking the
-// collective until the caller cancels. Callers layering their own
-// point-to-point legs on the ring options (hierarchy, elastic) share it.
+// collective until the caller cancels.
 func (o Options) StepContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if o.StepTimeout > 0 {
 		return context.WithTimeout(ctx, o.StepTimeout)
@@ -399,24 +401,54 @@ func (o Options) StepContext(ctx context.Context) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// AggregateStepCtx is the aggregator's side: gather gradients from workers,
-// sum them, let update produce the new weight vector, and broadcast it.
-// workers lists worker node ids. update receives the summed gradient and
-// must return the weight vector to broadcast. With opt.StepTimeout set,
-// every per-worker gather and broadcast leg is individually
-// deadline-bounded: one wedged worker fails the step with an error
-// identifying it rather than hanging the aggregator.
+// SendStep is the one deadline-bounded point-to-point send every
+// non-ring leg in the repo is made of (the hub step below, hierarchy's
+// group broadcast, mpi's binomial trees and switch ports): a SendCtx under
+// o.StepContext whose error names the hop. tag is used as given —
+// o.TagOffset bands only the ring's own steps.
+func (o Options) SendStep(ctx context.Context, e comm.CtxPeer, dst int, vec []float32, tos uint8, tag int) error {
+	sctx, cancel := o.StepContext(ctx)
+	defer cancel()
+	if err := e.SendCtx(sctx, dst, vec, tos, tag); err != nil {
+		return fmt.Errorf("ring: node %d send to %d: %w", e.ID(), dst, err)
+	}
+	return nil
+}
+
+// AnyLen is the RecvStep length for a leg whose payload size the receiver
+// cannot know in advance.
+const AnyLen = -1
+
+// RecvStep is SendStep's counterpart: a RecvCtx under o.StepContext that
+// also rejects a payload of any length but want, so no caller indexes or
+// copies a peer's vector on trust.
+func (o Options) RecvStep(ctx context.Context, e comm.CtxPeer, src, tag, want int) ([]float32, error) {
+	sctx, cancel := o.StepContext(ctx)
+	defer cancel()
+	rb, err := e.RecvCtx(sctx, src, tag)
+	if err != nil {
+		return nil, fmt.Errorf("ring: node %d recv from %d: %w", e.ID(), src, err)
+	}
+	if want != AnyLen && len(rb) != want {
+		return nil, fmt.Errorf("ring: node %d tag %d: got %d floats from %d, want %d", e.ID(), tag, len(rb), src, want)
+	}
+	return rb, nil
+}
+
+// AggregateStepCtx is the hub's side of a gather–sum–return step: gather
+// one gradLen-float vector from each of workers (node ids), sum them in
+// that order, let update produce the vector to return, and send it to
+// every worker. The worker-aggregator baseline's update is the optimizer
+// step (the result is the new weights); hierarchy's global aggregator
+// passes the identity. With opt.StepTimeout set, every per-worker gather
+// and return leg is individually deadline-bounded: one wedged worker fails
+// the step with an error identifying it rather than hanging the hub.
 func AggregateStepCtx(ctx context.Context, e comm.CtxPeer, workers []int, gradLen int, update func(sum []float32) []float32, opt Options) error {
 	sum := make([]float32, gradLen)
 	for _, w := range workers {
-		sctx, cancel := opt.StepContext(ctx)
-		g, err := e.RecvCtx(sctx, w, tagGradUp)
-		cancel()
+		g, err := opt.RecvStep(ctx, e, w, tagGradUp, gradLen)
 		if err != nil {
-			return fmt.Errorf("ring: aggregator gather from %d: %w", w, err)
-		}
-		if len(g) != gradLen {
-			return fmt.Errorf("ring: aggregator got %d floats from %d, want %d", len(g), w, gradLen)
+			return fmt.Errorf("ring: aggregator gather: %w", err)
 		}
 		for i, v := range g {
 			sum[i] += v
@@ -425,11 +457,8 @@ func AggregateStepCtx(ctx context.Context, e comm.CtxPeer, workers []int, gradLe
 	weights := update(sum)
 	for _, w := range workers {
 		// Weights are never ToS-tagged: loss is intolerable on this leg.
-		sctx, cancel := opt.StepContext(ctx)
-		err := e.SendCtx(sctx, w, weights, 0, tagWeightsDn)
-		cancel()
-		if err != nil {
-			return fmt.Errorf("ring: aggregator broadcast to %d: %w", w, err)
+		if err := opt.SendStep(ctx, e, w, weights, 0, tagWeightsDn); err != nil {
+			return fmt.Errorf("ring: aggregator broadcast: %w", err)
 		}
 	}
 	return nil

@@ -22,12 +22,12 @@ func TestAggregateStepCtxTimeoutOnStalledWorker(t *testing.T) {
 
 	// Worker 0 participates normally; worker 1 stalls.
 	go func() {
-		_, _ = WorkerExchangeCtx(ctx, comm.AsCtxPeer(f.Endpoint(0)), agg, []float32{1, 2}, 0)
+		_, _ = WorkerExchangeCtx(ctx, f.Endpoint(0), agg, []float32{1, 2}, 0)
 	}()
 
 	done := make(chan error, 1)
 	go func() {
-		done <- AggregateStepCtx(ctx, comm.AsCtxPeer(f.Endpoint(agg)), []int{0, 1}, 2,
+		done <- AggregateStepCtx(ctx, f.Endpoint(agg), []int{0, 1}, 2,
 			func(sum []float32) []float32 { return sum },
 			Options{StepTimeout: 50 * time.Millisecond})
 	}()

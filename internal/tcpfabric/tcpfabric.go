@@ -1,7 +1,7 @@
 // Package tcpfabric is a real-TCP implementation of the cluster transport:
 // nodes connect over loopback TCP sockets and exchange the same framed
 // float32 payloads as the in-process fabric in internal/comm, implementing
-// comm.Peer so the ring exchange (Algorithm 1) runs over genuine sockets.
+// comm.Transport so the ring exchange (Algorithm 1) runs over genuine sockets.
 //
 // The NIC datapath is applied on the *send* side exactly where the paper's
 // hardware sits — between the host and the wire: payloads tagged with
@@ -204,7 +204,7 @@ type Cluster struct {
 	nodes []*Node
 }
 
-// Node is one TCP endpoint; it implements comm.Peer and comm.CtxPeer.
+// Node is one TCP endpoint; it implements comm.Transport.
 type Node struct {
 	cluster *Cluster
 	id      int
@@ -449,30 +449,13 @@ func (nd *Node) LinkStats(peer int) *comm.LinkStats { return nd.stats[peer] }
 // accept as raw after a codec decode failure.
 func (nd *Node) DegradedFrames() int64 { return nd.degraded.Load() }
 
-// ID implements comm.Peer.
+// ID implements comm.CtxPeer.
 func (nd *Node) ID() int { return nd.id }
 
-// N implements comm.Peer.
+// N implements comm.CtxPeer.
 func (nd *Node) N() int { return nd.cluster.n }
 
-// Send implements comm.Peer by panicking on unrecoverable transport
-// errors, preserving the legacy contract.
-func (nd *Node) Send(dst int, payload []float32, tos uint8, tag int) {
-	if err := nd.SendCtx(context.Background(), dst, payload, tos, tag); err != nil {
-		panic(fmt.Sprintf("tcpfabric: send %d->%d: %v", nd.id, dst, err))
-	}
-}
-
-// Recv implements comm.Peer.
-func (nd *Node) Recv(src int, tag int) []float32 {
-	out, err := nd.RecvCtx(context.Background(), src, tag)
-	if err != nil {
-		panic(fmt.Sprintf("tcpfabric: recv %d<-%d: %v", nd.id, src, err))
-	}
-	return out
-}
-
-var _ comm.CtxPeer = (*Node)(nil)
+var _ comm.Transport = (*Node)(nil)
 
 // SendCtx frames the payload, registers it in the per-link retransmit
 // buffer, and transmits it. The frame stays buffered until the receiver's
@@ -652,7 +635,7 @@ func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error
 // RecvMessageCtx returns the next in-order verified payload from src along
 // with its tag, leaving tag interpretation to the caller. It is the
 // demultiplexing receive the elastic layer's epoch-filtering peer needs
-// (elastic.Transport): a reconfigured ring inspects each frame's tag band
+// (comm.Transport): a reconfigured ring inspects each frame's tag band
 // and discards residue of aborted exchanges instead of failing on it.
 // Same recovery behavior as RecvCtx: stalls probe the sender with NACKs
 // under bounded, jittered exponential backoff.

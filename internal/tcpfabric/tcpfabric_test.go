@@ -28,6 +28,24 @@ func TestClusterConstruction(t *testing.T) {
 	}
 }
 
+// exchange sends payload 0→1 from a goroutine, receives it on node 1 and
+// joins the sender before returning: writeFrame adds to SentBytes after
+// Flush, on the sender's goroutine, so the counters may only be read once
+// SendCtx has returned.
+func exchange(t *testing.T, c *Cluster, payload []float32, tos uint8, tag int) []float32 {
+	t.Helper()
+	sent := make(chan error, 1)
+	go func() { sent <- c.Node(0).SendCtx(context.Background(), 1, payload, tos, tag) }()
+	got, err := c.Node(1).RecvCtx(context.Background(), 0, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestSendRecvOverTCP(t *testing.T) {
 	c, err := NewCluster(2, false, fpcodec.MustBound(10))
 	if err != nil {
@@ -35,8 +53,7 @@ func TestSendRecvOverTCP(t *testing.T) {
 	}
 	defer c.Close()
 	want := []float32{1.5, -2.25, 0, 1e-8, 12345}
-	go c.Node(0).Send(1, want, 0, 42)
-	got := c.Node(1).Recv(0, 42)
+	got := exchange(t, c, want, 0, 42)
 	if len(got) != len(want) {
 		t.Fatalf("got %d values", len(got))
 	}
@@ -62,8 +79,7 @@ func TestCompressedFramesSmallerOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	go raw.Node(0).Send(1, payload, comm.ToSCompress, 1)
-	raw.Node(1).Recv(0, 1)
+	exchange(t, raw, payload, comm.ToSCompress, 1)
 	rawBytes := raw.Node(0).SentBytes()
 
 	comp, err := NewCluster(2, true, bound)
@@ -71,8 +87,7 @@ func TestCompressedFramesSmallerOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer comp.Close()
-	go comp.Node(0).Send(1, payload, comm.ToSCompress, 1)
-	got := comp.Node(1).Recv(0, 1)
+	got := exchange(t, comp, payload, comm.ToSCompress, 1)
 	compBytes := comp.Node(0).SentBytes()
 
 	if compBytes >= rawBytes/8 {
@@ -101,8 +116,7 @@ func TestUntaggedBypassesEnginesEvenWhenEnabled(t *testing.T) {
 	}
 	defer c.Close()
 	payload := []float32{1e-5, 2e-5} // would be crushed by the codec
-	go c.Node(0).Send(1, payload, 0, 3)
-	got := c.Node(1).Recv(0, 3)
+	got := exchange(t, c, payload, 0, 3)
 	if got[0] != 1e-5 || got[1] != 2e-5 {
 		t.Fatalf("untagged payload modified: %v", got)
 	}
@@ -193,16 +207,19 @@ func TestConcurrentBidirectionalTraffic(t *testing.T) {
 			for round := 0; round < 30; round++ {
 				for peer := 0; peer < 4; peer++ {
 					if peer != id {
-						nd.Send(peer, []float32{float32(id), float32(round)}, 0, round)
+						if err := nd.SendCtx(context.Background(), peer, []float32{float32(id), float32(round)}, 0, round); err != nil {
+							t.Error(err)
+							return
+						}
 					}
 				}
 				for peer := 0; peer < 4; peer++ {
 					if peer == id {
 						continue
 					}
-					m := nd.Recv(peer, round)
-					if int(m[0]) != peer || int(m[1]) != round {
-						t.Errorf("node %d: bad frame %v from %d", id, m, peer)
+					m, err := nd.RecvCtx(context.Background(), peer, round)
+					if err != nil || int(m[0]) != peer || int(m[1]) != round {
+						t.Errorf("node %d: bad frame %v (%v) from %d", id, m, err, peer)
 						return
 					}
 				}
@@ -224,8 +241,7 @@ func TestEmptyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	go c.Node(0).Send(1, []float32{}, 0, 9)
-	got := c.Node(1).Recv(0, 9)
+	got := exchange(t, c, []float32{}, 0, 9)
 	if len(got) != 0 {
 		t.Fatalf("got %d values for empty payload", len(got))
 	}

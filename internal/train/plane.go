@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"inceptionn/internal/comm"
-	"inceptionn/internal/elastic"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/tcpfabric"
@@ -80,7 +79,7 @@ func newTCPPlane(n int, o Options, bound fpcodec.Bound) (*dataPlane, error) {
 
 // peer returns node id's endpoint and the cleanup to run when its user is
 // done with it.
-func (p *dataPlane) peer(id int) (elastic.Transport, func()) {
+func (p *dataPlane) peer(id int) (comm.Transport, func()) {
 	switch {
 	case p.cluster != nil:
 		return p.cluster.Node(id), func() {}
