@@ -25,10 +25,15 @@ vet:
 race:
 	$(GO) test -race -timeout 60m ./...
 
-# Short fuzzing pass over the wire-frame decoder; the checked-in seed
-# corpus in internal/tcpfabric/testdata runs on every plain `make test`.
+# Short fuzzing passes over everything that parses bytes off the wire: the
+# frame decoder and the codec's group kernel against its scalar reference,
+# in both directions. The checked-in seed corpora (internal/tcpfabric/testdata,
+# internal/fpcodec/testdata) run on every plain `make test`.
 fuzz:
 	$(GO) test ./internal/tcpfabric -run FuzzFrameDecode -fuzz FuzzFrameDecode -fuzztime 30s
+	$(GO) test ./internal/fpcodec -run FuzzDecompressStream -fuzz FuzzDecompressStream -fuzztime 30s
+	$(GO) test ./internal/fpcodec -run FuzzCompressStream -fuzz FuzzCompressStream -fuzztime 30s
+	$(GO) test ./internal/fpcodec -run FuzzScalarRoundtrip -fuzz FuzzScalarRoundtrip -fuzztime 30s
 
 # The repo's one benchmark (BENCHMARK.json runs the same program through
 # bench/perf/run.sh): five end-to-end training workloads plus the

@@ -153,6 +153,9 @@ func runDecompress(path, out string) error {
 	if bits > 8*(len(raw)-16) {
 		return fmt.Errorf("%s declares %d bits with %d payload bytes", path, bits, len(raw)-16)
 	}
+	if err := fpcodec.CheckStreamBits(count, bits); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	vals := make([]float32, count)
 	if err := fpcodec.DecompressStream(bitio.NewReader(raw[16:], bits), vals, bound); err != nil {
 		return err

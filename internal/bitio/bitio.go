@@ -9,7 +9,6 @@
 package bitio
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -74,35 +73,20 @@ func (w *Writer) Reset() {
 	w.nbit = 0
 }
 
-// AppendBits appends the first nbits bits of buf (packed LSB-first, as
-// produced by Writer.Bytes) to w, at w's current — possibly unaligned —
-// bit position. It is the stitching primitive behind the parallel codec:
-// shard streams produced by independent Writers concatenate into exactly
-// the stream a single sequential Writer would have produced.
-func (w *Writer) AppendBits(buf []byte, nbits int) {
-	if nbits < 0 || nbits > 8*len(buf) {
-		panic(fmt.Sprintf("bitio: AppendBits %d bits from buffer of %d bits", nbits, 8*len(buf)))
-	}
-	i := 0
-	for nbits >= 64 {
-		w.WriteBits(binary.LittleEndian.Uint64(buf[i:]), 64)
-		i += 8
-		nbits -= 64
-	}
-	for nbits > 0 {
-		take := nbits
-		if take > 8 {
-			take = 8
-		}
-		w.WriteBits(uint64(buf[i]), take)
-		i++
-		nbits -= take
-	}
-}
+// Lend hands the writer's storage to a bulk encoder that appends in place:
+// the bytes holding the Len() bits written so far (spare high bits of the
+// last one zero), with the writer's spare capacity behind them. The writer
+// must not be used again until the encoder gives the storage back through
+// Restore.
+func (w *Writer) Lend() (buf []byte, nbit int) { return w.buf, w.nbit }
 
-// Append appends every bit written to o onto w.
-func (w *Writer) Append(o *Writer) {
-	w.AppendBits(o.buf, o.nbit)
+// Restore takes back storage handed out by Lend, now holding nbit bits in
+// buf[:⌈nbit/8⌉] with the spare high bits of the last byte zero.
+func (w *Writer) Restore(buf []byte, nbit int) {
+	if nbit < 0 || len(buf) != (nbit+7)>>3 {
+		panic(fmt.Sprintf("bitio: Restore of %d bits in %d bytes", nbit, len(buf)))
+	}
+	w.buf, w.nbit = buf, nbit
 }
 
 // Reader consumes bits LSB-first from a byte slice.
@@ -156,6 +140,11 @@ func (r *Reader) ReadBit() (uint, error) {
 	return uint(v), err
 }
 
+// Lend exposes the reader's window to a bulk decoder: the buffer, the bit
+// position of the next read, and the bit limit. The decoder reports what it
+// consumed through Skip.
+func (r *Reader) Lend() (buf []byte, pos, nbit int) { return r.buf, r.pos, r.nbit }
+
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.nbit - r.pos }
 
@@ -169,15 +158,4 @@ func (r *Reader) Skip(n int) error {
 	}
 	r.pos += n
 	return nil
-}
-
-// At returns a new Reader over the same buffer and bit limit, positioned
-// at absolute bit position pos. Readers returned by At share the
-// (immutable) buffer but carry private cursors, enabling concurrent
-// decoding of disjoint stream regions.
-func (r *Reader) At(pos int) *Reader {
-	if pos < 0 || pos > r.nbit {
-		panic(fmt.Sprintf("bitio: At(%d) outside [0,%d]", pos, r.nbit))
-	}
-	return &Reader{buf: r.buf, pos: pos, nbit: r.nbit}
 }

@@ -204,39 +204,51 @@ func BenchmarkReadBits(b *testing.B) {
 	}
 }
 
-// TestAppendBitsStitchesUnaligned verifies the stitching primitive at
-// every misalignment: writing a prefix of p bits and appending a second
-// stream must equal writing both streams through one Writer.
-func TestAppendBitsStitchesUnaligned(t *testing.T) {
-	payload := []uint64{0xDEADBEEFCAFE, 0x1234, 0x7, 0xFFFFFFFFFFFFFFFF}
-	widths := []int{47, 16, 3, 64}
-	for p := 0; p <= 17; p++ {
-		// Reference: single writer.
-		ref := NewWriter(64)
-		ref.WriteBits(0x5A5A5, p)
-		for i, v := range payload {
-			ref.WriteBits(v, widths[i])
+// TestWriterLendRestore: a bulk encoder that appends to lent storage hands
+// back a writer that carries on where the encoder stopped, on the same
+// backing array when the capacity sufficed.
+func TestWriterLendRestore(t *testing.T) {
+	w := NewWriter(16)
+	w.WriteBits(0b101, 3)
+	buf, nbit := w.Lend()
+	if nbit != 3 || len(buf) != 1 || cap(buf) != 16 || buf[0] != 0b101 {
+		t.Fatalf("Lend = %x (cap %d), %d bits", buf, cap(buf), nbit)
+	}
+	buf[0] |= 0b11 << 3 // the encoder finishes the byte and adds one
+	buf = append(buf, 0x07)
+	w.Restore(buf, 13)
+	w.WriteBits(0b110, 3)
+	if w.Len() != 16 || !bytes.Equal(w.Bytes(), []byte{0b11101, 0xC7}) || &w.Bytes()[0] != &buf[0] {
+		t.Fatalf("after Restore: %x, %d bits", w.Bytes(), w.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Restore accepted 13 bits in 3 bytes")
 		}
-		// Stitched: second stream built independently, then appended.
-		part := NewWriter(64)
-		for i, v := range payload {
-			part.WriteBits(v, widths[i])
-		}
-		got := NewWriter(64)
-		got.WriteBits(0x5A5A5, p)
-		got.Append(part)
-		if got.Len() != ref.Len() {
-			t.Fatalf("p=%d: len %d vs %d", p, got.Len(), ref.Len())
-		}
-		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-			t.Fatalf("p=%d: stitched bytes differ:\n%x\n%x", p, got.Bytes(), ref.Bytes())
-		}
+	}()
+	w.Restore(make([]byte, 3), 13)
+}
+
+// TestReaderLend: the window a bulk decoder sees is the reader's own, and
+// Skip reports what the decoder consumed.
+func TestReaderLend(t *testing.T) {
+	data := []byte{0xBC, 0xFA, 0xDE}
+	r := NewReader(data, 20)
+	if _, err := r.ReadBits(12); err != nil {
+		t.Fatal(err)
+	}
+	buf, pos, nbit := r.Lend()
+	if &buf[0] != &data[0] || pos != 12 || nbit != 20 {
+		t.Fatalf("Lend = %p, %d, %d", buf, pos, nbit)
+	}
+	if err := r.Skip(8); err != nil || r.Remaining() != 0 {
+		t.Fatalf("after Skip: %v, %d bits left", err, r.Remaining())
 	}
 }
 
-// TestWriterResetReuseRoundtrip pins the Reset contract the parallel
-// stitcher relies on: a reused shard writer must leave no residue from
-// the previous stream (stale buffer bits OR'd into fresh ones).
+// TestWriterResetReuseRoundtrip pins the Reset contract every reused
+// writer relies on: it must leave no residue from the previous stream
+// (stale buffer bits OR'd into fresh ones).
 func TestWriterResetReuseRoundtrip(t *testing.T) {
 	w := NewWriter(8)
 	w.WriteBits(0xFFFFFFFFFFFFFFFF, 61) // dirty the buffer with set bits
@@ -262,27 +274,5 @@ func TestWriterResetReuseRoundtrip(t *testing.T) {
 		if err != nil || got != want.v {
 			t.Fatalf("ReadBits(%d) = %x, %v; want %x", want.width, got, err, want.v)
 		}
-	}
-}
-
-// TestReaderAt checks the concurrent-decode cursor primitive.
-func TestReaderAt(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0xABC, 12)
-	w.WriteBits(0xDEF, 12)
-	r := NewReader(w.Bytes(), w.Len())
-	if _, err := r.ReadBits(12); err != nil {
-		t.Fatal(err)
-	}
-	sub := r.At(12)
-	v, err := sub.ReadBits(12)
-	if err != nil || v != 0xDEF {
-		t.Fatalf("At(12).ReadBits(12) = %x, %v", v, err)
-	}
-	if r.Pos() != 12 {
-		t.Fatalf("At must not move the parent cursor: pos %d", r.Pos())
-	}
-	if sub.Remaining() != 0 {
-		t.Fatalf("sub remaining %d", sub.Remaining())
 	}
 }

@@ -15,10 +15,10 @@ package comm
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"inceptionn/internal/bitio"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/obs"
 )
@@ -66,28 +66,35 @@ func (IdentityProcessor) Process(payload []float32, tos uint8) ([]float32, int64
 	return payload, 4 * int64(len(payload))
 }
 
-// CodecProcessor compresses ToSCompress-tagged payloads with the reference
-// INCEPTIONN codec; other traffic passes through untouched. It is the pure
-// software model of the NIC engines (internal/nic provides the bit-exact
-// hardware-pipeline equivalent).
+// CodecProcessor compresses ToSCompress-tagged payloads with the
+// INCEPTIONN codec's group kernel; other traffic passes through untouched.
+// It is the pure software model of the NIC engines (internal/nic provides
+// the same data path with the hardware pipeline's cycle accounting).
 type CodecProcessor struct {
 	Bound fpcodec.Bound
 }
 
-// Process implements WireProcessor.
+// streamScratch recycles the compressed stream a Process call builds and
+// consumes: the receiver only ever sees the decompressed payload.
+var streamScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// Process implements WireProcessor. The returned payload is freshly
+// allocated: the receiver owns it.
 func (p CodecProcessor) Process(payload []float32, tos uint8) ([]float32, int64) {
 	if tos != ToSCompress {
 		return payload, 4 * int64(len(payload))
 	}
-	w := bitio.NewWriter(len(payload)) // compressed streams are ~¼ size or less
-	fpcodec.CompressStream(w, payload, p.Bound)
+	scratch := streamScratch.Get().(*[]byte)
+	data, bits := fpcodec.AppendGroups((*scratch)[:0], 0, payload, p.Bound)
 	out := make([]float32, len(payload))
-	if err := fpcodec.DecompressStream(bitio.NewReader(w.Bytes(), w.Len()), out, p.Bound); err != nil {
+	if _, err := fpcodec.DecodeGroups(out, data, 0, bits, p.Bound); err != nil {
 		// The stream was produced by the matching encoder; failure here is
 		// a programming error, not an I/O condition.
 		panic(fmt.Sprintf("comm: internal codec roundtrip failed: %v", err))
 	}
-	return out, int64(len(w.Bytes()))
+	*scratch = data
+	streamScratch.Put(scratch)
+	return out, int64(len(data))
 }
 
 // LinkStats accumulates traffic counters for one directed link. Beyond the

@@ -174,3 +174,56 @@ func TestEndpointRangeChecks(t *testing.T) {
 	}()
 	f.Endpoint(2)
 }
+
+// raceEnabled is set by race_on_test.go under `go test -race`, where
+// sync.Pool drops items on purpose and allocation counts mean nothing.
+var raceEnabled bool
+
+// TestCodecProcessorOwnership: Process may be called from every sender at
+// once; each call's result is the scalar codec's roundtrip in storage no
+// other call shares (the receiver owns it), and a warm call allocates that
+// storage and nothing else — the compressed stream lives in recycled
+// scratch.
+func TestCodecProcessorOwnership(t *testing.T) {
+	bound := fpcodec.MustBound(10)
+	proc := CodecProcessor{Bound: bound}
+	const senders = 4
+	outs := make([][]float32, senders)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(s)))
+			payload := make([]float32, 4096)
+			for i := range payload {
+				payload[i] = float32(rng.NormFloat64() * 0.01)
+			}
+			for round := 0; round < 8; round++ {
+				outs[s], _ = proc.Process(payload, ToSCompress)
+				for i, v := range payload {
+					if outs[s][i] != fpcodec.Roundtrip(v, bound) {
+						t.Errorf("sender %d round %d: value %d is %g", s, round, i, outs[s][i])
+						return
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	for s := 1; s < senders; s++ {
+		if &outs[s][0] == &outs[0][0] {
+			t.Fatalf("senders 0 and %d were handed the same storage", s)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	payload := make([]float32, 4096)
+	for i := range payload {
+		payload[i] = float32(i%97) * 1e-4
+	}
+	if n := testing.AllocsPerRun(50, func() { proc.Process(payload, ToSCompress) }); n != 1 {
+		t.Errorf("Process on a 4096-float chunk: %v allocations, want 1 (the payload the receiver owns)", n)
+	}
+}

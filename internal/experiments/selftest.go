@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -79,27 +80,41 @@ func SelfTest(w io.Writer, o Options) error {
 			fmt.Sprintf("%d bits", bits))
 	}
 
-	// 3. Fast encoder/decoder agree with the reference.
+	// 3. The group kernel every compression path runs agrees with the
+	// scalar Algorithm 2/3 reference, bit for bit in both directions.
 	{
 		bound := fpcodec.MustBound(10)
 		payload := make([]float32, 777)
 		for i := range payload {
 			payload[i] = float32(rng.NormFloat64() * 0.05)
 		}
-		enc := fpcodec.NewEncoder(bound)
-		data, bits := enc.Encode(payload)
-		bw := bitio.NewWriter(4 * len(payload))
-		fpcodec.CompressStream(bw, payload, bound)
-		ok := bits == bw.Len()
-		if ok {
-			for i, b := range bw.Bytes() {
-				if data[i] != b {
-					ok = false
-					break
-				}
+		data, bits := fpcodec.AppendGroups(nil, 0, payload, bound)
+		// The wire format from the scalar codec: per group of eight, a
+		// 16-bit tag vector and then each lane's data bits.
+		ref := bitio.NewWriter(4 * len(payload))
+		for off := 0; off < len(payload); off += fpcodec.GroupSize {
+			group := payload[off:min(off+fpcodec.GroupSize, len(payload))]
+			var tags uint64
+			var lanes [fpcodec.GroupSize]uint32
+			for i, f := range group {
+				var tag fpcodec.Tag
+				lanes[i], tag = fpcodec.Compress(f, bound)
+				tags |= uint64(tag) << (2 * i)
+			}
+			ref.WriteBits(tags, fpcodec.TagVectorBits)
+			for i := range group {
+				ref.WriteBits(uint64(lanes[i]), fpcodec.Tag(tags>>(2*i)&0b11).Bits())
 			}
 		}
-		check("fast codec bit-exact vs reference", ok, fmt.Sprintf("%d bits", bits))
+		ok := bits == ref.Len() && bytes.Equal(data, ref.Bytes())
+		back := make([]float32, len(payload))
+		if _, err := fpcodec.DecodeGroups(back, data, 0, bits, bound); err != nil {
+			ok = false
+		}
+		for i, f := range payload {
+			ok = ok && math.Float32bits(back[i]) == math.Float32bits(fpcodec.Roundtrip(f, bound))
+		}
+		check("group kernel bit-exact vs scalar reference", ok, fmt.Sprintf("%d bits", bits))
 	}
 
 	// 4. Ring allreduce exactness and replica identity.

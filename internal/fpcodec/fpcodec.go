@@ -203,17 +203,7 @@ func CompressGroup(w *bitio.Writer, vals []float32, b Bound) {
 	if len(vals) == 0 || len(vals) > GroupSize {
 		panic(fmt.Sprintf("fpcodec: group of %d values", len(vals)))
 	}
-	var tags uint64
-	var data [GroupSize]uint32
-	var tag [GroupSize]Tag
-	for i, f := range vals {
-		data[i], tag[i] = Compress(f, b)
-		tags |= uint64(tag[i]) << uint(2*i)
-	}
-	w.WriteBits(tags, TagVectorBits)
-	for i := range vals {
-		w.WriteBits(uint64(data[i]), tag[i].Bits())
-	}
+	CompressStream(w, vals, b)
 }
 
 // DecompressGroup decodes one burst group from r into dst. len(dst) lanes
@@ -224,24 +214,12 @@ func DecompressGroup(r *bitio.Reader, dst []float32, b Bound) error {
 	if len(dst) == 0 || len(dst) > GroupSize {
 		panic(fmt.Sprintf("fpcodec: group of %d values", len(dst)))
 	}
-	tags, err := r.ReadBits(TagVectorBits)
-	if err != nil {
-		return fmt.Errorf("fpcodec: reading tag vector: %w", err)
-	}
-	for i := range dst {
-		tag := Tag(tags >> uint(2*i) & 0b11)
-		v, err := r.ReadBits(tag.Bits())
-		if err != nil {
-			return fmt.Errorf("fpcodec: reading lane %d (%s): %w", i, tag, err)
-		}
-		dst[i] = Decompress(uint32(v), tag, b)
-	}
-	return nil
+	return DecompressStream(r, dst, b)
 }
 
-// streamShards returns the number of group-aligned shards to use when
-// coding n values: enough values per shard to amortize fan-out, capped by
-// the worker pool size. A return of 1 selects the sequential path.
+// streamShards returns the number of group-aligned shards CompressStream
+// encodes n values in: enough values per shard to amortize fan-out, capped
+// by the worker pool size. A return of 1 selects the sequential path.
 func streamShards(n int) int {
 	const minShardValues = 16 * 1024
 	shards := n / minShardValues
@@ -278,123 +256,42 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 
 // CompressStream encodes src into w using consecutive burst groups.
 //
-// Large inputs are compressed in parallel: group-aligned shards encode
-// into private writers, which are then stitched into w LSB-first
-// (bitio.Writer.Append). Burst groups are self-contained — a 16-bit tag
-// vector followed by that group's data — so the stitched stream is
-// bit-identical to a sequential encode for any worker count.
+// Large inputs are compressed in parallel: group-aligned shards run the
+// kernel into private storage, and because a burst group is self-contained
+// and a whole number of bytes the shard streams append into exactly the
+// sequential stream, for any worker count. Decoding is not sharded: finding
+// a shard's first bit means walking every tag vector before it, and the
+// decoder gained nothing from a second core when measured (DESIGN.md §8).
 func CompressStream(w *bitio.Writer, src []float32, b Bound) {
-	before := w.Len()
-	defer func() {
-		totalStreamValues.Add(int64(len(src)))
-		totalStreamBits.Add(int64(w.Len() - before))
-	}()
 	shards := streamShards(len(src))
+	buf, nbit := w.Lend()
 	if shards <= 1 {
-		compressStreamSeq(w, src, b)
+		w.Restore(AppendGroups(buf, nbit, src, b))
 		return
 	}
-	parts := make([]*bitio.Writer, shards)
+	parts := make([][]byte, shards)
 	par.For(shards, 1, func(plo, phi int) {
 		for s := plo; s < phi; s++ {
 			lo, hi := shardBounds(len(src), shards, s)
-			pw := bitio.NewWriter((hi - lo + 1) / 2) // compressed streams are ~¼ size or less
-			compressStreamSeq(pw, src[lo:hi], b)
-			parts[s] = pw
+			parts[s], _ = AppendGroups(make([]byte, 0, (hi-lo+1)/2), 0, src[lo:hi], b) // ~¼ size or less
 		}
 	})
-	for _, pw := range parts {
-		w.Append(pw)
+	for _, part := range parts {
+		buf, nbit = appendBytes(buf, nbit, part)
 	}
+	w.Restore(buf, nbit)
 }
 
-// compressStreamSeq is the sequential group-by-group encoder.
-func compressStreamSeq(w *bitio.Writer, src []float32, b Bound) {
-	for len(src) > 0 {
-		n := len(src)
-		if n > GroupSize {
-			n = GroupSize
-		}
-		CompressGroup(w, src[:n], b)
-		src = src[n:]
-	}
-}
-
-// DecompressStream decodes len(dst) values from r. The stream must have been
-// produced by CompressStream with the same bound and value count.
-//
-// Large streams decode in parallel: a cheap scan pass walks the tag
-// vectors (skipping data bits) to locate each group-aligned shard's bit
-// offset, then shards decode concurrently through private cursors over
-// the shared buffer (bitio.Reader.At). r is left positioned exactly where
-// the sequential decoder would leave it.
+// DecompressStream decodes len(dst) values from r, leaving r after the last
+// group. The stream must have been produced by CompressStream with the same
+// bound and value count.
 func DecompressStream(r *bitio.Reader, dst []float32, b Bound) error {
-	shards := streamShards(len(dst))
-	if shards <= 1 {
-		return decompressStreamSeq(r, dst, b)
+	data, pos, limit := r.Lend()
+	end, err := DecodeGroups(dst, data, pos, limit, b)
+	if err != nil {
+		return err
 	}
-	offsets := make([]int, shards)
-	for s := 0; s < shards; s++ {
-		offsets[s] = r.Pos()
-		lo, hi := shardBounds(len(dst), shards, s)
-		if err := skipStream(r, hi-lo); err != nil {
-			return err
-		}
-	}
-	errs := make([]error, shards)
-	par.For(shards, 1, func(plo, phi int) {
-		for s := plo; s < phi; s++ {
-			lo, hi := shardBounds(len(dst), shards, s)
-			errs[s] = decompressStreamSeq(r.At(offsets[s]), dst[lo:hi], b)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decompressStreamSeq is the sequential group-by-group decoder.
-func decompressStreamSeq(r *bitio.Reader, dst []float32, b Bound) error {
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > GroupSize {
-			n = GroupSize
-		}
-		if err := DecompressGroup(r, dst[:n], b); err != nil {
-			return err
-		}
-		dst = dst[n:]
-	}
-	return nil
-}
-
-// skipStream advances r past the encoding of count values without
-// decoding any lanes, by reading each group's tag vector and skipping its
-// data bits. Like DecompressGroup, a trailing partial group consumes only
-// the data of its first count lanes.
-func skipStream(r *bitio.Reader, count int) error {
-	for count > 0 {
-		n := count
-		if n > GroupSize {
-			n = GroupSize
-		}
-		tags, err := r.ReadBits(TagVectorBits)
-		if err != nil {
-			return fmt.Errorf("fpcodec: reading tag vector: %w", err)
-		}
-		bits := 0
-		for i := 0; i < n; i++ {
-			bits += Tag(tags >> uint(2*i) & 0b11).Bits()
-		}
-		if err := r.Skip(bits); err != nil {
-			return fmt.Errorf("fpcodec: skipping group data: %w", bitio.ErrShortRead)
-		}
-		count -= n
-	}
-	return nil
+	return r.Skip(end - pos)
 }
 
 // CompressedBits returns the exact serialized size of src in bits under

@@ -1,6 +1,9 @@
 package fpcodec
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -40,32 +43,110 @@ func FuzzScalarRoundtrip(f *testing.F) {
 	})
 }
 
-// FuzzDecompressStream fuzzes the decoder with arbitrary byte streams: it
-// must never panic, only return errors or values.
+// FuzzDecompressStream fuzzes the kernel's decoder with arbitrary byte
+// streams against the bit-at-a-time decoder built from scalar Decompress:
+// from a starting bit that need not be a byte's first, and truncated at
+// every point (every 64th of the stream once it is long), the two must agree
+// on error or no error and on every decoded bit pattern — and the kernel
+// must never panic. Arbitrary bytes put arbitrary tags in the lanes a final
+// partial group lacks, which neither decoder may honour.
 func FuzzDecompressStream(f *testing.F) {
-	// Seed with a valid stream.
 	bound := MustBound(10)
 	w := bitio.NewWriter(64)
 	CompressStream(w, []float32{0.5, -0.001, 2.5, 0}, bound)
 	f.Add(w.Bytes(), w.Len(), 4)
 	f.Add([]byte{0xFF, 0x00, 0xAB}, 24, 8)
+	f.Add([]byte{}, 0, 0)
+	f.Add([]byte{}, 0, 1)
+	f.Add(bytes.Repeat([]byte{0x00}, 64), 512, 255)
+	f.Add(bytes.Repeat([]byte{0xFF}, 64), 512, 9)
+	f.Add(bytes.Repeat([]byte{0x55, 0xAA, 0x00, 0xFF, 0x1B}, 40), 1600, 65)
+	for _, n := range []int{7, 9, 63, 65} {
+		w.Reset()
+		CompressStream(w, fastTestVector(n, int64(n)), bound)
+		f.Add(append([]byte(nil), w.Bytes()...), w.Len(), n)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, bits, count int) {
 		if bits < 0 || bits > 8*len(data) || count < 0 || count > 4096 {
 			t.Skip()
 		}
-		dst := make([]float32, count)
-		// Both decoders must agree on success/failure and values.
-		errRef := DecompressStream(bitio.NewReader(data, bits), dst, bound)
-		fast := make([]float32, count)
-		errFast := NewDecoder(bound).Decode(data, bits, fast)
-		if (errRef == nil) != (errFast == nil) {
-			t.Fatalf("decoders disagree: ref=%v fast=%v", errRef, errFast)
-		}
-		if errRef == nil {
-			for i := range dst {
-				if dst[i] != fast[i] && !(isNaN32(dst[i]) && isNaN32(fast[i])) {
-					t.Fatalf("value %d: ref %g fast %g", i, dst[i], fast[i])
+		bound := MustBound(len(data)%15 + 1)
+		start := min(len(data)%8, bits)
+		want, got := make([]float32, count), make([]float32, count)
+		for limit := bits; limit >= start; limit -= max(1, bits/64) {
+			ref := bitio.NewReader(data, limit)
+			if err := ref.Skip(start); err != nil {
+				t.Fatal(err)
+			}
+			errRef := refDecompressStream(ref, want, bound)
+			r := bitio.NewReader(data, limit)
+			if err := r.Skip(start); err != nil {
+				t.Fatal(err)
+			}
+			err := DecompressStream(r, got, bound)
+			if (errRef == nil) != (err == nil) {
+				t.Fatalf("bits [%d,%d) count %d: reference %v, kernel %v", start, limit, count, errRef, err)
+			}
+			if err != nil {
+				if !errors.Is(err, bitio.ErrShortRead) {
+					t.Fatalf("bits [%d,%d) count %d: kernel error %v is not an ErrShortRead", start, limit, count, err)
 				}
+				continue
+			}
+			if r.Pos() != ref.Pos() {
+				t.Fatalf("bits [%d,%d) count %d: kernel stopped at bit %d, reference at %d", start, limit, count, r.Pos(), ref.Pos())
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("bits [%d,%d) count %d: kernel decode differs from the reference's", start, limit, count)
+			}
+		}
+	})
+}
+
+// FuzzCompressStream fuzzes the kernel's encoder with arbitrary float bit
+// patterns appended at a starting bit offset of 0–7: bytes and bit length
+// must equal the reference built from scalar Compress and WriteBits, and
+// the stream must decode to what scalar Roundtrip gives.
+func FuzzCompressStream(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(10))
+	f.Add([]byte{0x00, 0x00, 0x80, 0x3E}, uint8(3), uint8(10)) // one value: 0.25
+	f.Add(bytes.Repeat([]byte{0x00}, 4*64), uint8(5), uint8(6))
+	f.Add(bytes.Repeat([]byte{0xFF}, 4*64), uint8(1), uint8(8))
+	for _, n := range []int{7, 9, 63, 65} {
+		raw := make([]byte, 4*n)
+		for i, v := range fastTestVector(n, int64(n)) {
+			binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+		}
+		f.Add(raw, uint8(n), uint8(n))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, offset, eRaw uint8) {
+		bound := MustBound(int(eRaw)%15 + 1)
+		start := int(offset % 8)
+		src := make([]float32, len(raw)/4)
+		for i := range src {
+			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		ref, w := bitio.NewWriter(0), bitio.NewWriter(0)
+		ref.WriteBits(0x55, start)
+		w.WriteBits(0x55, start)
+		refCompressStream(ref, src, bound)
+		CompressStream(w, src, bound)
+		if w.Len() != ref.Len() || !bytes.Equal(w.Bytes(), ref.Bytes()) {
+			t.Fatalf("%d values at bit %d under %v: kernel stream differs from the reference's (%d vs %d bits)",
+				len(src), start, bound, w.Len(), ref.Len())
+		}
+		got := make([]float32, len(src))
+		r := bitio.NewReader(w.Bytes(), w.Len())
+		if err := r.Skip(start); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecompressStream(r, got, bound); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range src {
+			if want := Roundtrip(v, bound); math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("value %d (%#08x) under %v: kernel %#08x, scalar roundtrip %#08x",
+					i, math.Float32bits(v), bound, math.Float32bits(got[i]), math.Float32bits(want))
 			}
 		}
 	})

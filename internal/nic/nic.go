@@ -22,8 +22,9 @@ package nic
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
-	"inceptionn/internal/bitio"
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/obs"
@@ -41,7 +42,9 @@ const (
 	ClockHz = 100_000_000
 )
 
-// CompressionEngine is the burst-level compressor (paper Fig. 9).
+// CompressionEngine is the burst-level compressor (paper Fig. 9). The data
+// path is fpcodec's group kernel — one call per payload; the cycle model is
+// accounting around it: one cycle per input burst of eight values.
 type CompressionEngine struct {
 	Bound fpcodec.Bound
 	// Obs, when set, accumulates the engine's burst/size counters
@@ -49,58 +52,53 @@ type CompressionEngine struct {
 	// — the same registry schema measured runs export.
 	Obs *obs.Recorder
 
-	// Alignment Unit state: pending output bits not yet a full burst.
-	acc *bitio.Writer
-
-	// Cycle accounting.
-	cycles int64
+	out    []byte // CompressPayload's storage, reused call to call
+	cycles atomic.Int64
 }
 
 // NewCompressionEngine returns an engine with the given error bound.
 func NewCompressionEngine(bound fpcodec.Bound) *CompressionEngine {
-	return &CompressionEngine{Bound: bound, acc: bitio.NewWriter(4 * BurstBytes)}
+	return &CompressionEngine{Bound: bound}
 }
 
 // Cycles returns the total engine cycles consumed so far.
-func (e *CompressionEngine) Cycles() int64 { return e.cycles }
+func (e *CompressionEngine) Cycles() int64 { return e.cycles.Load() }
 
-// CompressPayload runs a full packet payload (a float32 vector) through
-// the engine: one cycle per input burst of eight values. It returns the
-// compressed byte stream and its exact bit length. The engine is flushed
-// per packet (hardware emits the final partial burst zero-padded when the
-// packet ends).
-func (e *CompressionEngine) CompressPayload(payload []float32) (data []byte, bits int) {
-	e.acc.Reset()
-	for off := 0; off < len(payload); off += LanesPerBurst {
-		hi := off + LanesPerBurst
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		e.compressBurst(payload[off:hi])
-	}
+// CompressInto runs a full packet payload (a float32 vector) through the
+// engine, writing the compressed byte stream over dst's storage (grown if
+// it does not suffice), and returns that stream and its exact bit length.
+// The engine is flushed per packet (hardware emits the final partial burst
+// zero-padded when the packet ends). It keeps no state between calls but
+// the cycle counter, so one engine serves concurrent senders.
+func (e *CompressionEngine) CompressInto(dst []byte, payload []float32) (data []byte, bits int) {
+	data, bits = fpcodec.AppendGroups(dst[:0], 0, payload, e.Bound)
+	bursts := CompressionCycles(len(payload))
+	e.cycles.Add(bursts)
 	if e.Obs != nil {
-		e.Obs.Counter("nic_compress_bursts").Add(CompressionCycles(len(payload)))
+		e.Obs.Counter("nic_compress_bursts").Add(bursts)
 		e.Obs.Counter("nic_compress_in_bytes").Add(4 * int64(len(payload)))
-		e.Obs.Counter("nic_compress_out_bits").Add(int64(e.acc.Len()))
+		e.Obs.Counter("nic_compress_out_bits").Add(int64(bits))
 	}
-	return e.acc.Bytes(), e.acc.Len()
+	return data, bits
 }
 
-// compressBurst feeds one burst (≤8 lanes) through the Compression Unit
-// and Alignment Unit: 16-bit tag vector + 0–256 data bits.
-func (e *CompressionEngine) compressBurst(lanes []float32) {
-	fpcodec.CompressGroup(e.acc, lanes, e.Bound)
-	e.cycles++
+// CompressPayload is CompressInto the engine's own storage: the returned
+// stream is valid until the next call, and calls must not overlap.
+func (e *CompressionEngine) CompressPayload(payload []float32) (data []byte, bits int) {
+	e.out, bits = e.CompressInto(e.out, payload)
+	return e.out, bits
 }
 
-// DecompressionEngine is the burst-level decompressor (paper Fig. 10).
+// DecompressionEngine is the burst-level decompressor (paper Fig. 10); like
+// the compressor, accounting around one kernel call, and safe for
+// concurrent use.
 type DecompressionEngine struct {
 	Bound fpcodec.Bound
 	// Obs, when set, accumulates nic_decompress_cycles and
 	// nic_decompress_out_bytes.
 	Obs *obs.Recorder
 
-	cycles int64
+	cycles atomic.Int64
 }
 
 // NewDecompressionEngine returns an engine with the given error bound.
@@ -109,28 +107,26 @@ func NewDecompressionEngine(bound fpcodec.Bound) *DecompressionEngine {
 }
 
 // Cycles returns the total engine cycles consumed so far.
-func (e *DecompressionEngine) Cycles() int64 { return e.cycles }
+func (e *DecompressionEngine) Cycles() int64 { return e.cycles.Load() }
 
 // DecompressPayload decodes a compressed packet payload back into count
 // float32 values. The Burst Buffer semantics — a compressed group may
 // straddle two 256-bit bursts, so the decoder holds up to 512 bits before
 // emitting — cost one cycle per produced output burst plus one fill cycle.
+// count comes off the wire: a stream too short to hold it is rejected
+// before any value is allocated.
 func (e *DecompressionEngine) DecompressPayload(data []byte, bits, count int) ([]float32, error) {
-	r := bitio.NewReader(data, bits)
-	out := make([]float32, count)
-	for off := 0; off < count; off += LanesPerBurst {
-		hi := off + LanesPerBurst
-		if hi > count {
-			hi = count
-		}
-		if err := fpcodec.DecompressGroup(r, out[off:hi], e.Bound); err != nil {
-			return nil, fmt.Errorf("nic: burst at value %d: %w", off, err)
-		}
-		e.cycles++
+	if err := fpcodec.CheckStreamBits(count, bits); err != nil {
+		return nil, fmt.Errorf("nic: %w", err)
 	}
-	e.cycles++ // initial Burst Buffer fill
+	out := make([]float32, count)
+	if _, err := fpcodec.DecodeGroups(out, data, 0, bits, e.Bound); err != nil {
+		return nil, fmt.Errorf("nic: %w", err)
+	}
+	cycles := CompressionCycles(count) + 1 // one per output burst, and the initial Burst Buffer fill
+	e.cycles.Add(cycles)
 	if e.Obs != nil {
-		e.Obs.Counter("nic_decompress_cycles").Add(int64((count+LanesPerBurst-1)/LanesPerBurst) + 1)
+		e.Obs.Counter("nic_decompress_cycles").Add(cycles)
 		e.Obs.Counter("nic_decompress_out_bytes").Add(4 * int64(count))
 	}
 	return out, nil
@@ -160,6 +156,10 @@ type Processor struct {
 	Obs *obs.Recorder
 }
 
+// streamScratch recycles the compressed stream a Processor call builds and
+// consumes: the receiver only ever sees the decompressed payload.
+var streamScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // Process implements comm.WireProcessor.
 func (p Processor) Process(payload []float32, tos uint8) ([]float32, int64) {
 	if tos != comm.ToSCompress {
@@ -167,15 +167,16 @@ func (p Processor) Process(payload []float32, tos uint8) ([]float32, int64) {
 		return payload, 4 * int64(len(payload))
 	}
 	p.Obs.Counter("nic_offload_payloads").Add(1)
-	ce := NewCompressionEngine(p.Bound)
-	ce.Obs = p.Obs
-	data, bits := ce.CompressPayload(payload)
-	de := NewDecompressionEngine(p.Bound)
-	de.Obs = p.Obs
+	ce := CompressionEngine{Bound: p.Bound, Obs: p.Obs}
+	scratch := streamScratch.Get().(*[]byte)
+	data, bits := ce.CompressInto(*scratch, payload)
+	de := DecompressionEngine{Bound: p.Bound, Obs: p.Obs}
 	out, err := de.DecompressPayload(data, bits, len(payload))
 	if err != nil {
 		panic(fmt.Sprintf("nic: engine roundtrip failed: %v", err))
 	}
+	*scratch = data
+	streamScratch.Put(scratch)
 	// On the wire the payload occupies whole bytes of compressed stream.
 	return out, int64(len(data))
 }

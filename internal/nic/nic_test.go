@@ -1,8 +1,12 @@
 package nic
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +211,85 @@ func TestNICIngressRejectsCorruptFrames(t *testing.T) {
 	_, err = n.Ingress([]Packet{{ToS: comm.ToSCompress, Payload: bad, Compressed: true}})
 	if err == nil {
 		t.Fatal("expected error on overlong bit declaration")
+	}
+	// The count is a raw u32 off the wire: a stream too short to hold it
+	// must be rejected before it becomes an allocation (256 MiB and 16 GiB
+	// from these two 8-byte frames, otherwise).
+	for _, count := range []uint32{1 << 26, math.MaxUint32} {
+		frame := make([]byte, frameHeaderBytes)
+		binary.LittleEndian.PutUint32(frame, count) // bits stay 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = n.Ingress([]Packet{{ToS: comm.ToSCompress, Payload: frame, Compressed: true}})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, bitio.ErrShortRead) {
+			t.Fatalf("count=%d in an empty stream: %v, want ErrShortRead", count, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("count=%d in an empty stream: allocated %d bytes before rejecting it", count, grew)
+		}
+	}
+}
+
+// TestEngineSteadyStateAllocs pins what a payload costs the allocator once
+// the engines are warm: nothing to compress, and the returned payload — the
+// only thing the caller keeps — to decompress.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	bound := fpcodec.MustBound(10)
+	payload := gradientVector(4096, 9)
+	ce, de := NewCompressionEngine(bound), NewDecompressionEngine(bound)
+	data, bits := ce.CompressPayload(payload)
+	if n := testing.AllocsPerRun(20, func() { data, bits = ce.CompressPayload(payload) }); n != 0 {
+		t.Errorf("CompressPayload: %v allocations per payload, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := de.DecompressPayload(data, bits, len(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("DecompressPayload: %v allocations per payload, want 1 (the returned slice)", n)
+	}
+}
+
+// TestEnginesServeConcurrentCallers: the engines keep nothing between
+// payloads but their cycle counters, so senders may share one pair without
+// a lock (tcpfabric's forward send and its retransmissions do). Run under
+// -race.
+func TestEnginesServeConcurrentCallers(t *testing.T) {
+	bound := fpcodec.MustBound(10)
+	ce, de := NewCompressionEngine(bound), NewDecompressionEngine(bound)
+	const callers, rounds = 4, 8
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			payload := gradientVector(1000+c, int64(c))
+			var data []byte
+			for r := 0; r < rounds; r++ {
+				var bits int
+				data, bits = ce.CompressInto(data, payload)
+				out, err := de.DecompressPayload(data, bits, len(payload))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, v := range payload {
+					if out[i] != fpcodec.Roundtrip(v, bound) {
+						t.Errorf("caller %d round %d: value %d is %g", c, r, i, out[i])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	var bursts int64
+	for c := 0; c < callers; c++ {
+		bursts += rounds * CompressionCycles(1000+c)
+	}
+	if ce.Cycles() != bursts || de.Cycles() != bursts+callers*rounds {
+		t.Errorf("cycles = %d/%d, want %d/%d", ce.Cycles(), de.Cycles(), bursts, bursts+callers*rounds)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"inceptionn/internal/fpcodec"
 )
 
 // Wire frame v2 (all little-endian). The 32-byte header is followed by
@@ -86,9 +88,10 @@ func encodeHeader(h frameHeader) [frameHeaderLen]byte {
 }
 
 // decodeHeader parses and validates a frame header. Every anomaly — wrong
-// magic, unknown kind, hostile lengths, inconsistent raw sizing — returns
-// an error; the function never panics and never commits the caller to an
-// allocation larger than maxFrameBytes.
+// magic, unknown kind, hostile lengths, inconsistent raw sizing, a
+// compressed stream too short for its count — returns an error; the
+// function never panics and never commits the caller to an allocation
+// larger than maxFrameBytes, nor to one the body it carries cannot fill.
 func decodeHeader(b []byte) (frameHeader, error) {
 	var h frameHeader
 	if len(b) < frameHeaderLen {
@@ -129,6 +132,10 @@ func decodeHeader(b []byte) (frameHeader, error) {
 	if h.flags&flagCompressed != 0 {
 		if uint64(h.bitLen) > 8*uint64(h.payloadLen) {
 			return h, fmt.Errorf("tcpfabric: bitLen %d exceeds body %dB", h.bitLen, h.payloadLen)
+		}
+		// A 32-byte frame must not be able to ask for 64 MiB of floats.
+		if err := fpcodec.CheckStreamBits(int(h.count), int(h.bitLen)); err != nil {
+			return h, fmt.Errorf("tcpfabric: hostile count: %w", err)
 		}
 	} else if h.payloadLen != 4*h.count {
 		return h, fmt.Errorf("tcpfabric: raw frame %dB for %d floats", h.payloadLen, h.count)

@@ -2,7 +2,11 @@ package tcpfabric
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
+
+	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/nic"
 )
 
 // fuzzSeed builds a full frame (header ++ body) for the seed corpus.
@@ -12,10 +16,11 @@ func fuzzSeed(h frameHeader, body []byte) []byte {
 }
 
 // FuzzFrameDecode feeds arbitrary bytes through the header validator and,
-// when the header passes, the raw payload decoder. The invariants:
-// decoding never panics, and hostile length fields are rejected before
-// they can drive an allocation (an accepted data header is capped at
-// maxFrameFloats/maxFrameBytes).
+// when the header passes, the payload decoder the receiver would run. The
+// invariants: decoding never panics, and hostile length fields are rejected
+// before they can drive an allocation (an accepted data header is capped at
+// maxFrameFloats/maxFrameBytes, and a compressed one cannot make the
+// receiver allocate more than 16 bytes of floats per byte of body).
 func FuzzFrameDecode(f *testing.F) {
 	// Valid raw data frame carrying two floats.
 	rawBody := encodeRawPayload([]float32{1.5, -2.25})
@@ -37,6 +42,11 @@ func FuzzFrameDecode(f *testing.F) {
 		kind: kindData, count: 1 << 30, payloadLen: 1 << 31,
 	})
 	f.Add(hostile[:])
+	// Hostile: inside the caps, but no stream to hold the count.
+	emptyStream := encodeHeader(frameHeader{
+		kind: kindData, tos: 0x28, flags: flagCompressed, seq: 5, count: maxFrameFloats,
+	})
+	f.Add(emptyStream[:])
 	// Hostile: raw sizing mismatch (count*4 != payloadLen).
 	mismatch := encodeHeader(frameHeader{kind: kindData, count: 3, payloadLen: 8})
 	f.Add(mismatch[:])
@@ -52,6 +62,7 @@ func FuzzFrameDecode(f *testing.F) {
 	// Truncated header.
 	f.Add([]byte{0x50, 0x43, 0x4E, 0x49, 0x00})
 
+	engine := nic.NewDecompressionEngine(fpcodec.MustBound(10))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := decodeHeader(data)
 		if err != nil {
@@ -78,6 +89,22 @@ func FuzzFrameDecode(f *testing.F) {
 			vals, err := decodeRawPayload(h, body)
 			if err == nil && uint32(len(vals)) != h.count {
 				t.Fatalf("decoded %d floats, header said %d", len(vals), h.count)
+			}
+		}
+		// A compressed frame goes to the node's decompression engine as
+		// handleData hands it over. Whatever it decides, what it allocates
+		// on the way is bounded by the body the frame actually carried:
+		// eight 4-byte floats per 2-byte tag vector.
+		if h.kind == kindData && h.flags&flagCompressed != 0 && uint32(len(body)) == h.payloadLen {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			vals, err := engine.DecompressPayload(body, int(h.bitLen), int(h.count))
+			runtime.ReadMemStats(&after)
+			if err == nil && uint32(len(vals)) != h.count {
+				t.Fatalf("decoded %d floats, header said %d", len(vals), h.count)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(body))+64<<10 {
+				t.Fatalf("count=%d bitLen=%d in a %d-byte body: receiver allocated %d bytes", h.count, h.bitLen, len(body), grew)
 			}
 		}
 	})

@@ -45,9 +45,12 @@ func main() {
 		"valid_ack":          header(1, 0, 0, 3, 0, 0, 0, 0, 0),
 		"valid_nack_wantraw": header(2, 0, 4, 4, 0, 0, 0, 0, 0),
 		"hostile_lengths":    header(0, 0, 0, 0, 0, 1<<30, 1<<31, 0, 0),
-		"raw_size_mismatch":  header(0, 0, 0, 0, 0, 3, 8, 0, 0),
-		"bad_kind":           header(37, 0, 0, 0, 0, 0, 0, 0, 0),
-		"truncated_header":   {0x50, 0x43, 0x4E, 0x49, 0x00},
+		// Inside the caps, but a compressed stream of no bits cannot hold
+		// 16M floats: 64 MiB of receiver allocation from 32 bytes of frame.
+		"hostile_compressed_count": header(0, 0x28, 1, 5, 0, 1<<24, 0, 0, 0),
+		"raw_size_mismatch":        header(0, 0, 0, 0, 0, 3, 8, 0, 0),
+		"bad_kind":                 header(37, 0, 0, 0, 0, 0, 0, 0, 0),
+		"truncated_header":         {0x50, 0x43, 0x4E, 0x49, 0x00},
 	}
 	badMagic := header(0, 0, 0, 0, 0, 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(badMagic[0:], 0xDEADBEEF)

@@ -220,12 +220,11 @@ type Node struct {
 	closeOnce sync.Once
 	errs      chan error // torn frames, protocol violations, dead links
 
-	// engines are per-node, as in the hardware (one NIC per host); the
-	// mutexes serialize them the way the single AXI stream does.
-	ce   *nic.CompressionEngine
-	ceMu sync.Mutex
-	de   *nic.DecompressionEngine
-	deMu sync.Mutex
+	// engines are per-node, as in the hardware (one NIC per host). They
+	// keep no state between payloads but their cycle counters, so a
+	// retransmission's re-compress runs beside the forward send.
+	ce *nic.CompressionEngine
+	de *nic.DecompressionEngine
 
 	degraded      atomic.Int64
 	sentBytes     int64
@@ -488,6 +487,9 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 	return nd.transmit(dst, seq, of, false)
 }
 
+// bodyScratch recycles the storage of compressed frame bodies.
+var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // transmit encodes and writes one frame (fresh send or retransmission),
 // applying the chaos verdict for this attempt. raw forces an uncompressed
 // body (the degraded fallback).
@@ -518,10 +520,12 @@ func (nd *Node) transmit(dst int, seq uint32, of *outFrame, raw bool) error {
 		if cobs != nil {
 			sp = cobs.rec.Span(nd.id, -1, obs.PhaseCompress)
 		}
-		nd.ceMu.Lock()
-		data, bits := nd.ce.CompressPayload(of.payload)
-		body = append([]byte(nil), data...) // engine buffer is reused per call
-		nd.ceMu.Unlock()
+		// The stream is dead once this attempt's writes have flushed.
+		scratch := bodyScratch.Get().(*[]byte)
+		var bits int
+		body, bits = nd.ce.CompressInto(*scratch, of.payload)
+		*scratch = body
+		defer bodyScratch.Put(scratch)
 		sp.End()
 		h.flags |= flagCompressed
 		h.bitLen = uint32(bits)
@@ -546,9 +550,11 @@ func (nd *Node) transmit(dst int, seq uint32, of *outFrame, raw bool) error {
 			return ErrClosed
 		}
 	}
-	if v.TruncateBytes > 0 && h.flags&flagCompressed != 0 && len(body) > v.TruncateBytes {
+	if v.TruncateBytes > 0 && h.flags&flagCompressed != 0 && len(body) > v.TruncateBytes &&
+		fpcodec.CheckStreamBits(len(of.payload), 8*(len(body)-v.TruncateBytes)) == nil {
 		// A glitching engine emits a short bitstream: the frame stays
-		// well-formed (bitLen clamped to the body it actually carries) and
+		// well-formed (bitLen clamped to the body it actually carries, and
+		// still a tag vector per group, which decodeHeader insists on) and
 		// CRC-valid, but the codec runs out of bits mid-group and fails,
 		// driving the receiver's raw-fallback path.
 		body = body[:len(body)-v.TruncateBytes]
@@ -806,9 +812,7 @@ func (nd *Node) handleData(peer int, h frameHeader, body []byte) bool {
 		if cobs != nil {
 			sp = cobs.rec.Span(nd.id, -1, obs.PhaseDecompress)
 		}
-		nd.deMu.Lock()
 		out, err := nd.de.DecompressPayload(body, int(h.bitLen), int(h.count))
-		nd.deMu.Unlock()
 		sp.End()
 		if err != nil {
 			// The bits survived the wire (CRC ok) but the codec cannot
