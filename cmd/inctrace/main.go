@@ -37,6 +37,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -299,13 +300,13 @@ func cmdCalibrate(args []string) {
 			fatal(err)
 		}
 		defer f.Close()
-		spans, err := obs.ReadSpans(f)
+		t, err := obs.ReadTrace(f)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", path, err))
 		}
-		return spans
+		return t.Spans
 	}
-	c := obs.CalibrateTrimmed(read(*measured), read(*sim), *trim)
+	c := obs.Calibrate(read(*measured), read(*sim), *trim)
 	fmt.Printf("calibration: %s (measured) vs %s (sim), per-phase mean seconds per node-iteration\n\n", *measured, *sim)
 	c.Render(os.Stdout)
 	if c.Comparable() > 0 {
@@ -456,9 +457,14 @@ func cmdHealth(args []string) {
 	fmt.Printf("health: %s  open=%d total=%d dumps=%d polls=%d uptime=%.0fs\n",
 		state, st.Open, st.Total, st.Dumps, st.Polls, st.UptimeSecs)
 	if len(st.ByDetector) > 0 {
+		detectors := make([]string, 0, len(st.ByDetector))
+		for det := range st.ByDetector {
+			detectors = append(detectors, det)
+		}
+		sort.Strings(detectors)
 		fmt.Printf("by detector:")
-		for det, n := range st.ByDetector {
-			fmt.Printf(" %s=%d", det, n)
+		for _, det := range detectors {
+			fmt.Printf(" %s=%d", det, st.ByDetector[det])
 		}
 		fmt.Println()
 	}

@@ -606,9 +606,6 @@ type CtrlOptions struct {
 	// RPC has failed for this long; the client then fails closed (the
 	// minority-halt rule). Default 2s.
 	PartitionAfter time.Duration
-	// CallTimeout bounds one request/response attempt (progress frames
-	// extend it). Default 2s.
-	CallTimeout time.Duration
 	// Chaos, if non-nil, injects deterministic faults into the control
 	// link (fault.Link{Src: id, Dst: CtrlPeer}): a Drop verdict breaks
 	// the connection as a real partition would, exercising reconnect,
@@ -621,12 +618,13 @@ type CtrlOptions struct {
 	Seq *atomic.Uint64
 }
 
+// callTimeout bounds one request/response attempt (progress frames
+// extend it).
+const callTimeout = 2 * time.Second
+
 func (o CtrlOptions) withDefaults() CtrlOptions {
 	if o.PartitionAfter <= 0 {
 		o.PartitionAfter = 2 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 2 * time.Second
 	}
 	if o.Seq == nil {
 		o.Seq = new(atomic.Uint64)
@@ -817,14 +815,14 @@ func (cl *Client) ensureConn(cc *ctrlConn) (net.Conn, *bufio.Reader, *bufio.Writ
 	if conn, br, bw := cc.snapshot(); conn != nil {
 		return conn, br, bw, nil
 	}
-	conn, err := net.DialTimeout("tcp", cl.addr, cl.opts.CallTimeout)
+	conn, err := net.DialTimeout("tcp", cl.addr, callTimeout)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	cc.reqID++
-	conn.SetDeadline(time.Now().Add(cl.opts.CallTimeout))
+	conn.SetDeadline(time.Now().Add(callTimeout))
 	if err := writeCtrlFrame(bw, ckHello, stOK, cc.reqID, appendU32(nil, uint32(cl.id))); err != nil {
 		conn.Close()
 		return nil, nil, nil, err
@@ -878,13 +876,13 @@ func (cl *Client) attempt(ctx context.Context, cc *ctrlConn, kind byte, payload 
 	}
 	cc.reqID++
 	want := cc.reqID
-	conn.SetWriteDeadline(time.Now().Add(cl.opts.CallTimeout))
+	conn.SetWriteDeadline(time.Now().Add(callTimeout))
 	if err := writeCtrlFrame(bw, kind, stOK, want, payload); err != nil {
 		cc.drop(conn)
 		return 0, nil, err
 	}
 	conn.SetWriteDeadline(time.Time{})
-	deadline := time.Now().Add(cl.opts.CallTimeout)
+	deadline := time.Now().Add(callTimeout)
 	for {
 		conn.SetReadDeadline(deadline)
 		rkind, status, rid, body, err := readCtrlFrame(br)
@@ -903,7 +901,7 @@ func (cl *Client) attempt(ctx context.Context, cc *ctrlConn, kind byte, payload 
 				cc.drop(conn)
 				return 0, nil, err
 			}
-			deadline = time.Now().Add(cl.opts.CallTimeout)
+			deadline = time.Now().Add(callTimeout)
 			continue
 		}
 		conn.SetReadDeadline(time.Time{})

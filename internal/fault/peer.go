@@ -46,8 +46,6 @@ type Options struct {
 	// MaxAttempts caps transmissions per frame (first try included).
 	// Default 8.
 	MaxAttempts int
-	// InboxDepth is the per-link buffer of delivered frames. Default 256.
-	InboxDepth int
 	// Finalize, when set, is applied in place to a compressed data
 	// frame's payload before it is checksummed. It must be the transport
 	// codec's roundtrip (idempotent), so the payload the receiver
@@ -59,15 +57,15 @@ type Options struct {
 	Finalize func([]float32)
 }
 
+// inboxDepth is the per-link buffer of delivered frames.
+const inboxDepth = 256
+
 func (o Options) withDefaults() Options {
 	if o.RTO <= 0 {
 		o.RTO = 20 * time.Millisecond
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
-	}
-	if o.InboxDepth <= 0 {
-		o.InboxDepth = 256
 	}
 	return o
 }
@@ -154,7 +152,7 @@ func Wrap(t comm.Transport, inj *Injector, opts Options) *Peer {
 		if i == t.ID() {
 			continue
 		}
-		p.inbox[i] = make(chan delivered, p.opts.InboxDepth)
+		p.inbox[i] = make(chan delivered, inboxDepth)
 		p.acks[i] = make(chan ackEvent, 64)
 		p.stats[i] = &comm.LinkStats{}
 		p.wg.Add(1)

@@ -35,14 +35,10 @@ type Calibration struct {
 	Phases []PhaseCal // only phases present in at least one trace
 }
 
-func phaseMeans(spans []Span) (mean [NumPhases]float64, cells [NumPhases]int) {
-	return phaseMeansTrimmed(spans, 0)
-}
-
-// phaseMeansTrimmed computes per-phase mean seconds per {node, iter}
-// cell, dropping the slowest ceil(trim·n) cells of each phase first.
-// A trim of 0 is the plain mean.
-func phaseMeansTrimmed(spans []Span, trim float64) (mean [NumPhases]float64, cells [NumPhases]int) {
+// phaseMeans computes per-phase mean seconds per {node, iter} cell,
+// dropping the slowest ceil(trim·n) cells of each phase first. A trim of
+// 0 is the plain mean.
+func phaseMeans(spans []Span, trim float64) (mean [NumPhases]float64, cells [NumPhases]int) {
 	idx := IndexSpans(spans)
 	var byPhase [NumPhases][]time.Duration
 	for k, d := range idx {
@@ -75,22 +71,17 @@ func phaseMeansTrimmed(spans []Span, trim float64) (mean [NumPhases]float64, cel
 }
 
 // Calibrate diffs a simulated trace against a measured one, phase by
-// phase.
-func Calibrate(measured, sim []Span) *Calibration {
-	return CalibrateTrimmed(measured, sim, 0)
-}
-
-// CalibrateTrimmed is Calibrate with the slowest trim-fraction of the
-// *measured* cells of each phase dropped before averaging. Measured
-// traces on a shared machine carry rare giant outlier cells (a GC pause
-// or scheduler preemption lands inside one span and inflates it 50×);
-// a small trim compares the simulator against the machine's typical
+// phase, with the slowest trim-fraction of the *measured* cells of each
+// phase dropped before averaging (0 keeps them all). Measured traces on
+// a shared machine carry rare giant outlier cells (a GC pause or
+// scheduler preemption lands inside one span and inflates it 50×); a
+// small trim compares the simulator against the machine's typical
 // behavior instead of letting one pause dominate the phase mean. The
 // simulated side is deterministic and is never trimmed. Cell counts
 // still report the untrimmed population.
-func CalibrateTrimmed(measured, sim []Span, trim float64) *Calibration {
-	mMean, mCells := phaseMeansTrimmed(measured, trim)
-	sMean, sCells := phaseMeans(sim)
+func Calibrate(measured, sim []Span, trim float64) *Calibration {
+	mMean, mCells := phaseMeans(measured, trim)
+	sMean, sCells := phaseMeans(sim, 0)
 	c := &Calibration{}
 	for p := Phase(0); p < NumPhases; p++ {
 		if mCells[p] == 0 && sCells[p] == 0 {

@@ -22,7 +22,7 @@ func phaseCal(c *Calibration, p Phase) (PhaseCal, bool) {
 func TestCalibrateBasicRelErr(t *testing.T) {
 	measured := []Span{span(0, 0, PhaseSend, 10), span(0, 1, PhaseSend, 10)}
 	sim := []Span{span(0, 0, PhaseSend, 12), span(0, 1, PhaseSend, 12)}
-	c := Calibrate(measured, sim)
+	c := Calibrate(measured, sim, 0)
 	pc, ok := phaseCal(c, PhaseSend)
 	if !ok {
 		t.Fatal("send phase missing from calibration")
@@ -47,7 +47,7 @@ func TestCalibrateZeroDurationSpans(t *testing.T) {
 	// the guard mMean > 0 — so the phase must not trip MaxAbsRelErr.
 	measured := []Span{span(0, 0, PhaseRecv, 0)}
 	sim := []Span{span(0, 0, PhaseRecv, 5)}
-	c := Calibrate(measured, sim)
+	c := Calibrate(measured, sim, 0)
 	pc, ok := phaseCal(c, PhaseRecv)
 	if !ok {
 		t.Fatal("recv phase missing")
@@ -74,7 +74,7 @@ func TestCalibrateNegativeIterFiltered(t *testing.T) {
 		span(0, 0, PhaseSend, 10),
 	}
 	sim := []Span{span(0, 0, PhaseSend, 10)}
-	c := Calibrate(measured, sim)
+	c := Calibrate(measured, sim, 0)
 	if _, ok := phaseCal(c, PhaseCompress); ok {
 		t.Fatal("compress phase from iter -1 spans must be filtered")
 	}
@@ -93,7 +93,7 @@ func TestCalibrateOneSidedPhases(t *testing.T) {
 		span(0, 0, PhaseSend, 11),
 		span(0, 0, PhaseReduce, 4), // sim-only
 	}
-	c := Calibrate(measured, sim)
+	c := Calibrate(measured, sim, 0)
 
 	ck, ok := phaseCal(c, PhaseCheckpoint)
 	if !ok || ck.OneSided() != "m-only" {
@@ -128,7 +128,7 @@ func TestCalibrateOneSidedPhases(t *testing.T) {
 }
 
 func TestCalibrateEmptyTraces(t *testing.T) {
-	c := Calibrate(nil, nil)
+	c := Calibrate(nil, nil, 0)
 	if len(c.Phases) != 0 {
 		t.Fatalf("empty traces produced %d phases", len(c.Phases))
 	}
@@ -144,7 +144,7 @@ func TestPhaseMeansMultipleSpansPerCell(t *testing.T) {
 		span(0, 0, PhaseSend, 20),
 		span(1, 0, PhaseSend, 30),
 	}
-	mean, cells := phaseMeans(spans)
+	mean, cells := phaseMeans(spans, 0)
 	if cells[PhaseSend] != 2 {
 		t.Fatalf("send cells = %d, want 2", cells[PhaseSend])
 	}

@@ -98,13 +98,10 @@ func EstimateClock(n int, probe func() (ClockDoc, error)) (ClockEstimate, error)
 
 // HTTPClockProbe returns a probe for EstimateClock that GETs /clock from
 // an obs HTTP endpoint.
-func HTTPClockProbe(client *http.Client, addr string) func() (ClockDoc, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
+func HTTPClockProbe(addr string) func() (ClockDoc, error) {
 	url := "http://" + addr + "/clock"
 	return func() (ClockDoc, error) {
-		resp, err := client.Get(url)
+		resp, err := scrapeClient.Get(url)
 		if err != nil {
 			return ClockDoc{}, err
 		}

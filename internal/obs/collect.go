@@ -101,12 +101,14 @@ type Collector struct {
 	// Probes is the number of /clock handshakes per endpoint (min-RTT
 	// sample wins); 0 means the default of 7.
 	Probes int
-	// Client is the HTTP client for AddEndpoint (nil = 5s-timeout default).
-	Client *http.Client
 
 	sources []*Source
 	reg     *Registry
 }
+
+// scrapeClient is the HTTP client behind AddEndpoint and HTTPClockProbe:
+// a diagnostics scrape of a live run gives up after 5 s.
+var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
@@ -137,16 +139,23 @@ func (c *Collector) AddFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	spans, metas, err := ReadTrace(f)
+	t, err := ReadTrace(f)
 	if err != nil {
 		return fmt.Errorf("obs: collect %s: %w", path, err)
 	}
-	src := c.AddSpans(filepath.Base(path), -1, 0, spans)
-	if len(metas) > 0 {
-		src.Node = metas[0].Node
-		src.EpochUnixNs = metas[0].EpochUnixNs
-	}
+	c.addTrace(filepath.Base(path), t)
 	return nil
+}
+
+// addTrace adds a parsed trace as a source; its first TraceMeta line
+// (when present) supplies the node scope and the wall-clock epoch.
+func (c *Collector) addTrace(name string, t *Trace) *Source {
+	src := c.AddSpans(name, -1, 0, t.Spans)
+	if len(t.Metas) > 0 {
+		src.Node = t.Metas[0].Node
+		src.EpochUnixNs = t.Metas[0].EpochUnixNs
+	}
+	return src
 }
 
 // AddEndpoint scrapes a live obs endpoint: /trace for the spans, /metrics
@@ -154,12 +163,8 @@ func (c *Collector) AddFile(path string) error {
 // min-RTT midpoint) for the clock offset. A server without /clock (or
 // without a tracer) falls back to the trace meta epoch.
 func (c *Collector) AddEndpoint(addr string) error {
-	client := c.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
 	get := func(path string) ([]byte, error) {
-		resp, err := client.Get("http://" + addr + path)
+		resp, err := scrapeClient.Get("http://" + addr + path)
 		if err != nil {
 			return nil, err
 		}
@@ -174,21 +179,17 @@ func (c *Collector) AddEndpoint(addr string) error {
 	if err != nil {
 		return fmt.Errorf("obs: collect %s: %w", addr, err)
 	}
-	spans, metas, err := ReadTrace(bytes.NewReader(body))
+	t, err := ReadTrace(bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("obs: collect %s: %w", addr, err)
 	}
-	src := c.AddSpans(addr, -1, 0, spans)
-	if len(metas) > 0 {
-		src.Node = metas[0].Node
-		src.EpochUnixNs = metas[0].EpochUnixNs
-	}
+	src := c.addTrace(addr, t)
 
 	probes := c.Probes
 	if probes <= 0 {
 		probes = 7
 	}
-	if est, err := EstimateClock(probes, HTTPClockProbe(client, addr)); err == nil && est.EpochUnixNs != 0 {
+	if est, err := EstimateClock(probes, HTTPClockProbe(addr)); err == nil && est.EpochUnixNs != 0 {
 		src.Clock = &est
 	}
 

@@ -140,10 +140,11 @@ func TestCollectorFileRoundTrip(t *testing.T) {
 	if err := m.WriteJSONL(&out); err != nil {
 		t.Fatal(err)
 	}
-	spans, metas, err := ReadTrace(&out)
+	doc, err := ReadTrace(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans, metas := doc.Spans, doc.Metas
 	if len(spans) != 2 || len(metas) != 1 || metas[0].Source != "merged" {
 		t.Fatalf("re-exported trace: %d spans, metas %+v", len(spans), metas)
 	}

@@ -218,6 +218,27 @@ func (r *BlameReport) Gating() (node int, share float64) {
 	return node, share
 }
 
+// DominantPhase returns the explanation for node's gating: the phase
+// that accounts for the most gap across the iterations it gated (the
+// earliest phase in table order on a tie or when it gated none). It is
+// the one tally behind the offline report's verdict and the health
+// engine's incident phase, so the two cannot name different phases.
+func (r *BlameReport) DominantPhase(node int) Phase {
+	var phaseTot [NumPhases]time.Duration
+	for _, ia := range r.Iters {
+		if ia.Gating == node {
+			phaseTot[ia.GatingPhase] += ia.Gap
+		}
+	}
+	best := Phase(0)
+	for ph := Phase(1); ph < NumPhases; ph++ {
+		if phaseTot[ph] > phaseTot[best] {
+			best = ph
+		}
+	}
+	return best
+}
+
 // RenderBlame writes the straggler report: the per-node gating summary,
 // the blame matrix, and the per-iteration tail.
 func (r *BlameReport) RenderBlame(w io.Writer) {
@@ -257,21 +278,8 @@ func (r *BlameReport) RenderBlame(w io.Writer) {
 	}
 
 	if node, share := r.Gating(); node >= 0 {
-		fmt.Fprintf(w, "\nstraggler: node %d gates %.0f%% of attributed iterations", node, 100*share)
-		// Dominant explanation across that node's gated iterations.
-		var phaseTot [NumPhases]time.Duration
-		for _, ia := range r.Iters {
-			if ia.Gating == node {
-				phaseTot[ia.GatingPhase] += ia.Gap
-			}
-		}
-		bestPh, bestD := Phase(0), time.Duration(-1)
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			if phaseTot[ph] > bestD {
-				bestPh, bestD = ph, phaseTot[ph]
-			}
-		}
-		fmt.Fprintf(w, " (dominant phase: %s)\n", bestPh)
+		fmt.Fprintf(w, "\nstraggler: node %d gates %.0f%% of attributed iterations (dominant phase: %s)\n",
+			node, 100*share, r.DominantPhase(node))
 	} else {
 		fmt.Fprintf(w, "\nstraggler: none — ring is balanced\n")
 	}

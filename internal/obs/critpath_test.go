@@ -115,7 +115,7 @@ func TestCalibrate(t *testing.T) {
 			sim = append(sim, Span{Node: n, Iter: it, Phase: PhaseSend, Dur: (1 * time.Millisecond).Nanoseconds()})
 		}
 	}
-	c := Calibrate(measured, sim)
+	c := Calibrate(measured, sim, 0)
 	var comp, send *PhaseCal
 	for i := range c.Phases {
 		switch c.Phases[i].Phase {

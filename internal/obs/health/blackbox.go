@@ -2,7 +2,6 @@ package health
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,13 +19,16 @@ import (
 //	{"node":0,"iter":12,"phase":"recv","start_ns":...,"dur_ns":...}
 //	...
 //
-// obs.ReadTrace skips the "blackbox"-keyed lines the same way it skips
-// the meta header, so `inctrace blame <dump>` and `inctrace breakdown
-// <dump>` work on a dump file directly; ReadDump parses the full
-// document including incidents and metric snapshots.
+// obs.ReadTrace keeps the "blackbox"-keyed lines aside, undecoded, so
+// `inctrace blame <dump>` and `inctrace breakdown <dump>` work on a dump
+// file directly; ReadDump decodes them into incidents and metric
+// snapshots.
 
-// auxLine is one non-span line of a dump. The "blackbox" key doubles as
-// the marker that tells span readers to skip the line.
+// auxKey is the first key of every non-span line of a dump — auxLine's
+// first field, which is what obs.ReadTrace files the line under.
+const auxKey = "blackbox"
+
+// auxLine is one non-span line of a dump.
 type auxLine struct {
 	Blackbox int                    `json:"blackbox"`
 	Kind     string                 `json:"kind"`
@@ -41,44 +43,18 @@ type metricSnap struct {
 	Metrics map[string]interface{}
 }
 
-// flightRecorder is the always-on pre-incident evidence buffer: a
-// bounded ring of full-fidelity spans plus the last few metric
-// snapshots. It costs a fixed amount of memory no matter how long the
-// run; the expensive serialization happens only when an incident dumps.
+// flightRecorder is the always-on pre-incident evidence the engine keeps
+// itself: the last few metric snapshots. (The spans of a dump are the
+// tracer's own tail — see Engine.evidenceLocked.) It costs a fixed amount
+// of memory no matter how long the run; the expensive serialization
+// happens only when an incident dumps.
 type flightRecorder struct {
-	spanBuf  []obs.Span
-	spanNext int
 	snaps    []metricSnap
 	maxSnaps int
 }
 
-func newFlightRecorder(spanCap, snapCap int) *flightRecorder {
-	if spanCap < 1 {
-		spanCap = 1
-	}
-	if snapCap < 1 {
-		snapCap = 1
-	}
-	return &flightRecorder{spanBuf: make([]obs.Span, 0, spanCap), maxSnaps: snapCap}
-}
-
-func (f *flightRecorder) addSpan(s obs.Span) {
-	if len(f.spanBuf) < cap(f.spanBuf) {
-		f.spanBuf = append(f.spanBuf, s)
-	} else {
-		f.spanBuf[f.spanNext] = s
-	}
-	f.spanNext = (f.spanNext + 1) % cap(f.spanBuf)
-}
-
-// spans returns the retained spans oldest-first.
-func (f *flightRecorder) spans() []obs.Span {
-	out := make([]obs.Span, 0, len(f.spanBuf))
-	if len(f.spanBuf) == cap(f.spanBuf) {
-		out = append(out, f.spanBuf[f.spanNext:]...)
-	}
-	out = append(out, f.spanBuf[:f.spanNext]...)
-	return out
+func newFlightRecorder(snapCap int) *flightRecorder {
+	return &flightRecorder{maxSnaps: snapCap}
 }
 
 func (f *flightRecorder) addSnap(unixNs int64, m map[string]interface{}) {
@@ -133,52 +109,30 @@ type Dump struct {
 	Spans     []obs.Span
 }
 
-var (
-	bbMarker   = []byte(`"blackbox"`)
-	metaMarker = []byte(`"trace_meta"`)
-)
-
-// ReadDump parses a black-box JSONL stream.
+// ReadDump parses a black-box JSONL stream: obs.ReadTrace's one pass
+// for the spans and headers, then this package's own lines out of it.
 func ReadDump(r io.Reader) (*Dump, error) {
-	d := &Dump{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
+	t, err := obs.ReadTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	d := &Dump{Metas: t.Metas, Spans: t.Spans}
+	for _, l := range t.Other {
+		if l.Key != auxKey {
 			continue
 		}
-		if bytes.Contains(b, metaMarker) {
-			var m obs.TraceMeta
-			if err := json.Unmarshal(b, &m); err == nil && m.Version != 0 {
-				d.Metas = append(d.Metas, m)
-				continue
+		var aux auxLine
+		if err := json.Unmarshal(l.JSON, &aux); err != nil {
+			return nil, fmt.Errorf("health: blackbox line %d: %w", l.Num, err)
+		}
+		switch aux.Kind {
+		case "incident":
+			if aux.Incident != nil {
+				d.Incidents = append(d.Incidents, *aux.Incident)
 			}
+		case "metrics":
+			d.Snapshots = append(d.Snapshots, metricSnap{UnixNs: aux.UnixNs, Metrics: aux.Metrics})
 		}
-		if bytes.Contains(b, bbMarker) {
-			var aux auxLine
-			if err := json.Unmarshal(b, &aux); err == nil && aux.Blackbox != 0 {
-				switch aux.Kind {
-				case "incident":
-					if aux.Incident != nil {
-						d.Incidents = append(d.Incidents, *aux.Incident)
-					}
-				case "metrics":
-					d.Snapshots = append(d.Snapshots, metricSnap{UnixNs: aux.UnixNs, Metrics: aux.Metrics})
-				}
-				continue
-			}
-		}
-		var s obs.Span
-		if err := json.Unmarshal(b, &s); err != nil {
-			return nil, fmt.Errorf("health: blackbox line %d: %w", line, err)
-		}
-		d.Spans = append(d.Spans, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return d, nil
 }

@@ -110,7 +110,11 @@ func readTraceFile(path string) ([]obs.Span, []obs.TraceMeta, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	return obs.ReadTrace(f)
+	doc, err := obs.ReadTrace(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	return doc.Spans, doc.Metas, nil
 }
 
 func TestOneDumpPerIncident(t *testing.T) {
@@ -132,15 +136,50 @@ func TestOneDumpPerIncident(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderBounds(t *testing.T) {
-	f := newFlightRecorder(4, 2)
-	for i := 0; i < 10; i++ {
-		f.addSpan(obs.Span{Iter: i})
-		f.addSnap(int64(i), map[string]interface{}{"i": i})
+// TestDumpCarriesTheTracersTail: a dump's spans are read straight off the
+// tracer's ring — everything it retains when that is under blackboxSpans,
+// otherwise exactly the newest blackboxSpans — oldest first.
+func TestDumpCarriesTheTracersTail(t *testing.T) {
+	for _, tc := range []struct{ capacity, recorded, want int }{
+		{100, 250, 100},             // a small ring that wrapped
+		{2 * blackboxSpans, 40, 40}, // a large ring barely used
+		{2 * blackboxSpans, blackboxSpans + 1000, blackboxSpans}, // more retained than one dump carries
+	} {
+		tr := obs.NewTracer(tc.capacity)
+		o := testOptions()
+		o.BlackboxDir = t.TempDir()
+		e := New(obs.NewRecorder(obs.NewRegistry(), tr), o)
+		for i := 0; i < tc.recorded; i++ {
+			tr.RecordRaw(i%4, i, obs.PhaseSend, int64(i), 1)
+			if i == tc.recorded/2 {
+				e.Poll() // a drain mid-way must not change what the dump holds
+			}
+		}
+		e.NotifyFallback(4, tc.recorded, "stall", time.Second)
+		incs := e.Incidents()
+		if len(incs) != 1 || incs[0].Blackbox == "" {
+			t.Fatalf("incidents = %+v, want one with a dump", incs)
+		}
+		d, err := ReadDumpFile(incs[0].Blackbox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Spans) != tc.want {
+			t.Fatalf("capacity %d, %d recorded: dump holds %d spans, want %d", tc.capacity, tc.recorded, len(d.Spans), tc.want)
+		}
+		for i, s := range d.Spans {
+			if want := tc.recorded - tc.want + i; s.Iter != want {
+				t.Fatalf("capacity %d, %d recorded: dump span %d is #%d, want #%d (newest %d, oldest first)",
+					tc.capacity, tc.recorded, i, s.Iter, want, tc.want)
+			}
+		}
 	}
-	spans := f.spans()
-	if len(spans) != 4 || spans[0].Iter != 6 || spans[3].Iter != 9 {
-		t.Fatalf("span ring = %+v, want iters 6..9", spans)
+}
+
+func TestFlightRecorderBounds(t *testing.T) {
+	f := newFlightRecorder(2)
+	for i := 0; i < 10; i++ {
+		f.addSnap(int64(i), map[string]interface{}{"i": i})
 	}
 	if snaps := f.snapshots(); len(snaps) != 2 || snaps[1].UnixNs != 9 {
 		t.Fatalf("snaps = %+v, want the last 2", f.snapshots())

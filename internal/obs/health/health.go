@@ -1,6 +1,6 @@
 // Package health is the online anomaly layer over obs: a streaming
-// engine that watches a run's Recorder (step latencies, per-link recv
-// waits, transport/elastic counters, codec gauges) with robust online
+// engine that watches a run's Recorder (per-node recv waits,
+// transport/elastic counters, codec gauges) with robust online
 // detectors and emits typed Incident records the moment something
 // degrades, instead of leaving anomalies to a post-mortem trace read.
 //
@@ -15,15 +15,13 @@
 //     the gap is sustained, the minimum-wait node is the straggler —
 //     the same rule obs.AttributeCriticalPath applies post-mortem, and
 //     the confirmed incident's phase is named through it.
-//   - step_latency: per-iteration cross-node median + MAD z-score on
-//     step latency, EWMA-smoothed, strike-confirmed. Catches nodes
-//     whose wall clock diverges from the cohort's — a signal only in
-//     loosely-coupled paths (the synchronous collectives equalize it).
-//   - recv_wait: the same robust statistic on per-node recv wait, but
-//     striking only high-side outliers — a minority node waiting far
-//     longer than its peers marks a degraded inbound link (a uniform
-//     wait rise is the straggler cascade, which the straggler family
-//     already names via the inversion).
+//   - recv_wait: per-iteration cross-node median + MAD z-score on
+//     per-node recv wait, EWMA-smoothed, strike-confirmed, striking only
+//     high-side outliers — a minority node waiting far longer than its
+//     peers marks a degraded inbound link (a uniform wait rise is the
+//     straggler cascade, which the straggler family already names via
+//     the inversion). Step wall clock gets no such detector: every
+//     runner's collective is synchronous and equalizes it.
 //   - retransmit_rate / crc_rate / suspect: rate-of-change thresholds on
 //     the transport and membership counters, polled.
 //   - fallback / eviction: point incidents (opened closed) for the
@@ -36,11 +34,11 @@
 //     gauge (a ratio collapse means the gradient distribution shifted or
 //     a codec config regressed mid-run).
 //
-// The engine pairs detection with a flight recorder: an always-on
-// bounded buffer of full-fidelity spans and recent metric snapshots
-// that is dumped to a JSONL "black box" file the moment an incident
-// opens, so the expensive evidence exists exactly when it matters and
-// replays through the existing inctrace blame/breakdown reports.
+// The engine pairs detection with a flight recorder: the tracer's own
+// bounded ring of full-fidelity spans plus the recent metric snapshots,
+// dumped to a JSONL "black box" file the moment an incident opens, so
+// the expensive evidence exists exactly when it matters and replays
+// through the existing inctrace blame/breakdown reports.
 //
 // Like the rest of obs, every method on a nil *Engine is a no-op, so
 // runners thread an optional engine at zero cost when health is off.
@@ -58,16 +56,15 @@ import (
 	"inceptionn/internal/obs"
 )
 
-// Options tunes the detectors. The zero value means "use the default"
-// for every field; defaults are chosen so a fault-free run on a noisy
-// shared host opens zero incidents.
+// Options is what a caller sets: the strike windows a short run needs
+// shortened, the deviation gate a noisy host needs widened, and where
+// dumps go. The zero value means "use the default" for every field;
+// defaults are chosen so a fault-free run on a noisy shared host opens
+// zero incidents. Every other detector threshold is a constant below.
 type Options struct {
 	// Warmup is how many analyzed iterations pass before the latency
 	// detectors may strike (EWMAs still settle during warmup). Default 5.
 	Warmup int
-	// ZThreshold is the robust z-score (deviation over MAD-derived
-	// sigma) a smoothed deviation must exceed to strike. Default 4.
-	ZThreshold float64
 	// Consecutive is how many consecutive striking iterations confirm an
 	// incident — single-iteration hiccups (GC, scheduler) never page.
 	// Default 3.
@@ -76,87 +73,59 @@ type Options struct {
 	// cohort's spread, a deviation under this is never anomalous.
 	// Default 2ms.
 	MinStepGap time.Duration
-	// MADFloor is the lower bound on the MAD-derived robust sigma, so a
-	// freakishly tight cohort cannot make microsecond jitter look like a
-	// 10-sigma event. Default 500µs.
-	MADFloor time.Duration
-	// EWMAAlpha smooths per-node deviations and the cohort sigma across
-	// iterations. Default 0.3.
-	EWMAAlpha float64
-	// Window is how many recent iterations of flight-recorder spans feed
-	// the critical-path naming of a confirmed straggler. Default 16.
-	Window int
-
-	// RetransRate / CRCRate are the polled counter rates (events/s) that
-	// open a transport incident once sustained for two consecutive
-	// polls. Defaults 200/s and 20/s — a clean loopback run's retry
-	// timers already churn a few dozen retransmits/s, so the bound sits
-	// well above that baseline.
-	RetransRate float64
-	CRCRate     float64
-
-	// HeartbeatGap is how long the elastic heartbeat counter may stall
-	// (with members present) before an incident opens. Default 5s.
-	HeartbeatGap time.Duration
-
-	// RatioDriftPct is the relative drift of the compression-ratio gauge
-	// from its EWMA baseline that opens an incident. Default 0.25.
-	RatioDriftPct float64
-
 	// BlackboxDir, when set, enables flight-recorder dumps: every opened
 	// incident writes one JSONL black-box file into this directory.
 	BlackboxDir string
-	// BlackboxSpans bounds the flight recorder's span ring. Default 8192.
-	BlackboxSpans int
-	// BlackboxSnaps bounds the retained pre-incident metric snapshots.
-	// Default 4.
-	BlackboxSnaps int
-	// MaxIncidents bounds the retained incident history. Default 256.
-	MaxIncidents int
 }
+
+const (
+	// zThreshold is the robust z-score (deviation over MAD-derived
+	// sigma) a smoothed deviation must exceed to strike.
+	zThreshold = 4.0
+	// madFloor is the lower bound on the MAD-derived robust sigma, so a
+	// freakishly tight cohort cannot make microsecond jitter look like a
+	// 10-sigma event.
+	madFloor = float64(500 * time.Microsecond)
+	// ewmaAlpha smooths per-node deviations and the cohort sigma across
+	// iterations.
+	ewmaAlpha = 0.3
+	// window is how many recent iterations of tracer spans feed the
+	// critical-path naming of a confirmed straggler.
+	window = 16
+
+	// retransRate / crcRate are the polled counter rates (events/s) that
+	// open a transport incident once sustained for two consecutive
+	// polls — a clean loopback run's retry timers already churn a few
+	// dozen retransmits/s, so the bound sits well above that baseline.
+	retransRate = 200.0
+	crcRate     = 20.0
+
+	// heartbeatGap is how long the elastic heartbeat counter may stall
+	// (with members present) before an incident opens.
+	heartbeatGap = 5 * time.Second
+
+	// ratioDriftPct is the relative drift of the compression-ratio gauge
+	// from its EWMA baseline that opens an incident.
+	ratioDriftPct = 0.25
+
+	// blackboxSpans bounds the spans one dump carries: the newest this
+	// many the tracer retains.
+	blackboxSpans = 8192
+	// blackboxSnaps bounds the retained pre-incident metric snapshots.
+	blackboxSnaps = 4
+	// maxIncidents bounds the retained incident history.
+	maxIncidents = 256
+)
 
 func (o Options) withDefaults() Options {
 	if o.Warmup == 0 {
 		o.Warmup = 5
-	}
-	if o.ZThreshold == 0 {
-		o.ZThreshold = 4
 	}
 	if o.Consecutive == 0 {
 		o.Consecutive = 3
 	}
 	if o.MinStepGap == 0 {
 		o.MinStepGap = 2 * time.Millisecond
-	}
-	if o.MADFloor == 0 {
-		o.MADFloor = 500 * time.Microsecond
-	}
-	if o.EWMAAlpha == 0 {
-		o.EWMAAlpha = 0.3
-	}
-	if o.Window == 0 {
-		o.Window = 16
-	}
-	if o.RetransRate == 0 {
-		o.RetransRate = 200
-	}
-	if o.CRCRate == 0 {
-		o.CRCRate = 20
-	}
-	if o.HeartbeatGap == 0 {
-		o.HeartbeatGap = 5 * time.Second
-	}
-	if o.RatioDriftPct == 0 {
-		o.RatioDriftPct = 0.25
-	}
-	if o.BlackboxSpans == 0 {
-		o.BlackboxSpans = 8192
-	}
-	if o.BlackboxSnaps == 0 {
-		o.BlackboxSnaps = 4
-	}
-	if o.MaxIncidents == 0 {
-		o.MaxIncidents = 256
 	}
 	return o
 }
@@ -185,18 +154,15 @@ type Engine struct {
 	cursor int64 // tracer tail cursor
 	flight *flightRecorder
 
-	steps        map[int]map[int]time.Duration // iter → node → step latency
+	steps        map[int]map[int]struct{}      // iter → nodes that reported it
 	recvW        map[int]map[int]time.Duration // iter → node → recv wait
 	maxIter      int
 	lastAnalyzed int
 	itersSeen    int
 	nodes        map[int]struct{} // every node that ever reported a step
 
-	devStep     map[int]float64 // smoothed deviation from cohort median, ns
-	devRecv     map[int]float64
-	sigStep     float64 // smoothed robust sigma, ns
-	sigRecv     float64
-	strikesStep map[int]int
+	devRecv     map[int]float64 // smoothed deviation from cohort median, ns
+	sigRecv     float64         // smoothed robust sigma, ns
 	strikesRecv map[int]int
 
 	devInv     float64 // smoothed recv-wait inversion gap (median − min), ns
@@ -215,9 +181,10 @@ type Engine struct {
 	fallbackHandled int64
 	evictHandled    int64
 
-	nextID    int
+	nextID    int                           // ids handed out = incidents ever opened
+	tally     map[string][len(sevNames)]int // the same count per detector × severity
 	open      map[string]*Incident
-	incidents []*Incident
+	incidents []*Incident // retained history: the newest maxIncidents
 	dumps     int
 }
 
@@ -234,19 +201,18 @@ func New(rec *obs.Recorder, o Options) *Engine {
 		mPolls:       rec.Counter("health_polls"),
 		mDumps:       rec.Counter("health_blackbox_dumps"),
 		started:      time.Now(),
-		flight:       newFlightRecorder(o.BlackboxSpans, o.BlackboxSnaps),
-		steps:        make(map[int]map[int]time.Duration),
+		flight:       newFlightRecorder(blackboxSnaps),
+		steps:        make(map[int]map[int]struct{}),
 		recvW:        make(map[int]map[int]time.Duration),
 		maxIter:      -1,
 		lastAnalyzed: -1,
-		devStep:      make(map[int]float64),
 		devRecv:      make(map[int]float64),
-		strikesStep:  make(map[int]int),
 		strikesRecv:  make(map[int]int),
 		invNode:      -1,
 		nodes:        make(map[int]struct{}),
 		prevCnt:      make(map[string]int64),
 		rateStrikes:  make(map[string]int),
+		tally:        make(map[string][len(sevNames)]int),
 		open:         make(map[string]*Incident),
 	}
 	// Baseline the point-event counters at construction, so the first
@@ -310,7 +276,7 @@ func (e *Engine) Close() {
 		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		e.drainLocked(e.maxIter + 1)
+		e.drainLocked(func(int, int) bool { return true })
 		e.pollLocked(time.Now())
 	})
 }
@@ -325,7 +291,10 @@ func (e *Engine) Close() {
 // ring lets workers skew by a full iteration, and judging i before the
 // slowest member's recv spans land makes its peers look balanced —
 // exactly the straggler evidence going missing. Close analyzes the tail.
-func (e *Engine) ObserveStep(node, iter int, d time.Duration) {
+// The step's own latency is not a signal (every runner's collective is
+// synchronous and equalizes it): the call is the "iteration complete on
+// this node" trigger.
+func (e *Engine) ObserveStep(node, iter int, _ time.Duration) {
 	if e == nil || iter < 0 {
 		return
 	}
@@ -337,14 +306,15 @@ func (e *Engine) ObserveStep(node, iter int, d time.Duration) {
 	}
 	byNode := e.steps[iter]
 	if byNode == nil {
-		byNode = make(map[int]time.Duration)
+		byNode = make(map[int]struct{})
 		e.steps[iter] = byNode
 	}
-	byNode[node] = d
+	byNode[node] = struct{}{}
 	if iter > e.maxIter {
 		e.maxIter = iter
 	}
-	e.drainReadyLocked()
+	cohort := len(e.nodes)
+	e.drainLocked(func(it, reported int) bool { return it <= e.maxIter-2 || reported >= cohort })
 }
 
 // NotifyFallback reports a confirmed collective fallback (the switch
@@ -381,17 +351,12 @@ func (e *Engine) Poll() {
 
 // ---- streaming internals (all called with e.mu held) ----
 
-// pullSpansLocked drains new spans from the tracer into the flight
-// recorder and the per-iteration recv-wait accumulators.
+// pullSpansLocked drains new spans from the tracer into the
+// per-iteration recv-wait accumulators.
 func (e *Engine) pullSpansLocked() {
-	tr := e.rec.Tracer()
-	if tr == nil {
-		return
-	}
-	spans, cur := tr.TailSince(e.cursor)
+	spans, cur := e.rec.Tracer().TailSince(e.cursor)
 	e.cursor = cur
 	for _, s := range spans {
-		e.flight.addSpan(s)
 		if s.Phase == obs.PhaseRecv && s.Iter > e.lastAnalyzed {
 			byNode := e.recvW[s.Iter]
 			if byNode == nil {
@@ -403,14 +368,21 @@ func (e *Engine) pullSpansLocked() {
 	}
 }
 
-// drainReadyLocked analyzes every iteration whose evidence is complete:
-// all known cohort members reported it, or the run is two iterations
-// past it (see ObserveStep).
-func (e *Engine) drainReadyLocked() {
-	cohort := len(e.nodes)
+// evidenceLocked returns the spans a dump or a blame verdict is built
+// from, oldest first, straight off the tracer's ring (the engine keeps no
+// copy): the blackboxSpans before the engine's cursor, as far as they are
+// still retained, plus whatever was recorded since the last pull.
+func (e *Engine) evidenceLocked() []obs.Span {
+	spans, _ := e.rec.Tracer().TailSince(e.cursor - blackboxSpans)
+	return spans
+}
+
+// drainLocked analyzes, in iteration order, every pending iteration that
+// ready (given the iteration and how many nodes reported it) accepts.
+func (e *Engine) drainLocked(ready func(it, reported int) bool) {
 	pending := make([]int, 0, len(e.steps))
 	for it, byNode := range e.steps {
-		if it <= e.maxIter-2 || len(byNode) >= cohort {
+		if ready(it, len(byNode)) {
 			pending = append(pending, it)
 		}
 	}
@@ -420,125 +392,67 @@ func (e *Engine) drainReadyLocked() {
 	sort.Ints(pending)
 	e.pullSpansLocked()
 	for _, it := range pending {
-		e.analyzeIterLocked(it)
-	}
-}
-
-// drainLocked analyzes every pending iteration ≤ through, in order.
-func (e *Engine) drainLocked(through int) {
-	pending := make([]int, 0, len(e.steps))
-	for it := range e.steps {
-		if it <= through {
-			pending = append(pending, it)
+		recvVals := e.recvW[it]
+		delete(e.steps, it)
+		delete(e.recvW, it)
+		if it > e.lastAnalyzed {
+			e.lastAnalyzed = it
 		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	sort.Ints(pending)
-	e.pullSpansLocked()
-	for _, it := range pending {
-		e.analyzeIterLocked(it)
+		e.itersSeen++
+		warmup := e.itersSeen <= e.o.Warmup
+		e.recvWaitLocked(recvVals, it, warmup)
+		e.inversionLocked(recvVals, it, warmup)
 	}
 }
 
-func (e *Engine) analyzeIterLocked(it int) {
-	stepVals := e.steps[it]
-	recvVals := e.recvW[it]
-	delete(e.steps, it)
-	delete(e.recvW, it)
-	if it > e.lastAnalyzed {
-		e.lastAnalyzed = it
-	}
-	e.itersSeen++
-	warmup := e.itersSeen <= e.o.Warmup
-
-	e.latencyFamilyLocked(familyStep, stepVals, it, warmup)
-	e.latencyFamilyLocked(familyRecv, recvVals, it, warmup)
-	e.inversionLocked(recvVals, it, warmup)
-}
-
-type latencyFamily int
-
-const (
-	familyStep latencyFamily = iota
-	familyRecv
-)
-
-// latencyFamilyLocked runs the robust cross-node detector for one
-// iteration of one signal (step latency or recv wait).
-func (e *Engine) latencyFamilyLocked(f latencyFamily, vals map[int]time.Duration, it int, warmup bool) {
+// recvWaitLocked runs the robust cross-node detector on one iteration's
+// per-node recv waits.
+func (e *Engine) recvWaitLocked(vals map[int]time.Duration, it int, warmup bool) {
 	if len(vals) < 2 {
 		return // nothing to compare against
 	}
-	med, sigma := robustStats(vals, float64(e.o.MADFloor))
-	dev, strikes, sig := e.devStep, e.strikesStep, &e.sigStep
-	if f == familyRecv {
-		dev, strikes, sig = e.devRecv, e.strikesRecv, &e.sigRecv
-	}
-	if *sig == 0 {
-		*sig = sigma
+	med, sigma := robustStats(vals)
+	if e.sigRecv == 0 {
+		e.sigRecv = sigma
 	} else {
-		*sig = e.o.EWMAAlpha*sigma + (1-e.o.EWMAAlpha)**sig
+		e.sigRecv = ewmaAlpha*sigma + (1-ewmaAlpha)*e.sigRecv
 	}
 	minGap := float64(e.o.MinStepGap)
 	for n, v := range vals {
 		d := float64(v) - med
-		sm := e.o.EWMAAlpha*d + (1-e.o.EWMAAlpha)*dev[n]
-		dev[n] = sm
+		sm := ewmaAlpha*d + (1-ewmaAlpha)*e.devRecv[n]
+		e.devRecv[n] = sm
 		if warmup {
 			continue
 		}
-		// The recv family only strikes high-side outliers: a node waiting
-		// far longer than its peers has a degraded inbound link. (A slow
-		// node drags everyone ELSE's wait up uniformly and its own DOWN —
-		// the straggler inversion — so it is the step family's catch.)
+		// Only high-side outliers strike: a node waiting far longer than
+		// its peers has a degraded inbound link. (A slow node drags everyone
+		// ELSE's wait up uniformly and its own DOWN — the straggler
+		// inversion — so it is the straggler family's catch.)
 		//
 		// Both the raw and the smoothed deviation must exceed the gates:
 		// requiring the raw one stops a single large hiccup from striking
 		// for several iterations while its EWMA tail decays; requiring the
 		// smoothed one stops a burst of small independent wobbles.
-		anomalous := d > minGap && sm > minGap && sm > e.o.ZThreshold**sig
-		if !anomalous {
-			strikes[n] = 0
-			e.closeLocked(e.familyName(f), n)
+		if !(d > minGap && sm > minGap && sm > zThreshold*e.sigRecv) {
+			e.strikesRecv[n] = 0
+			e.closeLocked("recv_wait", n)
 			continue
 		}
-		strikes[n]++
-		if strikes[n] < e.o.Consecutive {
+		e.strikesRecv[n]++
+		if e.strikesRecv[n] < e.o.Consecutive {
 			continue
 		}
-		spec := incidentSpec{
-			detector: e.familyName(f),
-			node:     n, sev: SevWarn,
+		value, baseline, score := v.Seconds(), time.Duration(med).Seconds(), sm/e.sigRecv
+		e.openLocked(incidentSpec{
+			detector: "recv_wait",
+			node:     n, sev: SevWarn, phase: obs.PhaseRecv,
 			iterLo: it - e.o.Consecutive + 1, iterHi: it,
-			value: time.Duration(v).Seconds(), baseline: time.Duration(med).Seconds(),
-			score: sm / *sig,
-		}
-		if f == familyStep {
-			spec.phase = obs.PhaseCompute
-			// Let critical-path attribution over the flight window name
-			// the culprit and its dominant phase, exactly as `inctrace
-			// blame` would post-mortem.
-			if bn, bp, ok := e.blameLocked(it); ok {
-				spec.node, spec.phase = bn, bp
-			}
-			spec.cause = fmt.Sprintf("step latency %.1fms vs cohort median %.1fms (z=%.1f)",
-				1e3*spec.value, 1e3*spec.baseline, spec.score)
-		} else {
-			spec.phase = obs.PhaseRecv
-			spec.cause = fmt.Sprintf("inbound-link recv wait %.1fms vs cohort median %.1fms (z=%.1f)",
-				1e3*spec.value, 1e3*spec.baseline, spec.score)
-		}
-		e.openLocked(spec)
+			value: value, baseline: baseline, score: score,
+			cause: fmt.Sprintf("inbound-link recv wait %.1fms vs cohort median %.1fms (z=%.1f)",
+				1e3*value, 1e3*baseline, score),
+		})
 	}
-}
-
-func (e *Engine) familyName(f latencyFamily) string {
-	if f == familyRecv {
-		return "recv_wait"
-	}
-	return "step_latency"
 }
 
 // inversionLocked is the synchronous-collective straggler detector: the
@@ -552,7 +466,7 @@ func (e *Engine) inversionLocked(vals map[int]time.Duration, it int, warmup bool
 	if len(vals) < 2 {
 		return
 	}
-	med, _ := robustStats(vals, float64(e.o.MADFloor))
+	med, _ := robustStats(vals)
 	minN, minV := -1, time.Duration(0)
 	for n, v := range vals {
 		if minN < 0 || v < minV || (v == minV && n < minN) {
@@ -560,7 +474,7 @@ func (e *Engine) inversionLocked(vals map[int]time.Duration, it int, warmup bool
 		}
 	}
 	gap := med - float64(minV)
-	sm := e.o.EWMAAlpha*gap + (1-e.o.EWMAAlpha)*e.devInv
+	sm := ewmaAlpha*gap + (1-ewmaAlpha)*e.devInv
 	e.devInv = sm
 	if warmup {
 		return
@@ -617,22 +531,24 @@ func (e *Engine) inversionLocked(vals map[int]time.Duration, it int, warmup bool
 		cause: fmt.Sprintf("cohort recv wait %.1fms vs this node's %.1fms (straggler inversion)",
 			med/1e6, 1e3*minV.Seconds()),
 	}
-	// Let critical-path attribution over the flight window confirm the
-	// culprit's dominant phase, as `inctrace blame` would post-mortem.
-	if bn, bp, ok := e.blameLocked(it); ok && bn == minN {
-		spec.phase = bp
+	// Let critical-path attribution over the recent spans confirm the
+	// culprit's dominant phase, as `inctrace blame` would post-mortem
+	// (once per incident: an open one only has its window extended).
+	if e.open[incidentKey("straggler", minN)] == nil {
+		if bn, bp, ok := e.blameLocked(it); ok && bn == minN {
+			spec.phase = bp
+		}
 	}
 	e.openLocked(spec)
 }
 
-// blameLocked runs critical-path attribution over the flight recorder's
-// recent-iteration window and returns the gating node and phase, if the
-// verdict is decisive (majority share).
+// blameLocked runs critical-path attribution over the last window
+// iterations of the evidence spans and returns the gating node and its
+// dominant phase, if the verdict is decisive (majority share).
 func (e *Engine) blameLocked(it int) (int, obs.Phase, bool) {
-	lo := it - e.o.Window
 	var win []obs.Span
-	for _, s := range e.flight.spans() {
-		if s.Iter >= lo {
+	for _, s := range e.evidenceLocked() {
+		if s.Iter >= it-window {
 			win = append(win, s)
 		}
 	}
@@ -644,19 +560,7 @@ func (e *Engine) blameLocked(it int) (int, obs.Phase, bool) {
 	if node < 0 || share < 0.5 {
 		return 0, 0, false
 	}
-	var phaseTot [obs.NumPhases]time.Duration
-	for _, ia := range r.Iters {
-		if ia.Gating == node {
-			phaseTot[ia.GatingPhase] += ia.Gap
-		}
-	}
-	best := obs.PhaseCompute
-	for ph := obs.Phase(0); ph < obs.NumPhases; ph++ {
-		if phaseTot[ph] > phaseTot[best] {
-			best = ph
-		}
-	}
-	return node, best, true
+	return node, r.DominantPhase(node), true
 }
 
 // pollLocked is one pass of the polled detectors.
@@ -688,8 +592,8 @@ func (e *Engine) pollLocked(now time.Time) {
 	e.lastPoll = now
 
 	// Rate-of-change families on the transport counters.
-	e.rateLocked("retransmit_rate", "tcp_retransmits", cnt, dt, e.o.RetransRate, obs.PhaseSend)
-	e.rateLocked("crc_rate", "tcp_crc_failures", cnt, dt, e.o.CRCRate, obs.PhaseRecv)
+	e.rateLocked("retransmit_rate", "tcp_retransmits", cnt, dt, retransRate, obs.PhaseSend)
+	e.rateLocked("crc_rate", "tcp_crc_failures", cnt, dt, crcRate, obs.PhaseRecv)
 
 	// Membership suspects: any growth is worth an incident (a fault-free
 	// run never suspects anyone).
@@ -730,7 +634,7 @@ func (e *Engine) pollLocked(now time.Time) {
 		e.hbLastCount = hb
 		e.hbLastChange = now
 		e.closeLocked("heartbeat_gap", -1)
-	} else if gauge("elastic_members") > 0 && now.Sub(e.hbLastChange) > e.o.HeartbeatGap {
+	} else if gauge("elastic_members") > 0 && now.Sub(e.hbLastChange) > heartbeatGap {
 		e.openLocked(incidentSpec{
 			detector: "heartbeat_gap", node: -1, sev: SevWarn, phase: obs.PhaseRecv,
 			value: now.Sub(e.hbLastChange).Seconds(),
@@ -746,10 +650,10 @@ func (e *Engine) pollLocked(now time.Time) {
 			if e.ratioN == 0 {
 				e.ratioEwma = ratio
 			} else {
-				e.ratioEwma = e.o.EWMAAlpha*ratio + (1-e.o.EWMAAlpha)*e.ratioEwma
+				e.ratioEwma = ewmaAlpha*ratio + (1-ewmaAlpha)*e.ratioEwma
 			}
 			e.ratioN++
-		} else if drift := math.Abs(ratio-e.ratioEwma) / e.ratioEwma; drift > e.o.RatioDriftPct {
+		} else if drift := math.Abs(ratio-e.ratioEwma) / e.ratioEwma; drift > ratioDriftPct {
 			e.openLocked(incidentSpec{
 				detector: "compression_drift", node: -1, sev: SevInfo, phase: obs.PhaseCompress,
 				value: ratio, baseline: e.ratioEwma, score: drift,
@@ -757,8 +661,8 @@ func (e *Engine) pollLocked(now time.Time) {
 					ratio, 100*drift, e.ratioEwma),
 			})
 		} else {
-			e.ratioEwma = e.o.EWMAAlpha*ratio + (1-e.o.EWMAAlpha)*e.ratioEwma
-			if drift < e.o.RatioDriftPct/2 {
+			e.ratioEwma = ewmaAlpha*ratio + (1-ewmaAlpha)*e.ratioEwma
+			if drift < ratioDriftPct/2 {
 				e.closeLocked("compression_drift", -1)
 			}
 		}
@@ -846,9 +750,12 @@ func (e *Engine) openLocked(spec incidentSpec) {
 	} else {
 		e.open[incidentKey(spec.detector, spec.node)] = inc
 	}
+	t := e.tally[spec.detector]
+	t[spec.sev]++
+	e.tally[spec.detector] = t
 	e.incidents = append(e.incidents, inc)
-	if len(e.incidents) > e.o.MaxIncidents {
-		e.incidents = e.incidents[len(e.incidents)-e.o.MaxIncidents:]
+	if len(e.incidents) > maxIncidents {
+		e.incidents = e.incidents[len(e.incidents)-maxIncidents:]
 	}
 	e.mIncidents.Add(1)
 	e.mOpen.Set(float64(len(e.open)))
@@ -874,8 +781,9 @@ func (e *Engine) closeLocked(detector string, node int) {
 	e.mOpen.Set(float64(len(e.open)))
 }
 
-// dumpLocked writes the flight recorder's contents plus the opening
-// incident as one black-box JSONL file and returns its path.
+// dumpLocked writes the evidence spans, the retained metric snapshots
+// and the opening incident as one black-box JSONL file and returns its
+// path.
 func (e *Engine) dumpLocked(inc *Incident) (string, error) {
 	if err := os.MkdirAll(e.o.BlackboxDir, 0o755); err != nil {
 		return "", err
@@ -898,7 +806,7 @@ func (e *Engine) dumpLocked(inc *Incident) (string, error) {
 		// of the metrics at the incident itself.
 		snaps = append(snaps, metricSnap{UnixNs: time.Now().UnixNano(), Metrics: reg.Snapshot()})
 	}
-	return path, writeDump(path, meta, *inc, snaps, e.flight.spans())
+	return path, writeDump(path, meta, *inc, snaps, e.evidenceLocked())
 }
 
 // ---- status surface ----
@@ -931,7 +839,17 @@ func (e *Engine) OpenCount() int {
 // Healthy reports whether no incident is currently open.
 func (e *Engine) Healthy() bool { return e.OpenCount() == 0 }
 
-// Status is the /health document.
+// SeriesCount is one health_incidents series: how many incidents a
+// detector has ever opened at one severity.
+type SeriesCount struct {
+	Detector string   `json:"detector"`
+	Severity Severity `json:"severity"`
+	N        int      `json:"n"`
+}
+
+// Status is the /health document. Total, ByDetector and Series count
+// every incident ever opened — they are exported as counters and never
+// fall — while Incidents is only the newest few records.
 type Status struct {
 	Healthy    bool           `json:"healthy"`
 	Open       int            `json:"open"`
@@ -940,7 +858,9 @@ type Status struct {
 	Polls      int64          `json:"polls"`
 	UptimeSecs float64        `json:"uptime_s"`
 	ByDetector map[string]int `json:"by_detector,omitempty"`
-	Incidents  []Incident     `json:"incidents,omitempty"`
+	// Series is sorted by detector, then ascending severity.
+	Series    []SeriesCount `json:"series,omitempty"`
+	Incidents []Incident    `json:"incidents,omitempty"`
 }
 
 // Status returns the current health document (a nil engine is healthy
@@ -954,15 +874,25 @@ func (e *Engine) Status() Status {
 	s := Status{
 		Healthy:    len(e.open) == 0,
 		Open:       len(e.open),
-		Total:      len(e.incidents),
+		Total:      e.nextID,
 		Dumps:      e.dumps,
 		Polls:      e.mPolls.Value(),
 		UptimeSecs: time.Since(e.started).Seconds(),
 	}
-	if len(e.incidents) > 0 {
-		s.ByDetector = make(map[string]int)
-		for _, inc := range e.incidents {
-			s.ByDetector[inc.Detector]++
+	if e.nextID > 0 {
+		detectors := make([]string, 0, len(e.tally))
+		for det := range e.tally {
+			detectors = append(detectors, det)
+		}
+		sort.Strings(detectors)
+		s.ByDetector = make(map[string]int, len(detectors))
+		for _, det := range detectors {
+			for sev, n := range e.tally[det] {
+				if n > 0 {
+					s.ByDetector[det] += n
+					s.Series = append(s.Series, SeriesCount{det, Severity(sev), n})
+				}
+			}
 		}
 		n := len(e.incidents)
 		if n > 32 {
@@ -980,7 +910,7 @@ func (e *Engine) Status() Status {
 
 // robustStats returns the median and the MAD-derived robust sigma
 // (1.4826·MAD, floored) of the cohort, in nanoseconds.
-func robustStats(vals map[int]time.Duration, floor float64) (med, sigma float64) {
+func robustStats(vals map[int]time.Duration) (med, sigma float64) {
 	xs := make([]float64, 0, len(vals))
 	for _, v := range vals {
 		xs = append(xs, float64(v))
@@ -991,8 +921,8 @@ func robustStats(vals map[int]time.Duration, floor float64) (med, sigma float64)
 		devs[i] = math.Abs(x - med)
 	}
 	sigma = 1.4826 * median(devs)
-	if sigma < floor {
-		sigma = floor
+	if sigma < madFloor {
+		sigma = madFloor
 	}
 	return med, sigma
 }

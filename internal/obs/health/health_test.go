@@ -1,8 +1,11 @@
 package health
 
 import (
+	"encoding/json"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -23,29 +26,16 @@ func feedIter(e *Engine, iter int, lat map[int]time.Duration) {
 	}
 }
 
-func TestStepLatencyOpensExactlyOneIncident(t *testing.T) {
-	e := New(nil, testOptions())
-	base := 10 * time.Millisecond
-	for it := 0; it < 20; it++ {
-		feedIter(e, it, map[int]time.Duration{
-			0: base, 1: base + time.Millisecond, 2: base + 25*time.Millisecond, 3: base,
-		})
+// feedWaits records one iteration of per-node recv waits as spans, then
+// reports the iteration complete on every node with a uniform step (the
+// collective equalizes wall clocks; the evidence is in the waits).
+func feedWaits(e *Engine, tr *obs.Tracer, iter int, wait map[int]time.Duration) {
+	step := make(map[int]time.Duration, len(wait))
+	for n, w := range wait {
+		tr.RecordRaw(n, iter, obs.PhaseRecv, int64(iter)*1e6, w.Nanoseconds())
+		step[n] = 35 * time.Millisecond
 	}
-	e.Close()
-	incs := e.Incidents()
-	if len(incs) != 1 {
-		t.Fatalf("incidents = %+v, want exactly 1", incs)
-	}
-	inc := incs[0]
-	if inc.Detector != "step_latency" || inc.Node != 2 {
-		t.Fatalf("incident = %+v, want step_latency at node 2", inc)
-	}
-	if inc.ClosedNs != 0 {
-		t.Fatalf("incident closed at %d while the slow node persists", inc.ClosedNs)
-	}
-	if e.Healthy() {
-		t.Fatal("engine reports healthy with an open step_latency incident")
-	}
+	feedIter(e, iter, step)
 }
 
 // TestStragglerInversionOpensAndCloses drives the synchronous-collective
@@ -85,33 +75,9 @@ func TestStragglerInversionOpensAndCloses(t *testing.T) {
 	}
 }
 
-func TestStepLatencyIncidentClosesWhenNodeRecovers(t *testing.T) {
-	e := New(nil, testOptions())
-	base := 10 * time.Millisecond
-	lat := func(extra time.Duration) map[int]time.Duration {
-		return map[int]time.Duration{0: base, 1: base, 2: base + extra, 3: base}
-	}
-	for it := 0; it < 10; it++ {
-		feedIter(e, it, lat(25*time.Millisecond))
-	}
-	for it := 10; it < 30; it++ {
-		feedIter(e, it, lat(0))
-	}
-	e.Close()
-	incs := e.Incidents()
-	if len(incs) != 1 {
-		t.Fatalf("incidents = %+v, want 1", incs)
-	}
-	if incs[0].ClosedNs == 0 {
-		t.Fatal("incident still open after the node recovered")
-	}
-	if !e.Healthy() {
-		t.Fatal("engine unhealthy after recovery")
-	}
-}
-
 func TestCleanCohortOpensNothing(t *testing.T) {
-	e := New(nil, testOptions())
+	tr := obs.NewTracer(1 << 12)
+	e := New(obs.NewRecorder(obs.NewRegistry(), tr), testOptions())
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 50; it++ {
 		lat := make(map[int]time.Duration, 4)
@@ -120,7 +86,7 @@ func TestCleanCohortOpensNothing(t *testing.T) {
 			// floor and the z threshold.
 			lat[n] = 10*time.Millisecond + time.Duration(rng.Intn(2_000_000)-1_000_000)
 		}
-		feedIter(e, it, lat)
+		feedWaits(e, tr, it, lat)
 	}
 	e.Close()
 	if incs := e.Incidents(); len(incs) != 0 {
@@ -131,15 +97,21 @@ func TestCleanCohortOpensNothing(t *testing.T) {
 	}
 }
 
+// TestSingleHiccupDoesNotConfirm pins the raw-and-smoothed strike rule on
+// the recv_wait family: one huge wait strikes once, and although its EWMA
+// tail stays above every gate for several iterations, the raw deviation
+// is back to zero on the next one, so the strike count never reaches
+// Consecutive.
 func TestSingleHiccupDoesNotConfirm(t *testing.T) {
-	e := New(nil, testOptions())
+	tr := obs.NewTracer(1 << 12)
+	e := New(obs.NewRecorder(obs.NewRegistry(), tr), testOptions())
 	base := 10 * time.Millisecond
 	for it := 0; it < 20; it++ {
 		extra := time.Duration(0)
 		if it == 10 {
 			extra = 100 * time.Millisecond // one GC-style pause
 		}
-		feedIter(e, it, map[int]time.Duration{0: base, 1: base, 2: base + extra, 3: base})
+		feedWaits(e, tr, it, map[int]time.Duration{0: base, 1: base, 2: base + extra, 3: base})
 	}
 	e.Close()
 	if incs := e.Incidents(); len(incs) != 0 {
@@ -172,6 +144,38 @@ func TestRecvWaitDetectorBlamesSlowLink(t *testing.T) {
 	}
 	if len(recv) != 1 || recv[0].Node != 1 || recv[0].Phase != obs.PhaseRecv {
 		t.Fatalf("recv_wait incidents = %+v, want one at node 1 phase recv", recv)
+	}
+}
+
+// TestRecvWaitIncidentClosesWhenLinkRecovers is the latency-family
+// lifecycle on the family that remains: a persistently slow inbound link
+// holds exactly one open incident, and recovery closes it.
+func TestRecvWaitIncidentClosesWhenLinkRecovers(t *testing.T) {
+	tr := obs.NewTracer(1 << 12)
+	e := New(obs.NewRecorder(obs.NewRegistry(), tr), testOptions())
+	waits := func(extra time.Duration) map[int]time.Duration {
+		return map[int]time.Duration{0: time.Millisecond, 1: time.Millisecond + extra, 2: time.Millisecond, 3: time.Millisecond}
+	}
+	for it := 0; it < 10; it++ {
+		feedWaits(e, tr, it, waits(25*time.Millisecond))
+	}
+	incs := e.Incidents()
+	if len(incs) != 1 || incs[0].Detector != "recv_wait" || incs[0].Node != 1 || incs[0].ClosedNs != 0 || e.Healthy() {
+		t.Fatalf("incidents = %+v (healthy %v), want exactly one open recv_wait at node 1", incs, e.Healthy())
+	}
+	for it := 10; it < 30; it++ {
+		feedWaits(e, tr, it, waits(0))
+	}
+	e.Close()
+	incs = e.Incidents()
+	if len(incs) != 1 {
+		t.Fatalf("incidents = %+v, want 1", incs)
+	}
+	if incs[0].ClosedNs == 0 {
+		t.Fatal("incident still open after the link recovered")
+	}
+	if !e.Healthy() {
+		t.Fatal("engine unhealthy after recovery")
 	}
 }
 
@@ -260,19 +264,27 @@ func TestEvictionCounterOpensCriticalIncident(t *testing.T) {
 func TestHeartbeatGapDetector(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
-	o := testOptions()
-	o.HeartbeatGap = 10 * time.Millisecond
-	e := New(rec, o)
+	e := New(rec, testOptions())
+	// Synthetic poll instants: the gap is 5 s and the test does not sleep.
+	pollAt := func(at time.Time) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.pollLocked(at)
+	}
+	t0 := time.Now()
 	reg.Gauge("elastic_members").Set(3)
 	reg.Counter("elastic_heartbeats").Add(5)
-	e.Poll() // heartbeat moved: baseline
-	time.Sleep(25 * time.Millisecond)
-	e.Poll() // stalled past the gap
+	pollAt(t0) // heartbeat moved: baseline
+	pollAt(t0.Add(heartbeatGap / 2))
+	if !e.Healthy() {
+		t.Fatalf("heartbeat_gap opened inside the gap: %+v", e.Incidents())
+	}
+	pollAt(t0.Add(heartbeatGap + time.Second)) // stalled past the gap
 	if e.Healthy() {
 		t.Fatalf("no heartbeat_gap incident: %+v", e.Incidents())
 	}
 	reg.Counter("elastic_heartbeats").Add(1)
-	e.Poll()
+	pollAt(t0.Add(heartbeatGap + 2*time.Second))
 	if !e.Healthy() {
 		t.Fatalf("heartbeat_gap still open after progress: %+v", e.Incidents())
 	}
@@ -353,6 +365,68 @@ func TestHandlerJSONAndProm(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("prom body missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestIncidentCountersKeepCounting: what /health exports under "# TYPE …
+// counter" counts every incident ever opened — not the length of the
+// bounded history (256) or of the document's excerpt (32), which saturate —
+// and the labelled series come out in sorted order.
+func TestIncidentCountersKeepCounting(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := New(obs.NewRecorder(reg, nil), testOptions())
+	const n = 300
+	for i := 0; i < n; i++ {
+		e.NotifyFallback(4, i, "stall", time.Second)
+	}
+	get := func(url string) string {
+		rr := httptest.NewRecorder()
+		e.Handler().ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
+		return rr.Body.String()
+	}
+	series := func() (lines []string, sum int) {
+		for _, line := range strings.Split(get("/health?format=prom"), "\n") {
+			if strings.HasPrefix(line, "health_incidents{") {
+				v, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+				if err != nil {
+					t.Fatalf("series line %q: %v", line, err)
+				}
+				lines, sum = append(lines, line), sum+v
+			}
+		}
+		return lines, sum
+	}
+
+	var doc struct {
+		Total      int            `json:"total"`
+		ByDetector map[string]int `json:"by_detector"`
+	}
+	if err := json.Unmarshal([]byte(get("/health")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Total != n || doc.ByDetector["fallback"] != n {
+		t.Errorf("JSON total = %d, by_detector = %v, want %d fallbacks", doc.Total, doc.ByDetector, n)
+	}
+	if prom := get("/health?format=prom"); !strings.Contains(prom, "health_incidents_total 300\n") {
+		t.Errorf("prom total is not %d:\n%s", n, prom)
+	}
+	if lines, sum := series(); sum != n {
+		t.Errorf("series sum = %d, want %d: %v", sum, n, lines)
+	}
+
+	// Two more families: the series are emitted sorted, every time.
+	reg.Counter("elastic_evictions").Add(1)
+	reg.Counter("elastic_suspects").Add(1)
+	e.Poll()
+	want := []string{
+		`health_incidents{detector="eviction",severity="critical"} 1`,
+		`health_incidents{detector="fallback",severity="critical"} 300`,
+		`health_incidents{detector="suspect",severity="warn"} 1`,
+	}
+	for i := 0; i < 8; i++ {
+		if lines, _ := series(); !reflect.DeepEqual(lines, want) {
+			t.Fatalf("series = %q, want %q", lines, want)
 		}
 	}
 }

@@ -26,7 +26,8 @@ func (e *Engine) Handler() http.Handler {
 }
 
 // writeStatusProm renders the health document as Prometheus text
-// exposition, one health_incidents series per detector+severity pair.
+// exposition, one health_incidents series per detector+severity pair in
+// Status.Series' sorted order.
 func writeStatusProm(w http.ResponseWriter, s Status) {
 	healthy := 0
 	if s.Healthy {
@@ -36,15 +37,11 @@ func writeStatusProm(w http.ResponseWriter, s Status) {
 	fmt.Fprintf(w, "# TYPE health_incidents_open gauge\nhealth_incidents_open %d\n", s.Open)
 	fmt.Fprintf(w, "# TYPE health_incidents_total counter\nhealth_incidents_total %d\n", s.Total)
 	fmt.Fprintf(w, "# TYPE health_blackbox_dumps counter\nhealth_blackbox_dumps %d\n", s.Dumps)
-	if len(s.Incidents) > 0 {
-		bySeries := make(map[string]int)
-		for _, inc := range s.Incidents {
-			bySeries[`detector="`+escapeLabel(inc.Detector)+
-				`",severity="`+escapeLabel(inc.Severity.String())+`"`]++
-		}
+	if len(s.Series) > 0 {
 		fmt.Fprintf(w, "# TYPE health_incidents counter\n")
-		for labels, n := range bySeries {
-			fmt.Fprintf(w, "health_incidents{%s} %d\n", labels, n)
+		for _, c := range s.Series {
+			fmt.Fprintf(w, "health_incidents{detector=\"%s\",severity=\"%s\"} %d\n",
+				escapeLabel(c.Detector), escapeLabel(c.Severity.String()), c.N)
 		}
 	}
 }

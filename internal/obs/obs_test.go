@@ -114,10 +114,11 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"phase":"compute"`) {
 		t.Errorf("JSONL should name phases, got: %s", buf.String())
 	}
-	spans, err := ReadSpans(&buf)
+	doc, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := doc.Spans
 	want := tr.Snapshot()
 	if len(spans) != len(want) {
 		t.Fatalf("round trip: %d spans, want %d", len(spans), len(want))
@@ -133,7 +134,7 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 func TestReadSpansBadLine(t *testing.T) {
 	in := `{"node":0,"iter":0,"phase":"compute","start_ns":0,"dur_ns":10}
 not json`
-	_, err := ReadSpans(strings.NewReader(in))
+	_, err := ReadTrace(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("want a line-2 error, got %v", err)
 	}
@@ -210,11 +211,12 @@ func TestHTTPHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans, err := ReadSpans(resp.Body)
+	doc, err := ReadTrace(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := doc.Spans
 	if len(spans) != 1 || spans[0].Phase != PhaseSend {
 		t.Errorf("trace endpoint returned %+v, want one send span", spans)
 	}

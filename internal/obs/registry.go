@@ -75,9 +75,6 @@ type Histogram struct {
 }
 
 func newHistogram(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultBuckets
-	}
 	b := append([]time.Duration(nil), bounds...)
 	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
@@ -247,13 +244,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named latency histogram with DefaultBuckets,
 // creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramBuckets(name, nil)
-}
-
-// HistogramBuckets returns the named histogram, creating it with the
-// given bucket upper bounds on first use (nil bounds = DefaultBuckets;
-// bounds of an existing histogram are not changed).
-func (r *Registry) HistogramBuckets(name string, bounds []time.Duration) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -261,7 +251,7 @@ func (r *Registry) HistogramBuckets(name string, bounds []time.Duration) *Histog
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram(bounds)
+		h = newHistogram(DefaultBuckets)
 		r.hists[name] = h
 	}
 	return h

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -28,21 +29,6 @@ type TraceMeta struct {
 	// simulator-generated ones, or free-form.
 	Source string `json:"source,omitempty"`
 }
-
-// metaMarker identifies a meta line without a full JSON parse.
-var metaMarker = []byte(`"trace_meta"`)
-
-// blackboxMarker identifies an auxiliary line written by the health
-// flight recorder (incident records, metric snapshots) embedded in a
-// black-box dump. ReadTrace skips such lines so a dump replays through
-// the span-based reports unchanged.
-var blackboxMarker = []byte(`"blackbox"`)
-
-// tuneMarker identifies the auto-tuner's self-description aux line
-// (workload, chosen plan, fitted parameters — see internal/tune.Meta).
-// ReadTrace skips it the same way, so tuned traces replay through the
-// span-based reports unchanged.
-var tuneMarker = []byte(`"tune_meta"`)
 
 // Tracer records phase spans into a bounded ring buffer: once capacity
 // is reached the oldest spans are overwritten, so a tracer's memory is
@@ -135,15 +121,26 @@ func (t *Tracer) Snapshot() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.snapshotLocked()
+	return t.tailLocked(int64(len(t.buf)))
 }
 
-func (t *Tracer) snapshotLocked() []Span {
-	out := make([]Span, 0, len(t.buf))
-	if len(t.buf) == cap(t.buf) {
-		out = append(out, t.buf[t.next:]...)
+// tailLocked copies the n newest retained spans, oldest first (all of
+// them when n exceeds what the ring holds).
+func (t *Tracer) tailLocked(n int64) []Span {
+	if n > int64(len(t.buf)) {
+		n = int64(len(t.buf))
 	}
-	out = append(out, t.buf[:t.next]...)
+	// Copy only those n (the slot before t.next is the newest): a frequent
+	// poller must not pay a full-ring snapshot — with the ring warm that
+	// would memcpy the whole capacity under the lock on every drain,
+	// stalling concurrent RecordRaw callers.
+	out := make([]Span, 0, n)
+	if start := int64(t.next) - n; start >= 0 {
+		out = append(out, t.buf[start:t.next]...)
+	} else {
+		out = append(out, t.buf[int64(len(t.buf))+start:]...)
+		out = append(out, t.buf[:t.next]...)
+	}
 	return out
 }
 
@@ -151,40 +148,25 @@ func (t *Tracer) snapshotLocked() []Span {
 // from a previous call, or 0 for "from the beginning") along with the
 // new cursor. If the ring has already evicted some of those spans only
 // the retained tail is returned — callers polling faster than the ring
-// wraps see every span exactly once.
+// wraps see every span exactly once. Any cursor works, not only one
+// TailSince returned: k below the total reads the k newest spans, as far
+// as the ring still holds them — how the health engine takes its
+// pre-incident evidence without a ring of its own.
 func (t *Tracer) TailSince(cursor int64) ([]Span, int64) {
 	if t == nil {
 		return nil, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	missed := t.total - cursor
-	if missed <= 0 {
+	if t.total <= cursor {
 		return nil, t.total
 	}
-	n := missed
-	if n > int64(len(t.buf)) {
-		n = int64(len(t.buf))
-	}
-	// Copy only the n newest spans (the slot before t.next is the
-	// newest): a frequent poller must not pay a full-ring snapshot —
-	// with the ring warm that would memcpy the whole capacity under the
-	// lock on every drain, stalling concurrent RecordRaw callers.
-	out := make([]Span, 0, n)
-	start := int64(t.next) - n
-	if start >= 0 {
-		out = append(out, t.buf[start:int64(t.next)]...)
-	} else {
-		out = append(out, t.buf[int64(len(t.buf))+start:]...)
-		out = append(out, t.buf[:t.next]...)
-	}
-	return out, t.total
+	return t.tailLocked(t.total - cursor), t.total
 }
 
 // WriteJSONL streams the trace to w — a leading TraceMeta line anchoring
 // the timebase, then the retained spans one JSON object per line. This is
-// the trace format cmd/inctrace consumes; ReadSpans skips the meta line,
-// so pre-meta consumers keep working.
+// the trace format cmd/inctrace consumes (ReadTrace).
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return WriteSpansJSONL(w, t.Meta(-1), t.Snapshot())
 }
@@ -221,59 +203,89 @@ func WriteSpansJSONL(w io.Writer, meta TraceMeta, spans []Span) error {
 	return bw.Flush()
 }
 
-// ReadSpans parses a JSONL trace stream (blank lines and TraceMeta
-// header lines ignored).
-func ReadSpans(r io.Reader) ([]Span, error) {
-	spans, _, err := ReadTrace(r)
-	return spans, err
+// Trace is a parsed JSONL trace document: one JSON object per line, each
+// line's kind named by its first key.
+type Trace struct {
+	// Spans are the span lines (first key one of Span's), in file order.
+	Spans []Span
+	// Metas are the "trace_meta" header lines; concatenated per-node
+	// files carry several.
+	Metas []TraceMeta
+	// Other holds every remaining line, undecoded and in file order: the
+	// auxiliary kinds that producers above obs add to a trace (incident
+	// evidence, a tuner's self-description). Their schemas belong to
+	// their writers, which decode them from here — so a producer adds a
+	// line kind without obs learning its name, and the span-based reports
+	// replay any such document unchanged.
+	Other []Line
 }
 
-// ReadTrace parses a JSONL trace stream, returning the spans and any
-// TraceMeta header lines encountered (concatenated per-node files carry
-// several).
-func ReadTrace(r io.Reader) ([]Span, []TraceMeta, error) {
-	var out []Span
-	var metas []TraceMeta
+// Line is one trace line obs does not own.
+type Line struct {
+	// Key is the line's first JSON key, which names its kind.
+	Key string
+	// Num is the line's 1-based number in the stream, for error messages.
+	Num int
+	// JSON is the line verbatim.
+	JSON json.RawMessage
+}
+
+// firstKey returns the first object key of a JSON line (no leading
+// space), or nil when the line is not an object that opens with a
+// non-empty, escape-free string key.
+func firstKey(b []byte) []byte {
+	if len(b) == 0 || b[0] != '{' {
+		return nil
+	}
+	b = bytes.TrimLeft(b[1:], " \t")
+	if len(b) == 0 || b[0] != '"' {
+		return nil
+	}
+	end := bytes.IndexByte(b[1:], '"')
+	if end < 0 || bytes.IndexByte(b[1:1+end], '\\') >= 0 {
+		return nil
+	}
+	return b[1 : 1+end]
+}
+
+// ReadTrace parses a JSONL trace stream in one pass (blank lines
+// ignored), classifying each line by its first key. It is the only
+// reader of the format: the packages that write other line kinds decode
+// theirs out of Trace.Other.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	t := &Trace{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
+	for num := 1; sc.Scan(); num++ {
+		b := bytes.TrimSpace(sc.Bytes())
 		if len(b) == 0 {
 			continue
 		}
-		if bytes.Contains(b, metaMarker) {
+		var err error
+		switch key := firstKey(b); string(key) {
+		case "node", "iter", "phase", "start_ns", "dur_ns":
+			var s Span
+			err = json.Unmarshal(b, &s)
+			t.Spans = append(t.Spans, s)
+		case "trace_meta":
 			var m TraceMeta
-			if err := json.Unmarshal(b, &m); err == nil && m.Version != 0 {
-				metas = append(metas, m)
-				continue
+			err = json.Unmarshal(b, &m)
+			t.Metas = append(t.Metas, m)
+		case "":
+			err = errors.New("not a JSON object with a plain leading key")
+		default:
+			if json.Valid(b) {
+				t.Other = append(t.Other, Line{Key: string(key), Num: num, JSON: append(json.RawMessage(nil), b...)})
+			} else {
+				err = errors.New("invalid JSON")
 			}
 		}
-		if bytes.Contains(b, blackboxMarker) {
-			var aux struct {
-				Version int `json:"blackbox"`
-			}
-			if err := json.Unmarshal(b, &aux); err == nil && aux.Version != 0 {
-				continue
-			}
+		if err != nil {
+			return nil, fmt.Errorf("obs: trace line %d: %w", num, err)
 		}
-		if bytes.Contains(b, tuneMarker) {
-			var aux struct {
-				Version int `json:"tune_meta"`
-			}
-			if err := json.Unmarshal(b, &aux); err == nil && aux.Version != 0 {
-				continue
-			}
-		}
-		var s Span
-		if err := json.Unmarshal(b, &s); err != nil {
-			return nil, nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		out = append(out, s)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("obs: trace: %w", err)
 	}
-	return out, metas, nil
+	return t, nil
 }

@@ -10,10 +10,11 @@ func TestReadTraceSkipsTuneMeta(t *testing.T) {
 {"tune_meta":1,"workload":{"workers":4,"model_bytes":1024,"strategy":"ring"}}
 {"node":0,"iter":0,"phase":"send","start_ns":0,"dur_ns":1000}
 `
-	spans, metas, err := ReadTrace(strings.NewReader(trace))
+	doc, err := ReadTrace(strings.NewReader(trace))
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
+	spans, metas := doc.Spans, doc.Metas
 	if len(metas) != 1 {
 		t.Fatalf("metas = %d, want 1", len(metas))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -327,6 +328,10 @@ func TestTornBodySurfacesError(t *testing.T) {
 	case err := <-c.Node(1).Errors():
 		if err == nil {
 			t.Fatal("nil error on anomaly channel")
+		}
+		// The error says how far the body got: 10 of the promised 400.
+		if !strings.Contains(err.Error(), "(10/400B)") {
+			t.Fatalf("torn-body error = %q, want the bytes read as (10/400B)", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("torn body did not surface on the error channel")

@@ -57,67 +57,50 @@ var (
 // RetryPolicy tunes the recovery protocol.
 type RetryPolicy struct {
 	// ProbeRTO is the initial receiver-side stall timeout before it
-	// probes the sender with a NACK; it doubles per probe up to MaxRTO.
+	// probes the sender with a NACK; it doubles per probe up to maxRTO.
 	// Default 25ms.
 	ProbeRTO time.Duration
-	// MaxRTO caps the probe backoff. Default 400ms.
-	MaxRTO time.Duration
 	// MaxAttempts caps transmissions per frame, first try included.
 	// Default 32.
 	MaxAttempts int
-	// Window caps unacknowledged frames per link. Default 4096.
-	Window int
-	// Jitter spreads each probe interval uniformly over
-	// [interval*(1-Jitter), interval]: after a partition heals, every
+}
+
+const (
+	// maxRTO caps the probe backoff.
+	maxRTO = 400 * time.Millisecond
+	// sendWindow caps unacknowledged frames per link.
+	sendWindow = 4096
+	// probeJitter spreads each probe interval uniformly over
+	// [interval*(1-probeJitter), interval]: after a partition heals, every
 	// stalled receiver in the cluster is backing off on the same schedule,
 	// and without jitter their NACK probes re-synchronize into periodic
-	// retry storms that keep colliding on the recovering links. Fraction
-	// in [0,1); default 0.25. Negative disables jitter entirely (useful
-	// for tests that assert exact probe timing).
-	Jitter float64
-}
+	// retry storms that keep colliding on the recovering links.
+	probeJitter = 0.25
+)
 
 func (r RetryPolicy) withDefaults() RetryPolicy {
 	if r.ProbeRTO <= 0 {
 		r.ProbeRTO = 25 * time.Millisecond
 	}
-	if r.MaxRTO <= 0 {
-		r.MaxRTO = 400 * time.Millisecond
-	}
 	if r.MaxAttempts <= 0 {
 		r.MaxAttempts = 32
-	}
-	if r.Window <= 0 {
-		r.Window = 4096
-	}
-	if r.Jitter == 0 {
-		r.Jitter = 0.25
-	}
-	if r.Jitter < 0 {
-		r.Jitter = 0
-	}
-	if r.Jitter >= 1 {
-		r.Jitter = 0.99
 	}
 	return r
 }
 
 // jitterRTO draws the actual wait for one probe interval: uniform over
-// [rto*(1-jitter), rto], keyed deterministically on (node, peer, probe
-// count) so a run's probe schedule is reproducible while distinct links
-// still desynchronize. The backoff itself stays bounded by MaxRTO — the
-// jitter only ever shortens an interval, never extends it.
-func jitterRTO(rto time.Duration, jitter float64, id, src int, probe uint64) time.Duration {
-	if jitter <= 0 {
-		return rto
-	}
+// [rto*(1-probeJitter), rto], keyed deterministically on (node, peer,
+// probe count) so a run's probe schedule is reproducible while distinct
+// links still desynchronize. The backoff itself stays bounded by maxRTO —
+// the jitter only ever shortens an interval, never extends it.
+func jitterRTO(rto time.Duration, id, src int, probe uint64) time.Duration {
 	h := uint64(id)<<40 ^ uint64(src)<<20 ^ probe
 	h += 0x9E3779B97F4A7C15
 	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 	h ^= h >> 31
 	u := float64(h>>11) / float64(1<<53)
-	return time.Duration(float64(rto) * (1 - jitter*u))
+	return time.Duration(float64(rto) * (1 - probeJitter*u))
 }
 
 // ClusterOptions configures NewClusterWithOptions.
@@ -475,7 +458,7 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 	}
 	ol := &nd.out[dst]
 	ol.mu.Lock()
-	if len(ol.buf) >= nd.cluster.retry.Window {
+	if len(ol.buf) >= sendWindow {
 		ol.mu.Unlock()
 		return fmt.Errorf("tcpfabric: %d->%d: %w", nd.id, dst, ErrSendWindow)
 	}
@@ -647,11 +630,10 @@ func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error
 // under bounded, jittered exponential backoff.
 func (nd *Node) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error) {
 	start := time.Now()
-	retry := nd.cluster.retry
-	rto := retry.ProbeRTO
+	rto := nd.cluster.retry.ProbeRTO
 	var probes uint64
 	for {
-		timer := time.NewTimer(jitterRTO(rto, retry.Jitter, nd.id, src, probes))
+		timer := time.NewTimer(jitterRTO(rto, nd.id, src, probes))
 		select {
 		case f := <-nd.inbox[src]:
 			timer.Stop()
@@ -672,8 +654,8 @@ func (nd *Node) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, er
 			}
 			nd.sendCtl(src, kindNack, exp, false)
 			probes++
-			if rto *= 2; rto > retry.MaxRTO {
-				rto = retry.MaxRTO
+			if rto *= 2; rto > maxRTO {
+				rto = maxRTO
 			}
 		case <-ctx.Done():
 			timer.Stop()
@@ -729,10 +711,10 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 			return
 		}
 		body := make([]byte, h.payloadLen)
-		if _, err := io.ReadFull(r, body); err != nil {
+		if n, err := io.ReadFull(r, body); err != nil {
 			if !nd.isClosed() {
 				nd.pushErr(fmt.Errorf("tcpfabric: node %d torn frame body from %d (%d/%dB): %w",
-					nd.id, peer, 0, h.payloadLen, err))
+					nd.id, peer, n, h.payloadLen, err))
 			}
 			return
 		}

@@ -7,14 +7,28 @@ import (
 	"time"
 
 	"inceptionn/internal/comm"
+	"inceptionn/internal/data"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 )
 
+// replicaWeights runs in-process ring training and returns every worker's
+// final weight vector, for divergence testing: runFixed keeps each
+// replica's weights when handed somewhere to put them.
+func replicaWeights(build Builder, trainDS data.Dataset, iters int, o Options) ([][]float32, error) {
+	c, err := o.prepare(false)
+	if err != nil {
+		return nil, err
+	}
+	replicas := make([][]float32, o.Workers)
+	_, err = runFixed(newFabricPlane(o.Workers, o), c, build, trainDS, nil, iters, o, replicas)
+	return replicas, err
+}
+
 // TestFixedRunnersBitIdenticalToRing is the conformance table of the
 // fixed-membership loop: every data plane × collective × chunking the
-// seven entry points can reach must land on final weights bit-identical
+// six entry points can reach must land on final weights bit-identical
 // to the in-process whole-block ring — chunking is purely a scheduling
 // change, the TCP fabric carries the same bits, and the switch's combine
 // replays the ring's per-block accumulation order. The same holds through
@@ -59,7 +73,7 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 		return one(RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, iters, o, bound))
 	}
 	replicas := func(o Options) ([][]float32, Result, error) {
-		ws, err := ReplicaWeights(models.NewHDCSmall, trainDS, iters, o)
+		ws, err := replicaWeights(models.NewHDCSmall, trainDS, iters, o)
 		return ws, Result{}, err
 	}
 	same := func(*Options) {}
@@ -149,7 +163,7 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 						}
 					}
 					if res.FinalWeights == nil {
-						return // ReplicaWeights reports weights only
+						return // replicaWeights reports weights only
 					}
 					// Identical weights evaluate identically; only a fault
 					// aimed at the service node may force a fallback, and no

@@ -72,6 +72,11 @@ func newElasticWorker(id int, build Builder, trainDS data.Dataset, o Options, ck
 // so the epoch-filtering peer treats it like any other same-epoch frame.
 const syncTagOffset = 1 << 19
 
+// recoveryWait bounds how long an elastic worker whose exchange failed
+// waits for a membership verdict before treating the fault as fatal
+// (nobody died; the error stands).
+const recoveryWait = 5 * time.Second
+
 // elasticRun is the shared state of one RunElastic/RunElasticTCP
 // invocation. member hands each worker its membership endpoint (the
 // shared in-process coordinator, or that worker's TCP control-channel
@@ -229,9 +234,6 @@ func prepareElastic(build Builder, iters int, o *Options, tcp bool) (*Checkpoint
 	}
 	if _, err := o.prepare(tcp); err != nil {
 		return nil, err
-	}
-	if o.RecoveryWait <= 0 {
-		o.RecoveryWait = 5 * time.Second
 	}
 
 	var ck *Checkpoint
@@ -403,7 +405,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 			// the epoch advances and recovery proceeds, or the fault was not
 			// a membership event and it stands as the run's error.
 			w.m.ReportAnomaly(id, exErr)
-			wctx, wcancel := context.WithTimeout(w.ctx, o.RecoveryWait)
+			wctx, wcancel := context.WithTimeout(w.ctx, recoveryWait)
 			_, werr := w.m.AwaitEpoch(wctx, id, view.Epoch)
 			wcancel()
 			if werr != nil {
@@ -590,7 +592,7 @@ func (r *elasticRun) sendSync(w *elasticWorker, joiners []int, cur elastic.View)
 // (the joiner starts its error-feedback history fresh), and no retained
 // snapshots — the checkpoint it booted from is now fully superseded.
 func (r *elasticRun) joinSync(w *elasticWorker, from int, cur elastic.View, replay int) error {
-	sctx, scancel := context.WithTimeout(w.ctx, r.o.RecoveryWait)
+	sctx, scancel := context.WithTimeout(w.ctx, recoveryWait)
 	defer scancel()
 	stop := context.AfterFunc(w.m.EpochContext(cur.Epoch), scancel)
 	defer stop()

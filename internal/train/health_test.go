@@ -80,11 +80,12 @@ func TestHealthStragglerOpensOneIncident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans, metas, err := obs.ReadTrace(f)
+	doc, err := obs.ReadTrace(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans, metas := doc.Spans, doc.Metas
 	if len(metas) != 1 || len(spans) == 0 {
 		t.Fatalf("dump replay: %d metas, %d spans", len(metas), len(spans))
 	}
@@ -244,10 +245,10 @@ func TestHealthSwitchTCPFallbackTraceMetaAligns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans, metas, err := func() ([]obs.Span, []obs.TraceMeta, error) {
+	doc, err := func() (*obs.Trace, error) {
 		r, err := os.Open(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer r.Close()
 		return obs.ReadTrace(r)
@@ -255,6 +256,7 @@ func TestHealthSwitchTCPFallbackTraceMetaAligns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans, metas := doc.Spans, doc.Metas
 	if len(metas) != 1 || metas[0].Version != 1 || metas[0].EpochUnixNs == 0 {
 		t.Fatalf("trace_meta = %+v, want version 1 with a nonzero epoch", metas)
 	}

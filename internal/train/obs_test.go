@@ -90,11 +90,12 @@ func TestElasticObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans, err := obs.ReadSpans(resp.Body)
+	doc, err := obs.ReadTrace(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := doc.Spans
 	if len(spans) == 0 {
 		t.Fatal("/trace returned no spans")
 	}

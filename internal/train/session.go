@@ -24,7 +24,7 @@ type session struct {
 	iters   int
 	build   Builder
 	trainDS data.Dataset
-	testDS  data.Dataset // nil skips every evaluation (ReplicaWeights)
+	testDS  data.Dataset // nil skips every evaluation
 	plane   *dataPlane
 
 	ctx    context.Context

@@ -146,10 +146,6 @@ type Options struct {
 	// dead and evicted from the ring. 0 disables the detector — crashes
 	// are then detected only by transport self-reports.
 	SuspectAfter time.Duration
-	// RecoveryWait bounds how long an elastic worker whose exchange
-	// failed waits for a membership verdict before treating the fault as
-	// fatal (nobody died; the error stands). Default 5s.
-	RecoveryWait time.Duration
 	// CheckpointDir, when non-empty, enables durable checkpoint/resume
 	// for RunElastic: atomic, CRC-checked snapshots of weights, optimizer
 	// state, error-feedback residuals, and data-loader cursors.
@@ -364,19 +360,4 @@ func RunSingle(build Builder, trainDS, testDS data.Dataset, iters int, o Options
 	res.FinalAcc, res.FinalLoss = evaluate(w.net, testDS, o.EvalSamples)
 	res.FinalWeights = w.net.WeightVector(nil)
 	return res
-}
-
-// ReplicaWeights runs ring training and returns every worker's final
-// weight vector, for divergence testing.
-func ReplicaWeights(build Builder, trainDS data.Dataset, iters int, o Options) ([][]float32, error) {
-	if o.Algo != Ring {
-		return nil, fmt.Errorf("train: ReplicaWeights requires the ring algorithm")
-	}
-	c, err := o.prepare(false)
-	if err != nil {
-		return nil, err
-	}
-	replicas := make([][]float32, o.Workers)
-	_, err = runFixed(newFabricPlane(o.Workers, o), c, build, trainDS, nil, iters, o, replicas)
-	return replicas, err
 }

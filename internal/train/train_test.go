@@ -69,7 +69,7 @@ func TestRingReplicasStayIdentical(t *testing.T) {
 			o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
 			o.Compress = true
 		}
-		weights, err := ReplicaWeights(models.NewHDCSmall, trainDS, 30, o)
+		weights, err := replicaWeights(models.NewHDCSmall, trainDS, 30, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,8 +233,8 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o); err == nil {
 		t.Error("expected error for zero batch")
 	}
-	if _, err := ReplicaWeights(models.NewHDCSmall, trainDS, 1, o); err == nil {
-		t.Error("ReplicaWeights: expected error for zero batch")
+	if _, err := replicaWeights(models.NewHDCSmall, trainDS, 1, o); err == nil {
+		t.Error("replicaWeights: expected error for zero batch")
 	}
 	o = digitsOptions()
 	o.Algo = Algorithm(99)

@@ -22,29 +22,15 @@ type AutoOptions struct {
 	// options carry a wire processor — a compressed one fitting the codec
 	// rate and measured ratio.
 	ProbeIters int
-	// Prior supplies parameter values the probes cannot observe
-	// (zero = netsim.Default10GbE()).
-	Prior netsim.Params
-	// WhatIfNodes is the scale-extrapolation ladder
-	// (nil = DefaultWhatIfNodes).
-	WhatIfNodes []int
-	// SkipVerify disables the score-then-verify pass: by default, after
-	// the model ranks the sweep, every plan predicted within verifyMargin
-	// of the best is measured with a short run and the measured winner is
-	// chosen. The model's job is pruning the candidate space (it sees
-	// compression's codec tax and chunking's message tax); the verify pass
-	// settles near-ties the α-β model cannot discriminate at testbed
-	// scale, where per-step scheduler synchronization — invisible to a
-	// wire model — separates strategies by more than their predicted gap.
-	SkipVerify bool
-	// VerifyIters is the length of each verification run
-	// (default 8, first probeWarmup iterations discarded).
-	VerifyIters int
 }
 
 // probeWarmup is how many leading iterations each probe drops from the
 // fit (cold-start transients).
 const probeWarmup = 2
+
+// verifyIters is the length of each verification run of the
+// score-then-verify pass.
+const verifyIters = 8
 
 // AutoResult is everything AutoTune learned: the fitted model, the
 // ranked plans at the run's scale, the winning plan, and the what-if
@@ -145,7 +131,9 @@ func AutoTune(build train.Builder, trainDS, testDS data.Dataset, o train.Options
 	}
 	probeSec := time.Since(t0).Seconds()
 
-	fit, err := Fit(samples, ao.Prior)
+	// The zero prior is netsim.Default10GbE(): the values the probes
+	// cannot observe.
+	fit, err := Fit(samples, netsim.Params{})
 	if err != nil {
 		return nil, o, err
 	}
@@ -158,44 +146,43 @@ func AutoTune(build train.Builder, trainDS, testDS data.Dataset, o train.Options
 	plans := pl.Rank(pl.Candidates())
 
 	// Score-then-verify: measure every plan the model scored within
-	// verifyMargin of its best and choose the measured winner. Warmup
+	// verifyMargin of its best and choose the measured winner. The
+	// model's job is pruning the candidate space (it sees compression's
+	// codec tax and chunking's message tax); the verify pass settles
+	// near-ties the α-β model cannot discriminate at testbed scale, where
+	// per-step scheduler synchronization — invisible to a wire model —
+	// separates strategies by more than their predicted gap. Warmup
 	// iterations stay in each run's wall clock — the bias is the same for
 	// every candidate, and only the ordering matters here.
 	chosen := plans[0]
-	if !ao.SkipVerify {
-		verifyIters := ao.VerifyIters
-		if verifyIters <= 0 {
-			verifyIters = 8
+	limit := plans[0].PredIterSec * (1 + verifyMargin)
+	t1 := time.Now()
+	for i := range plans {
+		if plans[i].PredIterSec > limit {
+			break // plans are sorted by prediction
 		}
-		limit := plans[0].PredIterSec * (1 + verifyMargin)
-		t1 := time.Now()
-		for i := range plans {
-			if plans[i].PredIterSec > limit {
-				break // plans are sorted by prediction
-			}
-			vo := Apply(o, plans[i])
-			vo.EvalEvery = 0
-			vo.Health = nil
-			vo.Chaos = nil
-			vo.Obs = nil
-			v0 := time.Now()
-			if _, err := train.Run(build, trainDS, testDS, verifyIters, vo); err != nil {
-				return nil, o, fmt.Errorf("tune: verify run %s: %w", plans[i].PlanOption, err)
-			}
-			plans[i].MeasuredIterSec = time.Since(v0).Seconds() / float64(verifyIters)
-			if plans[i].MeasuredIterSec < chosen.MeasuredIterSec || chosen.MeasuredIterSec == 0 {
-				chosen = plans[i]
-			}
+		vo := Apply(o, plans[i])
+		vo.EvalEvery = 0
+		vo.Health = nil
+		vo.Chaos = nil
+		vo.Obs = nil
+		v0 := time.Now()
+		if _, err := train.Run(build, trainDS, testDS, verifyIters, vo); err != nil {
+			return nil, o, fmt.Errorf("tune: verify run %s: %w", plans[i].PlanOption, err)
 		}
-		probeSec += time.Since(t1).Seconds()
+		plans[i].MeasuredIterSec = time.Since(v0).Seconds() / float64(verifyIters)
+		if plans[i].MeasuredIterSec < chosen.MeasuredIterSec || chosen.MeasuredIterSec == 0 {
+			chosen = plans[i]
+		}
 	}
+	probeSec += time.Since(t1).Seconds()
 
 	res := &AutoResult{
 		Workload:     plain.Workload,
 		Fit:          fit,
 		Plans:        plans,
 		Chosen:       chosen,
-		WhatIf:       pl.WhatIf(ao.WhatIfNodes),
+		WhatIf:       pl.WhatIf(DefaultWhatIfNodes),
 		ProbeSeconds: probeSec,
 	}
 	return res, Apply(o, res.Chosen), nil

@@ -1,9 +1,8 @@
 package tune
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 
@@ -14,12 +13,13 @@ import (
 // Meta is the auxiliary trace line that makes a run self-describing:
 // the workload that produced the spans and — after an auto-tuned run —
 // the plan that was applied and the parameters that were fitted. It is
-// written as one JSONL line whose "tune_meta" key marks it; obs
-// trace readers skip it, tune readers pick it up, so a trace file alone
-// is enough to re-fit and re-plan (`inctrace tune run.jsonl`).
+// written as one JSONL line whose leading "tune_meta" key names its kind;
+// obs.ReadTrace sets such lines aside undecoded, ParseTrace decodes
+// them, so a trace file alone is enough to re-fit and re-plan
+// (`inctrace tune run.jsonl`).
 type Meta struct {
-	// Version is the schema version (currently 1); its JSON key doubles
-	// as the line marker.
+	// Version is the schema version (currently 1); its JSON key, first
+	// on the line, is metaKey.
 	Version  int      `json:"tune_meta"`
 	Workload Workload `json:"workload"`
 
@@ -40,35 +40,28 @@ func (m Meta) Append(w io.Writer) error {
 	return json.NewEncoder(w).Encode(m)
 }
 
-// metaMarker identifies a tune meta line without a full JSON parse.
-var metaMarker = []byte(`"tune_meta"`)
+// metaKey is the first key of a tune meta line — what obs.ReadTrace
+// files it under.
+const metaKey = "tune_meta"
 
 // ParseTrace reads a JSONL trace stream, returning its spans, trace
 // headers, and the first tune meta line if any.
 func ParseTrace(r io.Reader) ([]obs.Span, []obs.TraceMeta, *Meta, error) {
-	raw, err := io.ReadAll(r)
+	t, err := obs.ReadTrace(r)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var meta *Meta
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		b := sc.Bytes()
-		if !bytes.Contains(b, metaMarker) {
+	for _, l := range t.Other {
+		if l.Key != metaKey {
 			continue
 		}
 		var m Meta
-		if err := json.Unmarshal(b, &m); err == nil && m.Version != 0 {
-			meta = &m
-			break
+		if err := json.Unmarshal(l.JSON, &m); err != nil {
+			return nil, nil, nil, fmt.Errorf("tune: meta line %d: %w", l.Num, err)
 		}
+		return t.Spans, t.Metas, &m, nil
 	}
-	spans, headers, err := obs.ReadTrace(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return spans, headers, meta, nil
+	return t.Spans, t.Metas, nil, nil
 }
 
 // ReadTraceFile reads one trace file into a fitting sample. When the

@@ -2,8 +2,10 @@ package tune
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"inceptionn/internal/netsim"
@@ -61,11 +63,11 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 
 	// The same bytes must replay through plain obs readers unchanged.
-	oSpans, _, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	doc, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("obs.ReadTrace on a tuned trace: %v", err)
 	}
-	if len(oSpans) != 2 {
+	if oSpans := doc.Spans; len(oSpans) != 2 {
 		t.Fatalf("obs spans = %d, want 2", len(oSpans))
 	}
 }
@@ -124,5 +126,74 @@ func TestReadTraceFile(t *testing.T) {
 	}
 	if meta2 != nil || s2.Workload != fallback {
 		t.Fatalf("fallback workload not applied: %+v", s2.Workload)
+	}
+}
+
+// This package's half of the trace document's contract (see
+// internal/obs/document_test.go for where the files come from).
+
+// goldenMetas is the fixed writer input: a tuned run's full line, and a
+// plain run's, whose zero Version Append fills in.
+func goldenMetas() []Meta {
+	params := netsim.Default10GbE()
+	return []Meta{
+		{
+			Version:       1,
+			Workload:      Workload{Workers: 4, ModelBytes: 605224, Strategy: "worker-aggregator", Compress: true, Ratio: 4.758729565123167, Iters: 20},
+			Chosen:        &PlanOption{Strategy: "hierarchical-ring", ChunkFloats: 1 << 14, Compress: true, GroupSize: 2},
+			PredIterSec:   0.0547066542621476,
+			Params:        &params,
+			MaxCommRelErr: 0.009568980631349677,
+		},
+		{Workload: Workload{Workers: 3, ModelBytes: 605224, Strategy: "ring", ChunkFloats: 4096, Iters: 20}},
+	}
+}
+
+func TestMetaAppendGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, m := range goldenMetas() {
+		if err := m.Append(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_meta.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Meta.Append bytes changed:\n got %s\nwant %s", buf.Bytes(), want)
+	}
+}
+
+// TestParseTraceGolden: ParseTrace returns, for a tuned trace the commit
+// before the one-reader change wrote, what that commit's ParseTrace did.
+func TestParseTraceGolden(t *testing.T) {
+	dir := filepath.Join("..", "obs", "testdata")
+	parsed, err := os.ReadFile(filepath.Join(dir, "tuned.parsed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Spans   []obs.Span
+		Headers []obs.TraceMeta
+		Meta    *Meta
+	}
+	if err := json.Unmarshal(parsed, &want); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "tuned.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spans, headers, meta, err := ParseTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta == nil || meta.Chosen == nil || meta.Params == nil || len(spans) == 0 {
+		t.Fatalf("tuned trace read as %d spans, meta %+v", len(spans), meta)
+	}
+	if !reflect.DeepEqual(spans, want.Spans) || !reflect.DeepEqual(headers, want.Headers) || !reflect.DeepEqual(meta, want.Meta) {
+		t.Fatalf("ParseTrace differs from what the trace's own commit read:\n got %+v %+v\nwant %+v %+v", headers, meta, want.Headers, want.Meta)
 	}
 }

@@ -56,7 +56,7 @@ type Plan struct {
 	CrossCheckSec float64 `json:"crosscheck_iter_seconds,omitempty"`
 	// MeasuredIterSec is the verification run's measured seconds per
 	// iteration (0 = the plan was outside the verify band and never
-	// measured). See AutoOptions.SkipVerify.
+	// measured). See AutoTune's score-then-verify pass.
 	MeasuredIterSec float64 `json:"measured_iter_seconds,omitempty"`
 }
 

@@ -39,7 +39,7 @@ func (f *Fitted) Validate(s Sample) (*obs.Calibration, float64) {
 			measured = append(measured, sp)
 		}
 	}
-	cal := obs.CalibrateTrimmed(measured, sim, trimFrac)
+	cal := obs.Calibrate(measured, sim, trimFrac)
 	maxErr := 0.0
 	for _, pc := range cal.Phases {
 		if pc.Phase != obs.PhaseSend && pc.Phase != obs.PhaseReduce {

@@ -593,7 +593,7 @@ func (f *Fitted) calibrateReplay(samples []Sample) {
 	if len(measured) == 0 || len(sim) == 0 {
 		return
 	}
-	cal := obs.CalibrateTrimmed(measured, sim, trimFrac)
+	cal := obs.Calibrate(measured, sim, trimFrac)
 	f.Residuals = cal
 	for _, pc := range cal.Phases {
 		if pc.MeasuredMean > 0 && pc.SimMean > 0 {
