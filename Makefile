@@ -27,15 +27,18 @@ race:
 
 # Short fuzzing passes over everything that parses bytes it did not write:
 # the frame decoder, the codec's group kernel against its scalar reference
-# in both directions, and the JSONL trace document reader. The seed corpora
-# (checked in under internal/tcpfabric/testdata and internal/fpcodec/testdata,
-# in code for the trace reader) run on every plain `make test`.
+# in both directions, the JSONL trace document reader, and the control-frame
+# and checkpoint readers on internal/frame. The seed corpora (checked in under
+# internal/tcpfabric/testdata and internal/fpcodec/testdata, in code for the
+# other three) run on every plain `make test`.
 fuzz:
 	$(GO) test ./internal/tcpfabric -run FuzzFrameDecode -fuzz FuzzFrameDecode -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzDecompressStream -fuzz FuzzDecompressStream -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzCompressStream -fuzz FuzzCompressStream -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzScalarRoundtrip -fuzz FuzzScalarRoundtrip -fuzztime 30s
 	$(GO) test ./internal/obs -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 30s
+	$(GO) test ./internal/elastic -run FuzzCtrlFrame -fuzz FuzzCtrlFrame -fuzztime 30s
+	$(GO) test ./internal/train -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 30s
 
 # The repo's one benchmark (BENCHMARK.json runs the same program through
 # bench/perf/run.sh): five end-to-end training workloads plus the

@@ -15,7 +15,7 @@
 package main
 
 import (
-	"encoding/binary"
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -24,6 +24,7 @@ import (
 
 	"inceptionn/internal/bitio"
 	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/frame"
 )
 
 func main() {
@@ -52,15 +53,7 @@ func main() {
 	var vals []float32
 	switch {
 	case *gen > 0:
-		rng := rand.New(rand.NewSource(*seed))
-		vals = make([]float32, *gen)
-		for i := range vals {
-			if rng.Intn(10) == 0 {
-				vals[i] = float32(rng.NormFloat64() * 0.1)
-			} else {
-				vals[i] = float32(rng.NormFloat64() * 0.002)
-			}
-		}
+		vals = generate(*gen, *seed)
 	case *in != "":
 		raw, err := os.ReadFile(*in)
 		if err != nil {
@@ -72,9 +65,7 @@ func main() {
 			os.Exit(1)
 		}
 		vals = make([]float32, len(raw)/4)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
+		frame.F32s(vals, raw)
 	default:
 		fmt.Fprintln(os.Stderr, "inccompress: need -in FILE or -gen N")
 		os.Exit(2)
@@ -116,12 +107,7 @@ func main() {
 		100*st.Fraction(fpcodec.Tag16), 100*st.Fraction(fpcodec.TagNone))
 
 	if *out != "" {
-		container := make([]byte, 16+len(w.Bytes()))
-		binary.LittleEndian.PutUint32(container[0:], containerMagic)
-		binary.LittleEndian.PutUint32(container[4:], uint32(bound.Exp()))
-		binary.LittleEndian.PutUint32(container[8:], uint32(len(vals)))
-		binary.LittleEndian.PutUint32(container[12:], uint32(w.Len()))
-		copy(container[16:], w.Bytes())
+		container := encodeContainer(bound, len(vals), w.Bytes(), w.Len())
 		if err := os.WriteFile(*out, container, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "inccompress:", err)
 			os.Exit(1)
@@ -135,40 +121,58 @@ func main() {
 
 const containerMagic = 0x494E4346 // "INCF"
 
+// generate draws n gradient-shaped values: mostly tiny, one in ten larger.
+func generate(n int, seed int64) []float32 {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]float32, n)
+	for i := range vals {
+		if rng.Intn(10) == 0 {
+			vals[i] = float32(rng.NormFloat64() * 0.1)
+		} else {
+			vals[i] = float32(rng.NormFloat64() * 0.002)
+		}
+	}
+	return vals
+}
+
+// encodeContainer prefixes a compressed stream with the 16-byte INCF header.
+func encodeContainer(bound fpcodec.Bound, count int, stream []byte, bits int) []byte {
+	b := frame.AppendU32(make([]byte, 0, 16+len(stream)), containerMagic)
+	b = frame.AppendU32(frame.AppendU32(frame.AppendU32(b, uint32(bound.Exp())), uint32(count)), uint32(bits))
+	return append(b, stream...)
+}
+
 // runDecompress restores a container to raw little-endian float32 bytes.
 func runDecompress(path, out string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if len(raw) < 16 || binary.LittleEndian.Uint32(raw) != containerMagic {
+	r := frame.NewReader(bytes.NewReader(raw))
+	magic, exp, count, bits := r.U32(), int(r.U32()), int(r.U32()), int(r.U32())
+	if r.Err() != nil || magic != containerMagic {
 		return fmt.Errorf("%s is not an inccompress container", path)
 	}
-	bound, err := fpcodec.NewBound(int(binary.LittleEndian.Uint32(raw[4:])))
+	bound, err := fpcodec.NewBound(exp)
 	if err != nil {
 		return err
 	}
-	count := int(binary.LittleEndian.Uint32(raw[8:]))
-	bits := int(binary.LittleEndian.Uint32(raw[12:]))
-	if bits > 8*(len(raw)-16) {
-		return fmt.Errorf("%s declares %d bits with %d payload bytes", path, bits, len(raw)-16)
+	stream := raw[16:]
+	if bits > 8*len(stream) {
+		return fmt.Errorf("%s declares %d bits with %d payload bytes", path, bits, len(stream))
 	}
 	if err := fpcodec.CheckStreamBits(count, bits); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	vals := make([]float32, count)
-	if err := fpcodec.DecompressStream(bitio.NewReader(raw[16:], bits), vals, bound); err != nil {
+	if err := fpcodec.DecompressStream(bitio.NewReader(stream, bits), vals, bound); err != nil {
 		return err
-	}
-	buf := make([]byte, 4*count)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 	}
 	if out == "" {
 		fmt.Printf("decompressed %d values (bound %v); pass -out FILE to save\n", count, bound)
 		return nil
 	}
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
+	if err := os.WriteFile(out, frame.AppendF32s(nil, vals), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d values, bound %v)\n", out, count, bound)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -62,5 +63,40 @@ func TestRunDecompress(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("count=%d in an empty stream: allocated %d bytes before rejecting it", count, grew)
 		}
+	}
+}
+
+// TestContainerGoldenBytes pins the INCF container. The commit before
+// internal/frame existed wrote testdata/golden_gen64_seed1.incf with
+// `inccompress -gen 64 -seed 1 -out` and golden_gen64_seed1.f32 with
+// `-decompress` of that; neither may be regenerated from current code.
+func TestContainerGoldenBytes(t *testing.T) {
+	const path = "testdata/golden_gen64_seed1.incf"
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := fpcodec.MustBound(10)
+	vals := generate(64, 1)
+	w := bitio.NewWriter(len(vals))
+	fpcodec.CompressStream(w, vals, bound)
+	if got := encodeContainer(bound, len(vals), w.Bytes(), w.Len()); !bytes.Equal(got, golden) {
+		t.Fatalf("container: % x\nwant       % x", got, golden)
+	}
+
+	out := filepath.Join(t.TempDir(), "out.f32")
+	if err := runDecompress(path, out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/golden_gen64_seed1.f32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restored floats: % x\nwant            % x", got, want)
 	}
 }

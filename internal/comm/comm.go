@@ -151,10 +151,10 @@ type message struct {
 	tag     int
 }
 
-// fabricObs holds the fabric's observability handles, resolved once at
-// SetRecorder time so the send path pays only an atomic pointer load.
-type fabricObs struct {
-	rec        *obs.Recorder
+// WireMeter is the wire-byte accounting every fabric reports through — this
+// package's in-process Fabric and tcpfabric's cluster: three series on one
+// recorder, their handles resolved once so the send path pays atomic adds.
+type WireMeter struct {
 	raw        *obs.Counter // wire_bytes_raw: pre-compression payload bytes, all traffic
 	compressed *obs.Counter // wire_bytes_compressed: post-codec payload bytes of ToS-compressed traffic
 	ratio      *obs.Gauge   // compression_ratio: raw/compressed over ToS-compressed traffic
@@ -164,18 +164,42 @@ type fabricObs struct {
 	compOutB atomic.Int64
 }
 
-// observe accounts one processed send.
-func (o *fabricObs) observe(rawBytes, outBytes int64, compressed bool) {
-	o.raw.Add(rawBytes)
+// NewWireMeter resolves the meter's series on rec; a nil rec gives a nil
+// meter, whose Observe is a no-op.
+func NewWireMeter(rec *obs.Recorder) *WireMeter {
+	if rec == nil {
+		return nil
+	}
+	return &WireMeter{
+		raw:        rec.Counter("wire_bytes_raw"),
+		compressed: rec.Counter("wire_bytes_compressed"),
+		ratio:      rec.Gauge("compression_ratio"),
+	}
+}
+
+// Observe accounts one transmission of rawBytes of floats that crossed the
+// wire as outBytes (retransmissions included — they cross it too).
+func (m *WireMeter) Observe(rawBytes, outBytes int64, compressed bool) {
+	if m == nil {
+		return
+	}
+	m.raw.Add(rawBytes)
 	if !compressed {
 		return
 	}
-	o.compressed.Add(outBytes)
-	r := o.compRawB.Add(rawBytes)
-	c := o.compOutB.Add(outBytes)
+	m.compressed.Add(outBytes)
+	r := m.compRawB.Add(rawBytes)
+	c := m.compOutB.Add(outBytes)
 	if c > 0 {
-		o.ratio.Set(float64(r) / float64(c))
+		m.ratio.Set(float64(r) / float64(c))
 	}
+}
+
+// fabricObs is what SetRecorder attaches: the recorder for codec spans and
+// the meter on it, behind one atomic pointer load on the send path.
+type fabricObs struct {
+	rec  *obs.Recorder
+	wire *WireMeter
 }
 
 // Fabric connects n nodes with reliable ordered streams and a shared
@@ -198,12 +222,7 @@ func (f *Fabric) SetRecorder(rec *obs.Recorder) {
 		f.obs.Store(nil)
 		return
 	}
-	f.obs.Store(&fabricObs{
-		rec:        rec,
-		raw:        rec.Counter("wire_bytes_raw"),
-		compressed: rec.Counter("wire_bytes_compressed"),
-		ratio:      rec.Gauge("compression_ratio"),
-	})
+	f.obs.Store(&fabricObs{rec: rec, wire: NewWireMeter(rec)})
 }
 
 // NewFabric creates a fabric of n nodes using proc (nil for identity).
@@ -331,7 +350,7 @@ func (e *Endpoint) process(payload []float32, tos uint8) ([]float32, int64) {
 	if tos == ToSCompress {
 		sp.End()
 	}
-	o.observe(4*int64(len(payload)), payloadBytes, tos == ToSCompress)
+	o.wire.Observe(4*int64(len(payload)), payloadBytes, tos == ToSCompress)
 	return recv, payloadBytes
 }
 

@@ -23,19 +23,18 @@ package elastic
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"inceptionn/internal/fault"
+	"inceptionn/internal/frame"
 )
 
 // ErrPartitioned reports that the control channel has been unreachable
@@ -57,7 +56,6 @@ const CtrlPeer = -1
 //	u32 CRC32-C of all preceding bytes
 const (
 	ctrlMagic      = 0x494E4343
-	ctrlHeaderLen  = 16
 	ctrlMaxPayload = 256 << 20
 )
 
@@ -84,205 +82,132 @@ const (
 	stError
 )
 
-var ctrlCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func writeCtrlFrame(w *bufio.Writer, kind, status byte, reqID uint32, payload []byte) error {
-	var h [ctrlHeaderLen]byte
-	binary.LittleEndian.PutUint32(h[0:], ctrlMagic)
-	h[4], h[5] = kind, status
-	binary.LittleEndian.PutUint32(h[8:], reqID)
-	binary.LittleEndian.PutUint32(h[12:], uint32(len(payload)))
-	crc := crc32.New(ctrlCastagnoli)
-	crc.Write(h[:])
-	crc.Write(payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	if _, err := w.Write(h[:]); err != nil {
+func writeCtrlFrame(bw *bufio.Writer, kind, status byte, reqID uint32, payload []byte) error {
+	w := frame.NewWriter(bw)
+	w.U32(ctrlMagic)
+	w.U8(kind)
+	w.U8(status)
+	w.U8(0) // reserved
+	w.U8(0)
+	w.U32(reqID)
+	w.U32(uint32(len(payload)))
+	w.Bytes(payload)
+	w.Sum()
+	if err := w.Err(); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	if _, err := w.Write(tail[:]); err != nil {
-		return err
-	}
-	return w.Flush()
+	return bw.Flush()
 }
 
-func readCtrlFrame(r *bufio.Reader) (kind, status byte, reqID uint32, payload []byte, err error) {
-	var h [ctrlHeaderLen]byte
-	if _, err = io.ReadFull(r, h[:]); err != nil {
-		return 0, 0, 0, nil, err
+// readCtrlFrame reads one frame off a connection. The payload grows only
+// as its bytes arrive, so a header declaring ctrlMaxPayload costs a peer
+// that sends nothing after it one chunk, not 256 MiB. io.EOF means the
+// stream ended on a frame boundary; a torn frame is io.ErrUnexpectedEOF.
+func readCtrlFrame(br *bufio.Reader) (kind, status byte, reqID uint32, payload []byte, err error) {
+	r := frame.NewReader(br)
+	if magic := r.U32(); magic != ctrlMagic {
+		r.Fail(fmt.Errorf("elastic: bad control magic %08x", magic))
 	}
-	if binary.LittleEndian.Uint32(h[0:]) != ctrlMagic {
-		return 0, 0, 0, nil, fmt.Errorf("elastic: bad control magic %08x", binary.LittleEndian.Uint32(h[0:]))
-	}
-	kind, status = h[4], h[5]
-	reqID = binary.LittleEndian.Uint32(h[8:])
-	plen := binary.LittleEndian.Uint32(h[12:])
+	kind, status = r.U8(), r.U8()
+	r.U8() // reserved
+	r.U8()
+	reqID = r.U32()
+	plen := r.U32()
 	if plen > ctrlMaxPayload {
-		return 0, 0, 0, nil, fmt.Errorf("elastic: control payload of %d bytes exceeds limit", plen)
+		r.Fail(fmt.Errorf("elastic: control payload of %d bytes exceeds limit", plen))
 	}
-	payload = make([]byte, plen)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	payload = r.Bytes(int(plen))
+	r.Verify()
+	if err = r.Err(); err != nil {
 		return 0, 0, 0, nil, err
-	}
-	var tail [4]byte
-	if _, err = io.ReadFull(r, tail[:]); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	crc := crc32.New(ctrlCastagnoli)
-	crc.Write(h[:])
-	crc.Write(payload)
-	if stored := binary.LittleEndian.Uint32(tail[:]); stored != crc.Sum32() {
-		return 0, 0, 0, nil, fmt.Errorf("elastic: control frame CRC mismatch (stored %08x, computed %08x)", stored, crc.Sum32())
 	}
 	return kind, status, reqID, payload, nil
 }
 
 // --- payload encoding -------------------------------------------------
 
-func appendU32(b []byte, v uint32) []byte {
-	var x [4]byte
-	binary.LittleEndian.PutUint32(x[:], v)
-	return append(b, x[:]...)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	var x [8]byte
-	binary.LittleEndian.PutUint64(x[:], v)
-	return append(b, x[:]...)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
 // nilF32s marks a nil float slice on the wire (distinct from empty).
 const nilF32s = ^uint32(0)
 
 func appendF32s(b []byte, vals []float32) []byte {
 	if vals == nil {
-		return appendU32(b, nilF32s)
+		return frame.AppendU32(b, nilF32s)
 	}
-	b = appendU32(b, uint32(len(vals)))
-	for _, v := range vals {
-		b = appendU32(b, math.Float32bits(v))
+	return frame.AppendF32s(frame.AppendU32(b, uint32(len(vals))), vals)
+}
+
+func boolByte(set bool) byte {
+	if set {
+		return 1
 	}
-	return b
+	return 0
 }
 
 func appendItem(b []byte, it Item) []byte {
-	b = appendU64(b, uint64(it.Iter))
-	if it.Joining {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendU64(b, it.Cursor)
-	return appendF32s(b, it.Residual)
+	b = append(frame.AppendU64(b, uint64(it.Iter)), boolByte(it.Joining))
+	return appendF32s(frame.AppendU64(b, it.Cursor), it.Residual)
 }
 
 func appendView(b []byte, v View) []byte {
-	b = appendU32(b, uint32(v.Epoch))
-	b = appendU32(b, uint32(len(v.Members)))
+	b = frame.AppendU32(b, uint32(v.Epoch))
+	b = frame.AppendU32(b, uint32(len(v.Members)))
 	for _, m := range v.Members {
-		b = appendU32(b, uint32(m))
+		b = frame.AppendU32(b, uint32(m))
 	}
 	return b
 }
 
-// ctrlDec is a cursor over a received payload; the first decode error
-// sticks and every later read returns zero values.
-type ctrlDec struct {
-	b   []byte
-	off int
-	err error
-}
+// over opens the cursor that read the frame off the socket over its
+// received payload: the same sticky-error Reader, now on a sized source, so
+// every count inside the payload is checked against the bytes left in it
+// before it allocates.
+func over(payload []byte) *frame.Reader { return frame.NewReader(bytes.NewReader(payload)) }
 
-func (d *ctrlDec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *ctrlDec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *ctrlDec) u8() byte {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *ctrlDec) str() string {
-	n := d.u32()
-	if d.err != nil || d.off+int(n) > len(d.b) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *ctrlDec) f32s() []float32 {
-	n := d.u32()
+func f32s(r *frame.Reader) []float32 {
+	n := r.U32()
 	if n == nilF32s {
 		return nil
 	}
-	if d.err != nil || d.off+4*int(n) > len(d.b) {
-		d.fail()
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off:]))
-		d.off += 4
-	}
-	return out
+	return r.F32s(int(n))
 }
 
-func (d *ctrlDec) item() Item {
-	it := Item{Iter: int64(d.u64()), Joining: d.u8() != 0, Cursor: d.u64()}
-	it.Residual = d.f32s()
-	return it
+func item(r *frame.Reader) Item {
+	return Item{Iter: int64(r.U64()), Joining: r.U8() != 0, Cursor: r.U64(), Residual: f32s(r)}
 }
 
-func (d *ctrlDec) view() View {
-	v := View{Epoch: int(d.u32())}
-	n := d.u32()
-	if d.err != nil || n > 1<<20 {
-		d.fail()
-		return View{}
+// count reads how many members follow. Nothing is allocated from it — the
+// decoders below grow their result one decoded member at a time — but a
+// universe past 2^20 nodes is malformed whatever the payload holds.
+func count(r *frame.Reader) uint32 {
+	n := r.U32()
+	if n > 1<<20 {
+		r.Fail(fmt.Errorf("elastic: implausible member count %d", n))
 	}
-	v.Members = make([]int, n)
-	for i := range v.Members {
-		v.Members[i] = int(d.u32())
+	return n
+}
+
+func view(r *frame.Reader) View {
+	v := View{Epoch: int(r.U32())}
+	for n := count(r); n > 0 && r.Err() == nil; n-- {
+		v.Members = append(v.Members, int(r.U32()))
 	}
 	return v
 }
 
-func (d *ctrlDec) fail() {
-	if d.err == nil {
-		d.err = errors.New("elastic: truncated control payload")
+// awaitEvent decodes an await-event reply: whether the view moved, whether
+// a death moved it, and the view.
+func awaitEvent(r *frame.Reader) (changed, fatal bool, v View) {
+	return r.U8() != 0, r.U8() != 0, view(r)
+}
+
+// gatherReply decodes a completed rendezvous: every member's item.
+func gatherReply(r *frame.Reader) map[int]interface{} {
+	vals := make(map[int]interface{})
+	for n := count(r); n > 0 && r.Err() == nil; n-- {
+		m := int(r.U32())
+		vals[m] = item(r)
 	}
+	return vals
 }
 
 // --- server -----------------------------------------------------------
@@ -389,12 +314,12 @@ func (s *CtrlServer) handle(conn net.Conn) {
 	if err != nil || kind != ckHello {
 		return
 	}
-	dec := &ctrlDec{b: payload}
-	id := int(dec.u32())
-	if dec.err != nil {
+	hello := over(payload)
+	id := int(hello.U32())
+	if hello.Err() != nil {
 		return
 	}
-	if err := writeCtrlFrame(bw, ckHello, stOK, reqID, appendU32(nil, uint32(s.coord.universe))); err != nil {
+	if err := writeCtrlFrame(bw, ckHello, stOK, reqID, frame.AppendU32(nil, uint32(s.coord.universe))); err != nil {
 		return
 	}
 	s.coord.SetLinkDown(id, nil)
@@ -440,12 +365,12 @@ func statusOf(err error) (byte, []byte) {
 	case errors.Is(err, ErrClosed):
 		return stClosed, nil
 	default:
-		return stError, appendStr(nil, err.Error())
+		return stError, frame.AppendStr(nil, err.Error())
 	}
 }
 
 func (s *CtrlServer) dispatch(connCtx context.Context, conn net.Conn, bw *bufio.Writer, id int, kind byte, reqID uint32, payload []byte) error {
-	dec := &ctrlDec{b: payload}
+	req := over(payload)
 	switch kind {
 	case ckBeat:
 		s.coord.Beat(id)
@@ -453,11 +378,9 @@ func (s *CtrlServer) dispatch(connCtx context.Context, conn net.Conn, bw *bufio.
 	case ckView:
 		return reply(conn, bw, ckView, stOK, reqID, appendView(nil, s.coord.View()))
 	case ckAwaitEvent:
-		after := int(dec.u32())
-		timeoutMs := dec.u32()
-		beat := dec.u8() != 0
-		if dec.err != nil {
-			return dec.err
+		after, timeoutMs, beat := int(req.U32()), req.U32(), req.U8() != 0
+		if err := req.Err(); err != nil {
+			return err
 		}
 		if beat {
 			s.coord.Beat(id)
@@ -465,47 +388,33 @@ func (s *CtrlServer) dispatch(connCtx context.Context, conn net.Conn, bw *bufio.
 		wctx, wcancel := context.WithTimeout(connCtx, time.Duration(timeoutMs)*time.Millisecond)
 		v, fatal, err := s.coord.WaitEvent(wctx, after)
 		wcancel()
-		body := make([]byte, 0, 16)
 		switch {
 		case err == nil:
-			body = append(body, 1)
-			if fatal {
-				body = append(body, 1)
-			} else {
-				body = append(body, 0)
-			}
-			body = appendView(body, v)
-			return reply(conn, bw, ckAwaitEvent, stOK, reqID, body)
+			return reply(conn, bw, ckAwaitEvent, stOK, reqID, appendView([]byte{1, boolByte(fatal)}, v))
 		case errors.Is(err, context.DeadlineExceeded):
 			// No event inside the poll window: not an error, just try again.
-			body = append(body, 0, 0)
-			body = appendView(body, s.coord.View())
-			return reply(conn, bw, ckAwaitEvent, stOK, reqID, body)
+			return reply(conn, bw, ckAwaitEvent, stOK, reqID, appendView([]byte{0, 0}, s.coord.View()))
 		default:
 			st, body := statusOf(err)
 			return reply(conn, bw, ckAwaitEvent, st, reqID, body)
 		}
 	case ckGather:
-		epoch := int(dec.u32())
-		key := dec.str()
-		item := dec.item()
-		if dec.err != nil {
-			return dec.err
+		epoch, key, it := int(req.U32()), req.Str(), item(req)
+		if err := req.Err(); err != nil {
+			return err
 		}
-		return s.gather(connCtx, conn, bw, id, reqID, epoch, key, item)
+		return s.gather(connCtx, conn, bw, id, reqID, epoch, key, it)
 	case ckReportDead:
-		node := int(dec.u32())
-		msg := dec.str()
-		if dec.err != nil {
-			return dec.err
+		node, msg := int(req.U32()), req.Str()
+		if err := req.Err(); err != nil {
+			return err
 		}
 		s.coord.ReportDead(node, errors.New(msg))
 		return reply(conn, bw, ckReportDead, stOK, reqID, nil)
 	case ckReportAnomaly:
-		node := int(dec.u32())
-		msg := dec.str()
-		if dec.err != nil {
-			return dec.err
+		node, msg := int(req.U32()), req.Str()
+		if err := req.Err(); err != nil {
+			return err
 		}
 		s.coord.ReportAnomaly(node, errors.New(msg))
 		return reply(conn, bw, ckReportAnomaly, stOK, reqID, nil)
@@ -513,14 +422,14 @@ func (s *CtrlServer) dispatch(connCtx context.Context, conn net.Conn, bw *bufio.
 		s.coord.Depart(id)
 		return reply(conn, bw, ckDepart, stOK, reqID, nil)
 	case ckProposeHalt:
-		own := int(int64(dec.u64()))
-		if dec.err != nil {
-			return dec.err
+		own := int(int64(req.U64()))
+		if err := req.Err(); err != nil {
+			return err
 		}
 		h := s.coord.ProposeHalt(own)
-		return reply(conn, bw, ckProposeHalt, stOK, reqID, appendU64(nil, uint64(int64(h))))
+		return reply(conn, bw, ckProposeHalt, stOK, reqID, frame.AppendU64(nil, uint64(int64(h))))
 	case ckHaltIter:
-		return reply(conn, bw, ckHaltIter, stOK, reqID, appendU64(nil, uint64(int64(s.coord.HaltIter()))))
+		return reply(conn, bw, ckHaltIter, stOK, reqID, frame.AppendU64(nil, uint64(int64(s.coord.HaltIter()))))
 	case ckJoin:
 		v, err := s.coord.Join(id)
 		if err != nil {
@@ -565,15 +474,14 @@ func (s *CtrlServer) gather(connCtx context.Context, conn net.Conn, bw *bufio.Wr
 				st, body := statusOf(res.err)
 				return reply(conn, bw, ckGather, st, reqID, body)
 			}
-			body := appendU32(nil, uint32(len(res.vals)))
+			body := frame.AppendU32(nil, uint32(len(res.vals)))
 			for m, v := range res.vals {
 				it, ok := v.(Item)
 				if !ok {
 					st, eb := statusOf(fmt.Errorf("elastic: gather %q holds a non-Item value from member %d", key, m))
 					return reply(conn, bw, ckGather, st, reqID, eb)
 				}
-				body = appendU32(body, uint32(m))
-				body = appendItem(body, it)
+				body = appendItem(frame.AppendU32(body, uint32(m)), it)
 			}
 			s.mu.Lock()
 			if _, dup := s.completed[key]; !dup {
@@ -725,22 +633,12 @@ func DialCtrl(addr string, id int, opts CtrlOptions) (*Client, error) {
 	// The first view read verifies the server is reachable and primes the
 	// cache (and, under chaos, lets a dial inside a partition window fail
 	// the way a real unreachable coordinator would).
-	_, body, err := cl.call(context.Background(), &cl.main, ckView, nil)
+	v, err := cl.askView(ckView)
 	if err != nil {
 		estop()
 		cl.closeConns()
 		return nil, err
 	}
-	dec := &ctrlDec{b: body}
-	v := dec.view()
-	if dec.err != nil {
-		estop()
-		cl.closeConns()
-		return nil, dec.err
-	}
-	cl.mu.Lock()
-	cl.view = v
-	cl.mu.Unlock()
 	cl.wg.Add(1)
 	go cl.watchLoop(v.Epoch)
 	return cl, nil
@@ -823,7 +721,7 @@ func (cl *Client) ensureConn(cc *ctrlConn) (net.Conn, *bufio.Reader, *bufio.Writ
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	cc.reqID++
 	conn.SetDeadline(time.Now().Add(callTimeout))
-	if err := writeCtrlFrame(bw, ckHello, stOK, cc.reqID, appendU32(nil, uint32(cl.id))); err != nil {
+	if err := writeCtrlFrame(bw, ckHello, stOK, cc.reqID, frame.AppendU32(nil, uint32(cl.id))); err != nil {
 		conn.Close()
 		return nil, nil, nil, err
 	}
@@ -835,8 +733,8 @@ func (cl *Client) ensureConn(cc *ctrlConn) (net.Conn, *bufio.Reader, *bufio.Writ
 		}
 		return nil, nil, nil, err
 	}
-	dec := &ctrlDec{b: body}
-	if u := int(dec.u32()); dec.err == nil {
+	hello := over(body)
+	if u := int(hello.U32()); hello.Err() == nil {
 		cl.mu.Lock()
 		cl.universe = u
 		cl.mu.Unlock()
@@ -957,13 +855,45 @@ func statusErr(status byte, body []byte) error {
 	case stClosed:
 		return ErrClosed
 	default:
-		dec := &ctrlDec{b: body}
-		msg := dec.str()
-		if dec.err != nil || msg == "" {
-			msg = "control request failed"
+		r := over(body)
+		if msg := r.Str(); r.Err() == nil && msg != "" {
+			return errors.New(msg)
 		}
-		return errors.New(msg)
+		return errors.New("control request failed")
 	}
+}
+
+// ask runs one RPC on the worker's own connection and opens a cursor over
+// the reply body; a reply status other than stOK comes back as its error.
+func (cl *Client) ask(ctx context.Context, kind byte, req []byte) (*frame.Reader, error) {
+	status, body, err := cl.call(ctx, &cl.main, kind, req)
+	if err == nil {
+		err = statusErr(status, body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return over(body), nil
+}
+
+// askView runs an RPC that answers with a view and caches the answer.
+func (cl *Client) askView(kind byte) (View, error) {
+	r, err := cl.ask(context.Background(), kind, nil)
+	if err != nil {
+		return View{}, err
+	}
+	v := view(r)
+	if err := r.Err(); err != nil {
+		return View{}, err
+	}
+	cl.setView(v)
+	return v, nil
+}
+
+func (cl *Client) setView(v View) {
+	cl.mu.Lock()
+	cl.view = v
+	cl.mu.Unlock()
 }
 
 // watchLoop polls the server for membership events on its own
@@ -974,9 +904,8 @@ func statusErr(status byte, body []byte) error {
 func (cl *Client) watchLoop(after int) {
 	defer cl.wg.Done()
 	for !cl.isClosed() && !cl.part.Load() {
-		req := appendU32(nil, uint32(after))
-		req = appendU32(req, 1000) // server-side poll window, ms
-		req = append(req, 0)       // no beat
+		// A 1000 ms server-side poll window, no beat.
+		req := append(frame.AppendU32(frame.AppendU32(nil, uint32(after)), 1000), 0)
 		status, body, err := cl.call(context.Background(), &cl.watch, ckAwaitEvent, req)
 		if err != nil {
 			return // closed or partitioned; declarePartition already fired
@@ -987,11 +916,9 @@ func (cl *Client) watchLoop(after int) {
 			}
 			continue
 		}
-		dec := &ctrlDec{b: body}
-		changed := dec.u8() != 0
-		fatal := dec.u8() != 0
-		v := dec.view()
-		if dec.err != nil || !changed {
+		r := over(body)
+		changed, fatal, v := awaitEvent(r)
+		if r.Err() != nil || !changed {
 			continue
 		}
 		cl.mu.Lock()
@@ -1026,15 +953,8 @@ func (cl *Client) Beat(id int) {
 // being cut off, and halting is the only safe reading of either.
 func (cl *Client) View() View {
 	if !cl.part.Load() && !cl.isClosed() {
-		status, body, err := cl.call(context.Background(), &cl.main, ckView, nil)
-		if err == nil && status == stOK {
-			dec := &ctrlDec{b: body}
-			if v := dec.view(); dec.err == nil {
-				cl.mu.Lock()
-				cl.view = v
-				cl.mu.Unlock()
-				return v
-			}
+		if v, err := cl.askView(ckView); err == nil {
+			return v
 		}
 	}
 	cl.mu.Lock()
@@ -1074,27 +994,17 @@ func (cl *Client) AwaitEpoch(ctx context.Context, id, after int) (View, error) {
 		if cl.part.Load() {
 			return View{}, ErrPartitioned
 		}
-		req := appendU32(nil, uint32(after))
-		req = appendU32(req, 500)
-		req = append(req, 1) // beat on the caller's behalf
-		status, body, err := cl.call(ctx, &cl.main, ckAwaitEvent, req)
+		// A 500 ms poll window, beating on the caller's behalf.
+		r, err := cl.ask(ctx, ckAwaitEvent, append(frame.AppendU32(frame.AppendU32(nil, uint32(after)), 500), 1))
 		if err != nil {
 			return View{}, err
 		}
-		if err := statusErr(status, body); err != nil {
+		changed, _, v := awaitEvent(r) // fatal: the watcher handles context cancellation
+		if err := r.Err(); err != nil {
 			return View{}, err
 		}
-		dec := &ctrlDec{b: body}
-		changed := dec.u8() != 0
-		_ = dec.u8() // fatal: the watcher handles context cancellation
-		v := dec.view()
-		if dec.err != nil {
-			return View{}, dec.err
-		}
 		if changed {
-			cl.mu.Lock()
-			cl.view = v
-			cl.mu.Unlock()
+			cl.setView(v)
 			return v, nil
 		}
 	}
@@ -1110,31 +1020,16 @@ func (cl *Client) Gather(ctx context.Context, id, epoch int, key string, value i
 	if !ok {
 		return nil, fmt.Errorf("elastic: control-channel gather %q requires an elastic.Item value, got %T", key, value)
 	}
-	req := appendU32(nil, uint32(epoch))
-	req = appendStr(req, key)
-	req = appendItem(req, it)
-	status, body, err := cl.call(ctx, &cl.main, ckGather, req)
+	r, err := cl.ask(ctx, ckGather, appendItem(frame.AppendStr(frame.AppendU32(nil, uint32(epoch)), key), it))
 	if err != nil {
 		if errors.Is(err, ErrPartitioned) {
 			return nil, ErrEvicted
 		}
 		return nil, err
 	}
-	if err := statusErr(status, body); err != nil {
-		return nil, err
-	}
-	dec := &ctrlDec{b: body}
-	n := dec.u32()
-	if dec.err != nil || n > uint32(1<<20) {
-		return nil, errors.New("elastic: malformed gather response")
-	}
-	vals := make(map[int]interface{}, n)
-	for i := uint32(0); i < n; i++ {
-		m := int(dec.u32())
-		vals[m] = dec.item()
-	}
-	if dec.err != nil {
-		return nil, dec.err
+	vals := gatherReply(r)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("elastic: malformed gather response: %w", err)
 	}
 	return vals, nil
 }
@@ -1145,9 +1040,7 @@ func (cl *Client) ReportDead(id int, cause error) {
 	if cause != nil {
 		msg = cause.Error()
 	}
-	req := appendU32(nil, uint32(id))
-	req = appendStr(req, msg)
-	cl.call(context.Background(), &cl.main, ckReportDead, req)
+	cl.call(context.Background(), &cl.main, ckReportDead, frame.AppendStr(frame.AppendU32(nil, uint32(id)), msg))
 }
 
 // ReportAnomaly implements Membership.
@@ -1155,9 +1048,7 @@ func (cl *Client) ReportAnomaly(node int, err error) {
 	if err == nil {
 		return
 	}
-	req := appendU32(nil, uint32(node))
-	req = appendStr(req, err.Error())
-	cl.call(context.Background(), &cl.main, ckReportAnomaly, req)
+	cl.call(context.Background(), &cl.main, ckReportAnomaly, frame.AppendStr(frame.AppendU32(nil, uint32(node)), err.Error()))
 }
 
 // Depart implements Membership.
@@ -1167,12 +1058,14 @@ func (cl *Client) Depart(id int) {
 
 // ProposeHalt implements Membership.
 func (cl *Client) ProposeHalt(ownIter int) int {
-	status, body, err := cl.call(context.Background(), &cl.main, ckProposeHalt, appendU64(nil, uint64(int64(ownIter))))
-	if err != nil || status != stOK {
-		return ownIter + 1 // unreachable coordinator: assume our proposal won
+	if r, err := cl.ask(context.Background(), ckProposeHalt, frame.AppendU64(nil, uint64(int64(ownIter)))); err == nil {
+		if h := int(int64(r.U64())); r.Err() == nil {
+			return h
+		}
 	}
-	dec := &ctrlDec{b: body}
-	return int(int64(dec.u64()))
+	// An unreachable coordinator, or a reply that carries no answer (which
+	// must not read as "halt at iteration 0"): assume our proposal won.
+	return ownIter + 1
 }
 
 // HaltIter implements Membership.
@@ -1180,12 +1073,12 @@ func (cl *Client) HaltIter() int {
 	if cl.part.Load() {
 		return -1
 	}
-	status, body, err := cl.call(context.Background(), &cl.main, ckHaltIter, nil)
-	if err != nil || status != stOK {
-		return -1
+	if r, err := cl.ask(context.Background(), ckHaltIter, nil); err == nil {
+		if h := int(int64(r.U64())); r.Err() == nil {
+			return h
+		}
 	}
-	dec := &ctrlDec{b: body}
-	return int(int64(dec.u64()))
+	return -1 // no halt agreed, as far as this client can tell
 }
 
 // Join implements Membership: it asks the coordinator to splice this
@@ -1194,20 +1087,5 @@ func (cl *Client) Join(id int) (View, error) {
 	if cl.part.Load() {
 		return View{}, ErrPartitioned
 	}
-	status, body, err := cl.call(context.Background(), &cl.main, ckJoin, nil)
-	if err != nil {
-		return View{}, err
-	}
-	if err := statusErr(status, body); err != nil {
-		return View{}, err
-	}
-	dec := &ctrlDec{b: body}
-	v := dec.view()
-	if dec.err != nil {
-		return View{}, dec.err
-	}
-	cl.mu.Lock()
-	cl.view = v
-	cl.mu.Unlock()
-	return v, nil
+	return cl.askView(ckJoin)
 }

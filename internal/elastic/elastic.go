@@ -20,8 +20,8 @@
 //   - Heartbeat staleness: workers Beat every iteration; a node silent
 //     for longer than Config.SuspectAfter is declared dead by the
 //     detector goroutine.
-//   - Soft anomalies (ReportAnomaly, WatchErrors, and the LinkStats
-//     timeout scan): retry exhaustion, torn frames, and receive-deadline
+//   - Soft anomalies (ReportAnomaly and the LinkStats timeout scan):
+//     retry exhaustion, torn frames, and receive-deadline
 //     expiries observed *about* a peer. These are recorded for
 //     observability and wake waiting survivors, but never evict a node
 //     on their own — a straggler is not a corpse.
@@ -196,7 +196,6 @@ type Coordinator struct {
 	scans []*linkScan
 	stop  chan struct{}
 	done  chan struct{}
-	wg    sync.WaitGroup // WatchErrors consumers
 
 	// Metric handles (nil-safe no-ops when cfg.Obs is nil).
 	obsHeartbeats *obs.Counter
@@ -276,7 +275,6 @@ func (c *Coordinator) Close() {
 	c.changed = make(chan struct{})
 	c.mu.Unlock()
 	<-c.done
-	c.wg.Wait()
 }
 
 // View returns the current membership view.
@@ -532,34 +530,6 @@ func (c *Coordinator) Anomalies() []Anomaly {
 	return append([]Anomaly(nil), c.anomalies...)
 }
 
-// WatchErrors consumes a transport anomaly channel (tcpfabric
-// Node.Errors, or any error feed) attributed to node id. Errors for
-// which fatal returns true are hard evidence and evict the node; all
-// others are recorded as anomalies. A nil fatal treats everything as
-// soft. The consumer goroutine exits when ch closes or the coordinator
-// does.
-func (c *Coordinator) WatchErrors(id int, ch <-chan error, fatal func(error) bool) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			select {
-			case err, ok := <-ch:
-				if !ok {
-					return
-				}
-				if fatal != nil && fatal(err) {
-					c.ReportDead(id, err)
-				} else {
-					c.ReportAnomaly(id, err)
-				}
-			case <-c.stop:
-				return
-			}
-		}
-	}()
-}
-
 // WatchFabric registers an in-process fabric's LinkStats with the
 // detector: new receive-timeout expiries observed between scans are
 // reported as anomalies against the link's source node (the peer being
@@ -751,19 +721,4 @@ func (c *Coordinator) Gather(ctx context.Context, id, epoch int, key string, val
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// MinIter extracts the minimum int value from a Gather result — the
-// common replay iteration during recovery.
-func MinIter(values map[int]interface{}) int {
-	first := true
-	m := 0
-	for _, v := range values {
-		it := v.(int)
-		if first || it < m {
-			m = it
-			first = false
-		}
-	}
-	return m
 }

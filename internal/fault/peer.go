@@ -2,16 +2,15 @@ package fault
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"inceptionn/internal/comm"
+	"inceptionn/internal/frame"
 )
 
 // Errors surfaced by the fault-tolerant wrapper.
@@ -70,18 +69,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // payloadCRC checksums the bit patterns of the payload floats.
-func payloadCRC(payload []float32) uint32 {
-	h := crc32.New(crcTable)
-	var b [4]byte
-	for _, v := range payload {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum32()
-}
+func payloadCRC(payload []float32) uint32 { return frame.ChecksumF32s(payload) }
 
 type delivered struct {
 	tag     int

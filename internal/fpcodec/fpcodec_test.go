@@ -124,6 +124,53 @@ func TestErrorBoundProperty(t *testing.T) {
 	}
 }
 
+// TestErrorBoundSweep proves the bound where the sampled properties around
+// it only probe it: every bound × both signs × all 256 exponents × about a
+// thousand mantissas (the edge patterns plus a stride). Exponents ≥ 127 —
+// NaN and ±Inf included — round-trip bit-exactly; everything below lands
+// within 2^-E, never flips sign, and is a fixed point of a second round
+// trip. The sweep is of the scalar pair; TestKernelTableMatchesScalar ties
+// the kernel every data path runs to it.
+func TestErrorBoundSweep(t *testing.T) {
+	mantissas := []uint32{0, 1, 2, 0x3FFFFF, 0x400000, 0x400001, 0x7FFFFE, 0x7FFFFF}
+	for m := uint32(0); m < 1<<23; m += 8387 {
+		mantissas = append(mantissas, m)
+	}
+	for e := 1; e <= 15; e++ {
+		b := MustBound(e)
+		worst := 0.0
+		for signExp := uint32(0); signExp < 512; signExp++ {
+			for _, m := range mantissas {
+				bits := signExp<<23 | m
+				x := math.Float32frombits(bits)
+				got := Roundtrip(x, b)
+				if signExp&0xFF >= 127 {
+					if math.Float32bits(got) != bits {
+						t.Fatalf("E=%d: %#08x came back as %#08x, want it verbatim", e, bits, math.Float32bits(got))
+					}
+					continue
+				}
+				diff := math.Abs(float64(x) - float64(got))
+				if diff > b.MaxError() {
+					t.Fatalf("E=%d: |%g - %g| = %g exceeds %g", e, x, got, diff, b.MaxError())
+				}
+				if got != 0 && math.Signbit(float64(got)) != math.Signbit(float64(x)) {
+					t.Fatalf("E=%d: %g came back as %g: sign flipped", e, x, got)
+				}
+				if again := Roundtrip(got, b); math.Float32bits(again) != math.Float32bits(got) {
+					t.Fatalf("E=%d: %g → %g → %g: not idempotent", e, x, got, again)
+				}
+				worst = math.Max(worst, diff)
+			}
+		}
+		// The sweep reaches the edge it guards: the worst case sits just
+		// under the bound, so a window one bit narrower would fail above.
+		if worst < 0.99*b.MaxError() {
+			t.Errorf("E=%d: worst error %g is nowhere near the bound %g — the sweep misses the edge", e, worst, b.MaxError())
+		}
+	}
+}
+
 // TestReconstructionNeverOvershoots: truncation means |decoded| <= |v| and
 // the sign is preserved for nonzero decodes.
 func TestReconstructionNeverOvershoots(t *testing.T) {

@@ -3,14 +3,11 @@ package nic
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/frame"
 )
-
-func floatBits(f float32) uint32     { return math.Float32bits(f) }
-func floatFromBits(b uint32) float32 { return math.Float32frombits(b) }
 
 // Packet is a simplified TCP/IP packet as seen by the NIC datapath: the
 // ToS byte (the only header field the engines inspect, via the comparator
@@ -37,10 +34,7 @@ const frameHeaderBytes = 8
 // PacketizeFloats splits a float32 vector into MSS-sized packets with the
 // given ToS, little-endian encoded — the host-side DMA path of Fig. 8.
 func PacketizeFloats(vals []float32, tos uint8) []Packet {
-	raw := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(raw[4*i:], floatBits(v))
-	}
+	raw := frame.AppendF32s(nil, vals)
 	var pkts []Packet
 	for off := 0; off < len(raw); off += comm.MSS {
 		hi := off + comm.MSS
@@ -68,9 +62,7 @@ func DepacketizeFloats(pkts []Packet) ([]float32, error) {
 		return nil, fmt.Errorf("nic: payload of %d bytes is not float32-aligned", len(raw))
 	}
 	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = floatFromBits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
+	frame.F32s(out, raw)
 	return out, nil
 }
 
@@ -97,16 +89,11 @@ func (n *NIC) Egress(pkts []Packet) []Packet {
 			out = append(out, p)
 			continue
 		}
-		count := len(p.Payload) / 4
-		vals := make([]float32, count)
-		for i := range vals {
-			vals[i] = floatFromBits(binary.LittleEndian.Uint32(p.Payload[4*i:]))
-		}
+		vals := make([]float32, len(p.Payload)/4)
+		frame.F32s(vals, p.Payload)
 		data, bits := n.CE.CompressPayload(vals)
-		framed := make([]byte, frameHeaderBytes+len(data))
-		binary.LittleEndian.PutUint32(framed, uint32(count))
-		binary.LittleEndian.PutUint32(framed[4:], uint32(bits))
-		copy(framed[frameHeaderBytes:], data)
+		framed := frame.AppendU32(make([]byte, 0, frameHeaderBytes+len(data)), uint32(len(vals)))
+		framed = append(frame.AppendU32(framed, uint32(bits)), data...)
 		out = append(out, Packet{ToS: p.ToS, Payload: framed, Compressed: true})
 	}
 	return out
@@ -137,11 +124,7 @@ func (n *NIC) Ingress(pkts []Packet) ([]Packet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("nic: packet %d: %w", i, err)
 		}
-		raw := make([]byte, 4*count)
-		for j, v := range vals {
-			binary.LittleEndian.PutUint32(raw[4*j:], floatBits(v))
-		}
-		out = append(out, Packet{ToS: p.ToS, Payload: raw})
+		out = append(out, Packet{ToS: p.ToS, Payload: frame.AppendF32s(nil, vals)})
 	}
 	return out, nil
 }

@@ -3,10 +3,9 @@ package tcpfabric
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 
 	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/frame"
 )
 
 // Wire frame v2 (all little-endian). The 32-byte header is followed by
@@ -53,10 +52,8 @@ const (
 	maxFrameBytes  = 1 << 26 // 64 MiB on the wire
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // bodyCRC is the integrity checksum carried in every frame header.
-func bodyCRC(body []byte) uint32 { return crc32.Checksum(body, castagnoli) }
+func bodyCRC(body []byte) uint32 { return frame.Checksum(body) }
 
 // frameHeader is the decoded fixed-size header.
 type frameHeader struct {
@@ -152,17 +149,13 @@ func decodeRawPayload(h frameHeader, body []byte) ([]float32, error) {
 		return nil, fmt.Errorf("tcpfabric: raw body %dB, want %d", len(body), 4*h.count)
 	}
 	out := make([]float32, h.count)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
-	}
+	frame.F32s(out, body)
 	return out, nil
 }
 
 // encodeRawPayload serializes floats as a raw frame body.
 func encodeRawPayload(payload []float32) []byte {
 	body := make([]byte, 4*len(payload))
-	for i, v := range payload {
-		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(v))
-	}
+	frame.PutF32s(body, payload)
 	return body
 }

@@ -1,8 +1,13 @@
 package tcpfabric
 
 import (
+	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"inceptionn/internal/fpcodec"
@@ -13,6 +18,36 @@ import (
 func fuzzSeed(h frameHeader, body []byte) []byte {
 	hb := encodeHeader(h)
 	return append(hb[:], body...)
+}
+
+// TestCorpusPinsTheWire: the checked-in corpus files are golden INCP bytes —
+// written by a generator that spelled the header layout out a second time,
+// since deleted — and the frame writers must reproduce the three valid
+// ones byte for byte.
+func TestCorpusPinsTheWire(t *testing.T) {
+	rawBody := encodeRawPayload([]float32{1.5, -2.25})
+	for name, wire := range map[string][]byte{
+		"valid_raw": fuzzSeed(frameHeader{
+			kind: kindData, seq: 1, tag: 7, count: 2,
+			payloadLen: uint32(len(rawBody)), crc: bodyCRC(rawBody),
+		}, rawBody),
+		"valid_ack":          fuzzSeed(frameHeader{kind: kindAck, seq: 3}, nil),
+		"valid_nack_wantraw": fuzzSeed(frameHeader{kind: kindNack, flags: flagWantRaw, seq: 4}, nil),
+	} {
+		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzFrameDecode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The corpus encoding: a version line, then []byte("<quoted>").
+		quoted := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(file)), "go test fuzz v1\n[]byte("), ")")
+		want, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(wire, []byte(want)) {
+			t.Errorf("%s: wrote % x\nwant % x", name, wire, want)
+		}
+	}
 }
 
 // FuzzFrameDecode feeds arbitrary bytes through the header validator and,

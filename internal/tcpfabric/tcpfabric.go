@@ -122,8 +122,9 @@ type ClusterOptions struct {
 	Obs *obs.Recorder
 }
 
-// clusterObs holds the cluster's metric handles, resolved once at
-// construction so hot paths pay only nil checks and atomic adds.
+// clusterObs holds the cluster's recovery-counter handles, resolved once at
+// construction so hot paths pay only nil checks and atomic adds. The
+// wire-byte series are comm's (Cluster.wire).
 type clusterObs struct {
 	rec         *obs.Recorder
 	retransmits *obs.Counter
@@ -131,13 +132,6 @@ type clusterObs struct {
 	nacks       *obs.Counter
 	degraded    *obs.Counter
 	backoffNs   *obs.Counter
-	raw         *obs.Counter
-	compressed  *obs.Counter
-	ratio       *obs.Gauge
-
-	// Running totals behind the ratio gauge (compressed frames only).
-	compRawB atomic.Int64
-	compOutB atomic.Int64
 }
 
 func newClusterObs(rec *obs.Recorder) *clusterObs {
@@ -151,27 +145,6 @@ func newClusterObs(rec *obs.Recorder) *clusterObs {
 		nacks:       rec.Counter("tcp_nacks"),
 		degraded:    rec.Counter("tcp_degraded_frames"),
 		backoffNs:   rec.Counter("tcp_backoff_ns"),
-		raw:         rec.Counter("wire_bytes_raw"),
-		compressed:  rec.Counter("wire_bytes_compressed"),
-		ratio:       rec.Gauge("compression_ratio"),
-	}
-}
-
-// observeFrame accounts one data-frame transmission (retransmits
-// included — they cross the wire too).
-func (o *clusterObs) observeFrame(rawBytes, bodyBytes int64, compressed bool) {
-	if o == nil {
-		return
-	}
-	o.raw.Add(rawBytes)
-	if !compressed {
-		return
-	}
-	o.compressed.Add(bodyBytes)
-	r := o.compRawB.Add(rawBytes)
-	c := o.compOutB.Add(bodyBytes)
-	if c > 0 {
-		o.ratio.Set(float64(r) / float64(c))
 	}
 }
 
@@ -183,6 +156,7 @@ type Cluster struct {
 	chaos *fault.Injector
 	retry RetryPolicy
 	cobs  *clusterObs
+	wire  *comm.WireMeter // one Observe per data-frame transmission
 
 	nodes []*Node
 }
@@ -269,6 +243,7 @@ func NewClusterWithOptions(n int, opts ClusterOptions) (*Cluster, error) {
 		chaos: opts.Chaos,
 		retry: opts.Retry.withDefaults(),
 		cobs:  newClusterObs(opts.Obs),
+		wire:  comm.NewWireMeter(opts.Obs),
 	}
 
 	listeners := make([]net.Listener, n)
@@ -552,7 +527,7 @@ func (nd *Node) transmit(dst int, seq uint32, of *outFrame, raw bool) error {
 		bit := v.CorruptBit % (8 * len(body))
 		body[bit/8] ^= 1 << (bit % 8)
 	}
-	cobs.observeFrame(4*int64(len(of.payload)), int64(len(body)), h.flags&flagCompressed != 0)
+	nd.cluster.wire.Observe(4*int64(len(of.payload)), int64(len(body)), h.flags&flagCompressed != 0)
 	if v.Drop {
 		return nil // the frame "left" but never hits the wire
 	}

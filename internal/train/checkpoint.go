@@ -2,16 +2,15 @@ package train
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"inceptionn/internal/frame"
 )
 
 // ErrNoCheckpoint reports that a checkpoint directory holds no valid
@@ -53,185 +52,85 @@ type Checkpoint struct {
 	Residuals map[int][]float32 // per-member error-feedback residual (nil entries allowed)
 }
 
-func putF32s(out io.Writer, vals []float32) error {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(vals)))
-	if _, err := out.Write(n[:]); err != nil {
-		return err
-	}
-	raw := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-	_, err := out.Write(raw)
-	return err
-}
-
-func getF32s(r io.Reader, limit int) ([]float32, error) {
-	var n [8]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, err
-	}
-	count := binary.LittleEndian.Uint64(n[:])
-	if count > uint64(limit) {
-		return nil, fmt.Errorf("train: checkpoint vector of %d values exceeds limit %d", count, limit)
-	}
-	raw := make([]byte, 4*count)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, err
-	}
-	vals := make([]float32, count)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return vals, nil
-}
+// maxCkptVector bounds any single vector in a checkpoint (2^28 float32s =
+// 1 GiB). It is a plausibility limit, not the allocation guard: the frame
+// reader allocates a vector only once its source has been shown to hold it.
+const maxCkptVector = 1 << 28
 
 // Encode writes the checkpoint to w with a trailing CRC32-C.
 func (ck *Checkpoint) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	h := crc32.New(castagnoliRun)
-	out := io.MultiWriter(bw, h)
-	var b [8]byte
-	put32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(b[:4], v)
-		_, err := out.Write(b[:4])
-		return err
+	fw := frame.NewWriter(bw)
+	vector := func(vals []float32) {
+		fw.U64(uint64(len(vals)))
+		fw.F32s(vals)
 	}
-	put64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(b[:], v)
-		_, err := out.Write(b[:])
-		return err
-	}
-	for _, v := range []uint32{runCkptMagic, runCkptVersion, uint32(ck.Universe), uint32(ck.Epoch)} {
-		if err := put32(v); err != nil {
-			return fmt.Errorf("train: encode checkpoint: %w", err)
-		}
-	}
-	if err := put64(uint64(ck.NextIter)); err != nil {
-		return fmt.Errorf("train: encode checkpoint: %w", err)
-	}
-	if err := put32(uint32(len(ck.Members))); err != nil {
-		return fmt.Errorf("train: encode checkpoint: %w", err)
-	}
+	fw.U32(runCkptMagic)
+	fw.U32(runCkptVersion)
+	fw.U32(uint32(ck.Universe))
+	fw.U32(uint32(ck.Epoch))
+	fw.U64(uint64(ck.NextIter))
+	fw.U32(uint32(len(ck.Members)))
 	for _, m := range ck.Members {
-		if err := put32(uint32(m)); err != nil {
-			return fmt.Errorf("train: encode checkpoint: %w", err)
-		}
+		fw.U32(uint32(m))
 	}
-	if err := putF32s(out, ck.Weights); err != nil {
-		return fmt.Errorf("train: encode weights: %w", err)
-	}
-	if err := putF32s(out, ck.Velocity); err != nil {
-		return fmt.Errorf("train: encode velocity: %w", err)
-	}
+	vector(ck.Weights)
+	vector(ck.Velocity)
 	for _, m := range ck.Members {
-		if err := put64(ck.Cursors[m]); err != nil {
-			return fmt.Errorf("train: encode cursor %d: %w", m, err)
-		}
-		if err := putF32s(out, ck.Residuals[m]); err != nil {
-			return fmt.Errorf("train: encode residual %d: %w", m, err)
-		}
+		fw.U64(ck.Cursors[m])
+		vector(ck.Residuals[m])
 	}
-	binary.LittleEndian.PutUint32(b[:4], h.Sum32())
-	if _, err := bw.Write(b[:4]); err != nil {
-		return fmt.Errorf("train: encode checksum: %w", err)
+	fw.Sum()
+	if err := fw.Err(); err != nil {
+		return fmt.Errorf("train: encode checkpoint: %w", err)
 	}
 	return bw.Flush()
 }
 
-var castagnoliRun = crc32.MakeTable(crc32.Castagnoli)
-
-// maxCkptVector bounds any single vector in a checkpoint (2^28 float32s =
-// 1 GiB) so a corrupt length field cannot drive allocation.
-const maxCkptVector = 1 << 28
-
-// DecodeCheckpoint parses and CRC-verifies a checkpoint stream.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	h := crc32.New(castagnoliRun)
-	tr := io.TeeReader(br, h)
-	var b [8]byte
-	get32 := func() (uint32, error) {
-		_, err := io.ReadFull(tr, b[:4])
-		return binary.LittleEndian.Uint32(b[:4]), err
+// DecodeCheckpoint parses and CRC-verifies a checkpoint stream. Hand it
+// the file or buffer itself, not a wrapper: a source that can say how much
+// it holds has every vector length checked against that before allocation.
+func DecodeCheckpoint(src io.Reader) (*Checkpoint, error) {
+	r := frame.NewReader(src)
+	vector := func() []float32 {
+		n := r.U64()
+		if n > maxCkptVector {
+			r.Fail(fmt.Errorf("train: checkpoint vector of %d values exceeds limit %d", n, maxCkptVector))
+		}
+		return r.F32s(int(n))
 	}
-	get64 := func() (uint64, error) {
-		_, err := io.ReadFull(tr, b[:])
-		return binary.LittleEndian.Uint64(b[:]), err
+	if magic := r.U32(); magic != runCkptMagic {
+		r.Fail(fmt.Errorf("train: not a run checkpoint (bad magic %08x)", magic))
 	}
-	magic, err := get32()
-	if err != nil {
-		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
+	if v := r.U32(); v != runCkptVersion {
+		r.Fail(fmt.Errorf("train: unsupported run checkpoint version %d (this build reads version %d)", v, runCkptVersion))
 	}
-	if magic != runCkptMagic {
-		return nil, fmt.Errorf("train: not a run checkpoint (bad magic %08x)", magic)
-	}
-	if v, err := get32(); err != nil {
-		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
-	} else if v != runCkptVersion {
-		return nil, fmt.Errorf("train: unsupported run checkpoint version %d (this build reads version %d)", v, runCkptVersion)
-	}
-	ck := &Checkpoint{Cursors: make(map[int]uint64), Residuals: make(map[int][]float32)}
-	universe, err := get32()
-	if err != nil {
-		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
-	}
-	epoch, err := get32()
-	if err != nil {
-		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
-	}
-	next, err := get64()
-	if err != nil {
-		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
-	}
-	nMembers, err := get32()
-	if err != nil {
-		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
-	}
+	universe, epoch, next, nMembers := r.U32(), r.U32(), r.U64(), r.U32()
 	if universe > 1<<20 || nMembers > universe || next > 1<<40 {
-		return nil, fmt.Errorf("train: implausible checkpoint header (universe %d, members %d, next iter %d)",
-			universe, nMembers, next)
+		r.Fail(fmt.Errorf("train: implausible checkpoint header (universe %d, members %d, next iter %d)",
+			universe, nMembers, next))
 	}
-	ck.Universe, ck.Epoch, ck.NextIter = int(universe), int(epoch), int(next)
-	ck.Members = make([]int, nMembers)
-	for i := range ck.Members {
-		m, err := get32()
-		if err != nil {
-			return nil, fmt.Errorf("train: decode members: %w", err)
-		}
+	ck := &Checkpoint{
+		Universe: int(universe), Epoch: int(epoch), NextIter: int(next),
+		Cursors: make(map[int]uint64), Residuals: make(map[int][]float32),
+	}
+	for ; nMembers > 0 && r.Err() == nil; nMembers-- {
+		m := r.U32()
 		if m >= universe {
-			return nil, fmt.Errorf("train: checkpoint member %d outside universe %d", m, universe)
+			r.Fail(fmt.Errorf("train: checkpoint member %d outside universe %d", m, universe))
 		}
-		ck.Members[i] = int(m)
+		ck.Members = append(ck.Members, int(m))
 	}
-	if ck.Weights, err = getF32s(tr, maxCkptVector); err != nil {
-		return nil, fmt.Errorf("train: decode weights: %w", err)
-	}
-	if ck.Velocity, err = getF32s(tr, maxCkptVector); err != nil {
-		return nil, fmt.Errorf("train: decode velocity: %w", err)
-	}
+	ck.Weights, ck.Velocity = vector(), vector()
 	for _, m := range ck.Members {
-		cur, err := get64()
-		if err != nil {
-			return nil, fmt.Errorf("train: decode cursor %d: %w", m, err)
-		}
-		ck.Cursors[m] = cur
-		res, err := getF32s(tr, maxCkptVector)
-		if err != nil {
-			return nil, fmt.Errorf("train: decode residual %d: %w", m, err)
-		}
-		if len(res) > 0 {
+		ck.Cursors[m] = r.U64()
+		if res := vector(); len(res) > 0 {
 			ck.Residuals[m] = res
 		}
 	}
-	sum := h.Sum32()
-	// Read the stored checksum outside the tee so it does not hash itself.
-	if _, err := io.ReadFull(br, b[:4]); err != nil {
-		return nil, fmt.Errorf("train: decode checksum: %w", err)
-	}
-	if stored := binary.LittleEndian.Uint32(b[:4]); stored != sum {
-		return nil, fmt.Errorf("train: checkpoint checksum mismatch (stored %08x, computed %08x): corrupt or truncated", stored, sum)
+	r.Verify()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
 	}
 	return ck, nil
 }

@@ -383,8 +383,8 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 			// concurrent eviction or departure must not turn success into a
 			// spurious replay (and a sibling's graceful exit at the final
 			// iteration must not perturb this worker's result). If the
-			// epoch did move, the next loop top rendezvouses, and MinIter
-			// rolls this commit back deterministically when a survivor
+			// epoch did move, the next loop top rendezvouses, and its minimum
+			// iteration rolls this commit back deterministically when a survivor
 			// aborted the same iteration.
 			// Renormalize by the members that contributed.
 			r.commitStep(w.worker, iter, passStart, nil, len(view.Members), id == view.Leader())
