@@ -93,10 +93,14 @@ obssmoke:
 # detector only through the all-or-nothing `race` target: the transports
 # (comm, fault, tcpfabric), the ring and hub primitives, hierarchy, and the
 # MPI-style collectives (including the switch all-reduce's
-# bit-exactness-with-ring suite) in one focused run.
+# bit-exactness-with-ring suite) in one focused run. The compute kernels
+# ride along (par, tensor, nn, opt; ~20 s together): their row and batch
+# shards write one output from several goroutines, and the differential
+# tables that pin the kernels to the scalar loops run at worker counts 1-5.
 simtest:
 	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/trainsim ./internal/mpi \
-		./internal/comm ./internal/fault ./internal/tcpfabric ./internal/ring ./internal/hierarchy
+		./internal/comm ./internal/fault ./internal/tcpfabric ./internal/ring ./internal/hierarchy \
+		./internal/par ./internal/tensor ./internal/nn ./internal/opt
 
 # Auto-tuner acceptance gate: the tune package's unit suite under the
 # race detector (the strict timing gate skips itself there — the race

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"inceptionn/internal/data"
 	"inceptionn/internal/nn"
 	"inceptionn/internal/tensor"
 )
@@ -152,5 +153,53 @@ func TestHDCSmallSharesTopologyWithHDC(t *testing.T) {
 	}
 	if len(small.Params()) != len(big.Params()) {
 		t.Errorf("param tensor counts differ: %d vs %d", len(small.Params()), len(big.Params()))
+	}
+}
+
+// TestNonFiniteValuesPoisonTheStep is DESIGN.md §8's IEEE contract checked
+// end to end: a NaN or +Inf in a first-layer weight or in one input element
+// — a diverging replica — must reach the logits, the loss and that layer's
+// weight gradient instead of being laundered on the way. Before ReLU and
+// MaxPool2D passed NaN through, every case below ended on 40 finite logits,
+// a finite loss and a finite gradient.
+func TestNonFiniteValuesPoisonTheStep(t *testing.T) {
+	nonFinite := func(vals []float32) (n int) {
+		for _, v := range vals {
+			if v != v || math.IsInf(float64(v), 0) {
+				n++
+			}
+		}
+		return n
+	}
+	var sce nn.SoftmaxCrossEntropy
+	for _, m := range []struct {
+		name  string
+		build func(*rand.Rand) *nn.Network
+		ds    data.Dataset
+	}{
+		{"hdc-small", NewHDCSmall, data.NewDigits(16, 1)},
+		{"mini-alexnet", NewMiniAlexNet, data.NewImages(16, 1)},
+	} {
+		for _, poison := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+			for _, where := range []string{"weight", "input"} {
+				net := m.build(rand.New(rand.NewSource(3)))
+				b := data.MakeBatch(m.ds, []int{0, 1, 2, 3})
+				first := net.Params()[0]
+				target := first.W.Data
+				if where == "input" {
+					target = b.X.Data
+				}
+				target[len(target)/2] = poison
+
+				net.ZeroGrads()
+				logits := net.Forward(b.X, true)
+				loss, dlogits := sce.Loss(logits, b.Labels)
+				net.Backward(dlogits)
+				if nonFinite(logits.Data) == 0 || !(math.IsNaN(loss) || math.IsInf(loss, 0)) || nonFinite(first.G.Data) == 0 {
+					t.Errorf("%s, %g in one %s: %d of %d logits non-finite, loss %g, %d non-finite entries in %s's gradient",
+						m.name, poison, where, nonFinite(logits.Data), logits.Len(), loss, nonFinite(first.G.Data), first.Name)
+				}
+			}
+		}
 	}
 }

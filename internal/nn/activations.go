@@ -14,14 +14,16 @@ type ReLU struct {
 // NewReLU constructs a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
+// Forward implements Layer. NaN passes through (and its gradient with it):
+// `v > 0` alone is false for NaN, which would turn a diverging replica's
+// activations into zeros and let it train on, silently (DESIGN.md §8).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
 	if len(r.mask) != x.Len() {
 		r.mask = make([]bool, x.Len())
 	}
 	for i, v := range x.Data {
-		if v > 0 {
+		if v > 0 || v != v {
 			out.Data[i] = v
 			r.mask[i] = true
 		} else {

@@ -137,7 +137,9 @@ func NewMaxPool2D(k, stride int) *MaxPool2D {
 	return &MaxPool2D{K: k, Stride: stride}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. A NaN anywhere in a window is its maximum —
+// `>` alone would skip every NaN but the window's first element — so
+// non-finite activations reach the loss, and the gradient routes to them.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH := tensor.ConvOutSize(h, p.K, p.Stride, 0)
@@ -166,8 +168,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 								break
 							}
 							idx := iy*w + ix
-							if bestIdx < 0 || plane[idx] > best {
-								best = plane[idx]
+							if v := plane[idx]; bestIdx < 0 || v > best || v != v {
+								best = v
 								bestIdx = idx
 							}
 						}

@@ -179,9 +179,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	batch := dout.Shape[0]
 	// dW += xᵀ·dout
-	gw := tensor.New(d.In, d.Out)
-	tensor.MatMulTransA(gw, d.x, dout)
-	d.w.G.AddInPlace(gw)
+	tensor.AddMatMulTransA(d.w.G, d.x, dout)
 	// db += column sums of dout
 	for i := 0; i < batch; i++ {
 		row := dout.Data[i*d.Out : (i+1)*d.Out]

@@ -107,7 +107,8 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU()
-	x := tensor.FromSlice([]float32{-1, 2, 0, 3}, 1, 4)
+	nan := float32(math.NaN())
+	x := tensor.FromSlice([]float32{-1, 2, 0, 3, nan}, 1, 5)
 	out := r.Forward(x, true)
 	want := []float32{0, 2, 0, 3}
 	for i := range want {
@@ -115,12 +116,35 @@ func TestReLUForwardBackward(t *testing.T) {
 			t.Fatalf("forward[%d] = %g, want %g", i, out.Data[i], want[i])
 		}
 	}
-	dout := tensor.FromSlice([]float32{10, 10, 10, 10}, 1, 4)
+	dout := tensor.FromSlice([]float32{10, 10, 10, 10, 10}, 1, 5)
 	dx := r.Backward(dout)
-	wantDx := []float32{0, 10, 0, 10}
+	wantDx := []float32{0, 10, 0, 10, 10}
 	for i := range wantDx {
 		if dx.Data[i] != wantDx[i] {
 			t.Fatalf("backward[%d] = %g, want %g", i, dx.Data[i], wantDx[i])
+		}
+	}
+	// NaN is passed through with its gradient, never rectified to zero.
+	if out.Data[4] == out.Data[4] {
+		t.Fatalf("forward[4] = %g, want NaN", out.Data[4])
+	}
+}
+
+// TestMaxPoolPropagatesNaN: a NaN is its window's maximum wherever it sits
+// (`>` alone finds it only in the first position), and the gradient routes
+// to it.
+func TestMaxPoolPropagatesNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	for pos := 0; pos < 4; pos++ {
+		x := tensor.FromSlice([]float32{1, 4, 2, 3}, 1, 1, 2, 2)
+		x.Data[pos] = nan
+		p := NewMaxPool2D(2, 2)
+		if out := p.Forward(x, true); out.Data[0] == out.Data[0] {
+			t.Errorf("NaN at window position %d: max = %g, want NaN", pos, out.Data[0])
+		}
+		dx := p.Backward(tensor.FromSlice([]float32{7}, 1, 1, 1, 1))
+		if dx.Data[pos] != 7 {
+			t.Errorf("NaN at window position %d: gradient went to %v", pos, dx.Data)
 		}
 	}
 }

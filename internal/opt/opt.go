@@ -66,10 +66,14 @@ func (s *SGD) Step(params []*nn.Param) {
 		if !p.Decay {
 			decay = 0
 		}
-		for i := range v.Data {
-			g := p.G.Data[i] + decay*p.W.Data[i]
-			v.Data[i] = mom*v.Data[i] - lr*g
-			p.W.Data[i] += v.Data[i]
+		// Three equal-length slices, so the loop re-derives nothing through
+		// p and carries no bounds check.
+		vel := v.Data
+		w, grad := p.W.Data[:len(vel)], p.G.Data[:len(vel)]
+		for i := range vel {
+			g := grad[i] + decay*w[i]
+			vel[i] = mom*vel[i] - lr*g
+			w[i] += vel[i]
 		}
 	}
 }

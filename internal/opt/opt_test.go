@@ -148,3 +148,61 @@ func TestWarmupSchedule(t *testing.T) {
 		t.Errorf("At(150) = %g, want post-drop 0.01", got)
 	}
 }
+
+// refSGDUpdate is the per-element loop SGD.Step ran before its three slices
+// were hoisted out of it, kept verbatim as the reference for the update's
+// arithmetic. Never called outside tests.
+func refSGDUpdate(p *nn.Param, v *tensor.Tensor, lr, mom, decay float32) {
+	for i := range v.Data {
+		g := p.G.Data[i] + decay*p.W.Data[i]
+		v.Data[i] = mom*v.Data[i] - lr*g
+		p.W.Data[i] += v.Data[i]
+	}
+}
+
+// TestSGDStepMatchesReferenceBits: a decayed weight and an undecayed bias,
+// with and without momentum, over five steps with a moving learning rate —
+// weights and velocity bit for bit what the reference loop computes.
+func TestSGDStepMatchesReferenceBits(t *testing.T) {
+	const wd = 0.0005
+	for _, momentum := range []float64{0, 0.9} {
+		rng := rand.New(rand.NewSource(31))
+		newParams := func() []*nn.Param {
+			w := &nn.Param{Name: "w", W: tensor.New(17, 59), G: tensor.New(17, 59), Decay: true}
+			b := &nn.Param{Name: "b", W: tensor.New(1, 7), G: tensor.New(1, 7)}
+			return []*nn.Param{w, b}
+		}
+		got, want := newParams(), newParams()
+		wantVel := []*tensor.Tensor{tensor.New(17, 59), tensor.New(1, 7)}
+		for i, p := range got {
+			p.W.FillRandn(rng, 1)
+			copy(want[i].W.Data, p.W.Data)
+		}
+		s := NewSGD(0.02, momentum, wd)
+		for step := 0; step < 5; step++ {
+			s.LR = 0.02 / float64(step+1)
+			for i, p := range got {
+				p.G.FillRandn(rng, 1)
+				p.G.Data[step] = 0 // an exact zero gradient entry
+				copy(want[i].G.Data, p.G.Data)
+				decay := float32(wd)
+				if !p.Decay {
+					decay = 0
+				}
+				refSGDUpdate(want[i], wantVel[i], float32(s.LR), float32(momentum), decay)
+			}
+			s.Step(got)
+			vel := s.VelocityVector(got, nil)
+			for i, p := range got {
+				for j := range p.W.Data {
+					if math.Float32bits(p.W.Data[j]) != math.Float32bits(want[i].W.Data[j]) ||
+						math.Float32bits(vel[j]) != math.Float32bits(wantVel[i].Data[j]) {
+						t.Fatalf("momentum %g step %d %s[%d]: w %g v %g, reference w %g v %g", momentum, step,
+							p.Name, j, p.W.Data[j], vel[j], want[i].W.Data[j], wantVel[i].Data[j])
+					}
+				}
+				vel = vel[p.W.Len():]
+			}
+		}
+	}
+}

@@ -1,0 +1,317 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"inceptionn/internal/par"
+)
+
+// The ref* functions are the scalar loops the kernels in tensor.go
+// replaced, kept verbatim (minus the row sharding, which never changed a
+// row's arithmetic) as the statement of the accumulation contract: float32,
+// from +0, ascending k, one s += x*y per term, nothing skipped. They are
+// never called outside tests.
+
+func refMatMul(dst, a, b *Tensor) {
+	m, ka, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	ad, bd, dd := a.Data, b.Data, dst.Data
+	for i := 0; i < m; i++ {
+		drow := dd[i*n : (i+1)*n]
+		for x := range drow {
+			drow[x] = 0
+		}
+		arow := ad[i*ka : (i+1)*ka]
+		for k := 0; k < ka; k++ {
+			av := arow[k]
+			brow := bd[k*n : (k+1)*n]
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMatMulTransA(dst, a, b *Tensor) {
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	ad, bd, dd := a.Data, b.Data, dst.Data
+	for i := 0; i < m; i++ {
+		drow := dd[i*n : (i+1)*n]
+		for x := range drow {
+			drow[x] = 0
+		}
+		for p := 0; p < k; p++ {
+			av := ad[p*m+i]
+			brow := bd[p*n : (p+1)*n]
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMatMulTransB(dst, a, b *Tensor) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	ad, bd, dd := a.Data, b.Data, dst.Data
+	for i := 0; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		for j := 0; j < n; j++ {
+			brow := bd[j*k : (j+1)*k]
+			var s float32
+			for p, av := range arow {
+				s += av * brow[p]
+			}
+			dd[i*n+j] = s
+		}
+	}
+}
+
+func refIm2Col(dst, img *Tensor, kh, kw, stride, pad int) {
+	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
+	outH := (h+2*pad-kh)/stride + 1
+	outW := (w+2*pad-kw)/stride + 1
+	cols := outH * outW
+	id, dd := img.Data, dst.Data
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				row := (ch*kh+ky)*kw + kx
+				base := row * cols
+				for oy := 0; oy < outH; oy++ {
+					iy := oy*stride + ky - pad
+					for ox := 0; ox < outW; ox++ {
+						ix := ox*stride + kx - pad
+						var v float32
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = id[(ch*h+iy)*w+ix]
+						}
+						dd[base+oy*outW+ox] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+func refCol2Im(img, cols *Tensor, kh, kw, stride, pad int) {
+	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
+	outH := (h+2*pad-kh)/stride + 1
+	outW := (w+2*pad-kw)/stride + 1
+	nCols := outH * outW
+	img.Zero()
+	id, cd := img.Data, cols.Data
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				row := (ch*kh+ky)*kw + kx
+				base := row * nCols
+				for oy := 0; oy < outH; oy++ {
+					iy := oy*stride + ky - pad
+					if iy < 0 || iy >= h {
+						continue
+					}
+					for ox := 0; ox < outW; ox++ {
+						ix := ox*stride + kx - pad
+						if ix < 0 || ix >= w {
+							continue
+						}
+						id[(ch*h+iy)*w+ix] += cd[base+oy*outW+ox]
+					}
+				}
+			}
+		}
+	}
+}
+
+// operand returns a tensor of normal samples in which about a third of the
+// elements are exact zeros and a few are −0 — what ReLU and its mask put
+// into every matmul operand of a real step — and, if poisoned, three are
+// NaN, +Inf and −Inf: few enough that most outputs of a large product stay
+// finite and are still compared bit for bit.
+func operand(rng *rand.Rand, poisoned bool, shape ...int) *Tensor {
+	t := New(shape...)
+	t.FillRandn(rng, 1)
+	for i := range t.Data {
+		switch r := rng.Intn(48); {
+		case r < 14:
+			t.Data[i] = 0
+		case r < 16:
+			t.Data[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	if poisoned {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Data[rng.Intn(len(t.Data))] = float32(v)
+		}
+	}
+	return t
+}
+
+// garbage returns a tensor no kernel output may be confused with, so an
+// element a kernel fails to write shows.
+func garbage(shape ...int) *Tensor {
+	t := New(shape...)
+	t.Fill(-12345.678)
+	return t
+}
+
+// requireSameBits compares bit for bit, except that two NaNs of different
+// payload count as equal (which NaN an x86 add returns depends on operand
+// order inside the instruction, not on the accumulation order).
+func requireSameBits(t *testing.T, what string, got, want *Tensor) {
+	t.Helper()
+	for i, g := range got.Data {
+		w := want.Data[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s: element %d = %g (%#08x), reference %g (%#08x)",
+				what, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
+// TestKernelsMatchReferenceBits is the accumulation contract checked
+// differentially: the benchmark's shapes, every residue of k and n mod 4
+// (the listed odd shapes plus all of k, n ≤ 9), clean and poisoned
+// operands, every worker count that changes the sharding.
+func TestKernelsMatchReferenceBits(t *testing.T) {
+	shapes := [][3]int{
+		{16, 500, 500}, {16, 784, 500}, {16, 500, 10}, {4, 784, 500}, {32, 144, 256},
+		{1, 1, 1}, {3, 5, 7}, {5, 9, 3}, {7, 13, 17}, {2, 4, 4},
+	}
+	for k := 1; k <= 9; k++ {
+		for n := 1; n <= 9; n++ {
+			shapes = append(shapes, [3]int{3, k, n})
+		}
+	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	rng := rand.New(rand.NewSource(23))
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		for _, poisoned := range []bool{false, true} {
+			a, at := operand(rng, poisoned, m, k), operand(rng, poisoned, k, m)
+			b, bt := operand(rng, poisoned, k, n), operand(rng, poisoned, n, k)
+			acc := operand(rng, false, m, n) // a non-zero gradient accumulator
+
+			wantMul, wantA, wantB, tmp := New(m, n), New(m, n), New(m, n), New(m, n)
+			refMatMul(wantMul, a, b)
+			refMatMulTransA(wantA, at, b)
+			refMatMulTransB(wantB, a, bt)
+			wantAdd := acc.Clone()
+			refMatMulTransA(tmp, at, b)
+			wantAdd.AddInPlace(tmp)
+
+			for _, workers := range []int{1, 2, 3, 5} {
+				par.SetMaxWorkers(workers)
+				what := fmt.Sprintf("%v poisoned=%v workers=%d", s, poisoned, workers)
+				got := garbage(m, n)
+				MatMul(got, a, b)
+				requireSameBits(t, "MatMul "+what, got, wantMul)
+				got = garbage(m, n)
+				MatMulTransA(got, at, b)
+				requireSameBits(t, "MatMulTransA "+what, got, wantA)
+				got = garbage(m, n)
+				MatMulTransB(got, a, bt)
+				requireSameBits(t, "MatMulTransB "+what, got, wantB)
+				got = acc.Clone()
+				AddMatMulTransA(got, at, b)
+				requireSameBits(t, "AddMatMulTransA "+what, got, wantAdd)
+			}
+		}
+	}
+}
+
+// TestIm2ColCol2ImMatchReferenceBits sweeps every geometry of the listed
+// sizes that has at least one output (kernels wider than the image, spans
+// that are empty on one side, strides that skip the last column), with the
+// destination pre-filled so an unwritten element shows. The square-kernel
+// subset is the 1,302 geometries the rewrite was sized on.
+func TestIm2ColCol2ImMatchReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	square, all := 0, 0
+	for _, c := range []int{1, 3} {
+		for _, h := range []int{1, 2, 5, 8} {
+			for _, w := range []int{1, 3, 7, 8} {
+				for _, kh := range []int{1, 2, 3, 5} {
+					for _, kw := range []int{1, 2, 3, 5} {
+						for _, stride := range []int{1, 2, 3} {
+							for _, pad := range []int{0, 1, 2, 4} {
+								if h+2*pad < kh || w+2*pad < kw {
+									continue
+								}
+								all++
+								if kh == kw {
+									square++
+								}
+								what := fmt.Sprintf("c=%d h=%d w=%d kh=%d kw=%d stride=%d pad=%d", c, h, w, kh, kw, stride, pad)
+								rows := c * kh * kw
+								cols := ConvOutSize(h, kh, stride, pad) * ConvOutSize(w, kw, stride, pad)
+
+								img := operand(rng, true, c, h, w)
+								got, want := garbage(rows, cols), garbage(rows, cols)
+								Im2Col(got, img, kh, kw, stride, pad)
+								refIm2Col(want, img, kh, kw, stride, pad)
+								requireSameBits(t, "Im2Col "+what, got, want)
+
+								mat := operand(rng, true, rows, cols)
+								back, wantBack := garbage(c, h, w), garbage(c, h, w)
+								Col2Im(back, mat, kh, kw, stride, pad)
+								refCol2Im(wantBack, mat, kh, kw, stride, pad)
+								requireSameBits(t, "Col2Im "+what, back, wantBack)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if square != 1302 {
+		t.Errorf("swept %d square-kernel geometries (%d in all), want 1302", square, all)
+	}
+}
+
+// The benchmarks time the calls bench/perf/micro.go times, at its shapes
+// and in its units, so `go test -run '^$' -bench . -cpu 1,2
+// ./internal/tensor` and the benchmark's tensor.matmul_*_gflops /
+// tensor.im2col_mb_s are the same quantities.
+
+func benchFilled(rng *rand.Rand, shape ...int) *Tensor {
+	t := New(shape...)
+	t.FillRandn(rng, 1)
+	return t
+}
+
+func BenchmarkMatMul(b *testing.B) {
+	// The HDC hidden layer at batch 16: forward, weight gradient, input
+	// gradient; then mini-AlexNet's conv2 on one sample.
+	rng := rand.New(rand.NewSource(1))
+	x, w, dout := benchFilled(rng, 16, 500), benchFilled(rng, 500, 500), benchFilled(rng, 16, 500)
+	y, gw, dx := New(16, 500), New(500, 500), New(16, 500)
+	filt, cols, out := benchFilled(rng, 32, 16*9), benchFilled(rng, 16*9, 16*16), New(32, 16*16)
+	for _, c := range []struct {
+		name  string
+		gflop float64
+		call  func()
+	}{
+		{"dense", 2.0 * 16 * 500 * 500 / 1e9, func() { MatMul(y, x, w) }},
+		{"transa", 2.0 * 16 * 500 * 500 / 1e9, func() { MatMulTransA(gw, x, dout) }},
+		{"transb", 2.0 * 16 * 500 * 500 / 1e9, func() { MatMulTransB(dx, dout, w) }},
+		{"conv", 2.0 * 32 * 16 * 9 * 16 * 16 / 1e9, func() { MatMul(out, filt, cols) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.call()
+			}
+			b.ReportMetric(c.gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
+		})
+	}
+}
+
+func BenchmarkIm2Col(b *testing.B) {
+	img, cols := benchFilled(rand.New(rand.NewSource(1)), 16, 16, 16), New(16*9, 16*16)
+	for i := 0; i < b.N; i++ {
+		Im2Col(cols, img, 3, 3, 1, 1)
+	}
+	b.ReportMetric(float64(4*cols.Len())/1e6*float64(b.N)/b.Elapsed().Seconds(), "MB/s")
+}

@@ -162,16 +162,81 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// MatMul computes dst = a·b for 2-D tensors a (m×k) and b (k×n).
-// dst must be m×n and distinct from a and b. The k-inner loop runs over b's
-// rows (ikj order) for cache-friendly access. Output rows are computed in
-// parallel shards (internal/par); every element accumulates over k in
-// ascending order regardless of the worker count, so results are
-// bit-identical to a sequential run.
-//
-// Zero elements of a are NOT short-circuited: IEEE 754 requires
+// The accumulation contract of every kernel below: an output element is a
+// float32 sum that starts at +0 and takes one `s += x*y` per term, in
+// ascending k — no reassociation, no skipped zero (IEEE 754 requires
 // 0×NaN = NaN and 0×Inf = NaN, so a skipped multiply would launder a
-// diverging replica's non-finite gradients into finite outputs.
+// diverging replica's non-finite gradients into finite outputs) and no
+// float32(x*y) around the product, which would forbid the fusion the plain
+// expression allows on FMA ports and so change results there. Output rows
+// are computed in parallel shards (internal/par); a row's arithmetic does
+// not depend on its shard, so results are bit-identical for any worker
+// count. DESIGN.md §8, "kernel anatomy", has the measurements behind the
+// shape of the two micro-kernels.
+
+// axpy4 adds four scaled rows to d, in order:
+// d[j] = (((d[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j] — one load
+// and one store of d per eight flops. The rows are cut to len(d) on entry so
+// the loop carries no bounds check.
+func axpy4(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	for j := range d {
+		s := d[j]
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		d[j] = s
+	}
+}
+
+// axpy1 is axpy4's tail for k mod 4: d[j] += a·b[j].
+func axpy1(d, b []float32, a float32) {
+	b = b[:len(d)]
+	for j := range d {
+		d[j] += a * b[j]
+	}
+}
+
+// mulRow sets d to the sum over p < k of a[p·as]·b[p·n : (p+1)·n], n = len(d):
+// one output row of a·b (as = 1) or of aᵀ·b (as = a's row length).
+func mulRow(d, a []float32, as int, b []float32, k int) {
+	n := len(d)
+	clear(d)
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		axpy4(d, b[p*n:], b[(p+1)*n:], b[(p+2)*n:], b[(p+3)*n:],
+			a[p*as], a[(p+1)*as], a[(p+2)*as], a[(p+3)*as])
+	}
+	for ; p < k; p++ {
+		axpy1(d, b[p*n:], a[p*as])
+	}
+}
+
+// dot4 returns a's inner product with four rows as four independent
+// ascending chains, so four adds are in flight instead of one.
+func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for p, av := range a {
+		s0 += av * b0[p]
+		s1 += av * b1[p]
+		s2 += av * b2[p]
+		s3 += av * b3[p]
+	}
+	return
+}
+
+// dot1 is dot4's tail for n mod 4.
+func dot1(a, b []float32) (s float32) {
+	b = b[:len(a)]
+	for p, av := range a {
+		s += av * b[p]
+	}
+	return
+}
+
+// MatMul computes dst = a·b for 2-D tensors a (m×k) and b (k×n).
+// dst must be m×n and distinct from a and b.
 func MatMul(dst, a, b *Tensor) {
 	m, ka := a.Shape[0], a.Shape[1]
 	kb, n := b.Shape[0], b.Shape[1]
@@ -184,56 +249,55 @@ func MatMul(dst, a, b *Tensor) {
 	ad, bd, dd := a.Data, b.Data, dst.Data
 	par.For(m, par.GrainFor(2*ka*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			drow := dd[i*n : (i+1)*n]
-			for x := range drow {
-				drow[x] = 0
-			}
-			arow := ad[i*ka : (i+1)*ka]
-			for k := 0; k < ka; k++ {
-				av := arow[k]
-				brow := bd[k*n : (k+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
+			mulRow(dd[i*n:(i+1)*n], ad[i*ka:], 1, bd, ka)
 		}
 	})
 }
 
 // MatMulTransA computes dst = aᵀ·b for a (k×m) and b (k×n); dst is m×n.
-// Like MatMul it shards over output rows, accumulates over k in ascending
-// order (bit-identical for any worker count), and never short-circuits
-// zeros (0×NaN must stay NaN).
 func MatMulTransA(dst, a, b *Tensor) {
-	k, m := a.Shape[0], a.Shape[1]
-	kb, n := b.Shape[0], b.Shape[1]
-	if k != kb {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", k, kb))
-	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransA dst %v, want [%d %d]", dst.Shape, m, n))
-	}
+	k, m, n := transADims("MatMulTransA", dst, a, b)
 	ad, bd, dd := a.Data, b.Data, dst.Data
 	par.For(m, par.GrainFor(2*k*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			drow := dd[i*n : (i+1)*n]
-			for x := range drow {
-				drow[x] = 0
-			}
-			for p := 0; p < k; p++ {
-				av := ad[p*m+i]
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
+			mulRow(dd[i*n:(i+1)*n], ad[i:], m, bd, k)
+		}
+	})
+}
+
+// AddMatMulTransA computes dst += aᵀ·b for a (k×m) and b (k×n); dst is m×n.
+// Each row's product sum is formed from zero in a scratch row (one per
+// shard) and only then added — the arithmetic of MatMulTransA into a
+// temporary followed by AddInPlace, without the m×n temporary.
+func AddMatMulTransA(dst, a, b *Tensor) {
+	k, m, n := transADims("AddMatMulTransA", dst, a, b)
+	ad, bd, dd := a.Data, b.Data, dst.Data
+	par.For(m, par.GrainFor(2*k*n), func(lo, hi int) {
+		sum := make([]float32, n)
+		for i := lo; i < hi; i++ {
+			mulRow(sum, ad[i:], m, bd, k)
+			drow := dd[i*n:][:len(sum)]
+			for j, v := range sum {
+				drow[j] += v
 			}
 		}
 	})
 }
 
+// transADims checks the shapes of dst (m×n) = aᵀ·b for a (k×m) and b (k×n).
+func transADims(name string, dst, a, b *Tensor) (k, m, n int) {
+	k, m = a.Shape[0], a.Shape[1]
+	kb, n := b.Shape[0], b.Shape[1]
+	if k != kb {
+		panic(fmt.Sprintf("tensor: %s inner dims %d vs %d", name, k, kb))
+	}
+	if dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: %s dst %v, want [%d %d]", name, dst.Shape, m, n))
+	}
+	return k, m, n
+}
+
 // MatMulTransB computes dst = a·bᵀ for a (m×k) and b (n×k); dst is m×n.
-// Output rows are sharded in parallel; the p-accumulation order is fixed,
-// so results are bit-identical for any worker count.
 func MatMulTransB(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n, kb := b.Shape[0], b.Shape[1]
@@ -246,22 +310,37 @@ func MatMulTransB(dst, a, b *Tensor) {
 	ad, bd, dd := a.Data, b.Data, dst.Data
 	par.For(m, par.GrainFor(2*k*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			for j := 0; j < n; j++ {
-				brow := bd[j*k : (j+1)*k]
-				var s float32
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				dd[i*n+j] = s
+			arow, drow := ad[i*k:(i+1)*k], dd[i*n:(i+1)*n]
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				drow[j], drow[j+1], drow[j+2], drow[j+3] = dot4(arow,
+					bd[j*k:], bd[(j+1)*k:], bd[(j+2)*k:], bd[(j+3)*k:])
+			}
+			for ; j < n; j++ {
+				drow[j] = dot1(arow, bd[j*k:])
 			}
 		}
 	})
 }
 
+// validSpan returns the outputs [lo, hi) of out whose input coordinate
+// o·stride + off falls inside [0, in); every other output reads padding.
+func validSpan(out, in, stride, off int) (lo, hi int) {
+	if off < 0 {
+		lo = (stride - 1 - off) / stride
+	}
+	if last := in - 1 - off; last >= 0 {
+		hi = min(out, last/stride+1)
+	}
+	return min(lo, hi), hi
+}
+
 // Im2Col lowers a CHW image into a matrix of shape
 // (channels*kh*kw) × (outH*outW) so convolution becomes MatMul.
-// img must have shape [channels, height, width].
+// img must have shape [channels, height, width]. The valid span of each
+// kernel row and column is computed once, so whole output rows are
+// zero-filled, copied (stride 1) or stride-walked without a per-element
+// bounds test.
 func Im2Col(dst, img *Tensor, kh, kw, stride, pad int) {
 	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
 	outH := (h+2*pad-kh)/stride + 1
@@ -274,18 +353,26 @@ func Im2Col(dst, img *Tensor, kh, kw, stride, pad int) {
 	id, dd := img.Data, dst.Data
 	for ch := 0; ch < c; ch++ {
 		for ky := 0; ky < kh; ky++ {
+			oyLo, oyHi := validSpan(outH, h, stride, ky-pad)
 			for kx := 0; kx < kw; kx++ {
+				oxLo, oxHi := validSpan(outW, w, stride, kx-pad)
 				row := (ch*kh+ky)*kw + kx
-				base := row * cols
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride + ky - pad
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride + kx - pad
-						var v float32
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							v = id[(ch*h+iy)*w+ix]
-						}
-						dd[base+oy*outW+ox] = v
+				drow := dd[row*cols : (row+1)*cols]
+				clear(drow[:oyLo*outW])
+				clear(drow[oyHi*outW:])
+				for oy := oyLo; oy < oyHi; oy++ {
+					out := drow[oy*outW : (oy+1)*outW]
+					in := id[(ch*h+oy*stride+ky-pad)*w:][:w]
+					clear(out[:oxLo])
+					clear(out[oxHi:])
+					ix := oxLo*stride + kx - pad
+					if stride == 1 && oxLo < oxHi {
+						copy(out[oxLo:oxHi], in[ix:])
+						continue
+					}
+					for ox := oxLo; ox < oxHi; ox++ {
+						out[ox] = in[ix]
+						ix += stride
 					}
 				}
 			}
@@ -295,7 +382,9 @@ func Im2Col(dst, img *Tensor, kh, kw, stride, pad int) {
 
 // Col2Im scatters a column matrix (as produced by Im2Col) back into a CHW
 // image, accumulating overlapping contributions. It is the adjoint of
-// Im2Col, used by the convolution backward pass. img is zeroed first.
+// Im2Col, used by the convolution backward pass. img is zeroed first. An
+// image element takes its contributions in (ky, kx, oy, ox) order — the
+// loop nest's; the spans only skip the columns that fall on padding.
 func Col2Im(img, cols *Tensor, kh, kw, stride, pad int) {
 	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
 	outH := (h+2*pad-kh)/stride + 1
@@ -308,20 +397,25 @@ func Col2Im(img, cols *Tensor, kh, kw, stride, pad int) {
 	id, cd := img.Data, cols.Data
 	for ch := 0; ch < c; ch++ {
 		for ky := 0; ky < kh; ky++ {
+			oyLo, oyHi := validSpan(outH, h, stride, ky-pad)
 			for kx := 0; kx < kw; kx++ {
+				oxLo, oxHi := validSpan(outW, w, stride, kx-pad)
 				row := (ch*kh+ky)*kw + kx
-				base := row * nCols
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
+				crow := cd[row*nCols : (row+1)*nCols]
+				for oy := oyLo; oy < oyHi; oy++ {
+					in := crow[oy*outW:][oxLo:oxHi]
+					out := id[(ch*h+oy*stride+ky-pad)*w:][:w]
+					ix := oxLo*stride + kx - pad
+					if stride == 1 && len(in) > 0 {
+						out = out[ix:][:len(in)]
+						for i, v := range in {
+							out[i] += v
+						}
 						continue
 					}
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride + kx - pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						id[(ch*h+iy)*w+ix] += cd[base+oy*outW+ox]
+					for _, v := range in {
+						out[ix] += v
+						ix += stride
 					}
 				}
 			}

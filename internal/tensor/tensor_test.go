@@ -298,27 +298,6 @@ func TestQuickMatMulLinearity(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, y, z := New(128, 128), New(128, 128), New(128, 128)
-	x.FillRandn(rng, 1)
-	y.FillRandn(rng, 1)
-	b.SetBytes(128 * 128 * 128 * 4)
-	for i := 0; i < b.N; i++ {
-		MatMul(z, x, y)
-	}
-}
-
-func BenchmarkIm2Col(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	img := New(16, 32, 32)
-	img.FillRandn(rng, 1)
-	dst := New(16*9, 32*32)
-	for i := 0; i < b.N; i++ {
-		Im2Col(dst, img, 3, 3, 1, 1)
-	}
-}
-
 // TestMatMulPropagatesNaNInf guards the IEEE-semantics bugfix: the old
 // kernels short-circuited zero elements of a, so 0×NaN and 0×Inf — the
 // signature of a diverging replica's gradients — were silently laundered
