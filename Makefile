@@ -21,7 +21,7 @@ vet:
 # (TestFig4Output alone had run 45 min) and internal/train (54 min)
 # failed its wall-clock gates, which the race runtime distorts; the
 # name-selected targets below are the slices that hold under -race there
-# (ROADMAP, "State the contract once" (d)).
+# (ROADMAP item 5, "Virtual time", whose gates fold them back into `race`).
 race:
 	$(GO) test -race -timeout 60m ./...
 

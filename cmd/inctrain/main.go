@@ -531,10 +531,6 @@ func main() {
 	if res.RawBytes > 0 && res.WireBytes > 0 {
 		fmt.Printf("traffic: %d raw bytes, %d wire bytes (%.2fx reduction)\n",
 			res.RawBytes, res.WireBytes, float64(res.RawBytes)/float64(res.WireBytes))
-	} else if res.WireBytes > 0 {
-		// Transports without per-link raw-byte accounting (compressed
-		// elastic TCP) report only what actually crossed the wire.
-		fmt.Printf("traffic: %d wire bytes\n", res.WireBytes)
 	}
 	if res.ComputeSeconds > 0 || res.CommSeconds > 0 {
 		fmt.Printf("timing: compute %.3fs, comm %.3fs, straggler wait %.3fs (summed across workers)\n",

@@ -104,11 +104,75 @@ func TestMiniModelsForwardBackward(t *testing.T) {
 func TestMiniModelsDeterministicInit(t *testing.T) {
 	a := NewMiniAlexNet(rand.New(rand.NewSource(7)))
 	b := NewMiniAlexNet(rand.New(rand.NewSource(7)))
-	wa := a.WeightVector(nil)
-	wb := b.WeightVector(nil)
+	wa, wb := a.Weights(), b.Weights()
 	for i := range wa {
 		if wa[i] != wb[i] {
 			t.Fatal("same seed produced different init")
+		}
+	}
+}
+
+// TestFlatViewsAreLiveInEveryModel: for every trainable builder — so for
+// every layer kind the Mini models and HDC are made of — each parameter
+// computes with what Weights() holds and accumulates into what Grads()
+// holds. A layer that kept a tensor header over a parameter's storage from
+// before the network re-homed it would fail here, one parameter by name.
+func TestFlatViewsAreLiveInEveryModel(t *testing.T) {
+	var sce nn.SoftmaxCrossEntropy
+	for name, build := range Builders {
+		rng := rand.New(rand.NewSource(5))
+		net := build(rng)
+		x, labels := tensor.New(2, 3, 32, 32), []int{3, 7}
+		if name == "hdc" || name == "hdc-small" {
+			x = tensor.New(2, 784)
+		}
+		x.FillRandn(rng, 1)
+
+		// Evaluation mode: no dropout draw, and batch norm does not cancel
+		// the bias of the convolution under it.
+		base := net.Forward(x, false).Clone()
+		off := 0
+		for _, p := range net.Params() {
+			span := net.Weights()[off : off+p.W.Len()]
+			off += len(span)
+			saved := append([]float32(nil), span...)
+			for i := range span {
+				span[i] += 0.5
+			}
+			out := net.Forward(x, false)
+			changed := false
+			for i := range out.Data {
+				changed = changed || out.Data[i] != base.Data[i]
+			}
+			if !changed {
+				t.Errorf("%s: Forward ignored a write to %s through Weights()", name, p.Name)
+			}
+			copy(span, saved)
+		}
+
+		net.ZeroGrads()
+		_, dlogits := sce.Loss(net.Forward(x, true), labels)
+		net.Backward(dlogits)
+		once := append([]float32(nil), net.Grads()...)
+		net.Backward(dlogits) // same cached forward pass: the sums double
+		off, dead := 0, 0
+		for _, p := range net.Params() {
+			g1, g2 := once[off:off+p.W.Len()], net.Grads()[off:off+p.W.Len()]
+			off += len(g1)
+			var peak float64
+			for i := range g1 {
+				peak = math.Max(peak, math.Abs(float64(g1[i])))
+				if d := math.Abs(float64(g2[i]) - 2*float64(g1[i])); d > 1e-4*(math.Abs(float64(g1[i]))+1) {
+					t.Errorf("%s: %s[%d] is %g after one backward pass and %g after two: not accumulated into Grads()", name, p.Name, i, g1[i], g2[i])
+					break
+				}
+			}
+			if peak == 0 {
+				dead++
+			}
+		}
+		if dead > len(net.Params())/2 {
+			t.Errorf("%s: Grads() stayed zero for %d of %d parameters", name, dead, len(net.Params()))
 		}
 	}
 }

@@ -13,7 +13,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -40,18 +39,43 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Network is a sequential composition of layers.
+// Network is a sequential composition of layers and the owner of its
+// replica's state layout: every parameter's weights live in one contiguous
+// slice and every gradient in another, both in layer order, and each
+// Param.W.Data / Param.G.Data is a view into them. That flat gradient is
+// the vector g of the paper's Algorithm 1, so the distributed runners
+// exchange, snapshot and checkpoint the views without gathering.
 type Network struct {
 	Layers []Layer
 
-	params []*Param // cached flattening
+	params  []*Param  // cached flattening
+	weights []float32 // backing store of every Param.W, in layer order
+	grads   []float32 // backing store of every Param.G, same layout
 }
 
-// NewNetwork builds a sequential network.
+// NewNetwork builds a sequential network and re-homes its parameters,
+// values preserved, into the network's two flat slices. Each view's
+// capacity is clipped to its length, so an append on one reallocates
+// instead of reaching its neighbour. Layers that already belong to a
+// network move to this one: the older network's Weights and Grads stop
+// tracking them.
 func NewNetwork(layers ...Layer) *Network {
 	n := &Network{Layers: layers}
+	total := 0
 	for _, l := range layers {
-		n.params = append(n.params, l.Params()...)
+		for _, p := range l.Params() {
+			n.params = append(n.params, p)
+			total += p.W.Len()
+		}
+	}
+	n.weights, n.grads = make([]float32, total), make([]float32, total)
+	off := 0
+	for _, p := range n.params {
+		end := off + p.W.Len()
+		copy(n.weights[off:end], p.W.Data)
+		copy(n.grads[off:end], p.G.Data)
+		p.W.Data, p.G.Data = n.weights[off:end:end], n.grads[off:end:end]
+		off = end
 	}
 	return n
 }
@@ -75,68 +99,24 @@ func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns all learnable parameters in layer order.
 func (n *Network) Params() []*Param { return n.params }
 
+// Weights returns the flat weight vector, in layer order: a view, so a
+// write through it is a write to the parameters. A caller that needs the
+// values past the next update copies them.
+func (n *Network) Weights() []float32 { return n.weights }
+
+// Grads returns the flat gradient vector, laid out like Weights: the view
+// Backward accumulates into and the optimizer steps on, and the buffer the
+// distributed training algorithms exchange in place.
+func (n *Network) Grads() []float32 { return n.grads }
+
 // NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.params {
-		total += p.W.Len()
-	}
-	return total
-}
+func (n *Network) NumParams() int { return len(n.weights) }
 
 // SizeBytes returns the model size in bytes (float32 parameters).
 func (n *Network) SizeBytes() int64 { return 4 * int64(n.NumParams()) }
 
 // ZeroGrads clears all parameter gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.params {
-		p.G.Zero()
-	}
-}
-
-// GradVector appends all parameter gradients, in layer order, to dst and
-// returns the result. This is the flat vector exchanged over the network
-// by the distributed training algorithms.
-func (n *Network) GradVector(dst []float32) []float32 {
-	for _, p := range n.params {
-		dst = append(dst, p.G.Data...)
-	}
-	return dst
-}
-
-// SetGradVector scatters a flat gradient vector (as produced by GradVector)
-// back into the parameter gradients.
-func (n *Network) SetGradVector(src []float32) {
-	off := 0
-	for _, p := range n.params {
-		copy(p.G.Data, src[off:off+p.G.Len()])
-		off += p.G.Len()
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: SetGradVector got %d values, model has %d", len(src), off))
-	}
-}
-
-// WeightVector appends all weights, in layer order, to dst.
-func (n *Network) WeightVector(dst []float32) []float32 {
-	for _, p := range n.params {
-		dst = append(dst, p.W.Data...)
-	}
-	return dst
-}
-
-// SetWeightVector scatters a flat weight vector back into the parameters;
-// used to broadcast the initial model to all workers.
-func (n *Network) SetWeightVector(src []float32) {
-	off := 0
-	for _, p := range n.params {
-		copy(p.W.Data, src[off:off+p.W.Len()])
-		off += p.W.Len()
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: SetWeightVector got %d values, model has %d", len(src), off))
-	}
-}
+func (n *Network) ZeroGrads() { clear(n.grads) }
 
 // Dense is a fully connected layer: y = x·W + b with x [B, in].
 type Dense struct {

@@ -314,50 +314,142 @@ func TestPredictAndAccuracy(t *testing.T) {
 	}
 }
 
+// TestNetworkVectorRoundtrip pins the arena contract on a small MLP: the
+// flat views are the parameters' own storage, concatenated in layer order
+// (the order checkpoints and the pinned-arithmetic constants were written
+// in), so a write through either side is visible through the other.
 func TestNetworkVectorRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	net := NewNetwork(
-		NewDense("fc1", 4, 8, rng),
-		NewReLU(),
-		NewDense("fc2", 8, 3, rng),
-	)
+	fc1, fc2 := NewDense("fc1", 4, 8, rng), NewDense("fc2", 8, 3, rng)
+	var want []float32 // the layer-order concatenation, taken before re-homing
+	for _, l := range []Layer{fc1, fc2} {
+		for _, p := range l.Params() {
+			want = append(want, p.W.Data...)
+		}
+	}
+	net := NewNetwork(fc1, NewReLU(), fc2)
 	if net.NumParams() != 4*8+8+8*3+3 {
 		t.Fatalf("NumParams = %d", net.NumParams())
 	}
 	if net.SizeBytes() != int64(4*net.NumParams()) {
 		t.Fatalf("SizeBytes = %d", net.SizeBytes())
 	}
-	w := net.WeightVector(nil)
-	if len(w) != net.NumParams() {
-		t.Fatalf("WeightVector len = %d", len(w))
+	w, g := net.Weights(), net.Grads()
+	if len(w) != net.NumParams() || len(g) != net.NumParams() {
+		t.Fatalf("Weights/Grads len = %d/%d", len(w), len(g))
 	}
-	// Perturb and restore.
+	for i := range want {
+		if w[i] != want[i] {
+			t.Fatalf("Weights()[%d] = %g, layer-order concatenation has %g", i, w[i], want[i])
+		}
+	}
+	off := 0
+	for _, p := range net.Params() {
+		if &p.W.Data[0] != &w[off] || &p.G.Data[0] != &g[off] {
+			t.Fatalf("%s does not view the arena at offset %d", p.Name, off)
+		}
+		off += p.W.Len()
+	}
 	for i := range w {
 		w[i] += 1
-	}
-	net.SetWeightVector(w)
-	w2 := net.WeightVector(nil)
-	for i := range w {
-		if w2[i] != w[i] {
-			t.Fatal("SetWeightVector/WeightVector mismatch")
-		}
-	}
-
-	g := make([]float32, net.NumParams())
-	for i := range g {
 		g[i] = float32(i)
 	}
-	net.SetGradVector(g)
-	g2 := net.GradVector(nil)
-	for i := range g {
-		if g2[i] != g[i] {
-			t.Fatal("SetGradVector/GradVector mismatch")
+	off = 0
+	for _, p := range net.Params() {
+		for j := range p.W.Data {
+			if p.W.Data[j] != want[off+j]+1 || p.G.Data[j] != float32(off+j) {
+				t.Fatalf("%s[%d]: a write through the flat view did not reach the parameter", p.Name, j)
+			}
 		}
+		off += p.W.Len()
 	}
 	net.ZeroGrads()
-	for _, v := range net.GradVector(nil) {
-		if v != 0 {
+	for _, p := range net.Params() {
+		if p.G.MaxAbs() != 0 {
 			t.Fatal("ZeroGrads left nonzero gradient")
+		}
+	}
+}
+
+// wrapped is a layer decorator of the kind bench/perf's tracer puts around
+// every layer before building a second network over them.
+type wrapped struct{ Layer }
+
+// TestNewNetworkAgainMovesOwnership: a second NewNetwork over layers that
+// already belong to one — decorated, and a Residual whose body is a network
+// of its own — keeps every value and takes the parameters over: the new
+// views alias the layers' tensors, the old network's no longer do, and the
+// layers compute with what is written through the new views.
+func TestNewNetworkAgainMovesOwnership(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	body := NewNetwork(NewConv2D("c1", 2, 2, 3, 1, 1, rng), NewBatchNorm2D("bn1", 2))
+	old := NewNetwork(
+		NewResidual(body, NewConv2D("proj", 2, 2, 1, 1, 0, rng)),
+		NewGlobalAvgPool2D(),
+		NewDense("fc", 2, 3, rng),
+	)
+	for i := range old.Grads() {
+		old.Grads()[i] = float32(i) + 0.5
+	}
+	wantW := append([]float32(nil), old.Weights()...)
+	wantG := append([]float32(nil), old.Grads()...)
+
+	layers := make([]Layer, len(old.Layers))
+	for i, l := range old.Layers {
+		layers[i] = wrapped{l}
+	}
+	net := NewNetwork(layers...)
+	if net.NumParams() != len(wantW) {
+		t.Fatalf("NumParams = %d, want %d", net.NumParams(), len(wantW))
+	}
+	for i := range wantW {
+		if net.Weights()[i] != wantW[i] || net.Grads()[i] != wantG[i] {
+			t.Fatalf("value %d not preserved: w %g g %g, want %g %g", i, net.Weights()[i], net.Grads()[i], wantW[i], wantG[i])
+		}
+	}
+	off := 0
+	for _, p := range old.Params() {
+		if &p.W.Data[0] != &net.Weights()[off] || &p.G.Data[0] != &net.Grads()[off] {
+			t.Fatalf("%s does not view the newest network's arena", p.Name)
+		}
+		if &p.W.Data[0] == &old.Weights()[off] {
+			t.Fatalf("%s still views the old network's arena", p.Name)
+		}
+		off += p.W.Len()
+	}
+
+	x := tensor.New(2, 2, 4, 4)
+	x.FillRandn(rng, 1)
+	before := net.Forward(x, false).Clone()
+	for i := range net.Weights() {
+		net.Weights()[i] += 0.25
+	}
+	after := net.Forward(x, false)
+	same := true
+	for i := range before.Data {
+		same = same && before.Data[i] == after.Data[i]
+	}
+	if same {
+		t.Fatal("Forward ignored a write through the new network's Weights()")
+	}
+}
+
+// TestParamViewAppendReallocates: each view's capacity stops at its own
+// end, so growing one parameter's slice cannot overwrite the next.
+func TestParamViewAppendReallocates(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	net := NewNetwork(NewDense("fc1", 3, 4, rng), NewDense("fc2", 4, 2, rng))
+	ps := net.Params()
+	for i, p := range ps[:len(ps)-1] {
+		next := ps[i+1]
+		w0, g0 := next.W.Data[0], next.G.Data[0]
+		if cap(p.W.Data) != len(p.W.Data) || cap(p.G.Data) != len(p.G.Data) {
+			t.Fatalf("%s: view capacity %d/%d exceeds its length %d", p.Name, cap(p.W.Data), cap(p.G.Data), len(p.W.Data))
+		}
+		_ = append(p.W.Data, w0+1)
+		_ = append(p.G.Data, g0+1)
+		if next.W.Data[0] != w0 || next.G.Data[0] != g0 {
+			t.Fatalf("append on %s overwrote %s", p.Name, next.Name)
 		}
 	}
 }

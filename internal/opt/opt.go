@@ -6,10 +6,8 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"inceptionn/internal/nn"
-	"inceptionn/internal/tensor"
 )
 
 // SGD is stochastic gradient descent with classical momentum:
@@ -20,55 +18,56 @@ type SGD struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
-	// ClipNorm, when positive, rescales the global gradient so its L2 norm
-	// never exceeds this value before the update (the standard stabilizer
-	// for large effective batches and for sparsified/stale gradients).
-	ClipNorm float64
 
-	velocity map[*nn.Param]*tensor.Tensor
+	// velocity is the momentum of every parameter in one flat slice, laid
+	// out like the parameter list it was first sized for (nn.Network's
+	// weight layout, when the list is a network's).
+	velocity []float32
 }
 
 // NewSGD constructs an SGD optimizer.
 func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{
-		LR: lr, Momentum: momentum, WeightDecay: weightDecay,
-		velocity: make(map[*nn.Param]*tensor.Tensor),
+	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
+}
+
+// Velocity returns the flat momentum state, in parameter order — zeros,
+// sized for params, on first use. It is a view: elastic checkpoints read it
+// and restores copy into it (the velocity is identical across replicas,
+// like the weights). A parameter list whose total differs from the one the
+// state was sized for is an error.
+func (s *SGD) Velocity(params []*nn.Param) ([]float32, error) {
+	total := 0
+	for _, p := range params {
+		total += p.W.Len()
 	}
+	if s.velocity == nil {
+		s.velocity = make([]float32, total)
+	}
+	if len(s.velocity) != total {
+		return nil, fmt.Errorf("opt: velocity holds %d values, the parameters %d", len(s.velocity), total)
+	}
+	return s.velocity, nil
 }
 
 // Step applies one update to every parameter using its accumulated
-// gradient.
+// gradient. It panics on a parameter list Velocity would reject.
 func (s *SGD) Step(params []*nn.Param) {
-	if s.ClipNorm > 0 {
-		var sq float64
-		for _, p := range params {
-			for _, g := range p.G.Data {
-				sq += float64(g) * float64(g)
-			}
-		}
-		if norm := math.Sqrt(sq); norm > s.ClipNorm {
-			scale := float32(s.ClipNorm / norm)
-			for _, p := range params {
-				p.G.Scale(scale)
-			}
-		}
+	velocity, err := s.Velocity(params)
+	if err != nil {
+		panic(err)
 	}
 	lr := float32(s.LR)
 	mom := float32(s.Momentum)
 	wd := float32(s.WeightDecay)
 	for _, p := range params {
-		v := s.velocity[p]
-		if v == nil {
-			v = tensor.New(p.W.Shape...)
-			s.velocity[p] = v
-		}
 		decay := wd
 		if !p.Decay {
 			decay = 0
 		}
 		// Three equal-length slices, so the loop re-derives nothing through
 		// p and carries no bounds check.
-		vel := v.Data
+		vel := velocity[:p.W.Len()]
+		velocity = velocity[len(vel):]
 		w, grad := p.W.Data[:len(vel)], p.G.Data[:len(vel)]
 		for i := range vel {
 			g := grad[i] + decay*w[i]
@@ -76,49 +75,6 @@ func (s *SGD) Step(params []*nn.Param) {
 			w[i] += vel[i]
 		}
 	}
-}
-
-// VelocityVector appends the flattened momentum state, in parameter
-// order, to dst — zeros for parameters that have never been stepped. The
-// vector round-trips through SetVelocityVector, which is how elastic
-// checkpoints capture and restore optimizer state (the velocity is
-// identical across replicas, like the weights).
-func (s *SGD) VelocityVector(params []*nn.Param, dst []float32) []float32 {
-	for _, p := range params {
-		if v := s.velocity[p]; v != nil {
-			dst = append(dst, v.Data...)
-		} else {
-			dst = append(dst, make([]float32, p.W.Len())...)
-		}
-	}
-	return dst
-}
-
-// SetVelocityVector scatters a flat momentum vector (as produced by
-// VelocityVector) back into the optimizer state, allocating velocity
-// tensors for parameters that have none yet.
-func (s *SGD) SetVelocityVector(params []*nn.Param, src []float32) error {
-	total := 0
-	for _, p := range params {
-		total += p.W.Len()
-	}
-	if len(src) != total {
-		return fmt.Errorf("opt: velocity vector has %d values, model has %d", len(src), total)
-	}
-	if s.velocity == nil {
-		s.velocity = make(map[*nn.Param]*tensor.Tensor)
-	}
-	off := 0
-	for _, p := range params {
-		v := s.velocity[p]
-		if v == nil {
-			v = tensor.New(p.W.Shape...)
-			s.velocity[p] = v
-		}
-		copy(v.Data, src[off:off+p.W.Len()])
-		off += p.W.Len()
-	}
-	return nil
 }
 
 // StepSchedule divides the learning rate by Factor every Every iterations,

@@ -103,31 +103,26 @@ func TestSGDTrainsRealLayer(t *testing.T) {
 	}
 }
 
-func TestGradientClipping(t *testing.T) {
-	// Gradient [3, 4] has norm 5; clipped to norm 1 it becomes [0.6, 0.8].
-	p := &nn.Param{
-		W: tensor.FromSlice([]float32{0, 0}, 2),
-		G: tensor.FromSlice([]float32{3, 4}, 2),
+// TestSGDRejectsLayoutMismatch: the momentum is sized by the first
+// parameter list; a list of another total is an error from Velocity and a
+// panic carrying that error from Step, never an index out of range.
+func TestSGDRejectsLayoutMismatch(t *testing.T) {
+	five := []*nn.Param{{W: tensor.New(5), G: tensor.New(5)}}
+	seven := []*nn.Param{{W: tensor.New(3), G: tensor.New(3)}, {W: tensor.New(4), G: tensor.New(4)}}
+	s := NewSGD(0.1, 0.9, 0)
+	if v, err := s.Velocity(five); err != nil || len(v) != 5 {
+		t.Fatalf("first use: %d values, err %v; want 5 zeros", len(v), err)
 	}
-	s := NewSGD(1, 0, 0)
-	s.ClipNorm = 1
-	s.Step([]*nn.Param{p})
-	if math.Abs(float64(p.W.Data[0])+0.6) > 1e-6 || math.Abs(float64(p.W.Data[1])+0.8) > 1e-6 {
-		t.Fatalf("clipped step gave %v, want [-0.6 -0.8]", p.W.Data)
+	s.Step(five)
+	if v, err := s.Velocity(seven); err == nil {
+		t.Fatalf("Velocity accepted 7 parameters over a 5-value state (returned %d values)", len(v))
 	}
-}
-
-func TestClippingInactiveBelowThreshold(t *testing.T) {
-	p := &nn.Param{
-		W: tensor.FromSlice([]float32{0}, 1),
-		G: tensor.FromSlice([]float32{0.5}, 1),
-	}
-	s := NewSGD(1, 0, 0)
-	s.ClipNorm = 10
-	s.Step([]*nn.Param{p})
-	if p.W.Data[0] != -0.5 {
-		t.Fatalf("clip modified a small gradient: %v", p.W.Data)
-	}
+	defer func() {
+		if _, ok := recover().(error); !ok {
+			t.Fatal("Step over mismatched parameters did not panic with Velocity's error")
+		}
+	}()
+	s.Step(seven)
 }
 
 func TestWarmupSchedule(t *testing.T) {
@@ -192,7 +187,10 @@ func TestSGDStepMatchesReferenceBits(t *testing.T) {
 				refSGDUpdate(want[i], wantVel[i], float32(s.LR), float32(momentum), decay)
 			}
 			s.Step(got)
-			vel := s.VelocityVector(got, nil)
+			vel, err := s.Velocity(got)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, p := range got {
 				for j := range p.W.Data {
 					if math.Float32bits(p.W.Data[j]) != math.Float32bits(want[i].W.Data[j]) ||

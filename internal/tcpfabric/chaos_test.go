@@ -100,12 +100,18 @@ func TestChaosRingAllReduceCompressed(t *testing.T) {
 			}
 		}
 	}
-	var retransmits, nacks int64
+	var retransmits, nacks, raw int64
 	for id := 0; id < n; id++ {
 		for p := 0; p < n; p++ {
 			retransmits += chaotic.Node(id).LinkStats(p).Retransmits.Load()
 			nacks += chaotic.Node(id).LinkStats(p).Nacks.Load()
+			raw += chaotic.Node(id).LinkStats(p).RawBytes.Load()
 		}
+	}
+	// Pre-codec bytes count once per send: the ring's 2(n−1) blocks per
+	// node, however many times the ARQ put each on the wire.
+	if want := int64(2 * (n - 1) * 4 * dim); raw != want {
+		t.Errorf("RawBytes = %d over all links, want exactly %d", raw, want)
 	}
 	if retransmits == 0 {
 		t.Error("retransmit path was not exercised at 5%+5% fault rates")

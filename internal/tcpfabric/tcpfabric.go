@@ -417,7 +417,8 @@ var _ comm.Transport = (*Node)(nil)
 // SendCtx frames the payload, registers it in the per-link retransmit
 // buffer, and transmits it. The frame stays buffered until the receiver's
 // cumulative ACK covers it, so NACKs (corruption, gaps, stalls, want-raw
-// degradation) can be served from here.
+// degradation) can be served from here. The link's RawBytes counts the
+// payload once per send, whatever its retransmissions add to the wire.
 func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {
 	if dst == nd.id {
 		return fmt.Errorf("tcpfabric: node %d send to self", nd.id)
@@ -442,7 +443,11 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 	of := &outFrame{payload: append([]float32(nil), payload...), tos: tos, tag: tag}
 	ol.buf[seq] = of
 	ol.mu.Unlock()
-	return nd.transmit(dst, seq, of, false)
+	if err := nd.transmit(dst, seq, of, false); err != nil {
+		return err
+	}
+	nd.stats[dst].RawBytes.Add(4 * int64(len(payload)))
+	return nil
 }
 
 // bodyScratch recycles the storage of compressed frame bodies.

@@ -51,8 +51,7 @@ func newElasticWorker(id int, build Builder, trainDS data.Dataset, o Options, ck
 	ew := &elasticWorker{worker: newWorker(id, build, trainDS, o, true)}
 	ew.armSnapshots()
 	if ck != nil {
-		ew.net.SetWeightVector(ck.Weights)
-		if err := ew.sgd.SetVelocityVector(ew.net.Params(), ck.Velocity); err != nil {
+		if err := ew.setState(ck.Weights, ck.Velocity); err != nil {
 			return nil, err
 		}
 		ew.sl.Seek(ck.Cursors[id])
@@ -121,10 +120,11 @@ func newElasticRun(plane *dataPlane, build Builder, trainDS, testDS data.Dataset
 	return r
 }
 
-// finish records worker w's end state; the final view's leader also
-// evaluates its replica.
+// finish records worker w's end state — its weight view, handed over: the
+// worker trains no further — and the final view's leader also evaluates its
+// replica.
 func (r *elasticRun) finish(w *elasticWorker, leader bool) {
-	end := Result{FinalWeights: w.net.WeightVector(nil)}
+	end := Result{FinalWeights: w.net.Weights()}
 	if leader {
 		end.FinalAcc, end.FinalLoss = evaluate(w.net, r.testDS, r.o.EvalSamples)
 	}
@@ -181,9 +181,6 @@ func (r *elasticRun) outcome(errs []error) (Result, error) {
 	}
 	res := r.result()
 	res.FinalWeights, res.FinalAcc, res.FinalLoss = end.FinalWeights, end.FinalAcc, end.FinalLoss
-	if !r.plane.countsRaw() && !r.o.Compress {
-		res.RawBytes = res.WireBytes // raw path: every payload byte hits the wire as-is
-	}
 	if interrupted {
 		return res, ErrInterrupted
 	}
@@ -365,7 +362,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 			ObsIter:     iter,
 		}
 		tx := time.Now()
-		exErr := ring.AllReduceGroupCtx(exCtx, w.peer, view.Members, w.grad, o.gradTos(), r.plane.finalize, ropt)
+		exErr := ring.AllReduceGroupCtx(exCtx, w.peer, view.Members, w.net.Grads(), o.gradTos(), r.plane.finalize, ropt)
 		stopLink()
 		exCancel()
 		r.tallies[id].comm += time.Since(tx).Nanoseconds()
@@ -568,11 +565,9 @@ func splitRendezvous(vals map[int]interface{}) (replay int, joiners []int, syncF
 // ToS 0 keeps the payload on the raw (uncompressed) path: the joiner
 // must receive these bits exactly.
 func (r *elasticRun) sendSync(w *elasticWorker, joiners []int, cur elastic.View) error {
-	wv := w.net.WeightVector(nil)
-	vv := w.sgd.VelocityVector(w.net.Params(), nil)
-	payload := make([]float32, 0, len(wv)+len(vv))
-	payload = append(payload, wv...)
-	payload = append(payload, vv...)
+	payload := make([]float32, 0, 2*w.net.NumParams())
+	payload = append(payload, w.net.Weights()...)
+	payload = append(payload, w.velocity()...)
 	sctx, scancel := context.WithCancel(w.ctx)
 	defer scancel()
 	stop := context.AfterFunc(w.m.EpochContext(cur.Epoch), scancel)
@@ -604,16 +599,11 @@ func (r *elasticRun) joinSync(w *elasticWorker, from int, cur elastic.View, repl
 	if len(payload) != 2*n {
 		return fmt.Errorf("train: join sync carried %d values, want %d", len(payload), 2*n)
 	}
-	w.net.SetWeightVector(payload[:n])
-	if err := w.sgd.SetVelocityVector(w.net.Params(), payload[n:]); err != nil {
+	if err := w.setState(payload[:n], payload[n:]); err != nil {
 		return err
 	}
 	w.sl.Seek(uint64(replay))
-	if w.residual != nil {
-		for i := range w.residual {
-			w.residual[i] = 0
-		}
-	}
+	clear(w.residual)
 	w.armSnapshots() // drops the retained ones
 	return nil
 }
@@ -673,8 +663,8 @@ func (r *elasticRun) checkpoint(w *elasticWorker, id, nextIter int, cursor uint6
 		Epoch:     view.Epoch,
 		NextIter:  nextIter,
 		Members:   view.Members,
-		Weights:   w.net.WeightVector(nil),
-		Velocity:  w.sgd.VelocityVector(w.net.Params(), nil),
+		Weights:   w.net.Weights(), // views: WriteFile below is synchronous
+		Velocity:  w.velocity(),
 		Cursors:   make(map[int]uint64, len(vals)),
 		Residuals: make(map[int][]float32, len(vals)),
 	}

@@ -14,9 +14,10 @@ import (
 	"inceptionn/internal/ring"
 )
 
-// exchangeFn is one worker's side of one iteration's gradient exchange: on
-// success w.grad holds the sum over all workers — or, when an aggregator
-// node already applied the update, the returned weights are the new model.
+// exchangeFn is one worker's side of one iteration's gradient exchange,
+// reduced in place: on success w.net.Grads() holds the sum over all workers
+// — or, when an aggregator node already applied the update, the returned
+// weights are the new model.
 type exchangeFn func(ctx context.Context, w *worker, iter int) (weights []float32, err error)
 
 // collective is an aggregation strategy under the unchanged training loop
@@ -33,10 +34,6 @@ type collective struct {
 	// expendable, and on its confirmed failure the workers roll back at most
 	// one iteration and finish the run on this collective (see fallbackGate).
 	fallback *collective
-	// rawFloats is the closed form of one iteration's traffic, in gradient
-	// vectors summed over all workers, for the plane that does not count
-	// pre-codec bytes. Nil on the strategies with no TCP entry point.
-	rawFloats func(workers int) int64
 }
 
 // nodes returns the plane size the collective needs for the given workers.
@@ -58,11 +55,9 @@ func ringCollective(tagOffset int) collective {
 			return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
 				ropt := r.o.ringOptions(iter)
 				ropt.TagOffset = tagOffset
-				return nil, ring.AllReduceGroupCtx(ctx, p, members, w.grad, r.o.gradTos(), r.plane.finalize, ropt)
+				return nil, ring.AllReduceGroupCtx(ctx, p, members, w.net.Grads(), r.o.gradTos(), r.plane.finalize, ropt)
 			}
 		},
-		// Each worker ships 2(N−1)/N of the vector.
-		rawFloats: func(n int) int64 { return 2 * int64(n-1) },
 	}
 }
 
@@ -73,7 +68,7 @@ func ringCollective(tagOffset int) collective {
 var waCollective = collective{
 	bind: func(r *fixedRun, p comm.CtxPeer) exchangeFn {
 		return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
-			return ring.WorkerExchangeCtx(ctx, p, r.o.Workers, w.grad, r.o.gradTos())
+			return ring.WorkerExchangeCtx(ctx, p, r.o.Workers, w.net.Grads(), r.o.gradTos())
 		}
 	},
 	serve: func(r *fixedRun, p comm.CtxPeer, gradLen int) error {
@@ -84,18 +79,17 @@ var waCollective = collective{
 		for iter := 0; iter < r.iters; iter++ {
 			err := ring.AggregateStepCtx(r.ctx, p, workers, gradLen, func(sum []float32) []float32 {
 				inv := float32(1) / float32(o.Workers)
-				for i := range sum {
-					sum[i] *= inv
+				grad := net.Grads()
+				for i, v := range sum {
+					grad[i] = v * inv
 				}
-				net.SetGradVector(sum)
 				sgd.LR = o.Schedule.At(iter)
 				sgd.Step(net.Params())
-				wv := net.WeightVector(nil)
 				if o.WeightTransform != nil {
-					o.WeightTransform(wv)
-					net.SetWeightVector(wv)
+					o.WeightTransform(net.Weights())
 				}
-				return wv
+				// Every send copies: the master copy itself goes out.
+				return net.Weights()
 			}, o.ringOptions(iter))
 			if err != nil {
 				return fmt.Errorf("train: aggregator iter %d: %w", iter, err)
@@ -119,7 +113,7 @@ func hierarchyCollective(o Options) (collective, error) {
 	c := collective{
 		bind: func(r *fixedRun, p comm.CtxPeer) exchangeFn {
 			return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
-				return nil, hierarchy.AllReduceCtx(ctx, topo, p, w.grad, r.o.gradTos(), r.plane.finalize, r.o.ringOptions(iter))
+				return nil, hierarchy.AllReduceCtx(ctx, topo, p, w.net.Grads(), r.o.gradTos(), r.plane.finalize, r.o.ringOptions(iter))
 			}
 		},
 	}
@@ -295,22 +289,11 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 
 	res := r.result()
 	res.FinalAcc, res.FinalLoss, res.FinalWeights = r.final.FinalAcc, r.final.FinalLoss, r.final.FinalWeights
-	primaryIters := iters
 	if tripped {
 		class, cause, detect := r.gate.verdict()
 		res.Fallbacks = 1
 		res.FallbackDetectSeconds = detect.Seconds()
 		res.FallbackCause = fmt.Sprintf("%s: %s", class, cause)
-		primaryIters = r.gate.replay
-	}
-	if !plane.countsRaw() && c.rawFloats != nil {
-		// The run splits at the replay iteration: everything before it
-		// committed on the primary collective, the rest on the fallback.
-		floats := int64(primaryIters) * c.rawFloats(o.Workers)
-		if tripped {
-			floats += int64(iters-primaryIters) * c.fallback.rawFloats(o.Workers)
-		}
-		res.RawBytes = 4 * int64(r.gradLen) * floats
 	}
 	return res, nil
 }
@@ -394,16 +377,14 @@ func (r *fixedRun) runWorker(id int) error {
 		}
 	}
 
-	if id == 0 || r.replicas != nil {
-		wv := w.net.WeightVector(nil)
-		if r.replicas != nil {
-			r.replicas[id] = wv
-		}
-		if id == 0 {
-			r.final.FinalWeights = wv
-			if r.testDS != nil {
-				r.final.FinalAcc, r.final.FinalLoss = evaluate(w.net, r.testDS, o.EvalSamples)
-			}
+	// The replica is finished: its weight view is handed over, not copied.
+	if r.replicas != nil {
+		r.replicas[id] = w.net.Weights()
+	}
+	if id == 0 {
+		r.final.FinalWeights = w.net.Weights()
+		if r.testDS != nil {
+			r.final.FinalAcc, r.final.FinalLoss = evaluate(w.net, r.testDS, o.EvalSamples)
 		}
 	}
 	return nil

@@ -117,16 +117,13 @@ func (p *dataPlane) watch(ctx context.Context, handle func(id int, err error) (a
 	}
 }
 
-// countsRaw reports whether traffic's raw total is measured. The TCP
-// fabric does not count pre-codec bytes; a runner on it substitutes what it
-// knows about its own exchange.
-func (p *dataPlane) countsRaw() bool { return p.cluster == nil }
-
-// traffic returns the run's totals: payload bytes before the codec (0
-// unless countsRaw), bytes on the wire, and the time receivers sat blocked
-// on their links (the straggler signal).
+// traffic returns the run's totals: payload bytes before the codec, bytes
+// on the wire, and the time receivers sat blocked on their links (the
+// straggler signal).
 func (p *dataPlane) traffic() (raw, wire int64, recvWait time.Duration) {
-	// Both fabrics keep one comm.LinkStats per directed node pair.
+	// Both fabrics keep one comm.LinkStats per directed node pair; the TCP
+	// fabric's wire total is what its sockets carried, control frames and
+	// retransmissions included.
 	var linkStats func(i, j int) *comm.LinkStats
 	if p.cluster != nil {
 		linkStats = func(i, j int) *comm.LinkStats { return p.cluster.Node(i).LinkStats(j) }
@@ -135,11 +132,13 @@ func (p *dataPlane) traffic() (raw, wire int64, recvWait time.Duration) {
 		}
 	} else {
 		linkStats = p.fabric.Stats
-		raw, wire = p.fabric.TotalRawBytes(), p.fabric.TotalWireBytes()
+		wire = p.fabric.TotalWireBytes()
 	}
 	for i := 0; i < p.n; i++ {
 		for j := 0; j < p.n; j++ {
-			recvWait += time.Duration(linkStats(i, j).RecvWaitNanos.Load())
+			s := linkStats(i, j)
+			raw += s.RawBytes.Load()
+			recvWait += time.Duration(s.RecvWaitNanos.Load())
 		}
 	}
 	return raw, wire, recvWait

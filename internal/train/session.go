@@ -51,17 +51,18 @@ func newSession(plane *dataPlane, build Builder, trainDS, testDS data.Dataset, i
 }
 
 // computeStep is the first half of Algorithm 1's iteration on worker w:
-// the local gradient over the next minibatch, left in w.grad ready to
-// exchange (after the optional transform and error feedback), observed by
-// GradHook on the leader, and snapshotted when the run can replay.
+// the local gradient over the next minibatch, left in w.net.Grads() ready
+// to exchange (after the optional transform and error feedback), observed
+// by GradHook on the leader — a view, valid until the exchange — and
+// snapshotted when the run can replay.
 func (s *session) computeStep(w *worker, iter int, leader bool) {
 	o := s.o
 	t0 := time.Now()
 	csp := o.Obs.Span(w.id, iter, obs.PhaseCompute)
-	w.loss = w.localGradient()
+	w.loss = w.forwardBackward()
 	o.straggle(w.id)
 	if o.LocalGradTransform != nil {
-		o.LocalGradTransform(w.grad)
+		o.LocalGradTransform(w.net.Grads())
 	}
 	var residualPre []float32
 	if w.snaps != nil && w.residual != nil {
@@ -70,7 +71,7 @@ func (s *session) computeStep(w *worker, iter int, leader bool) {
 	w.applyErrorFeedback(o)
 	csp.End()
 	if leader && o.GradHook != nil {
-		o.GradHook(iter, w.grad)
+		o.GradHook(iter, w.net.Grads())
 	}
 	if w.snaps != nil {
 		w.takeSnapshot(iter, residualPre)
@@ -82,15 +83,15 @@ func (s *session) computeStep(w *worker, iter int, leader bool) {
 // update and report the finished iteration (whose pass began at passStart)
 // to the health engine and, on the leader, to the iteration histogram,
 // loss gauge and evaluation trail. The exchange left either the gradient
-// sum over n contributors in w.grad, or — when an aggregator already
-// stepped the master copy — the new weights.
+// sum over n contributors in w.net.Grads(), or — when an aggregator
+// already stepped the master copy — the new weights.
 func (s *session) commitStep(w *worker, iter int, passStart time.Time, weights []float32, n int, leader bool) {
 	o := s.o
 	ta := time.Now()
 	if weights != nil {
-		w.net.SetWeightVector(weights)
+		copy(w.net.Weights(), weights)
 	} else {
-		w.applyAveraged(iter, w.grad, o, n)
+		w.applyAveraged(iter, o, n)
 	}
 	s.tallies[w.id].compute += time.Since(ta).Nanoseconds()
 	took := time.Since(passStart)

@@ -259,7 +259,7 @@ func switchCollective(o Options) collective {
 			return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
 				xsp := o.Obs.Span(w.id, iter, obs.PhaseSend)
 				defer xsp.End()
-				return nil, c.AllReduceSwitchCtx(ctx, w.grad, o.Workers, swOpt)
+				return nil, c.AllReduceSwitchCtx(ctx, w.net.Grads(), o.Workers, swOpt)
 			}
 		},
 		serve: func(r *fixedRun, p comm.CtxPeer, gradLen int) error {
@@ -267,8 +267,6 @@ func switchCollective(o Options) collective {
 			c.SetFinalize(r.plane.finalize)
 			return serveSwitch(r, c, gradLen, swOpt)
 		},
-		// The vector goes up and comes down once per worker.
-		rawFloats: func(n int) int64 { return 2 * int64(n) },
 	}
 	if o.SwitchFallback {
 		ring := ringCollective(fallbackTagOffset)

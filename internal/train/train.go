@@ -93,7 +93,8 @@ type Options struct {
 	// update (e.g. truncation of w, Fig. 4).
 	WeightTransform func([]float32)
 	// GradHook, if set, observes worker 0's local gradient before the
-	// exchange at every iteration (Fig. 5, Table III collection).
+	// exchange at every iteration (Fig. 5, Table III collection). grad is
+	// the replica's own gradient view: a hook that keeps it copies it.
 	GradHook func(iter int, grad []float32)
 
 	// EvalEvery > 0 evaluates worker 0's replica on the test set every
@@ -358,6 +359,6 @@ func RunSingle(build Builder, trainDS, testDS data.Dataset, iters int, o Options
 		w.sgd.Step(w.net.Params())
 	}
 	res.FinalAcc, res.FinalLoss = evaluate(w.net, testDS, o.EvalSamples)
-	res.FinalWeights = w.net.WeightVector(nil)
+	res.FinalWeights = w.net.Weights() // the replica ends here: handed over, not copied
 	return res
 }

@@ -16,16 +16,18 @@ type batchSource interface {
 	Next() data.Batch
 }
 
-// worker is the per-node training state.
+// worker is the per-node training state. Its gradient vector — Algorithm
+// 1's g, the buffer every exchange reduces in place — is net.Grads()
+// itself: backward accumulates into it, the collective sums into it, the
+// optimizer steps on it.
 type worker struct {
 	id       int
 	net      *nn.Network
 	sgd      *opt.SGD
 	loader   batchSource
 	sl       *data.StepLoader // loader, when it is the seekable kind (elastic runs)
-	grad     []float32
-	residual []float32 // error-feedback state (nil unless enabled)
-	loss     float64   // training loss of the newest local gradient
+	residual []float32        // error-feedback state (nil unless enabled)
+	loss     float64          // training loss of the newest local gradient
 	// snaps retains the newest iteration boundaries for replay; nil unless
 	// the run armed a recovery policy (see armSnapshots).
 	snaps *[2]*snapshot
@@ -44,10 +46,9 @@ func newWorker(id int, build Builder, trainDS data.Dataset, o Options, seekable 
 	net := build(rand.New(rand.NewSource(o.Seed)))
 	shard := data.NewPartition(trainDS, id, o.Workers)
 	w := &worker{
-		id:   id,
-		net:  net,
-		sgd:  opt.NewSGD(o.Schedule.Base, o.Momentum, o.WeightDecay),
-		grad: make([]float32, 0, net.NumParams()),
+		id:  id,
+		net: net,
+		sgd: opt.NewSGD(o.Schedule.Base, o.Momentum, o.WeightDecay),
 	}
 	if seekable {
 		w.sl = data.NewStepLoader(shard, o.BatchPerNode, o.Seed+int64(1000+id))
@@ -67,18 +68,19 @@ func (w *worker) applyErrorFeedback(o Options) {
 	if w.residual == nil {
 		return
 	}
-	for i := range w.grad {
-		w.grad[i] += w.residual[i]
+	grad := w.net.Grads()
+	for i := range grad {
+		grad[i] += w.residual[i]
 	}
-	delivered, _ := o.Processor.Process(w.grad, comm.ToSCompress)
-	for i := range w.grad {
-		w.residual[i] = w.grad[i] - delivered[i]
-		w.grad[i] = delivered[i]
+	delivered, _ := o.Processor.Process(grad, comm.ToSCompress)
+	for i := range grad {
+		w.residual[i] = grad[i] - delivered[i]
+		grad[i] = delivered[i]
 	}
 }
 
 // forwardBackward runs one forward/backward pass over the next minibatch,
-// leaving the local gradient in the network's parameter grads.
+// leaving the local gradient in net.Grads().
 func (w *worker) forwardBackward() float64 {
 	batch := w.loader.Next()
 	w.net.ZeroGrads()
@@ -89,32 +91,44 @@ func (w *worker) forwardBackward() float64 {
 	return loss
 }
 
-// localGradient runs one forward/backward pass and fills w.grad with the
-// flattened local gradient.
-func (w *worker) localGradient() float64 {
-	loss := w.forwardBackward()
-	w.grad = w.net.GradVector(w.grad[:0])
-	return loss
-}
-
-// applyAveraged applies the summed gradient (divided by n, the number of
-// replicas that contributed) via the local optimizer and runs the optional
-// weight transform. The fixed runners always pass o.Workers; the elastic
-// runner passes the live member count, renormalizing the average after an
-// eviction.
-func (w *worker) applyAveraged(iter int, summed []float32, o Options, n int) {
+// applyAveraged turns the gradient sum the exchange left in net.Grads()
+// into the average over n, the number of replicas that contributed, steps
+// the local optimizer on it and runs the optional weight transform. The
+// fixed runners always pass o.Workers; the elastic runner passes the live
+// member count, renormalizing the average after an eviction.
+func (w *worker) applyAveraged(iter int, o Options, n int) {
 	inv := float32(1) / float32(n)
+	summed := w.net.Grads()
 	for i := range summed {
 		summed[i] *= inv
 	}
-	w.net.SetGradVector(summed)
 	w.sgd.LR = o.Schedule.At(iter)
 	w.sgd.Step(w.net.Params())
 	if o.WeightTransform != nil {
-		wv := w.net.WeightVector(nil)
-		o.WeightTransform(wv)
-		w.net.SetWeightVector(wv)
+		o.WeightTransform(w.net.Weights())
 	}
+}
+
+// velocity returns the optimizer's momentum view, laid out like
+// net.Weights(). The worker's optimizer only ever steps its own network,
+// so a layout mismatch is a bug.
+func (w *worker) velocity() []float32 {
+	vel, err := w.sgd.Velocity(w.net.Params())
+	if err != nil {
+		panic(err)
+	}
+	return vel
+}
+
+// setState overwrites the replica's weights and optimizer momentum with
+// vectors captured elsewhere (a snapshot, a checkpoint, a sync source).
+func (w *worker) setState(weights, velocity []float32) error {
+	if n := w.net.NumParams(); len(weights) != n || len(velocity) != n {
+		return fmt.Errorf("train: state of %d weights and %d momentum values, model has %d", len(weights), len(velocity), n)
+	}
+	copy(w.net.Weights(), weights)
+	copy(w.velocity(), velocity)
+	return nil
 }
 
 // evaluate measures accuracy and loss on up to n samples of ds.
@@ -162,7 +176,7 @@ type snapshot struct {
 
 // armSnapshots makes computeStep retain replay snapshots. Only runs with a
 // recovery policy pay for them: each is three model-sized copies per
-// worker-iteration.
+// worker-iteration, the only ones an iteration makes.
 func (w *worker) armSnapshots() { w.snaps = new([2]*snapshot) }
 
 // takeSnapshot records the state needed to replay iteration iter. A
@@ -172,10 +186,10 @@ func (w *worker) armSnapshots() { w.snaps = new([2]*snapshot) }
 func (w *worker) takeSnapshot(iter int, residualPre []float32) {
 	s := &snapshot{
 		iter:        iter,
-		weights:     w.net.WeightVector(nil),
-		velocity:    w.sgd.VelocityVector(w.net.Params(), nil),
+		weights:     append([]float32(nil), w.net.Weights()...),
+		velocity:    append([]float32(nil), w.velocity()...),
 		residualPre: residualPre,
-		grad:        append([]float32(nil), w.grad...),
+		grad:        append([]float32(nil), w.net.Grads()...),
 	}
 	if w.sl != nil {
 		s.cursor = w.sl.Cursor() - 1 // Next() already advanced past iter's batch
@@ -214,14 +228,13 @@ func (w *worker) restoreSnapshot(iter int) error {
 	if s == nil {
 		return fmt.Errorf("train: worker %d has no snapshot for iteration %d (survivor skew exceeded the retained window)", w.id, iter)
 	}
-	w.net.SetWeightVector(s.weights)
-	if err := w.sgd.SetVelocityVector(w.net.Params(), s.velocity); err != nil {
+	if err := w.setState(s.weights, s.velocity); err != nil {
 		return err
 	}
 	if w.sl != nil {
 		w.sl.Seek(s.cursor + 1)
 	}
-	w.grad = append(w.grad[:0], s.grad...)
+	copy(w.net.Grads(), s.grad)
 	if w.residual != nil && s.residual != nil {
 		copy(w.residual, s.residual)
 	}
