@@ -27,16 +27,19 @@ race:
 
 # Short fuzzing passes over everything that parses bytes it did not write:
 # the frame decoder, the codec's group kernel against its scalar reference
-# in both directions, the JSONL trace document reader, and the control-frame
-# and checkpoint readers on internal/frame. The seed corpora (checked in under
-# internal/tcpfabric/testdata and internal/fpcodec/testdata, in code for the
-# other three) run on every plain `make test`.
+# in both directions, the JSONL trace document reader and the fitter it
+# feeds, and the control-frame and checkpoint readers on internal/frame. The
+# seed corpora (checked in under internal/tcpfabric/testdata and
+# internal/fpcodec/testdata, in code for the others) run on every plain
+# `make test`. FuzzFit's inputs take milliseconds each, so it caps input
+# minimization at 2 s, which would otherwise eat most of its 30 s.
 fuzz:
 	$(GO) test ./internal/tcpfabric -run FuzzFrameDecode -fuzz FuzzFrameDecode -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzDecompressStream -fuzz FuzzDecompressStream -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzCompressStream -fuzz FuzzCompressStream -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzScalarRoundtrip -fuzz FuzzScalarRoundtrip -fuzztime 30s
 	$(GO) test ./internal/obs -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 30s
+	$(GO) test ./internal/tune -run FuzzFit -fuzz FuzzFit -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/elastic -run FuzzCtrlFrame -fuzz FuzzCtrlFrame -fuzztime 30s
 	$(GO) test ./internal/train -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 30s
 
@@ -65,15 +68,13 @@ TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestElasticCrashRecovery|
 traintest:
 	$(GO) test ./internal/train -run '$(TRAINTEST_PATTERN)' -count=1 -race -timeout 30m
 
-# Observability smoke, in three acts:
+# Observability smoke, in two acts:
 #  1. legacy single-file path — a traced run must render a non-empty
 #     per-node breakdown (inctrace exits nonzero on an empty trace);
-#  2. collect→merge→blame round trip — a 3-worker run with an injected
+#  2. merge→blame round trip — a 3-worker run with an injected
 #     straggler writes per-node trace files, `inctrace merge` aligns
 #     them on their meta epochs, and `inctrace blame` must attribute the
-#     critical path to the straggler;
-#  3. the live-endpoint collector test (clock handshake + skew
-#     correction) against real HTTP servers.
+#     critical path to the straggler.
 obssmoke:
 	$(GO) run ./cmd/inctrain -model hdc-small -workers 4 -iters 30 -eval 30 -compress \
 		-trace-out bench/obssmoke_trace.jsonl
@@ -82,7 +83,6 @@ obssmoke:
 		-straggle 1:25ms -trace-dir bench/obssmoke_nodes
 	$(GO) run ./cmd/inctrace merge -out bench/obssmoke_merged.jsonl bench/obssmoke_nodes/trace_node*.jsonl
 	$(GO) run ./cmd/inctrace blame -min-gap 2ms bench/obssmoke_merged.jsonl | grep -q 'gating: node 1'
-	$(GO) test ./internal/obs -run 'TestCollectorLiveEndpoints' -count=1
 
 # Simulator/collective correctness gate, under the race detector: the
 # whole model stack — the closed-form network model with the paper's

@@ -5,9 +5,8 @@
 //	inctrace -addr 127.0.0.1:8080             # same, scraped from a live run
 //	inctrace breakdown [flags] traces...      # the explicit form of the above
 //	inctrace metrics -addr 127.0.0.1:8080     # metric snapshot with quantiles
-//	inctrace collect -out merged.jsonl A B C  # scrape live endpoints, clock
-//	                                          # handshake, merge one timeline
-//	inctrace merge -out merged.jsonl t0 t1 t2 # merge per-node trace files
+//	inctrace merge -out merged.jsonl t0 t1 t2 # merge per-node trace files on
+//	                                          # their trace_meta epochs
 //	inctrace blame merged.jsonl               # critical-path attribution:
 //	                                          # gating node, blame matrix,
 //	                                          # straggler report
@@ -31,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -68,37 +68,40 @@ func fetch(addr, path string) ([]byte, error) {
 }
 
 // gather merges any mix of trace files and (when addr is set) one live
-// endpoint into a single aligned timeline.
+// endpoint's /trace into a single timeline aligned on the trace_meta
+// epochs.
 func gather(addr string, files []string) (*obs.Merged, error) {
-	c := obs.NewCollector()
+	var srcs []obs.Source
 	if addr != "" {
-		if err := c.AddEndpoint(addr); err != nil {
+		body, err := fetch(addr, "/trace")
+		if err != nil {
 			return nil, err
 		}
+		t, err := obs.ReadTrace(bytes.NewReader(body))
+		if err != nil {
+			return nil, fmt.Errorf("%s/trace: %w", addr, err)
+		}
+		srcs = append(srcs, obs.TraceSource(addr, t))
 	}
 	for _, f := range files {
-		if err := c.AddFile(f); err != nil {
+		src, err := obs.FileSource(f)
+		if err != nil {
 			return nil, err
 		}
+		srcs = append(srcs, src)
 	}
-	return c.Merge()
+	return obs.Merge(srcs...)
 }
 
-// renderSources prints how each source was clock-aligned during a merge.
+// renderSources prints how each source was aligned during a merge.
 func renderSources(m *obs.Merged) {
-	fmt.Printf("%-28s %6s %6s %14s %14s\n", "source", "node", "spans", "clock offset", "uncertainty")
+	fmt.Printf("%-28s %6s %6s %12s\n", "source", "node", "spans", "alignment")
 	for _, s := range m.Sources {
 		align := "meta epoch"
-		if s.OffsetNs != 0 || s.UncertaintyNs != 0 {
-			align = fmt.Sprintf("%+.3fms", float64(s.OffsetNs)/1e6)
-		} else if !s.Aligned {
+		if !s.Aligned {
 			align = "UNALIGNED"
 		}
-		unc := "-"
-		if s.UncertaintyNs > 0 {
-			unc = fmt.Sprintf("±%.3fms", float64(s.UncertaintyNs)/1e6)
-		}
-		fmt.Printf("%-28s %6d %6d %14s %14s\n", s.Name, s.Node, s.Spans, align, unc)
+		fmt.Printf("%-28s %6d %6d %12s\n", s.Name, s.Node, s.Spans, align)
 	}
 }
 
@@ -133,7 +136,7 @@ func cmdBreakdown(args []string) {
 
 	if *addr == "" && fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: inctrace [breakdown] [flags] trace.jsonl... | inctrace -addr host:port")
-		fmt.Fprintln(os.Stderr, "subcommands: breakdown, metrics, collect, merge, blame, calibrate, tune, health, incidents")
+		fmt.Fprintln(os.Stderr, "subcommands: breakdown, metrics, merge, blame, calibrate, tune, health, incidents")
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
@@ -193,37 +196,6 @@ func cmdMetrics(args []string) {
 		fatal(err)
 	}
 	obs.RenderMetrics(os.Stdout, snap)
-}
-
-// cmdCollect scrapes live endpoints (trace + metrics + clock handshake)
-// and merges them into one offset-corrected timeline.
-func cmdCollect(args []string) {
-	fs := flag.NewFlagSet("collect", flag.ExitOnError)
-	out := fs.String("out", "", "write the merged timeline as JSONL to this file")
-	probes := fs.Int("probes", 7, "clock-handshake probes per endpoint (min-RTT sample wins)")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: inctrace collect [-out merged.jsonl] host:port...")
-		os.Exit(2)
-	}
-	c := obs.NewCollector()
-	c.Probes = *probes
-	for _, addr := range fs.Args() {
-		if err := c.AddEndpoint(addr); err != nil {
-			fatal(err)
-		}
-	}
-	m, err := c.Merge()
-	if err != nil {
-		fatal(err)
-	}
-	renderSources(m)
-	if err := writeMerged(m, *out); err != nil {
-		fatal(err)
-	}
-	if *out == "" {
-		fmt.Printf("merged: %d spans from %d sources (use -out to save)\n", len(m.Spans), len(m.Sources))
-	}
 }
 
 // cmdMerge merges per-node trace files (inctrain -trace-dir) into one
@@ -529,9 +501,6 @@ func main() {
 			return
 		case "metrics":
 			cmdMetrics(args[1:])
-			return
-		case "collect":
-			cmdCollect(args[1:])
 			return
 		case "merge":
 			cmdMerge(args[1:])

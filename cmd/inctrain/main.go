@@ -128,7 +128,7 @@ func main() {
 	samples := flag.Int("samples", 4000, "synthetic training samples")
 	evalEvery := flag.Int("eval", 50, "evaluate every N iterations")
 	chaosCrash := flag.String("chaos-crash", "", "chaos: crash nodes after N frame sends, e.g. \"2:65\" or \"1:40,3:200\"")
-	metricsAddr := flag.String("metrics-addr", "", "serve live observability on this address (/metrics JSON or ?format=prom, /trace JSONL, /clock, /debug/pprof), e.g. 127.0.0.1:8080")
+	metricsAddr := flag.String("metrics-addr", "", "serve live observability on this address (/metrics JSON or ?format=prom, /trace JSONL, /debug/pprof), e.g. 127.0.0.1:8080")
 	traceOut := flag.String("trace-out", "", "write the step trace as JSONL to this file when the run ends (inctrace reads it)")
 	traceDir := flag.String("trace-dir", "", "also split the trace into per-node JSONL files (trace_node<N>.jsonl) in this directory, for `inctrace merge`")
 	metricsOut := flag.String("metrics-out", "", "write the final /metrics JSON snapshot to this file when the run ends")
@@ -306,7 +306,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "inctrain:", serr)
 			os.Exit(2)
 		}
-		fmt.Printf("observability: http://%s/metrics (JSON, ?format=prom), /trace (JSONL), /clock, /debug/pprof\n", addr)
+		fmt.Printf("observability: http://%s/metrics (JSON, ?format=prom), /trace (JSONL), /debug/pprof\n", addr)
 		if engine != nil {
 			fmt.Printf("health: http://%s/health (JSON, ?format=prom)\n", addr)
 		}
@@ -510,7 +510,8 @@ func main() {
 		}
 	} else {
 		if *algo == "switch" {
-			o.SwitchFallback = *switchFallback
+			// -autotune may have traded the switch for another collective.
+			o.SwitchFallback = *switchFallback && o.Algo == train.SwitchReduce
 			o.StepTimeout = *stepTimeout
 		}
 		res, err = train.Run(build, trainDS, testDS, *iters, o)

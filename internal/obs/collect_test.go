@@ -2,34 +2,29 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 	"unsafe"
 )
 
 func TestMergeOutOfOrderAndWrapped(t *testing.T) {
-	// A wrapped ring buffer read mid-write hands the collector spans whose
+	// A wrapped ring buffer read mid-write hands Merge spans whose
 	// record order no longer matches time order. Feed a deliberately
 	// shuffled source plus a second source with a later epoch and check
 	// the merged timeline is monotone, offset-corrected, and rebased.
-	c := NewCollector()
-	c.AddSpans("shuffled", 0, 1_000_000, []Span{
-		{Node: 9, Iter: 2, Phase: PhaseSend, Start: 500, Dur: 10},
-		{Node: 9, Iter: 0, Phase: PhaseSend, Start: 100, Dur: 10},
-		{Node: 9, Iter: 1, Phase: PhaseSend, Start: 300, Dur: 10},
-	})
-	// Epoch 700ns later: its span at local 100 lands at global 800.
-	c.AddSpans("later", 1, 1_000_700, []Span{
-		{Node: 1, Iter: 0, Phase: PhaseRecv, Start: 100, Dur: 5},
-	})
-	m, err := c.Merge()
+	m, err := Merge(
+		Source{Name: "shuffled", Node: 0, EpochUnixNs: 1_000_000, Spans: []Span{
+			{Node: 9, Iter: 2, Phase: PhaseSend, Start: 500, Dur: 10},
+			{Node: 9, Iter: 0, Phase: PhaseSend, Start: 100, Dur: 10},
+			{Node: 9, Iter: 1, Phase: PhaseSend, Start: 300, Dur: 10},
+		}},
+		// Epoch 700ns later: its span at local 100 lands at global 800.
+		Source{Name: "later", Node: 1, EpochUnixNs: 1_000_700, Spans: []Span{
+			{Node: 1, Iter: 0, Phase: PhaseRecv, Start: 100, Dur: 5},
+		}},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +65,7 @@ func TestMergeTracerWrapAround(t *testing.T) {
 		// Descending starts make record order the reverse of time order.
 		tr.RecordRaw(0, i, PhaseCompute, int64(1000-i*100), 50)
 	}
-	c := NewCollector()
-	c.AddSpans("wrap", -1, tr.EpochUnixNs(), tr.Snapshot())
-	m, err := c.Merge()
+	m, err := Merge(Source{Name: "wrap", Node: -1, EpochUnixNs: tr.EpochUnixNs(), Spans: tr.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +85,7 @@ func TestMergeTracerWrapAround(t *testing.T) {
 }
 
 func TestMergeNoSources(t *testing.T) {
-	if _, err := NewCollector().Merge(); err == nil {
+	if _, err := Merge(); err == nil {
 		t.Fatal("want error merging with no sources")
 	}
 }
@@ -112,13 +105,15 @@ func TestCollectorFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCollector()
+	var srcs []Source
 	for node := 0; node < 2; node++ {
-		if err := c.AddFile(filepath.Join(dir, "trace_"+string(rune('0'+node))+".jsonl")); err != nil {
+		src, err := FileSource(filepath.Join(dir, "trace_"+string(rune('0'+node))+".jsonl"))
+		if err != nil {
 			t.Fatal(err)
 		}
+		srcs = append(srcs, src)
 	}
-	m, err := c.Merge()
+	m, err := Merge(srcs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,117 +145,6 @@ func TestCollectorFileRoundTrip(t *testing.T) {
 	}
 }
 
-// skewedObsServer serves the obs endpoint surface (/trace, /metrics,
-// /clock) for a tracer whose host clock runs `skew` away from the test's
-// — the cross-machine scenario the clock handshake exists for.
-func skewedObsServer(t *testing.T, reg *Registry, tr *Tracer, skew time.Duration) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(reg.Snapshot())
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		// The skewed host stamps its meta epoch with its own wall clock.
-		meta := tr.Meta(-1)
-		meta.EpochUnixNs += skew.Nanoseconds()
-		WriteSpansJSONL(w, meta, tr.Snapshot())
-	})
-	mux.HandleFunc("/clock", func(w http.ResponseWriter, _ *http.Request) {
-		doc := clockDocNow(tr)
-		doc.UnixNs += skew.Nanoseconds()
-		doc.EpochUnixNs += skew.Nanoseconds()
-		json.NewEncoder(w).Encode(doc)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-func TestCollectorLiveEndpoints(t *testing.T) {
-	// Three "nodes": two honest clocks behind the real obs handler, one
-	// skewed 2 seconds into the future behind the simulated remote host.
-	// All three record one compute span at (nearly) the same true instant;
-	// after the /clock handshake the merged timeline must put them
-	// together, skew corrected away.
-	const skew = 2 * time.Second
-	var addrs []string
-	var tracers []*Tracer
-	for node := 0; node < 3; node++ {
-		reg := NewRegistry()
-		reg.Counter("iterations_total").Add(int64(10 + node))
-		tr := NewTracer(128)
-		tracers = append(tracers, tr)
-		var srv *httptest.Server
-		if node == 2 {
-			srv = skewedObsServer(t, reg, tr, skew)
-		} else {
-			srv = httptest.NewServer(NewHTTPHandler(reg, tr))
-			t.Cleanup(srv.Close)
-		}
-		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
-	}
-
-	// One shared true instant, expressed on each tracer's own timebase.
-	now := time.Now().UnixNano()
-	for node, tr := range tracers {
-		tr.RecordRaw(node, 0, PhaseCompute, now-tr.EpochUnixNs(), 1000)
-	}
-
-	c := NewCollector()
-	c.Probes = 5
-	for _, addr := range addrs {
-		if err := c.AddEndpoint(addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, src := range c.Sources() {
-		if src.Clock == nil {
-			t.Fatalf("source %d: no clock handshake", i)
-		}
-		if len(src.Metrics) == 0 {
-			t.Fatalf("source %d: /metrics not scraped", i)
-		}
-	}
-	// The skewed endpoint's handshake must report ≈+2s offset.
-	est := c.Sources()[2].Clock
-	offErr := est.OffsetNs - skew.Nanoseconds()
-	if offErr < 0 {
-		offErr = -offErr
-	}
-	if offErr > est.UncertaintyNs+int64(50*time.Millisecond) {
-		t.Fatalf("skewed endpoint offset %dns, want ≈%dns (±%dns)", est.OffsetNs, skew.Nanoseconds(), est.UncertaintyNs)
-	}
-
-	m, err := c.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Spans) != 3 {
-		t.Fatalf("merged %d spans, want 3", len(m.Spans))
-	}
-	// All three spans marked the same true instant: after correction the
-	// spread must be far below the injected 2s skew — bounded by the
-	// handshake uncertainty plus loopback scheduling slop.
-	spread := m.Spans[2].Start - m.Spans[0].Start
-	if spread > (100 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("corrected spread %s: skew not removed", time.Duration(spread))
-	}
-	// And the collector's own registry carries the alignment gauges.
-	snap := c.Registry().Snapshot()
-	if v, ok := snap["collector_spans_merged"].(int64); !ok || v != 3 {
-		t.Fatalf("collector_spans_merged = %v", snap["collector_spans_merged"])
-	}
-	found := false
-	for k := range snap {
-		if strings.HasPrefix(k, "collector_clock_") && strings.HasSuffix(k, "_offset_s") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no per-source clock offset gauges in %v", snap)
-	}
-}
-
 // BenchmarkCollectorMerge measures the cross-node trace merge: eight
 // per-node span sets with distinct trace-meta epochs aligned,
 // node-forced, time-sorted, and rebased onto one timeline.
@@ -286,11 +170,11 @@ func BenchmarkCollectorMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewCollector()
+		srcs := make([]Source, nodes)
 		for n, spans := range sources {
-			c.AddSpans(fmt.Sprintf("node%d", n), n, int64(1_000_000+n*137), spans)
+			srcs[n] = Source{Name: fmt.Sprintf("node%d", n), Node: n, EpochUnixNs: int64(1_000_000 + n*137), Spans: spans}
 		}
-		m, err := c.Merge()
+		m, err := Merge(srcs...)
 		if err != nil {
 			b.Fatal(err)
 		}

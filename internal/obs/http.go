@@ -12,7 +12,6 @@ import (
 //	/metrics        expvar-style JSON snapshot of the registry
 //	/metrics?format=prom  the same snapshot in Prometheus text exposition
 //	/trace          the retained span ring as JSONL (meta line + spans)
-//	/clock          the clock document the Collector's offset handshake reads
 //	/debug/pprof/*  the standard Go profiler endpoints
 //
 // Either reg or tr may be nil; the corresponding endpoint then serves
@@ -43,10 +42,6 @@ func NewHTTPHandler(reg *Registry, tr *Tracer, extra ...Mount) http.Handler {
 		if tr != nil {
 			tr.WriteJSONL(w)
 		}
-	})
-	mux.HandleFunc("/clock", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(clockDocNow(tr))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -14,7 +14,7 @@ import (
 // TraceMeta is the optional header line of a JSONL trace: it names the
 // trace's node scope and anchors the span timebase (nanoseconds since the
 // tracer's construction) to the writer's wall clock, which is what lets
-// the Collector merge traces from processes with different epochs.
+// Merge put traces from tracers with different epochs on one timeline.
 type TraceMeta struct {
 	// Version is the schema version (currently 1). Its JSON key doubles
 	// as the marker that distinguishes a meta line from a span line.
@@ -62,15 +62,6 @@ func (t *Tracer) EpochUnixNs() int64 {
 		return 0
 	}
 	return t.epochUnix
-}
-
-// SinceEpochNs returns the current offset on the tracer's span timeline
-// (what a span started right now would carry as Start).
-func (t *Tracer) SinceEpochNs() int64 {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.epoch).Nanoseconds()
 }
 
 // Meta returns the trace header for this tracer scoped to node (-1 for a
@@ -172,8 +163,8 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 }
 
 // WriteNodeJSONL streams only the given node's spans, with a meta line
-// scoped to that node — the per-node trace files a multi-node collector
-// merges (inctrain -trace-dir).
+// scoped to that node — the per-node trace files Merge puts back on one
+// timeline (inctrain -trace-dir).
 func (t *Tracer) WriteNodeJSONL(w io.Writer, node int) error {
 	all := t.Snapshot()
 	spans := make([]Span, 0, len(all))

@@ -48,7 +48,7 @@ func TestExchangeBufferIsTheGradView(t *testing.T) {
 	trainDS, _ := digitsData()
 	o := digitsOptions()
 	o.Workers = 2
-	c, err := o.prepare(false)
+	c, err := o.prepare(false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // final weight vector, for divergence testing: runFixed keeps each
 // replica's weights when handed somewhere to put them.
 func replicaWeights(build Builder, trainDS data.Dataset, iters int, o Options) ([][]float32, error) {
-	c, err := o.prepare(false)
+	c, err := o.prepare(false, false)
 	if err != nil {
 		return nil, err
 	}

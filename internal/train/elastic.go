@@ -229,7 +229,7 @@ func prepareElastic(build Builder, iters int, o *Options, tcp bool) (*Checkpoint
 	if o.Algo != Ring {
 		return nil, fmt.Errorf("train: elastic training requires the ring algorithm (got %s)", o.Algo)
 	}
-	if _, err := o.prepare(tcp); err != nil {
+	if _, err := o.prepare(tcp, true); err != nil {
 		return nil, err
 	}
 

@@ -205,7 +205,7 @@ func TestHealthCleanRunOpensNoIncidents(t *testing.T) {
 // TestHealthSwitchTCPFallbackTraceMetaAligns pins the trace-header
 // contract on the socket path: a RunSwitchTCP run that trips the ring
 // fallback must still write a trace whose trace_meta line carries a real
-// epoch, so the collector aligns it without a clock handshake — and the
+// epoch, so obs.Merge aligns it on that epoch — and the
 // engine attached to the same run must report the fallback.
 func TestHealthSwitchTCPFallbackTraceMetaAligns(t *testing.T) {
 	trainDS, testDS := digitsData()
@@ -270,16 +270,16 @@ func TestHealthSwitchTCPFallbackTraceMetaAligns(t *testing.T) {
 		t.Error("TCP fallback path recorded no fallback span")
 	}
 
-	c := obs.NewCollector()
-	if err := c.AddFile(path); err != nil {
+	src, err := obs.FileSource(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Merge()
+	m, err := obs.Merge(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Sources) != 1 || !m.Sources[0].Aligned {
-		t.Fatalf("collector sources = %+v, want the trace aligned on its meta epoch", m.Sources)
+		t.Fatalf("merge sources = %+v, want the trace aligned on its meta epoch", m.Sources)
 	}
 	if len(m.Spans) != len(spans) {
 		t.Fatalf("merged %d spans, trace held %d", len(m.Spans), len(spans))

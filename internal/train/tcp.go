@@ -36,7 +36,7 @@ func RunSwitchTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Opti
 
 // runTCP is Run over the loopback-socket data plane.
 func runTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Options, bound fpcodec.Bound) (Result, error) {
-	c, err := o.prepare(true)
+	c, err := o.prepare(true, false)
 	if err != nil {
 		return Result{}, err
 	}

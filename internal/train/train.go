@@ -257,8 +257,10 @@ type Builder func(*rand.Rand) *nn.Network
 
 // prepare is the one place a run's options are checked and defaulted. It
 // returns the collective o.Algo selects; tcp says the run uses the TCP data
-// plane, which embeds its own codec and ignores Options.Processor.
-func (o *Options) prepare(tcp bool) (collective, error) {
+// plane, which embeds its own codec and ignores Options.Processor, and
+// elastic says the runner is RunElastic or RunElasticTCP. An option the
+// runner would never read is an error, not a silent no-op.
+func (o *Options) prepare(tcp, elastic bool) (collective, error) {
 	switch {
 	case o.Workers < 1:
 		return collective{}, fmt.Errorf("train: %d workers", o.Workers)
@@ -266,8 +268,14 @@ func (o *Options) prepare(tcp bool) (collective, error) {
 		return collective{}, fmt.Errorf("train: batch per node %d", o.BatchPerNode)
 	case o.ErrorFeedback && (tcp || !o.Compress || o.Processor == nil):
 		return collective{}, fmt.Errorf("train: ErrorFeedback requires Compress and a Processor on the in-process fabric (the TCP fabric's codec cannot report what it delivered)")
-	case o.Algo == SwitchReduce && o.SwitchFallback && o.StepTimeout <= 0:
+	case o.SwitchFallback && o.Algo != SwitchReduce:
+		return collective{}, fmt.Errorf("train: SwitchFallback requires the switch algorithm (got %s)", o.Algo)
+	case o.SwitchFallback && o.StepTimeout <= 0:
 		return collective{}, fmt.Errorf("train: SwitchFallback requires StepTimeout > 0 (stall detection needs a deadline)")
+	case !elastic && (o.Resume || o.CheckpointDir != "" || o.CheckpointEvery != 0 || o.Stop != nil || o.SuspectAfter != 0):
+		return collective{}, fmt.Errorf("train: Resume, CheckpointDir, CheckpointEvery, Stop and SuspectAfter are read only by RunElastic and RunElasticTCP")
+	case !(elastic && tcp) && (o.Join || o.CoordAddr != ""):
+		return collective{}, fmt.Errorf("train: Join and CoordAddr are read only by RunElasticTCP")
 	}
 	if o.EvalSamples == 0 {
 		o.EvalSamples = 256
@@ -281,7 +289,7 @@ func (o *Options) prepare(tcp bool) (collective, error) {
 // exchange on any worker cancels its siblings and surfaces as the returned
 // error.
 func Run(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	c, err := o.prepare(false)
+	c, err := o.prepare(false, false)
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,7 +2,9 @@ package train
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
@@ -264,6 +266,54 @@ func TestRunValidation(t *testing.T) {
 	} {
 		if _, err := run(); err == nil {
 			t.Errorf("%s: expected error for ErrorFeedback over the TCP fabric", name)
+		}
+	}
+}
+
+// TestRunnersRejectOptionsTheyNeverRead: an option a runner would ignore
+// fails the run up front, so Run with CheckpointDir and Resume cannot
+// quietly train from scratch, nor a closed Stop fail to halt it.
+func TestRunnersRejectOptionsTheyNeverRead(t *testing.T) {
+	trainDS, testDS := digitsData()
+	bound, build := fpcodec.MustBound(10), models.NewHDCSmall
+	runners := map[string]func(Options) (Result, error){
+		"Run":           func(o Options) (Result, error) { return Run(build, trainDS, testDS, 1, o) },
+		"RunRingTCP":    func(o Options) (Result, error) { return RunRingTCP(build, trainDS, testDS, 1, o, bound) },
+		"RunSwitchTCP":  func(o Options) (Result, error) { return RunSwitchTCP(build, trainDS, testDS, 1, o, bound) },
+		"RunElastic":    func(o Options) (Result, error) { return RunElastic(build, trainDS, testDS, 1, o) },
+		"RunElasticTCP": func(o Options) (Result, error) { return RunElasticTCP(build, trainDS, testDS, 1, o, bound) },
+	}
+	stop := make(chan struct{})
+	close(stop)
+	fields := map[string]func(*Options){
+		"Resume":          func(o *Options) { o.Resume = true },
+		"CheckpointDir":   func(o *Options) { o.CheckpointDir = t.TempDir() },
+		"CheckpointEvery": func(o *Options) { o.CheckpointEvery = 1 },
+		"Stop":            func(o *Options) { o.Stop = stop },
+		"SuspectAfter":    func(o *Options) { o.SuspectAfter = time.Second },
+		"Join":            func(o *Options) { o.Join = true },
+		"CoordAddr":       func(o *Options) { o.CoordAddr = "127.0.0.1:0" },
+		"SwitchFallback":  func(o *Options) { o.SwitchFallback, o.StepTimeout = true, time.Second },
+	}
+	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join", "CoordAddr"}
+	unread := map[string][]string{
+		"Run":           append([]string{"SwitchFallback"}, fixed...),
+		"RunRingTCP":    append([]string{"SwitchFallback"}, fixed...),
+		"RunSwitchTCP":  fixed,
+		"RunElastic":    {"Join", "CoordAddr", "SwitchFallback"},
+		"RunElasticTCP": {"SwitchFallback"},
+	}
+	for runner, names := range unread {
+		for _, field := range names {
+			t.Run(runner+"/"+field, func(t *testing.T) {
+				o := digitsOptions()
+				o.Workers = 2
+				fields[field](&o)
+				_, err := runners[runner](o)
+				if err == nil || !strings.Contains(err.Error(), field) {
+					t.Fatalf("%s with %s set: err = %v, want it rejected by name", runner, field, err)
+				}
+			})
 		}
 	}
 }

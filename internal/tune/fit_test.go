@@ -173,6 +173,30 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit([]Sample{sw}, netsim.Params{}); err == nil {
 		t.Fatal("Fit without ring send cells must error")
 	}
+	ring := syntheticSample(Workload{Workers: 3, ModelBytes: 1 << 20, Strategy: "ring", Iters: 2}, 50e-6, 1e9, 4e8, 1e-3)
+	ring.Spans[0].Dur = -1
+	if _, err := Fit([]Sample{ring}, netsim.Params{}); err == nil {
+		t.Fatal("Fit with a negative span duration must error")
+	}
+	huge := Sample{Workload: Workload{Workers: maxWorkers + 1, ModelBytes: 1 << 20, Strategy: "ring"}}
+	if _, err := Fit([]Sample{huge}, netsim.Params{}); err == nil {
+		t.Fatal("Fit with more than maxWorkers workers must error")
+	}
+}
+
+// TestFitSkipsReplayPastTestbedScale: the calibration replay is
+// superlinear in workers, so a fit stops replaying where the cross-check
+// does; the closed-form fit still runs.
+func TestFitSkipsReplayPastTestbedScale(t *testing.T) {
+	s := syntheticSample(Workload{Workers: 4096, ModelBytes: 1 << 20, Strategy: "ring", Iters: 1}, 50e-6, 1e9, 4e8, 1e-3)
+	f, err := Fit([]Sample{s}, netsim.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Residuals != nil {
+		t.Fatal("replayed a 4096-worker sample")
+	}
+	close10(t, "ComputeSec", f.ComputeSec, 1e-3, 1e-3)
 }
 
 func TestWorkloadHelpers(t *testing.T) {

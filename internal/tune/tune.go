@@ -56,13 +56,23 @@ type Workload struct {
 	Iters       int     `json:"iters,omitempty"`
 }
 
+// maxWorkers and maxModelBytes bound a workload read from a trace to
+// clusters and gradients the models are meant for (the what-if ladder
+// tops out at 1024 nodes): the planner enumerates the worker count's
+// divisors, and their product, 2^60, keeps the models' int64 bytes ×
+// workers products from overflowing.
+const (
+	maxWorkers    = 1 << 20
+	maxModelBytes = 1 << 40
+)
+
 // Validate reports whether the workload can drive a fit.
 func (w Workload) Validate() error {
-	if w.Workers < 2 {
-		return fmt.Errorf("tune: workload needs >= 2 workers, got %d", w.Workers)
+	if w.Workers < 2 || w.Workers > maxWorkers {
+		return fmt.Errorf("tune: workload needs 2..%d workers, got %d", maxWorkers, w.Workers)
 	}
-	if w.ModelBytes <= 0 {
-		return fmt.Errorf("tune: workload needs model bytes > 0, got %d", w.ModelBytes)
+	if w.ModelBytes <= 0 || w.ModelBytes > maxModelBytes {
+		return fmt.Errorf("tune: workload needs model bytes in 1..%d, got %d", int64(maxModelBytes), w.ModelBytes)
 	}
 	switch w.Strategy {
 	case "ring", "switch", "worker-aggregator", "hierarchical-tree", "hierarchical-ring":
@@ -226,9 +236,16 @@ func Fit(samples []Sample, prior netsim.Params) (*Fitted, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("tune: no samples to fit")
 	}
-	for i := range samples {
-		if err := samples[i].Workload.Validate(); err != nil {
+	for i, s := range samples {
+		if err := s.Workload.Validate(); err != nil {
 			return nil, fmt.Errorf("sample %d: %w", i, err)
+		}
+		// A measured span cannot run backwards; one that does would drive
+		// the fitted times, and the replay's delays, negative.
+		for _, sp := range s.Spans {
+			if sp.Dur < 0 {
+				return nil, fmt.Errorf("sample %d: node %d iter %d %s span has negative duration %dns", i, sp.Node, sp.Iter, sp.Phase, sp.Dur)
+			}
 		}
 	}
 
@@ -553,7 +570,8 @@ const maxReplayIters = 6
 // fills Scale, Residuals and MaxCommRelErr. Samples are offset onto
 // disjoint iteration bands so their cells do not collide in the merged
 // calibration. Compressed samples are skipped: their measured send
-// spans carry inline codec time the replay deliberately does not model.
+// spans carry inline codec time the replay deliberately does not model,
+// and so are samples past crossCheckMaxWorkers.
 func (f *Fitted) calibrateReplay(samples []Sample) {
 	var measured, sim []obs.Span
 	for si, s := range samples {
@@ -567,7 +585,7 @@ func (f *Fitted) calibrateReplay(samples []Sample) {
 		if iters > maxReplayIters {
 			iters = maxReplayIters
 		}
-		if iters <= 0 {
+		if iters <= 0 || s.Workload.Workers > crossCheckMaxWorkers {
 			continue
 		}
 		simSpans := f.ReplaySpans(s.Workload, iters)
