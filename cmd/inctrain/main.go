@@ -121,8 +121,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "elastic: also checkpoint every N iterations (requires -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "elastic: resume from the newest valid checkpoint in -checkpoint-dir")
 	suspectAfter := flag.Duration("suspect-after", 0, "elastic: declare a worker dead after this much heartbeat silence (0 = crash self-reports only)")
-	join := flag.Bool("join", false, "elastic over TCP: revive evicted workers — reload the newest checkpoint, rejoin through the coordinator, splice back into the ring (requires -elastic -tcp)")
-	coordAddr := flag.String("coord-addr", "", "elastic over TCP: control-channel listen address, host:port (empty = ephemeral localhost port)")
+	join := flag.Bool("join", false, "elastic over TCP: revive evicted workers — reload the newest checkpoint, rejoin through the in-process coordinator, splice back into the ring (requires -elastic -tcp)")
 	checkpointKeep := flag.Int("checkpoint-keep", 3, "elastic: prune -checkpoint-dir to the newest N valid checkpoints after each write (0 = default 3, negative = keep all)")
 	seed := flag.Int64("seed", 42, "seed for model init and data")
 	samples := flag.Int("samples", 4000, "synthetic training samples")
@@ -165,6 +164,7 @@ func main() {
 		Seed:         *seed,
 		EvalEvery:    *evalEvery,
 		EvalSamples:  512,
+		StepTimeout:  *stepTimeout,
 	}
 	switch *algo {
 	case "ring":
@@ -272,8 +272,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "inctrain: -autotune probes the in-process fabric and cannot combine with -tcp or -elastic")
 		os.Exit(2)
 	}
-	if (*join || *coordAddr != "") && !(*elastic && *tcp) {
-		fmt.Fprintln(os.Stderr, "inctrain: -join and -coord-addr require -elastic -tcp")
+	if *join && !(*elastic && *tcp) {
+		fmt.Fprintln(os.Stderr, "inctrain: -join requires -elastic -tcp")
 		os.Exit(2)
 	}
 	// Shared chaos config: the TCP fabric and the elastic runner both
@@ -452,9 +452,7 @@ func main() {
 		o.CheckpointKeep = *checkpointKeep
 		o.Resume = *resume
 		o.SuspectAfter = *suspectAfter
-		o.StepTimeout = *stepTimeout
 		o.Join = *join
-		o.CoordAddr = *coordAddr
 		// A first SIGINT/SIGTERM drains the run gracefully: the workers
 		// agree on a halt iteration and write a final checkpoint before the
 		// process exits nonzero. A second signal kills it the default way.
@@ -501,7 +499,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "inctrain:", berr)
 			os.Exit(2)
 		}
-		o.StepTimeout = *stepTimeout
 		if *algo == "switch" {
 			o.SwitchFallback = *switchFallback
 			res, err = train.RunSwitchTCP(build, trainDS, testDS, *iters, o, b)
@@ -512,7 +509,6 @@ func main() {
 		if *algo == "switch" {
 			// -autotune may have traded the switch for another collective.
 			o.SwitchFallback = *switchFallback && o.Algo == train.SwitchReduce
-			o.StepTimeout = *stepTimeout
 		}
 		res, err = train.Run(build, trainDS, testDS, *iters, o)
 	}

@@ -52,30 +52,9 @@ var (
 	ErrEvicted = errors.New("elastic: node evicted from membership")
 )
 
-// Membership is the coordination surface the elastic training loop runs
-// against: liveness reporting, epoch-numbered views, epoch-scoped
-// rendezvous, and membership changes in both directions (eviction and
-// join). The in-process *Coordinator implements it directly; *Client
-// implements it over the TCP control channel, so the same worker loop
-// runs unchanged on the in-process fabric and on tcpfabric.
-type Membership interface {
-	Beat(id int)
-	View() View
-	EpochContext(epoch int) context.Context
-	AwaitEpoch(ctx context.Context, id, after int) (View, error)
-	Gather(ctx context.Context, id, epoch int, key string, value interface{}) (map[int]interface{}, error)
-	ReportDead(id int, cause error)
-	ReportAnomaly(node int, err error)
-	Depart(id int)
-	ProposeHalt(ownIter int) int
-	HaltIter() int
-	Join(id int) (View, error)
-}
-
 // Item is the gather value the training loop exchanges through the
-// membership layer — a single wire-serializable shape covering both
-// rendezvous (Iter, Joining) and checkpoint assembly (Cursor, Residual),
-// so the TCP control channel can marshal it without reflection.
+// coordinator — one shape covering both rendezvous (Iter, Joining) and
+// checkpoint assembly (Cursor, Residual).
 type Item struct {
 	Iter     int64
 	Joining  bool
@@ -150,7 +129,7 @@ type Config struct {
 // gather is one in-progress epoch-scoped all-to-all rendezvous.
 type gather struct {
 	epoch  int
-	values map[int]interface{}
+	values map[int]Item
 	done   chan struct{}
 	err    error
 }
@@ -171,17 +150,6 @@ type Coordinator struct {
 	dead     map[int]error // id -> evidence
 	lastBeat []time.Time
 	started  []bool // a node must beat once before staleness applies
-	// linkDown grades heartbeat silence: the control-channel server marks
-	// a node here when its TCP connection drops, so the detector can
-	// distinguish "link partition suspected" from "process hang suspected"
-	// in the death evidence it records.
-	linkDown map[int]error
-	// deathEpochs records every epoch created by a death (as opposed to a
-	// departure or join), in ascending order. A death dooms the superseded
-	// epoch's in-flight collectives; a departure or join does not. Remote
-	// clients replay this classification to decide whether to cancel
-	// their local epoch context.
-	deathEpochs []int
 
 	epochCtx    context.Context
 	epochCancel context.CancelFunc
@@ -207,8 +175,6 @@ type Coordinator struct {
 	obsMembers    *obs.Gauge
 }
 
-var _ Membership = (*Coordinator)(nil)
-
 // NewCoordinator creates a coordinator over a universe of n nodes, all
 // initially live (epoch 0). If cfg.SuspectAfter is positive a detector
 // goroutine runs until Close.
@@ -228,7 +194,6 @@ func NewCoordinator(n int, cfg Config) *Coordinator {
 		dead:        make(map[int]error),
 		lastBeat:    make([]time.Time, n),
 		started:     make([]bool, n),
-		linkDown:    make(map[int]error),
 		epochCtx:    ctx,
 		epochCancel: cancel,
 		changed:     make(chan struct{}),
@@ -358,7 +323,6 @@ func (c *Coordinator) declareDeadLocked(id int, cause error) {
 	c.epochCancel()
 	c.epochCtx, c.epochCancel = context.WithCancel(context.Background())
 	c.removeLocked(id)
-	c.deathEpochs = append(c.deathEpochs, c.view.Epoch)
 }
 
 // Depart removes id from the membership on graceful completion: a worker
@@ -432,7 +396,6 @@ func (c *Coordinator) Join(id int) (View, error) {
 		return c.view.clone(), nil
 	}
 	delete(c.dead, id)
-	delete(c.linkDown, id)
 	c.started[id] = false
 	c.lastBeat[id] = time.Time{}
 	c.obsJoins.Add(1)
@@ -456,54 +419,6 @@ func (c *Coordinator) DeathCause(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dead[id]
-}
-
-// SetLinkDown grades a node's heartbeat silence: the control-channel
-// server calls it when the node's TCP connection drops (err non-nil) or
-// is re-established (err nil). A down link never evicts on its own —
-// eviction still requires heartbeat staleness or hard evidence — but the
-// death cause the detector records distinguishes a suspected partition
-// from a suspected process hang.
-func (c *Coordinator) SetLinkDown(id int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err == nil {
-		delete(c.linkDown, id)
-		return
-	}
-	c.obsSuspects.Add(1)
-	c.linkDown[id] = err
-}
-
-// FatalSince reports whether any epoch after `after` (up to the current
-// one) was created by a death. Remote membership clients use it to mirror
-// the coordinator's cancel-on-death / survive-on-departure-or-join epoch
-// context semantics.
-func (c *Coordinator) FatalSince(after int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.deathEpochs) - 1; i >= 0; i-- {
-		if c.deathEpochs[i] <= after {
-			return false
-		}
-		if c.deathEpochs[i] <= c.view.Epoch {
-			return true
-		}
-	}
-	return false
-}
-
-// WaitEvent blocks like AwaitEpoch but additionally classifies the
-// transition: fatal is true when any epoch in (after, current] was
-// created by a death. It never beats on the caller's behalf (pass the
-// view through AwaitEpoch with a real id for that) — the control-channel
-// watch goroutine must not keep a hung worker looking alive.
-func (c *Coordinator) WaitEvent(ctx context.Context, after int) (View, bool, error) {
-	v, err := c.AwaitEpoch(ctx, -1, after)
-	if err != nil {
-		return View{}, false, err
-	}
-	return v, c.FatalSince(after), nil
 }
 
 // ReportAnomaly records soft evidence about a node: a transport error, a
@@ -565,17 +480,9 @@ func (c *Coordinator) detect(every time.Duration) {
 		}
 		for _, id := range append([]int(nil), c.view.Members...) {
 			if c.started[id] && now.Sub(c.lastBeat[id]) > c.cfg.SuspectAfter {
-				// Grade the silence: a dropped control connection points at a
-				// link partition, heartbeats stopping on a live link point at
-				// a hung or dead process. Either way the node is evicted —
-				// the grade is evidence, not a different outcome.
-				grade := "link up: process hang or crash suspected"
-				if lerr, down := c.linkDown[id]; down {
-					grade = fmt.Sprintf("control link down (%v): partition suspected", lerr)
-				}
 				c.declareDeadLocked(id, fmt.Errorf(
-					"elastic: node %d heartbeat stale for %v (limit %v; %s)",
-					id, now.Sub(c.lastBeat[id]).Round(time.Millisecond), c.cfg.SuspectAfter, grade))
+					"elastic: node %d heartbeat stale for %v (limit %v; process hang or crash suspected)",
+					id, now.Sub(c.lastBeat[id]).Round(time.Millisecond), c.cfg.SuspectAfter))
 			}
 		}
 		scans := c.scans
@@ -674,7 +581,7 @@ func (c *Coordinator) AwaitEpoch(ctx context.Context, id, after int) (View, erro
 // the barrier that guarantees no survivor emits new-epoch traffic before
 // everyone abandoned the old epoch. Checkpointing uses it to assemble
 // per-member state at the writer.
-func (c *Coordinator) Gather(ctx context.Context, id, epoch int, key string, value interface{}) (map[int]interface{}, error) {
+func (c *Coordinator) Gather(ctx context.Context, id, epoch int, key string, value Item) (map[int]Item, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -690,7 +597,7 @@ func (c *Coordinator) Gather(ctx context.Context, id, epoch int, key string, val
 	}
 	g := c.gathers[key]
 	if g == nil {
-		g = &gather{epoch: epoch, values: make(map[int]interface{}), done: make(chan struct{})}
+		g = &gather{epoch: epoch, values: make(map[int]Item), done: make(chan struct{})}
 		c.gathers[key] = g
 	}
 	g.values[id] = value

@@ -131,7 +131,7 @@ func TestDepartAdvancesEpochWithoutKillingExchanges(t *testing.T) {
 	got := make(chan error, 2)
 	for _, id := range []int{0, 1} {
 		go func(id int) {
-			_, err := c.Gather(ctx, id, 0, "recover", id)
+			_, err := c.Gather(ctx, id, 0, "recover", Item{Iter: int64(id)})
 			got <- err
 		}(id)
 	}
@@ -159,7 +159,7 @@ func TestDepartAdvancesEpochWithoutKillingExchanges(t *testing.T) {
 		wg.Add(1)
 		go func(i, id int) {
 			defer wg.Done()
-			_, errs[i] = c.Gather(ctx, id, 1, "recover", id)
+			_, errs[i] = c.Gather(ctx, id, 1, "recover", Item{Iter: int64(id)})
 		}(i, id)
 	}
 	wg.Wait()
@@ -185,6 +185,58 @@ func TestDepartAdvancesEpochWithoutKillingExchanges(t *testing.T) {
 	}
 }
 
+// TestJoinAfterDepart covers membership churn in both directions: a depart
+// bumps the epoch for the survivors, and a join splices the node back in
+// at the next epoch.
+func TestJoinAfterDepart(t *testing.T) {
+	c := NewCoordinator(3, Config{})
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	c.Depart(2)
+	v, err := c.AwaitEpoch(ctx, 0, 0)
+	if err != nil {
+		t.Fatalf("await epoch after depart: %v", err)
+	}
+	if v.Epoch != 1 || v.Contains(2) {
+		t.Fatalf("post-depart view = %+v, want epoch 1 without node 2", v)
+	}
+	if v.Leader() != 0 {
+		t.Fatalf("post-depart leader = %d, want 0", v.Leader())
+	}
+
+	jv, err := c.Join(2)
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if jv.Epoch != 2 || !jv.Contains(2) {
+		t.Fatalf("post-join view = %+v, want epoch 2 containing node 2", jv)
+	}
+	if got := c.View(); got.Epoch != 2 || len(got.Members) != 3 {
+		t.Fatalf("survivor view after join = %+v", got)
+	}
+}
+
+// TestProposeHaltIsSetOnce: no proposal reads as "no halt" (-1), never as
+// "halt at iteration 0", and the first proposal fixes the boundary.
+func TestProposeHaltIsSetOnce(t *testing.T) {
+	c := NewCoordinator(2, Config{})
+	defer c.Close()
+	if h := c.HaltIter(); h != -1 {
+		t.Errorf("HaltIter before any proposal = %d, want -1", h)
+	}
+	if h := c.ProposeHalt(41); h != 42 {
+		t.Errorf("ProposeHalt(41) = %d, want 42", h)
+	}
+	if h := c.ProposeHalt(50); h != 42 {
+		t.Errorf("a later ProposeHalt(50) = %d, want the first proposal's 42", h)
+	}
+	if h := c.HaltIter(); h != 42 {
+		t.Errorf("HaltIter after proposals = %d, want 42", h)
+	}
+}
+
 // TestGatherBeatsWhileBlocked pins the liveness contract of the barrier
 // primitives: a member parked inside Gather far longer than SuspectAfter
 // must keep heartbeating on its own behalf, or the detector would evict
@@ -200,7 +252,7 @@ func TestGatherBeatsWhileBlocked(t *testing.T) {
 	c.Beat(1)
 	res := make(chan error, 1)
 	go func() {
-		_, err := c.Gather(ctx, 0, 0, "ckpt", nil)
+		_, err := c.Gather(ctx, 0, 0, "ckpt", Item{})
 		res <- err
 	}()
 	// Node 1 stays healthy (beating) but takes 5x SuspectAfter to reach
@@ -210,7 +262,7 @@ func TestGatherBeatsWhileBlocked(t *testing.T) {
 		c.Beat(1)
 		time.Sleep(4 * time.Millisecond)
 	}
-	if _, err := c.Gather(ctx, 1, 0, "ckpt", nil); err != nil {
+	if _, err := c.Gather(ctx, 1, 0, "ckpt", Item{}); err != nil {
 		t.Fatalf("late member's gather: %v", err)
 	}
 	if err := <-res; err != nil {
@@ -227,14 +279,14 @@ func TestGatherRendezvous(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	results := make([]map[int]interface{}, 3)
+	results := make([]map[int]Item, 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
 	for id := 0; id < 3; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = c.Gather(ctx, id, 0, "iter@0", 10+id)
+			results[id], errs[id] = c.Gather(ctx, id, 0, "iter@0", Item{Iter: int64(10 + id)})
 		}(id)
 	}
 	wg.Wait()
@@ -257,7 +309,7 @@ func TestGatherAbortsOnEpochChange(t *testing.T) {
 	got := make(chan error, 2)
 	for _, id := range []int{0, 1} {
 		go func(id int) {
-			_, err := c.Gather(ctx, id, 0, "r", id)
+			_, err := c.Gather(ctx, id, 0, "r", Item{Iter: int64(id)})
 			got <- err
 		}(id)
 	}
@@ -276,7 +328,7 @@ func TestGatherAbortsOnEpochChange(t *testing.T) {
 		wg.Add(1)
 		go func(i, id int) {
 			defer wg.Done()
-			_, errs[i] = c.Gather(ctx, id, 1, "r", id)
+			_, errs[i] = c.Gather(ctx, id, 1, "r", Item{Iter: int64(id)})
 		}(i, id)
 	}
 	wg.Wait()
@@ -284,10 +336,10 @@ func TestGatherAbortsOnEpochChange(t *testing.T) {
 		t.Fatalf("post-eviction gather: %v %v", errs[0], errs[1])
 	}
 	// Stale-epoch and evicted callers are rejected immediately.
-	if _, err := c.Gather(ctx, 0, 0, "r", 0); !errors.Is(err, ErrEpochChanged) {
+	if _, err := c.Gather(ctx, 0, 0, "r", Item{}); !errors.Is(err, ErrEpochChanged) {
 		t.Fatalf("stale-epoch gather error = %v", err)
 	}
-	if _, err := c.Gather(ctx, 2, 1, "r", 0); !errors.Is(err, ErrEvicted) {
+	if _, err := c.Gather(ctx, 2, 1, "r", Item{}); !errors.Is(err, ErrEvicted) {
 		t.Fatalf("evicted gather error = %v", err)
 	}
 }

@@ -52,17 +52,6 @@ type LinkFaults struct {
 	// (Until == 0 means no upper bound).
 	From, Until uint64
 
-	// FromElapsed and UntilElapsed additionally bound the window by wall
-	// time since the injector's creation: faults fire only while
-	// FromElapsed <= elapsed < UntilElapsed (zero UntilElapsed means no
-	// upper bound; both zero disables the time gate). Unlike the sequence
-	// window this trades bit-reproducibility for duration-faithful
-	// scenarios — an outage that must outlast a failure detector's
-	// staleness limit and then heal is a property of wall time, not of how
-	// many frames the victim happened to attempt. Use it for partition /
-	// heal schedules; keep bitwise-replay schedules on From/Until.
-	FromElapsed, UntilElapsed time.Duration
-
 	// PartitionFrom blackholes the link permanently from the given frame
 	// sequence number onward (every later transmission is dropped and no
 	// retransmission can succeed). nil means never.
@@ -111,7 +100,6 @@ type Verdict struct {
 // except the per-node crash counters, which are atomic.
 type Injector struct {
 	cfg     Config
-	start   time.Time // epoch for FromElapsed/UntilElapsed windows
 	crashed []crashCounter
 }
 
@@ -122,7 +110,7 @@ type crashCounter struct {
 
 // NewInjector compiles a Config for a cluster of n nodes.
 func NewInjector(n int, cfg Config) *Injector {
-	inj := &Injector{cfg: cfg, start: time.Now(), crashed: make([]crashCounter, n)}
+	inj := &Injector{cfg: cfg, crashed: make([]crashCounter, n)}
 	for id, after := range cfg.CrashAfter {
 		if id >= 0 && id < n {
 			inj.crashed[id].limit.Store(after + 1) // 0 sends allowed means limit 1
@@ -174,12 +162,6 @@ func (inj *Injector) Decide(src, dst int, seq uint64, attempt int) Verdict {
 	}
 	if seq < lf.From || (lf.Until > 0 && seq >= lf.Until) {
 		return v
-	}
-	if lf.FromElapsed > 0 || lf.UntilElapsed > 0 {
-		elapsed := time.Since(inj.start)
-		if elapsed < lf.FromElapsed || (lf.UntilElapsed > 0 && elapsed >= lf.UntilElapsed) {
-			return v
-		}
 	}
 	if lf.DelayRate > 0 && inj.draw(src, dst, seq, attempt, 1) < lf.DelayRate {
 		v.Delay = lf.Delay

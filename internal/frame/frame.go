@@ -1,7 +1,7 @@
 // Package frame is the one byte discipline under every format this
-// repository reads or writes: tcpfabric's INCP data frames, elastic's INCC
-// control frames, train's INCK checkpoints, inccompress's INCF containers,
-// the nic packet model and the fault wrapper's payload checksum. It owns
+// repository reads or writes: tcpfabric's INCP data frames, train's INCK
+// checkpoints, inccompress's INCF containers, the nic packet model and the
+// fault wrapper's payload checksum. It owns
 // four decisions: fields are little-endian; a float32 travels as its
 // IEEE-754 bit pattern; integrity is CRC32-C (Castagnoli); and a length read
 // from outside never sizes an allocation the source has not been shown to
@@ -66,12 +66,8 @@ func AppendF32s(dst []byte, vals []float32) []byte {
 	return dst
 }
 
-// AppendU32 and AppendU64 append one fixed-width field to b.
+// AppendU32 appends one u32 field to b.
 func AppendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func AppendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-// AppendStr appends s to b as a u32 length and its bytes.
-func AppendStr(b []byte, s string) []byte { return append(AppendU32(b, uint32(len(s))), s...) }
 
 // Reader is a cursor over bytes this process did not write. The first
 // error sticks — every later read returns zero values and consumes nothing —
@@ -150,8 +146,7 @@ func (r *Reader) fixed(n int) []byte {
 	return r.fix[:n]
 }
 
-// U8, U32 and U64 read one fixed-width field.
-func (r *Reader) U8() uint8   { return r.fixed(1)[0] }
+// U32 and U64 read one fixed-width field.
 func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
 func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
 
@@ -192,9 +187,6 @@ func (r *Reader) Bytes(n int) []byte {
 	}
 	return out
 }
-
-// Str reads a u32 length and that many bytes as a string.
-func (r *Reader) Str() string { return string(r.Bytes(int(r.U32()))) }
 
 // F32s reads n float32 values (never nil on success, so an empty vector
 // stays distinct from an absent one); n is the caller's, as for Bytes.
@@ -255,8 +247,7 @@ func (w *Writer) Bytes(p []byte) {
 	w.crc = crc32.Update(w.crc, castagnoli, p)
 }
 
-// U8, U32 and U64 write one fixed-width field.
-func (w *Writer) U8(v uint8)   { w.Bytes(append(w.fix[:0], v)) }
+// U32 and U64 write one fixed-width field.
 func (w *Writer) U32(v uint32) { w.Bytes(binary.LittleEndian.AppendUint32(w.fix[:0], v)) }
 func (w *Writer) U64(v uint64) { w.Bytes(binary.LittleEndian.AppendUint64(w.fix[:0], v)) }
 

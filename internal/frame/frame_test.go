@@ -18,13 +18,11 @@ import (
 )
 
 // record is a format with one field of every kind the Reader decodes, in
-// the shape the real formats use: fixed fields, a string, a u32-counted
-// blob, a u32-counted float vector and a trailing checksum.
+// the shape the real formats use: fixed fields, a u32-counted blob, a
+// u32-counted float vector and a trailing checksum.
 type record struct {
-	tag  uint8
 	a    uint32
 	b    uint64
-	s    string
 	blob []byte
 	vec  []float32
 }
@@ -33,10 +31,8 @@ func (rec record) encode(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.U8(rec.tag)
 	w.U32(rec.a)
 	w.U64(rec.b)
-	w.Bytes(AppendStr(nil, rec.s))
 	w.U32(uint32(len(rec.blob)))
 	w.Bytes(rec.blob)
 	w.U32(uint32(len(rec.vec)))
@@ -50,7 +46,7 @@ func (rec record) encode(t *testing.T) []byte {
 
 func decodeRecord(src io.Reader) (record, error) {
 	r := NewReader(src)
-	rec := record{tag: r.U8(), a: r.U32(), b: r.U64(), s: r.Str()}
+	rec := record{a: r.U32(), b: r.U64()}
 	rec.blob = r.Bytes(int(r.U32()))
 	rec.vec = r.F32s(int(r.U32()))
 	r.Verify()
@@ -58,7 +54,7 @@ func decodeRecord(src io.Reader) (record, error) {
 }
 
 func sameRecord(x, y record) bool {
-	if x.tag != y.tag || x.a != y.a || x.b != y.b || x.s != y.s || !bytes.Equal(x.blob, y.blob) || len(x.vec) != len(y.vec) {
+	if x.a != y.a || x.b != y.b || !bytes.Equal(x.blob, y.blob) || len(x.vec) != len(y.vec) {
 		return false
 	}
 	for i := range x.vec {
@@ -94,11 +90,11 @@ func ramp(n int) []float32 {
 // what is allocated is bounded by the bytes that were really there, never
 // by a length they declare; and whatever decodes re-encodes to its input.
 func TestReaderEdges(t *testing.T) {
-	valid := record{tag: 7, a: 0xDEADBEEF, b: 1 << 40, s: "recover@7", blob: []byte{1, 2, 3}, vec: []float32{1.5, -2.25, 0}}
+	valid := record{a: 0xDEADBEEF, b: 1 << 40, blob: []byte{1, 2, 3}, vec: []float32{1.5, -2.25, 0}}
 	onePast := valid.encode(t)
 	onePast = onePast[:len(onePast)-1]
-	// The blob's length field sits after tag, a, b and the string.
-	lenAt := 1 + 4 + 8 + 4 + len(valid.s)
+	// The blob's length field sits after a and b.
+	lenAt := 4 + 8
 	hugeBlob := valid.encode(t)
 	binary.LittleEndian.PutUint32(hugeBlob[lenAt:], 1<<30)
 	hugeVec := valid.encode(t)
@@ -114,7 +110,7 @@ func TestReaderEdges(t *testing.T) {
 	cases := []edge{
 		{"empty", nil, false},
 		{"one byte", []byte{0}, false},
-		{"all zeros", filled(64, 0), false}, // six zero fields, but their CRC32-C is not zero
+		{"all zeros", filled(64, 0), false}, // four zero fields, but their CRC32-C is not zero
 		{"all ones", filled(64, 0xFF), false},
 		{"valid", valid.encode(t), true},
 		{"one byte short", onePast, false},
@@ -184,15 +180,15 @@ func TestReaderErrors(t *testing.T) {
 	src := bytes.NewReader(filled(32, 9))
 	r := NewReader(src)
 	mine := errors.New("caller's own validation")
-	r.U8()
+	r.U32()
 	r.Fail(mine)
 	r.Fail(errors.New("a later one"))
-	if r.U8() != 0 || r.U32() != 0 || r.U64() != 0 || r.Str() != "" || r.Bytes(4) != nil || r.F32s(2) != nil {
+	if r.U32() != 0 || r.U64() != 0 || r.Bytes(4) != nil || r.F32s(2) != nil {
 		t.Error("a failed Reader returned a non-zero value")
 	}
 	r.Verify()
-	if r.Err() != mine || src.Len() != 31 {
-		t.Errorf("after Fail: err %v with %d bytes left; want the first error and 31", r.Err(), src.Len())
+	if r.Err() != mine || src.Len() != 28 {
+		t.Errorf("after Fail: err %v with %d bytes left; want the first error and 28", r.Err(), src.Len())
 	}
 	if r := NewReader(bytes.NewReader(filled(8, 0))); r.Bytes(-1) != nil || r.Err() == nil {
 		t.Error("negative length accepted")
@@ -260,9 +256,8 @@ func TestFloatAndChecksumHelpers(t *testing.T) {
 	if ChecksumF32s(vals) != Checksum(want) || ChecksumF32s(nil) != Checksum(nil) {
 		t.Fatal("ChecksumF32s differs from the checksum of the encoding")
 	}
-	b := AppendStr(AppendU64(AppendU32(nil, 0x04030201), 0x0C0B0A0908070605), "hi")
-	if !bytes.Equal(b, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2, 0, 0, 0, 'h', 'i'}) {
-		t.Fatalf("append helpers wrote % x", b)
+	if b := AppendU32([]byte{0xEE}, 0x04030201); !bytes.Equal(b, []byte{0xEE, 1, 2, 3, 4}) {
+		t.Fatalf("AppendU32 wrote % x", b)
 	}
 }
 

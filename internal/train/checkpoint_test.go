@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"os"
@@ -77,9 +78,9 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 // weights vector claims maxCkptVector values and then ends.
 func hostileCheckpoint() []byte {
 	b := frame.AppendU32(frame.AppendU32(nil, runCkptMagic), runCkptVersion)
-	b = frame.AppendU32(frame.AppendU32(b, 4), 0)    // universe, epoch
-	b = frame.AppendU32(frame.AppendU64(b, 9), 0)    // next iteration, member count
-	return frame.AppendU64(b, uint64(maxCkptVector)) // weights length
+	b = frame.AppendU32(frame.AppendU32(b, 4), 0)                     // universe, epoch
+	b = frame.AppendU32(binary.LittleEndian.AppendUint64(b, 9), 0)    // next iteration, member count
+	return binary.LittleEndian.AppendUint64(b, uint64(maxCkptVector)) // weights length
 }
 
 func allocDuring(f func()) uint64 {

@@ -33,10 +33,9 @@ var ErrInterrupted = errors.New("train: run interrupted; resume from checkpoint 
 var errWorkerDone = errors.New("train: worker left the membership")
 
 // elasticWorker extends the worker (seekable loader, replay snapshots
-// armed) with its membership + data-plane endpoints.
+// armed) with its epoch-filtering data-plane endpoint.
 type elasticWorker struct {
 	*worker
-	m    elastic.Membership
 	peer *elastic.Peer
 	// ctx scopes this worker *generation*: cancelling it aborts every
 	// blocked wait (exchange receives, gathers, sync transfers) without
@@ -77,22 +76,30 @@ const syncTagOffset = 1 << 19
 const recoveryWait = 5 * time.Second
 
 // elasticRun is the shared state of one RunElastic/RunElasticTCP
-// invocation. member hands each worker its membership endpoint (the
-// shared in-process coordinator, or that worker's TCP control-channel
-// client).
+// invocation. Every worker calls the run's coordinator directly.
 type elasticRun struct {
 	*session
 	startIter int
 	coord     *elastic.Coordinator
-	member    func(id int) elastic.Membership
 
 	replays  *obs.Counter   // elastic_replays (nil-safe)
 	ckptHist *obs.Histogram // checkpoint_write_seconds (nil-safe)
+	joinRuns *obs.Counter   // elastic_join_workers, RunElasticTCP only (nil-safe)
 
 	// finished holds what each worker that completed or halted left behind:
 	// its weights, and — from the one that led the final view — the final
 	// accuracy and loss. Under session.mu.
 	finished map[int]Result
+
+	// Worker generations (see spawn), under session.mu: every generation's
+	// exit, and for rejoins the per-id generation in flight — its cancel
+	// and a channel closed once it has fully exited.
+	gens      sync.WaitGroup
+	errs      []error
+	finishing bool
+	rejoining []bool
+	genCancel []context.CancelFunc
+	genDone   []chan struct{}
 }
 
 // newElasticRun starts the membership side of a run over plane: the
@@ -106,6 +113,10 @@ func newElasticRun(plane *dataPlane, build Builder, trainDS, testDS data.Dataset
 		replays:  o.Obs.Counter("elastic_replays"),
 		ckptHist: o.Obs.Histogram("checkpoint_write_seconds"),
 		finished: make(map[int]Result),
+
+		rejoining: make([]bool, o.Workers),
+		genCancel: make([]context.CancelFunc, o.Workers),
+		genDone:   make([]chan struct{}, o.Workers),
 	}
 	if ck != nil {
 		r.startIter = ck.NextIter
@@ -139,12 +150,43 @@ func failsRun(err error) bool {
 	return err != nil && !errors.Is(err, errWorkerDone) && !errors.Is(err, ErrInterrupted)
 }
 
-// outcome folds the workers' exits (errs, in any order) and end states
-// into the run's result.
-func (r *elasticRun) outcome(errs []error) (Result, error) {
+// spawn runs one worker generation's body and folds its exit into the
+// run's; a real fault cancels the run to unblock the siblings. A caller
+// that may race wait (a rejoin) calls it under session.mu after checking
+// finishing.
+func (r *elasticRun) spawn(body func() error) {
+	r.gens.Add(1)
+	go func() {
+		defer r.gens.Done()
+		err := body()
+		r.mu.Lock()
+		r.errs = append(r.errs, err)
+		r.mu.Unlock()
+		if failsRun(err) {
+			r.cancel()
+		}
+	}()
+}
+
+// wait joins every worker generation and returns the run's outcome. Two
+// phases: a rejoin in flight holds the WaitGroup, but one that slips in
+// between the first Wait returning and finishing being set is caught by
+// the second (rejoin checks the flag under the same lock).
+func (r *elasticRun) wait() (Result, error) {
+	r.gens.Wait()
+	r.mu.Lock()
+	r.finishing = true
+	r.mu.Unlock()
+	r.gens.Wait()
+	return r.outcome()
+}
+
+// outcome folds the generations' exits (in any order) and end states into
+// the run's result, once every generation has exited.
+func (r *elasticRun) outcome() (Result, error) {
 	interrupted := false
 	var hard []error
-	for _, err := range errs {
+	for _, err := range r.errs {
 		if failsRun(err) {
 			hard = append(hard, err)
 		}
@@ -204,22 +246,10 @@ func RunElastic(build Builder, trainDS, testDS data.Dataset, iters int, o Option
 	if o.SuspectAfter > 0 {
 		r.coord.WatchFabric(plane.fabric)
 	}
-	r.member = func(int) elastic.Membership { return r.coord }
-
-	errs := make([]error, o.Workers)
-	var wg sync.WaitGroup
 	for _, id := range r.coord.View().Members {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			errs[id] = r.worker(r.ctx, id, ck, false)
-			if failsRun(errs[id]) {
-				r.cancel() // unblock the siblings
-			}
-		}(id)
+		r.spawn(func() error { return r.worker(r.ctx, id, ck, false) })
 	}
-	wg.Wait()
-	return r.outcome(errs)
+	return r.wait()
 }
 
 // prepareElastic validates the options an elastic run requires, applies
@@ -288,7 +318,6 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 		return err
 	}
 	w.ctx = ctx
-	w.m = r.member(id)
 	tp, cleanup := r.plane.peer(id)
 	defer cleanup()
 	w.peer = elastic.NewPeer(tp)
@@ -301,7 +330,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 	// the one it halts or completes with. A successful exchange implies
 	// every participant held the same view (epoch-banded tags), so these
 	// decisions are identical across members by construction.
-	view := w.m.View()
+	view := r.coord.View()
 	if joining {
 		// Catch up before emitting any traffic: meet the survivors at the
 		// join epoch's rendezvous, receive the exact pre-replay weights and
@@ -322,15 +351,15 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 		if o.Stop != nil {
 			select {
 			case <-o.Stop:
-				w.m.ProposeHalt(iter)
+				r.coord.ProposeHalt(iter)
 			default:
 			}
 		}
-		if h := w.m.HaltIter(); h >= 0 && iter >= h {
+		if h := r.coord.HaltIter(); h >= 0 && iter >= h {
 			return r.halt(w, id, iter, pending, view)
 		}
-		w.m.Beat(id)
-		cur := w.m.View()
+		r.coord.Beat(id)
+		cur := r.coord.View()
 		if !cur.Contains(id) {
 			return errWorkerDone
 		}
@@ -353,7 +382,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 		// The exchange runs under the epoch context: a death declaration
 		// cancels it on every survivor at once.
 		exCtx, exCancel := context.WithCancel(w.ctx)
-		stopLink := context.AfterFunc(w.m.EpochContext(view.Epoch), exCancel)
+		stopLink := context.AfterFunc(r.coord.EpochContext(view.Epoch), exCancel)
 		ropt := ring.Options{
 			StepTimeout: o.StepTimeout,
 			ChunkSize:   o.ChunkSize,
@@ -371,7 +400,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 			// This node is the casualty: its own transport refuses service.
 			// Self-report (a real process would exit and drop its lease) and
 			// leave; the survivors reconfigure around us.
-			w.m.ReportDead(id, exErr)
+			r.coord.ReportDead(id, exErr)
 			return errWorkerDone
 		}
 		if exErr == nil {
@@ -396,14 +425,14 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 			}
 			continue
 		}
-		if w.m.View().Epoch == view.Epoch {
+		if r.coord.View().Epoch == view.Epoch {
 			// The exchange failed but nobody has been declared dead yet.
 			// Surface the evidence and wait (bounded) for a verdict: either
 			// the epoch advances and recovery proceeds, or the fault was not
 			// a membership event and it stands as the run's error.
-			w.m.ReportAnomaly(id, exErr)
+			r.coord.ReportAnomaly(id, exErr)
 			wctx, wcancel := context.WithTimeout(w.ctx, recoveryWait)
-			_, werr := w.m.AwaitEpoch(wctx, id, view.Epoch)
+			_, werr := r.coord.AwaitEpoch(wctx, id, view.Epoch)
 			wcancel()
 			if werr != nil {
 				return fmt.Errorf("train: worker %d iter %d: %w", id, iter, exErr)
@@ -419,7 +448,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 	// Natural completion. All members of the final committed exchange
 	// arrive here in lockstep; the final checkpoint gathers under that
 	// commit-time view so everyone makes the same gather-or-skip call.
-	w.m.Beat(id)
+	r.coord.Beat(id)
 	if o.CheckpointDir != "" {
 		if err := r.checkpoint(w, id, r.iters, w.sl.Cursor(), w.residual, view); err != nil {
 			return err
@@ -429,7 +458,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 	// Leave the membership so a survivor still mid-recovery never blocks
 	// on this exited worker: the departure advances the epoch, failing its
 	// rendezvous, and it re-resolves against the shrunken view.
-	w.m.Depart(id)
+	r.coord.Depart(id)
 	return nil
 }
 
@@ -452,20 +481,19 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 // way, so the joiner splices in bit-exactly.
 func (r *elasticRun) rendezvous(w *elasticWorker, id, iter int, pending, joining bool) (int, bool, elastic.View, error) {
 	for {
-		w.m.Beat(id)
-		cur := w.m.View()
+		r.coord.Beat(id)
+		cur := r.coord.View()
 		if !cur.Contains(id) {
 			return 0, false, cur, errWorkerDone
 		}
-		vals, err := w.m.Gather(w.ctx, id, cur.Epoch, fmt.Sprintf("recover@%d", cur.Epoch),
+		vals, err := r.coord.Gather(w.ctx, id, cur.Epoch, fmt.Sprintf("recover@%d", cur.Epoch),
 			elastic.Item{Iter: int64(iter), Joining: joining})
 		if errors.Is(err, elastic.ErrEpochChanged) {
 			continue // another death while gathering: redo under the new view
 		}
 		if errors.Is(err, elastic.ErrEvicted) || errors.Is(err, elastic.ErrClosed) {
-			// Evicted, or this generation's membership endpoint was retired
-			// under it (a replacement generation took over the id): either
-			// way this worker is out of the run, not the run's failure.
+			// Evicted, or the coordinator closed under it: either way this
+			// worker is out of the run, not the run's failure.
 			return 0, false, cur, errWorkerDone
 		}
 		if err != nil {
@@ -484,7 +512,7 @@ func (r *elasticRun) rendezvous(w *elasticWorker, id, iter int, pending, joining
 
 		if joining {
 			if err := r.joinSync(w, syncFrom, cur, replay); err != nil {
-				if w.m.View().Epoch != cur.Epoch {
+				if r.coord.View().Epoch != cur.Epoch {
 					continue // the membership moved mid-sync: redo the rendezvous
 				}
 				return 0, false, cur, fmt.Errorf("train: worker %d join sync from %d: %w", id, syncFrom, err)
@@ -525,7 +553,7 @@ func (r *elasticRun) rendezvous(w *elasticWorker, id, iter int, pending, joining
 			// engaging the ring (the joiner will not emit ring traffic until
 			// it has applied this).
 			if err := r.sendSync(w, joiners, cur); err != nil {
-				if w.m.View().Epoch != cur.Epoch {
+				if r.coord.View().Epoch != cur.Epoch {
 					iter, pending = newIter, newPending
 					continue // superseded mid-sync: the next epoch re-runs this
 				}
@@ -541,10 +569,9 @@ func (r *elasticRun) rendezvous(w *elasticWorker, id, iter int, pending, joining
 // the sorted joiner ids, and the sync source (the lowest established
 // member — View.Leader may be a joiner, which cannot source state). ok
 // is false when no established member is present.
-func splitRendezvous(vals map[int]interface{}) (replay int, joiners []int, syncFrom int, ok bool) {
+func splitRendezvous(vals map[int]elastic.Item) (replay int, joiners []int, syncFrom int, ok bool) {
 	syncFrom = -1
-	for m, v := range vals {
-		it := v.(elastic.Item)
+	for m, it := range vals {
 		if it.Joining {
 			joiners = append(joiners, m)
 			continue
@@ -570,7 +597,7 @@ func (r *elasticRun) sendSync(w *elasticWorker, joiners []int, cur elastic.View)
 	payload = append(payload, w.velocity()...)
 	sctx, scancel := context.WithCancel(w.ctx)
 	defer scancel()
-	stop := context.AfterFunc(w.m.EpochContext(cur.Epoch), scancel)
+	stop := context.AfterFunc(r.coord.EpochContext(cur.Epoch), scancel)
 	defer stop()
 	tag := elastic.TagBase(cur.Epoch) + syncTagOffset
 	for _, j := range joiners {
@@ -589,7 +616,7 @@ func (r *elasticRun) sendSync(w *elasticWorker, joiners []int, cur elastic.View)
 func (r *elasticRun) joinSync(w *elasticWorker, from int, cur elastic.View, replay int) error {
 	sctx, scancel := context.WithTimeout(w.ctx, recoveryWait)
 	defer scancel()
-	stop := context.AfterFunc(w.m.EpochContext(cur.Epoch), scancel)
+	stop := context.AfterFunc(r.coord.EpochContext(cur.Epoch), scancel)
 	defer stop()
 	payload, err := w.peer.RecvCtx(sctx, from, elastic.TagBase(cur.Epoch)+syncTagOffset)
 	if err != nil {
@@ -627,7 +654,7 @@ func (r *elasticRun) halt(w *elasticWorker, id, iter int, pending bool, view ela
 		}
 	}
 	r.finish(w, false)
-	w.m.Depart(id)
+	r.coord.Depart(id)
 	return ErrInterrupted
 }
 
@@ -648,7 +675,7 @@ func (r *elasticRun) checkpoint(w *elasticWorker, id, nextIter int, cursor uint6
 		contrib.Residual = append([]float32(nil), residual...)
 	}
 	key := fmt.Sprintf("ckpt@e%d@i%d", view.Epoch, nextIter)
-	vals, err := w.m.Gather(w.ctx, id, view.Epoch, key, contrib)
+	vals, err := r.coord.Gather(w.ctx, id, view.Epoch, key, contrib)
 	if err != nil {
 		if errors.Is(err, elastic.ErrEpochChanged) || errors.Is(err, elastic.ErrEvicted) || errors.Is(err, elastic.ErrClosed) {
 			return nil
@@ -668,8 +695,7 @@ func (r *elasticRun) checkpoint(w *elasticWorker, id, nextIter int, cursor uint6
 		Cursors:   make(map[int]uint64, len(vals)),
 		Residuals: make(map[int][]float32, len(vals)),
 	}
-	for m, v := range vals {
-		mc := v.(elastic.Item)
+	for m, mc := range vals {
 		ck.Cursors[m] = mc.Cursor
 		if mc.Residual != nil {
 			ck.Residuals[m] = mc.Residual

@@ -1,12 +1,14 @@
 package train
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"inceptionn/internal/elastic"
+	"inceptionn/internal/comm"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
@@ -101,81 +103,42 @@ func TestElasticTCPJoin(t *testing.T) {
 	weightsEqual(t, resA.FinalWeights, resB.FinalWeights, "crash+join run vs resume from post-join checkpoint")
 }
 
-// TestElasticTCPPartitionHeal cuts one worker's control link for a window
-// of frames: the partitioned minority must halt (fail closed, no
-// split-brain writes), the majority must evict it and continue, and once
-// the window heals the janitor must bring the node back through the
-// normal join path. Completion with a full-membership checkpoint at a
-// post-join epoch is the proof of the whole cycle.
-func TestElasticTCPPartitionHeal(t *testing.T) {
+// TestElasticTCPBitIdenticalToElastic: the two elastic runners share the
+// membership protocol and differ only in their data plane, so on a clean
+// run RunElasticTCP lands on RunElastic's weights, final loss and pre-codec
+// byte count — plain and compressed, at three and four workers, whole-block
+// and chunked.
+func TestElasticTCPBitIdenticalToElastic(t *testing.T) {
+	const iters = 6
 	trainDS, testDS := digitsData()
-	const iters = 60
-	dir := t.TempDir()
-
-	o := elasticTCPOptions()
-	o.CheckpointDir = dir
-	o.CheckpointKeep = -1
-	o.Join = true
-	o.SuspectAfter = time.Second
-	// Pace the loop so the run comfortably outlasts the outage-and-heal
-	// schedule below on fast machines.
-	o.Straggler = map[int]time.Duration{
-		0: 50 * time.Millisecond, 1: 50 * time.Millisecond,
-		2: 50 * time.Millisecond, 3: 50 * time.Millisecond,
-	}
-	// Black-hole node 3's control link for a wall-clock window that
-	// outlasts the staleness limit: the coordinator evicts it (grading
-	// the silence as a link partition — its control connection dropped),
-	// the node fails closed, and once the window ends the janitor's
-	// redial gets through and splices it back in.
-	o.Chaos = &fault.Config{
-		Seed: 5,
-		Links: map[fault.Link]fault.LinkFaults{
-			{Src: 3, Dst: elastic.CtrlPeer}: {
-				DropRate:     1,
-				FromElapsed:  500 * time.Millisecond,
-				UntilElapsed: 3 * time.Second,
-			},
-		},
-	}
-
-	done := make(chan struct{})
-	var res Result
-	var err error
-	go func() {
-		defer close(done)
-		res, err = RunElasticTCP(models.NewHDCSmall, trainDS, testDS, iters, o, fpcodec.MustBound(10))
-	}()
-	select {
-	case <-done:
-	case <-time.After(300 * time.Second):
-		t.Fatal("partition-heal run hung")
-	}
-	if err != nil {
-		t.Fatalf("partition-heal run failed: %v", err)
-	}
-	if res.FinalWeights == nil {
-		t.Fatal("partition-heal run produced no weights")
-	}
-
-	// The trail must show node 3 back in the membership at an epoch past
-	// its eviction (evict bumps to >= 1, rejoin to >= 2).
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejoined := false
-	for _, e := range entries {
-		ck, err := ReadCheckpointFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatalf("invalid checkpoint %s: %v", e.Name(), err)
+	bound := fpcodec.MustBound(10)
+	for _, compress := range []bool{false, true} {
+		for _, workers := range []int{3, 4} {
+			for _, chunk := range []int{0, 4096} {
+				t.Run(fmt.Sprintf("compress=%v/workers=%d/chunk=%d", compress, workers, chunk), func(t *testing.T) {
+					o := elasticTCPOptions()
+					o.Workers, o.ChunkSize = workers, chunk
+					if compress {
+						o.Compress, o.Processor = true, comm.CodecProcessor{Bound: bound}
+					}
+					want, err := RunElastic(models.NewHDCSmall, trainDS, testDS, iters, o)
+					if err != nil {
+						t.Fatalf("RunElastic: %v", err)
+					}
+					got, err := RunElasticTCP(models.NewHDCSmall, trainDS, testDS, iters, o, bound)
+					if err != nil {
+						t.Fatalf("RunElasticTCP: %v", err)
+					}
+					weightsEqual(t, got.FinalWeights, want.FinalWeights, "RunElasticTCP vs RunElastic")
+					if math.Float64bits(got.FinalLoss) != math.Float64bits(want.FinalLoss) {
+						t.Errorf("FinalLoss = %v, RunElastic %v", got.FinalLoss, want.FinalLoss)
+					}
+					if got.RawBytes != want.RawBytes {
+						t.Errorf("RawBytes = %d, RunElastic %d", got.RawBytes, want.RawBytes)
+					}
+				})
+			}
 		}
-		if ck.Epoch >= 2 && len(ck.Members) == 4 && ck.contains(3) {
-			rejoined = true
-		}
-	}
-	if !rejoined {
-		t.Fatal("no checkpoint shows node 3 rejoined after the partition healed")
 	}
 }
 

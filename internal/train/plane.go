@@ -21,8 +21,7 @@ type dataPlane struct {
 	fabric  *comm.Fabric
 	cluster *tcpfabric.Cluster
 	// inj is the run's fault injector (nil without Options.Chaos). The
-	// elastic TCP runner shares it with the control channel and revives
-	// crashed nodes through it.
+	// elastic TCP runner revives crashed nodes through it.
 	inj *fault.Injector
 	// finalize is the owner-block finalizer for the exchange: with
 	// compression enabled, a node's own fully aggregated block is passed

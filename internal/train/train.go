@@ -166,9 +166,6 @@ type Options struct {
 	// newest valid checkpoint, and rejoins the ring at the next epoch
 	// boundary with its state synchronized from a surviving member.
 	Join bool
-	// CoordAddr is RunElasticTCP's control-channel listen address
-	// (host:port). Empty binds an ephemeral localhost port.
-	CoordAddr string
 	// Stop, when non-nil, drains RunElastic gracefully once closed: the
 	// workers agree on a common halt iteration, write a final checkpoint,
 	// and the run returns ErrInterrupted.
@@ -274,8 +271,8 @@ func (o *Options) prepare(tcp, elastic bool) (collective, error) {
 		return collective{}, fmt.Errorf("train: SwitchFallback requires StepTimeout > 0 (stall detection needs a deadline)")
 	case !elastic && (o.Resume || o.CheckpointDir != "" || o.CheckpointEvery != 0 || o.Stop != nil || o.SuspectAfter != 0):
 		return collective{}, fmt.Errorf("train: Resume, CheckpointDir, CheckpointEvery, Stop and SuspectAfter are read only by RunElastic and RunElasticTCP")
-	case !(elastic && tcp) && (o.Join || o.CoordAddr != ""):
-		return collective{}, fmt.Errorf("train: Join and CoordAddr are read only by RunElasticTCP")
+	case !(elastic && tcp) && o.Join:
+		return collective{}, fmt.Errorf("train: Join is read only by RunElasticTCP")
 	}
 	if o.EvalSamples == 0 {
 		o.EvalSamples = 256

@@ -292,15 +292,14 @@ func TestRunnersRejectOptionsTheyNeverRead(t *testing.T) {
 		"Stop":            func(o *Options) { o.Stop = stop },
 		"SuspectAfter":    func(o *Options) { o.SuspectAfter = time.Second },
 		"Join":            func(o *Options) { o.Join = true },
-		"CoordAddr":       func(o *Options) { o.CoordAddr = "127.0.0.1:0" },
 		"SwitchFallback":  func(o *Options) { o.SwitchFallback, o.StepTimeout = true, time.Second },
 	}
-	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join", "CoordAddr"}
+	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join"}
 	unread := map[string][]string{
 		"Run":           append([]string{"SwitchFallback"}, fixed...),
 		"RunRingTCP":    append([]string{"SwitchFallback"}, fixed...),
 		"RunSwitchTCP":  fixed,
-		"RunElastic":    {"Join", "CoordAddr", "SwitchFallback"},
+		"RunElastic":    {"Join", "SwitchFallback"},
 		"RunElasticTCP": {"SwitchFallback"},
 	}
 	for runner, names := range unread {
