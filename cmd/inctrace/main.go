@@ -19,11 +19,6 @@
 //	inctrace tune run.jsonl                   # fit α-β-γ from the trace,
 //	                                          # rank strategy/chunk/compression
 //	                                          # plans, what-if scaling
-//	inctrace health -addr 127.0.0.1:8080      # health-engine status + incident
-//	                                          # timeline from a live run
-//	inctrace incidents blackbox-*.jsonl       # incident timeline from black-box
-//	                                          # dumps; -replay runs the dump's
-//	                                          # spans through breakdown + blame
 //
 // The bare-filename and -addr forms are the legacy interface and keep
 // working unchanged; everything else is a subcommand.
@@ -37,14 +32,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"inceptionn/internal/netsim"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/obs/health"
 	"inceptionn/internal/tune"
 )
 
@@ -136,7 +129,7 @@ func cmdBreakdown(args []string) {
 
 	if *addr == "" && fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: inctrace [breakdown] [flags] trace.jsonl... | inctrace -addr host:port")
-		fmt.Fprintln(os.Stderr, "subcommands: breakdown, metrics, merge, blame, calibrate, tune, health, incidents")
+		fmt.Fprintln(os.Stderr, "subcommands: breakdown, metrics, merge, blame, calibrate, tune")
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
@@ -404,94 +397,6 @@ func parseNodeList(s string) []int {
 	return nodes
 }
 
-// cmdHealth scrapes a live run's /health endpoint (inctrain -health
-// -metrics-addr) and renders the engine status plus incident timeline.
-func cmdHealth(args []string) {
-	fs := flag.NewFlagSet("health", flag.ExitOnError)
-	addr := fs.String("addr", "", "live run's -metrics-addr endpoint")
-	fs.Parse(args)
-	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "usage: inctrace health -addr host:port")
-		os.Exit(2)
-	}
-	body, err := fetch(*addr, "/health")
-	if err != nil {
-		fatal(err)
-	}
-	var st health.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		fatal(fmt.Errorf("parse /health: %w", err))
-	}
-	state := "HEALTHY"
-	if !st.Healthy {
-		state = "UNHEALTHY"
-	}
-	fmt.Printf("health: %s  open=%d total=%d dumps=%d polls=%d uptime=%.0fs\n",
-		state, st.Open, st.Total, st.Dumps, st.Polls, st.UptimeSecs)
-	if len(st.ByDetector) > 0 {
-		detectors := make([]string, 0, len(st.ByDetector))
-		for det := range st.ByDetector {
-			detectors = append(detectors, det)
-		}
-		sort.Strings(detectors)
-		fmt.Printf("by detector:")
-		for _, det := range detectors {
-			fmt.Printf(" %s=%d", det, st.ByDetector[det])
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	health.RenderIncidents(os.Stdout, st.Incidents)
-}
-
-// cmdIncidents renders the incident timeline held in black-box dumps
-// and, with -replay, runs the dumped spans through the same breakdown
-// and critical-path attribution the live trace tooling uses.
-func cmdIncidents(args []string) {
-	fs := flag.NewFlagSet("incidents", flag.ExitOnError)
-	replay := fs.Bool("replay", false, "replay the dump's spans through breakdown + blame")
-	minGap := fs.Duration("min-gap", 100*time.Microsecond, "blame threshold for -replay (see inctrace blame)")
-	width := fs.Int("width", 100, "timeline width for -replay")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: inctrace incidents [-replay] blackbox-*.jsonl...")
-		os.Exit(2)
-	}
-
-	var incs []health.Incident
-	var spans []obs.Span
-	for _, path := range fs.Args() {
-		d, err := health.ReadDumpFile(path)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		incs = append(incs, d.Incidents...)
-		spans = append(spans, d.Spans...)
-	}
-	fmt.Printf("%d incident(s) across %d dump(s):\n\n", len(incs), fs.NArg())
-	health.RenderIncidents(os.Stdout, incs)
-
-	if !*replay {
-		return
-	}
-	if len(spans) == 0 {
-		fatal(fmt.Errorf("dumps hold no spans to replay"))
-	}
-	fmt.Printf("\nreplay: %d pre-incident spans\n\n", len(spans))
-	bd := obs.Aggregate(spans)
-	bd.RenderTable(os.Stdout)
-	fmt.Println()
-	obs.RenderTimeline(os.Stdout, spans, *width)
-	fmt.Println()
-	r := obs.AttributeCriticalPath(spans, *minGap)
-	r.RenderBlame(os.Stdout)
-	if node, share := r.Gating(); node >= 0 {
-		fmt.Printf("gating: node %d (%.0f%% of attributed iterations)\n", node, 100*share)
-	} else {
-		fmt.Println("gating: none")
-	}
-}
-
 func main() {
 	args := os.Args[1:]
 	if len(args) > 0 {
@@ -513,12 +418,6 @@ func main() {
 			return
 		case "tune":
 			cmdTune(args[1:])
-			return
-		case "health":
-			cmdHealth(args[1:])
-			return
-		case "incidents":
-			cmdIncidents(args[1:])
 			return
 		}
 	}

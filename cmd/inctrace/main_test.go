@@ -110,3 +110,22 @@ func TestGatherFileAndLiveShareTimeline(t *testing.T) {
 		t.Fatalf("merged %+v (base %d), want %+v (base %d)", m.Spans, m.BaseUnixNs, want, instant)
 	}
 }
+
+// TestBlameReplaysOldBlackboxDump: a black-box dump written by the retired
+// health engine (the obs package's golden document, from a run whose node
+// 1 was slowed by 25ms per iteration) still replays through the file path
+// `inctrace blame` takes, and the post-mortem verdict names the straggler
+// the dump's own incident line named online.
+func TestBlameReplaysOldBlackboxDump(t *testing.T) {
+	m, err := gather("", []string{filepath.Join("..", "..", "internal", "obs", "testdata", "blackbox.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := obs.AttributeCriticalPath(m.Spans, 2*time.Millisecond)
+	if node, share := r.Gating(); node != 1 || share < 0.9 {
+		t.Fatalf("blame on the old dump gates node %d share %.2f, want node 1 ≥ 0.90", node, share)
+	}
+	if p := r.DominantPhase(1); p != obs.PhaseCompute {
+		t.Fatalf("dominant phase %s, want compute (the dump's incident named compute)", p)
+	}
+}

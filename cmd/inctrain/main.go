@@ -35,7 +35,6 @@ import (
 	"inceptionn/internal/models"
 	"inceptionn/internal/nic"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/obs/health"
 	"inceptionn/internal/opt"
 	"inceptionn/internal/train"
 	"inceptionn/internal/tune"
@@ -135,9 +134,6 @@ func main() {
 	straggle := flag.String("straggle", "", "inject per-iteration compute delay on nodes, e.g. \"2:5ms\" or \"0:1ms,3:10ms\" (validates `inctrace blame`)")
 	autotune := flag.Bool("autotune", false, "probe the machine, fit the α-β-γ model from the probe traces, and train with the best strategy/chunk/compression plan (in-process fabric only; overrides -algo and chunking)")
 	probeIters := flag.Int("probe-iters", 16, "autotune: iterations per probe run")
-	healthOn := flag.Bool("health", false, "run the online health engine: streaming straggler/link/transport anomaly detection with typed incidents (serves /health when -metrics-addr is set)")
-	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "health engine poll interval for the counter/gauge detectors")
-	blackboxDir := flag.String("blackbox-dir", "", "write a flight-recorder black-box JSONL dump into this directory whenever an incident opens (implies -health; replay with `inctrace incidents -replay` or `inctrace blame`)")
 	flag.Parse()
 
 	build, ok := models.Builders[*model]
@@ -189,14 +185,9 @@ func main() {
 	// counters. Created before the processor so the engines get the
 	// recorder. Leaving every obs flag unset keeps o.Obs nil and the hot
 	// paths free of even a clock read.
-	if *blackboxDir != "" {
-		*healthOn = true
-	}
 	var reg *obs.Registry
 	var tracer *obs.Tracer
-	// -health needs the recorder even when no trace/metrics output was
-	// asked for: its detectors read the registry and the span ring.
-	if *metricsAddr != "" || *traceOut != "" || *traceDir != "" || *metricsOut != "" || *healthOn {
+	if *metricsAddr != "" || *traceOut != "" || *traceDir != "" || *metricsOut != "" {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(*traceCap)
 		reg.Func("fpcodec_values_compressed", func() float64 {
@@ -208,21 +199,6 @@ func main() {
 			return float64(b)
 		})
 		o.Obs = obs.NewRecorder(reg, tracer)
-	}
-
-	// The health engine subscribes to the recorder and runs its polled
-	// detectors in the background; runners push step completions and
-	// self-healing events into it through o.Health.
-	var engine *health.Engine
-	if *healthOn {
-		engine = health.New(o.Obs, health.Options{BlackboxDir: *blackboxDir})
-		engine.Start(*healthInterval)
-		o.Health = engine
-		if *blackboxDir != "" {
-			fmt.Printf("health: engine on (poll %s), black-box dumps -> %s\n", *healthInterval, *blackboxDir)
-		} else {
-			fmt.Printf("health: engine on (poll %s)\n", *healthInterval)
-		}
 	}
 
 	// -autotune needs a wire processor even when -compress is off, so the
@@ -297,19 +273,12 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		var extra []obs.Mount
-		if engine != nil {
-			extra = append(extra, obs.Mount{Pattern: "/health", Handler: engine.Handler()})
-		}
-		addr, serr := obs.Serve(*metricsAddr, reg, tracer, extra...)
+		addr, serr := obs.Serve(*metricsAddr, reg, tracer)
 		if serr != nil {
 			fmt.Fprintln(os.Stderr, "inctrain:", serr)
 			os.Exit(2)
 		}
 		fmt.Printf("observability: http://%s/metrics (JSON, ?format=prom), /trace (JSONL), /debug/pprof\n", addr)
-		if engine != nil {
-			fmt.Printf("health: http://%s/health (JSON, ?format=prom)\n", addr)
-		}
 	}
 
 	// tuneMeta, when set, is appended to -trace-out as a self-describing
@@ -319,19 +288,9 @@ func main() {
 	var tuneMeta *tune.Meta
 
 	// flushObs persists the span ring buffer (whole-run file and/or
-	// per-node split) and the final metrics snapshot, and settles the
-	// health engine (final detector pass + incident report); called on
-	// every exit path that has training work behind it, including SIGINT.
+	// per-node split) and the final metrics snapshot; called on every exit
+	// path that has training work behind it, including SIGINT.
 	flushObs := func() {
-		if engine != nil {
-			engine.Close() // idempotent: analyzes the tail, runs a last poll
-			if incs := engine.Incidents(); len(incs) > 0 {
-				fmt.Printf("health: %d incident(s):\n", len(incs))
-				health.RenderIncidents(os.Stdout, incs)
-			} else {
-				fmt.Println("health: no incidents")
-			}
-		}
 		if tracer != nil && *traceOut != "" {
 			f, ferr := os.Create(*traceOut)
 			if ferr == nil {

@@ -221,8 +221,7 @@ func (r *BlameReport) Gating() (node int, share float64) {
 // DominantPhase returns the explanation for node's gating: the phase
 // that accounts for the most gap across the iterations it gated (the
 // earliest phase in table order on a tie or when it gated none). It is
-// the one tally behind the offline report's verdict and the health
-// engine's incident phase, so the two cannot name different phases.
+// the one tally behind the report's verdict.
 func (r *BlameReport) DominantPhase(node int) Phase {
 	var phaseTot [NumPhases]time.Duration
 	for _, ia := range r.Iters {

@@ -16,15 +16,17 @@ import (
 // The trace document's contract. testdata/ holds two documents written by
 // the binaries of the commit before ReadTrace became the format's only
 // reader — blackbox.jsonl, the black-box dump of `make obssmoke`'s
-// 3-worker `-straggle 1:25ms` run with -blackbox-dir added, and
-// tuned.jsonl, the same run's -trace-out under -autotune (so its
-// tune_meta line carries a chosen plan and fitted parameters) — each
-// beside what that commit's three readers (obs.ReadTrace, health.ReadDump,
-// tune.ParseTrace) returned for it (*.parsed.json), and golden_spans.jsonl,
-// that commit's WriteSpansJSONL output for goldenSpans. None of them may be
-// regenerated from the current code: they are the other side of the
-// comparison. internal/obs/health and internal/tune check their own
-// readers and writers against the same files.
+// 3-worker `-straggle 1:25ms` run with the since-retired health engine's
+// -blackbox-dir added, and tuned.jsonl, the same run's -trace-out under
+// -autotune (so its tune_meta line carries a chosen plan and fitted
+// parameters) — each beside what that commit's three readers
+// (obs.ReadTrace, health.ReadDump, tune.ParseTrace) returned for it
+// (*.parsed.json), and golden_spans.jsonl, that commit's WriteSpansJSONL
+// output for goldenSpans. None of them may be regenerated from the current
+// code: they are the other side of the comparison. internal/tune checks
+// its own reader and writer against the same files; an old black-box dump
+// stays readable by every span report, its incident and metric lines kept
+// verbatim under their first key.
 
 // goldenSpans is the fixed writer input: every phase, an iteration-less
 // span, zero and large offsets.

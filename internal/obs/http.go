@@ -16,11 +16,7 @@ import (
 //
 // Either reg or tr may be nil; the corresponding endpoint then serves
 // an empty document.
-//
-// Extra mounts extend the surface with endpoints obs itself cannot know
-// about (the health engine's /health, for one) without reversing the
-// dependency direction: obs stays import-free within the repo.
-func NewHTTPHandler(reg *Registry, tr *Tracer, extra ...Mount) http.Handler {
+func NewHTTPHandler(reg *Registry, tr *Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := reg.Snapshot()
@@ -48,30 +44,19 @@ func NewHTTPHandler(reg *Registry, tr *Tracer, extra ...Mount) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for _, m := range extra {
-		if m.Pattern != "" && m.Handler != nil {
-			mux.Handle(m.Pattern, m.Handler)
-		}
-	}
 	return mux
-}
-
-// Mount attaches an extra handler to the observability mux.
-type Mount struct {
-	Pattern string
-	Handler http.Handler
 }
 
 // Serve starts the observability endpoint on addr (":0" picks a free
 // port) in a background goroutine and returns the bound address. The
 // server lives until the process exits — it is a diagnostics side-car,
 // not a managed service.
-func Serve(addr string, reg *Registry, tr *Tracer, extra ...Mount) (string, error) {
+func Serve(addr string, reg *Registry, tr *Tracer) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: NewHTTPHandler(reg, tr, extra...)}
+	srv := &http.Server{Handler: NewHTTPHandler(reg, tr)}
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
 }

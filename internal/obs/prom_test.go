@@ -138,39 +138,3 @@ func TestRenderTimelineDegenerateWidths(t *testing.T) {
 		t.Errorf("zero-duration trace rendered output: %q", buf.String())
 	}
 }
-
-// TestTracerTailSince pins the incremental-drain contract the health
-// engine's flight recorder depends on: each span is seen exactly once
-// while polling keeps up, and a lapped cursor returns only the retained
-// tail (newest spans) rather than duplicating or blocking.
-func TestTracerTailSince(t *testing.T) {
-	tr := NewTracer(8)
-	for it := 0; it < 5; it++ {
-		tr.RecordRaw(0, it, PhaseCompute, int64(it), 1)
-	}
-	spans, cur := tr.TailSince(0)
-	if len(spans) != 5 || cur != 5 {
-		t.Fatalf("first drain: %d spans cursor %d, want 5 and 5", len(spans), cur)
-	}
-	if spans[0].Iter != 0 || spans[4].Iter != 4 {
-		t.Fatalf("first drain out of order: %+v", spans)
-	}
-
-	// No growth: nothing new, cursor unchanged.
-	spans, cur = tr.TailSince(cur)
-	if len(spans) != 0 || cur != 5 {
-		t.Fatalf("idle drain: %d spans cursor %d, want 0 and 5", len(spans), cur)
-	}
-
-	// Lap the ring: 10 more spans into a cap-8 ring evicts iters 5,6.
-	for it := 5; it < 15; it++ {
-		tr.RecordRaw(0, it, PhaseCompute, int64(it), 1)
-	}
-	spans, cur = tr.TailSince(cur)
-	if cur != 15 {
-		t.Fatalf("lapped cursor = %d, want 15", cur)
-	}
-	if len(spans) != 8 || spans[0].Iter != 7 || spans[7].Iter != 14 {
-		t.Fatalf("lapped drain = %d spans (%+v), want retained iters 7..14", len(spans), spans)
-	}
-}

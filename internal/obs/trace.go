@@ -112,47 +112,10 @@ func (t *Tracer) Snapshot() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.tailLocked(int64(len(t.buf)))
-}
-
-// tailLocked copies the n newest retained spans, oldest first (all of
-// them when n exceeds what the ring holds).
-func (t *Tracer) tailLocked(n int64) []Span {
-	if n > int64(len(t.buf)) {
-		n = int64(len(t.buf))
-	}
-	// Copy only those n (the slot before t.next is the newest): a frequent
-	// poller must not pay a full-ring snapshot — with the ring warm that
-	// would memcpy the whole capacity under the lock on every drain,
-	// stalling concurrent RecordRaw callers.
-	out := make([]Span, 0, n)
-	if start := int64(t.next) - n; start >= 0 {
-		out = append(out, t.buf[start:t.next]...)
-	} else {
-		out = append(out, t.buf[int64(len(t.buf))+start:]...)
-		out = append(out, t.buf[:t.next]...)
-	}
-	return out
-}
-
-// TailSince returns the spans recorded after the cursor (a Total value
-// from a previous call, or 0 for "from the beginning") along with the
-// new cursor. If the ring has already evicted some of those spans only
-// the retained tail is returned — callers polling faster than the ring
-// wraps see every span exactly once. Any cursor works, not only one
-// TailSince returned: k below the total reads the k newest spans, as far
-// as the ring still holds them — how the health engine takes its
-// pre-incident evidence without a ring of its own.
-func (t *Tracer) TailSince(cursor int64) ([]Span, int64) {
-	if t == nil {
-		return nil, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.total <= cursor {
-		return nil, t.total
-	}
-	return t.tailLocked(t.total - cursor), t.total
+	// t.next is the oldest slot once the ring is full, and len(t.buf)
+	// before that, so the two halves are always in record order.
+	out := make([]Span, 0, len(t.buf))
+	return append(append(out, t.buf[t.next:]...), t.buf[:t.next]...)
 }
 
 // WriteJSONL streams the trace to w — a leading TraceMeta line anchoring
@@ -203,11 +166,11 @@ type Trace struct {
 	// files carry several.
 	Metas []TraceMeta
 	// Other holds every remaining line, undecoded and in file order: the
-	// auxiliary kinds that producers above obs add to a trace (incident
-	// evidence, a tuner's self-description). Their schemas belong to
-	// their writers, which decode them from here — so a producer adds a
-	// line kind without obs learning its name, and the span-based reports
-	// replay any such document unchanged.
+	// auxiliary kinds that producers above obs add to a trace (a tuner's
+	// self-description, or the incident lines of old black-box dumps).
+	// Their schemas belong to their writers, which decode them from
+	// here — so a producer adds a line kind without obs learning its
+	// name, and the span-based reports replay any such document unchanged.
 	Other []Line
 }
 

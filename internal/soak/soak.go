@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"inceptionn/internal/data"
@@ -25,7 +23,6 @@ import (
 	"inceptionn/internal/models"
 	"inceptionn/internal/mpi"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/obs/health"
 	"inceptionn/internal/opt"
 	"inceptionn/internal/train"
 )
@@ -123,11 +120,8 @@ func finiteWeights(w []float32) error {
 
 // healedSwitchRun runs the in-process self-healing switch runner under
 // the given chaos and checks the healed result against the ring
-// reference. With withHealth set, a streaming health engine rides along
-// and the trial additionally asserts the incident contract: every
-// confirmed fallback surfaced as exactly one critical "fallback"
-// incident naming the switch, each with its own black-box dump on disk.
-func (h *harness) healedSwitchRun(cfg *fault.Config, wantFallback, withHealth bool) (int, string, error) {
+// reference, and the run's own record of the fallback against its result.
+func (h *harness) healedSwitchRun(cfg *fault.Config, wantFallback bool) (int, string, error) {
 	ref, err := h.ring()
 	if err != nil {
 		return 0, "", err
@@ -137,26 +131,7 @@ func (h *harness) healedSwitchRun(cfg *fault.Config, wantFallback, withHealth bo
 	o.SwitchFallback = true
 	o.StepTimeout = 2 * time.Second
 	o.Chaos = cfg
-
-	var eng *health.Engine
-	var dumpDir string
-	if withHealth {
-		dumpDir, err = os.MkdirTemp("", "soak-blackbox-")
-		if err != nil {
-			return 0, "", fmt.Errorf("blackbox dir: %w", err)
-		}
-		defer os.RemoveAll(dumpDir)
-		o.Obs = obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(1<<14))
-		// Short warmup/strike windows suit the 8-iteration trial; the
-		// 10ms step gate keeps loopback jitter from paging.
-		eng = health.New(o.Obs, health.Options{
-			Warmup:      2,
-			Consecutive: 2,
-			MinStepGap:  10 * time.Millisecond,
-			BlackboxDir: dumpDir,
-		})
-		o.Health = eng
-	}
+	o.Obs = obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(1<<14))
 
 	res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
 	if err != nil {
@@ -168,53 +143,33 @@ func (h *harness) healedSwitchRun(cfg *fault.Config, wantFallback, withHealth bo
 	if !wantFallback && res.Fallbacks != 0 {
 		return res.Fallbacks, res.FallbackCause, fmt.Errorf("spurious fallback: %s", res.FallbackCause)
 	}
-	if withHealth {
-		eng.Close()
-		if err := checkFallbackIncidents(eng, dumpDir, res.Fallbacks); err != nil {
-			return res.Fallbacks, res.FallbackCause, err
-		}
+	if err := checkFallbackRecord(o.Obs, res.Fallbacks); err != nil {
+		return res.Fallbacks, res.FallbackCause, err
 	}
 	return res.Fallbacks, res.FallbackCause, bitExact(res.FinalWeights, ref.FinalWeights)
 }
 
-// checkFallbackIncidents asserts the health contract after a healed
-// switch run: one critical fallback incident per confirmed fallback,
-// each naming the switch, and exactly one black-box dump per opened
-// incident.
-func checkFallbackIncidents(eng *health.Engine, dumpDir string, fallbacks int) error {
-	incs := eng.Incidents()
-	var fb []health.Incident
-	for _, inc := range incs {
-		if inc.Detector == "fallback" {
-			fb = append(fb, inc)
-		}
+// checkFallbackRecord asserts that a healed switch run's metrics and
+// trace name what its Result reports: the collective_fallbacks counter
+// equals the confirmed fallbacks, and each has one fallback span charged
+// to the switch. This is the post-mortem verdict `inctrace blame` and
+// /metrics give an operator.
+func checkFallbackRecord(rec *obs.Recorder, fallbacks int) error {
+	if c := rec.Registry().Counter("collective_fallbacks").Value(); c != int64(fallbacks) {
+		return fmt.Errorf("collective_fallbacks = %d for %d confirmed fallback(s)", c, fallbacks)
 	}
-	if len(fb) != fallbacks {
-		return fmt.Errorf("health engine opened %d fallback incident(s) for %d confirmed fallback(s): %+v", len(fb), fallbacks, incs)
+	spans := 0
+	for _, s := range rec.Tracer().Snapshot() {
+		if s.Phase != obs.PhaseFallback {
+			continue
+		}
+		if s.Node != soakSwitch {
+			return fmt.Errorf("fallback span charged to node %d, want the switch (%d)", s.Node, soakSwitch)
+		}
+		spans++
 	}
-	seen := map[string]bool{}
-	for _, inc := range fb {
-		if inc.Node != soakSwitch {
-			return fmt.Errorf("fallback incident blames node %d, want the switch (%d)", inc.Node, soakSwitch)
-		}
-		if inc.Blackbox == "" {
-			return fmt.Errorf("fallback incident carries no black-box dump path")
-		}
-		if seen[inc.Blackbox] {
-			return fmt.Errorf("two incidents share dump %s", inc.Blackbox)
-		}
-		seen[inc.Blackbox] = true
-		if _, err := os.Stat(inc.Blackbox); err != nil {
-			return fmt.Errorf("black-box dump missing: %w", err)
-		}
-	}
-	// One dump per opened incident, no extras and no misses.
-	dumps, err := filepath.Glob(filepath.Join(dumpDir, "blackbox-*.jsonl"))
-	if err != nil {
-		return err
-	}
-	if len(dumps) != len(incs) {
-		return fmt.Errorf("%d dump file(s) for %d incident(s): %v", len(dumps), len(incs), dumps)
+	if spans != fallbacks {
+		return fmt.Errorf("%d fallback span(s) for %d confirmed fallback(s)", spans, fallbacks)
 	}
 	return nil
 }
@@ -228,17 +183,12 @@ var trialKinds = []struct {
 	{"switch-kill", func(h *harness, rng *rand.Rand) (string, int, error) {
 		// The switch multicasts soakSwitch frames per iteration; crashing
 		// anywhere before the last iteration's multicast guarantees a trip.
-		// A health engine rides along: the confirmed fallback must surface
-		// as exactly one incident with exactly one black-box dump. (The
-		// partition trial skips the engine: its surviving worker stays
-		// genuinely degraded post-fallback, which correctly opens a second
-		// straggler incident and would make an exact count flaky.)
 		frame := uint64(2 + rng.Intn(soakSwitch*(soakIters-2)))
 		desc := fmt.Sprintf("switch crash after %d frames", frame)
 		fb, cause, err := h.healedSwitchRun(&fault.Config{
 			Seed:       rng.Int63(),
 			CrashAfter: map[int]uint64{soakSwitch: frame},
-		}, true, true)
+		}, true)
 		return desc + " → " + cause, fb, err
 	}},
 	{"switch-partition", func(h *harness, rng *rand.Rand) (string, int, error) {
@@ -256,7 +206,7 @@ var trialKinds = []struct {
 		fb, cause, err := h.healedSwitchRun(&fault.Config{
 			Seed:  rng.Int63(),
 			Links: map[fault.Link]fault.LinkFaults{link: fault.Partition(frame)},
-		}, true, false)
+		}, true)
 		return desc + " → " + cause, fb, err
 	}},
 	{"switch-lossy", func(h *harness, rng *rand.Rand) (string, int, error) {
@@ -290,7 +240,7 @@ var trialKinds = []struct {
 	}},
 	{"switch-kill-unarmed", func(h *harness, rng *rand.Rand) (string, int, error) {
 		// Healing disabled: the same kill must fail closed with an error
-		// the health grader recognizes as a switch fault.
+		// the switch fault grader recognizes.
 		frame := uint64(2 + rng.Intn(soakSwitch*(soakIters-2)))
 		desc := fmt.Sprintf("unarmed switch crash after %d frames", frame)
 		o := soakOptions()
@@ -319,12 +269,16 @@ var trialKinds = []struct {
 		o.SwitchFallback = true
 		o.StepTimeout = 5 * time.Second
 		o.Chaos = &fault.Config{Seed: rng.Int63(), CrashAfter: map[int]uint64{soakSwitch: frame}}
+		o.Obs = obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(1<<14))
 		res, err := train.RunSwitchTCP(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o, fpcodec.MustBound(10))
 		if err != nil {
 			return desc, 0, fmt.Errorf("healed TCP run failed: %w", err)
 		}
 		if res.Fallbacks != 1 {
 			return desc, res.Fallbacks, fmt.Errorf("fallbacks = %d, want 1", res.Fallbacks)
+		}
+		if err := checkFallbackRecord(o.Obs, res.Fallbacks); err != nil {
+			return desc, res.Fallbacks, err
 		}
 		return desc + " → " + res.FallbackCause, res.Fallbacks, bitExact(res.FinalWeights, ref.FinalWeights)
 	}},

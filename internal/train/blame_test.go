@@ -12,7 +12,8 @@ import (
 // TestBlameFindsInjectedStraggler is the PR's acceptance run: a 4-node
 // TCP ring with one artificially delayed node must have the critical-path
 // attribution point at that node in at least 90% of attributed
-// iterations.
+// iterations. This post-mortem verdict over the run's own trace is how a
+// straggler is named; there is no online detector.
 func TestBlameFindsInjectedStraggler(t *testing.T) {
 	trainDS, testDS := digitsData()
 	o := digitsOptions()
@@ -21,14 +22,13 @@ func TestBlameFindsInjectedStraggler(t *testing.T) {
 	o.Obs = obs.NewRecorder(reg, tracer)
 	o.StepTimeout = 30 * time.Second
 	const slow = 2
-	// 60ms per iteration, as in TestHealthStragglerOpensOneIncident: on a
-	// quiet box a few ms of GC and scheduler jitter is all there is to
-	// dwarf, but `go test ./...` overlaps this package with
-	// internal/experiments, and with both cores taken another node
-	// out-waited a 25ms injection in 12 of 40 runs (0 of 40 at 60ms).
+	// 60ms per iteration: on a quiet box a few ms of GC and scheduler
+	// jitter is all there is to dwarf, but `go test ./...` overlaps this
+	// package with internal/experiments, and with both cores taken another
+	// node out-waited a 25ms injection in 12 of 40 runs (0 of 40 at 60ms).
 	// This widens the margin, it does not remove the wall clock; the
-	// deterministic fix — an injectable clock, ROADMAP "State the
-	// contract once" (d) — is still open.
+	// deterministic fix, an injectable clock (ROADMAP item 5), is still
+	// open.
 	o.Straggler = map[int]time.Duration{slow: 60 * time.Millisecond}
 
 	if _, err := RunRingTCP(models.NewHDCSmall, trainDS, testDS, 20, o, fpcodec.MustBound(10)); err != nil {

@@ -211,7 +211,7 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 	defer r.cancel()
 	serveSlot, fabricSlot := o.Workers, o.Workers+1
 	if c.fallback != nil {
-		r.gate = newFallbackGate(r.ctx, o.Workers, o.Workers, o.Obs, o.Health)
+		r.gate = newFallbackGate(r.ctx, o.Workers, o.Workers, o.Obs)
 	}
 
 	// Before the fallback engages, all traffic is the primary collective's,

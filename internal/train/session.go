@@ -80,9 +80,9 @@ func (s *session) computeStep(w *worker, iter int, leader bool) {
 }
 
 // commitStep is the second half, after the exchange delivered: apply the
-// update and report the finished iteration (whose pass began at passStart)
-// to the health engine and, on the leader, to the iteration histogram,
-// loss gauge and evaluation trail. The exchange left either the gradient
+// update and, on the leader, report the finished iteration (whose pass
+// began at passStart) to the iteration histogram, loss gauge and
+// evaluation trail. The exchange left either the gradient
 // sum over n contributors in w.net.Grads(), or — when an aggregator
 // already stepped the master copy — the new weights.
 func (s *session) commitStep(w *worker, iter int, passStart time.Time, weights []float32, n int, leader bool) {
@@ -94,12 +94,10 @@ func (s *session) commitStep(w *worker, iter int, passStart time.Time, weights [
 		w.applyAveraged(iter, o, n)
 	}
 	s.tallies[w.id].compute += time.Since(ta).Nanoseconds()
-	took := time.Since(passStart)
-	o.Health.ObserveStep(w.id, iter, took)
 	if !leader {
 		return
 	}
-	s.iterHist.Observe(took)
+	s.iterHist.Observe(time.Since(passStart))
 	s.lossGauge.Set(w.loss)
 	if s.testDS != nil && o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == s.iters-1) {
 		acc, loss := evaluate(w.net, s.testDS, o.EvalSamples)

@@ -26,7 +26,6 @@ import (
 	"inceptionn/internal/fault"
 	"inceptionn/internal/mpi"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/obs/health"
 )
 
 // fallbackTagOffset re-bands the fallback ring's traffic above every tag
@@ -49,7 +48,6 @@ type fallbackGate struct {
 	workers int
 	swID    int
 	rec     *obs.Recorder
-	health  *health.Engine
 
 	// swCtx scopes every switch-path operation (worker exchanges and the
 	// serve loop); tripping the gate cancels it, aborting the abandoned
@@ -76,12 +74,11 @@ type fallbackGate struct {
 	allDone chan struct{}
 }
 
-func newFallbackGate(runCtx context.Context, workers, swID int, rec *obs.Recorder, he *health.Engine) *fallbackGate {
+func newFallbackGate(runCtx context.Context, workers, swID int, rec *obs.Recorder) *fallbackGate {
 	g := &fallbackGate{
 		workers:    workers,
 		swID:       swID,
 		rec:        rec,
-		health:     he,
 		mons:       make([]mpi.SwitchMonitor, workers),
 		trippedCh:  make(chan struct{}),
 		contrib:    make(map[int]int, workers),
@@ -120,9 +117,6 @@ func (g *fallbackGate) trip(iter int, class mpi.SwitchFaultClass, cause string, 
 	// recv waits are evidence of the failure, not of a slow neighbor —
 	// critical-path attribution treats it as an override.
 	g.rec.RecordSpan(g.swID, iter, obs.PhaseFallback, time.Now().Add(-detect), detect)
-	// After the counter and span, so the engine's pre-dump span pull sees
-	// the fallback evidence it is about to dump.
-	g.health.NotifyFallback(g.swID, iter, cause, detect)
 }
 
 // verdict returns the trip facts (valid once tripped).

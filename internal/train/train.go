@@ -26,7 +26,6 @@ import (
 	"inceptionn/internal/fault"
 	"inceptionn/internal/nn"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/obs/health"
 	"inceptionn/internal/opt"
 	"inceptionn/internal/ring"
 )
@@ -177,15 +176,6 @@ type Options struct {
 	// elastic-layer metrics those components emit when a recorder reaches
 	// them. Nil (the zero value) disables all of it.
 	Obs *obs.Recorder
-
-	// Health, when non-nil, runs online anomaly detection over the run:
-	// every runner pushes per-node step completions into the engine, and
-	// the self-healing paths (switch fallback) report their events, so
-	// stragglers, degraded links and component failures open typed
-	// incidents while the run is still going. Usually paired with Obs —
-	// the engine's counter/span detectors read the same recorder. Nil
-	// disables it at the same zero cost as a nil recorder.
-	Health *health.Engine
 
 	// Straggler artificially slows the listed workers by the given extra
 	// compute time per iteration (inside their compute span, so traces

@@ -81,7 +81,6 @@ func AutoTune(build train.Builder, trainDS, testDS data.Dataset, o train.Options
 			po.Processor = nil
 		}
 		po.EvalEvery = 0 // no accuracy evals inside a probe
-		po.Health = nil
 		po.Chaos = nil
 		reg := obs.NewRegistry()
 		tr := obs.NewTracer(1 << 17)
@@ -163,7 +162,6 @@ func AutoTune(build train.Builder, trainDS, testDS data.Dataset, o train.Options
 		}
 		vo := Apply(o, plans[i])
 		vo.EvalEvery = 0
-		vo.Health = nil
 		vo.Chaos = nil
 		vo.Obs = nil
 		v0 := time.Now()
