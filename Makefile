@@ -50,12 +50,13 @@ bench:
 
 # Training-runner gate, under the race detector — the name-selected
 # slices of internal/train in one run:
-#  - the conformance table: every data plane × collective × chunking the
-#    entry points reach lands bit-identical to the in-process ring, also
-#    over lossy links and through a switch fallback on a dead uplink;
-#  - crash recovery: a 4-node elastic run with an injected mid-step crash
-#    must shrink to 3 survivors and the post-recovery checkpoint must
-#    resume bit-identically;
+#  - the conformance table: every data plane × collective × chunking
+#    train.Run reaches lands bit-identical to the in-process ring, also
+#    over lossy TCP links and through a switch fallback on a dead TCP
+#    uplink;
+#  - crash recovery: a 4-node elastic TCP run with an injected mid-step
+#    crash must shrink to 3 survivors and the post-recovery checkpoint
+#    must resume bit-identically;
 #  - checkpoint round trip: durable stop/resume equals the uninterrupted
 #    run, and corrupt checkpoints are rejected with fallback;
 #  - elastic scale-out: a 4-node TCP ring loses a worker to a chaos crash,
@@ -87,11 +88,12 @@ obssmoke:
 # analytic formulas, the event-driven simulator, and the Table II/III
 # calibration on top of them — and the wire and collective stack of
 # DESIGN.md §3c, whose packages run real goroutines (ring's chunk sender,
-# fault's link pumps, tcpfabric's read loops) and otherwise reach the race
-# detector only through the all-or-nothing `race` target: the transports
-# (comm, fault, tcpfabric), the ring and hub primitives, hierarchy, and the
-# MPI-style collectives (including the switch all-reduce's
-# bit-exactness-with-ring suite) in one focused run. The compute kernels
+# tcpfabric's read loops) and otherwise reach the race detector only
+# through the all-or-nothing `race` target: the transports (comm,
+# tcpfabric, and fault's injector), the ring and hub primitives,
+# hierarchy, and the MPI-style collectives (including the switch
+# all-reduce's bit-exactness-with-ring suite and their chaos tables over
+# tcpfabric) in one focused run. The compute kernels
 # ride along (par, tensor, nn, opt; ~20 s together): their row and batch
 # shards write one output from several goroutines, and the differential
 # tables that pin the kernels to the scalar loops run at worker counts 1-5.
@@ -113,10 +115,11 @@ tunetest:
 	TUNE_STRICT=1 $(GO) test ./internal/tune -run 'TestAutoTuneEndToEnd' -count=1 -timeout 15m
 
 # Randomized chaos soak, under the race detector: 20 seeded trials of
-# switch kills, mid-stream partitions, lossy links, and worker crashes
-# against the self-healing switch runner (in-process and TCP) and the
-# elastic TCP runner. Every trial must finish bit-exact with a fault-free
-# ring reference or fail closed with a gradeable error, and every healed
+# switch kills, mid-stream partitions, lossy links, and worker crashes,
+# six kinds, all on train.Run's TCP plane (the one wire chaos faults):
+# self-healing and fail-closed switch runs and elastic runs. Every trial
+# must finish bit-exact with a fault-free ring reference (elastic crashes:
+# with finite weights) or fail closed with a gradeable error, and every healed
 # switch trial's collective_fallbacks counter and fallback spans must name
 # the fallbacks its result reports and the dead switch; the wall-clock
 # budget keeps a pathological trial from eating the CI slot. Override

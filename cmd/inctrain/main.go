@@ -1,6 +1,7 @@
 // Command inctrain runs distributed DNN training on the simulated cluster:
 // the INCEPTIONN gradient-centric ring or the worker-aggregator baseline,
-// with optional in-NIC gradient compression.
+// with optional in-NIC gradient compression, in process or over loopback
+// TCP (-tcp, any -algo).
 //
 // Usage:
 //
@@ -8,9 +9,11 @@
 //	inctrain -algo ring2 -workers 8 -group 4         # Fig. 1c hierarchy
 //	inctrain -algo switch -workers 8 -switch-chunk 4096
 //	                                                 # in-network switch aggregation
-//	inctrain -algo switch -switch-fallback -step-timeout 2s -chaos-crash 4:10
+//	inctrain -tcp -algo switch -switch-fallback -step-timeout 2s -chaos-crash 4:10
 //	                                                 # kill the switch mid-run; heal onto the ring
 //	inctrain -tcp -compress                          # real loopback TCP sockets
+//	inctrain -tcp -algo wa -chaos-drop 0.02 -step-timeout 10s
+//	                                                 # any collective over a lossy wire
 //	inctrain -elastic -tcp -join -checkpoint-dir ck -suspect-after 2s
 //	                                                 # elastic ring over TCP with auto-rejoin
 package main
@@ -109,9 +112,9 @@ func main() {
 	batch := flag.Int("batch", 16, "per-node batch size")
 	lr := flag.Float64("lr", 0.02, "base learning rate")
 	compress := flag.Bool("compress", false, "enable in-NIC lossy gradient compression")
-	tcp := flag.Bool("tcp", false, "run the ring exchange over genuine loopback TCP sockets")
-	chaosDrop := flag.Float64("chaos-drop", 0, "chaos: frame drop rate on every link (0..1)")
-	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "chaos: frame bit-flip rate on every link (0..1)")
+	tcp := flag.Bool("tcp", false, "run the exchange over genuine loopback TCP sockets")
+	chaosDrop := flag.Float64("chaos-drop", 0, "chaos: frame drop rate on every link (0..1; requires -tcp)")
+	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "chaos: frame bit-flip rate on every link (0..1; requires -tcp)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: deterministic injection seed")
 	stepTimeout := flag.Duration("step-timeout", 0, "per-hop collective deadline (0 = none), e.g. 10s")
 	bound := flag.Int("bound", 10, "codec error bound exponent E (bound 2^-E)")
@@ -125,7 +128,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed for model init and data")
 	samples := flag.Int("samples", 4000, "synthetic training samples")
 	evalEvery := flag.Int("eval", 50, "evaluate every N iterations")
-	chaosCrash := flag.String("chaos-crash", "", "chaos: crash nodes after N frame sends, e.g. \"2:65\" or \"1:40,3:200\"")
+	chaosCrash := flag.String("chaos-crash", "", "chaos: crash nodes after N frame sends, e.g. \"2:65\" or \"1:40,3:200\" (requires -tcp)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live observability on this address (/metrics JSON or ?format=prom, /trace JSONL, /debug/pprof), e.g. 127.0.0.1:8080")
 	traceOut := flag.String("trace-out", "", "write the step trace as JSONL to this file when the run ends (inctrace reads it)")
 	traceDir := flag.String("trace-dir", "", "also split the trace into per-node JSONL files (trace_node<N>.jsonl) in this directory, for `inctrace merge`")
@@ -201,17 +204,23 @@ func main() {
 		o.Obs = obs.NewRecorder(reg, tracer)
 	}
 
-	// -autotune needs a wire processor even when -compress is off, so the
-	// planner can probe and rank compressed candidates; o.Compress still
-	// follows the flag (the tuner flips it when a compressed plan wins).
-	if *compress || *autotune {
+	// The TCP plane's fabric embeds its own engines at o.Bound; the
+	// in-process plane takes them as a wire processor. -autotune needs the
+	// processor even when -compress is off, so the planner can probe and
+	// rank compressed candidates; o.Compress still follows the flag (the
+	// tuner flips it when a compressed plan wins).
+	o.Compress = *compress
+	if *tcp || *compress || *autotune {
 		b, err := fpcodec.NewBound(*bound)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "inctrain:", err)
 			os.Exit(2)
 		}
-		o.Processor = nic.Processor{Bound: b, Obs: o.Obs}
-		o.Compress = *compress
+		if *tcp {
+			o.Plane, o.Bound = train.TCP, b
+		} else {
+			o.Processor = nic.Processor{Bound: b, Obs: o.Obs}
+		}
 	}
 	if *straggle != "" {
 		s, serr := parseStragglerSpec(*straggle)
@@ -252,9 +261,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "inctrain: -join requires -elastic -tcp")
 		os.Exit(2)
 	}
-	// Shared chaos config: the TCP fabric and the elastic runner both
-	// consume o.Chaos through the same injector.
+	// Chaos faults the TCP fabric's frames; the in-process fabric has no
+	// wire to fault.
 	if *chaosDrop > 0 || *chaosCorrupt > 0 || *chaosCrash != "" {
+		if !*tcp {
+			fmt.Fprintln(os.Stderr, "inctrain: -chaos-drop, -chaos-corrupt and -chaos-crash require -tcp")
+			os.Exit(2)
+		}
 		cfg := &fault.Config{
 			Seed:    *chaosSeed,
 			Default: fault.LinkFaults{DropRate: *chaosDrop, CorruptRate: *chaosCorrupt},
@@ -403,9 +416,12 @@ func main() {
 	}
 	fmt.Printf("inctrain: %s on %d workers (%s over %s), %d iters, batch %d, compress=%v\n",
 		*model, *workers, *algo, transport, *iters, *batch, *compress)
-	var res train.Result
-	var err error
+	// -autotune may have traded the switch for another collective.
+	if *switchFallback && o.Algo == train.SwitchReduce {
+		o.Recovery = train.SwitchFallback
+	}
 	if *elastic {
+		o.Recovery = train.Elastic
 		o.CheckpointDir = *checkpointDir
 		o.CheckpointEvery = *checkpointEvery
 		o.CheckpointKeep = *checkpointKeep
@@ -427,49 +443,18 @@ func main() {
 			close(stop)
 			signal.Stop(sig)
 		}()
+		defer signal.Stop(sig)
 		o.Stop = stop
-		if *tcp {
-			b, berr := fpcodec.NewBound(*bound)
-			if berr != nil {
-				fmt.Fprintln(os.Stderr, "inctrain:", berr)
-				os.Exit(2)
-			}
-			res, err = train.RunElasticTCP(build, trainDS, testDS, *iters, o, b)
+	}
+	res, err := train.Run(build, trainDS, testDS, *iters, o)
+	if errors.Is(err, train.ErrInterrupted) {
+		if *checkpointDir != "" {
+			fmt.Fprintf(os.Stderr, "inctrain: interrupted; checkpoint written to %s (rerun with -resume to continue)\n", *checkpointDir)
 		} else {
-			res, err = train.RunElastic(build, trainDS, testDS, *iters, o)
+			fmt.Fprintln(os.Stderr, "inctrain: interrupted (no -checkpoint-dir, progress discarded)")
 		}
-		signal.Stop(sig)
-		if errors.Is(err, train.ErrInterrupted) {
-			if *checkpointDir != "" {
-				fmt.Fprintf(os.Stderr, "inctrain: interrupted; checkpoint written to %s (rerun with -resume to continue)\n", *checkpointDir)
-			} else {
-				fmt.Fprintln(os.Stderr, "inctrain: interrupted (no -checkpoint-dir, progress discarded)")
-			}
-			flushObs()
-			os.Exit(1)
-		}
-	} else if *tcp {
-		if *algo != "ring" && *algo != "switch" {
-			fmt.Fprintln(os.Stderr, "inctrain: -tcp supports only -algo ring or -algo switch")
-			os.Exit(2)
-		}
-		b, berr := fpcodec.NewBound(*bound)
-		if berr != nil {
-			fmt.Fprintln(os.Stderr, "inctrain:", berr)
-			os.Exit(2)
-		}
-		if *algo == "switch" {
-			o.SwitchFallback = *switchFallback
-			res, err = train.RunSwitchTCP(build, trainDS, testDS, *iters, o, b)
-		} else {
-			res, err = train.RunRingTCP(build, trainDS, testDS, *iters, o, b)
-		}
-	} else {
-		if *algo == "switch" {
-			// -autotune may have traded the switch for another collective.
-			o.SwitchFallback = *switchFallback && o.Algo == train.SwitchReduce
-		}
-		res, err = train.Run(build, trainDS, testDS, *iters, o)
+		flushObs()
+		os.Exit(1)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "inctrain:", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -35,5 +36,29 @@ func TestStepTimeoutReachesEveryRunner(t *testing.T) {
 				t.Fatalf("exit %v without a deadline error:\n%s", err, out)
 			}
 		})
+	}
+}
+
+// TestEveryAlgoRunsOverTCP: -tcp is a plane, not a runner — the
+// worker-aggregator baseline trains over loopback sockets like the ring.
+func TestEveryAlgoRunsOverTCP(t *testing.T) {
+	out, err := exec.Command(os.Args[0], "inctrain", "-model", "hdc-small", "-tcp", "-algo", "wa",
+		"-workers", "3", "-iters", "3", "-samples", "200", "-eval", "3").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-tcp -algo wa: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "wa over loopback TCP") || !strings.Contains(string(out), "final: accuracy") {
+		t.Fatalf("-tcp -algo wa did not train over TCP:\n%s", out)
+	}
+}
+
+// TestChaosRequiresTCP: the in-process fabric has no wire to fault, so a
+// chaos flag without -tcp is a usage error (exit 2), not a clean run.
+func TestChaosRequiresTCP(t *testing.T) {
+	out, err := exec.Command(os.Args[0], "inctrain", "-model", "hdc-small", "-chaos-drop", "0.01",
+		"-workers", "2", "-iters", "1", "-samples", "100", "-eval", "1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-chaos-drop without -tcp: err = %v, want exit status 2\n%s", err, out)
 	}
 }

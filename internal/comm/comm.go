@@ -297,8 +297,7 @@ func (f *Fabric) ResetStats() {
 // CtxPeer is the one peer contract the collective algorithms in
 // internal/ring, internal/mpi and internal/hierarchy run over: the
 // in-process Endpoint below implements it, and so do the real-TCP node in
-// internal/tcpfabric, the chaos wrapper in internal/fault and the epoch
-// filter in internal/elastic. Sends and receives take a context whose
+// internal/tcpfabric and the epoch filter in internal/elastic. Sends and receives take a context whose
 // deadline or cancellation bounds the operation, and every anomaly —
 // transport failure, expired deadline, tag mismatch — is an error, never a
 // panic.
@@ -318,10 +317,9 @@ type CtxPeer interface {
 }
 
 // Transport is a CtxPeer with the untagged demultiplexing receive that
-// wrappers which interpret tags themselves are built on: internal/fault's
-// link pumps (ACK/NACK vs data) and internal/elastic's epoch filter
-// (discarding residue of aborted exchanges). Endpoint, tcpfabric.Node and
-// fault.Peer implement it.
+// wrappers which interpret tags themselves are built on: internal/elastic's
+// epoch filter (discarding residue of aborted exchanges). Endpoint and
+// tcpfabric.Node implement it.
 type Transport interface {
 	CtxPeer
 	// RecvMessageCtx returns the next payload from src whatever its tag,
@@ -404,7 +402,7 @@ func (e *Endpoint) RecvCtx(ctx context.Context, src int, tag int) ([]float32, er
 
 // RecvMessageCtx receives the next message from src regardless of its tag,
 // returning the payload and the tag it carried. It is the demultiplexing
-// primitive the fault-injection wrapper's link pumps are built on.
+// primitive the elastic epoch filter is built on.
 func (e *Endpoint) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error) {
 	s := e.f.stats[src][e.id]
 	start := time.Now()

@@ -33,8 +33,8 @@ func tagEpoch(tag int) int { return tag / EpochTagStride }
 // stamps them).
 //
 // It is built on the transport's untagged demultiplexing receive, which
-// is how stale frames are inspected and discarded; comm.Endpoint,
-// tcpfabric.Node and fault.Peer all provide it.
+// is how stale frames are inspected and discarded; comm.Endpoint and
+// tcpfabric.Node both provide it.
 //
 // Peer is safe for the same concurrent use pattern as the underlying
 // transport (one logical receiver per link).

@@ -1,10 +1,11 @@
 // Package fault is the chaos-engineering layer of the transport stack: a
-// deterministic, seeded fault injector plus a comm.CtxPeer wrapper that
-// subjects the collective algorithms to frame drops, bit-flip corruption,
-// duplication, reordering delay, per-link partitions, and node crashes —
-// the anomaly classes a production 10 GbE fabric actually exhibits — while
-// the recovery machinery (checksums, NACK/retransmit, deadlines) keeps the
-// exchange converging to the exact expected sums.
+// deterministic, seeded fault injector that the TCP fabric consults for
+// every frame it transmits — frame drops, bit-flip corruption, truncation,
+// duplication, reordering delay, per-link partitions, and node crashes, the
+// anomaly classes a production 10 GbE fabric actually exhibits — while the
+// fabric's recovery machinery (checksums, NACK/retransmit, deadlines) keeps
+// the exchange converging to the exact expected sums. It also holds the
+// transport error sentinels every failure is graded by.
 //
 // Every fault decision is a pure function of (seed, src, dst, seq, attempt),
 // so a chaos run is bit-reproducible regardless of goroutine scheduling:
@@ -12,8 +13,21 @@
 package fault
 
 import (
+	"errors"
 	"sync/atomic"
 	"time"
+)
+
+// Transport error sentinels. A transport wraps them into its own errors, so
+// callers grade a failure with errors.Is whatever wire raised it.
+var (
+	// ErrCrashed marks an operation on a node past its scheduled crash.
+	ErrCrashed = errors.New("fault: node crashed")
+	// ErrMaxRetries marks a frame whose retransmission budget ran out
+	// (e.g. the link is partitioned).
+	ErrMaxRetries = errors.New("fault: retransmission budget exhausted")
+	// ErrClosed marks an operation on a closed transport.
+	ErrClosed = errors.New("fault: transport closed")
 )
 
 // Link identifies a directed link src→dst.
@@ -74,8 +88,8 @@ type Config struct {
 	// Links overrides the default on specific directed links.
 	Links map[Link]LinkFaults
 	// CrashAfter maps a node id to the number of frame sends after which
-	// the node "crashes": every later Send and Recv on that node fails
-	// with ErrCrashed.
+	// the node "crashes": every later send from that node fails with
+	// ErrCrashed.
 	CrashAfter map[int]uint64
 }
 

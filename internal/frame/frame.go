@@ -1,8 +1,7 @@
 // Package frame is the one byte discipline under every format this
 // repository reads or writes: tcpfabric's INCP data frames, train's INCK
-// checkpoints, inccompress's INCF containers, the nic packet model and the
-// fault wrapper's payload checksum. It owns
-// four decisions: fields are little-endian; a float32 travels as its
+// checkpoints, inccompress's INCF containers and the nic packet model. It
+// owns four decisions: fields are little-endian; a float32 travels as its
 // IEEE-754 bit pattern; integrity is CRC32-C (Castagnoli); and a length read
 // from outside never sizes an allocation the source has not been shown to
 // back. The formats themselves — magics, field order, limits — stay with

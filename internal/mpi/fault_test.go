@@ -7,26 +7,26 @@ import (
 	"testing"
 	"time"
 
-	"inceptionn/internal/comm"
 	"inceptionn/internal/fault"
+	"inceptionn/internal/tcpfabric"
 )
 
-// chaosComms builds one communicator per rank over a chaos-wrapped
-// in-process fabric.
-func chaosComms(n int, cfg fault.Config) ([]*Comm, func()) {
-	f := comm.NewFabric(n, nil)
-	inj := fault.NewInjector(n, cfg)
+// chaosComms builds one communicator per rank over a loopback TCP cluster
+// whose links inject the given faults.
+func chaosComms(t *testing.T, n int, cfg fault.Config) ([]*Comm, func()) {
+	t.Helper()
+	cl, err := tcpfabric.NewClusterWithOptions(n, tcpfabric.ClusterOptions{
+		Chaos: fault.NewInjector(n, cfg),
+		Retry: tcpfabric.RetryPolicy{ProbeRTO: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	comms := make([]*Comm, n)
-	peers := make([]*fault.Peer, n)
-	for i := 0; i < n; i++ {
-		peers[i] = fault.Wrap(f.Endpoint(i), inj, fault.Options{RTO: 5 * time.Millisecond})
-		comms[i] = WorldPeer(peers[i])
+	for i := range comms {
+		comms[i] = WorldPeer(cl.Node(i))
 	}
-	return comms, func() {
-		for _, p := range peers {
-			p.Close()
-		}
-	}
+	return comms, cl.Close
 }
 
 func lossyConfig(seed int64) fault.Config {
@@ -40,11 +40,11 @@ func lossyConfig(seed int64) fault.Config {
 }
 
 // TestCollectivesUnderChaos runs every Ctx collective over a fabric with
-// 1–10% fault rates and checks exact results: the chaos wrapper's ARQ
-// must make the lossy links indistinguishable from reliable ones.
+// 1–10% fault rates and checks exact results: the TCP fabric's ARQ must
+// make the lossy links indistinguishable from reliable ones.
 func TestCollectivesUnderChaos(t *testing.T) {
 	const n = 4
-	comms, closeAll := chaosComms(n, lossyConfig(31))
+	comms, closeAll := chaosComms(t, n, lossyConfig(31))
 	defer closeAll()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -120,7 +120,7 @@ func TestCollectivesUnderChaos(t *testing.T) {
 // a deadline, never deadlock.
 func TestBarrierPartitionErrors(t *testing.T) {
 	const n = 4
-	comms, closeAll := chaosComms(n, fault.Config{
+	comms, closeAll := chaosComms(t, n, fault.Config{
 		Seed:  1,
 		Links: map[fault.Link]fault.LinkFaults{{Src: 1, Dst: 0}: fault.Partition(0)},
 	})
@@ -162,7 +162,7 @@ func TestBarrierPartitionErrors(t *testing.T) {
 // TestStepTimeoutStraggler: the per-step deadline catches a straggling
 // link even when the caller's context has no deadline of its own.
 func TestStepTimeoutStraggler(t *testing.T) {
-	comms, closeAll := chaosComms(2, fault.Config{
+	comms, closeAll := chaosComms(t, 2, fault.Config{
 		Seed:  1,
 		Links: map[fault.Link]fault.LinkFaults{{Src: 1, Dst: 0}: fault.Partition(0)},
 	})

@@ -34,8 +34,7 @@ type Comm struct {
 func World(f *comm.Fabric, id int) *Comm { return WorldPeer(f.Endpoint(id)) }
 
 // WorldPeer returns a communicator over any transport peer — an
-// in-process endpoint, a TCP fabric node, or a chaos-wrapped peer from
-// internal/fault.
+// in-process endpoint or a TCP fabric node.
 func WorldPeer(p comm.CtxPeer) *Comm { return &Comm{e: p} }
 
 // Rank returns this process's rank.

@@ -18,13 +18,13 @@ type switchChaosResult struct {
 }
 
 // runSwitchChaos runs one switch all-reduce over p workers plus the
-// switch at rank p, on a fabric wrapped with the given fault config. It
+// switch at rank p, on a TCP cluster injecting the given faults. It
 // enforces the timeout-not-deadlock contract itself: every role must
 // return — success or error — well inside the watchdog.
 func runSwitchChaos(t *testing.T, p int, vecLen int, opt SwitchOptions, cfg fault.Config, stepTimeout time.Duration) []switchChaosResult {
 	t.Helper()
 	sw := p
-	comms, closeAll := chaosComms(p+1, cfg)
+	comms, closeAll := chaosComms(t, p+1, cfg)
 	defer closeAll()
 	for _, c := range comms {
 		c.SetStepTimeout(stepTimeout)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"inceptionn/internal/fault"
+	"inceptionn/internal/tcpfabric"
 )
 
 func TestGradeSwitchFault(t *testing.T) {
@@ -23,9 +24,14 @@ func TestGradeSwitchFault(t *testing.T) {
 		{"crash", fmt.Errorf("node 4 send: %w", fault.ErrCrashed), SwitchFaultLink, true},
 		{"retries", fmt.Errorf("send 0->4 seq 3 after 8 attempts: %w", fault.ErrMaxRetries), SwitchFaultLink, true},
 		{"closed", fault.ErrClosed, SwitchFaultLink, true},
+		// What the TCP fabric actually reports: a partitioned uplink's
+		// exhausted budget on the node's anomaly channel, and an operation
+		// on a torn-down node.
+		{"tcp retries", fmt.Errorf("tcpfabric: frame %d->%d seq %d: %w", 0, 4, 2, tcpfabric.ErrRetriesExhausted), SwitchFaultLink, true},
+		{"tcp closed", fmt.Errorf("tcpfabric: node 1 recv from 4: %w", tcpfabric.ErrClosed), SwitchFaultLink, true},
 		{"window", fmt.Errorf("%w: too many chunks", ErrSwitchWindow), SwitchFaultProtocol, true},
 		{"protocol", fmt.Errorf("%w: short chunk", ErrSwitchProtocol), SwitchFaultProtocol, true},
-		{"desync", errors.New("fault: node 1 expected tag 7401 from 4, got 7403"), SwitchFaultProtocol, true},
+		{"desync", errors.New("tcpfabric: node 1 expected tag 7401 from 4, got 7403"), SwitchFaultProtocol, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

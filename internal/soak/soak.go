@@ -1,9 +1,9 @@
 // Package soak is a randomized chaos soak harness for the fault-tolerant
 // training paths: each seeded trial draws a fault scenario — switch
 // kills, mid-stream partitions, lossy links, worker crashes — aims it at
-// the self-healing switch runner (in-process and over TCP) or the
-// elastic TCP runner, and checks the outcome against the path's
-// contract. Where the algorithm claims determinism (full membership
+// a switch run (self-healing or fail-closed) or an elastic run, all on the
+// TCP plane whose fabric injects the faults, and checks the outcome
+// against the path's contract. Where the algorithm claims determinism (full membership
 // survives, only the switch may die) the trial must finish bit-exact
 // with a fault-free ring reference; where membership changes (elastic
 // evictions) it must complete with finite weights; where healing is
@@ -29,7 +29,7 @@ import (
 
 // Options configure a soak run.
 type Options struct {
-	Trials int           // randomized trials to run (default 7: one sweep of every kind)
+	Trials int           // randomized trials to run (default 6: one sweep of every kind)
 	Seed   int64         // master seed; trial i derives rng(Seed ^ i·0x9E3779B97F4A7C15)
 	Budget time.Duration // optional wall-clock budget: stop (cleanly) once exceeded
 }
@@ -47,7 +47,7 @@ type Trial struct {
 // references trials compare against.
 type harness struct {
 	trainDS, testDS data.Dataset
-	ringRef         *train.Result // plain ring run (switch-path trials)
+	ringRef         *train.Result // plain in-process ring run (switch-path trials)
 	elasticRef      *train.Result // fault-free elastic TCP run (elastic lossy trials)
 }
 
@@ -69,6 +69,22 @@ func soakOptions() train.Options {
 	}
 }
 
+// tcpOptions are soakOptions on the TCP plane, under the given recovery
+// and step deadline.
+func tcpOptions(recovery train.Recovery, stepTimeout time.Duration) train.Options {
+	o := soakOptions()
+	o.Plane, o.Bound = train.TCP, fpcodec.MustBound(10)
+	o.Recovery, o.StepTimeout = recovery, stepTimeout
+	return o
+}
+
+// switchOptions are tcpOptions for the switch collective.
+func switchOptions(recovery train.Recovery, stepTimeout time.Duration) train.Options {
+	o := tcpOptions(recovery, stepTimeout)
+	o.Algo = train.SwitchReduce
+	return o
+}
+
 func (h *harness) ring() (*train.Result, error) {
 	if h.ringRef == nil {
 		o := soakOptions()
@@ -83,9 +99,8 @@ func (h *harness) ring() (*train.Result, error) {
 
 func (h *harness) elastic() (*train.Result, error) {
 	if h.elasticRef == nil {
-		o := soakOptions()
-		o.StepTimeout = 20 * time.Second
-		res, err := train.RunElasticTCP(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o, fpcodec.MustBound(10))
+		o := tcpOptions(train.Elastic, 20*time.Second)
+		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o)
 		if err != nil {
 			return nil, fmt.Errorf("fault-free elastic reference: %w", err)
 		}
@@ -118,18 +133,15 @@ func finiteWeights(w []float32) error {
 	return nil
 }
 
-// healedSwitchRun runs the in-process self-healing switch runner under
-// the given chaos and checks the healed result against the ring
-// reference, and the run's own record of the fallback against its result.
+// healedSwitchRun runs a self-healing switch run under the given chaos and
+// checks the healed result against the ring reference, and the run's own
+// record of the fallback against its result.
 func (h *harness) healedSwitchRun(cfg *fault.Config, wantFallback bool) (int, string, error) {
 	ref, err := h.ring()
 	if err != nil {
 		return 0, "", err
 	}
-	o := soakOptions()
-	o.Algo = train.SwitchReduce
-	o.SwitchFallback = true
-	o.StepTimeout = 2 * time.Second
+	o := switchOptions(train.SwitchFallback, 5*time.Second)
 	o.Chaos = cfg
 	o.Obs = obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(1<<14))
 
@@ -224,10 +236,7 @@ var trialKinds = []struct {
 		if err != nil {
 			return desc, 0, err
 		}
-		o := soakOptions()
-		o.Algo = train.SwitchReduce
-		o.SwitchFallback = true
-		o.StepTimeout = 15 * time.Second
+		o := switchOptions(train.SwitchFallback, 15*time.Second)
 		o.Chaos = &fault.Config{Seed: rng.Int63(), Default: lf}
 		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
 		if err != nil {
@@ -243,9 +252,7 @@ var trialKinds = []struct {
 		// the switch fault grader recognizes.
 		frame := uint64(2 + rng.Intn(soakSwitch*(soakIters-2)))
 		desc := fmt.Sprintf("unarmed switch crash after %d frames", frame)
-		o := soakOptions()
-		o.Algo = train.SwitchReduce
-		o.StepTimeout = time.Second
+		o := switchOptions(train.FailClosed, time.Second)
 		o.Chaos = &fault.Config{Seed: rng.Int63(), CrashAfter: map[int]uint64{soakSwitch: frame}}
 		_, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
 		if err == nil {
@@ -256,43 +263,16 @@ var trialKinds = []struct {
 		}
 		return desc + " → failed closed", 0, nil
 	}},
-	{"switch-kill-tcp", func(h *harness, rng *rand.Rand) (string, int, error) {
-		// The same kill over genuine loopback sockets.
-		frame := uint64(2 + rng.Intn(soakSwitch*(soakIters-2)))
-		desc := fmt.Sprintf("TCP switch crash after %d frames", frame)
-		ref, err := h.ring()
-		if err != nil {
-			return desc, 0, err
-		}
-		o := soakOptions()
-		o.Algo = train.SwitchReduce
-		o.SwitchFallback = true
-		o.StepTimeout = 5 * time.Second
-		o.Chaos = &fault.Config{Seed: rng.Int63(), CrashAfter: map[int]uint64{soakSwitch: frame}}
-		o.Obs = obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(1<<14))
-		res, err := train.RunSwitchTCP(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o, fpcodec.MustBound(10))
-		if err != nil {
-			return desc, 0, fmt.Errorf("healed TCP run failed: %w", err)
-		}
-		if res.Fallbacks != 1 {
-			return desc, res.Fallbacks, fmt.Errorf("fallbacks = %d, want 1", res.Fallbacks)
-		}
-		if err := checkFallbackRecord(o.Obs, res.Fallbacks); err != nil {
-			return desc, res.Fallbacks, err
-		}
-		return desc + " → " + res.FallbackCause, res.Fallbacks, bitExact(res.FinalWeights, ref.FinalWeights)
-	}},
 	{"elastic-crash", func(h *harness, rng *rand.Rand) (string, int, error) {
-		// A worker dies mid-run over TCP: the survivors must evict it and
+		// A worker dies mid-run: the survivors must evict it and
 		// finish with finite weights (membership changed, so no bit-exact
 		// claim against the full ring).
 		victim := rng.Intn(soakSwitch)
 		frame := uint64(10 + rng.Intn(50))
 		desc := fmt.Sprintf("elastic: worker %d crashes after %d frames", victim, frame)
-		o := soakOptions()
-		o.StepTimeout = 20 * time.Second
+		o := tcpOptions(train.Elastic, 20*time.Second)
 		o.Chaos = &fault.Config{Seed: rng.Int63(), CrashAfter: map[int]uint64{victim: frame}}
-		res, err := train.RunElasticTCP(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o, fpcodec.MustBound(10))
+		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o)
 		if err != nil {
 			return desc, 0, fmt.Errorf("survivors failed: %w", err)
 		}
@@ -310,10 +290,9 @@ var trialKinds = []struct {
 		if err != nil {
 			return desc, 0, err
 		}
-		o := soakOptions()
-		o.StepTimeout = 20 * time.Second
+		o := tcpOptions(train.Elastic, 20*time.Second)
 		o.Chaos = &fault.Config{Seed: rng.Int63(), Default: lf}
-		res, err := train.RunElasticTCP(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o, fpcodec.MustBound(10))
+		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o)
 		if err != nil {
 			return desc, 0, fmt.Errorf("lossy elastic run failed: %w", err)
 		}

@@ -371,6 +371,34 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	c.Close() // and once more after the dust settles
 }
 
+// TestCloseUnblocksParkedSender: a sender parked inside the fabric — here
+// on a delay the link injects before every transmission — returns once the
+// cluster closes, with an error graded as a closed transport.
+func TestCloseUnblocksParkedSender(t *testing.T) {
+	c, err := NewClusterWithOptions(2, ClusterOptions{
+		Bound: fpcodec.MustBound(10),
+		Chaos: fault.NewInjector(2, fault.Config{
+			Seed:  1,
+			Links: map[fault.Link]fault.LinkFaults{{Src: 0, Dst: 1}: {DelayRate: 1, Delay: time.Hour}},
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- c.Node(0).SendCtx(context.Background(), 1, []float32{1}, 0, 0) }()
+	time.Sleep(20 * time.Millisecond) // let the sender park
+	c.Close()
+	select {
+	case err := <-sent:
+		if !errors.Is(err, fault.ErrClosed) {
+			t.Fatalf("err = %v, want one wrapping fault.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sender still parked after Close")
+	}
+}
+
 // TestNodeCrashSchedule: a node past its crash budget fails its own sends
 // and the survivors' deadlines fire.
 func TestNodeCrashSchedule(t *testing.T) {

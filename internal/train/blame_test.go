@@ -31,7 +31,7 @@ func TestBlameFindsInjectedStraggler(t *testing.T) {
 	// open.
 	o.Straggler = map[int]time.Duration{slow: 60 * time.Millisecond}
 
-	if _, err := RunRingTCP(models.NewHDCSmall, trainDS, testDS, 20, o, fpcodec.MustBound(10)); err != nil {
+	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 20, o.onTCP(fpcodec.MustBound(10))); err != nil {
 		t.Fatal(err)
 	}
 

@@ -17,7 +17,7 @@ import (
 // final weight vector, for divergence testing: runFixed keeps each
 // replica's weights when handed somewhere to put them.
 func replicaWeights(build Builder, trainDS data.Dataset, iters int, o Options) ([][]float32, error) {
-	c, err := o.prepare(false, false)
+	c, err := o.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -27,15 +27,16 @@ func replicaWeights(build Builder, trainDS data.Dataset, iters int, o Options) (
 }
 
 // TestFixedRunnersBitIdenticalToRing is the conformance table of the
-// fixed-membership loop: every data plane × collective × chunking the
-// six entry points can reach must land on final weights bit-identical
-// to the in-process whole-block ring — chunking is purely a scheduling
-// change, the TCP fabric carries the same bits, and the switch's combine
-// replays the ring's per-block accumulation order. The same holds through
-// faults the run is built to hide: links that drop and corrupt frames
-// (retransmission), and a switch port going silent with the fallback armed
-// (the run heals onto the ring). The lossy-codec group and the collectives
-// that sum in a different order have their own clean in-process reference.
+// fixed-membership loop: every data plane × collective × chunking Run can
+// reach must land on final weights bit-identical to the in-process
+// whole-block ring — chunking is purely a scheduling change, the TCP
+// fabric carries the same bits, and the switch's combine replays the
+// ring's per-block accumulation order. The same holds through faults the
+// run is built to hide, on the one wire that can be faulted: TCP links
+// that drop and corrupt frames (retransmission), and a switch port going
+// silent with the fallback armed (the run heals onto the ring). The
+// lossy-codec group and the collectives that sum in a different order
+// have their own clean in-process reference.
 // Three workers as well as four where the ring's blocks are in play, so
 // the uneven split is covered.
 // (The model has ~151k params; a switch chunk of 3000 keeps the stream
@@ -66,11 +67,8 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 	inproc := func(o Options) ([][]float32, Result, error) {
 		return one(Run(models.NewHDCSmall, trainDS, testDS, iters, o))
 	}
-	ringTCP := func(o Options) ([][]float32, Result, error) {
-		return one(RunRingTCP(models.NewHDCSmall, trainDS, testDS, iters, o, bound))
-	}
-	switchTCP := func(o Options) ([][]float32, Result, error) {
-		return one(RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, iters, o, bound))
+	tcp := func(o Options) ([][]float32, Result, error) {
+		return inproc(o.onTCP(bound))
 	}
 	replicas := func(o Options) ([][]float32, Result, error) {
 		ws, err := replicaWeights(models.NewHDCSmall, trainDS, iters, o)
@@ -79,7 +77,7 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 	same := func(*Options) {}
 	ringVectors := func(n int) int64 { return 2 * int64(n-1) }
 	// lossyLinks drops and corrupts frames on every link, within what the
-	// fault wrapper's retransmission recovers.
+	// TCP fabric's retransmission recovers.
 	lossyLinks := func(o *Options) {
 		o.StepTimeout = 15 * time.Second
 		o.Chaos = &fault.Config{Seed: 11, Default: fault.LinkFaults{DropRate: 0.03, CorruptRate: 0.03}}
@@ -89,7 +87,7 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 	// (port 0 is the one it reads first), and its complaint must not abort
 	// the exchanges whose step deadline trips the gate.
 	deadUplink := func(o *Options) {
-		o.Algo, o.SwitchFallback, o.StepTimeout = SwitchReduce, true, time.Second
+		o.Algo, o.Recovery, o.StepTimeout = SwitchReduce, SwitchFallback, time.Second
 		o.Chaos = &fault.Config{Seed: 6, Links: map[fault.Link]fault.LinkFaults{
 			{Src: 0, Dst: o.Workers}: fault.Partition(2),
 		}}
@@ -97,6 +95,7 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 	hierarchy := func(algo Algorithm) func(*Options) {
 		return func(o *Options) { o.Algo, o.GroupSize = algo, 2 }
 	}
+	viaSwitch := func(o *Options) { o.Algo = SwitchReduce }
 	groups := []struct {
 		name    string
 		workers []int
@@ -106,27 +105,29 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 		{"lossless", []int{4, 3}, same, []row{
 			{"ring chunk=100", func(o *Options) { o.ChunkSize = 100 }, inproc, nil, 0},
 			{"ring chunk=4096", func(o *Options) { o.ChunkSize = 4096 }, inproc, nil, 0},
-			{"ring lossy links", lossyLinks, inproc, nil, 0},
-			{"ring tcp", same, ringTCP, ringVectors, 0},
-			{"ring tcp chunk=4096", func(o *Options) { o.ChunkSize = 4096 }, ringTCP, ringVectors, 0},
-			{"switch", func(o *Options) { o.Algo = SwitchReduce }, inproc, nil, 0},
+			{"ring lossy links", lossyLinks, tcp, ringVectors, 0},
+			{"ring tcp", same, tcp, ringVectors, 0},
+			{"ring tcp chunk=4096", func(o *Options) { o.ChunkSize = 4096 }, tcp, ringVectors, 0},
+			{"switch", viaSwitch, inproc, nil, 0},
 			{"switch chunk=3000", func(o *Options) { o.Algo, o.SwitchChunk = SwitchReduce, 3000 }, inproc, nil, 0},
-			{"switch dead uplink", deadUplink, inproc, nil, 1},
-			{"switch tcp", same, switchTCP, func(n int) int64 { return 2 * int64(n) }, 0},
-			{"switch tcp dead uplink", deadUplink, switchTCP, nil, 1},
+			{"switch tcp", viaSwitch, tcp, func(n int) int64 { return 2 * int64(n) }, 0},
+			{"switch tcp dead uplink", deadUplink, tcp, nil, 1},
 			{"replicas", same, replicas, nil, 0},
 		}},
 		{"compressed", []int{4, 3}, func(o *Options) { o.Compress, o.Processor = true, comm.CodecProcessor{Bound: bound} }, []row{
-			{"ring tcp", same, ringTCP, ringVectors, 0},
+			{"ring tcp", same, tcp, ringVectors, 0},
 		}},
 		{"worker-aggregator", []int{4}, func(o *Options) { o.Algo = WorkerAggregator }, []row{
-			{"lossy links", lossyLinks, inproc, nil, 0},
+			{"tcp", same, tcp, nil, 0},
+			{"lossy links", lossyLinks, tcp, nil, 0},
 		}},
 		{"hierarchical-tree", []int{4}, hierarchy(HierarchicalTree), []row{
-			{"lossy links", lossyLinks, inproc, nil, 0},
+			{"tcp", same, tcp, nil, 0},
+			{"lossy links", lossyLinks, tcp, nil, 0},
 		}},
 		{"hierarchical-ring", []int{4}, hierarchy(HierarchicalRing), []row{
-			{"lossy links", lossyLinks, inproc, nil, 0},
+			{"tcp", same, tcp, nil, 0},
+			{"lossy links", lossyLinks, tcp, nil, 0},
 		}},
 	}
 

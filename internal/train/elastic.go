@@ -4,6 +4,7 @@
 // iteration every survivor retains, and replay it from local snapshots
 // with the average renormalized to the live member count. Periodic and
 // on-failure checkpoints make the whole run durable and resumable.
+
 package train
 
 import (
@@ -75,8 +76,8 @@ const syncTagOffset = 1 << 19
 // (nobody died; the error stands).
 const recoveryWait = 5 * time.Second
 
-// elasticRun is the shared state of one RunElastic/RunElasticTCP
-// invocation. Every worker calls the run's coordinator directly.
+// elasticRun is the shared state of one elastic run. Every worker calls
+// the run's coordinator directly.
 type elasticRun struct {
 	*session
 	startIter int
@@ -84,7 +85,7 @@ type elasticRun struct {
 
 	replays  *obs.Counter   // elastic_replays (nil-safe)
 	ckptHist *obs.Histogram // checkpoint_write_seconds (nil-safe)
-	joinRuns *obs.Counter   // elastic_join_workers, RunElasticTCP only (nil-safe)
+	joinRuns *obs.Counter   // elastic_join_workers, with Options.Join only (nil-safe)
 
 	// finished holds what each worker that completed or halted left behind:
 	// its weights, and — from the one that led the final view — the final
@@ -229,69 +230,81 @@ func (r *elasticRun) outcome() (Result, error) {
 	return res, nil
 }
 
-// RunElastic trains like Run's ring but survives worker death and supports
-// durable checkpoint/resume. It requires the ring algorithm: the exchange
-// must be rebuildable over an arbitrary member subset, which
-// ring.AllReduceGroupCtx provides. On a graceful stop (Options.Stop) it
-// returns the partial result and ErrInterrupted.
-func RunElastic(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	ck, err := prepareElastic(build, iters, &o, false)
+// runElastic is Run under the Elastic recovery: the ring over o.Plane,
+// surviving worker death. Every worker calls the run's in-process
+// coordinator; on the TCP plane o.Chaos faults the wire and, with o.Join,
+// evicted workers are revived and rejoin the ring (see elasticRun.rejoin).
+func runElastic(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
+	ck, err := resumePoint(build, iters, o)
 	if err != nil {
 		return Result{}, err
 	}
-	plane := newFabricPlane(o.Workers, o)
+	plane, err := newPlane(o.Workers, o)
+	if err != nil {
+		return Result{}, err
+	}
+	defer plane.Close()
 	r := newElasticRun(plane, build, trainDS, testDS, iters, o, ck)
 	defer r.cancel()
 	defer r.coord.Close()
-	if o.SuspectAfter > 0 {
+
+	// Link evidence feeds the failure detector, not a run abort: in an
+	// elastic run the usual cause is a dead peer, and the membership
+	// protocol — not the fabric — decides what that means. The in-process
+	// fabric's evidence is its receive timeouts; the TCP fabric reports
+	// its anomalies (exhausted retransmits, stream desync) out of band.
+	if plane.fabric != nil && o.SuspectAfter > 0 {
 		r.coord.WatchFabric(plane.fabric)
 	}
-	for _, id := range r.coord.View().Members {
-		r.spawn(func() error { return r.worker(r.ctx, id, ck, false) })
+	plane.watch(r.ctx, func(id int, err error) bool {
+		r.coord.ReportAnomaly(id, err)
+		return true
+	})
+
+	view := r.coord.View()
+	for _, id := range view.Members {
+		// Establish the heartbeat baseline before the workers spin up:
+		// model construction can outlast the staleness limit, and a node
+		// must not be declared dead before it ever got to live.
+		r.coord.Beat(id)
+	}
+	if o.Join {
+		r.joinRuns = o.Obs.Counter("elastic_join_workers")
+		go r.janitor()
+	}
+	for _, id := range view.Members {
+		r.spawn(func() error { return r.generation(id, ck, false) })
 	}
 	return r.wait()
 }
 
-// prepareElastic validates the options an elastic run requires, applies
-// their defaults in place, and loads the resume checkpoint if requested
-// (nil when starting fresh).
-func prepareElastic(build Builder, iters int, o *Options, tcp bool) (*Checkpoint, error) {
-	if o.Algo != Ring {
-		return nil, fmt.Errorf("train: elastic training requires the ring algorithm (got %s)", o.Algo)
+// resumePoint loads the checkpoint an elastic run resumes from when
+// o.Resume asks for one (nil when starting fresh) and checks it against
+// the run.
+func resumePoint(build Builder, iters int, o Options) (*Checkpoint, error) {
+	if !o.Resume {
+		return nil, nil
 	}
-	if _, err := o.prepare(tcp, true); err != nil {
+	if o.CheckpointDir == "" {
+		return nil, fmt.Errorf("train: Resume requires CheckpointDir")
+	}
+	ck, _, err := LoadLatestCheckpoint(o.CheckpointDir)
+	switch {
+	case errors.Is(err, ErrNoCheckpoint):
+		return nil, nil // fresh start
+	case err != nil:
 		return nil, err
 	}
-
-	var ck *Checkpoint
-	if o.Resume {
-		if o.CheckpointDir == "" {
-			return nil, fmt.Errorf("train: Resume requires CheckpointDir")
-		}
-		loaded, _, err := LoadLatestCheckpoint(o.CheckpointDir)
-		switch {
-		case err == nil:
-			ck = loaded
-		case errors.Is(err, ErrNoCheckpoint):
-			// Fresh start.
-		default:
-			return nil, err
-		}
-	}
 	numParams := build(rand.New(rand.NewSource(o.Seed))).NumParams()
-	if ck != nil {
-		if ck.Universe != o.Workers {
-			return nil, fmt.Errorf("train: checkpoint universe %d, run has %d workers", ck.Universe, o.Workers)
-		}
-		if len(ck.Weights) != numParams {
-			return nil, fmt.Errorf("train: checkpoint has %d weights, model has %d", len(ck.Weights), numParams)
-		}
-		if ck.NextIter > iters {
-			return nil, fmt.Errorf("train: checkpoint is at iteration %d, past the requested %d", ck.NextIter, iters)
-		}
-		if len(ck.Members) == 0 {
-			return nil, fmt.Errorf("train: checkpoint has no live members")
-		}
+	switch {
+	case ck.Universe != o.Workers:
+		return nil, fmt.Errorf("train: checkpoint universe %d, run has %d workers", ck.Universe, o.Workers)
+	case len(ck.Weights) != numParams:
+		return nil, fmt.Errorf("train: checkpoint has %d weights, model has %d", len(ck.Weights), numParams)
+	case ck.NextIter > iters:
+		return nil, fmt.Errorf("train: checkpoint is at iteration %d, past the requested %d", ck.NextIter, iters)
+	case len(ck.Members) == 0:
+		return nil, fmt.Errorf("train: checkpoint has no live members")
 	}
 	return ck, nil
 }
@@ -318,9 +331,7 @@ func (r *elasticRun) worker(ctx context.Context, id int, ck *Checkpoint, joining
 		return err
 	}
 	w.ctx = ctx
-	tp, cleanup := r.plane.peer(id)
-	defer cleanup()
-	w.peer = elastic.NewPeer(tp)
+	w.peer = elastic.NewPeer(r.plane.peer(id))
 
 	iter := r.startIter
 	pending := false   // a snapshot for iter exists and its exchange has not committed

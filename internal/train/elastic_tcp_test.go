@@ -14,10 +14,12 @@ import (
 	"inceptionn/internal/models"
 )
 
+// elasticTCPOptions are elasticOptions on the TCP plane, the one wire
+// chaos can fault.
 func elasticTCPOptions() Options {
 	o := elasticOptions()
 	o.StepTimeout = 20 * time.Second
-	return o
+	return o.onTCP(fpcodec.MustBound(10))
 }
 
 // TestElasticTCPJoin is the acceptance run for elastic scale-out over real
@@ -40,7 +42,7 @@ func TestElasticTCPJoin(t *testing.T) {
 	// Node 2 has sent ~10 iterations' worth of frames when the schedule
 	// trips, crashing it mid-exchange.
 	o.Chaos = &fault.Config{Seed: 7, CrashAfter: map[int]uint64{2: 65}}
-	resA, err := RunElasticTCP(models.NewHDCSmall, trainDS, testDS, iters, o, fpcodec.MustBound(10))
+	resA, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o)
 	if err != nil {
 		t.Fatalf("crash+join run failed: %v", err)
 	}
@@ -96,18 +98,18 @@ func TestElasticTCPJoin(t *testing.T) {
 	o2 := elasticTCPOptions()
 	o2.CheckpointDir = dirB
 	o2.Resume = true
-	resB, err := RunElasticTCP(models.NewHDCSmall, trainDS, testDS, iters, o2, fpcodec.MustBound(10))
+	resB, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	weightsEqual(t, resA.FinalWeights, resB.FinalWeights, "crash+join run vs resume from post-join checkpoint")
 }
 
-// TestElasticTCPBitIdenticalToElastic: the two elastic runners share the
-// membership protocol and differ only in their data plane, so on a clean
-// run RunElasticTCP lands on RunElastic's weights, final loss and pre-codec
-// byte count — plain and compressed, at three and four workers, whole-block
-// and chunked.
+// TestElasticTCPBitIdenticalToElastic: elastic runs on the two planes share
+// the membership protocol and differ only in their wire, so on a clean run
+// the TCP plane lands on the in-process plane's weights, final loss and
+// pre-codec byte count — plain and compressed, at three and four workers,
+// whole-block and chunked.
 func TestElasticTCPBitIdenticalToElastic(t *testing.T) {
 	const iters = 6
 	trainDS, testDS := digitsData()
@@ -116,25 +118,26 @@ func TestElasticTCPBitIdenticalToElastic(t *testing.T) {
 		for _, workers := range []int{3, 4} {
 			for _, chunk := range []int{0, 4096} {
 				t.Run(fmt.Sprintf("compress=%v/workers=%d/chunk=%d", compress, workers, chunk), func(t *testing.T) {
-					o := elasticTCPOptions()
+					o := elasticOptions()
+					o.StepTimeout = 20 * time.Second
 					o.Workers, o.ChunkSize = workers, chunk
 					if compress {
 						o.Compress, o.Processor = true, comm.CodecProcessor{Bound: bound}
 					}
-					want, err := RunElastic(models.NewHDCSmall, trainDS, testDS, iters, o)
+					want, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o)
 					if err != nil {
-						t.Fatalf("RunElastic: %v", err)
+						t.Fatalf("in-process: %v", err)
 					}
-					got, err := RunElasticTCP(models.NewHDCSmall, trainDS, testDS, iters, o, bound)
+					got, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o.onTCP(bound))
 					if err != nil {
-						t.Fatalf("RunElasticTCP: %v", err)
+						t.Fatalf("TCP: %v", err)
 					}
-					weightsEqual(t, got.FinalWeights, want.FinalWeights, "RunElasticTCP vs RunElastic")
+					weightsEqual(t, got.FinalWeights, want.FinalWeights, "elastic TCP vs in-process")
 					if math.Float64bits(got.FinalLoss) != math.Float64bits(want.FinalLoss) {
-						t.Errorf("FinalLoss = %v, RunElastic %v", got.FinalLoss, want.FinalLoss)
+						t.Errorf("FinalLoss = %v, in-process %v", got.FinalLoss, want.FinalLoss)
 					}
 					if got.RawBytes != want.RawBytes {
-						t.Errorf("RawBytes = %d, RunElastic %d", got.RawBytes, want.RawBytes)
+						t.Errorf("RawBytes = %d, in-process %d", got.RawBytes, want.RawBytes)
 					}
 				})
 			}

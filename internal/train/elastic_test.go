@@ -18,6 +18,7 @@ import (
 
 func elasticOptions() Options {
 	o := digitsOptions()
+	o.Recovery = Elastic
 	o.EvalSamples = 64
 	return o
 }
@@ -37,11 +38,11 @@ func weightsEqual(t *testing.T, a, b []float32, what string) {
 func TestElasticRunIsDeterministic(t *testing.T) {
 	trainDS, testDS := digitsData()
 	o := elasticOptions()
-	a, err := RunElastic(models.NewHDCSmall, trainDS, testDS, 30, o)
+	a, err := Run(models.NewHDCSmall, trainDS, testDS, 30, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunElastic(models.NewHDCSmall, trainDS, testDS, 30, o)
+	b, err := Run(models.NewHDCSmall, trainDS, testDS, 30, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestElasticRunIsDeterministic(t *testing.T) {
 }
 
 // TestElasticCrashRecovery is the headline elasticity property: a 4-node
-// run whose node 2 crashes mid-step completes anyway — the survivors
+// TCP run whose node 2 crashes mid-step completes anyway — the survivors
 // abort the in-flight exchange, agree on the 3-member ring, replay from
 // retained state with the average renormalized — and the post-recovery
 // checkpoint resumes to bit-identical final weights on a run that starts
@@ -62,12 +63,12 @@ func TestElasticCrashRecovery(t *testing.T) {
 	const iters = 30
 	dirA := t.TempDir()
 
-	o := elasticOptions()
+	o := elasticTCPOptions()
 	o.CheckpointDir = dirA
 	// Node 2 has sent ~10 iterations' worth of frames when the schedule
 	// trips, crashing it mid-exchange.
 	o.Chaos = &fault.Config{Seed: 7, CrashAfter: map[int]uint64{2: 65}}
-	resA, err := RunElastic(models.NewHDCSmall, trainDS, testDS, iters, o)
+	resA, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o)
 	if err != nil {
 		t.Fatalf("crash run failed outright: %v", err)
 	}
@@ -102,9 +103,9 @@ func TestElasticCrashRecovery(t *testing.T) {
 		t.Fatalf("post-recovery members = %v, want %v", recovery.Members, want)
 	}
 
-	// Resume from the post-recovery checkpoint with no chaos at all: the
-	// run starts as the 3-survivor ring and must reproduce the crash run's
-	// final weights bit-for-bit.
+	// Resume from the post-recovery checkpoint with no chaos at all, on the
+	// in-process plane: the run starts as the 3-survivor ring and must
+	// reproduce the crash run's final weights bit-for-bit.
 	dirB := t.TempDir()
 	raw, err := os.ReadFile(filepath.Join(dirA, recoveryPath))
 	if err != nil {
@@ -116,7 +117,7 @@ func TestElasticCrashRecovery(t *testing.T) {
 	o2 := elasticOptions()
 	o2.CheckpointDir = dirB
 	o2.Resume = true
-	resB, err := RunElastic(models.NewHDCSmall, trainDS, testDS, iters, o2)
+	resB, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +141,14 @@ func TestElasticTailCrashCompletes(t *testing.T) {
 	// commit iteration 29 and exit while the third aborts its exchange
 	// and rendezvouses against a view that still lists them.
 	for _, crashAfter := range []uint64{170, 174, 179} {
-		o := elasticOptions()
+		o := elasticTCPOptions()
 		o.Chaos = &fault.Config{Seed: 11, CrashAfter: map[int]uint64{2: crashAfter}}
 		done := make(chan struct{})
 		var res Result
 		var err error
 		go func() {
 			defer close(done)
-			res, err = RunElastic(models.NewHDCSmall, trainDS, testDS, iters, o)
+			res, err = Run(models.NewHDCSmall, trainDS, testDS, iters, o)
 		}()
 		select {
 		case <-done:
@@ -163,16 +164,16 @@ func TestElasticTailCrashCompletes(t *testing.T) {
 	}
 }
 
-// TestElasticAllCrashedReportsError: when every node dies, RunElastic must
-// say so — a zero Result with a nil error would read as a successful run
+// TestElasticAllCrashedReportsError: when every node dies, an elastic run
+// must say so — a zero Result with a nil error would read as a successful run
 // that trained nothing. (Depending on scheduling, the last survivor can
 // occasionally finish solo before noticing the others died; that counts
 // as a completed run and must come with weights.)
 func TestElasticAllCrashedReportsError(t *testing.T) {
 	trainDS, testDS := digitsData()
-	o := elasticOptions()
+	o := elasticTCPOptions()
 	o.Chaos = &fault.Config{Seed: 3, CrashAfter: map[int]uint64{0: 0, 1: 0, 2: 0, 3: 0}}
-	res, err := RunElastic(models.NewHDCSmall, trainDS, testDS, 10, o)
+	res, err := Run(models.NewHDCSmall, trainDS, testDS, 10, o)
 	if err == nil {
 		if res.FinalWeights == nil {
 			t.Fatal("all-crash run returned nil error and nil weights")
@@ -195,7 +196,7 @@ func TestElasticStopResumeMatchesUninterrupted(t *testing.T) {
 	base.Compress = true
 	base.ErrorFeedback = true
 
-	full, err := RunElastic(models.NewHDCSmall, trainDS, testDS, iters, base)
+	full, err := Run(models.NewHDCSmall, trainDS, testDS, iters, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestElasticStopResumeMatchesUninterrupted(t *testing.T) {
 			once.Do(func() { close(stop) })
 		}
 	}
-	res, err := RunElastic(models.NewHDCSmall, trainDS, testDS, iters, o)
+	res, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("stopped run: err = %v, want ErrInterrupted", err)
 	}
@@ -229,7 +230,7 @@ func TestElasticStopResumeMatchesUninterrupted(t *testing.T) {
 	o2 := base
 	o2.CheckpointDir = dir
 	o2.Resume = true
-	resumed, err := RunElastic(models.NewHDCSmall, trainDS, testDS, iters, o2)
+	resumed, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o2)
 	if err != nil {
 		t.Fatal(err)
 	}

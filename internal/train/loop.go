@@ -231,8 +231,7 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 		if c.serve == nil {
 			return
 		}
-		tp, cleanup := plane.peer(o.Workers)
-		defer cleanup()
+		tp := plane.peer(o.Workers)
 		select {
 		case <-r.lenReady:
 		case <-r.ctx.Done():
@@ -305,8 +304,7 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 // replay.
 func (r *fixedRun) runWorker(id int) error {
 	o := r.o
-	tp, cleanup := r.plane.peer(id)
-	defer cleanup()
+	tp := r.plane.peer(id)
 	w := newWorker(id, r.build, r.trainDS, o, false)
 	r.lenOnce.Do(func() {
 		r.gradLen = w.net.NumParams()

@@ -8,14 +8,12 @@ import (
 	"testing"
 
 	"inceptionn/internal/fault"
-	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
-	"inceptionn/internal/nic"
 	"inceptionn/internal/obs"
 )
 
-// TestElasticObservability is the PR's acceptance run: a compressed
-// elastic training with a scheduled node crash, observed through a live
+// TestElasticObservability is the acceptance run for an observed elastic
+// recovery: a compressed elastic TCP training with a scheduled node crash, observed through a live
 // recorder. After recovery the /metrics snapshot must show the step-time
 // histogram, compressed wire accounting, and the eviction — and the trace
 // must aggregate into a per-node breakdown covering every worker.
@@ -23,15 +21,14 @@ func TestElasticObservability(t *testing.T) {
 	trainDS, testDS := digitsData()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 15)
-	o := elasticOptions()
+	o := elasticTCPOptions()
 	o.Obs = obs.NewRecorder(reg, tracer)
-	o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
 	o.Compress = true
 	// Node 2 dies mid-exchange about ten iterations in (same schedule as
 	// TestElasticCrashRecovery), now under lossy compression too.
 	o.Chaos = &fault.Config{Seed: 7, CrashAfter: map[int]uint64{2: 65}}
 
-	res, err := RunElastic(models.NewHDCSmall, trainDS, testDS, 30, o)
+	res, err := Run(models.NewHDCSmall, trainDS, testDS, 30, o)
 	if err != nil {
 		t.Fatalf("elastic run under observation failed: %v", err)
 	}

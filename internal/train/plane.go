@@ -14,14 +14,14 @@ import (
 // vectors, either over the in-process comm.Fabric (fabric set) or over
 // loopback TCP sockets (cluster set). It owns everything a runner needs
 // from the wire and nothing about what is sent over it: each node's peer,
-// the owner-block finalizer matching the wire's codec, chaos injection, the
-// anomaly watcher, the traffic and receive-wait totals, and Close.
+// the owner-block finalizer matching the wire's codec, the fault injector,
+// the anomaly watcher, the traffic and receive-wait totals, and Close.
 type dataPlane struct {
 	n       int
 	fabric  *comm.Fabric
 	cluster *tcpfabric.Cluster
-	// inj is the run's fault injector (nil without Options.Chaos). The
-	// elastic TCP runner revives crashed nodes through it.
+	// inj is the TCP fabric's fault injector (nil without Options.Chaos).
+	// The elastic runner revives crashed nodes through it.
 	inj *fault.Injector
 	// finalize is the owner-block finalizer for the exchange: with
 	// compression enabled, a node's own fully aggregated block is passed
@@ -31,18 +31,18 @@ type dataPlane struct {
 	finalize func([]float32)
 }
 
-func newInjector(n int, o Options) *fault.Injector {
-	if o.Chaos == nil {
-		return nil
+// newPlane builds the n-node plane o.Plane selects.
+func newPlane(n int, o Options) (*dataPlane, error) {
+	if o.Plane == TCP {
+		return newTCPPlane(n, o)
 	}
-	return fault.NewInjector(n, *o.Chaos)
+	return newFabricPlane(n, o), nil
 }
 
 // newFabricPlane builds the in-process plane: o.Processor models the NIC
-// datapath, and with o.Chaos every peer runs behind the fault wrapper's
-// checksum/retransmit protocol.
+// datapath.
 func newFabricPlane(n int, o Options) *dataPlane {
-	p := &dataPlane{n: n, fabric: comm.NewFabric(n, o.Processor), inj: newInjector(n, o)}
+	p := &dataPlane{n: n, fabric: comm.NewFabric(n, o.Processor)}
 	p.fabric.SetRecorder(o.Obs)
 	if o.Compress && o.Processor != nil {
 		proc := o.Processor
@@ -54,19 +54,23 @@ func newFabricPlane(n int, o Options) *dataPlane {
 	return p
 }
 
-// newTCPPlane builds the loopback-socket plane. Options.Processor is
-// ignored — the TCP fabric embeds its own NIC engines; bound selects their
-// error bound, and the finalizer applies the same codec.
-func newTCPPlane(n int, o Options, bound fpcodec.Bound) (*dataPlane, error) {
-	p := &dataPlane{n: n, inj: newInjector(n, o)}
+// newTCPPlane builds the loopback-socket plane: the TCP fabric embeds its
+// own NIC engines at error bound o.Bound, the finalizer applies the same
+// codec, and o.Chaos faults the fabric's frames.
+func newTCPPlane(n int, o Options) (*dataPlane, error) {
+	p := &dataPlane{n: n}
+	if o.Chaos != nil {
+		p.inj = fault.NewInjector(n, *o.Chaos)
+	}
 	var err error
 	p.cluster, err = tcpfabric.NewClusterWithOptions(n, tcpfabric.ClusterOptions{
-		Compress: o.Compress, Bound: bound, Chaos: p.inj, Obs: o.Obs,
+		Compress: o.Compress, Bound: o.Bound, Chaos: p.inj, Obs: o.Obs,
 	})
 	if err != nil {
 		return nil, err
 	}
 	if o.Compress {
+		bound := o.Bound
 		p.finalize = func(b []float32) {
 			for i, v := range b {
 				b[i] = fpcodec.Roundtrip(v, bound)
@@ -76,17 +80,12 @@ func newTCPPlane(n int, o Options, bound fpcodec.Bound) (*dataPlane, error) {
 	return p, nil
 }
 
-// peer returns node id's endpoint and the cleanup to run when its user is
-// done with it.
-func (p *dataPlane) peer(id int) (comm.Transport, func()) {
-	switch {
-	case p.cluster != nil:
-		return p.cluster.Node(id), func() {}
-	case p.inj != nil:
-		fp := fault.Wrap(p.fabric.Endpoint(id), p.inj, fault.Options{Finalize: p.finalize})
-		return fp, fp.Close
+// peer returns node id's endpoint.
+func (p *dataPlane) peer(id int) comm.Transport {
+	if p.cluster != nil {
+		return p.cluster.Node(id)
 	}
-	return p.fabric.Endpoint(id), func() {}
+	return p.fabric.Endpoint(id)
 }
 
 // watch starts the anomaly watcher: handle receives transport-level

@@ -9,13 +9,12 @@ import (
 	"inceptionn/internal/comm"
 	"inceptionn/internal/elastic"
 	"inceptionn/internal/fault"
-	"inceptionn/internal/fpcodec"
 )
 
 // TestTransportContract states comm.CtxPeer's contract once, over every
-// peer a dataPlane hands out — in-process, in-process behind the chaos
-// wrapper's ARQ (on a lossy link), loopback TCP — each bare and behind the
-// elastic epoch filter:
+// peer a dataPlane hands out — in-process, loopback TCP, and loopback TCP
+// whose ARQ repairs a lossy link — each bare and behind the elastic epoch
+// filter:
 //
 //   - a payload arrives intact, and the sender may overwrite its buffer the
 //     moment SendCtx returns;
@@ -23,29 +22,27 @@ import (
 //     context.DeadlineExceeded;
 //   - a wrong tag is an error, never a panic.
 func TestTransportContract(t *testing.T) {
-	// Seed 4 corrupts the first 0→1 frame and drops the second.
 	lossy := &fault.Config{Seed: 4, Default: fault.LinkFaults{DropRate: 0.2, CorruptRate: 0.2, DupRate: 0.1}}
-	planes := map[string]func() (*dataPlane, error){
-		"inproc":       func() (*dataPlane, error) { return newFabricPlane(2, Options{}), nil },
-		"inproc-chaos": func() (*dataPlane, error) { return newFabricPlane(2, Options{Chaos: lossy}), nil },
-		"tcp":          func() (*dataPlane, error) { return newTCPPlane(2, Options{}, fpcodec.MustBound(10)) },
+	planes := map[string]Options{
+		"inproc":    {},
+		"tcp":       {Plane: TCP},
+		"tcp-chaos": {Plane: TCP, Chaos: lossy},
 	}
-	for name, build := range planes {
+	for name, o := range planes {
 		for _, filtered := range []bool{false, true} {
 			row := name
 			if filtered {
 				row += "+elastic"
 			}
 			t.Run(row, func(t *testing.T) {
-				plane, err := build()
+				plane, err := newPlane(2, o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer plane.Close()
 				var peers [2]comm.CtxPeer
 				for id := range peers {
-					tr, done := plane.peer(id)
-					defer done()
+					tr := plane.peer(id)
 					peers[id] = tr
 					if filtered {
 						peers[id] = elastic.NewPeer(tr)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"inceptionn/internal/fault"
-	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 	"inceptionn/internal/obs"
 )
@@ -22,7 +21,7 @@ func TestSwitchTCPFallbackOnSwitchKill(t *testing.T) {
 	o := healOptions()
 	o.StepTimeout = 5 * time.Second
 	o.Chaos = &fault.Config{Seed: 11, CrashAfter: map[int]uint64{o.Workers: 10}}
-	res, err := RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, iters, o, fpcodec.MustBound(10))
+	res, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestSwitchTCPFallbackOnSwitchKill(t *testing.T) {
 }
 
 // TestSwitchTCPFallbackTraceMetaAligns pins the trace-header contract on
-// the socket path: a RunSwitchTCP run that trips the ring fallback must
+// the socket path: a TCP switch run that trips the ring fallback must
 // still write a trace whose trace_meta line carries a real epoch, so
 // obs.Merge aligns it on that epoch, and the run's counter and trace must
 // name the fallback and the dead switch.
@@ -49,7 +48,7 @@ func TestSwitchTCPFallbackTraceMetaAligns(t *testing.T) {
 	o.Obs = obs.NewRecorder(reg, tracer)
 	o.Chaos = &fault.Config{Seed: 11, CrashAfter: map[int]uint64{o.Workers: 10}}
 
-	res, err := RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, 8, o, fpcodec.MustBound(10))
+	res, err := Run(models.NewHDCSmall, trainDS, testDS, 8, o)
 	if err != nil {
 		t.Fatal(err)
 	}

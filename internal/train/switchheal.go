@@ -12,6 +12,7 @@
 //
 // Only the switch is expendable: a worker casualty still fails the run
 // closed (that is the elastic runner's job, not this one's).
+
 package train
 
 import (
@@ -237,8 +238,8 @@ func (g *fallbackGate) enter(ctx context.Context, w *worker, iter int, pending b
 // streams its gradient through it chunk by chunk and receives the combined
 // gradient back. The combine is bit-exact with the ring collective, so a
 // SwitchReduce run lands on the same weights as a Ring run (verified by
-// tests). With o.SwitchFallback the run survives the switch's death by
-// finishing on the ring.
+// tests). Under the SwitchFallback recovery the run survives the switch's
+// death by finishing on the ring.
 func switchCollective(o Options) collective {
 	swOpt := mpi.SwitchOptions{ChunkFloats: o.SwitchChunk}
 	world := func(p comm.CtxPeer) *mpi.Comm {
@@ -262,7 +263,7 @@ func switchCollective(o Options) collective {
 			return serveSwitch(r, c, gradLen, swOpt)
 		},
 	}
-	if o.SwitchFallback {
+	if o.Recovery == SwitchFallback {
 		ring := ringCollective(fallbackTagOffset)
 		c.fallback = &ring
 	}

@@ -7,21 +7,22 @@ import (
 	"time"
 
 	"inceptionn/internal/fault"
+	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 	"inceptionn/internal/obs"
 )
 
-// healOptions is the shared base: 4 workers + the switch at node 4,
-// whole-gradient chunks (one up/down frame per worker per iteration, so
-// chaos frame schedules are easy to aim), and a step deadline for stall
-// detection.
+// healOptions is the shared base: 4 workers + the switch at node 4 on the
+// TCP plane (the wire chaos faults), whole-gradient chunks (one up/down
+// frame per worker per iteration, so chaos frame schedules are easy to
+// aim), and a step deadline for stall detection.
 func healOptions() Options {
 	o := digitsOptions()
 	o.Algo = SwitchReduce
-	o.SwitchFallback = true
+	o.Recovery = SwitchFallback
 	o.StepTimeout = 2 * time.Second
 	o.EvalEvery = 4
-	return o
+	return o.onTCP(fpcodec.MustBound(10))
 }
 
 // ringReference runs the fault-free plain ring training the self-healed
@@ -58,8 +59,8 @@ func assertBitIdentical(t *testing.T, got, want Result) {
 	}
 }
 
-// TestSwitchFallbackBitExactOnSwitchCrash is the PR's acceptance run: a
-// 4-node switch training whose switch dies mid-multicast must detect the
+// TestSwitchFallbackBitExactOnSwitchCrash is the self-healing acceptance
+// run: a 4-node switch training whose switch dies mid-multicast must detect the
 // failure, fall back to the ring collective mid-run, and finish with
 // weights bit-identical to an uninterrupted ring run — while the trace
 // names the dead switch, not an innocent worker.
@@ -171,7 +172,7 @@ func TestSwitchFallbackArmedButUnused(t *testing.T) {
 func TestSwitchCrashFailsClosedWithoutFallback(t *testing.T) {
 	trainDS, testDS := digitsData()
 	o := healOptions()
-	o.SwitchFallback = false
+	o.Recovery = FailClosed
 	o.StepTimeout = 500 * time.Millisecond
 	o.Chaos = &fault.Config{Seed: 5, CrashAfter: map[int]uint64{o.Workers: 10}}
 	res, err := Run(models.NewHDCSmall, trainDS, testDS, 10, o)
@@ -186,7 +187,7 @@ func TestSwitchFallbackRequiresStepTimeout(t *testing.T) {
 	trainDS, testDS := digitsData()
 	o := digitsOptions()
 	o.Algo = SwitchReduce
-	o.SwitchFallback = true
+	o.Recovery = SwitchFallback
 	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 2, o); err == nil || !strings.Contains(err.Error(), "StepTimeout") {
 		t.Fatalf("missing StepTimeout accepted: %v", err)
 	}

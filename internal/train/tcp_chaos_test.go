@@ -22,7 +22,7 @@ func TestRingTCPTrainingUnderChaos(t *testing.T) {
 		o := digitsOptions()
 		o.StepTimeout = 20 * time.Second
 		o.Chaos = chaos
-		res, err := RunRingTCP(models.NewHDCSmall, trainDS, testDS, 30, o, bound)
+		res, err := Run(models.NewHDCSmall, trainDS, testDS, 30, o.onTCP(bound))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestRingTCPTrainingPartitionFails(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunRingTCP(models.NewHDCSmall, trainDS, testDS, 10, o, fpcodec.MustBound(10))
+		_, err := Run(models.NewHDCSmall, trainDS, testDS, 10, o.onTCP(fpcodec.MustBound(10)))
 		done <- err
 	}()
 	select {

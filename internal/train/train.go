@@ -5,13 +5,15 @@
 // 13 and 14 and collects the gradient streams behind Fig. 5 and Table III.
 //
 // Algorithm 1 is one worker loop — local gradient, exchange, update — and
-// so is this package: every exported runner is a thin wrapper that picks a
-// data plane (plane.go: in-process fabric or loopback TCP) and a
-// collective (loop.go: ring, worker-aggregator, the two hierarchies, the
-// in-network switch) for the one fixed-membership loop, runFixed, whose
-// iterations are session.computeStep → the collective's exchange →
-// session.commitStep. The elastic runners (elastic.go) add a membership
-// protocol around the same halves, plane and replay snapshots.
+// so is this package: Run is its one entry point, over {plane} ×
+// {collective} × {recovery}. Options.Plane picks the data plane (plane.go:
+// in-process fabric or loopback TCP), Options.Algo the collective (loop.go:
+// ring, worker-aggregator, the two hierarchies, the in-network switch), and
+// Options.Recovery what a node's death does. Fail-closed and switch-fallback
+// runs share the one fixed-membership loop, runFixed, whose iterations are
+// session.computeStep → the collective's exchange → session.commitStep;
+// elastic runs (elastic.go) add a membership protocol around the same
+// halves, plane and replay snapshots.
 package train
 
 import (
@@ -24,6 +26,7 @@ import (
 	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
 	"inceptionn/internal/fault"
+	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/nn"
 	"inceptionn/internal/obs"
 	"inceptionn/internal/opt"
@@ -69,6 +72,45 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
+// Plane selects the wire under a run.
+type Plane int
+
+// Data planes.
+const (
+	// InProcess runs every node in this process over comm.Fabric, with
+	// Options.Processor as the NIC datapath.
+	InProcess Plane = iota
+	// TCP runs the nodes over genuine loopback sockets (internal/tcpfabric),
+	// whose embedded NIC engines compress with error bound Options.Bound and
+	// whose retransmit protocol carries Options.Chaos.
+	TCP
+)
+
+// Recovery selects what a run does when a node dies.
+type Recovery int
+
+// Recovery policies.
+const (
+	// FailClosed fails the run with the first unrecoverable fault.
+	FailClosed Recovery = iota
+	// SwitchFallback makes SwitchReduce runs self-healing: workers grade
+	// every switch-exchange error with the mpi switch health monitor, and
+	// on a confirmed switch failure (hard transport self-report, or a stall
+	// after the full step deadline) they roll back at most one iteration
+	// from in-memory snapshots and finish the run on the ring collective —
+	// bit-exact with an uninterrupted ring run, since the switch combine
+	// replicates the ring's accumulation order. Requires StepTimeout > 0
+	// (stall detection needs a deadline). Only the switch is expendable: a
+	// worker casualty still fails the run closed.
+	SwitchFallback
+	// Elastic makes a ring run survive worker death and supports durable
+	// checkpoint/resume (elastic.go): survivors evict the dead member,
+	// agree on the shrunken ring and replay at most one iteration. On a
+	// graceful stop (Options.Stop) Run returns the partial result and
+	// ErrInterrupted.
+	Elastic
+)
+
 // Options configure a distributed training run.
 type Options struct {
 	Workers      int
@@ -79,11 +121,19 @@ type Options struct {
 	WeightDecay  float64
 	Seed         int64
 
-	// Processor is the NIC datapath model (nil = identity, no compression
-	// possible). Compress additionally tags gradient traffic with
-	// ToS 0x28, opting it into the processor's lossy path.
+	// Plane is the run's wire (default InProcess).
+	Plane Plane
+	// Processor is the in-process plane's NIC datapath model (nil =
+	// identity, no compression possible). Compress additionally tags
+	// gradient traffic with ToS 0x28, opting it into the lossy codec path.
 	Processor comm.WireProcessor
 	Compress  bool
+	// Bound is the TCP plane's codec error bound; required there when
+	// Compress is set.
+	Bound fpcodec.Bound
+	// Recovery is what a node's death does to the run (default
+	// FailClosed).
+	Recovery Recovery
 
 	// LocalGradTransform, if set, is applied to each worker's local
 	// gradient vector before the exchange (e.g. LSB truncation, Fig. 4).
@@ -105,11 +155,10 @@ type Options struct {
 	// algorithms (Fig. 1b/c); Workers must be a multiple of it.
 	GroupSize int
 
-	// StepTimeout bounds every individual ring send/recv step (both the
-	// in-process fabric runners and RunRingTCP): a link stalled longer
-	// than this fails the run with a timeout error naming the slow hop,
-	// instead of hanging the whole training job. 0 disables the per-step
-	// deadline.
+	// StepTimeout bounds every individual send/recv step of the exchange,
+	// on either plane: a link stalled longer than this fails the run with a
+	// timeout error naming the slow hop, instead of hanging the whole
+	// training job. 0 disables the per-step deadline.
 	StepTimeout time.Duration
 	// ChunkSize pipelines the ring exchange: each ring block is split
 	// into chunks of at most this many float32 values, so one chunk's
@@ -121,33 +170,22 @@ type Options struct {
 	// aggregation memory (netsim.Params.SwitchMemBytes / 4). 0 streams the
 	// whole gradient as one chunk.
 	SwitchChunk int
-	// SwitchFallback makes SwitchReduce runs self-healing: workers grade
-	// every switch-exchange error with the mpi switch health monitor, and
-	// on a confirmed switch failure (hard transport self-report, or a
-	// stall after the full step deadline) they roll back at most one
-	// iteration from in-memory snapshots and finish the run on the ring
-	// collective — bit-exact with an uninterrupted ring run, since the
-	// switch combine replicates the ring's accumulation order. Requires
-	// StepTimeout > 0 (stall detection needs a deadline). Only the switch
-	// is expendable: a worker casualty still fails the run closed.
-	SwitchFallback bool
 	// Chaos, if non-nil, injects deterministic transport faults (drops,
 	// corruption, duplication, delay, partitions, crashes — see
-	// internal/fault) into the run's wire traffic: through the TCP
-	// fabric's own injector, or by putting every in-process peer behind
-	// the fault wrapper's checksum/retransmit protocol. The fabric's
-	// retransmit protocol repairs recoverable faults transparently;
-	// unrecoverable ones surface as errors (or, with SwitchFallback, as a
-	// mid-run fallback when the casualty is the switch).
+	// internal/fault) into the TCP plane's traffic through the fabric's
+	// injector; the in-process plane has no wire to fault and rejects it.
+	// The fabric's retransmit protocol repairs recoverable faults
+	// transparently; unrecoverable ones surface as errors (or as a mid-run
+	// fallback or eviction, under the SwitchFallback or Elastic recovery).
 	Chaos *fault.Config
 
-	// SuspectAfter enables RunElastic's heartbeat failure detector: a
+	// SuspectAfter enables the elastic heartbeat failure detector: a
 	// worker silent for this long (after its first heartbeat) is declared
 	// dead and evicted from the ring. 0 disables the detector — crashes
 	// are then detected only by transport self-reports.
 	SuspectAfter time.Duration
 	// CheckpointDir, when non-empty, enables durable checkpoint/resume
-	// for RunElastic: atomic, CRC-checked snapshots of weights, optimizer
+	// for elastic runs: atomic, CRC-checked snapshots of weights, optimizer
 	// state, error-feedback residuals, and data-loader cursors.
 	CheckpointDir string
 	// CheckpointEvery writes a periodic checkpoint every that many
@@ -157,15 +195,16 @@ type Options struct {
 	// checkpoints after each write (see GCCheckpoints). 0 means the
 	// default of 3; negative disables pruning.
 	CheckpointKeep int
-	// Resume makes RunElastic restore the newest valid checkpoint in
+	// Resume makes an elastic run restore the newest valid checkpoint in
 	// CheckpointDir before training (fresh start if none exists).
 	Resume bool
-	// Join lets RunElasticTCP re-admit evicted workers: when a node is
-	// declared dead, a replacement for the same id is started, loads the
-	// newest valid checkpoint, and rejoins the ring at the next epoch
-	// boundary with its state synchronized from a surviving member.
+	// Join lets an elastic run on the TCP plane re-admit evicted workers:
+	// when a node is declared dead, a replacement for the same id is
+	// started, loads the newest valid checkpoint, and rejoins the ring at
+	// the next epoch boundary with its state synchronized from a surviving
+	// member.
 	Join bool
-	// Stop, when non-nil, drains RunElastic gracefully once closed: the
+	// Stop, when non-nil, drains an elastic run gracefully once closed: the
 	// workers agree on a common halt iteration, write a final checkpoint,
 	// and the run returns ErrInterrupted.
 	Stop <-chan struct{}
@@ -189,8 +228,8 @@ type Options struct {
 	// each worker adds the previous iteration's compression error to its
 	// local gradient before the exchange, so quantization error is
 	// deferred rather than lost. Requires Compress and a Processor, hence
-	// the in-process fabric (the TCP runners, whose fabric embeds its own
-	// codec, reject it); the codec's idempotence makes the
+	// the in-process plane (the TCP fabric embeds its own codec, which
+	// cannot report what it delivered); the codec's idempotence makes the
 	// locally-computed feedback exact for the first compression stage.
 	ErrorFeedback bool
 }
@@ -243,26 +282,39 @@ type Result struct {
 type Builder func(*rand.Rand) *nn.Network
 
 // prepare is the one place a run's options are checked and defaulted. It
-// returns the collective o.Algo selects; tcp says the run uses the TCP data
-// plane, which embeds its own codec and ignores Options.Processor, and
-// elastic says the runner is RunElastic or RunElasticTCP. An option the
-// runner would never read is an error, not a silent no-op.
-func (o *Options) prepare(tcp, elastic bool) (collective, error) {
+// returns the collective o.Algo selects. An option the run would never
+// read is an error, not a silent no-op.
+func (o *Options) prepare() (collective, error) {
+	inproc, elastic := o.Plane == InProcess, o.Recovery == Elastic
 	switch {
 	case o.Workers < 1:
 		return collective{}, fmt.Errorf("train: %d workers", o.Workers)
 	case o.BatchPerNode < 1:
 		return collective{}, fmt.Errorf("train: batch per node %d", o.BatchPerNode)
-	case o.ErrorFeedback && (tcp || !o.Compress || o.Processor == nil):
-		return collective{}, fmt.Errorf("train: ErrorFeedback requires Compress and a Processor on the in-process fabric (the TCP fabric's codec cannot report what it delivered)")
-	case o.SwitchFallback && o.Algo != SwitchReduce:
+	case o.Plane != InProcess && o.Plane != TCP:
+		return collective{}, fmt.Errorf("train: unknown plane %d", o.Plane)
+	case o.Recovery < FailClosed || o.Recovery > Elastic:
+		return collective{}, fmt.Errorf("train: unknown recovery %d", o.Recovery)
+	case inproc && o.Chaos != nil:
+		return collective{}, fmt.Errorf("train: Chaos is read only on the TCP plane (the in-process fabric has no wire to fault)")
+	case inproc && o.Bound != (fpcodec.Bound{}):
+		return collective{}, fmt.Errorf("train: Bound is read only on the TCP plane (the in-process fabric's codec is Processor)")
+	case !inproc && o.Processor != nil:
+		return collective{}, fmt.Errorf("train: Processor is read only on the in-process plane (the TCP fabric embeds its own engines at Bound)")
+	case !inproc && o.Compress && o.Bound == (fpcodec.Bound{}):
+		return collective{}, fmt.Errorf("train: Compress on the TCP plane requires Bound")
+	case o.ErrorFeedback && (!inproc || !o.Compress || o.Processor == nil):
+		return collective{}, fmt.Errorf("train: ErrorFeedback requires Compress and a Processor on the in-process plane (the TCP fabric's codec cannot report what it delivered)")
+	case o.Recovery == SwitchFallback && o.Algo != SwitchReduce:
 		return collective{}, fmt.Errorf("train: SwitchFallback requires the switch algorithm (got %s)", o.Algo)
-	case o.SwitchFallback && o.StepTimeout <= 0:
+	case o.Recovery == SwitchFallback && o.StepTimeout <= 0:
 		return collective{}, fmt.Errorf("train: SwitchFallback requires StepTimeout > 0 (stall detection needs a deadline)")
+	case elastic && o.Algo != Ring:
+		return collective{}, fmt.Errorf("train: elastic training requires the ring algorithm (got %s)", o.Algo)
 	case !elastic && (o.Resume || o.CheckpointDir != "" || o.CheckpointEvery != 0 || o.Stop != nil || o.SuspectAfter != 0):
-		return collective{}, fmt.Errorf("train: Resume, CheckpointDir, CheckpointEvery, Stop and SuspectAfter are read only by RunElastic and RunElasticTCP")
-	case !(elastic && tcp) && o.Join:
-		return collective{}, fmt.Errorf("train: Join is read only by RunElasticTCP")
+		return collective{}, fmt.Errorf("train: Resume, CheckpointDir, CheckpointEvery, Stop and SuspectAfter are read only by the Elastic recovery")
+	case !(elastic && !inproc) && o.Join:
+		return collective{}, fmt.Errorf("train: Join is read only by the Elastic recovery on the TCP plane")
 	}
 	if o.EvalSamples == 0 {
 		o.EvalSamples = 256
@@ -270,17 +322,39 @@ func (o *Options) prepare(tcp, elastic bool) (collective, error) {
 	return collectiveFor(*o)
 }
 
-// Run trains for iters iterations over the in-process fabric and returns
-// the result. The training dataset is sharded across workers (the paper's
-// Dᵢ partitions); the test dataset is used for evaluation. A failed
-// exchange on any worker cancels its siblings and surfaces as the returned
-// error.
+// Run trains for iters iterations and returns the result: o.Algo's
+// collective over o.Plane, under o.Recovery. The training dataset is
+// sharded across workers (the paper's Dᵢ partitions); the test dataset is
+// used for evaluation. A failed exchange on any worker cancels its siblings
+// and surfaces as the returned error, unless the recovery policy absorbs
+// it.
 func Run(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
-	c, err := o.prepare(false, false)
+	c, err := o.prepare()
 	if err != nil {
 		return Result{}, err
 	}
-	return runFixed(newFabricPlane(c.nodes(o.Workers), o), c, build, trainDS, testDS, iters, o, nil)
+	if o.Recovery == Elastic {
+		return runElastic(build, trainDS, testDS, iters, o)
+	}
+	plane, err := newPlane(c.nodes(o.Workers), o)
+	if err != nil {
+		return Result{}, err
+	}
+	return runFixed(plane, c, build, trainDS, testDS, iters, o, nil)
+}
+
+// RunRingTCP is Run on the TCP plane at codec error bound bound, with
+// o.Processor ignored. It predates Options.Plane and remains only for the
+// benchmark harness, which passes the ring as o.Algo.
+func RunRingTCP(build Builder, trainDS, testDS data.Dataset, iters int, o Options, bound fpcodec.Bound) (Result, error) {
+	return Run(build, trainDS, testDS, iters, o.onTCP(bound))
+}
+
+// onTCP returns o moved onto the TCP plane: the fabric's engines, at error
+// bound b, replace o.Processor.
+func (o Options) onTCP(b fpcodec.Bound) Options {
+	o.Plane, o.Bound, o.Processor = TCP, b, nil
+	return o
 }
 
 // straggle injects the configured per-iteration compute delay for worker

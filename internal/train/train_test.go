@@ -8,6 +8,7 @@ import (
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
+	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 	"inceptionn/internal/nic"
@@ -259,29 +260,35 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o); err != nil {
 		t.Errorf("ErrorFeedback with Compress and a Processor: %v", err)
 	}
-	for name, run := range map[string]func() (Result, error){
-		"RunRingTCP":    func() (Result, error) { return RunRingTCP(models.NewHDCSmall, trainDS, testDS, 1, o, bound) },
-		"RunSwitchTCP":  func() (Result, error) { return RunSwitchTCP(models.NewHDCSmall, trainDS, testDS, 1, o, bound) },
-		"RunElasticTCP": func() (Result, error) { return RunElasticTCP(models.NewHDCSmall, trainDS, testDS, 1, o, bound) },
-	} {
-		if _, err := run(); err == nil {
-			t.Errorf("%s: expected error for ErrorFeedback over the TCP fabric", name)
+	for _, recovery := range []Recovery{FailClosed, Elastic} {
+		o.Recovery = recovery
+		if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o.onTCP(bound)); err == nil {
+			t.Errorf("recovery %d: expected error for ErrorFeedback over the TCP fabric", recovery)
 		}
 	}
 }
 
-// TestRunnersRejectOptionsTheyNeverRead: an option a runner would ignore
-// fails the run up front, so Run with CheckpointDir and Resume cannot
-// quietly train from scratch, nor a closed Stop fail to halt it.
+// TestRunnersRejectOptionsTheyNeverRead: an option a run would ignore
+// fails it up front, so Run with CheckpointDir and Resume cannot quietly
+// train from scratch, nor a closed Stop fail to halt it, nor a chaos
+// schedule leave an in-process run unfaulted. Each row is one shape of
+// run: the in-process and TCP planes under the fail-closed recovery (the
+// latter through RunRingTCP and through Options.Plane), and the Elastic
+// recovery in process.
 func TestRunnersRejectOptionsTheyNeverRead(t *testing.T) {
 	trainDS, testDS := digitsData()
 	bound, build := fpcodec.MustBound(10), models.NewHDCSmall
 	runners := map[string]func(Options) (Result, error){
-		"Run":           func(o Options) (Result, error) { return Run(build, trainDS, testDS, 1, o) },
-		"RunRingTCP":    func(o Options) (Result, error) { return RunRingTCP(build, trainDS, testDS, 1, o, bound) },
-		"RunSwitchTCP":  func(o Options) (Result, error) { return RunSwitchTCP(build, trainDS, testDS, 1, o, bound) },
-		"RunElastic":    func(o Options) (Result, error) { return RunElastic(build, trainDS, testDS, 1, o) },
-		"RunElasticTCP": func(o Options) (Result, error) { return RunElasticTCP(build, trainDS, testDS, 1, o, bound) },
+		"Run":        func(o Options) (Result, error) { return Run(build, trainDS, testDS, 1, o) },
+		"RunRingTCP": func(o Options) (Result, error) { return RunRingTCP(build, trainDS, testDS, 1, o, bound) },
+		"TCP": func(o Options) (Result, error) {
+			o.Plane = TCP
+			return Run(build, trainDS, testDS, 1, o)
+		},
+		"Elastic": func(o Options) (Result, error) {
+			o.Recovery = Elastic
+			return Run(build, trainDS, testDS, 1, o)
+		},
 	}
 	stop := make(chan struct{})
 	close(stop)
@@ -292,15 +299,17 @@ func TestRunnersRejectOptionsTheyNeverRead(t *testing.T) {
 		"Stop":            func(o *Options) { o.Stop = stop },
 		"SuspectAfter":    func(o *Options) { o.SuspectAfter = time.Second },
 		"Join":            func(o *Options) { o.Join = true },
-		"SwitchFallback":  func(o *Options) { o.SwitchFallback, o.StepTimeout = true, time.Second },
+		"SwitchFallback":  func(o *Options) { o.Recovery, o.StepTimeout = SwitchFallback, time.Second },
+		"Chaos":           func(o *Options) { o.Chaos = &fault.Config{Seed: 1} },
+		"Bound":           func(o *Options) { o.Bound = bound },
+		"Processor":       func(o *Options) { o.Processor = comm.CodecProcessor{Bound: bound} },
 	}
-	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join"}
+	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join", "SwitchFallback"}
 	unread := map[string][]string{
-		"Run":           append([]string{"SwitchFallback"}, fixed...),
-		"RunRingTCP":    append([]string{"SwitchFallback"}, fixed...),
-		"RunSwitchTCP":  fixed,
-		"RunElastic":    {"Join", "SwitchFallback"},
-		"RunElasticTCP": {"SwitchFallback"},
+		"Run":        append([]string{"Chaos", "Bound"}, fixed...),
+		"RunRingTCP": fixed,
+		"TCP":        {"Processor"},
+		"Elastic":    {"Join", "Chaos", "Bound"},
 	}
 	for runner, names := range unread {
 		for _, field := range names {
@@ -438,7 +447,7 @@ func TestRingTCPTrainingConverges(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		o := digitsOptions()
 		o.Compress = compress
-		res, err := RunRingTCP(models.NewHDCSmall, trainDS, testDS, 120, o, bound)
+		res, err := Run(models.NewHDCSmall, trainDS, testDS, 120, o.onTCP(bound))
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
