@@ -26,7 +26,7 @@ race:
 	$(GO) test -race -timeout 60m ./...
 
 # Short fuzzing passes over everything that parses bytes it did not write:
-# the frame decoder, the codec's group kernel against its scalar reference
+# the frame decoder, the 4-wide float32 byte kernel against its scalar loop, the codec's group kernel against its scalar reference
 # in both directions, the JSONL trace document reader and the fitter it
 # feeds, and the checkpoint reader on internal/frame. The
 # seed corpora (checked in under internal/tcpfabric/testdata and
@@ -35,6 +35,7 @@ race:
 # minimization at 2 s, which would otherwise eat most of its 30 s.
 fuzz:
 	$(GO) test ./internal/tcpfabric -run FuzzFrameDecode -fuzz FuzzFrameDecode -fuzztime 30s
+	$(GO) test ./internal/frame -run FuzzF32sRoundtrip -fuzz FuzzF32sRoundtrip -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzDecompressStream -fuzz FuzzDecompressStream -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzCompressStream -fuzz FuzzCompressStream -fuzztime 30s
 	$(GO) test ./internal/fpcodec -run FuzzScalarRoundtrip -fuzz FuzzScalarRoundtrip -fuzztime 30s

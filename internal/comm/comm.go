@@ -301,6 +301,16 @@ func (f *Fabric) ResetStats() {
 // deadline or cancellation bounds the operation, and every anomaly —
 // transport failure, expired deadline, tag mismatch — is an error, never a
 // panic.
+//
+// Buffer ownership, the one statement of it. A sent payload stays the
+// caller's: it may be reused as soon as SendCtx returns. A received payload
+// is lent: it stays valid, and unchanged by traffic from any source, until
+// the caller's next receive from the same source on the same peer, and the
+// caller must not write it. A caller that keeps a payload past that point
+// copies it. The TCP node takes the previous payload back on the next
+// receive from its link and decodes later frames into it; the in-process
+// Endpoint hands out fresh slices, and the elastic epoch filter passes the
+// lent payload through.
 type CtxPeer interface {
 	// ID returns this node's id in [0, N).
 	ID() int
@@ -312,7 +322,8 @@ type CtxPeer interface {
 	// retransmissions.
 	SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error
 	// RecvCtx blocks for the next payload from src until ctx is done. A
-	// tag mismatch is a protocol error, returned rather than panicked.
+	// tag mismatch is a protocol error, returned rather than panicked. The
+	// payload is lent until the next receive from src.
 	RecvCtx(ctx context.Context, src int, tag int) ([]float32, error)
 }
 
@@ -323,7 +334,7 @@ type CtxPeer interface {
 type Transport interface {
 	CtxPeer
 	// RecvMessageCtx returns the next payload from src whatever its tag,
-	// along with the tag it carried.
+	// along with the tag it carried; lent like RecvCtx's.
 	RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error)
 }
 

@@ -61,7 +61,7 @@ func (p *Peer) SendCtx(ctx context.Context, dst int, payload []float32, tos uint
 
 // RecvCtx implements comm.CtxPeer: it returns the next frame from src
 // carrying exactly tag, discarding any frames from earlier epoch bands
-// along the way.
+// along the way. The payload is the transport's, lent on the same terms.
 func (p *Peer) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
 	want := tagEpoch(tag)
 	for {

@@ -40,18 +40,39 @@ func ChecksumF32s(vals []float32) uint32 {
 	return crc
 }
 
-// PutF32s encodes vals into dst[:4*len(vals)].
+// PutF32s encodes vals into dst[:4*len(vals)]. The loop moves four values
+// per trip through full-slice-expression windows of known length, so each
+// trip pays one bounds check instead of eight; a scalar tail takes the rest.
 func PutF32s(dst []byte, vals []float32) {
 	_ = dst[:4*len(vals)]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	i := 0
+	for ; i+4 <= len(vals); i += 4 {
+		v := vals[i : i+4 : i+4]
+		d := dst[4*i : 4*i+16 : 4*i+16]
+		binary.LittleEndian.PutUint32(d[0:], math.Float32bits(v[0]))
+		binary.LittleEndian.PutUint32(d[4:], math.Float32bits(v[1]))
+		binary.LittleEndian.PutUint32(d[8:], math.Float32bits(v[2]))
+		binary.LittleEndian.PutUint32(d[12:], math.Float32bits(v[3]))
+	}
+	for ; i < len(vals); i++ {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(vals[i]))
 	}
 }
 
-// F32s decodes len(dst) values from src[:4*len(dst)].
+// F32s decodes len(dst) values from src[:4*len(dst)], four per trip like
+// PutF32s.
 func F32s(dst []float32, src []byte) {
 	_ = src[:4*len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		s := src[4*i : 4*i+16 : 4*i+16]
+		d := dst[i : i+4 : i+4]
+		d[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))
+		d[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))
+		d[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))
+		d[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:]))
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }

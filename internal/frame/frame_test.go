@@ -253,12 +253,108 @@ func TestFloatAndChecksumHelpers(t *testing.T) {
 			t.Fatalf("value %d: %#08x, want %#08x", i, math.Float32bits(back[i]), math.Float32bits(vals[i]))
 		}
 	}
+	// The 4-wide kernels against the scalar loops, at every length that
+	// exercises a different tail and at one HDC ring block, over the bit
+	// patterns a float conversion could disturb: NaN payloads (quiet and
+	// signalling, both signs), ±0, ±Inf, subnormals and the normal extremes.
+	// Guard bytes and values past the window must survive untouched.
+	for _, n := range append(seq(68), 287253) {
+		in := make([]float32, n)
+		for i := range in {
+			if i%3 == 2 {
+				in[i] = float32(i)*0.25 - 3
+			} else {
+				in[i] = math.Float32frombits(edgeBits[(i+n)%len(edgeBits)])
+			}
+		}
+		enc := filled(4*n+5, 0xA5)
+		PutF32s(enc, in)
+		ref := filled(4*n+5, 0xA5)
+		refPutF32s(ref, in)
+		if !bytes.Equal(enc, ref) {
+			t.Fatalf("n=%d: PutF32s differs from the scalar loop", n)
+		}
+		dec := make([]float32, n+3)
+		for i := range dec {
+			dec[i] = math.Float32frombits(0xDEADBEEF)
+		}
+		F32s(dec[:n], enc)
+		for i := range dec {
+			want := uint32(0xDEADBEEF)
+			if i < n {
+				want = math.Float32bits(in[i])
+			}
+			if got := math.Float32bits(dec[i]); got != want {
+				t.Fatalf("n=%d value %d: F32s gave %#08x, want %#08x", n, i, got, want)
+			}
+		}
+	}
 	if ChecksumF32s(vals) != Checksum(want) || ChecksumF32s(nil) != Checksum(nil) {
 		t.Fatal("ChecksumF32s differs from the checksum of the encoding")
 	}
 	if b := AppendU32([]byte{0xEE}, 0x04030201); !bytes.Equal(b, []byte{0xEE, 1, 2, 3, 4}) {
 		t.Fatalf("AppendU32 wrote % x", b)
 	}
+}
+
+// edgeBits are float32 bit patterns a conversion that went through the FPU
+// (or a NaN-quieting move) would change.
+var edgeBits = []uint32{
+	0x7FC00000, 0x7FC00001, 0xFFC12345, // quiet NaNs with payloads
+	0x7F800001, 0x7FA00000, 0xFF800003, // signalling NaNs
+	0x00000000, 0x80000000, // ±0
+	0x7F800000, 0xFF800000, // ±Inf
+	0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF, // subnormals
+	0x00800000, 0x7F7FFFFF, 0xFF7FFFFF, // smallest normal, ±max
+}
+
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// refPutF32s and refF32s are the scalar loops the 4-wide kernels replaced,
+// kept as their oracle.
+func refPutF32s(dst []byte, vals []float32) {
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
+func refF32s(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// FuzzF32sRoundtrip: bytes → F32s → PutF32s is the identity on every whole
+// float the input holds, and F32s agrees bit for bit with the scalar loop.
+func FuzzF32sRoundtrip(f *testing.F) {
+	for _, bits := range edgeBits {
+		f.Add(binary.LittleEndian.AppendUint32(nil, bits))
+	}
+	f.Add([]byte{})
+	f.Add(filled(4*9+3, 0xFF))
+	f.Add([]byte("\x01\x00\x80\x7f\x00\x00\xc0\x7f\x00\x00\x00\x80\x01\x00\x00\x00\xff"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / 4
+		got, want := make([]float32, n), make([]float32, n)
+		F32s(got, data)
+		refF32s(want, data)
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("value %d of %d: F32s %#08x, scalar loop %#08x", i, n, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+		back := make([]byte, 4*n)
+		PutF32s(back, got)
+		if !bytes.Equal(back, data[:4*n]) {
+			t.Fatalf("%d floats: PutF32s(F32s(b)) != b", n)
+		}
+	})
 }
 
 // TestFrameOwnsTheBytes: this package is the module's only importer of

@@ -15,6 +15,7 @@ package mpi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"inceptionn/internal/comm"
@@ -172,7 +173,9 @@ func (c *Comm) reduceTree(ctx context.Context, vec []float32, root int, tos uint
 }
 
 // GatherCtx collects every rank's vec at root, returned indexed by rank;
-// other ranks receive nil. Vectors may differ in length.
+// other ranks receive nil. Vectors may differ in length. The result is
+// root's own: each received vector is copied out of the payload the peer
+// lent, which a later receive may overwrite.
 func (c *Comm) GatherCtx(ctx context.Context, vec []float32, root int) ([][]float32, error) {
 	n, rank := c.Size(), c.Rank()
 	if rank != root {
@@ -191,7 +194,7 @@ func (c *Comm) GatherCtx(ctx context.Context, vec []float32, root int) ([][]floa
 		if err != nil {
 			return nil, err
 		}
-		out[r] = rb
+		out[r] = slices.Clone(rb)
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/tcpfabric"
 )
 
 // runRanks executes body on n concurrent ranks over a fresh fabric.
@@ -24,6 +25,51 @@ func runRanks(t *testing.T, n int, proc comm.WireProcessor, body func(c *Comm)) 
 	}
 	wg.Wait()
 	return f
+}
+
+// TestGatherOverTCPKeepsWhatItReceives: a TCP node lends each received
+// payload only until the next receive from that source and then decodes
+// later frames into it, so GatherCtx must copy what it returns. Gather
+// once, run more gathers of the same shape over the same links, and the
+// first result must still hold the first round's values.
+func TestGatherOverTCPKeepsWhatItReceives(t *testing.T) {
+	const n, dim, rounds = 4, 64, 4
+	cl, err := tcpfabric.NewCluster(n, false, fpcodec.MustBound(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var first [][]float32
+	var wg sync.WaitGroup
+	for rank := 0; rank < n; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c := WorldPeer(cl.Node(rank))
+			for round := 0; round < rounds; round++ {
+				vec := make([]float32, dim)
+				for i := range vec {
+					vec[i] = float32(1000*round + 10*rank + i)
+				}
+				res, err := c.GatherCtx(context.Background(), vec, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rank == 0 && round == 0 {
+					first = res
+				}
+			}
+		}(rank)
+	}
+	wg.Wait()
+	for r, vec := range first {
+		for i, v := range vec {
+			if v != float32(10*r+i) {
+				t.Fatalf("rank %d's gathered vector changed after later receives: elem %d = %g, want %d", r, i, v, 10*r+i)
+			}
+		}
+	}
 }
 
 func TestBcastAllRoots(t *testing.T) {

@@ -109,17 +109,21 @@ func NewDecompressionEngine(bound fpcodec.Bound) *DecompressionEngine {
 // Cycles returns the total engine cycles consumed so far.
 func (e *DecompressionEngine) Cycles() int64 { return e.cycles.Load() }
 
-// DecompressPayload decodes a compressed packet payload back into count
-// float32 values. The Burst Buffer semantics — a compressed group may
-// straddle two 256-bit bursts, so the decoder holds up to 512 bits before
-// emitting — cost one cycle per produced output burst plus one fill cycle.
-// count comes off the wire: a stream too short to hold it is rejected
-// before any value is allocated.
-func (e *DecompressionEngine) DecompressPayload(data []byte, bits, count int) ([]float32, error) {
+// DecompressInto decodes a compressed packet payload back into count
+// float32 values, written over dst's storage when it holds count values
+// (else into a fresh slice), and returns them. The Burst Buffer semantics —
+// a compressed group may straddle two 256-bit bursts, so the decoder holds
+// up to 512 bits before emitting — cost one cycle per produced output burst
+// plus one fill cycle. count comes off the wire: a stream too short to hold
+// it is rejected before any value is allocated or written.
+func (e *DecompressionEngine) DecompressInto(dst []float32, data []byte, bits, count int) ([]float32, error) {
 	if err := fpcodec.CheckStreamBits(count, bits); err != nil {
 		return nil, fmt.Errorf("nic: %w", err)
 	}
-	out := make([]float32, count)
+	if dst == nil || cap(dst) < count {
+		dst = make([]float32, count)
+	}
+	out := dst[:count]
 	if _, err := fpcodec.DecodeGroups(out, data, 0, bits, e.Bound); err != nil {
 		return nil, fmt.Errorf("nic: %w", err)
 	}
@@ -130,6 +134,12 @@ func (e *DecompressionEngine) DecompressPayload(data []byte, bits, count int) ([
 		e.Obs.Counter("nic_decompress_out_bytes").Add(4 * int64(count))
 	}
 	return out, nil
+}
+
+// DecompressPayload is DecompressInto a fresh slice: the caller owns the
+// result.
+func (e *DecompressionEngine) DecompressPayload(data []byte, bits, count int) ([]float32, error) {
+	return e.DecompressInto(nil, data, bits, count)
 }
 
 // CompressionCycles returns the cycles needed to compress n float32 values

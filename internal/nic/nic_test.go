@@ -249,6 +249,35 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}); n != 1 {
 		t.Errorf("DecompressPayload: %v allocations per payload, want 1 (the returned slice)", n)
 	}
+	// Into a lent buffer that holds the payload: nothing, and the values
+	// DecompressPayload returns, whatever the buffer held before.
+	want, err := de.DecompressPayload(data, bits, len(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, len(payload)+5)
+	for i := range dst {
+		dst[i] = float32(math.NaN())
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		got, err := de.DecompressInto(dst, data, bits, len(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || &got[0] != &dst[0] {
+			t.Fatalf("DecompressInto returned %d values, not written over dst", len(got))
+		}
+	}); n != 0 {
+		t.Errorf("DecompressInto: %v allocations per payload into a large enough buffer, want 0", n)
+	}
+	for i, v := range want {
+		if math.Float32bits(dst[i]) != math.Float32bits(v) {
+			t.Fatalf("value %d: DecompressInto %g, DecompressPayload %g", i, dst[i], v)
+		}
+	}
+	if got, err := de.DecompressInto(dst[:0:8], data, bits, len(payload)); err != nil || len(got) != len(want) {
+		t.Fatalf("DecompressInto a short buffer: %d values, %v", len(got), err)
+	}
 }
 
 // TestEnginesServeConcurrentCallers: the engines keep nothing between

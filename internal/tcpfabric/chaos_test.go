@@ -432,3 +432,64 @@ func TestNodeCrashSchedule(t *testing.T) {
 		t.Errorf("crashed node: want ErrCrashed, got %v", errs[1])
 	}
 }
+
+// TestCleanLinkNeverRetransmits: on a link with no faults a stall probe is
+// a question TCP already answers, so nothing is ever sent twice. Four
+// nodes pass multi-MB payloads around a ring with a 1 ms probe interval,
+// each receiver sleeping through several intervals before it receives, so
+// every receive finds its frame still being encoded, written or read and
+// probes for it. Every payload must arrive exactly, with zero
+// retransmissions on every link.
+func TestCleanLinkNeverRetransmits(t *testing.T) {
+	const n, dim, rounds = 4, 1 << 20, 4
+	c, err := NewClusterWithOptions(n, ClusterOptions{
+		Bound: fpcodec.MustBound(10),
+		Retry: RetryPolicy{ProbeRTO: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	inputs := chaosInputs(n, dim, 11)
+	var wg sync.WaitGroup
+	for id := 0; id < n; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			nd, left, right := c.Node(id), (id+n-1)%n, (id+1)%n
+			for r := 0; r < rounds; r++ {
+				sent := make(chan error, 1)
+				go func() { sent <- nd.SendCtx(ctx, right, inputs[id], 0, r) }()
+				time.Sleep(3 * time.Millisecond)
+				got, err := nd.RecvCtx(ctx, left, r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, v := range inputs[left] {
+					if got[i] != v {
+						t.Errorf("node %d round %d elem %d: %g, want %g", id, r, i, got[i], v)
+						return
+					}
+				}
+				if err := <-sent; err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	for id := 0; id < n; id++ {
+		for peer := 0; peer < n; peer++ {
+			if peer == id {
+				continue
+			}
+			if r := c.Node(id).LinkStats(peer).Retransmits.Load(); r != 0 {
+				t.Errorf("link %d->%d: %d retransmits on a clean link", id, peer, r)
+			}
+		}
+	}
+}

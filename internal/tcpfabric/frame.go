@@ -3,6 +3,7 @@ package tcpfabric
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/frame"
@@ -17,7 +18,10 @@ import (
 //	  0  u32 magic      0x494E4350 ("INCP")
 //	  4  u8  kind       0 data, 1 ack, 2 nack
 //	  5  u8  tos
-//	  6  u8  flags      bit0 compressed, bit1 raw-fallback, bit2 want-raw
+//	  6  u8  flags      bit0 compressed, bit1 raw-fallback (data frames,
+//	                    at most one); bit2 want-raw, bit3 probe (NACKs, at
+//	                    most one); every other bit, and any flag on an
+//	                    ACK, is rejected
 //	  7  u8  reserved   must be zero
 //	  8  u32 seq        per-link frame sequence number
 //	 12  u32 tag
@@ -42,7 +46,15 @@ const (
 	flagCompressed  = 1 << 0 // body is a codec bitstream
 	flagRawFallback = 1 << 1 // data resent uncompressed after a decode failure
 	flagWantRaw     = 1 << 2 // NACK requests the retransmission uncompressed
+	flagProbe       = 1 << 3 // stall NACK with no evidence of loss: resend only a frame that left damaged
 )
+
+// kindFlags are the flags each frame kind may carry, one at a time.
+var kindFlags = [...]uint8{
+	kindData: flagCompressed | flagRawFallback,
+	kindAck:  0,
+	kindNack: flagWantRaw | flagProbe,
+}
 
 // Hostility limits: a frame advertising more than these is rejected during
 // header validation, before any allocation, so a corrupt or malicious
@@ -110,6 +122,12 @@ func decodeHeader(b []byte) (frameHeader, error) {
 	h.bitLen = binary.LittleEndian.Uint32(b[24:])
 	h.crc = binary.LittleEndian.Uint32(b[28:])
 
+	if int(h.kind) >= len(kindFlags) {
+		return h, fmt.Errorf("tcpfabric: unknown frame kind %d", h.kind)
+	}
+	if h.flags&^kindFlags[h.kind] != 0 || bits.OnesCount8(h.flags) > 1 {
+		return h, fmt.Errorf("tcpfabric: flags %#x on a kind-%d frame", h.flags, h.kind)
+	}
 	switch h.kind {
 	case kindAck, kindNack:
 		if h.payloadLen != 0 {
@@ -140,22 +158,15 @@ func decodeHeader(b []byte) (frameHeader, error) {
 	return h, nil
 }
 
-// decodeRawPayload converts a raw (uncompressed) data frame body into
-// float32 values. The header has already been validated, so the sizes are
-// consistent; a short body (possible only when a caller bypasses header
-// validation, e.g. the fuzzer) is an error rather than a panic.
-func decodeRawPayload(h frameHeader, body []byte) ([]float32, error) {
-	if len(body) != int(h.payloadLen) || len(body) != 4*int(h.count) {
-		return nil, fmt.Errorf("tcpfabric: raw body %dB, want %d", len(body), 4*h.count)
+// decodeRawPayload converts a raw (uncompressed) data frame body into the
+// h.count float32 values of dst. The header has already been validated, so
+// the sizes are consistent; a short body or buffer (possible only when a
+// caller bypasses header validation, e.g. the fuzzer) is an error rather
+// than a panic.
+func decodeRawPayload(dst []float32, h frameHeader, body []byte) error {
+	if len(body) != int(h.payloadLen) || len(body) != 4*int(h.count) || len(dst) != int(h.count) {
+		return fmt.Errorf("tcpfabric: raw body %dB for %d floats, want %d", len(body), len(dst), 4*h.count)
 	}
-	out := make([]float32, h.count)
-	frame.F32s(out, body)
-	return out, nil
-}
-
-// encodeRawPayload serializes floats as a raw frame body.
-func encodeRawPayload(payload []float32) []byte {
-	body := make([]byte, 4*len(payload))
-	frame.PutF32s(body, payload)
-	return body
+	frame.F32s(dst, body)
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/frame"
 	"inceptionn/internal/nic"
 )
 
@@ -21,11 +22,11 @@ func fuzzSeed(h frameHeader, body []byte) []byte {
 }
 
 // TestCorpusPinsTheWire: the checked-in corpus files are golden INCP bytes —
-// written by a generator that spelled the header layout out a second time,
-// since deleted — and the frame writers must reproduce the three valid
-// ones byte for byte.
+// the first eleven written by a generator that spelled the header layout
+// out a second time, since deleted, and valid_nack_probe by hand — and the
+// frame writers must reproduce the four valid ones byte for byte.
 func TestCorpusPinsTheWire(t *testing.T) {
-	rawBody := encodeRawPayload([]float32{1.5, -2.25})
+	rawBody := frame.AppendF32s(nil, []float32{1.5, -2.25})
 	for name, wire := range map[string][]byte{
 		"valid_raw": fuzzSeed(frameHeader{
 			kind: kindData, seq: 1, tag: 7, count: 2,
@@ -33,6 +34,7 @@ func TestCorpusPinsTheWire(t *testing.T) {
 		}, rawBody),
 		"valid_ack":          fuzzSeed(frameHeader{kind: kindAck, seq: 3}, nil),
 		"valid_nack_wantraw": fuzzSeed(frameHeader{kind: kindNack, flags: flagWantRaw, seq: 4}, nil),
+		"valid_nack_probe":   fuzzSeed(frameHeader{kind: kindNack, flags: flagProbe, seq: 6}, nil),
 	} {
 		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzFrameDecode", name))
 		if err != nil {
@@ -58,7 +60,7 @@ func TestCorpusPinsTheWire(t *testing.T) {
 // receiver allocate more than 16 bytes of floats per byte of body).
 func FuzzFrameDecode(f *testing.F) {
 	// Valid raw data frame carrying two floats.
-	rawBody := encodeRawPayload([]float32{1.5, -2.25})
+	rawBody := frame.AppendF32s(nil, []float32{1.5, -2.25})
 	f.Add(fuzzSeed(frameHeader{
 		kind: kindData, seq: 1, tag: 7, count: 2,
 		payloadLen: uint32(len(rawBody)), crc: bodyCRC(rawBody),
@@ -96,12 +98,30 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(reserved[:])
 	// Truncated header.
 	f.Add([]byte{0x50, 0x43, 0x4E, 0x49, 0x00})
+	// Flags: a stall probe is valid; a flag on the wrong kind, two at once
+	// and an undefined bit are not.
+	for _, h := range []frameHeader{
+		{kind: kindNack, flags: flagProbe, seq: 6},
+		{kind: kindNack, flags: flagWantRaw | flagProbe, seq: 6},
+		{kind: kindNack, flags: flagCompressed, seq: 6},
+		{kind: kindAck, flags: flagProbe, seq: 6},
+		{kind: kindData, flags: flagWantRaw, count: 2, payloadLen: 8},
+		{kind: kindData, flags: flagCompressed | flagRawFallback, count: 2, payloadLen: 8},
+		{kind: kindData, flags: 1 << 7, count: 2, payloadLen: 8},
+	} {
+		b := encodeHeader(h)
+		f.Add(append(b[:], make([]byte, h.payloadLen)...))
+	}
 
 	engine := nic.NewDecompressionEngine(fpcodec.MustBound(10))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := decodeHeader(data)
 		if err != nil {
 			return // rejected before any allocation: the safe outcome
+		}
+		// Accepted headers carry one flag at most, of their own kind.
+		if allowed := kindFlags[h.kind]; h.flags&^allowed != 0 || h.flags != 0 && h.flags&(h.flags-1) != 0 {
+			t.Fatalf("kind %d frame accepted with flags %#x", h.kind, h.flags)
 		}
 		// Accepted headers must respect the hostility limits.
 		if h.kind == kindData {
@@ -121,9 +141,8 @@ func FuzzFrameDecode(f *testing.F) {
 		// The CRC guards delivery, not parsing: run the raw decoder even on
 		// mismatched checksums — it must error on bad sizes, never panic.
 		if h.kind == kindData && h.flags&flagCompressed == 0 {
-			vals, err := decodeRawPayload(h, body)
-			if err == nil && uint32(len(vals)) != h.count {
-				t.Fatalf("decoded %d floats, header said %d", len(vals), h.count)
+			if err := decodeRawPayload(make([]float32, h.count), h, body); err == nil && uint32(len(body)) != 4*h.count {
+				t.Fatalf("decoded a %d-byte body as %d floats", len(body), h.count)
 			}
 		}
 		// A compressed frame goes to the node's decompression engine as

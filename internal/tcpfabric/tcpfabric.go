@@ -9,6 +9,14 @@
 // travel over the socket; the receiving side's ingress engine reconstructs
 // the floats. Untagged traffic ships raw IEEE-754 bytes.
 //
+// Each float crosses between host and bytes once per direction. A send
+// encodes its frame once, into a body drawn from the link's free list, and
+// every attempt writes those bytes; the body goes back to the list when the
+// frame is cumulatively ACKed and no attempt is still writing it. The
+// reader reads every body into the link's one read buffer and decodes it
+// into a float buffer from the link's free list, which it lends to the
+// caller (comm.CtxPeer states the ownership rule).
+//
 // The transport is fault tolerant. Every data frame carries a per-link
 // sequence number and a CRC32-C of its body (see frame.go for the wire
 // layout). The receiver verifies, dedupes, and delivers in order, ACKing
@@ -20,6 +28,16 @@
 // instead of dying — observable via DegradedFrames. Fault injection for
 // chaos testing plugs in through ClusterOptions.Chaos (internal/fault);
 // faults apply to the data plane only, control frames ride clean TCP.
+//
+// A stall NACK is a question, not a demand. While nothing at or past the
+// expected sequence has arrived on the link, the receiver has no evidence
+// of loss and marks its stall NACK a probe (flagProbe). The sender ignores
+// a probe for a frame whose last attempt it wrote intact — not dropped,
+// corrupted or truncated by chaos — because TCP delivers the bytes it
+// accepted: the frame is merely still on its way. Gap, CRC, codec
+// (want-raw) and refused-stash NACKs, and a stall NACK once a later frame
+// has arrived, still retransmit, so drops, partitions, delays and
+// corruption heal as before while a clean link never resends.
 package tcpfabric
 
 import (
@@ -32,12 +50,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"bufio"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/frame"
 	"inceptionn/internal/nic"
 	"inceptionn/internal/obs"
 )
@@ -181,8 +201,8 @@ type Node struct {
 	errs      chan error // torn frames, protocol violations, dead links
 
 	// engines are per-node, as in the hardware (one NIC per host). They
-	// keep no state between payloads but their cycle counters, so a
-	// retransmission's re-compress runs beside the forward send.
+	// keep no state between payloads but their cycle counters, so the
+	// node's concurrent senders and readers share them.
 	ce *nic.CompressionEngine
 	de *nic.DecompressionEngine
 
@@ -193,34 +213,106 @@ type Node struct {
 }
 
 // outLink is the sender side of one directed link: the frames not yet
-// cumulatively ACKed, kept for retransmission.
+// cumulatively ACKed, kept for retransmission, and the storage their
+// bodies and float copies are recycled through.
 type outLink struct {
-	mu   sync.Mutex
-	next uint32
-	buf  map[uint32]*outFrame
+	mu     sync.Mutex
+	next   uint32
+	buf    map[uint32]*outFrame
+	bodies freeList[byte]
+	floats freeList[float32]
 }
 
-// outFrame is one retransmittable frame: the original floats are kept so
-// a want-raw NACK can resend the block uncompressed.
+// outFrame is one retransmittable frame, encoded once: every attempt
+// writes h and body as they are. A compressed frame also keeps its floats,
+// so a want-raw NACK can resend the block uncompressed.
 type outFrame struct {
-	payload  []float32
-	tos      uint8
-	tag      int
+	h        frameHeader
+	body     []byte
+	floats   []float32 // compressed frames only
 	attempts int
+	inFlight int  // attempts between their chaos verdict and their last write
+	acked    bool // cumulatively ACKed: recycled once inFlight is zero
+	intact   bool // the last attempt goes to the socket whole
 }
 
-// inLink is the receiver side: next expected sequence plus the stash of
-// frames that arrived ahead of a retransmitted gap.
+// inLink is the receiver side: next expected sequence, how far the link
+// has reached, the stash of frames that arrived ahead of a retransmitted
+// gap, and the float buffers decoded payloads are lent from.
 type inLink struct {
 	mu       sync.Mutex
 	expected uint32
+	reach    uint32 // one past the highest sequence that has arrived
 	pending  map[uint32]decodedFrame
+	lent     weak.Pointer[[]float32] // the payload the last receive handed out
+	free     freeList[float32]
+}
+
+// arrived records that frame seq reached the link undelivered, or is
+// delivered in the same critical section, so a probe never mistakes a
+// frame still being decoded for a lost one. The caller holds il.mu.
+func (il *inLink) arrived(seq uint32) {
+	if seq >= il.reach {
+		il.reach = seq + 1
+	}
 }
 
 type decodedFrame struct {
 	seq     uint32
 	tag     int
 	payload []float32
+}
+
+// maxFree bounds each free list. A ring link has one or two frames in
+// flight; the headroom covers a sender that runs a few frames ahead of
+// the goroutine reading its ACKs, and a longer burst's surplus goes to the
+// collector.
+const maxFree = 8
+
+// freeList is one link's store of spent buffers, drawn from before
+// allocating; its owner's mutex guards it. It holds each buffer weakly: a
+// buffer still idle when the collector runs is reclaimed, not kept live.
+// A warm link allocates next to nothing, so the collector's heap goal is
+// twice whatever is live at its last cycle, and a buffer held strongly
+// counts twice in peak RSS: strong lists, and a sync.Pool per link, whose
+// victim cache keeps a buffer through one cycle, measured 164–236 MB of
+// peak RSS on hdc_ring_tcp (2 vCPUs) against 150–160 MB weak. Held
+// weakly, a list saves the allocations between two cycles, which on a warm
+// link are nearly all.
+type freeList[T any] struct{ bufs []weak.Pointer[[]T] }
+
+// weakly boxes b so a free list can take it back without keeping it alive.
+func weakly[T any](b []T) weak.Pointer[[]T] { return weak.Make(&b) }
+
+// get returns a buffer of length n: the newest kept one that is still
+// alive and holds n, else a fresh one with 1/64 to spare, so that the
+// blocks of one ring, which differ in length by a value, share their
+// buffers. Buffers it passes over are dropped.
+func (f *freeList[T]) get(n int) []T {
+	for len(f.bufs) > 0 {
+		last := len(f.bufs) - 1
+		p := f.bufs[last].Value()
+		f.bufs[last] = weak.Pointer[[]T]{}
+		f.bufs = f.bufs[:last]
+		if p != nil && cap(*p) >= n {
+			return (*p)[:n]
+		}
+	}
+	return make([]T, n, n+n/64+1)
+}
+
+// put keeps b for a later get.
+func (f *freeList[T]) put(b []T) {
+	if cap(b) > 0 {
+		f.keep(weakly(b))
+	}
+}
+
+// keep adds a weakly held buffer, unless the list is full.
+func (f *freeList[T]) keep(w weak.Pointer[[]T]) {
+	if w != (weak.Pointer[[]T]{}) && len(f.bufs) < maxFree {
+		f.bufs = append(f.bufs, w)
+	}
 }
 
 // maxPending bounds the out-of-order stash per link.
@@ -417,10 +509,11 @@ func (nd *Node) N() int { return nd.cluster.n }
 
 var _ comm.Transport = (*Node)(nil)
 
-// SendCtx frames the payload, registers it in the per-link retransmit
-// buffer, and transmits it. The frame stays buffered until the receiver's
-// cumulative ACK covers it, so NACKs (corruption, gaps, stalls, want-raw
-// degradation) can be served from here. The link's RawBytes counts the
+// SendCtx encodes the payload once, registers the frame in the per-link
+// retransmit buffer, and transmits it. The frame stays buffered until the
+// receiver's cumulative ACK covers it, so NACKs (corruption, gaps, stalls,
+// want-raw degradation) are served from the same bytes. The caller may
+// reuse payload once SendCtx returns. The link's RawBytes counts the
 // payload once per send, whatever its retransmissions add to the wire.
 func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {
 	if dst == nd.id {
@@ -436,14 +529,16 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 		return fmt.Errorf("tcpfabric: node %d: %w", nd.id, fault.ErrCrashed)
 	}
 	ol := &nd.out[dst]
+	of := nd.encode(ol, payload, tos, tag)
 	ol.mu.Lock()
 	if len(ol.buf) >= sendWindow {
+		ol.recycle(of)
 		ol.mu.Unlock()
 		return fmt.Errorf("tcpfabric: %d->%d: %w", nd.id, dst, ErrSendWindow)
 	}
 	seq := ol.next
 	ol.next++
-	of := &outFrame{payload: append([]float32(nil), payload...), tos: tos, tag: tag}
+	of.h.seq = seq
 	ol.buf[seq] = of
 	ol.mu.Unlock()
 	if err := nd.transmit(dst, seq, of, false); err != nil {
@@ -453,18 +548,98 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 	return nil
 }
 
-// bodyScratch recycles the storage of compressed frame bodies.
-var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
+// encode builds a data frame's header and body, into storage from the
+// link's free lists, and checksums the body: the one conversion of the
+// payload's floats to bytes.
+func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) *outFrame {
+	of := &outFrame{
+		h:      frameHeader{kind: kindData, tos: tos, tag: uint32(tag), count: uint32(len(payload))},
+		intact: true, // no attempt has gone bad
+	}
+	compress := nd.cluster.useC && tos == comm.ToSCompress
+	ol.mu.Lock()
+	if compress {
+		// About one byte per float holds a typical gradient stream; a
+		// larger one grows the body, which returns to the list grown.
+		of.body = ol.bodies.get(len(payload))
+		of.floats = ol.floats.get(len(payload))
+	} else {
+		of.body = ol.bodies.get(4 * len(payload))
+	}
+	ol.mu.Unlock()
+	if compress {
+		copy(of.floats, payload)
+		var sp obs.ActiveSpan
+		if cobs := nd.cluster.cobs; cobs != nil {
+			sp = cobs.rec.Span(nd.id, -1, obs.PhaseCompress)
+		}
+		var bits int
+		of.body, bits = nd.ce.CompressInto(of.body, payload)
+		sp.End()
+		of.h.flags = flagCompressed
+		of.h.bitLen = uint32(bits)
+	} else {
+		frame.PutF32s(of.body, payload)
+	}
+	of.h.payloadLen = uint32(len(of.body))
+	of.h.crc = bodyCRC(of.body)
+	return of
+}
 
-// transmit encodes and writes one frame (fresh send or retransmission),
-// applying the chaos verdict for this attempt. raw forces an uncompressed
-// body (the degraded fallback).
+// recycle returns a delivered frame's storage to the link's free lists.
+// The caller holds ol.mu.
+func (ol *outLink) recycle(of *outFrame) {
+	ol.bodies.put(of.body)
+	ol.floats.put(of.floats)
+	of.body, of.floats = nil, nil
+}
+
+// transmit writes one attempt of a frame (fresh send or retransmission),
+// applying the chaos verdict for this attempt. raw asks for an
+// uncompressed body (the degraded fallback), encoded from the frame's
+// floats for this attempt only.
 func (nd *Node) transmit(dst int, seq uint32, of *outFrame, raw bool) error {
 	ol := &nd.out[dst]
 	ol.mu.Lock()
+	if of.acked {
+		// Delivered since the NACK named it; its body may be reused already.
+		ol.mu.Unlock()
+		return nil
+	}
 	attempt := of.attempts
 	of.attempts++
+	of.inFlight++
+	h, body, floats := of.h, of.body, of.floats
+	var v fault.Verdict
+	v.CorruptBit = -1
+	if ch := nd.cluster.chaos; ch != nil {
+		v = ch.Decide(nd.id, dst, uint64(seq), attempt)
+	}
+	// A glitching engine emits a short bitstream: the frame stays
+	// well-formed (bitLen clamped to the body it actually carries, and
+	// still a tag vector per group, which decodeHeader insists on) and
+	// CRC-valid, but the codec runs out of bits mid-group and fails,
+	// driving the receiver's raw-fallback path.
+	truncate := v.TruncateBytes > 0 && !raw && h.flags&flagCompressed != 0 && len(body) > v.TruncateBytes &&
+		fpcodec.CheckStreamBits(int(h.count), 8*(len(body)-v.TruncateBytes)) == nil
+	var rawBody []byte
+	wlen := len(body) // the bytes this attempt writes
+	if raw && floats != nil {
+		rawBody = ol.bodies.get(4 * len(floats))
+		wlen = len(rawBody)
+	}
+	corrupt := v.CorruptBit >= 0 && wlen > 0
+	of.intact = !v.Drop && !truncate && !corrupt
 	ol.mu.Unlock()
+	defer func() {
+		ol.mu.Lock()
+		if of.inFlight--; of.acked && of.inFlight == 0 {
+			ol.recycle(of)
+		}
+		ol.bodies.put(rawBody)
+		ol.mu.Unlock()
+	}()
+
 	cobs := nd.cluster.cobs
 	if attempt > 0 {
 		nd.stats[dst].Retransmits.Add(1)
@@ -472,43 +647,20 @@ func (nd *Node) transmit(dst int, seq uint32, of *outFrame, raw bool) error {
 			cobs.retransmits.Add(1)
 		}
 	}
-
-	h := frameHeader{
-		kind:  kindData,
-		tos:   of.tos,
-		seq:   seq,
-		tag:   uint32(of.tag),
-		count: uint32(len(of.payload)),
-	}
-	var body []byte
-	if nd.cluster.useC && of.tos == comm.ToSCompress && !raw {
-		var sp obs.ActiveSpan
-		if cobs != nil {
-			sp = cobs.rec.Span(nd.id, -1, obs.PhaseCompress)
+	if raw {
+		if rawBody != nil {
+			frame.PutF32s(rawBody, floats)
+			body = rawBody
+			h.flags, h.bitLen = 0, 0
+			h.payloadLen = uint32(len(body))
+			h.crc = bodyCRC(body)
 		}
-		// The stream is dead once this attempt's writes have flushed.
-		scratch := bodyScratch.Get().(*[]byte)
-		var bits int
-		body, bits = nd.ce.CompressInto(*scratch, of.payload)
-		*scratch = body
-		defer bodyScratch.Put(scratch)
-		sp.End()
-		h.flags |= flagCompressed
-		h.bitLen = uint32(bits)
-	} else {
-		body = encodeRawPayload(of.payload)
-		if raw {
-			h.flags |= flagRawFallback
-		}
+		h.flags |= flagRawFallback
 	}
 
 	// Chaos injection, data plane only. Truncation happens before the CRC
-	// is computed (a glitching engine), corruption after (on-wire damage).
-	var v fault.Verdict
-	v.CorruptBit = -1
-	if ch := nd.cluster.chaos; ch != nil {
-		v = ch.Decide(nd.id, dst, uint64(seq), attempt)
-	}
+	// is computed (a glitching engine), corruption after (on-wire damage),
+	// on a private copy: the kept body stays intact for the next attempt.
 	if v.Delay > 0 {
 		select {
 		case <-time.After(v.Delay):
@@ -516,26 +668,20 @@ func (nd *Node) transmit(dst int, seq uint32, of *outFrame, raw bool) error {
 			return ErrClosed
 		}
 	}
-	if v.TruncateBytes > 0 && h.flags&flagCompressed != 0 && len(body) > v.TruncateBytes &&
-		fpcodec.CheckStreamBits(len(of.payload), 8*(len(body)-v.TruncateBytes)) == nil {
-		// A glitching engine emits a short bitstream: the frame stays
-		// well-formed (bitLen clamped to the body it actually carries, and
-		// still a tag vector per group, which decodeHeader insists on) and
-		// CRC-valid, but the codec runs out of bits mid-group and fails,
-		// driving the receiver's raw-fallback path.
+	if truncate {
 		body = body[:len(body)-v.TruncateBytes]
 		if h.bitLen > 8*uint32(len(body)) {
 			h.bitLen = 8 * uint32(len(body))
 		}
+		h.payloadLen = uint32(len(body))
+		h.crc = bodyCRC(body)
 	}
-	h.payloadLen = uint32(len(body))
-	h.crc = bodyCRC(body)
-	if v.CorruptBit >= 0 && len(body) > 0 {
+	if corrupt {
 		body = append([]byte(nil), body...)
 		bit := v.CorruptBit % (8 * len(body))
 		body[bit/8] ^= 1 << (bit % 8)
 	}
-	nd.cluster.wire.Observe(4*int64(len(of.payload)), int64(len(body)), h.flags&flagCompressed != 0)
+	nd.cluster.wire.Observe(4*int64(h.count), int64(len(body)), h.flags&flagCompressed != 0)
 	if v.Drop {
 		return nil // the frame "left" but never hits the wire
 	}
@@ -577,21 +723,19 @@ func (nd *Node) writeFrame(dst int, h frameHeader, body []byte) error {
 
 // sendCtl emits an ACK or NACK. Control frames bypass chaos injection:
 // the fault model is a lossy data plane under a reliable control plane.
-func (nd *Node) sendCtl(dst int, kind uint8, seq uint32, wantRaw bool) {
-	h := frameHeader{kind: kind, seq: seq}
-	if wantRaw {
-		h.flags |= flagWantRaw
-	}
+func (nd *Node) sendCtl(dst int, kind uint8, seq uint32, flags uint8) {
+	h := frameHeader{kind: kind, seq: seq, flags: flags}
 	if err := nd.writeFrame(dst, h, nil); err != nil && !nd.isClosed() {
 		nd.pushErr(err)
 	}
 }
 
-// RecvCtx returns the next in-order verified payload from src. While
-// stalled it probes the sender with NACKs for the expected frame (with
-// bounded, jittered exponential backoff) so a dropped frame or lost NACK
-// is recovered; the context deadline bounds the total wait, turning a
-// permanent partition into an error instead of a hang.
+// RecvCtx returns the next in-order verified payload from src, lent until
+// the next receive from src (comm.CtxPeer). While stalled it NACKs the
+// sender for the expected frame (with bounded, jittered exponential
+// backoff) so a dropped frame is recovered; the context deadline bounds
+// the total wait, turning a permanent partition into an error instead of a
+// hang.
 func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
 	payload, got, err := nd.RecvMessageCtx(ctx, src)
 	if err != nil {
@@ -609,9 +753,14 @@ func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error
 // demultiplexing receive the elastic layer's epoch-filtering peer needs
 // (comm.Transport): a reconfigured ring inspects each frame's tag band
 // and discards residue of aborted exchanges instead of failing on it.
-// Same recovery behavior as RecvCtx: stalls probe the sender with NACKs
-// under bounded, jittered exponential backoff.
+// Same recovery behavior and the same lending as RecvCtx: the payload the
+// previous receive from src returned goes back to the link's free list.
 func (nd *Node) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error) {
+	il := &nd.in[src]
+	il.mu.Lock()
+	il.free.keep(il.lent)
+	il.lent = weak.Pointer[[]float32]{}
+	il.mu.Unlock()
 	start := time.Now()
 	rto := nd.cluster.retry.ProbeRTO
 	var probes uint64
@@ -620,22 +769,30 @@ func (nd *Node) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, er
 		select {
 		case f := <-nd.inbox[src]:
 			timer.Stop()
+			il.mu.Lock()
+			il.lent = weakly(f.payload)
+			il.mu.Unlock()
 			nd.stats[src].ObserveRecvWait(time.Since(start).Nanoseconds())
 			return f.payload, f.tag, nil
 		case <-timer.C:
-			// Stall: re-request the next expected frame in case it (or a
-			// NACK for it) was dropped. A probe for a frame the sender has
-			// not produced yet is ignored on the far side.
-			il := &nd.in[src]
+			// Stall: re-request the next expected frame in case it was
+			// dropped. Until something at or past it has arrived there is
+			// no evidence of loss, so the NACK is only a probe: the sender
+			// answers it only if its last attempt did not reach the socket
+			// whole. A probe for a frame not produced yet is ignored too.
 			il.mu.Lock()
 			exp := il.expected
+			var flags uint8
+			if il.reach <= exp {
+				flags = flagProbe
+			}
 			il.mu.Unlock()
 			if cobs := nd.cluster.cobs; cobs != nil {
 				// The expired probe interval is time spent backing off.
 				cobs.backoffNs.Add(rto.Nanoseconds())
 				cobs.nacks.Add(1)
 			}
-			nd.sendCtl(src, kindNack, exp, false)
+			nd.sendCtl(src, kindNack, exp, flags)
 			probes++
 			if rto *= 2; rto > maxRTO {
 				rto = maxRTO
@@ -674,13 +831,16 @@ func (nd *Node) EngineCycles() (compress, decompress int64) {
 
 // readLoop parses frames from one peer connection, dispatching data
 // frames through the verify/dedupe/reorder machinery and control frames
-// to the retransmit state. A clean close (EOF at a frame boundary, or a
-// local Close) ends the loop silently; a torn frame or protocol violation
-// is surfaced on the node's error channel first.
+// to the retransmit state. It is the connection's only reader, so every
+// body lands in one read buffer, grown to the link's largest frame. A
+// clean close (EOF at a frame boundary, or a local Close) ends the loop
+// silently; a torn frame or protocol violation is surfaced on the node's
+// error channel first.
 func (nd *Node) readLoop(peer int, conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
+	var header [frameHeaderLen]byte
+	var body []byte
 	for {
-		var header [frameHeaderLen]byte
 		if _, err := io.ReadFull(r, header[:]); err != nil {
 			if err != io.EOF && !nd.isClosed() {
 				nd.pushErr(fmt.Errorf("tcpfabric: node %d torn header from %d: %w", nd.id, peer, err))
@@ -693,7 +853,10 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 			nd.pushErr(fmt.Errorf("tcpfabric: node %d from %d: %w", nd.id, peer, err))
 			return
 		}
-		body := make([]byte, h.payloadLen)
+		if cap(body) < int(h.payloadLen) {
+			body = make([]byte, h.payloadLen)
+		}
+		body = body[:h.payloadLen]
 		if n, err := io.ReadFull(r, body); err != nil {
 			if !nd.isClosed() {
 				nd.pushErr(fmt.Errorf("tcpfabric: node %d torn frame body from %d (%d/%dB): %w",
@@ -709,7 +872,7 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 		case kindAck:
 			nd.handleAck(peer, h.seq)
 		case kindNack:
-			nd.handleNack(peer, h.seq, h.flags&flagWantRaw != 0)
+			nd.handleNack(peer, h.seq, h.flags)
 		case kindData:
 			if !nd.handleData(peer, h, body) {
 				return
@@ -718,29 +881,37 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 	}
 }
 
-// handleAck prunes the retransmit buffer up to the cumulative ack.
+// handleAck prunes the retransmit buffer up to the cumulative ack. A
+// pruned frame's storage is recycled now, or by the last attempt still
+// writing it.
 func (nd *Node) handleAck(peer int, seq uint32) {
 	ol := &nd.out[peer]
 	ol.mu.Lock()
-	for k := range ol.buf {
+	for k, of := range ol.buf {
 		if k <= seq {
 			delete(ol.buf, k)
+			if of.acked = true; of.inFlight == 0 {
+				ol.recycle(of)
+			}
 		}
 	}
 	ol.mu.Unlock()
 }
 
 // handleNack retransmits the requested frame from the buffer — raw if the
-// receiver's codec failed on it — respecting the attempt cap.
-func (nd *Node) handleNack(peer int, seq uint32, wantRaw bool) {
+// receiver's codec failed on it — respecting the attempt cap. A probe for
+// a frame whose last attempt went out whole is answered by TCP, not here.
+func (nd *Node) handleNack(peer int, seq uint32, flags uint8) {
 	ol := &nd.out[peer]
 	ol.mu.Lock()
 	of, ok := ol.buf[seq]
+	quiet := ok && flags&flagProbe != 0 && of.intact
 	exhausted := ok && of.attempts >= nd.cluster.retry.MaxAttempts
 	ol.mu.Unlock()
-	if !ok {
-		// Either already delivered+acked, or a stall probe for a frame
-		// this node has not sent yet. Both are safely ignored.
+	if !ok || quiet {
+		// Already delivered+acked, a stall probe for a frame this node has
+		// not sent yet, or one for a frame still on its way: all safely
+		// ignored.
 		return
 	}
 	if exhausted {
@@ -748,60 +919,99 @@ func (nd *Node) handleNack(peer int, seq uint32, wantRaw bool) {
 			nd.id, peer, seq, ErrRetriesExhausted))
 		return
 	}
-	if err := nd.transmit(peer, seq, of, wantRaw); err != nil && !nd.isClosed() {
+	if err := nd.transmit(peer, seq, of, flags&flagWantRaw != 0); err != nil && !nd.isClosed() {
 		nd.pushErr(err)
 	}
 }
 
-// handleData verifies, decodes, dedupes, and delivers one data frame,
-// ACKing progress and NACKing anomalies. It returns false only when the
-// node is shutting down.
+// nack answers a data frame the receiver cannot deliver with a NACK that
+// demands its retransmission.
+func (nd *Node) nack(peer int, seq uint32, flags uint8) {
+	nd.stats[peer].Nacks.Add(1)
+	if cobs := nd.cluster.cobs; cobs != nil {
+		cobs.nacks.Add(1)
+	}
+	nd.sendCtl(peer, kindNack, seq, flags)
+}
+
+// handleData verifies, dedupes, decodes, and delivers one data frame,
+// ACKing progress and NACKing anomalies. body is the link's read buffer:
+// the payload is decoded out of it, into a buffer from the link's free
+// list, before the next frame is read. Duplicates and frames the stash
+// cannot take are dropped before any decoding. It returns false only when
+// the node is shutting down.
 func (nd *Node) handleData(peer int, h frameHeader, body []byte) bool {
 	cobs := nd.cluster.cobs
+	il := &nd.in[peer]
 	if bodyCRC(body) != h.crc {
-		nd.stats[peer].Nacks.Add(1)
+		il.mu.Lock()
+		il.arrived(h.seq)
+		il.mu.Unlock()
 		if cobs != nil {
 			cobs.crcFailures.Add(1)
-			cobs.nacks.Add(1)
 		}
-		nd.sendCtl(peer, kindNack, h.seq, false)
+		nd.nack(peer, h.seq, 0)
 		return true
 	}
+	if h.flags&flagCompressed != 0 && h.tos != comm.ToSCompress {
+		nd.pushErr(fmt.Errorf("tcpfabric: node %d compressed frame without ToS from %d", nd.id, peer))
+		return false
+	}
+
+	// Only this goroutine moves expected and the stash, so what is decided
+	// here still holds once the payload is decoded.
+	il.mu.Lock()
+	_, stashed := il.pending[h.seq]
+	switch {
+	case h.seq < il.expected:
+		// Duplicate of an already-delivered frame: refresh the ACK so a
+		// sender stuck on a lost ACK converges, but never deliver twice.
+		acked := il.expected - 1
+		il.mu.Unlock()
+		nd.sendCtl(peer, kindAck, acked, 0)
+		return true
+	case h.seq > il.expected && (stashed || len(il.pending) >= maxPending):
+		// A gap, and this frame is already stashed or there is no room
+		// for it: re-request the missing frame without decoding this one.
+		il.arrived(h.seq)
+		gap := il.expected
+		il.mu.Unlock()
+		nd.nack(peer, gap, 0)
+		return true
+	}
+	dst := il.free.get(int(h.count))
+	il.mu.Unlock()
+
 	var payload []float32
 	if h.flags&flagCompressed != 0 {
-		if h.tos != comm.ToSCompress {
-			nd.pushErr(fmt.Errorf("tcpfabric: node %d compressed frame without ToS from %d", nd.id, peer))
-			return false
-		}
 		var sp obs.ActiveSpan
 		if cobs != nil {
 			sp = cobs.rec.Span(nd.id, -1, obs.PhaseDecompress)
 		}
-		out, err := nd.de.DecompressPayload(body, int(h.bitLen), int(h.count))
+		out, err := nd.de.DecompressInto(dst, body, int(h.bitLen), int(h.count))
 		sp.End()
 		if err != nil {
 			// The bits survived the wire (CRC ok) but the codec cannot
 			// decode them — a glitching engine. Degrade: re-request the
 			// block raw so training continues uncompressed for this hop.
-			nd.stats[peer].Nacks.Add(1)
-			if cobs != nil {
-				cobs.nacks.Add(1)
-			}
-			nd.sendCtl(peer, kindNack, h.seq, true)
+			il.mu.Lock()
+			il.free.put(dst)
+			il.arrived(h.seq)
+			il.mu.Unlock()
+			nd.nack(peer, h.seq, flagWantRaw)
 			return true
 		}
 		payload = out
 	} else {
-		out, err := decodeRawPayload(h, body)
-		if err != nil {
-			nd.stats[peer].Nacks.Add(1)
-			if cobs != nil {
-				cobs.nacks.Add(1)
-			}
-			nd.sendCtl(peer, kindNack, h.seq, false)
+		if err := decodeRawPayload(dst, h, body); err != nil {
+			il.mu.Lock()
+			il.free.put(dst)
+			il.arrived(h.seq)
+			il.mu.Unlock()
+			nd.nack(peer, h.seq, 0)
 			return true
 		}
-		payload = out
+		payload = dst
 		if h.flags&flagRawFallback != 0 {
 			nd.degraded.Add(1)
 			nd.stats[peer].Degraded.Add(1)
@@ -811,48 +1021,32 @@ func (nd *Node) handleData(peer int, h frameHeader, body []byte) bool {
 		}
 	}
 
-	il := &nd.in[peer]
 	il.mu.Lock()
-	var deliver []decodedFrame
-	switch {
-	case h.seq == il.expected:
-		deliver = append(deliver, decodedFrame{seq: h.seq, tag: int(h.tag), payload: payload})
-		il.expected++
-		for {
-			next, ok := il.pending[il.expected]
-			if !ok {
-				break
-			}
-			delete(il.pending, il.expected)
-			deliver = append(deliver, next)
-			il.expected++
-		}
-	case h.seq > il.expected:
+	il.arrived(h.seq)
+	if h.seq > il.expected {
 		// A gap: an earlier frame was dropped. Stash this one and
 		// re-request the missing frame.
-		if len(il.pending) < maxPending {
-			il.pending[h.seq] = decodedFrame{seq: h.seq, tag: int(h.tag), payload: payload}
-		}
+		il.pending[h.seq] = decodedFrame{seq: h.seq, tag: int(h.tag), payload: payload}
 		gap := il.expected
 		il.mu.Unlock()
-		nd.stats[peer].Nacks.Add(1)
-		if cobs != nil {
-			cobs.nacks.Add(1)
+		nd.nack(peer, gap, 0)
+		return true
+	}
+	deliver := []decodedFrame{{seq: h.seq, tag: int(h.tag), payload: payload}}
+	il.expected++
+	for {
+		next, ok := il.pending[il.expected]
+		if !ok {
+			break
 		}
-		nd.sendCtl(peer, kindNack, gap, false)
-		return true
-	default:
-		// Duplicate of an already-delivered frame: refresh the ACK so a
-		// sender stuck on a lost ACK converges, but never deliver twice.
-		acked := il.expected - 1
-		il.mu.Unlock()
-		nd.sendCtl(peer, kindAck, acked, false)
-		return true
+		delete(il.pending, il.expected)
+		deliver = append(deliver, next)
+		il.expected++
 	}
 	acked := il.expected - 1
 	il.mu.Unlock()
 
-	nd.sendCtl(peer, kindAck, acked, false)
+	nd.sendCtl(peer, kindAck, acked, 0)
 	for _, d := range deliver {
 		select {
 		case nd.inbox[peer] <- d:

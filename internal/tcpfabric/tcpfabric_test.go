@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
@@ -244,5 +247,55 @@ func TestEmptyPayload(t *testing.T) {
 	got := exchange(t, c, []float32{}, 0, 9)
 	if len(got) != 0 {
 		t.Fatalf("got %d values for empty payload", len(got))
+	}
+}
+
+// TestWarmLinkAllocatesNoFrames: once a link's free lists hold its
+// frames in flight, a frame costs the allocator bookkeeping only — no
+// body, float copy, read buffer or decoded payload — on the raw and the
+// compressed path alike. As on a ring, where a block is ACKed long before
+// the link's next one, each frame waits for its ACK: a sender racing ahead
+// of its own ACK reader keeps more frames in flight than a list holds. The
+// lists hold their buffers weakly, so the collector is off during the test
+// (a collection would empty them). A frame left unACKed fails the test.
+func TestWarmLinkAllocatesNoFrames(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	payload := make([]float32, 1<<14)
+	rng := rand.New(rand.NewSource(5))
+	for i := range payload {
+		payload[i] = float32(rng.NormFloat64() * 0.01)
+	}
+	for _, compress := range []bool{false, true} {
+		c, err := NewCluster(2, compress, fpcodec.MustBound(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := 0
+		ol := &c.Node(0).out[1]
+		pingPong := func(frames int) {
+			for i := 0; i < frames; i++ {
+				tag++
+				exchange(t, c, payload, comm.ToSCompress, tag)
+				deadline := time.Now().Add(5 * time.Second)
+				for unacked := 1; unacked > 0; runtime.Gosched() {
+					ol.mu.Lock()
+					unacked = len(ol.buf)
+					ol.mu.Unlock()
+					if unacked > 0 && time.Now().After(deadline) {
+						t.Fatalf("compress=%v: %d frame(s) still unACKed after 5s", compress, unacked)
+					}
+				}
+			}
+		}
+		pingPong(10)
+		const frames = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pingPong(frames)
+		runtime.ReadMemStats(&after)
+		c.Close()
+		if perFrame := (after.TotalAlloc - before.TotalAlloc) / frames; perFrame > uint64(len(payload)/4) {
+			t.Errorf("compress=%v: %d bytes allocated per %d-byte frame on a warm link (%d GCs)", compress, perFrame, 4*len(payload), after.NumGC-before.NumGC)
+		}
 	}
 }

@@ -3,12 +3,15 @@ package train
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/elastic"
 	"inceptionn/internal/fault"
+	"inceptionn/internal/fpcodec"
 )
 
 // TestTransportContract states comm.CtxPeer's contract once, over every
@@ -18,15 +21,21 @@ import (
 //
 //   - a payload arrives intact, and the sender may overwrite its buffer the
 //     moment SendCtx returns;
+//   - a received payload is lent until the next receive from its source:
+//     it stays intact while frames from other sources arrive and are
+//     received, and while its own source has more frames queued behind it;
 //   - a receive past its deadline returns an error wrapping
 //     context.DeadlineExceeded;
 //   - a wrong tag is an error, never a panic.
+//
+// A compressed TCP plane runs the ownership rows over the codec path.
 func TestTransportContract(t *testing.T) {
 	lossy := &fault.Config{Seed: 4, Default: fault.LinkFaults{DropRate: 0.2, CorruptRate: 0.2, DupRate: 0.1}}
 	planes := map[string]Options{
 		"inproc":    {},
 		"tcp":       {Plane: TCP},
 		"tcp-chaos": {Plane: TCP, Chaos: lossy},
+		"tcp-comp":  {Plane: TCP, Compress: true, Bound: fpcodec.MustBound(10)},
 	}
 	for name, o := range planes {
 		for _, filtered := range []bool{false, true} {
@@ -35,12 +44,12 @@ func TestTransportContract(t *testing.T) {
 				row += "+elastic"
 			}
 			t.Run(row, func(t *testing.T) {
-				plane, err := newPlane(2, o)
+				plane, err := newPlane(3, o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer plane.Close()
-				var peers [2]comm.CtxPeer
+				var peers [3]comm.CtxPeer
 				for id := range peers {
 					tr := plane.peer(id)
 					peers[id] = tr
@@ -72,6 +81,61 @@ func TestTransportContract(t *testing.T) {
 						t.Fatalf("received %v, want %v", got, want)
 					}
 				}
+
+				// Ownership. Every frame carries values of its own, and
+				// compressed ones go through the codec, so a payload is
+				// checked against what it held when it was received.
+				const dim = 4096
+				frame := func(src, k int) []float32 {
+					v := make([]float32, dim)
+					for i := range v {
+						v[i] = float32(1000*src+100*k) + float32(i)/8
+					}
+					return v
+				}
+				send := func(src, k int) {
+					t.Helper()
+					if err := peers[src].SendCtx(ctx, 1, frame(src, k), comm.ToSCompress, 50+k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				recv := func(src, k int) []float32 {
+					t.Helper()
+					got, err := to.RecvCtx(ctx, src, 50+k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != dim {
+						t.Fatalf("frame %d from %d: %d values, want %d", k, src, len(got), dim)
+					}
+					return got
+				}
+				intact := func(what string, got, held []float32) {
+					t.Helper()
+					for i := range held {
+						if math.Float32bits(got[i]) != math.Float32bits(held[i]) {
+							t.Fatalf("%s: value %d changed from %g to %g", what, i, held[i], got[i])
+						}
+					}
+				}
+				send(0, 0)
+				a := recv(0, 0)
+				heldA := slices.Clone(a)
+				send(0, 1)
+				send(0, 2)
+				send(2, 0)
+				b := recv(2, 0)
+				heldB := slices.Clone(b)
+				time.Sleep(20 * time.Millisecond) // let the queued frames be read and decoded
+				intact("payload from 0 with 0's frames queued and 2's received", a, heldA)
+				next := recv(0, 1)
+				intact("payload from 2 after a receive from 0", b, heldB)
+				if !o.Compress {
+					intact("first frame from 0", heldA, frame(0, 0))
+					intact("second frame from 0", next, frame(0, 1))
+					intact("frame from 2", heldB, frame(2, 0))
+				}
+				recv(0, 2)
 
 				short, cancelShort := context.WithTimeout(ctx, 30*time.Millisecond)
 				defer cancelShort()
