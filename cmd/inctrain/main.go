@@ -9,8 +9,6 @@
 //	inctrain -algo ring2 -workers 8 -group 4         # Fig. 1c hierarchy
 //	inctrain -algo switch -workers 8 -switch-chunk 4096
 //	                                                 # in-network switch aggregation
-//	inctrain -tcp -algo switch -switch-fallback -step-timeout 2s -chaos-crash 4:10
-//	                                                 # kill the switch mid-run; heal onto the ring
 //	inctrain -tcp -compress                          # real loopback TCP sockets
 //	inctrain -tcp -algo wa -chaos-drop 0.02 -step-timeout 10s
 //	                                                 # any collective over a lossy wire
@@ -107,7 +105,6 @@ func main() {
 	algo := flag.String("algo", "ring", "distributed algorithm: ring, wa, tree2 (Fig 1b), ring2 (Fig 1c), switch (in-network aggregation)")
 	groupSize := flag.Int("group", 4, "group size for the hierarchical algorithms")
 	switchChunk := flag.Int("switch-chunk", 0, "switch algorithm: floats per streamed chunk (0 = whole gradient; models bounded switch memory)")
-	switchFallback := flag.Bool("switch-fallback", false, "switch algorithm: survive switch failure by falling back to the ring collective mid-run, bit-exact (requires -step-timeout)")
 	iters := flag.Int("iters", 300, "training iterations")
 	batch := flag.Int("batch", 16, "per-node batch size")
 	lr := flag.Float64("lr", 0.02, "base learning rate")
@@ -234,16 +231,6 @@ func main() {
 
 	if *checkpointDir != "" {
 		*elastic = true
-	}
-	if *switchFallback {
-		if *algo != "switch" {
-			fmt.Fprintln(os.Stderr, "inctrain: -switch-fallback requires -algo switch")
-			os.Exit(2)
-		}
-		if *stepTimeout <= 0 {
-			fmt.Fprintln(os.Stderr, "inctrain: -switch-fallback requires -step-timeout > 0 (stall detection needs a deadline)")
-			os.Exit(2)
-		}
 	}
 	if (*checkpointEvery > 0 || *resume) && *checkpointDir == "" {
 		fmt.Fprintln(os.Stderr, "inctrain: -checkpoint-every and -resume require -checkpoint-dir")
@@ -416,10 +403,6 @@ func main() {
 	}
 	fmt.Printf("inctrain: %s on %d workers (%s over %s), %d iters, batch %d, compress=%v\n",
 		*model, *workers, *algo, transport, *iters, *batch, *compress)
-	// -autotune may have traded the switch for another collective.
-	if *switchFallback && o.Algo == train.SwitchReduce {
-		o.Recovery = train.SwitchFallback
-	}
 	if *elastic {
 		o.Recovery = train.Elastic
 		o.CheckpointDir = *checkpointDir
@@ -465,10 +448,6 @@ func main() {
 		fmt.Printf("  iter %5d  accuracy %5.1f%%  loss %.4f\n", p.Iter, 100*p.Accuracy, p.Loss)
 	}
 	fmt.Printf("final: accuracy %.1f%%  loss %.4f\n", 100*res.FinalAcc, res.FinalLoss)
-	if res.Fallbacks > 0 {
-		fmt.Printf("fallback: %d collective fallback(s), detected in %.3fs — %s\n",
-			res.Fallbacks, res.FallbackDetectSeconds, res.FallbackCause)
-	}
 	if res.RawBytes > 0 && res.WireBytes > 0 {
 		fmt.Printf("traffic: %d raw bytes, %d wire bytes (%.2fx reduction)\n",
 			res.RawBytes, res.WireBytes, float64(res.RawBytes)/float64(res.WireBytes))

@@ -31,7 +31,7 @@ const (
 )
 
 // Sentinels for the two failure classes the switch protocol itself can
-// detect; the health monitor (GradeSwitchFault) keys off them.
+// detect.
 var (
 	// ErrSwitchWindow reports a chunking whose chunk count exceeds the
 	// mod-64 tag window: the k-th and (k+64)-th chunks would carry the

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -63,8 +64,8 @@ func runSwitchChaos(t *testing.T, p int, vecLen int, opt SwitchOptions, cfg faul
 // links at every protocol stage — first and mid-stream chunks, up and
 // down direction, plus a switch crash mid-multicast — and asserts the
 // collective fails closed: no role hangs past its step deadline, and
-// every surfaced error grades to a class the health monitor can act on
-// (stall or hard), never to an unclassifiable one.
+// every surfaced error carries its cause (a deadline, a transport
+// self-report, a protocol violation), never a bare context.Canceled.
 func TestSwitchPathChaos(t *testing.T) {
 	const (
 		p      = 3
@@ -128,10 +129,8 @@ func TestSwitchPathChaos(t *testing.T) {
 					continue
 				}
 				failed++
-				class, cause := GradeSwitchFault(res.err)
-				if class != SwitchFaultStall && !class.Hard() {
-					t.Errorf("rank %d error graded %v (%s), want stall or hard evidence: %v",
-						rank, class, cause, res.err)
+				if errors.Is(res.err, context.Canceled) {
+					t.Errorf("rank %d failed with a bare cancellation: %v", rank, res.err)
 				}
 			}
 			if failed == 0 {

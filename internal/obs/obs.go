@@ -43,7 +43,9 @@ const (
 	// node is the component that failed (the switch), its duration the
 	// detection latency from fault onset to confirmation. Critical-path
 	// attribution treats it as overriding evidence — an iteration
-	// containing a fallback span is gated by that node, full stop.
+	// containing a fallback span is gated by that node, full stop. No
+	// runner records it since the switch fallback was retired; it stays in
+	// the trace vocabulary so saved traces keep replaying unchanged.
 	PhaseFallback
 	NumPhases // sentinel: number of phases
 )

@@ -110,7 +110,8 @@ func TestIterationHalvesAllocateNoModelSizedBuffer(t *testing.T) {
 		return int64(after.TotalAlloc-before.TotalAlloc) / iters
 	}
 
-	w := newWorker(0, s.build, s.trainDS, o, false)
+	// The elastic runner's worker: snapshots record its seekable cursor.
+	w := newWorker(0, s.build, s.trainDS, o, true)
 	model := w.net.SizeBytes()
 	unarmed := perIter(w)
 	if unarmed > model/2 {

@@ -10,6 +10,8 @@ import (
 	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
 	"inceptionn/internal/hierarchy"
+	"inceptionn/internal/mpi"
+	"inceptionn/internal/obs"
 	"inceptionn/internal/opt"
 	"inceptionn/internal/ring"
 )
@@ -30,10 +32,6 @@ type collective struct {
 	// aggregator, the tree root, the switch's reduction unit — run on the
 	// extra node o.Workers for the whole run.
 	serve func(r *fixedRun, p comm.CtxPeer, gradLen int) error
-	// fallback, when non-nil, arms the recovery policy: the service node is
-	// expendable, and on its confirmed failure the workers roll back at most
-	// one iteration and finish the run on this collective (see fallbackGate).
-	fallback *collective
 }
 
 // nodes returns the plane size the collective needs for the given workers.
@@ -44,21 +42,13 @@ func (c collective) nodes(workers int) int {
 	return workers
 }
 
-// ringCollective is the paper's gradient-centric aggregator-free exchange;
-// tagOffset re-bands its traffic (0 for a plain ring run).
-func ringCollective(tagOffset int) collective {
-	return collective{
-		bind: func(r *fixedRun, p comm.CtxPeer) exchangeFn {
-			// Explicit members: as a fallback the ring runs on a plane that
-			// also holds the abandoned service node.
-			members := r.workerIDs()
-			return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
-				ropt := r.o.ringOptions(iter)
-				ropt.TagOffset = tagOffset
-				return nil, ring.AllReduceGroupCtx(ctx, p, members, w.net.Grads(), r.o.gradTos(), r.plane.finalize, ropt)
-			}
-		},
-	}
+// ringCollective is the paper's gradient-centric aggregator-free exchange.
+var ringCollective = collective{
+	bind: func(r *fixedRun, p comm.CtxPeer) exchangeFn {
+		return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
+			return nil, ring.AllReduceCtx(ctx, p, w.net.Grads(), r.o.gradTos(), r.plane.finalize, r.o.ringOptions(iter))
+		}
+	},
 }
 
 // waCollective is the conventional worker-aggregator baseline (paper Fig.
@@ -130,11 +120,47 @@ func hierarchyCollective(o Options) (collective, error) {
 	return c, nil
 }
 
+// switchCollective is in-network aggregation: node o.Workers is the
+// programmable switch's reduction unit (mpi.SwitchServeCtx); every worker
+// streams its gradient through it chunk by chunk and receives the combined
+// gradient back. The combine is bit-exact with the ring collective, so a
+// SwitchReduce run lands on the same weights as a Ring run (verified by
+// tests).
+func switchCollective(o Options) collective {
+	swOpt := mpi.SwitchOptions{ChunkFloats: o.SwitchChunk}
+	world := func(p comm.CtxPeer) *mpi.Comm {
+		c := mpi.WorldPeer(p)
+		c.CollectiveCommComp(o.Compress)
+		c.SetStepTimeout(o.StepTimeout)
+		return c
+	}
+	return collective{
+		bind: func(r *fixedRun, p comm.CtxPeer) exchangeFn {
+			c := world(p)
+			return func(ctx context.Context, w *worker, iter int) ([]float32, error) {
+				xsp := o.Obs.Span(w.id, iter, obs.PhaseSend)
+				defer xsp.End()
+				return nil, c.AllReduceSwitchCtx(ctx, w.net.Grads(), o.Workers, swOpt)
+			}
+		},
+		serve: func(r *fixedRun, p comm.CtxPeer, gradLen int) error {
+			c := world(p)
+			c.SetFinalize(r.plane.finalize)
+			for iter := 0; iter < r.iters; iter++ {
+				if err := c.SwitchServeCtx(r.ctx, gradLen, swOpt); err != nil {
+					return fmt.Errorf("train: switch iter %d: %w", iter, err)
+				}
+			}
+			return nil
+		},
+	}
+}
+
 // collectiveFor resolves o.Algo to its collective value.
 func collectiveFor(o Options) (collective, error) {
 	switch o.Algo {
 	case Ring:
-		return ringCollective(0), nil
+		return ringCollective, nil
 	case WorkerAggregator:
 		return waCollective, nil
 	case HierarchicalTree, HierarchicalRing:
@@ -151,12 +177,11 @@ func collectiveFor(o Options) (collective, error) {
 // -race in tests, failing the build's leak checks).
 const serviceJoinTimeout = 10 * time.Second
 
-// fixedRun is one fixed-membership training run: o.Workers workers for the
-// whole run, one collective (plus, when armed, the one it falls back to).
+// fixedRun is one fixed-membership training run: o.Workers workers and one
+// collective for the whole run.
 type fixedRun struct {
 	*session
 	coll collective
-	gate *fallbackGate // nil unless coll.fallback armed the recovery policy
 
 	errs []error // per worker id, then the service's, then the fabric's
 
@@ -179,19 +204,14 @@ func (r *fixedRun) workerIDs() []int {
 	return ids
 }
 
-// record keeps slot's first error (a worker id, or one of the two trailing
-// slots) for the post-run merge.
-func (r *fixedRun) record(slot int, err error) {
+// fail keeps slot's first error (a worker id, or one of the two trailing
+// slots) for the post-run merge and unblocks every other party.
+func (r *fixedRun) fail(slot int, err error) {
 	r.mu.Lock()
 	if r.errs[slot] == nil {
 		r.errs[slot] = err
 	}
 	r.mu.Unlock()
-}
-
-// fail records slot's error and unblocks every other party.
-func (r *fixedRun) fail(slot int, err error) {
-	r.record(slot, err)
 	r.cancel()
 }
 
@@ -210,18 +230,10 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 	}
 	defer r.cancel()
 	serveSlot, fabricSlot := o.Workers, o.Workers+1
-	if c.fallback != nil {
-		r.gate = newFallbackGate(r.ctx, o.Workers, o.Workers, o.Obs)
-	}
 
-	// Before the fallback engages, all traffic is the primary collective's,
-	// so a hard anomaly is direct evidence against its service node and
-	// trips the gate instead of failing the run; after the fallback — or
-	// without one armed — an anomaly aborts the run.
+	// A fabric anomaly (a link that gave up) aborts the run.
 	plane.watch(r.ctx, func(_ int, err error) bool {
-		if r.gate == nil || !r.gate.tripOnAnomaly(err) {
-			r.fail(fabricSlot, err)
-		}
+		r.fail(fabricSlot, err)
 		return false
 	})
 
@@ -237,14 +249,7 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 		case <-r.ctx.Done():
 			return
 		}
-		switch err := c.serve(r, tp, r.gradLen); {
-		case err == nil:
-		case r.gate != nil:
-			// An expendable service's complaint is evidence, not a verdict:
-			// cancelling here would abort the very exchanges whose step
-			// deadline is about to trip the gate and heal the run.
-			r.record(serveSlot, err)
-		default:
+		if err := c.serve(r, tp, r.gradLen); err != nil {
 			r.fail(serveSlot, err)
 		}
 	}()
@@ -273,13 +278,7 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 	// The causal failure: a worker's own fault first; the service's or the
 	// fabric's anomaly when the workers merely observed the cancellation it
 	// triggered.
-	tripped := r.gate != nil && r.gate.isTripped()
 	r.mu.Lock()
-	if tripped {
-		// The service's complaints are the expected symptoms of the death
-		// the fallback already healed.
-		r.errs[serveSlot] = nil
-	}
 	err := firstError(r.errs)
 	r.mu.Unlock()
 	if err != nil {
@@ -288,91 +287,29 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 
 	res := r.result()
 	res.FinalAcc, res.FinalLoss, res.FinalWeights = r.final.FinalAcc, r.final.FinalLoss, r.final.FinalWeights
-	if tripped {
-		class, cause, detect := r.gate.verdict()
-		res.Fallbacks = 1
-		res.FallbackDetectSeconds = detect.Seconds()
-		res.FallbackCause = fmt.Sprintf("%s: %s", class, cause)
-	}
 	return res, nil
 }
 
-// runWorker is one worker's whole training loop: the run's collective
-// until its recovery gate trips (if armed, if ever), then the fallback
-// collective to the end. The outer loop exists for the completion drain —
-// a worker that finished on the primary path can be resurrected into the
-// replay.
+// runWorker is one worker's whole training loop: computeStep → the
+// collective's exchange → commitStep, iters times.
 func (r *fixedRun) runWorker(id int) error {
 	o := r.o
-	tp := r.plane.peer(id)
 	w := newWorker(id, r.build, r.trainDS, o, false)
 	r.lenOnce.Do(func() {
 		r.gradLen = w.net.NumParams()
 		close(r.lenReady)
 	})
-	exchange, exCtx := r.coll.bind(r, tp), r.ctx
-	if r.gate != nil {
-		w.armSnapshots()
-		exCtx = r.gate.swCtx
-	}
-	degraded := false // on the fallback collective
-	// pending: iter's exchange-ready gradient is loaded and uncommitted.
-	iter, pending := 0, false
-	enterFallback := func() (err error) {
-		degraded = true
-		exchange, exCtx = r.coll.fallback.bind(r, tp), r.ctx
-		iter, pending, err = r.gate.enter(r.ctx, w, iter, pending)
-		return err
-	}
-
-	for {
-		for iter < r.iters {
-			if r.gate != nil && !degraded && r.gate.isTripped() {
-				// A sibling (or the service itself) confirmed the failure
-				// while this worker was between exchanges.
-				if err := enterFallback(); err != nil {
-					return err
-				}
-				continue
-			}
-			passStart := time.Now()
-			if !pending && w.snapFor(iter) != nil {
-				// A replay rewound this worker past an iteration it had
-				// already computed: reuse the retained gradient so Next()
-				// is never called twice for one iteration and the rand
-				// loader stream stays exactly the fault-free one.
-				if err := w.restoreSnapshot(iter); err != nil {
-					return err
-				}
-				pending = true
-			}
-			if !pending {
-				r.computeStep(w, iter, id == 0)
-				pending = true
-			}
-
-			tx := time.Now()
-			weights, err := exchange(exCtx, w, iter)
-			r.tallies[id].comm += time.Since(tx).Nanoseconds()
-			if err != nil {
-				if r.gate != nil && !degraded && r.gate.absorb(id, iter, err, time.Since(tx)) {
-					continue // loop top engages the fallback
-				}
-				return fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
-			}
-			r.commitStep(w, iter, passStart, weights, o.Workers, id == 0)
-			pending = false
-			iter++
+	exchange := r.coll.bind(r, r.plane.peer(id))
+	for iter := 0; iter < r.iters; iter++ {
+		passStart := time.Now()
+		r.computeStep(w, iter, id == 0)
+		tx := time.Now()
+		weights, err := exchange(r.ctx, w, iter)
+		r.tallies[id].comm += time.Since(tx).Nanoseconds()
+		if err != nil {
+			return fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
 		}
-
-		if degraded || r.gate == nil || !r.gate.finish(r.ctx) {
-			break // fallback completion is final; so is an unarmed run
-		}
-		// Resurrected: the service died during a straggler's exchange after
-		// this worker already finished — rejoin at the agreed replay point.
-		if err := enterFallback(); err != nil {
-			return err
-		}
+		r.commitStep(w, iter, passStart, weights, o.Workers, id == 0)
 	}
 
 	// The replica is finished: its weight view is handed over, not copied.

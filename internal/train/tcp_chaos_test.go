@@ -44,29 +44,45 @@ func TestRingTCPTrainingUnderChaos(t *testing.T) {
 }
 
 // TestRingTCPTrainingPartitionFails: a permanently partitioned link must
-// abort the run with a timeout-flavoured error, not hang the job.
+// abort the run with a timeout-flavoured error, not hang the job — a ring
+// link, and either direction of a switch port.
 func TestRingTCPTrainingPartitionFails(t *testing.T) {
 	trainDS, testDS := digitsData()
-	o := digitsOptions()
-	o.StepTimeout = 500 * time.Millisecond
-	o.Chaos = &fault.Config{
-		Seed:  1,
-		Links: map[fault.Link]fault.LinkFaults{{Src: 0, Dst: 1}: fault.Partition(0)},
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(models.NewHDCSmall, trainDS, testDS, 10, o.onTCP(fpcodec.MustBound(10)))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("partitioned training run reported success")
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("want a deadline-flavoured error, got %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("partitioned training run hung")
+	sw := digitsOptions().Workers
+	for _, tc := range []struct {
+		name string
+		algo Algorithm
+		link fault.Link
+	}{
+		{"ring link", Ring, fault.Link{Src: 0, Dst: 1}},
+		{"switch uplink", SwitchReduce, fault.Link{Src: 0, Dst: sw}},
+		{"switch downlink", SwitchReduce, fault.Link{Src: sw, Dst: 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := digitsOptions()
+			o.Algo = tc.algo
+			o.StepTimeout = 500 * time.Millisecond
+			o.Chaos = &fault.Config{
+				Seed:  1,
+				Links: map[fault.Link]fault.LinkFaults{tc.link: fault.Partition(0)},
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(models.NewHDCSmall, trainDS, testDS, 10, o.onTCP(fpcodec.MustBound(10)))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("partitioned training run reported success")
+				}
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("want a deadline-flavoured error, got %v", err)
+				}
+				t.Logf("failed closed: %v", err)
+			case <-time.After(60 * time.Second):
+				t.Fatal("partitioned training run hung")
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@
 // {collective} × {recovery}. Options.Plane picks the data plane (plane.go:
 // in-process fabric or loopback TCP), Options.Algo the collective (loop.go:
 // ring, worker-aggregator, the two hierarchies, the in-network switch), and
-// Options.Recovery what a node's death does. Fail-closed and switch-fallback
-// runs share the one fixed-membership loop, runFixed, whose iterations are
+// Options.Recovery what a node's death does. Fail-closed runs use the one
+// fixed-membership loop, runFixed, whose iterations are
 // session.computeStep → the collective's exchange → session.commitStep;
 // elastic runs (elastic.go) add a membership protocol around the same
 // halves, plane and replay snapshots.
@@ -93,16 +93,6 @@ type Recovery int
 const (
 	// FailClosed fails the run with the first unrecoverable fault.
 	FailClosed Recovery = iota
-	// SwitchFallback makes SwitchReduce runs self-healing: workers grade
-	// every switch-exchange error with the mpi switch health monitor, and
-	// on a confirmed switch failure (hard transport self-report, or a stall
-	// after the full step deadline) they roll back at most one iteration
-	// from in-memory snapshots and finish the run on the ring collective —
-	// bit-exact with an uninterrupted ring run, since the switch combine
-	// replicates the ring's accumulation order. Requires StepTimeout > 0
-	// (stall detection needs a deadline). Only the switch is expendable: a
-	// worker casualty still fails the run closed.
-	SwitchFallback
 	// Elastic makes a ring run survive worker death and supports durable
 	// checkpoint/resume (elastic.go): survivors evict the dead member,
 	// agree on the shrunken ring and replay at most one iteration. On a
@@ -176,7 +166,7 @@ type Options struct {
 	// injector; the in-process plane has no wire to fault and rejects it.
 	// The fabric's retransmit protocol repairs recoverable faults
 	// transparently; unrecoverable ones surface as errors (or as a mid-run
-	// fallback or eviction, under the SwitchFallback or Elastic recovery).
+	// eviction, under the Elastic recovery).
 	Chaos *fault.Config
 
 	// SuspectAfter enables the elastic heartbeat failure detector: a
@@ -264,18 +254,6 @@ type Result struct {
 	// FinalWeights is worker 0's weight vector (all replicas are identical
 	// under the ring algorithm; verified by tests).
 	FinalWeights []float32
-
-	// Fallbacks counts mid-run collective degradations (0 or 1: a
-	// SwitchReduce run falls back to the ring at most once, and never
-	// falls forward again).
-	Fallbacks int
-	// FallbackDetectSeconds is the latency from fault onset (the start of
-	// the exchange that died) to confirmed detection; bounded by the
-	// retry budget for hard evidence and by StepTimeout for stalls.
-	FallbackDetectSeconds float64
-	// FallbackCause is the graded suspect cause ("" when no fallback),
-	// e.g. "stall: switch stream stalled: link up, combine never arrived".
-	FallbackCause string
 }
 
 // Builder constructs a model replica from a seed-derived RNG.
@@ -305,10 +283,6 @@ func (o *Options) prepare() (collective, error) {
 		return collective{}, fmt.Errorf("train: Compress on the TCP plane requires Bound")
 	case o.ErrorFeedback && (!inproc || !o.Compress || o.Processor == nil):
 		return collective{}, fmt.Errorf("train: ErrorFeedback requires Compress and a Processor on the in-process plane (the TCP fabric's codec cannot report what it delivered)")
-	case o.Recovery == SwitchFallback && o.Algo != SwitchReduce:
-		return collective{}, fmt.Errorf("train: SwitchFallback requires the switch algorithm (got %s)", o.Algo)
-	case o.Recovery == SwitchFallback && o.StepTimeout <= 0:
-		return collective{}, fmt.Errorf("train: SwitchFallback requires StepTimeout > 0 (stall detection needs a deadline)")
 	case elastic && o.Algo != Ring:
 		return collective{}, fmt.Errorf("train: elastic training requires the ring algorithm (got %s)", o.Algo)
 	case !elastic && (o.Resume || o.CheckpointDir != "" || o.CheckpointEvery != 0 || o.Stop != nil || o.SuspectAfter != 0):
@@ -326,7 +300,7 @@ func (o *Options) prepare() (collective, error) {
 // collective over o.Plane, under o.Recovery. The training dataset is
 // sharded across workers (the paper's Dᵢ partitions); the test dataset is
 // used for evaluation. A failed exchange on any worker cancels its siblings
-// and surfaces as the returned error, unless the recovery policy absorbs
+// and surfaces as the returned error, unless the Elastic recovery absorbs
 // it.
 func Run(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
 	c, err := o.prepare()

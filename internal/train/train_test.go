@@ -299,12 +299,11 @@ func TestRunnersRejectOptionsTheyNeverRead(t *testing.T) {
 		"Stop":            func(o *Options) { o.Stop = stop },
 		"SuspectAfter":    func(o *Options) { o.SuspectAfter = time.Second },
 		"Join":            func(o *Options) { o.Join = true },
-		"SwitchFallback":  func(o *Options) { o.Recovery, o.StepTimeout = SwitchFallback, time.Second },
 		"Chaos":           func(o *Options) { o.Chaos = &fault.Config{Seed: 1} },
 		"Bound":           func(o *Options) { o.Bound = bound },
 		"Processor":       func(o *Options) { o.Processor = comm.CodecProcessor{Bound: bound} },
 	}
-	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join", "SwitchFallback"}
+	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join"}
 	unread := map[string][]string{
 		"Run":        append([]string{"Chaos", "Bound"}, fixed...),
 		"RunRingTCP": fixed,

@@ -29,7 +29,7 @@ type worker struct {
 	residual []float32        // error-feedback state (nil unless enabled)
 	loss     float64          // training loss of the newest local gradient
 	// snaps retains the newest iteration boundaries for replay; nil unless
-	// the run armed a recovery policy (see armSnapshots).
+	// the elastic runner armed them (see armSnapshots).
 	snaps *[2]*snapshot
 }
 
@@ -160,10 +160,10 @@ func evaluate(net *nn.Network, ds data.Dataset, n int) (acc, loss float64) {
 }
 
 // snapshot is one retained iteration boundary, taken right before the
-// gradient exchange. Neither a ring nor a switch exchange can complete for
-// any worker until every worker has engaged it, so survivors of a failure
-// are at most one iteration apart and two snapshots cover any replay point
-// a recovery protocol can pick.
+// gradient exchange. A ring exchange cannot complete for any worker until
+// every worker has engaged it, so survivors of a failure are at most one
+// iteration apart and two snapshots cover any replay point the elastic
+// runner can pick.
 type snapshot struct {
 	iter        int
 	cursor      uint64    // seekable loader position *before* this iteration's batch
@@ -174,9 +174,10 @@ type snapshot struct {
 	grad        []float32 // post-feedback local gradient, ready to exchange
 }
 
-// armSnapshots makes computeStep retain replay snapshots. Only runs with a
-// recovery policy pay for them: each is three model-sized copies per
-// worker-iteration, the only ones an iteration makes.
+// armSnapshots makes computeStep retain replay snapshots. Only elastic
+// runs pay for them (their loader is always the seekable kind): each is
+// three model-sized copies per worker-iteration, the only ones an
+// iteration makes.
 func (w *worker) armSnapshots() { w.snaps = new([2]*snapshot) }
 
 // takeSnapshot records the state needed to replay iteration iter. A
@@ -186,13 +187,11 @@ func (w *worker) armSnapshots() { w.snaps = new([2]*snapshot) }
 func (w *worker) takeSnapshot(iter int, residualPre []float32) {
 	s := &snapshot{
 		iter:        iter,
+		cursor:      w.sl.Cursor() - 1, // Next() already advanced past iter's batch
 		weights:     append([]float32(nil), w.net.Weights()...),
 		velocity:    append([]float32(nil), w.velocity()...),
 		residualPre: residualPre,
 		grad:        append([]float32(nil), w.net.Grads()...),
-	}
-	if w.sl != nil {
-		s.cursor = w.sl.Cursor() - 1 // Next() already advanced past iter's batch
 	}
 	if w.residual != nil {
 		s.residual = append([]float32(nil), w.residual...)
@@ -220,9 +219,7 @@ func (w *worker) snapFor(iter int) *snapshot {
 // restoreSnapshot rewinds the worker to the pre-exchange state of iter:
 // weights, optimizer state, the seekable loader's cursor (past iter's
 // batch), the post-feedback residual, and the retained local gradient,
-// which the replayed exchange reuses instead of recomputing — so a plain
-// rand-based loader advances exactly once per iteration and never needs
-// seeking.
+// which the replayed exchange reuses instead of recomputing.
 func (w *worker) restoreSnapshot(iter int) error {
 	s := w.snapFor(iter)
 	if s == nil {
@@ -231,9 +228,7 @@ func (w *worker) restoreSnapshot(iter int) error {
 	if err := w.setState(s.weights, s.velocity); err != nil {
 		return err
 	}
-	if w.sl != nil {
-		w.sl.Seek(s.cursor + 1)
-	}
+	w.sl.Seek(s.cursor + 1)
 	copy(w.net.Grads(), s.grad)
 	if w.residual != nil && s.residual != nil {
 		copy(w.residual, s.residual)
