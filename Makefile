@@ -50,20 +50,16 @@ bench:
 	$(GO) run ./bench/perf
 
 # Training-runner gate, under the race detector — the name-selected
-# slices of internal/train in one run:
-#  - the conformance table: every data plane × collective × chunking
-#    train.Run reaches lands bit-identical to the in-process ring, also
-#    over lossy TCP links;
-#  - crash recovery: a 4-node elastic TCP run with an injected mid-step
-#    crash must shrink to 3 survivors and the post-recovery checkpoint
-#    must resume bit-identically;
-#  - checkpoint round trip: durable stop/resume equals the uninterrupted
-#    run, and corrupt checkpoints are rejected with fallback;
-#  - elastic scale-out: a 4-node TCP ring loses a worker to a chaos crash,
-#    the replacement rejoins from the newest checkpoint and the post-join
-#    trail resumes bit-identically.
-# Several minutes under -race, hence the headroom on the timeout.
-TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestElasticCrashRecovery|TestElasticStopResumeMatchesUninterrupted|TestRunCheckpointRoundTripAndCorruptFallback|TestElasticTCPJoin|TestGCCheckpointsKeepsNewestValid
+# slices of internal/train in one run, the two halves of the fault
+# contract every run keeps (DESIGN.md §7, §9):
+#  - heal: the conformance table — every data plane × collective ×
+#    chunking train.Run reaches lands bit-identical to the in-process
+#    ring, also over lossy TCP links the fabric's retransmission repairs;
+#  - fail closed: a permanently partitioned ring link or switch port
+#    fails the run with a deadline error naming the hop, and a switch
+#    that dies mid-multicast fails it with its cause.
+# Minutes under -race, hence the headroom on the timeout.
+TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestRingTCPTrainingPartitionFails|TestSwitchCrashFailsClosed
 traintest:
 	$(GO) test ./internal/train -run '$(TRAINTEST_PATTERN)' -count=1 -race -timeout 30m
 
@@ -117,9 +113,8 @@ tunetest:
 # Randomized chaos soak, under the race detector: 20 seeded trials of
 # switch kills, mid-stream partitions, lossy links, and worker crashes,
 # five kinds, all on train.Run's TCP plane (the one wire chaos faults):
-# fail-closed switch runs and elastic runs. Lossy trials must finish
-# bit-exact with their fault-free reference, elastic crashes with finite
-# weights, and switch kills and partitions must fail closed with their
+# switch runs and ring runs. Lossy trials must finish bit-exact with the
+# fault-free ring, and kills and partitions must fail closed with their
 # cause, not a bare context.Canceled; the wall-clock budget keeps a
 # pathological trial from eating the CI slot. Override SOAK_TRIALS /
 # SOAK_SEED to widen or replay a run.

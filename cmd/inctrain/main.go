@@ -12,13 +12,10 @@
 //	inctrain -tcp -compress                          # real loopback TCP sockets
 //	inctrain -tcp -algo wa -chaos-drop 0.02 -step-timeout 10s
 //	                                                 # any collective over a lossy wire
-//	inctrain -elastic -tcp -join -checkpoint-dir ck -suspect-after 2s
-//	                                                 # elastic ring over TCP with auto-rejoin
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -115,13 +112,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: deterministic injection seed")
 	stepTimeout := flag.Duration("step-timeout", 0, "per-hop collective deadline (0 = none), e.g. 10s")
 	bound := flag.Int("bound", 10, "codec error bound exponent E (bound 2^-E)")
-	elastic := flag.Bool("elastic", false, "use the elastic ring runner: failure detection, ring reconfiguration, graceful SIGINT/SIGTERM halt")
-	checkpointDir := flag.String("checkpoint-dir", "", "elastic: write durable checkpoints into this directory (implies -elastic)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "elastic: also checkpoint every N iterations (requires -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "elastic: resume from the newest valid checkpoint in -checkpoint-dir")
-	suspectAfter := flag.Duration("suspect-after", 0, "elastic: declare a worker dead after this much heartbeat silence (0 = crash self-reports only)")
-	join := flag.Bool("join", false, "elastic over TCP: revive evicted workers — reload the newest checkpoint, rejoin through the in-process coordinator, splice back into the ring (requires -elastic -tcp)")
-	checkpointKeep := flag.Int("checkpoint-keep", 3, "elastic: prune -checkpoint-dir to the newest N valid checkpoints after each write (0 = default 3, negative = keep all)")
 	seed := flag.Int64("seed", 42, "seed for model init and data")
 	samples := flag.Int("samples", 4000, "synthetic training samples")
 	evalEvery := flag.Int("eval", 50, "evaluate every N iterations")
@@ -229,23 +219,8 @@ func main() {
 		fmt.Printf("straggle: %v\n", s)
 	}
 
-	if *checkpointDir != "" {
-		*elastic = true
-	}
-	if (*checkpointEvery > 0 || *resume) && *checkpointDir == "" {
-		fmt.Fprintln(os.Stderr, "inctrain: -checkpoint-every and -resume require -checkpoint-dir")
-		os.Exit(2)
-	}
-	if *elastic && *algo != "ring" {
-		fmt.Fprintln(os.Stderr, "inctrain: -elastic requires -algo ring")
-		os.Exit(2)
-	}
-	if *autotune && (*tcp || *elastic) {
-		fmt.Fprintln(os.Stderr, "inctrain: -autotune probes the in-process fabric and cannot combine with -tcp or -elastic")
-		os.Exit(2)
-	}
-	if *join && !(*elastic && *tcp) {
-		fmt.Fprintln(os.Stderr, "inctrain: -join requires -elastic -tcp")
+	if *autotune && *tcp {
+		fmt.Fprintln(os.Stderr, "inctrain: -autotune probes the in-process fabric and cannot combine with -tcp")
 		os.Exit(2)
 	}
 	// Chaos faults the TCP fabric's frames; the in-process fabric has no
@@ -349,24 +324,21 @@ func main() {
 		}
 	}
 
-	// Non-elastic runs have no graceful halt protocol, but a ^C must not
-	// lose the observability artifacts: flush what the tracer holds, then
-	// exit with the conventional 128+SIGINT status. (Elastic runs install
-	// their own two-stage handler below.)
-	if !*elastic {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			s, ok := <-sig
-			if !ok {
-				return
-			}
-			fmt.Fprintf(os.Stderr, "inctrain: %v: flushing observability artifacts\n", s)
-			flushObs()
-			os.Exit(130)
-		}()
-		defer signal.Stop(sig)
-	}
+	// A run has no graceful halt, but a ^C must not lose the observability
+	// artifacts: flush what the tracer holds, then exit with the
+	// conventional 128+SIGINT status.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		s, ok := <-sig
+		if !ok {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "inctrain: %v: flushing observability artifacts\n", s)
+		flushObs()
+		os.Exit(130)
+	}()
+	defer signal.Stop(sig)
 
 	// The auto-tune loop: short probe runs, a fitted model, a ranked plan
 	// sweep, and the winning exchange configuration installed into the
@@ -403,42 +375,7 @@ func main() {
 	}
 	fmt.Printf("inctrain: %s on %d workers (%s over %s), %d iters, batch %d, compress=%v\n",
 		*model, *workers, *algo, transport, *iters, *batch, *compress)
-	if *elastic {
-		o.Recovery = train.Elastic
-		o.CheckpointDir = *checkpointDir
-		o.CheckpointEvery = *checkpointEvery
-		o.CheckpointKeep = *checkpointKeep
-		o.Resume = *resume
-		o.SuspectAfter = *suspectAfter
-		o.Join = *join
-		// A first SIGINT/SIGTERM drains the run gracefully: the workers
-		// agree on a halt iteration and write a final checkpoint before the
-		// process exits nonzero. A second signal kills it the default way.
-		stop := make(chan struct{})
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			s, ok := <-sig
-			if !ok {
-				return
-			}
-			fmt.Fprintf(os.Stderr, "inctrain: %v: halting at the next safe iteration boundary\n", s)
-			close(stop)
-			signal.Stop(sig)
-		}()
-		defer signal.Stop(sig)
-		o.Stop = stop
-	}
 	res, err := train.Run(build, trainDS, testDS, *iters, o)
-	if errors.Is(err, train.ErrInterrupted) {
-		if *checkpointDir != "" {
-			fmt.Fprintf(os.Stderr, "inctrain: interrupted; checkpoint written to %s (rerun with -resume to continue)\n", *checkpointDir)
-		} else {
-			fmt.Fprintln(os.Stderr, "inctrain: interrupted (no -checkpoint-dir, progress discarded)")
-		}
-		flushObs()
-		os.Exit(1)
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "inctrain:", err)
 		flushObs()

@@ -20,7 +20,7 @@ func TestMain(m *testing.M) {
 }
 
 // TestStepTimeoutReachesEveryRunner: -step-timeout bounds the exchange of
-// every in-process collective, not only the elastic, TCP and switch ones,
+// every in-process collective, not only the TCP and switch ones,
 // so a deadline no exchange can meet fails the run instead of being
 // dropped.
 func TestStepTimeoutReachesEveryRunner(t *testing.T) {

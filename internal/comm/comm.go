@@ -296,9 +296,9 @@ func (f *Fabric) ResetStats() {
 
 // CtxPeer is the one peer contract the collective algorithms in
 // internal/ring, internal/mpi and internal/hierarchy run over: the
-// in-process Endpoint below implements it, and so do the real-TCP node in
-// internal/tcpfabric and the epoch filter in internal/elastic. Sends and receives take a context whose
-// deadline or cancellation bounds the operation, and every anomaly —
+// in-process Endpoint below implements it, and so does the real-TCP node
+// in internal/tcpfabric. Sends and receives take a context whose deadline
+// or cancellation bounds the operation, and every anomaly —
 // transport failure, expired deadline, tag mismatch — is an error, never a
 // panic.
 //
@@ -309,8 +309,7 @@ func (f *Fabric) ResetStats() {
 // caller must not write it. A caller that keeps a payload past that point
 // copies it. The TCP node takes the previous payload back on the next
 // receive from its link and decodes later frames into it; the in-process
-// Endpoint hands out fresh slices, and the elastic epoch filter passes the
-// lent payload through.
+// Endpoint hands out fresh slices.
 type CtxPeer interface {
 	// ID returns this node's id in [0, N).
 	ID() int
@@ -325,17 +324,6 @@ type CtxPeer interface {
 	// tag mismatch is a protocol error, returned rather than panicked. The
 	// payload is lent until the next receive from src.
 	RecvCtx(ctx context.Context, src int, tag int) ([]float32, error)
-}
-
-// Transport is a CtxPeer with the untagged demultiplexing receive that
-// wrappers which interpret tags themselves are built on: internal/elastic's
-// epoch filter (discarding residue of aborted exchanges). Endpoint and
-// tcpfabric.Node implement it.
-type Transport interface {
-	CtxPeer
-	// RecvMessageCtx returns the next payload from src whatever its tag,
-	// along with the tag it carried; lent like RecvCtx's.
-	RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error)
 }
 
 // Endpoint is one node's interface to the fabric.
@@ -363,7 +351,7 @@ func (e *Endpoint) process(payload []float32, tos uint8) ([]float32, int64) {
 	return recv, payloadBytes
 }
 
-var _ Transport = (*Endpoint)(nil)
+var _ CtxPeer = (*Endpoint)(nil)
 
 // ID returns this endpoint's node id.
 func (e *Endpoint) ID() int { return e.id }
@@ -401,28 +389,17 @@ func (e *Endpoint) SendCtx(ctx context.Context, dst int, payload []float32, tos 
 // recording the blocked time into the link's straggler stats. The
 // message's tag must equal tag.
 func (e *Endpoint) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
-	payload, got, err := e.RecvMessageCtx(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	if got != tag {
-		return nil, fmt.Errorf("comm: node %d expected tag %d from %d, got %d", e.id, tag, src, got)
-	}
-	return payload, nil
-}
-
-// RecvMessageCtx receives the next message from src regardless of its tag,
-// returning the payload and the tag it carried. It is the demultiplexing
-// primitive the elastic epoch filter is built on.
-func (e *Endpoint) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error) {
 	s := e.f.stats[src][e.id]
 	start := time.Now()
 	select {
 	case m := <-e.f.chans[src][e.id]:
 		s.ObserveRecvWait(time.Since(start).Nanoseconds())
-		return m.payload, m.tag, nil
+		if m.tag != tag {
+			return nil, fmt.Errorf("comm: node %d expected tag %d from %d, got %d", e.id, tag, src, m.tag)
+		}
+		return m.payload, nil
 	case <-ctx.Done():
 		s.Timeouts.Add(1)
-		return nil, 0, fmt.Errorf("comm: recv %d<-%d: %w", e.id, src, ctx.Err())
+		return nil, fmt.Errorf("comm: recv %d<-%d: %w", e.id, src, ctx.Err())
 	}
 }

@@ -63,18 +63,18 @@ func TestRecvCtxTagMismatchIsError(t *testing.T) {
 	}
 }
 
-func TestRecvMessageCtxRecordsWait(t *testing.T) {
+func TestRecvCtxRecordsWait(t *testing.T) {
 	f := NewFabric(2, nil)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		send(t, f.Endpoint(0), 1, []float32{9}, 0, 1)
 	}()
-	payload, tag, err := f.Endpoint(1).RecvMessageCtx(context.Background(), 0)
+	payload, err := f.Endpoint(1).RecvCtx(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tag != 1 || payload[0] != 9 {
-		t.Fatalf("got tag %d payload %v", tag, payload)
+	if payload[0] != 9 {
+		t.Fatalf("got payload %v", payload)
 	}
 	if f.Stats(0, 1).MaxRecvWaitNanos.Load() < (10 * time.Millisecond).Nanoseconds() {
 		t.Error("recv wait below the injected 30ms delay")

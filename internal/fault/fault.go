@@ -221,16 +221,3 @@ func (inj *Injector) Crashed(id int) bool {
 	limit := c.limit.Load()
 	return limit != 0 && c.sent.Load() >= limit
 }
-
-// Revive clears node id's crash schedule, modelling the failed process
-// being restarted on the same host: the replacement never re-crashes, and
-// its transport serves sends and receives again. It is the join-path dual
-// of CrashAfter and is deterministic as long as the caller revives at a
-// deterministic point in the run (e.g. right before re-admitting the node
-// to the membership).
-func (inj *Injector) Revive(id int) {
-	if id < 0 || id >= len(inj.crashed) {
-		return
-	}
-	inj.crashed[id].limit.Store(0)
-}

@@ -44,7 +44,7 @@ type Layer interface {
 // slice and every gradient in another, both in layer order, and each
 // Param.W.Data / Param.G.Data is a view into them. That flat gradient is
 // the vector g of the paper's Algorithm 1, so the distributed runners
-// exchange, snapshot and checkpoint the views without gathering.
+// exchange and update the views without gathering.
 type Network struct {
 	Layers []Layer
 

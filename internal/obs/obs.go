@@ -8,7 +8,7 @@
 // Figs. 12–14 are *time breakdowns* — computation vs. communication, and
 // inside communication the compress/transport/reduce/decompress phases —
 // and every hot path of the runtime (the ring exchange, the transports,
-// the codec, the elastic membership layer, the training loops) reports
+// the codec, the training loops) reports
 // into this package so a live run can be broken down the same way.
 //
 // The package is stdlib-only and imports nothing else from this
@@ -25,8 +25,9 @@ import (
 
 // Phase identifies one class of work inside a training step. The set
 // mirrors the paper's Fig. 13/14 breakdown: computation, the
-// compress/transport/reduce/decompress legs of communication, plus the
-// elastic-layer activities (checkpoint, replay) added by PR 3.
+// compress/transport/reduce/decompress legs of communication, plus
+// checkpoint and replay, which no runner records any more: they stay so
+// saved traces still parse and replay.
 type Phase uint8
 
 // Span phases, in breakdown-table order.

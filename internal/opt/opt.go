@@ -31,10 +31,10 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 }
 
 // Velocity returns the flat momentum state, in parameter order — zeros,
-// sized for params, on first use. It is a view: elastic checkpoints read it
-// and restores copy into it (the velocity is identical across replicas,
-// like the weights). A parameter list whose total differs from the one the
-// state was sized for is an error.
+// sized for params, on first use. It is a view, which Step updates in
+// place (the velocity is identical across replicas, like the weights). A
+// parameter list whose total differs from the one the state was sized for
+// is an error.
 func (s *SGD) Velocity(params []*nn.Param) ([]float32, error) {
 	total := 0
 	for _, p := range params {

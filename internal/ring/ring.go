@@ -67,11 +67,10 @@ type Options struct {
 	// per-step message framing). 0 keeps whole-block steps.
 	ChunkSize int
 
-	// TagOffset is added to every message tag of the exchange. The elastic
-	// layer (internal/elastic) sets it to the membership epoch's tag base
-	// so that a replayed exchange after a ring reconfiguration can never
-	// confuse its messages with stale in-flight traffic from the aborted
-	// attempt; a filtering receiver discards lower-epoch tags.
+	// TagOffset is added to every message tag of the exchange. The
+	// hierarchies (internal/hierarchy) give each level its own tag band,
+	// so a node that sits in a group ring and the leader ring can never
+	// confuse one level's messages with the other's.
 	TagOffset int
 
 	// Obs, when non-nil, records per-step send/recv/reduce phase spans, a
@@ -140,8 +139,8 @@ func chunkBounds(blockLen, chunk, c int) (lo, hi int) {
 // applying it at the owner makes every replica bit-identical.
 //
 // Transport anomalies, per-step deadline expiries (stragglers,
-// partitions), and context cancellation return errors, so a training
-// driver can retry, evict the failed node, or abort cleanly.
+// partitions), and context cancellation return errors, so a training run
+// fails closed with the cause instead of hanging.
 func AllReduceCtx(ctx context.Context, e comm.CtxPeer, grad []float32, tos uint8, finalize func([]float32), opt Options) error {
 	return AllReduceGroupCtx(ctx, e, nil, grad, tos, finalize, opt)
 }
@@ -150,10 +149,8 @@ func AllReduceCtx(ctx context.Context, e comm.CtxPeer, grad []float32, tos uint8
 // the fabric: members lists the participating fabric ids in ring order and
 // must include e.ID(). Every member must call it concurrently with the
 // same member list. A nil members slice means the full fabric in id order
-// (the classic AllReduceCtx). This is the primitive behind both the
-// hierarchical organizations (groups, leader rings) and elastic ring
-// reconfiguration, where survivors of a node failure rebuild the ring over
-// the (n−1)-member view and replay the step.
+// (the classic AllReduceCtx). This is the primitive behind the
+// hierarchical organizations (groups, leader rings).
 func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad []float32, tos uint8, finalize func([]float32), opt Options) error {
 	id := e.ID()
 	var n, rank int

@@ -1,14 +1,11 @@
-// Package soak is a randomized chaos soak harness for the fault-tolerant
-// training paths: each seeded trial draws a fault scenario — switch
-// kills, mid-stream partitions, lossy links, worker crashes — aims it at
-// a fail-closed switch run or an elastic run, all on the TCP plane whose
-// fabric injects the faults, and checks the outcome against the path's
-// contract. Where retransmission can repair the fault the trial must
-// finish bit-exact with its fault-free reference; where membership changes
-// (elastic evictions) it must complete with finite weights; where the
-// switch dies or a switch port goes silent it must fail closed with its
-// cause, not a bare cancellation. Every trial is reproducible from
-// (Seed, trial index).
+// Package soak is a randomized chaos soak harness for the training paths'
+// fault contract: each seeded trial draws a fault scenario — switch kills,
+// mid-stream partitions, lossy links, worker crashes — aims it at a switch
+// run or a ring run, all on the TCP plane whose fabric injects the faults,
+// and checks the outcome. Where retransmission can repair the fault the
+// trial must finish bit-exact with its fault-free reference; where a node
+// dies or a port goes silent it must fail closed with its cause, not a
+// bare cancellation. Every trial is reproducible from (Seed, trial index).
 package soak
 
 import (
@@ -43,17 +40,15 @@ type Trial struct {
 }
 
 // harness carries the shared datasets and the lazily computed fault-free
-// references trials compare against.
+// reference the lossy trials compare against.
 type harness struct {
 	trainDS, testDS data.Dataset
-	ringRef         *train.Result // plain in-process ring run (switch-lossy trials)
-	elasticRef      *train.Result // fault-free elastic TCP run (elastic lossy trials)
+	ringRef         *train.Result // plain in-process ring run
 }
 
 const (
-	soakIters        = 8  // switch-path trials
-	soakElasticIters = 15 // elastic trials
-	soakSwitch       = 4  // switch node id = worker count
+	soakIters  = 8 // iterations per trial
+	soakSwitch = 4 // switch node id = worker count
 )
 
 func soakOptions() train.Options {
@@ -68,19 +63,12 @@ func soakOptions() train.Options {
 	}
 }
 
-// tcpOptions are soakOptions on the TCP plane, under the given recovery
-// and step deadline.
-func tcpOptions(recovery train.Recovery, stepTimeout time.Duration) train.Options {
+// tcpOptions are soakOptions for algo on the TCP plane, under the given
+// step deadline.
+func tcpOptions(algo train.Algorithm, stepTimeout time.Duration) train.Options {
 	o := soakOptions()
-	o.Plane, o.Bound = train.TCP, fpcodec.MustBound(10)
-	o.Recovery, o.StepTimeout = recovery, stepTimeout
-	return o
-}
-
-// switchOptions are tcpOptions for a fail-closed switch run.
-func switchOptions(stepTimeout time.Duration) train.Options {
-	o := tcpOptions(train.FailClosed, stepTimeout)
-	o.Algo = train.SwitchReduce
+	o.Algo, o.Plane, o.Bound = algo, train.TCP, fpcodec.MustBound(10)
+	o.StepTimeout = stepTimeout
 	return o
 }
 
@@ -96,18 +84,6 @@ func (h *harness) ring() (*train.Result, error) {
 	return h.ringRef, nil
 }
 
-func (h *harness) elastic() (*train.Result, error) {
-	if h.elasticRef == nil {
-		o := tcpOptions(train.Elastic, 20*time.Second)
-		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o)
-		if err != nil {
-			return nil, fmt.Errorf("fault-free elastic reference: %w", err)
-		}
-		h.elasticRef = &res
-	}
-	return h.elasticRef, nil
-}
-
 func bitExact(got, want []float32) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("weight count %d, reference %d", len(got), len(want))
@@ -120,24 +96,11 @@ func bitExact(got, want []float32) error {
 	return nil
 }
 
-func finiteWeights(w []float32) error {
-	if len(w) == 0 {
-		return fmt.Errorf("run produced no weights")
-	}
-	for i, v := range w {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return fmt.Errorf("weight %d is %g", i, v)
-		}
-	}
-	return nil
-}
-
-// failedClosedSwitchRun runs a fail-closed switch run under chaos no
-// retransmission can repair. The run must fail, and with its cause — a
-// stall, a transport self-report, a protocol violation — not a bare
-// context.Canceled, which names none.
-func (h *harness) failedClosedSwitchRun(cfg *fault.Config) error {
-	o := switchOptions(time.Second)
+// failedClosedRun runs algo under chaos no retransmission can repair. The
+// run must fail, and with its cause — a stall, a transport self-report, a
+// protocol violation — not a bare context.Canceled, which names none.
+func (h *harness) failedClosedRun(algo train.Algorithm, cfg *fault.Config) error {
+	o := tcpOptions(algo, time.Second)
 	o.Chaos = cfg
 	_, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
 	switch {
@@ -161,7 +124,7 @@ var trialKinds = []struct {
 		// unfinished.
 		frame := uint64(2 + rng.Intn(soakSwitch*(soakIters-2)))
 		desc := fmt.Sprintf("switch crash after %d frames", frame)
-		return desc + " → failed closed", h.failedClosedSwitchRun(&fault.Config{
+		return desc + " → failed closed", h.failedClosedRun(train.SwitchReduce, &fault.Config{
 			Seed:       rng.Int63(),
 			CrashAfter: map[int]uint64{soakSwitch: frame},
 		})
@@ -178,7 +141,7 @@ var trialKinds = []struct {
 		}
 		frame := uint64(1 + rng.Intn(soakIters-2))
 		desc := fmt.Sprintf("worker %d %s partitioned from frame %d", w, dir, frame)
-		return desc + " → failed closed", h.failedClosedSwitchRun(&fault.Config{
+		return desc + " → failed closed", h.failedClosedRun(train.SwitchReduce, &fault.Config{
 			Seed:  rng.Int63(),
 			Links: map[fault.Link]fault.LinkFaults{link: fault.Partition(frame)},
 		})
@@ -198,7 +161,7 @@ var trialKinds = []struct {
 		if err != nil {
 			return desc, err
 		}
-		o := switchOptions(15 * time.Second)
+		o := tcpOptions(train.SwitchReduce, 15*time.Second)
 		o.Chaos = &fault.Config{Seed: rng.Int63(), Default: lf}
 		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
 		if err != nil {
@@ -206,38 +169,35 @@ var trialKinds = []struct {
 		}
 		return desc, bitExact(res.FinalWeights, ref.FinalWeights)
 	}},
-	{"elastic-crash", func(h *harness, rng *rand.Rand) (string, error) {
-		// A worker dies mid-run: the survivors must evict it and
-		// finish with finite weights (membership changed, so no bit-exact
-		// claim against the full ring).
+	{"ring-kill", func(h *harness, rng *rand.Rand) (string, error) {
+		// A worker dies mid-run. A ring node sends 2(N−1) frames per
+		// iteration; crashing anywhere before the last iteration's leaves
+		// the run unfinished, and the ring has no one to route around it.
 		victim := rng.Intn(soakSwitch)
-		frame := uint64(10 + rng.Intn(50))
-		desc := fmt.Sprintf("elastic: worker %d crashes after %d frames", victim, frame)
-		o := tcpOptions(train.Elastic, 20*time.Second)
-		o.Chaos = &fault.Config{Seed: rng.Int63(), CrashAfter: map[int]uint64{victim: frame}}
-		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o)
-		if err != nil {
-			return desc, fmt.Errorf("survivors failed: %w", err)
-		}
-		return desc, finiteWeights(res.FinalWeights)
+		frame := uint64(1 + rng.Intn(2*(soakSwitch-1)*(soakIters-1)))
+		desc := fmt.Sprintf("ring: worker %d crashes after %d frames", victim, frame)
+		return desc + " → failed closed", h.failedClosedRun(train.Ring, &fault.Config{
+			Seed:       rng.Int63(),
+			CrashAfter: map[int]uint64{victim: frame},
+		})
 	}},
-	{"elastic-lossy", func(h *harness, rng *rand.Rand) (string, error) {
-		// Recoverable chaos under the elastic runner: nobody may be
-		// evicted and the result must match the fault-free elastic run.
+	{"ring-lossy", func(h *harness, rng *rand.Rand) (string, error) {
+		// Recoverable chaos on every ring link: retransmission must make
+		// the lossy wire invisible — same bits as the fault-free ring.
 		lf := fault.LinkFaults{
 			DropRate:    0.01 + 0.02*rng.Float64(),
 			CorruptRate: 0.01 + 0.02*rng.Float64(),
 		}
-		desc := fmt.Sprintf("elastic lossy links: drop %.3f corrupt %.3f", lf.DropRate, lf.CorruptRate)
-		ref, err := h.elastic()
+		desc := fmt.Sprintf("ring lossy links: drop %.3f corrupt %.3f", lf.DropRate, lf.CorruptRate)
+		ref, err := h.ring()
 		if err != nil {
 			return desc, err
 		}
-		o := tcpOptions(train.Elastic, 20*time.Second)
+		o := tcpOptions(train.Ring, 15*time.Second)
 		o.Chaos = &fault.Config{Seed: rng.Int63(), Default: lf}
-		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakElasticIters, o)
+		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
 		if err != nil {
-			return desc, fmt.Errorf("lossy elastic run failed: %w", err)
+			return desc, fmt.Errorf("lossy ring run failed: %w", err)
 		}
 		return desc, bitExact(res.FinalWeights, ref.FinalWeights)
 	}},

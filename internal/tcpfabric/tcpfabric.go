@@ -1,7 +1,7 @@
 // Package tcpfabric is a real-TCP implementation of the cluster transport:
 // nodes connect over loopback TCP sockets and exchange the same framed
 // float32 payloads as the in-process fabric in internal/comm, implementing
-// comm.Transport so the ring exchange (Algorithm 1) runs over genuine sockets.
+// comm.CtxPeer so the ring exchange (Algorithm 1) runs over genuine sockets.
 //
 // The NIC datapath is applied on the *send* side exactly where the paper's
 // hardware sits — between the host and the wire: payloads tagged with
@@ -184,7 +184,7 @@ type Cluster struct {
 	nodes []*Node
 }
 
-// Node is one TCP endpoint; it implements comm.Transport.
+// Node is one TCP endpoint; it implements comm.CtxPeer.
 type Node struct {
 	cluster *Cluster
 	id      int
@@ -507,7 +507,7 @@ func (nd *Node) ID() int { return nd.id }
 // N implements comm.CtxPeer.
 func (nd *Node) N() int { return nd.cluster.n }
 
-var _ comm.Transport = (*Node)(nil)
+var _ comm.CtxPeer = (*Node)(nil)
 
 // SendCtx encodes the payload once, registers the frame in the per-link
 // retransmit buffer, and transmits it. The frame stays buffered until the
@@ -730,32 +730,14 @@ func (nd *Node) sendCtl(dst int, kind uint8, seq uint32, flags uint8) {
 	}
 }
 
-// RecvCtx returns the next in-order verified payload from src, lent until
-// the next receive from src (comm.CtxPeer). While stalled it NACKs the
-// sender for the expected frame (with bounded, jittered exponential
-// backoff) so a dropped frame is recovered; the context deadline bounds
-// the total wait, turning a permanent partition into an error instead of a
-// hang.
+// RecvCtx returns the next in-order verified payload from src, whose tag
+// must equal tag, lent until the next receive from src (comm.CtxPeer): the
+// payload the previous receive from src returned goes back to the link's
+// free list. While stalled it NACKs the sender for the expected frame
+// (with bounded, jittered exponential backoff) so a dropped frame is
+// recovered; the context deadline bounds the total wait, turning a
+// permanent partition into an error instead of a hang.
 func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
-	payload, got, err := nd.RecvMessageCtx(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	if got != tag {
-		return nil, fmt.Errorf("tcpfabric: node %d expected tag %d from %d, got %d",
-			nd.id, tag, src, got)
-	}
-	return payload, nil
-}
-
-// RecvMessageCtx returns the next in-order verified payload from src along
-// with its tag, leaving tag interpretation to the caller. It is the
-// demultiplexing receive the elastic layer's epoch-filtering peer needs
-// (comm.Transport): a reconfigured ring inspects each frame's tag band
-// and discards residue of aborted exchanges instead of failing on it.
-// Same recovery behavior and the same lending as RecvCtx: the payload the
-// previous receive from src returned goes back to the link's free list.
-func (nd *Node) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, error) {
 	il := &nd.in[src]
 	il.mu.Lock()
 	il.free.keep(il.lent)
@@ -773,7 +755,11 @@ func (nd *Node) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, er
 			il.lent = weakly(f.payload)
 			il.mu.Unlock()
 			nd.stats[src].ObserveRecvWait(time.Since(start).Nanoseconds())
-			return f.payload, f.tag, nil
+			if f.tag != tag {
+				return nil, fmt.Errorf("tcpfabric: node %d expected tag %d from %d, got %d",
+					nd.id, tag, src, f.tag)
+			}
+			return f.payload, nil
 		case <-timer.C:
 			// Stall: re-request the next expected frame in case it was
 			// dropped. Until something at or past it has arrived there is
@@ -800,11 +786,11 @@ func (nd *Node) RecvMessageCtx(ctx context.Context, src int) ([]float32, int, er
 		case <-ctx.Done():
 			timer.Stop()
 			nd.stats[src].Timeouts.Add(1)
-			return nil, 0, fmt.Errorf("tcpfabric: recv %d<-%d after %v: %w",
+			return nil, fmt.Errorf("tcpfabric: recv %d<-%d after %v: %w",
 				nd.id, src, time.Since(start).Round(time.Millisecond), ctx.Err())
 		case <-nd.closed:
 			timer.Stop()
-			return nil, 0, fmt.Errorf("tcpfabric: node %d recv from %d: %w", nd.id, src, ErrClosed)
+			return nil, fmt.Errorf("tcpfabric: node %d recv from %d: %w", nd.id, src, ErrClosed)
 		}
 	}
 }

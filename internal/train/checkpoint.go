@@ -2,20 +2,11 @@ package train
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"inceptionn/internal/frame"
 )
-
-// ErrNoCheckpoint reports that a checkpoint directory holds no valid
-// checkpoint to resume from.
-var ErrNoCheckpoint = errors.New("train: no checkpoint found")
 
 // Run-level checkpoint format (little-endian):
 //
@@ -28,17 +19,17 @@ var ErrNoCheckpoint = errors.New("train: no checkpoint found")
 //	                         u64 residual length, residual
 //	u32 CRC32-C of all preceding bytes
 //
-// Unlike an nn.Network checkpoint (one replica's weights), this captures
-// the whole elastic run: the membership view, every survivor's data-loader
-// cursor and error-feedback residual, and the shared weights/optimizer
-// state — everything needed to resume bit-identically.
+// No runner writes or reads this format. The codec stays because the
+// benchmark harness times it (bench/perf's train.checkpoint_* rates), and
+// while it exists its decoder is held to the hostile-input contract like
+// every other reader of foreign bytes.
 const (
 	runCkptMagic   = 0x494E434B
 	runCkptVersion = 1
 )
 
-// Checkpoint is a durable snapshot of an elastic training run at an
-// iteration boundary: iteration NextIter is the next to execute.
+// Checkpoint is a snapshot of a training run at an iteration boundary:
+// iteration NextIter is the next to execute.
 type Checkpoint struct {
 	Universe int   // the fabric size the run started with
 	Epoch    int   // membership epoch at capture time
@@ -133,143 +124,4 @@ func DecodeCheckpoint(src io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
 	}
 	return ck, nil
-}
-
-// ckptFileName names checkpoints so a lexical sort orders them by
-// (iteration, epoch) — zero-padded for the scan in LoadLatestCheckpoint.
-func ckptFileName(nextIter, epoch int) string {
-	return fmt.Sprintf("ckpt-%010d-e%04d.inck", nextIter, epoch)
-}
-
-// WriteFile atomically persists the checkpoint into dir: the stream is
-// written to a temp file, fsynced, and renamed into place, so a crash
-// mid-write can never leave a half-written checkpoint under the final
-// name (and the CRC catches torn sectors even if it somehow did).
-func (ck *Checkpoint) WriteFile(dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("train: checkpoint dir: %w", err)
-	}
-	final := filepath.Join(dir, ckptFileName(ck.NextIter, ck.Epoch))
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("train: checkpoint temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := ck.Encode(tmp); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("train: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("train: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("train: checkpoint rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // make the rename durable; best-effort on exotic filesystems
-		d.Close()
-	}
-	return final, nil
-}
-
-// ReadCheckpointFile loads and verifies one checkpoint file.
-func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ck, err := DecodeCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return ck, nil
-}
-
-// LoadLatestCheckpoint scans dir for the newest valid checkpoint, skipping
-// corrupt or truncated files (an interrupted writer's leftovers) in favor
-// of older intact ones. Returns ErrNoCheckpoint when none qualifies.
-func LoadLatestCheckpoint(dir string) (*Checkpoint, string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, "", ErrNoCheckpoint
-		}
-		return nil, "", fmt.Errorf("train: scan checkpoint dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".inck") {
-			names = append(names, n)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	var lastErr error
-	for _, n := range names {
-		path := filepath.Join(dir, n)
-		ck, err := ReadCheckpointFile(path)
-		if err == nil {
-			return ck, path, nil
-		}
-		lastErr = err
-	}
-	if lastErr != nil {
-		return nil, "", fmt.Errorf("%w (newest candidate invalid: %v)", ErrNoCheckpoint, lastErr)
-	}
-	return nil, "", ErrNoCheckpoint
-}
-
-// GCCheckpoints prunes dir down to the newest keep valid checkpoints so
-// long elastic runs do not fill the disk. Files are ranked by name
-// (iteration then epoch, the write order); everything older than the
-// keep'th valid file is removed, as is any corrupt file in that older
-// range. Corrupt files newer than the cutoff are left alone — they are
-// within the window LoadLatestCheckpoint may still be probing, and they
-// cost one directory slot, not a model's worth of disk. keep <= 0
-// disables pruning. Removal needs no special atomicity: unlink either
-// happens or it does not, and the retained files are untouched either
-// way; the directory is fsynced afterwards like WriteFile's rename.
-func GCCheckpoints(dir string, keep int) error {
-	if keep <= 0 {
-		return nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("train: scan checkpoint dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".inck") {
-			names = append(names, n)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	kept, removed := 0, 0
-	for _, n := range names {
-		path := filepath.Join(dir, n)
-		if kept >= keep {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("train: checkpoint gc: %w", err)
-			}
-			removed++
-			continue
-		}
-		if _, err := ReadCheckpointFile(path); err == nil {
-			kept++
-		}
-	}
-	if removed > 0 {
-		if d, err := os.Open(dir); err == nil {
-			d.Sync() // best-effort, as in WriteFile
-			d.Close()
-		}
-	}
-	return nil
 }

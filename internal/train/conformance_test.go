@@ -102,7 +102,9 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 			{"replicas", same, replicas, nil},
 		}},
 		{"compressed", []int{4, 3}, func(o *Options) { o.Compress, o.Processor = true, comm.CodecProcessor{Bound: bound} }, []row{
+			{"ring chunk=4096", func(o *Options) { o.ChunkSize = 4096 }, inproc, nil},
 			{"ring tcp", same, tcp, ringVectors},
+			{"ring tcp chunk=4096", func(o *Options) { o.ChunkSize = 4096 }, tcp, ringVectors},
 		}},
 		{"worker-aggregator", []int{4}, func(o *Options) { o.Algo = WorkerAggregator }, []row{
 			{"tcp", same, tcp, nil},

@@ -178,11 +178,22 @@ func collectiveFor(o Options) (collective, error) {
 const serviceJoinTimeout = 10 * time.Second
 
 // fixedRun is one fixed-membership training run: o.Workers workers and one
-// collective for the whole run.
+// collective over one data plane for the whole run. It holds what the
+// workers share: the inputs, the run-wide cancellation scope and the
+// accumulators behind Result.
 type fixedRun struct {
-	*session
-	coll collective
+	o       Options
+	iters   int
+	build   Builder
+	trainDS data.Dataset
+	testDS  data.Dataset // nil skips every evaluation
+	plane   *dataPlane
+	coll    collective
 
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	mu   sync.Mutex
 	errs []error // per worker id, then the service's, then the fabric's
 
 	// gradLen is published by the first worker to finish building its
@@ -192,8 +203,31 @@ type fixedRun struct {
 	lenReady chan struct{}
 	gradLen  int
 
+	tallies   []tally        // indexed by worker id
+	iterHist  *obs.Histogram // train_iter_seconds (nil-safe)
+	lossGauge *obs.Gauge     // train_loss (nil-safe)
+	evals     []EvalPoint    // the leader's alone, in iteration order
+
 	replicas [][]float32 // every worker's final weights, when asked for
 	final    Result      // the leader's final accuracy, loss and weights
+}
+
+// tally is one worker's wall-clock attribution, in nanoseconds. Each
+// worker goroutine owns its slot; the run reads it after joining them.
+type tally struct{ compute, comm int64 }
+
+func newFixedRun(plane *dataPlane, c collective, build Builder, trainDS, testDS data.Dataset, iters int, o Options, replicas [][]float32) *fixedRun {
+	r := &fixedRun{
+		o: o, iters: iters, build: build, trainDS: trainDS, testDS: testDS, plane: plane, coll: c,
+		errs:      make([]error, o.Workers+2),
+		lenReady:  make(chan struct{}),
+		tallies:   make([]tally, o.Workers),
+		iterHist:  o.Obs.Histogram("train_iter_seconds"),
+		lossGauge: o.Obs.Gauge("train_loss"),
+		replicas:  replicas,
+	}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	return r
 }
 
 func (r *fixedRun) workerIDs() []int {
@@ -221,13 +255,7 @@ func (r *fixedRun) fail(slot int, err error) {
 // replicas non-nil, every worker's final weight vector is stored there.
 func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS data.Dataset, iters int, o Options, replicas [][]float32) (Result, error) {
 	defer plane.Close()
-	r := &fixedRun{
-		session:  newSession(plane, build, trainDS, testDS, iters, o),
-		coll:     c,
-		errs:     make([]error, o.Workers+2),
-		lenReady: make(chan struct{}),
-		replicas: replicas,
-	}
+	r := newFixedRun(plane, c, build, trainDS, testDS, iters, o, replicas)
 	defer r.cancel()
 	serveSlot, fabricSlot := o.Workers, o.Workers+1
 
@@ -294,7 +322,7 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 // collective's exchange → commitStep, iters times.
 func (r *fixedRun) runWorker(id int) error {
 	o := r.o
-	w := newWorker(id, r.build, r.trainDS, o, false)
+	w := newWorker(id, r.build, r.trainDS, o)
 	r.lenOnce.Do(func() {
 		r.gradLen = w.net.NumParams()
 		close(r.lenReady)
@@ -309,7 +337,7 @@ func (r *fixedRun) runWorker(id int) error {
 		if err != nil {
 			return fmt.Errorf("train: worker %d iter %d: %w", id, iter, err)
 		}
-		r.commitStep(w, iter, passStart, weights, o.Workers, id == 0)
+		r.commitStep(w, iter, passStart, weights, id == 0)
 	}
 
 	// The replica is finished: its weight view is handed over, not copied.
@@ -323,4 +351,69 @@ func (r *fixedRun) runWorker(id int) error {
 		}
 	}
 	return nil
+}
+
+// computeStep is the first half of Algorithm 1's iteration on worker w:
+// the local gradient over the next minibatch, left in w.net.Grads() ready
+// to exchange (after the optional transform and error feedback), and
+// observed by GradHook on the leader — a view, valid until the exchange.
+func (r *fixedRun) computeStep(w *worker, iter int, leader bool) {
+	o := r.o
+	t0 := time.Now()
+	csp := o.Obs.Span(w.id, iter, obs.PhaseCompute)
+	w.loss = w.forwardBackward()
+	o.straggle(w.id)
+	if o.LocalGradTransform != nil {
+		o.LocalGradTransform(w.net.Grads())
+	}
+	w.applyErrorFeedback(o)
+	csp.End()
+	if leader && o.GradHook != nil {
+		o.GradHook(iter, w.net.Grads())
+	}
+	r.tallies[w.id].compute += time.Since(t0).Nanoseconds()
+}
+
+// commitStep is the second half, after the exchange delivered: apply the
+// update and, on the leader, report the finished iteration (whose pass
+// began at passStart) to the iteration histogram, loss gauge and
+// evaluation trail. The exchange left either the gradient sum over every
+// worker in w.net.Grads(), or — when an aggregator already stepped the
+// master copy — the new weights.
+func (r *fixedRun) commitStep(w *worker, iter int, passStart time.Time, weights []float32, leader bool) {
+	o := r.o
+	ta := time.Now()
+	if weights != nil {
+		copy(w.net.Weights(), weights)
+	} else {
+		w.applyAveraged(iter, o)
+	}
+	r.tallies[w.id].compute += time.Since(ta).Nanoseconds()
+	if !leader {
+		return
+	}
+	r.iterHist.Observe(time.Since(passStart))
+	r.lossGauge.Set(w.loss)
+	if r.testDS != nil && o.EvalEvery > 0 && ((iter+1)%o.EvalEvery == 0 || iter == r.iters-1) {
+		acc, loss := evaluate(w.net, r.testDS, o.EvalSamples)
+		r.evals = append(r.evals, EvalPoint{Iter: iter + 1, Accuracy: acc, Loss: loss})
+	}
+}
+
+// result assembles the evaluation trail, the compute/communication split
+// summed over workers, and the plane's traffic totals. It runs after every
+// worker has exited.
+func (r *fixedRun) result() Result {
+	res := Result{Evals: r.evals}
+	var compute, comm int64
+	for _, t := range r.tallies {
+		compute += t.compute
+		comm += t.comm
+	}
+	res.ComputeSeconds = time.Duration(compute).Seconds()
+	res.CommSeconds = time.Duration(comm).Seconds()
+	var wait time.Duration
+	res.RawBytes, res.WireBytes, wait = r.plane.traffic()
+	res.StragglerWaitSeconds = wait.Seconds()
+	return res
 }

@@ -14,15 +14,12 @@ import (
 // vectors, either over the in-process comm.Fabric (fabric set) or over
 // loopback TCP sockets (cluster set). It owns everything a runner needs
 // from the wire and nothing about what is sent over it: each node's peer,
-// the owner-block finalizer matching the wire's codec, the fault injector,
-// the anomaly watcher, the traffic and receive-wait totals, and Close.
+// the owner-block finalizer matching the wire's codec, the anomaly
+// watcher, the traffic and receive-wait totals, and Close.
 type dataPlane struct {
 	n       int
 	fabric  *comm.Fabric
 	cluster *tcpfabric.Cluster
-	// inj is the TCP fabric's fault injector (nil without Options.Chaos).
-	// The elastic runner revives crashed nodes through it.
-	inj *fault.Injector
 	// finalize is the owner-block finalizer for the exchange: with
 	// compression enabled, a node's own fully aggregated block is passed
 	// through the same codec path every other replica observes (Algorithm
@@ -59,12 +56,13 @@ func newFabricPlane(n int, o Options) *dataPlane {
 // codec, and o.Chaos faults the fabric's frames.
 func newTCPPlane(n int, o Options) (*dataPlane, error) {
 	p := &dataPlane{n: n}
+	var inj *fault.Injector
 	if o.Chaos != nil {
-		p.inj = fault.NewInjector(n, *o.Chaos)
+		inj = fault.NewInjector(n, *o.Chaos)
 	}
 	var err error
 	p.cluster, err = tcpfabric.NewClusterWithOptions(n, tcpfabric.ClusterOptions{
-		Compress: o.Compress, Bound: o.Bound, Chaos: p.inj, Obs: o.Obs,
+		Compress: o.Compress, Bound: o.Bound, Chaos: inj, Obs: o.Obs,
 	})
 	if err != nil {
 		return nil, err
@@ -81,7 +79,7 @@ func newTCPPlane(n int, o Options) (*dataPlane, error) {
 }
 
 // peer returns node id's endpoint.
-func (p *dataPlane) peer(id int) comm.Transport {
+func (p *dataPlane) peer(id int) comm.CtxPeer {
 	if p.cluster != nil {
 		return p.cluster.Node(id)
 	}

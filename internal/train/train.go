@@ -6,14 +6,13 @@
 //
 // Algorithm 1 is one worker loop — local gradient, exchange, update — and
 // so is this package: Run is its one entry point, over {plane} ×
-// {collective} × {recovery}. Options.Plane picks the data plane (plane.go:
-// in-process fabric or loopback TCP), Options.Algo the collective (loop.go:
-// ring, worker-aggregator, the two hierarchies, the in-network switch), and
-// Options.Recovery what a node's death does. Fail-closed runs use the one
-// fixed-membership loop, runFixed, whose iterations are
-// session.computeStep → the collective's exchange → session.commitStep;
-// elastic runs (elastic.go) add a membership protocol around the same
-// halves, plane and replay snapshots.
+// {collective}. Options.Plane picks the data plane (plane.go: in-process
+// fabric or loopback TCP) and Options.Algo the collective (loop.go: ring,
+// worker-aggregator, the two hierarchies, the in-network switch). Every
+// run is the one fixed-membership loop, runFixed, whose iterations are
+// computeStep → the collective's exchange → commitStep. Membership never
+// changes: a fault the fabric's retransmission cannot heal fails the run
+// with its cause.
 package train
 
 import (
@@ -86,21 +85,6 @@ const (
 	TCP
 )
 
-// Recovery selects what a run does when a node dies.
-type Recovery int
-
-// Recovery policies.
-const (
-	// FailClosed fails the run with the first unrecoverable fault.
-	FailClosed Recovery = iota
-	// Elastic makes a ring run survive worker death and supports durable
-	// checkpoint/resume (elastic.go): survivors evict the dead member,
-	// agree on the shrunken ring and replay at most one iteration. On a
-	// graceful stop (Options.Stop) Run returns the partial result and
-	// ErrInterrupted.
-	Elastic
-)
-
 // Options configure a distributed training run.
 type Options struct {
 	Workers      int
@@ -121,9 +105,6 @@ type Options struct {
 	// Bound is the TCP plane's codec error bound; required there when
 	// Compress is set.
 	Bound fpcodec.Bound
-	// Recovery is what a node's death does to the run (default
-	// FailClosed).
-	Recovery Recovery
 
 	// LocalGradTransform, if set, is applied to each worker's local
 	// gradient vector before the exchange (e.g. LSB truncation, Fig. 4).
@@ -165,45 +146,14 @@ type Options struct {
 	// internal/fault) into the TCP plane's traffic through the fabric's
 	// injector; the in-process plane has no wire to fault and rejects it.
 	// The fabric's retransmit protocol repairs recoverable faults
-	// transparently; unrecoverable ones surface as errors (or as a mid-run
-	// eviction, under the Elastic recovery).
+	// transparently; unrecoverable ones fail the run with their cause.
 	Chaos *fault.Config
-
-	// SuspectAfter enables the elastic heartbeat failure detector: a
-	// worker silent for this long (after its first heartbeat) is declared
-	// dead and evicted from the ring. 0 disables the detector — crashes
-	// are then detected only by transport self-reports.
-	SuspectAfter time.Duration
-	// CheckpointDir, when non-empty, enables durable checkpoint/resume
-	// for elastic runs: atomic, CRC-checked snapshots of weights, optimizer
-	// state, error-feedback residuals, and data-loader cursors.
-	CheckpointDir string
-	// CheckpointEvery writes a periodic checkpoint every that many
-	// iterations (0 = only after recoveries, on Stop, and at completion).
-	CheckpointEvery int
-	// CheckpointKeep prunes CheckpointDir to the newest this-many valid
-	// checkpoints after each write (see GCCheckpoints). 0 means the
-	// default of 3; negative disables pruning.
-	CheckpointKeep int
-	// Resume makes an elastic run restore the newest valid checkpoint in
-	// CheckpointDir before training (fresh start if none exists).
-	Resume bool
-	// Join lets an elastic run on the TCP plane re-admit evicted workers:
-	// when a node is declared dead, a replacement for the same id is
-	// started, loads the newest valid checkpoint, and rejoins the ring at
-	// the next epoch boundary with its state synchronized from a surviving
-	// member.
-	Join bool
-	// Stop, when non-nil, drains an elastic run gracefully once closed: the
-	// workers agree on a common halt iteration, write a final checkpoint,
-	// and the run returns ErrInterrupted.
-	Stop <-chan struct{}
 
 	// Obs, when non-nil, instruments the run: compute/exchange phase spans
 	// per worker and iteration, the train_iter_seconds histogram and
-	// train_loss gauge (worker 0), plus the fabric-, ring- and
-	// elastic-layer metrics those components emit when a recorder reaches
-	// them. Nil (the zero value) disables all of it.
+	// train_loss gauge (worker 0), plus the fabric- and ring-layer
+	// metrics those components emit when a recorder reaches them. Nil
+	// (the zero value) disables all of it.
 	Obs *obs.Recorder
 
 	// Straggler artificially slows the listed workers by the given extra
@@ -263,7 +213,7 @@ type Builder func(*rand.Rand) *nn.Network
 // returns the collective o.Algo selects. An option the run would never
 // read is an error, not a silent no-op.
 func (o *Options) prepare() (collective, error) {
-	inproc, elastic := o.Plane == InProcess, o.Recovery == Elastic
+	inproc := o.Plane == InProcess
 	switch {
 	case o.Workers < 1:
 		return collective{}, fmt.Errorf("train: %d workers", o.Workers)
@@ -271,8 +221,6 @@ func (o *Options) prepare() (collective, error) {
 		return collective{}, fmt.Errorf("train: batch per node %d", o.BatchPerNode)
 	case o.Plane != InProcess && o.Plane != TCP:
 		return collective{}, fmt.Errorf("train: unknown plane %d", o.Plane)
-	case o.Recovery < FailClosed || o.Recovery > Elastic:
-		return collective{}, fmt.Errorf("train: unknown recovery %d", o.Recovery)
 	case inproc && o.Chaos != nil:
 		return collective{}, fmt.Errorf("train: Chaos is read only on the TCP plane (the in-process fabric has no wire to fault)")
 	case inproc && o.Bound != (fpcodec.Bound{}):
@@ -283,12 +231,6 @@ func (o *Options) prepare() (collective, error) {
 		return collective{}, fmt.Errorf("train: Compress on the TCP plane requires Bound")
 	case o.ErrorFeedback && (!inproc || !o.Compress || o.Processor == nil):
 		return collective{}, fmt.Errorf("train: ErrorFeedback requires Compress and a Processor on the in-process plane (the TCP fabric's codec cannot report what it delivered)")
-	case elastic && o.Algo != Ring:
-		return collective{}, fmt.Errorf("train: elastic training requires the ring algorithm (got %s)", o.Algo)
-	case !elastic && (o.Resume || o.CheckpointDir != "" || o.CheckpointEvery != 0 || o.Stop != nil || o.SuspectAfter != 0):
-		return collective{}, fmt.Errorf("train: Resume, CheckpointDir, CheckpointEvery, Stop and SuspectAfter are read only by the Elastic recovery")
-	case !(elastic && !inproc) && o.Join:
-		return collective{}, fmt.Errorf("train: Join is read only by the Elastic recovery on the TCP plane")
 	}
 	if o.EvalSamples == 0 {
 		o.EvalSamples = 256
@@ -297,18 +239,21 @@ func (o *Options) prepare() (collective, error) {
 }
 
 // Run trains for iters iterations and returns the result: o.Algo's
-// collective over o.Plane, under o.Recovery. The training dataset is
-// sharded across workers (the paper's Dᵢ partitions); the test dataset is
-// used for evaluation. A failed exchange on any worker cancels its siblings
-// and surfaces as the returned error, unless the Elastic recovery absorbs
-// it.
+// collective over o.Plane. The training dataset is sharded across workers
+// (the paper's Dᵢ partitions) and must give each at least one sample; the
+// test dataset, when non-nil, is used for evaluation and must not be
+// empty. A failed exchange on any worker cancels its siblings and surfaces
+// as the returned error.
 func Run(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
 	c, err := o.prepare()
 	if err != nil {
 		return Result{}, err
 	}
-	if o.Recovery == Elastic {
-		return runElastic(build, trainDS, testDS, iters, o)
+	if n := trainDS.Len(); n < o.Workers {
+		return Result{}, fmt.Errorf("train: %d training samples cannot shard across %d workers", n, o.Workers)
+	}
+	if testDS != nil && testDS.Len() == 0 {
+		return Result{}, fmt.Errorf("train: the test set is empty")
 	}
 	plane, err := newPlane(c.nodes(o.Workers), o)
 	if err != nil {
@@ -369,18 +314,6 @@ func (o Options) gradTos() uint8 {
 		return comm.ToSCompress
 	}
 	return 0
-}
-
-// checkpointKeep resolves Options.CheckpointKeep: 0 means the default of
-// 3, negative disables pruning (GCCheckpoints treats 0 as "keep all").
-func (o Options) checkpointKeep() int {
-	switch {
-	case o.CheckpointKeep == 0:
-		return 3
-	case o.CheckpointKeep < 0:
-		return 0
-	}
-	return o.CheckpointKeep
 }
 
 // RunSingle trains one replica on the full dataset without any

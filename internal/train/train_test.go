@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
@@ -260,55 +259,46 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o); err != nil {
 		t.Errorf("ErrorFeedback with Compress and a Processor: %v", err)
 	}
-	for _, recovery := range []Recovery{FailClosed, Elastic} {
-		o.Recovery = recovery
-		if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o.onTCP(bound)); err == nil {
-			t.Errorf("recovery %d: expected error for ErrorFeedback over the TCP fabric", recovery)
-		}
+	if _, err := Run(models.NewHDCSmall, trainDS, testDS, 1, o.onTCP(bound)); err == nil {
+		t.Error("expected error for ErrorFeedback over the TCP fabric")
+	}
+
+	// A dataset too small for the run is an error, not a worker panic on an
+	// empty shard nor a NaN accuracy over an empty test set.
+	o = digitsOptions()
+	if _, err := Run(models.NewHDCSmall, data.NewDigits(o.Workers-1, 1), testDS, 1, o); err == nil {
+		t.Errorf("expected error for %d training samples over %d workers", o.Workers-1, o.Workers)
+	}
+	o.EvalEvery = 1
+	if res, err := Run(models.NewHDCSmall, trainDS, data.NewDigits(0, 99), 1, o); err == nil {
+		t.Errorf("expected error for an empty test set; got accuracy %v, loss %v", res.FinalAcc, res.FinalLoss)
 	}
 }
 
 // TestRunnersRejectOptionsTheyNeverRead: an option a run would ignore
-// fails it up front, so Run with CheckpointDir and Resume cannot quietly
-// train from scratch, nor a closed Stop fail to halt it, nor a chaos
-// schedule leave an in-process run unfaulted. Each row is one shape of
-// run: the in-process and TCP planes under the fail-closed recovery (the
-// latter through RunRingTCP and through Options.Plane), and the Elastic
-// recovery in process.
+// fails it up front, so a chaos schedule cannot leave an in-process run
+// unfaulted, nor an in-process codec quietly stand in for the TCP
+// fabric's. Each row is one shape of run: the in-process plane and the TCP
+// plane through Options.Plane. (RunRingTCP moves a run onto the TCP plane
+// and discards Processor itself, so it has no unread option left.)
 func TestRunnersRejectOptionsTheyNeverRead(t *testing.T) {
 	trainDS, testDS := digitsData()
 	bound, build := fpcodec.MustBound(10), models.NewHDCSmall
 	runners := map[string]func(Options) (Result, error){
-		"Run":        func(o Options) (Result, error) { return Run(build, trainDS, testDS, 1, o) },
-		"RunRingTCP": func(o Options) (Result, error) { return RunRingTCP(build, trainDS, testDS, 1, o, bound) },
+		"Run": func(o Options) (Result, error) { return Run(build, trainDS, testDS, 1, o) },
 		"TCP": func(o Options) (Result, error) {
 			o.Plane = TCP
 			return Run(build, trainDS, testDS, 1, o)
 		},
-		"Elastic": func(o Options) (Result, error) {
-			o.Recovery = Elastic
-			return Run(build, trainDS, testDS, 1, o)
-		},
 	}
-	stop := make(chan struct{})
-	close(stop)
 	fields := map[string]func(*Options){
-		"Resume":          func(o *Options) { o.Resume = true },
-		"CheckpointDir":   func(o *Options) { o.CheckpointDir = t.TempDir() },
-		"CheckpointEvery": func(o *Options) { o.CheckpointEvery = 1 },
-		"Stop":            func(o *Options) { o.Stop = stop },
-		"SuspectAfter":    func(o *Options) { o.SuspectAfter = time.Second },
-		"Join":            func(o *Options) { o.Join = true },
-		"Chaos":           func(o *Options) { o.Chaos = &fault.Config{Seed: 1} },
-		"Bound":           func(o *Options) { o.Bound = bound },
-		"Processor":       func(o *Options) { o.Processor = comm.CodecProcessor{Bound: bound} },
+		"Chaos":     func(o *Options) { o.Chaos = &fault.Config{Seed: 1} },
+		"Bound":     func(o *Options) { o.Bound = bound },
+		"Processor": func(o *Options) { o.Processor = comm.CodecProcessor{Bound: bound} },
 	}
-	fixed := []string{"Resume", "CheckpointDir", "CheckpointEvery", "Stop", "SuspectAfter", "Join"}
 	unread := map[string][]string{
-		"Run":        append([]string{"Chaos", "Bound"}, fixed...),
-		"RunRingTCP": fixed,
-		"TCP":        {"Processor"},
-		"Elastic":    {"Join", "Chaos", "Bound"},
+		"Run": {"Chaos", "Bound"},
+		"TCP": {"Processor"},
 	}
 	for runner, names := range unread {
 		for _, field := range names {
