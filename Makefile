@@ -65,19 +65,22 @@ traintest:
 
 # Observability smoke, in two acts:
 #  1. legacy single-file path — a traced run must render a non-empty
-#     per-node breakdown (inctrace exits nonzero on an empty trace);
+#     per-node breakdown (inctrace exits nonzero on an empty trace),
+#     and its saved -metrics-out snapshot must render through
+#     `inctrace metrics` (the last line);
 #  2. merge→blame round trip — a 3-worker run with an injected
 #     straggler writes per-node trace files, `inctrace merge` aligns
 #     them on their meta epochs, and `inctrace blame` must attribute the
 #     critical path to the straggler.
 obssmoke:
 	$(GO) run ./cmd/inctrain -model hdc-small -workers 4 -iters 30 -eval 30 -compress \
-		-trace-out bench/obssmoke_trace.jsonl
+		-trace-out bench/obssmoke_trace.jsonl -metrics-out bench/obssmoke_metrics.json
 	$(GO) run ./cmd/inctrace -no-timeline bench/obssmoke_trace.jsonl | grep -q 'trace wall clock'
 	$(GO) run ./cmd/inctrain -model hdc-small -workers 3 -iters 20 -eval 20 \
 		-straggle 1:25ms -trace-dir bench/obssmoke_nodes
 	$(GO) run ./cmd/inctrace merge -out bench/obssmoke_merged.jsonl bench/obssmoke_nodes/trace_node*.jsonl
 	$(GO) run ./cmd/inctrace blame -min-gap 2ms bench/obssmoke_merged.jsonl | grep -q 'gating: node 1'
+	$(GO) run ./cmd/inctrace metrics bench/obssmoke_metrics.json | grep -q train_iter_seconds
 
 # Simulator/collective correctness gate, under the race detector: the
 # whole model stack — the closed-form network model with the paper's

@@ -6,15 +6,15 @@
 //	incbench -list
 //	incbench -run fig12
 //	incbench -run all [-full] [-seed N]
-//	incbench -strategy switch
-//	incbench -selftest
+//	incbench -run switch
 //	incbench -simtrace sim.jsonl [-sim-strategy ring|switch] [-sim-workers 4] [-sim-straggle 2:5ms]
 //
 // The -simtrace mode writes a fluid-flow-simulated gradient exchange
 // (ring, or the in-network switch reduction) as a span trace in the same
 // schema a real run emits, so `inctrace blame` and `inctrace calibrate
 // -measured run.jsonl -sim sim.jsonl` work on it directly. Performance is
-// measured by bench/perf, not here.
+// measured by bench/perf, and the cross-component checks are unit tests
+// under go test, not here.
 package main
 
 import (
@@ -48,8 +48,8 @@ func parseSimStraggle(spec string, workers int) ([]float64, error) {
 			return nil, fmt.Errorf("bad -sim-straggle node %q (workers=%d)", kv[0], workers)
 		}
 		d, err := time.ParseDuration(kv[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad -sim-straggle duration %q: %v", kv[1], err)
+		if err != nil || d < 0 {
+			return nil, fmt.Errorf("bad -sim-straggle duration %q", kv[1])
 		}
 		delays[node] = d.Seconds()
 	}
@@ -72,8 +72,15 @@ type simTraceConfig struct {
 // strategy with the fluid-flow event simulator and writes the spans as
 // trace JSONL.
 func runSimTrace(out string, c simTraceConfig) error {
-	if c.workers < 2 {
+	switch {
+	case c.workers < 2:
 		return fmt.Errorf("-sim-workers must be >= 2, got %d", c.workers)
+	case c.iters < 1:
+		return fmt.Errorf("-sim-iters must be >= 1, got %d", c.iters)
+	case c.bytes <= 0:
+		return fmt.Errorf("-sim-bytes must be > 0, got %d", c.bytes)
+	case !(c.compute >= 0): // NaN too
+		return fmt.Errorf("-sim-compute must be >= 0, got %g", c.compute)
 	}
 	delays, err := parseSimStraggle(c.straggle, c.workers)
 	if err != nil {
@@ -125,7 +132,6 @@ func main() {
 	run := flag.String("run", "all", "experiment to run (name or 'all')")
 	full := flag.Bool("full", false, "full-scale training runs (slower, closer to the paper)")
 	seed := flag.Int64("seed", 42, "deterministic seed for all experiments")
-	selftest := flag.Bool("selftest", false, "run cross-component consistency checks and exit")
 	simtrace := flag.String("simtrace", "", "write a simulated gradient-exchange span trace (JSONL) to this file and exit")
 	simStrategy := flag.String("sim-strategy", "ring", "simtrace: exchange strategy (ring or switch)")
 	simWorkers := flag.Int("sim-workers", 4, "simtrace: worker count")
@@ -135,7 +141,6 @@ func main() {
 	simStraggle := flag.String("sim-straggle", "", "simtrace: extra compute per node, e.g. '2:5ms' or '1:2ms,3:1ms'")
 	simSwitchMem := flag.Int64("sim-switch-mem", 1<<20, "simtrace switch: on-switch aggregation buffer bytes")
 	simSwitchRate := flag.Float64("sim-switch-rate", 0, "simtrace switch: combine throughput bytes/s (0 = line rate)")
-	strategy := flag.String("strategy", "", "shorthand for -run switch etc: print one strategy comparison (e.g. 'switch')")
 	flag.Parse()
 
 	if *simtrace != "" {
@@ -151,21 +156,6 @@ func main() {
 		return
 	}
 
-	if *strategy != "" {
-		// -strategy NAME runs the matching comparison experiment (today:
-		// the in-network switch strategy).
-		e, ok := experiments.Lookup(*strategy)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "incbench: unknown strategy %q; -list shows options\n", *strategy)
-			os.Exit(2)
-		}
-		if err := e.Run(os.Stdout, experiments.Options{Quick: !*full, Seed: *seed}); err != nil {
-			fmt.Fprintln(os.Stderr, "incbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list {
 		for _, e := range experiments.Registry() {
 			fmt.Printf("  %-8s %s\n", e.Name, e.Title)
@@ -174,16 +164,6 @@ func main() {
 	}
 
 	opts := experiments.Options{Quick: !*full, Seed: *seed}
-
-	if *selftest {
-		fmt.Println("incbench self-test:")
-		if err := experiments.SelfTest(os.Stdout, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "incbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var toRun []experiments.Experiment
 	if *run == "all" {
 		toRun = experiments.Registry()

@@ -2,9 +2,10 @@
 // training run (or a simulator) produces, all in the shared span schema:
 //
 //	inctrace trace.jsonl                      # per-node breakdown + timeline
-//	inctrace -addr 127.0.0.1:8080             # same, scraped from a live run
 //	inctrace breakdown [flags] traces...      # the explicit form of the above
-//	inctrace metrics -addr 127.0.0.1:8080     # metric snapshot with quantiles
+//	inctrace metrics metrics.json             # saved metric snapshot
+//	                                          # (inctrain -metrics-out)
+//	                                          # with histogram quantiles
 //	inctrace merge -out merged.jsonl t0 t1 t2 # merge per-node trace files on
 //	                                          # their trace_meta epochs
 //	inctrace blame merged.jsonl               # critical-path attribution:
@@ -20,17 +21,15 @@
 //	                                          # rank strategy/chunk/compression
 //	                                          # plans, what-if scaling
 //
-// The bare-filename and -addr forms are the legacy interface and keep
+// Every mode reads files a run saved (inctrain -trace-out, -trace-dir,
+// -metrics-out). The bare-filename form is the legacy interface and keeps
 // working unchanged; everything else is a subcommand.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -46,36 +45,10 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// fetch GETs path from a live endpoint with a short timeout.
-func fetch(addr, path string) ([]byte, error) {
-	c := &http.Client{Timeout: 10 * time.Second}
-	resp, err := c.Get("http://" + addr + path)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", path, resp.Status)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// gather merges any mix of trace files and (when addr is set) one live
-// endpoint's /trace into a single timeline aligned on the trace_meta
-// epochs.
-func gather(addr string, files []string) (*obs.Merged, error) {
+// gather merges trace files into a single timeline aligned on their
+// trace_meta epochs.
+func gather(files []string) (*obs.Merged, error) {
 	var srcs []obs.Source
-	if addr != "" {
-		body, err := fetch(addr, "/trace")
-		if err != nil {
-			return nil, err
-		}
-		t, err := obs.ReadTrace(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("%s/trace: %w", addr, err)
-		}
-		srcs = append(srcs, obs.TraceSource(addr, t))
-	}
 	for _, f := range files {
 		src, err := obs.FileSource(f)
 		if err != nil {
@@ -117,28 +90,25 @@ func writeMerged(m *obs.Merged, out string) error {
 	return nil
 }
 
-// cmdBreakdown is the legacy default: per-node table + ASCII timeline
-// (+ metrics when scraping a live run).
+// cmdBreakdown is the legacy default: per-node table + ASCII timeline.
 func cmdBreakdown(args []string) {
 	fs := flag.NewFlagSet("breakdown", flag.ExitOnError)
-	addr := fs.String("addr", "", "scrape a live run's -metrics-addr endpoint instead of reading a trace file")
 	width := fs.Int("width", 100, "timeline width in character cells")
 	noTimeline := fs.Bool("no-timeline", false, "skip the ASCII step timeline")
-	noMetrics := fs.Bool("no-metrics", false, "skip the metrics snapshot (live mode only)")
 	fs.Parse(args)
 
-	if *addr == "" && fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: inctrace [breakdown] [flags] trace.jsonl... | inctrace -addr host:port")
+	if fs.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: inctrace [breakdown] [flags] trace.jsonl...")
 		fmt.Fprintln(os.Stderr, "subcommands: breakdown, metrics, merge, blame, calibrate, tune")
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	m, err := gather(*addr, fs.Args())
+	m, err := gather(fs.Args())
 	if err != nil {
 		fatal(err)
 	}
 	if len(m.Spans) == 0 {
-		fatal(fmt.Errorf("trace holds no spans (was the run started with -trace-out or -metrics-addr?)"))
+		fatal(fmt.Errorf("trace holds no spans (was the run started with -trace-out or -trace-dir?)"))
 	}
 
 	bd := obs.Aggregate(m.Spans)
@@ -148,39 +118,17 @@ func cmdBreakdown(args []string) {
 		fmt.Println()
 		obs.RenderTimeline(os.Stdout, m.Spans, *width)
 	}
-	if *addr != "" && !*noMetrics {
-		body, ferr := fetch(*addr, "/metrics")
-		if ferr != nil {
-			fatal(ferr)
-		}
-		snap, perr := obs.ParseSnapshot(body)
-		if perr != nil {
-			fatal(perr)
-		}
-		fmt.Println()
-		fmt.Println("metrics snapshot:")
-		obs.RenderMetrics(os.Stdout, snap)
-	}
 }
 
-// cmdMetrics renders a metric snapshot (live or saved) with the
-// histogram quantiles.
+// cmdMetrics renders a saved metric snapshot with the histogram quantiles.
 func cmdMetrics(args []string) {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	addr := fs.String("addr", "", "scrape this live endpoint's /metrics")
 	fs.Parse(args)
-
-	var body []byte
-	var err error
-	switch {
-	case *addr != "":
-		body, err = fetch(*addr, "/metrics")
-	case fs.NArg() == 1:
-		body, err = os.ReadFile(fs.Arg(0))
-	default:
-		fmt.Fprintln(os.Stderr, "usage: inctrace metrics (-addr host:port | metrics.json)")
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: inctrace metrics metrics.json")
 		os.Exit(2)
 	}
+	body, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -201,7 +149,7 @@ func cmdMerge(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: inctrace merge [-out merged.jsonl] trace_node0.jsonl...")
 		os.Exit(2)
 	}
-	m, err := gather("", fs.Args())
+	m, err := gather(fs.Args())
 	if err != nil {
 		fatal(err)
 	}
@@ -218,15 +166,14 @@ func cmdMerge(args []string) {
 // the gating summary, blame matrix, and straggler report.
 func cmdBlame(args []string) {
 	fs := flag.NewFlagSet("blame", flag.ExitOnError)
-	addr := fs.String("addr", "", "scrape a live endpoint instead of (or in addition to) trace files")
 	minGap := fs.Duration("min-gap", 100*time.Microsecond, "iterations with max-min recv wait under this are balanced, not attributed")
 	switchNode := fs.Int("switch-node", -1, "node id of the in-network aggregation switch, labelled \"(switch)\" when it gates (switch sim traces use id == workers)")
 	fs.Parse(args)
-	if *addr == "" && fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: inctrace blame [-min-gap 100us] [-switch-node N] (merged.jsonl... | -addr host:port)")
+	if fs.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: inctrace blame [-min-gap 100us] [-switch-node N] merged.jsonl...")
 		os.Exit(2)
 	}
-	m, err := gather(*addr, fs.Args())
+	m, err := gather(fs.Args())
 	if err != nil {
 		fatal(err)
 	}
@@ -421,6 +368,6 @@ func main() {
 			return
 		}
 	}
-	// Legacy interface: `inctrace [flags] trace.jsonl` / `inctrace -addr ...`.
+	// Legacy interface: `inctrace [flags] trace.jsonl`.
 	cmdBreakdown(args)
 }

@@ -3,39 +3,14 @@ package main
 import (
 	"bytes"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"inceptionn/internal/obs"
 )
-
-// serveTracer serves tr through the real obs handler and returns the
-// endpoint address plus a log of the request paths it received.
-func serveTracer(t *testing.T, tr *obs.Tracer) (string, func() []string) {
-	t.Helper()
-	var mu sync.Mutex
-	var paths []string
-	h := obs.NewHTTPHandler(obs.NewRegistry(), tr)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		paths = append(paths, r.Method+" "+r.URL.Path)
-		mu.Unlock()
-		h.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://"), func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), paths...)
-	}
-}
 
 // writeTrace writes what write emits to a file under t's temp dir.
 func writeTrace(t *testing.T, name string, write func(io.Writer) error) string {
@@ -51,49 +26,19 @@ func writeTrace(t *testing.T, name string, write func(io.Writer) error) string {
 	return path
 }
 
-// TestGatherLiveIsOneTraceGET: the -addr path reads a live run with one
-// GET of /trace and merges exactly what the same tracer writes to a file.
-func TestGatherLiveIsOneTraceGET(t *testing.T) {
-	tr := obs.NewTracer(64)
-	for i := 0; i < 6; i++ {
-		tr.RecordRaw(i%3, i/3, obs.PhaseCompute, int64(1000-100*i), 50)
-	}
-	addr, requests := serveTracer(t, tr)
-
-	live, err := gather(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := requests(), []string{"GET /trace"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("gather -addr requested %v, want %v", got, want)
-	}
-
-	path := writeTrace(t, "trace.jsonl", tr.WriteJSONL)
-	file, err := gather("", []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live.Spans) != 6 || !reflect.DeepEqual(live.Spans, file.Spans) || live.BaseUnixNs != file.BaseUnixNs {
-		t.Fatalf("live merge %+v (base %d)\nfile merge %+v (base %d)", live.Spans, live.BaseUnixNs, file.Spans, file.BaseUnixNs)
-	}
-	if !live.Sources[0].Aligned {
-		t.Fatalf("live source not aligned on its meta epoch: %+v", live.Sources)
-	}
-}
-
-// TestGatherFileAndLiveShareTimeline: a per-node file and a live endpoint
-// whose timebases start 777µs apart land on one timeline, placed by their
-// meta epochs to the nanosecond.
-func TestGatherFileAndLiveShareTimeline(t *testing.T) {
-	liveTr := obs.NewTracer(16)
+// TestGatherFilesShareTimeline: two per-node files whose timebases start
+// 777µs apart land on one timeline, placed by their meta epochs to the
+// nanosecond.
+func TestGatherFilesShareTimeline(t *testing.T) {
+	tr := obs.NewTracer(16)
 	instant := time.Now().UnixNano()
-	liveTr.RecordRaw(0, 0, obs.PhaseCompute, instant-liveTr.EpochUnixNs(), 1000)
-	addr, _ := serveTracer(t, liveTr)
-	fileMeta := obs.TraceMeta{Version: 1, Node: 1, EpochUnixNs: liveTr.EpochUnixNs() + 777_000, Source: "run"}
-	fileSpans := []obs.Span{{Node: 1, Iter: 0, Phase: obs.PhaseCompute, Start: instant + 5000 - fileMeta.EpochUnixNs, Dur: 1000}}
-	path := writeTrace(t, "trace_node1.jsonl", func(w io.Writer) error { return obs.WriteSpansJSONL(w, fileMeta, fileSpans) })
+	tr.RecordRaw(0, 0, obs.PhaseCompute, instant-tr.EpochUnixNs(), 1000)
+	path0 := writeTrace(t, "trace_node0.jsonl", func(w io.Writer) error { return tr.WriteNodeJSONL(w, 0) })
+	meta1 := obs.TraceMeta{Version: 1, Node: 1, EpochUnixNs: tr.EpochUnixNs() + 777_000, Source: "run"}
+	spans1 := []obs.Span{{Node: 1, Iter: 0, Phase: obs.PhaseCompute, Start: instant + 5000 - meta1.EpochUnixNs, Dur: 1000}}
+	path1 := writeTrace(t, "trace_node1.jsonl", func(w io.Writer) error { return obs.WriteSpansJSONL(w, meta1, spans1) })
 
-	m, err := gather(addr, []string{path})
+	m, err := gather([]string{path0, path1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +62,7 @@ func TestGatherFileAndLiveShareTimeline(t *testing.T) {
 // `inctrace blame` takes, and the post-mortem verdict names the straggler
 // the dump's own incident line named online.
 func TestBlameReplaysOldBlackboxDump(t *testing.T) {
-	m, err := gather("", []string{filepath.Join("..", "..", "internal", "obs", "testdata", "blackbox.jsonl")})
+	m, err := gather([]string{filepath.Join("..", "..", "internal", "obs", "testdata", "blackbox.jsonl")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,10 +116,9 @@ func main() {
 	samples := flag.Int("samples", 4000, "synthetic training samples")
 	evalEvery := flag.Int("eval", 50, "evaluate every N iterations")
 	chaosCrash := flag.String("chaos-crash", "", "chaos: crash nodes after N frame sends, e.g. \"2:65\" or \"1:40,3:200\" (requires -tcp)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live observability on this address (/metrics JSON or ?format=prom, /trace JSONL, /debug/pprof), e.g. 127.0.0.1:8080")
 	traceOut := flag.String("trace-out", "", "write the step trace as JSONL to this file when the run ends (inctrace reads it)")
 	traceDir := flag.String("trace-dir", "", "also split the trace into per-node JSONL files (trace_node<N>.jsonl) in this directory, for `inctrace merge`")
-	metricsOut := flag.String("metrics-out", "", "write the final /metrics JSON snapshot to this file when the run ends")
+	metricsOut := flag.String("metrics-out", "", "write the final metrics snapshot as JSON to this file when the run ends (inctrace metrics reads it)")
 	traceCap := flag.Int("trace-cap", 1<<16, "step tracer ring-buffer capacity (spans; oldest overwritten)")
 	straggle := flag.String("straggle", "", "inject per-iteration compute delay on nodes, e.g. \"2:5ms\" or \"0:1ms,3:10ms\" (validates `inctrace blame`)")
 	autotune := flag.Bool("autotune", false, "probe the machine, fit the α-β-γ model from the probe traces, and train with the best strategy/chunk/compression plan (in-process fabric only; overrides -algo and chunking)")
@@ -170,14 +169,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "inctrain: unknown algorithm %q\n", *algo)
 		os.Exit(2)
 	}
-	// Observability: a registry + bounded tracer feed the live HTTP
-	// endpoint, the end-of-run trace/metrics files, and the NIC datapath
-	// counters. Created before the processor so the engines get the
-	// recorder. Leaving every obs flag unset keeps o.Obs nil and the hot
-	// paths free of even a clock read.
+	// Observability: a registry + bounded tracer feed the end-of-run
+	// trace/metrics files and the NIC datapath counters. Created before
+	// the processor so the engines get the recorder. Leaving every obs
+	// flag unset keeps o.Obs nil and the hot paths free of even a clock
+	// read.
 	var reg *obs.Registry
 	var tracer *obs.Tracer
-	if *metricsAddr != "" || *traceOut != "" || *traceDir != "" || *metricsOut != "" {
+	if *traceOut != "" || *traceDir != "" || *metricsOut != "" {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(*traceCap)
 		reg.Func("fpcodec_values_compressed", func() float64 {
@@ -245,15 +244,6 @@ func main() {
 		o.Chaos = cfg
 		fmt.Printf("chaos: drop %.1f%%, corrupt %.1f%%, crash %q (seed %d)\n",
 			100**chaosDrop, 100**chaosCorrupt, *chaosCrash, *chaosSeed)
-	}
-
-	if *metricsAddr != "" {
-		addr, serr := obs.Serve(*metricsAddr, reg, tracer)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "inctrain:", serr)
-			os.Exit(2)
-		}
-		fmt.Printf("observability: http://%s/metrics (JSON, ?format=prom), /trace (JSONL), /debug/pprof\n", addr)
 	}
 
 	// tuneMeta, when set, is appended to -trace-out as a self-describing

@@ -226,16 +226,3 @@ func TestFig14Output(t *testing.T) {
 		}
 	}
 }
-
-func TestSelfTestPasses(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SelfTest(&buf, quickOpts()); err != nil {
-		t.Fatalf("self-test failed: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "all self-test checks passed") {
-		t.Error("missing success footer")
-	}
-	if strings.Contains(buf.String(), "FAIL") {
-		t.Errorf("self-test output contains FAIL:\n%s", buf.String())
-	}
-}

@@ -31,7 +31,7 @@ func IndexSpans(spans []Span) map[Key]time.Duration {
 // Source is one node's (or one process's) contribution to a merged
 // cluster trace: its spans and the wall-clock anchor of their timebase.
 type Source struct {
-	// Name labels the source in reports (the file path or endpoint addr).
+	// Name labels the source in reports (the file's base name).
 	Name string
 	// Node forces every span to this node id; -1 keeps the node ids the
 	// spans carry (a whole-process trace).
@@ -43,19 +43,9 @@ type Source struct {
 	EpochUnixNs int64
 }
 
-// TraceSource makes a parsed trace a merge source: its first TraceMeta
-// line (when present) supplies the node scope and the wall-clock epoch;
-// without one the source merges unaligned.
-func TraceSource(name string, t *Trace) Source {
-	src := Source{Name: name, Node: -1, Spans: t.Spans}
-	if len(t.Metas) > 0 {
-		src.Node = t.Metas[0].Node
-		src.EpochUnixNs = t.Metas[0].EpochUnixNs
-	}
-	return src
-}
-
-// FileSource reads a JSONL trace file as a merge source (see TraceSource).
+// FileSource reads a JSONL trace file as a merge source: its first
+// TraceMeta line (when present) supplies the node scope and the
+// wall-clock epoch; without one the source merges unaligned.
 func FileSource(path string) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -66,7 +56,12 @@ func FileSource(path string) (Source, error) {
 	if err != nil {
 		return Source{}, fmt.Errorf("obs: merge %s: %w", path, err)
 	}
-	return TraceSource(filepath.Base(path), t), nil
+	src := Source{Name: filepath.Base(path), Node: -1, Spans: t.Spans}
+	if len(t.Metas) > 0 {
+		src.Node = t.Metas[0].Node
+		src.EpochUnixNs = t.Metas[0].EpochUnixNs
+	}
+	return src, nil
 }
 
 // SourceInfo reports how one source was aligned during a merge.

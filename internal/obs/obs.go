@@ -1,15 +1,16 @@
 // Package obs is the runtime observability layer: a concurrency-safe
 // metrics registry (counters, gauges, fixed-bucket latency histograms
-// with atomic hot paths), a bounded-ring-buffer step tracer that records
-// phase-level span events streamable as JSONL, and an optional HTTP
-// endpoint serving an expvar-style JSON snapshot plus net/http/pprof.
+// with atomic hot paths) and a bounded-ring-buffer step tracer that
+// records phase-level span events. A run's record is what it saves: the
+// trace as JSONL and the registry's final snapshot as JSON, both read
+// back after the run by this package and cmd/inctrace.
 //
 // It is the software analogue of the paper's evaluation methodology:
 // Figs. 12–14 are *time breakdowns* — computation vs. communication, and
 // inside communication the compress/transport/reduce/decompress phases —
 // and every hot path of the runtime (the ring exchange, the transports,
 // the codec, the training loops) reports
-// into this package so a live run can be broken down the same way.
+// into this package so a run can be broken down the same way.
 //
 // The package is stdlib-only and imports nothing else from this
 // repository, so any layer may depend on it without cycles. All

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -179,46 +178,79 @@ func TestHistogramBounds(t *testing.T) {
 	}
 }
 
-// TestHTTPHandler exercises /metrics and /trace end to end.
-func TestHTTPHandler(t *testing.T) {
+// TestSnapshotRoundTrip: a counter, a Func gauge and a histogram reach
+// the saved record. The bytes are json.Marshal(reg.Snapshot()), what
+// `inctrain -metrics-out` writes (it relies on Func gauges for the
+// fpcodec_* totals); they decode with ParseSnapshot and render with
+// RenderMetrics, as `inctrace metrics` does.
+func TestSnapshotRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(8)
-	rec := NewRecorder(reg, tr)
+	rec := NewRecorder(reg, nil)
 	rec.Counter("wire_bytes_compressed").Add(1234)
 	reg.Func("codec_values", func() float64 { return 42 })
-	rec.RecordSpan(0, 0, PhaseSend, time.Now(), time.Millisecond)
+	rec.Histogram("ring_step_seconds").Observe(3 * time.Millisecond)
 
-	srv := httptest.NewServer(NewHTTPHandler(reg, tr))
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	body, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	snap, err := ParseSnapshot(body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if v, _ := snap["wire_bytes_compressed"].(float64); v != 1234 {
 		t.Errorf("wire_bytes_compressed = %v, want 1234", snap["wire_bytes_compressed"])
 	}
 	if v, _ := snap["codec_values"].(float64); v != 42 {
 		t.Errorf("codec_values = %v, want 42", snap["codec_values"])
 	}
+	if h, _ := snap["ring_step_seconds"].(map[string]interface{}); h["count"] != 1.0 {
+		t.Errorf("ring_step_seconds = %v, want a histogram of count 1", snap["ring_step_seconds"])
+	}
+	var buf bytes.Buffer
+	RenderMetrics(&buf, snap)
+	for _, want := range []string{
+		"wire_bytes_compressed                    1234\n",
+		"codec_values                             42\n",
+		"ring_step_seconds                        count=1 ",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("RenderMetrics missing %q:\n%s", want, buf.String())
+		}
+	}
+}
 
-	resp, err = srv.Client().Get(srv.URL + "/trace")
-	if err != nil {
-		t.Fatal(err)
+// TestHistogramQuantilesStayInBucket: a quantile lies inside the bucket
+// holding its rank, between the bucket's true lower bound and the smaller
+// of its upper bound and the observed max. Ten 12ms observations sit in
+// (10ms, 20ms] with max 12ms, so p50, p90 and p99 lie in [10ms, 12ms];
+// the same holds in the overflow bucket above the last bound.
+func TestHistogramQuantilesStayInBucket(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("step_seconds")
+	for i := 0; i < 10; i++ {
+		h.Observe(12 * time.Millisecond)
 	}
-	doc, err := ReadTrace(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	s := h.snapshot()
+	for _, q := range []float64{s.P50Seconds, s.P90Seconds, s.P99Seconds} {
+		if q < 0.010 || q > 0.012 {
+			t.Errorf("quantiles p50=%g p90=%g p99=%g, want each in [0.010, 0.012] (max %g)",
+				s.P50Seconds, s.P90Seconds, s.P99Seconds, s.MaxSeconds)
+			break
+		}
 	}
-	spans := doc.Spans
-	if len(spans) != 1 || spans[0].Phase != PhaseSend {
-		t.Errorf("trace endpoint returned %+v, want one send span", spans)
+
+	// One observation in a low bucket, one past the last bound: p99 sits
+	// in the overflow bucket, between the last bound and the max.
+	o := newHistogram([]time.Duration{time.Millisecond, time.Second})
+	o.Observe(500 * time.Microsecond)
+	o.Observe(3 * time.Second)
+	so := o.snapshot()
+	if so.P99Seconds < 1 || so.P99Seconds > 3 {
+		t.Errorf("overflow p99 = %g, want in [1, 3]", so.P99Seconds)
+	}
+	if so.P50Seconds < 0 || so.P50Seconds > 0.001 {
+		t.Errorf("p50 = %g, want in [0, 0.001]", so.P50Seconds)
 	}
 }
 
@@ -278,19 +310,72 @@ func TestAggregateAndRender(t *testing.T) {
 	}
 }
 
-// TestRenderMetrics smoke-tests the CLI snapshot printer on both native
-// and JSON-round-tripped shapes.
+// TestRenderMetrics smoke-tests the CLI snapshot printer on a snapshot
+// that went through the JSON round trip a saved -metrics-out file takes.
 func TestRenderMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("tcp_retransmits").Add(3)
 	reg.Gauge("compression_ratio").Set(2.5)
 	reg.Histogram("ring_step_seconds").Observe(time.Millisecond)
+	body, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseSnapshot(body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	RenderMetrics(&buf, reg.Snapshot())
+	RenderMetrics(&buf, snap)
 	out := buf.String()
 	for _, want := range []string{"tcp_retransmits", "compression_ratio", "2.5000", "ring_step_seconds", "count=1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderMetrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRenderTimelineDegenerateWidths: widths below the 10-bucket floor
+// (0, 1, negative) clamp up rather than divide by zero, even when the
+// trace holds more spans than buckets; empty and zero-duration traces
+// render nothing at all.
+func TestRenderTimelineDegenerateWidths(t *testing.T) {
+	tr := NewTracer(256)
+	// 20 spans per node — more spans than the clamped 10 buckets.
+	for it := 0; it < 20; it++ {
+		start := int64(it) * int64(time.Millisecond)
+		tr.RecordRaw(0, it, PhaseCompute, start, int64(time.Millisecond))
+		tr.RecordRaw(1, it, PhaseRecv, start, int64(time.Millisecond))
+	}
+	spans := tr.Snapshot()
+
+	for _, width := range []int{0, 1, 9, -5} {
+		var buf bytes.Buffer
+		RenderTimeline(&buf, spans, width)
+		out := buf.String()
+		if !strings.Contains(out, "10 buckets") {
+			t.Errorf("width %d: want clamp to 10 buckets, got:\n%s", width, out)
+		}
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "node ") {
+				continue
+			}
+			lo, hi := strings.IndexByte(line, '|'), strings.LastIndexByte(line, '|')
+			if hi-lo-1 != 10 {
+				t.Errorf("width %d: row has %d cells, want 10: %q", width, hi-lo-1, line)
+			}
+		}
+	}
+
+	var buf bytes.Buffer
+	RenderTimeline(&buf, nil, 0)
+	if buf.Len() != 0 {
+		t.Errorf("empty trace rendered output: %q", buf.String())
+	}
+	buf.Reset()
+	// A single zero-duration span: EndNs == StartNs, nothing to draw.
+	RenderTimeline(&buf, []Span{{Node: 0, Phase: PhaseCompute, Start: 100, Dur: 0}}, 0)
+	if buf.Len() != 0 {
+		t.Errorf("zero-duration trace rendered output: %q", buf.String())
 	}
 }

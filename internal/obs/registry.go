@@ -126,9 +126,9 @@ type HistBucket struct {
 }
 
 // HistSnapshot is the JSON-friendly view of a histogram. P50/P90/P99 are
-// quantile estimates interpolated from the 1-2-5 buckets: exact to within
+// quantile estimates interpolated inside the 1-2-5 buckets: exact to within
 // one bucket's width (≤2.5× at the 1-2-5 spacing), which is plenty for the
-// tail-latency questions the breakdown answers.
+// tail-latency questions the breakdown answers, and never above MaxSeconds.
 type HistSnapshot struct {
 	Count      int64        `json:"count"`
 	SumSeconds float64      `json:"sum_s"`
@@ -140,36 +140,28 @@ type HistSnapshot struct {
 	Overflow   int64        `json:"overflow,omitempty"`
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
-// linear interpolation inside the containing bucket. Observations in the
-// overflow bucket interpolate between the last bound and the observed max.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || q <= 0 || q >= 1 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	lo := 0.0
-	for _, b := range s.Buckets {
-		next := cum + float64(b.N)
-		if rank <= next {
-			frac := (rank - cum) / float64(b.N)
-			return lo + frac*(b.LESeconds-lo)
+// quantile estimates the q-quantile (0 < q < 1) by linear interpolation
+// inside the bucket that holds rank q·count. Bucket i covers
+// (bounds[i-1], bounds[i]] and the overflow bucket (last bound, max]; the
+// top of either is capped by the observed maximum maxS, so the estimate
+// stays inside its bucket and never exceeds maxS.
+func (h *Histogram) quantile(q float64, counts []int64, count int64, maxS float64) float64 {
+	rank := q * float64(count)
+	var cum, lo float64
+	for i, n := range counts {
+		up := maxS
+		if i < len(h.bounds) {
+			up = h.bounds[i].Seconds()
 		}
-		cum = next
-		lo = b.LESeconds
-	}
-	// Overflow bucket: bounded above by the observed max.
-	if s.Overflow > 0 && s.MaxSeconds > lo {
-		frac := (rank - cum) / float64(s.Overflow)
-		if frac < 0 {
-			frac = 0
-		} else if frac > 1 {
-			frac = 1
+		if n > 0 && rank <= cum+float64(n) {
+			// max with lo: maxS may predate a concurrent Observe.
+			hi := max(lo, min(up, maxS))
+			return lo + (rank-cum)/float64(n)*(hi-lo)
 		}
-		return lo + frac*(s.MaxSeconds-lo)
+		cum += float64(n)
+		lo = up
 	}
-	return s.MaxSeconds
+	return maxS
 }
 
 func (h *Histogram) snapshot() HistSnapshot {
@@ -178,15 +170,19 @@ func (h *Histogram) snapshot() HistSnapshot {
 		SumSeconds: time.Duration(h.sum.Load()).Seconds(),
 		MaxSeconds: time.Duration(h.max.Load()).Seconds(),
 	}
-	for i := range h.bounds {
-		if n := h.buckets[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, HistBucket{LESeconds: h.bounds[i].Seconds(), N: n})
+	counts := make([]int64, len(h.buckets))
+	for i := range counts {
+		counts[i] = h.buckets[i].Load()
+		if i < len(h.bounds) && counts[i] > 0 {
+			s.Buckets = append(s.Buckets, HistBucket{LESeconds: h.bounds[i].Seconds(), N: counts[i]})
 		}
 	}
-	s.Overflow = h.buckets[len(h.bounds)].Load()
-	s.P50Seconds = s.Quantile(0.50)
-	s.P90Seconds = s.Quantile(0.90)
-	s.P99Seconds = s.Quantile(0.99)
+	s.Overflow = counts[len(h.bounds)]
+	if s.Count > 0 {
+		s.P50Seconds = h.quantile(0.50, counts, s.Count, s.MaxSeconds)
+		s.P90Seconds = h.quantile(0.90, counts, s.Count, s.MaxSeconds)
+		s.P99Seconds = h.quantile(0.99, counts, s.Count, s.MaxSeconds)
+	}
 	return s
 }
 
@@ -271,8 +267,8 @@ func (r *Registry) Func(name string, f func() float64) {
 
 // Snapshot returns a point-in-time flat view of every metric, keyed by
 // name: counters as int64, gauges and func metrics as float64,
-// histograms as HistSnapshot. The map is JSON-marshalable and is what
-// the /metrics endpoint serves.
+// histograms as HistSnapshot. Its JSON encoding is the document
+// `inctrain -metrics-out` saves.
 func (r *Registry) Snapshot() map[string]interface{} {
 	if r == nil {
 		return nil

@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// ParseSnapshot decodes a /metrics JSON document into the flat map shape
-// Registry.Snapshot produces (histograms become generic maps, which
-// RenderMetrics understands).
+// ParseSnapshot decodes a saved metrics snapshot (the JSON of
+// Registry.Snapshot that `inctrain -metrics-out` writes) into a flat map:
+// numbers become float64 and histograms generic maps, which RenderMetrics
+// understands.
 func ParseSnapshot(body []byte) (map[string]interface{}, error) {
 	var snap map[string]interface{}
 	if err := json.Unmarshal(body, &snap); err != nil {
@@ -200,8 +201,8 @@ func jnum(v interface{}) string {
 	}
 }
 
-// RenderMetrics writes a flat metric snapshot (from Registry.Snapshot or
-// a decoded /metrics document) in sorted name order, for CLI display.
+// RenderMetrics writes a snapshot decoded by ParseSnapshot in sorted name
+// order, for CLI display.
 func RenderMetrics(w io.Writer, snap map[string]interface{}) {
 	names := make([]string, 0, len(snap))
 	for k := range snap {
@@ -210,11 +211,7 @@ func RenderMetrics(w io.Writer, snap map[string]interface{}) {
 	sort.Strings(names)
 	for _, k := range names {
 		switch v := snap[k].(type) {
-		case HistSnapshot:
-			fmt.Fprintf(w, "%-40s count=%d sum=%.3fs p50=%.6fs p90=%.6fs p99=%.6fs max=%.3fs\n",
-				k, v.Count, v.SumSeconds, v.P50Seconds, v.P90Seconds, v.P99Seconds, v.MaxSeconds)
-		case map[string]interface{}:
-			// A histogram that went through a JSON round trip.
+		case map[string]interface{}: // a histogram
 			fmt.Fprintf(w, "%-40s count=%v sum=%vs p50=%vs p90=%vs p99=%vs max=%vs\n",
 				k, v["count"], v["sum_s"], jnum(v["p50_s"]), jnum(v["p90_s"]), jnum(v["p99_s"]), v["max_s"])
 		case float64:

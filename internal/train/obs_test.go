@@ -1,10 +1,8 @@
 package train
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -15,9 +13,9 @@ import (
 
 // TestTCPObservability is the acceptance run for an observed run on the
 // wire: a compressed ring training over loopback TCP, observed through a
-// live recorder. The /metrics snapshot must show the step-time histogram
-// and compressed wire accounting, and the trace must aggregate into a
-// per-node breakdown covering every worker.
+// recorder. The saved metrics snapshot must show the step-time histogram
+// and compressed wire accounting, and the saved trace must aggregate into
+// a per-node breakdown covering every worker.
 func TestTCPObservability(t *testing.T) {
 	trainDS, testDS := digitsData()
 	reg := obs.NewRegistry()
@@ -37,26 +35,20 @@ func TestTCPObservability(t *testing.T) {
 		t.Errorf("Result timing not populated: compute %gs, comm %gs", res.ComputeSeconds, res.CommSeconds)
 	}
 
-	srv := httptest.NewServer(obs.NewHTTPHandler(reg, tracer))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	// The run's record, as inctrain saves it: the registry snapshot as
+	// JSON (-metrics-out) and the tracer as JSONL (-trace-out).
+	body, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap map[string]json.RawMessage
 	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/metrics is not a JSON object: %v\n%s", err, body)
+		t.Fatalf("the metrics snapshot is not a JSON object: %v\n%s", err, body)
 	}
 	counter := func(name string) int64 {
 		raw, ok := snap[name]
 		if !ok {
-			t.Fatalf("/metrics lacks %q; have %d metrics", name, len(snap))
+			t.Fatalf("the metrics snapshot lacks %q; have %d metrics", name, len(snap))
 		}
 		var v int64
 		if err := json.Unmarshal(raw, &v); err != nil {
@@ -75,18 +67,17 @@ func TestTCPObservability(t *testing.T) {
 		t.Error("wire_bytes_compressed = 0 on a compressed TCP run")
 	}
 
-	resp, err = http.Get(srv.URL + "/trace")
-	if err != nil {
+	var trace bytes.Buffer
+	if err := tracer.WriteJSONL(&trace); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := obs.ReadTrace(resp.Body)
-	resp.Body.Close()
+	doc, err := obs.ReadTrace(&trace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spans := doc.Spans
 	if len(spans) == 0 {
-		t.Fatal("/trace returned no spans")
+		t.Fatal("the saved trace holds no spans")
 	}
 	bd := obs.Aggregate(spans)
 	if len(bd.Nodes) != o.Workers {

@@ -229,8 +229,8 @@ func (r *AutoResult) MetaFor(applied Workload) Meta {
 }
 
 // PublishGauges exports the decision and fitted parameters as obs
-// gauges on the run's recorder, so a scrape of /metrics shows what the
-// tuner decided and from what model.
+// gauges on the run's recorder, so the run's saved metrics snapshot
+// (-metrics-out) shows what the tuner decided and from what model.
 func (r *AutoResult) PublishGauges(rec *obs.Recorder) {
 	if rec == nil {
 		return
