@@ -28,7 +28,8 @@ race:
 # Short fuzzing passes over everything that parses bytes it did not write:
 # the frame decoder, the 4-wide float32 byte kernel against its scalar loop, the codec's group kernel against its scalar reference
 # in both directions, the JSONL trace document reader and the fitter it
-# feeds, and the checkpoint reader on internal/frame. The
+# feeds, the checkpoint reader on internal/frame, and the matmul kernels'
+# zero skip against their scalar loops on arbitrary float32 bits. The
 # seed corpora (checked in under internal/tcpfabric/testdata and
 # internal/fpcodec/testdata, in code for the others) run on every plain
 # `make test`. FuzzFit's inputs take milliseconds each, so it caps input
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test ./internal/obs -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 30s
 	$(GO) test ./internal/tune -run FuzzFit -fuzz FuzzFit -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/train -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 30s
+	$(GO) test ./internal/tensor -run FuzzKernels -fuzz FuzzKernels -fuzztime 30s
 
 # The repo's one benchmark (BENCHMARK.json runs the same program through
 # bench/perf/run.sh): five end-to-end training workloads plus the

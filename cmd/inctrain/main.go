@@ -254,8 +254,10 @@ func main() {
 
 	// flushObs persists the span ring buffer (whole-run file and/or
 	// per-node split) and the final metrics snapshot; called on every exit
-	// path that has training work behind it, including SIGINT.
-	flushObs := func() {
+	// path that has training work behind it, including SIGINT. It reports
+	// whether every record asked for was written.
+	flushObs := func() (ok bool) {
+		ok = true
 		if tracer != nil && *traceOut != "" {
 			f, ferr := os.Create(*traceOut)
 			if ferr == nil {
@@ -269,6 +271,7 @@ func main() {
 			}
 			if ferr != nil {
 				fmt.Fprintln(os.Stderr, "inctrain: trace:", ferr)
+				ok = false
 			} else {
 				fmt.Printf("trace: %d spans retained -> %s (render with inctrace)\n", len(tracer.Snapshot()), *traceOut)
 			}
@@ -276,6 +279,7 @@ func main() {
 		if tracer != nil && *traceDir != "" {
 			if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 				fmt.Fprintln(os.Stderr, "inctrain: trace-dir:", err)
+				ok = false
 			} else {
 				nodes := make(map[int]bool)
 				for _, s := range tracer.Snapshot() {
@@ -293,6 +297,7 @@ func main() {
 					}
 					if ferr != nil {
 						fmt.Fprintln(os.Stderr, "inctrain: trace-dir:", ferr)
+						ok = false
 						continue
 					}
 					written++
@@ -308,10 +313,12 @@ func main() {
 			}
 			if jerr != nil {
 				fmt.Fprintln(os.Stderr, "inctrain: metrics:", jerr)
+				ok = false
 			} else {
 				fmt.Printf("metrics: final snapshot -> %s\n", *metricsOut)
 			}
 		}
+		return ok
 	}
 
 	// A run has no graceful halt, but a ^C must not lose the observability
@@ -405,7 +412,9 @@ func main() {
 			tuneMeta = &m
 		}
 	}
-	flushObs()
+	if !flushObs() {
+		os.Exit(1)
+	}
 }
 
 // strategyName maps the -algo flag onto the tune package's strategy

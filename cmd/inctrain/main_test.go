@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,5 +61,32 @@ func TestChaosRequiresTCP(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("-chaos-drop without -tcp: err = %v, want exit status 2\n%s", err, out)
+	}
+}
+
+// TestDivergedRunKeepsItsRecord: a learning rate that sends the loss to
+// NaN still saves the metrics record, with train_loss as "NaN", and a
+// record that cannot be written fails the run instead of exiting 0.
+func TestDivergedRunKeepsItsRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.json")
+	args := []string{"inctrain", "-model", "hdc-small", "-lr", "1e30", "-workers", "2",
+		"-iters", "2", "-samples", "100", "-eval", "2"}
+	out, err := exec.Command(os.Args[0], append(args, "-metrics-out", path)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("diverged run: %v\n%s", err, out)
+	}
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no metrics record: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(body), `"train_loss": "NaN"`) {
+		t.Fatalf("record does not carry the NaN loss:\n%s", body)
+	}
+
+	out, err = exec.Command(os.Args[0], append(args, "-metrics-out", filepath.Join(dir, "missing", "m.json"))...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("unwritable -metrics-out: err = %v, want exit status 1\n%s", err, out)
 	}
 }

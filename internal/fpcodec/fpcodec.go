@@ -181,11 +181,27 @@ func Decompress(v uint32, tag Tag, b Bound) float32 {
 	}
 }
 
-// Roundtrip compresses and immediately decompresses f, returning the value a
-// receiver would observe. It is the identity for |f| ≥ 1.0.
+// Roundtrip returns Decompress(Compress(f, b), b): the value a receiver
+// would observe. It is the identity for |f| ≥ 1.0, NaN and ±Inf, and +0 for
+// the TagZero class. A Tag8 or Tag16 value keeps its sign and exponent and
+// loses the fraction bits below its window — the low d+16−s8 (Tag8) or d+8
+// (Tag16) bits of |f| ∈ [2^-d, 2^-d+1) — so it is computed by mask, with
+// Compress and Decompress its reference.
 func Roundtrip(f float32, b Bound) float32 {
-	v, tag := Compress(f, b)
-	return Decompress(v, tag, b)
+	bits := math.Float32bits(f)
+	e := int(bits>>23) & 0xFF
+	if e >= 127 {
+		return f
+	}
+	d := 127 - e // e = 0 (zero, denormal) gives d = 127 > b.e
+	if d > b.e {
+		return 0
+	}
+	cut := d + 8 // Tag16: fraction positions 1 … 15 survive
+	if d > b.s8 {
+		cut = d + 16 - b.s8 // Tag8: positions s8+1 … s8+7
+	}
+	return math.Float32frombits(bits &^ (1<<cut - 1))
 }
 
 // TagOf returns only the classification of f under bound b.

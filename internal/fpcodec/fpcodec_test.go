@@ -202,6 +202,42 @@ func TestRoundtripIdempotent(t *testing.T) {
 	}
 }
 
+// roundtripByCodec is Roundtrip's reference: the codec's own two halves.
+func roundtripByCodec(f float32, b Bound) float32 {
+	v, tag := Compress(f, b)
+	return Decompress(v, tag, b)
+}
+
+// TestRoundtripMatchesCodec: the bit-mask Roundtrip equals Compress then
+// Decompress bit for bit, for every bound, both signs and every exponent,
+// each with the edge mantissas (0, 1, the top bit, all ones, one below and
+// at every Tag8/Tag16 window edge) and random ones.
+func TestRoundtripMatchesCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	mantissas := []uint32{0, 1, 2, 0x7F, 0x80, 0xFF, 0x100, 0x400000, 0x7FFFFE, 0x7FFFFF}
+	for cut := uint(1); cut < 23; cut++ {
+		mantissas = append(mantissas, 1<<cut-1, 1<<cut, 1<<cut+1)
+	}
+	for i := 0; i < 64; i++ {
+		mantissas = append(mantissas, rng.Uint32()&0x7FFFFF)
+	}
+	for e := 1; e <= 15; e++ {
+		b := MustBound(e)
+		for sign := uint32(0); sign < 2; sign++ {
+			for exp := uint32(0); exp < 256; exp++ {
+				for _, m := range mantissas {
+					f := math.Float32frombits(sign<<31 | exp<<23 | m)
+					got, want := Roundtrip(f, b), roundtripByCodec(f, b)
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("E=%d f=%g (%#08x): Roundtrip %#08x, codec %#08x",
+							e, f, math.Float32bits(f), math.Float32bits(got), math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGroupRoundtrip(t *testing.T) {
 	b := MustBound(10)
 	vals := []float32{0, 0.5, -0.03, 1.25, -0.0001, 0.9999, 2e-4, -0.125}

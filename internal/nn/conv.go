@@ -12,7 +12,8 @@ import (
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
-	w, b *Param
+	w, b  *Param
+	first bool // Backward leaves out ∂L/∂x (see NewNetwork)
 
 	// forward cache
 	x          *tensor.Tensor
@@ -77,17 +78,24 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // private buffers; the weight/bias gradient contributions are then
 // reduced into the shared accumulators in ascending sample order, so the
 // result is bit-identical to the sequential loop for any worker count.
+// The first layer of a network skips the input gradient and returns nil.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	batch, h, w := c.x.Shape[0], c.x.Shape[2], c.x.Shape[3]
 	rows := c.InC * c.K * c.K
 	spatial := c.outH * c.outW
-	dx := tensor.New(batch, c.InC, h, w)
+	var dx *tensor.Tensor
+	if !c.first {
+		dx = tensor.New(batch, c.InC, h, w)
+	}
 	gws := make([]*tensor.Tensor, batch)
 	dbs := make([][]float32, batch)
 	par.For(batch, 1, func(lo, hi int) {
 		// Scratch shared across this shard's samples only.
-		dcols := tensor.New(rows, spatial)
-		dimg := tensor.New(c.InC, h, w)
+		var dcols, dimg *tensor.Tensor
+		if dx != nil {
+			dcols = tensor.New(rows, spatial)
+			dimg = tensor.New(c.InC, h, w)
+		}
 		for bi := lo; bi < hi; bi++ {
 			dres := tensor.FromSlice(
 				dout.Data[bi*c.OutC*spatial:(bi+1)*c.OutC*spatial], c.OutC, spatial)
@@ -106,6 +114,9 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				db[oc] = s
 			}
 			dbs[bi] = db
+			if dx == nil {
+				continue
+			}
 			// dcols = Wᵀ · dres, then scatter back to image space.
 			tensor.MatMulTransA(dcols, c.w.W, dres)
 			tensor.Col2Im(dimg, dcols, c.K, c.K, c.Stride, c.Pad)
@@ -123,6 +134,8 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
+
+func (c *Conv2D) setFirst(first bool) { c.first = first }
 
 // MaxPool2D is a max pooling layer over [B, C, H, W] inputs.
 type MaxPool2D struct {

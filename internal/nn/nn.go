@@ -33,10 +33,19 @@ type Layer interface {
 	// training-mode behaviour (dropout, batch-norm statistics).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward receives ∂L/∂output and returns ∂L/∂input, accumulating
-	// parameter gradients along the way.
+	// parameter gradients along the way. A Dense or Conv2D that is the
+	// first layer of a Network computes no ∂L/∂input and returns nil:
+	// nothing reads it.
 	Backward(dout *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's learnable parameters (nil if stateless).
 	Params() []*Param
+}
+
+// firstLayer is a layer that can leave out its input gradient. NewNetwork
+// tells each one whether it is the network's first layer, the only one
+// whose ∂L/∂input no other layer reads.
+type firstLayer interface {
+	setFirst(first bool)
 }
 
 // Network is a sequential composition of layers and the owner of its
@@ -58,11 +67,15 @@ type Network struct {
 // capacity is clipped to its length, so an append on one reallocates
 // instead of reaching its neighbour. Layers that already belong to a
 // network move to this one: the older network's Weights and Grads stop
-// tracking them.
+// tracking them. The first layer, if a Dense, a Conv2D or a Network,
+// computes no input gradient from then on; every other layer does.
 func NewNetwork(layers ...Layer) *Network {
 	n := &Network{Layers: layers}
 	total := 0
-	for _, l := range layers {
+	for i, l := range layers {
+		if f, ok := l.(firstLayer); ok {
+			f.setFirst(i == 0)
+		}
 		for _, p := range l.Params() {
 			n.params = append(n.params, p)
 			total += p.W.Len()
@@ -88,12 +101,26 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward runs all layers in reverse order.
+// Backward runs all layers in reverse order and returns the first layer's
+// ∂L/∂input, which is nil when that layer is a Dense or a Conv2D (see
+// NewNetwork).
 func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dout = n.Layers[i].Backward(dout)
 	}
 	return dout
+}
+
+// setFirst passes the mark on to the network's own first layer, so a
+// network nested as a layer computes the input gradient its outer network
+// reads.
+func (n *Network) setFirst(first bool) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	if f, ok := n.Layers[0].(firstLayer); ok {
+		f.setFirst(first)
+	}
 }
 
 // Params returns all learnable parameters in layer order.
@@ -123,6 +150,7 @@ type Dense struct {
 	In, Out int
 	w, b    *Param
 	x       *tensor.Tensor // cached input
+	first   bool           // Backward leaves out ∂L/∂x (see NewNetwork)
 }
 
 // NewDense constructs a Dense layer with He-normal initialization.
@@ -167,11 +195,16 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			d.b.G.Data[j] += v
 		}
 	}
+	if d.first {
+		return nil
+	}
 	// dx = dout·Wᵀ
 	dx := tensor.New(batch, d.In)
 	tensor.MatMulTransB(dx, dout, d.w.W)
 	return dx
 }
+
+func (d *Dense) setFirst(first bool) { d.first = first }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }

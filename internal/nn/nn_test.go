@@ -247,6 +247,77 @@ func TestFlattenRoundtrip(t *testing.T) {
 	}
 }
 
+// TestFirstLayerSkipsInputGradient pins the one gradient a network leaves
+// out: its first Dense or Conv2D returns nil from Backward, and the
+// parameter gradients are bit-identical to those of the same layers run
+// one by one outside a network, where every layer returns ∂L/∂input. A
+// layer second in a network, a Residual body's first layer and a nested
+// network's first layer still compute theirs.
+func TestFirstLayerSkipsInputGradient(t *testing.T) {
+	models := map[string]func(rng *rand.Rand) []Layer{
+		"conv first": func(rng *rand.Rand) []Layer {
+			return []Layer{NewConv2D("c1", 2, 3, 3, 1, 1, rng), NewReLU(), NewConv2D("c2", 3, 3, 3, 2, 1, rng),
+				NewReLU(), NewFlatten(), NewDense("fc", 3*3*3, 4, rng)}
+		},
+		"dense first": func(rng *rand.Rand) []Layer {
+			return []Layer{NewDense("fc1", 2*5*5, 6, rng), NewReLU(), NewDense("fc2", 6, 4, rng)}
+		},
+	}
+	for name, build := range models {
+		x := tensor.New(3, 2, 5, 5)
+		x.FillRandn(rand.New(rand.NewSource(17)), 1)
+		if name == "dense first" {
+			x = x.Reshape(3, 2*5*5)
+		}
+		dout := tensor.New(3, 4)
+		dout.FillRandn(rand.New(rand.NewSource(18)), 1)
+
+		chain := build(rand.New(rand.NewSource(16)))
+		y := x
+		for _, l := range chain {
+			y = l.Forward(y, true)
+		}
+		d := dout
+		for i := len(chain) - 1; i >= 0; i-- {
+			if d = chain[i].Backward(d); d == nil {
+				t.Fatalf("%s: standalone layer %d returned no input gradient", name, i)
+			}
+		}
+
+		net := NewNetwork(build(rand.New(rand.NewSource(16)))...)
+		net.Forward(x, true)
+		if dx := net.Backward(dout); dx != nil {
+			t.Errorf("%s: Network.Backward returned a %v input gradient, want nil", name, dx.Shape)
+		}
+		var want []*Param
+		for _, l := range chain {
+			want = append(want, l.Params()...)
+		}
+		for i, p := range net.Params() {
+			for j, g := range p.G.Data {
+				if math.Float32bits(g) != math.Float32bits(want[i].G.Data[j]) {
+					t.Fatalf("%s: %s.G[%d] = %g in the network, %g in the chain", name, p.Name, j, g, want[i].G.Data[j])
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	res := NewResidual(NewNetwork(NewConv2D("b1", 2, 2, 3, 1, 1, rng), NewReLU()), nil)
+	NewNetwork(res, NewReLU())
+	x := tensor.New(1, 2, 4, 4)
+	x.FillRandn(rng, 1)
+	if dx := res.Backward(res.Forward(x, true)); dx == nil || res.Body.Layers[0].(*Conv2D).first {
+		t.Error("a Residual body's first layer computes no input gradient")
+	}
+
+	inner := NewNetwork(NewDense("in1", 3, 3, rng), NewReLU())
+	outer := NewNetwork(NewDense("out1", 3, 3, rng), inner)
+	if inner.Layers[0].(*Dense).first || !outer.Layers[0].(*Dense).first {
+		t.Error("a nested network's first layer is marked first, or the outer network's is not")
+	}
+}
+
 func TestResidualIdentityGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	body := NewNetwork(

@@ -16,8 +16,10 @@ type Residual struct {
 }
 
 // NewResidual constructs a residual block. shortcut may be nil when the
-// body preserves the activation shape.
+// body preserves the activation shape. The body's first layer computes its
+// input gradient: the block's own is built from it.
 func NewResidual(body *Network, shortcut Layer) *Residual {
+	body.setFirst(false)
 	return &Residual{Body: body, Shortcut: shortcut, relu: NewReLU()}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -213,6 +214,47 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"wire_bytes_compressed                    1234\n",
 		"codec_values                             42\n",
 		"ring_step_seconds                        count=1 ",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("RenderMetrics missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestSnapshotKeepsNonFiniteGauges: a diverged run's NaN train_loss and an
+// infinite Func gauge must not cost the record. They are saved as the
+// strings "NaN" and "+Inf", read back as numbers and rendered by name.
+func TestSnapshotKeepsNonFiniteGauges(t *testing.T) {
+	reg := NewRegistry()
+	reg.Gauge("train_loss").Set(math.NaN())
+	reg.Func("codec_ratio", func() float64 { return math.Inf(1) })
+	reg.Func("drift", func() float64 { return math.Inf(-1) })
+	reg.Gauge("train_accuracy").Set(0.25)
+
+	body, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseSnapshot(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := snap["train_loss"].(float64); !math.IsNaN(v) {
+		t.Errorf("train_loss = %v, want NaN", snap["train_loss"])
+	}
+	if v, _ := snap["codec_ratio"].(float64); !math.IsInf(v, 1) {
+		t.Errorf("codec_ratio = %v, want +Inf", snap["codec_ratio"])
+	}
+	if v, _ := snap["drift"].(float64); !math.IsInf(v, -1) {
+		t.Errorf("drift = %v, want -Inf", snap["drift"])
+	}
+	var buf bytes.Buffer
+	RenderMetrics(&buf, snap)
+	for _, want := range []string{
+		"codec_ratio                              +Inf\n",
+		"drift                                    -Inf\n",
+		"train_accuracy                           0.2500\n",
+		"train_loss                               NaN\n",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("RenderMetrics missing %q:\n%s", want, buf.String())

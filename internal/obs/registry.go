@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,9 +267,11 @@ func (r *Registry) Func(name string, f func() float64) {
 }
 
 // Snapshot returns a point-in-time flat view of every metric, keyed by
-// name: counters as int64, gauges and func metrics as float64,
-// histograms as HistSnapshot. Its JSON encoding is the document
-// `inctrain -metrics-out` saves.
+// name: counters as int64, gauges and func metrics as float64 (a NaN or
+// infinite one as the string "NaN", "+Inf" or "-Inf", which JSON can
+// carry and ParseSnapshot reads back), histograms as HistSnapshot. Its
+// JSON encoding is the document `inctrain -metrics-out` saves; a diverged
+// run's NaN train_loss is part of it.
 func (r *Registry) Snapshot() map[string]interface{} {
 	if r == nil {
 		return nil
@@ -297,13 +300,25 @@ func (r *Registry) Snapshot() map[string]interface{} {
 		out[k] = v.Value()
 	}
 	for k, v := range gauges {
-		out[k] = v.Value()
+		out[k] = snapshotFloat(v.Value())
 	}
 	for k, v := range hists {
 		out[k] = v.snapshot()
 	}
 	for k, f := range funcs {
-		out[k] = f()
+		out[k] = snapshotFloat(f())
 	}
 	return out
+}
+
+// nonFinite names the float values JSON has no number for, as a snapshot
+// writes them.
+var nonFinite = map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
+
+// snapshotFloat returns v, or its nonFinite name if v is NaN or ±Inf.
+func snapshotFloat(v float64) interface{} {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return v
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -11,12 +12,20 @@ import (
 
 // ParseSnapshot decodes a saved metrics snapshot (the JSON of
 // Registry.Snapshot that `inctrain -metrics-out` writes) into a flat map:
-// numbers become float64 and histograms generic maps, which RenderMetrics
-// understands.
+// numbers become float64, as do the strings "NaN", "+Inf" and "-Inf" a
+// non-finite gauge is saved as, and histograms generic maps, which
+// RenderMetrics understands.
 func ParseSnapshot(body []byte) (map[string]interface{}, error) {
 	var snap map[string]interface{}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return nil, fmt.Errorf("obs: metrics snapshot: %w", err)
+	}
+	for k, v := range snap {
+		if name, ok := v.(string); ok {
+			if f, ok := nonFinite[name]; ok {
+				snap[k] = f
+			}
+		}
 	}
 	return snap, nil
 }
@@ -215,7 +224,9 @@ func RenderMetrics(w io.Writer, snap map[string]interface{}) {
 			fmt.Fprintf(w, "%-40s count=%v sum=%vs p50=%vs p90=%vs p99=%vs max=%vs\n",
 				k, v["count"], v["sum_s"], jnum(v["p50_s"]), jnum(v["p90_s"]), jnum(v["p99_s"]), v["max_s"])
 		case float64:
-			if v == float64(int64(v)) && !strings.Contains(k, "ratio") {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				fmt.Fprintf(w, "%-40s %v\n", k, v)
+			} else if v == float64(int64(v)) && !strings.Contains(k, "ratio") {
 				fmt.Fprintf(w, "%-40s %d\n", k, int64(v))
 			} else {
 				fmt.Fprintf(w, "%-40s %.4f\n", k, v)

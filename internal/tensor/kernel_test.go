@@ -12,8 +12,9 @@ import (
 // The ref* functions are the scalar loops the kernels in tensor.go
 // replaced, kept verbatim (minus the row sharding, which never changed a
 // row's arithmetic) as the statement of the accumulation contract: float32,
-// from +0, ascending k, one s += x*y per term, nothing skipped. They are
-// never called outside tests.
+// from +0, ascending k, one s += x*y per term, nothing skipped — the
+// kernels' zero skip must match them bit for bit. They are never called
+// outside tests.
 
 func refMatMul(dst, a, b *Tensor) {
 	m, ka, n := a.Shape[0], a.Shape[1], b.Shape[1]
@@ -171,13 +172,61 @@ func requireSameBits(t *testing.T, what string, got, want *Tensor) {
 	}
 }
 
+// coefficients returns an operand in which each element is an exact zero
+// with probability zeros — a quarter of them −0 — and a normal sample
+// otherwise: the coefficient side of a product, whose ±0 terms the kernels
+// leave out when the other operand is all-finite.
+func coefficients(rng *rand.Rand, zeros float64, shape ...int) *Tensor {
+	t := New(shape...)
+	t.FillRandn(rng, 1)
+	for i := range t.Data {
+		if rng.Float64() < zeros {
+			t.Data[i] = 0
+			if rng.Intn(4) == 0 {
+				t.Data[i] = float32(math.Copysign(0, -1))
+			}
+		}
+	}
+	return t
+}
+
+// requireKernelsMatch runs the four matmul entry points on a (m×k), its
+// transposed twin at (k×m), b (k×n), bt (n×k) and the accumulator acc
+// (m×n), and compares each with its ref* loop bit for bit.
+func requireKernelsMatch(t *testing.T, what string, a, at, b, bt, acc *Tensor) {
+	t.Helper()
+	m, n := a.Shape[0], b.Shape[1]
+	wantMul, wantA, wantB, tmp := New(m, n), New(m, n), New(m, n), New(m, n)
+	refMatMul(wantMul, a, b)
+	refMatMulTransA(wantA, at, b)
+	refMatMulTransB(wantB, a, bt)
+	wantAdd := acc.Clone()
+	refMatMulTransA(tmp, at, b)
+	wantAdd.AddInPlace(tmp)
+
+	got := garbage(m, n)
+	MatMul(got, a, b)
+	requireSameBits(t, "MatMul "+what, got, wantMul)
+	got = garbage(m, n)
+	MatMulTransA(got, at, b)
+	requireSameBits(t, "MatMulTransA "+what, got, wantA)
+	got = garbage(m, n)
+	MatMulTransB(got, a, bt)
+	requireSameBits(t, "MatMulTransB "+what, got, wantB)
+	got = acc.Clone()
+	AddMatMulTransA(got, at, b)
+	requireSameBits(t, "AddMatMulTransA "+what, got, wantAdd)
+}
+
 // TestKernelsMatchReferenceBits is the accumulation contract checked
-// differentially: the benchmark's shapes, every residue of k and n mod 4
-// (the listed odd shapes plus all of k, n ≤ 9), clean and poisoned
-// operands, every worker count that changes the sharding.
+// differentially: the benchmark's shapes and conv's weight gradient, every
+// residue of k and n mod 4 (the listed odd shapes plus all of k, n ≤ 9),
+// clean and poisoned operands, coefficient operands from no exact zeros to
+// all of them (the zero skip's dispatch both ways), every worker count
+// that changes the sharding.
 func TestKernelsMatchReferenceBits(t *testing.T) {
 	shapes := [][3]int{
-		{16, 500, 500}, {16, 784, 500}, {16, 500, 10}, {4, 784, 500}, {32, 144, 256},
+		{16, 500, 500}, {16, 784, 500}, {16, 500, 10}, {4, 784, 500}, {32, 144, 256}, {32, 256, 144},
 		{1, 1, 1}, {3, 5, 7}, {5, 9, 3}, {7, 13, 17}, {2, 4, 4},
 	}
 	for k := 1; k <= 9; k++ {
@@ -193,33 +242,68 @@ func TestKernelsMatchReferenceBits(t *testing.T) {
 			a, at := operand(rng, poisoned, m, k), operand(rng, poisoned, k, m)
 			b, bt := operand(rng, poisoned, k, n), operand(rng, poisoned, n, k)
 			acc := operand(rng, false, m, n) // a non-zero gradient accumulator
-
-			wantMul, wantA, wantB, tmp := New(m, n), New(m, n), New(m, n), New(m, n)
-			refMatMul(wantMul, a, b)
-			refMatMulTransA(wantA, at, b)
-			refMatMulTransB(wantB, a, bt)
-			wantAdd := acc.Clone()
-			refMatMulTransA(tmp, at, b)
-			wantAdd.AddInPlace(tmp)
-
 			for _, workers := range []int{1, 2, 3, 5} {
 				par.SetMaxWorkers(workers)
-				what := fmt.Sprintf("%v poisoned=%v workers=%d", s, poisoned, workers)
-				got := garbage(m, n)
-				MatMul(got, a, b)
-				requireSameBits(t, "MatMul "+what, got, wantMul)
-				got = garbage(m, n)
-				MatMulTransA(got, at, b)
-				requireSameBits(t, "MatMulTransA "+what, got, wantA)
-				got = garbage(m, n)
-				MatMulTransB(got, a, bt)
-				requireSameBits(t, "MatMulTransB "+what, got, wantB)
-				got = acc.Clone()
-				AddMatMulTransA(got, at, b)
-				requireSameBits(t, "AddMatMulTransA "+what, got, wantAdd)
+				requireKernelsMatch(t, fmt.Sprintf("%v poisoned=%v workers=%d", s, poisoned, workers), a, at, b, bt, acc)
+			}
+			for _, zeros := range []float64{0, 0.5, 0.86, 1} {
+				a, at := coefficients(rng, zeros, m, k), coefficients(rng, zeros, k, m)
+				for _, workers := range []int{1, 2} {
+					par.SetMaxWorkers(workers)
+					requireKernelsMatch(t, fmt.Sprintf("%v poisoned=%v zeros=%v workers=%d", s, poisoned, zeros, workers), a, at, b, bt, acc)
+				}
 			}
 		}
 	}
+}
+
+// TestSkippedTermsStillPoison puts NaN and ±Inf only where every term that
+// reads them has a ±0 coefficient: the rows of b (columns, for the dot
+// form) whose coefficient is zero in every output row. It is the one input
+// on which leaving out the zero terms without the finiteness guard returns
+// finite numbers; IEEE 754 and the ref* loops say NaN.
+func TestSkippedTermsStillPoison(t *testing.T) {
+	const m, k, n = 5, 11, 6
+	rng := rand.New(rand.NewSource(31))
+	dead := []int{2, 7, 10} // the terms p every output row skips
+	poison := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+
+	a, at := coefficients(rng, 0.3, m, k), coefficients(rng, 0.3, k, m)
+	b, bt := coefficients(rng, 0, k, n), coefficients(rng, 0, n, k)
+	for _, p := range dead {
+		for i := 0; i < m; i++ {
+			a.Set(i, p, float32(math.Copysign(0, float64(i%2)-0.5)))
+			at.Set(p, i, 0)
+		}
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				b.Set(p, j, poison[rng.Intn(len(poison))])
+				bt.Set(j, p, poison[rng.Intn(len(poison))])
+			}
+		}
+	}
+	acc := coefficients(rng, 0.2, m, n)
+
+	want := New(m, n)
+	refMatMul(want, a, b)
+	if countNaN(want) == 0 {
+		t.Fatal("the case poisons nothing: no output of the reference is NaN")
+	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	for _, workers := range []int{1, 2} {
+		par.SetMaxWorkers(workers)
+		requireKernelsMatch(t, fmt.Sprintf("poison under dead terms, workers=%d", workers), a, at, b, bt, acc)
+	}
+}
+
+func countNaN(x *Tensor) int {
+	c := 0
+	for _, v := range x.Data {
+		if v != v {
+			c++
+		}
+	}
+	return c
 }
 
 // TestIm2ColCol2ImMatchReferenceBits sweeps every geometry of the listed
@@ -314,4 +398,46 @@ func BenchmarkIm2Col(b *testing.B) {
 		Im2Col(cols, img, 3, 3, 1, 1)
 	}
 	b.ReportMetric(float64(4*cols.Len())/1e6*float64(b.N)/b.Elapsed().Seconds(), "MB/s")
+}
+
+// FuzzKernels checks the four matmul entry points against their ref* loops
+// on operands of arbitrary float32 bits. The first three bytes give m, k
+// and n in [1, 9]; the rest are little-endian floats that fill a (m×k), b
+// (k×n) and the accumulator (m×n) in turn, zero-padded when the input runs
+// out. a's and b's data, read as k×m and n×k, are the transposed operands.
+func FuzzKernels(f *testing.F) {
+	le := func(vs ...float32) []byte {
+		out := make([]byte, 0, 4*len(vs))
+		for _, v := range vs {
+			u := math.Float32bits(v)
+			out = append(out, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+		}
+		return out
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero, denorm := float32(math.Copysign(0, -1)), math.Float32frombits(1)
+	f.Add([]byte{0, 0, 0})
+	f.Add(append([]byte{1, 2, 1}, le(0, negZero, 1, 2, inf, 3, 4, 5, 6, 7, 8, 9)...))
+	f.Add(append([]byte{2, 3, 4}, le(0, 0, 1, negZero, 0, 2, 0, 0, 0, 0, 0, 0,
+		nan, 1, 2, 3, -inf, 4, 5, 6, denorm, -denorm, 0, 1)...))
+	f.Add(append([]byte{8, 8, 8}, le(1e38, 1e38, 1e38, 1e38, -1e38, 0, 0, denorm, 3e-39, 0, 1)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		m, k, n := 1+int(data[0])%9, 1+int(data[1])%9, 1+int(data[2])%9
+		data = data[3:]
+		next := func(count int) []float32 {
+			vs := make([]float32, count)
+			for i := range vs {
+				var w [4]byte
+				data = data[copy(w[:], data):]
+				vs[i] = math.Float32frombits(uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16 | uint32(w[3])<<24)
+			}
+			return vs
+		}
+		ad, bd, accd := next(m*k), next(k*n), next(m*n)
+		requireKernelsMatch(t, fmt.Sprintf("m=%d k=%d n=%d", m, k, n),
+			FromSlice(ad, m, k), FromSlice(ad, k, m), FromSlice(bd, k, n), FromSlice(bd, n, k), FromSlice(accd, m, n))
+	})
 }

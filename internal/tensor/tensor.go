@@ -164,15 +164,52 @@ func (t *Tensor) MaxAbs() float32 {
 
 // The accumulation contract of every kernel below: an output element is a
 // float32 sum that starts at +0 and takes one `s += x*y` per term, in
-// ascending k — no reassociation, no skipped zero (IEEE 754 requires
-// 0×NaN = NaN and 0×Inf = NaN, so a skipped multiply would launder a
-// diverging replica's non-finite gradients into finite outputs) and no
-// float32(x*y) around the product, which would forbid the fusion the plain
-// expression allows on FMA ports and so change results there. Output rows
-// are computed in parallel shards (internal/par); a row's arithmetic does
-// not depend on its shard, so results are bit-identical for any worker
-// count. DESIGN.md §8, "kernel anatomy", has the measurements behind the
-// shape of the two micro-kernels.
+// ascending k — no reassociation and no float32(x*y) around the product,
+// which would forbid the fusion the plain expression allows on FMA ports
+// and so change results there. A term whose coefficient (the element of a)
+// is ±0 is left out, but only when the other operand is all-finite: a sum
+// that starts at +0 is never −0, so adding a ±0 product changes no bit,
+// while 0×NaN and 0×Inf are NaN (IEEE 754) and must reach the output, or a
+// diverging replica's non-finite gradients would be laundered into finite
+// ones. Output rows are computed in parallel shards (internal/par); a row's
+// arithmetic does not depend on its shard, so results are bit-identical for
+// any worker count. DESIGN.md §8, "kernel anatomy" and "the exact zero
+// skip", has the measurements behind the shape of the micro-kernels.
+
+// skipZeros reports whether the kernels may leave out the terms of a's ±0
+// elements when multiplying by b: a has one, and b is all-finite. It reads
+// b only if a has a zero, so a dense coefficient operand costs one pass over
+// a and nothing more.
+func skipZeros(a, b []float32) bool {
+	for _, v := range a {
+		if v == 0 {
+			return allFinite(b)
+		}
+	}
+	return false
+}
+
+// allFinite reports whether x holds no NaN or ±Inf, by summing it: a NaN
+// or an infinity makes every sum it enters NaN or infinite. A sum of finite
+// values can overflow too, but only with elements within a factor len(x) of
+// float32's maximum, and that false alarm costs the caller only the dense
+// path. Four sums of pairs keep four adds in flight.
+func allFinite(x []float32) bool {
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+8 <= len(x); i += 8 {
+		y := x[i : i+8 : i+8]
+		s0 += y[0] + y[1]
+		s1 += y[2] + y[3]
+		s2 += y[4] + y[5]
+		s3 += y[6] + y[7]
+	}
+	for _, v := range x[i:] {
+		s0 += v
+	}
+	s := s0 + s1 + s2 + s3
+	return s-s == 0
+}
 
 // axpy4 adds four scaled rows to d, in order:
 // d[j] = (((d[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j] — one load
@@ -190,7 +227,29 @@ func axpy4(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// axpy1 is axpy4's tail for k mod 4: d[j] += a·b[j].
+// axpy3, axpy2 and axpy1 are axpy4's tails: the same chain over three, two
+// and one rows, in one pass over d.
+func axpy3(d, b0, b1, b2 []float32, a0, a1, a2 float32) {
+	b0, b1, b2 = b0[:len(d)], b1[:len(d)], b2[:len(d)]
+	for j := range d {
+		s := d[j]
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		d[j] = s
+	}
+}
+
+func axpy2(d, b0, b1 []float32, a0, a1 float32) {
+	b0, b1 = b0[:len(d)], b1[:len(d)]
+	for j := range d {
+		s := d[j]
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		d[j] = s
+	}
+}
+
 func axpy1(d, b []float32, a float32) {
 	b = b[:len(d)]
 	for j := range d {
@@ -199,17 +258,33 @@ func axpy1(d, b []float32, a float32) {
 }
 
 // mulRow sets d to the sum over p < k of a[p·as]·b[p·n : (p+1)·n], n = len(d):
-// one output row of a·b (as = 1) or of aᵀ·b (as = a's row length).
-func mulRow(d, a []float32, as int, b []float32, k int) {
+// one output row of a·b (as = 1) or of aᵀ·b (as = a's row length). The
+// terms go through axpy4 four at a time in ascending p, and the last one to
+// three through one tail call; with skip set, the terms whose coefficient
+// is ±0 are left out and the rest keep their order.
+func mulRow(d, a []float32, as int, b []float32, k int, skip bool) {
 	n := len(d)
 	clear(d)
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		axpy4(d, b[p*n:], b[(p+1)*n:], b[(p+2)*n:], b[(p+3)*n:],
-			a[p*as], a[(p+1)*as], a[(p+2)*as], a[(p+3)*as])
+	var q [4]int
+	c := 0
+	for p := 0; p < k; p++ {
+		if skip && a[p*as] == 0 {
+			continue
+		}
+		q[c] = p
+		if c++; c == 4 {
+			axpy4(d, b[q[0]*n:], b[q[1]*n:], b[q[2]*n:], b[q[3]*n:],
+				a[q[0]*as], a[q[1]*as], a[q[2]*as], a[q[3]*as])
+			c = 0
+		}
 	}
-	for ; p < k; p++ {
-		axpy1(d, b[p*n:], a[p*as])
+	switch c {
+	case 3:
+		axpy3(d, b[q[0]*n:], b[q[1]*n:], b[q[2]*n:], a[q[0]*as], a[q[1]*as], a[q[2]*as])
+	case 2:
+		axpy2(d, b[q[0]*n:], b[q[1]*n:], a[q[0]*as], a[q[1]*as])
+	case 1:
+		axpy1(d, b[q[0]*n:], a[q[0]*as])
 	}
 }
 
@@ -235,6 +310,79 @@ func dot1(a, b []float32) (s float32) {
 	return
 }
 
+// sparseDotNum/sparseDotDen is the nonzero fraction of a coefficient row
+// below which dotRowSkip beats dot4 (DESIGN.md §8, "the exact zero skip").
+const sparseDotNum, sparseDotDen = 3, 5
+
+// sparseRow reports whether fewer than sparseDotNum/sparseDotDen of a's
+// elements are nonzero.
+func sparseRow(a []float32) bool {
+	nz := 0
+	for _, v := range a {
+		if v != 0 {
+			nz++
+		}
+	}
+	return nz*sparseDotDen < len(a)*sparseDotNum
+}
+
+// dotRowSkip sets d[j] to the inner product of a with b's row j (rows of
+// len(a) floats), leaving out the terms whose coefficient a[p] is ±0. The
+// nonzero coefficients are gathered a block at a time into stack arrays,
+// and each output carries its running sum from block to block, so every
+// output takes its terms in ascending p.
+func dotRowSkip(d, a, b []float32) {
+	k := len(a)
+	var idx [256]int32
+	var val [256]float32
+	clear(d)
+	for p0 := 0; p0 < k; p0 += len(idx) {
+		nz := 0
+		for p, v := range a[p0:min(p0+len(idx), k)] {
+			if v != 0 {
+				idx[nz], val[nz] = int32(p0+p), v
+				nz++
+			}
+		}
+		if nz == 0 {
+			continue
+		}
+		ix, vs := idx[:nz], val[:nz]
+		j := 0
+		for ; j+4 <= len(d); j += 4 {
+			d[j], d[j+1], d[j+2], d[j+3] = dotIdx4(vs, ix,
+				b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k],
+				d[j], d[j+1], d[j+2], d[j+3])
+		}
+		for ; j < len(d); j++ {
+			d[j] = dotIdx1(vs, ix, b[j*k:(j+1)*k], d[j])
+		}
+	}
+}
+
+// dotIdx4 continues the running sums s0…s3 of rows b0…b3 with the terms
+// vs[t]·bᵢ[ix[t]], in order: dot4 over the gathered coefficients.
+func dotIdx4(vs []float32, ix []int32, b0, b1, b2, b3 []float32, s0, s1, s2, s3 float32) (float32, float32, float32, float32) {
+	ix = ix[:len(vs)]
+	for t, av := range vs {
+		p := ix[t]
+		s0 += av * b0[p]
+		s1 += av * b1[p]
+		s2 += av * b2[p]
+		s3 += av * b3[p]
+	}
+	return s0, s1, s2, s3
+}
+
+// dotIdx1 is dotIdx4's tail for n mod 4.
+func dotIdx1(vs []float32, ix []int32, b []float32, s float32) float32 {
+	ix = ix[:len(vs)]
+	for t, av := range vs {
+		s += av * b[ix[t]]
+	}
+	return s
+}
+
 // MatMul computes dst = a·b for 2-D tensors a (m×k) and b (k×n).
 // dst must be m×n and distinct from a and b.
 func MatMul(dst, a, b *Tensor) {
@@ -247,9 +395,10 @@ func MatMul(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMul dst %v, want [%d %d]", dst.Shape, m, n))
 	}
 	ad, bd, dd := a.Data, b.Data, dst.Data
+	skip := skipZeros(ad, bd)
 	par.For(m, par.GrainFor(2*ka*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			mulRow(dd[i*n:(i+1)*n], ad[i*ka:], 1, bd, ka)
+			mulRow(dd[i*n:(i+1)*n], ad[i*ka:], 1, bd, ka, skip)
 		}
 	})
 }
@@ -258,9 +407,10 @@ func MatMul(dst, a, b *Tensor) {
 func MatMulTransA(dst, a, b *Tensor) {
 	k, m, n := transADims("MatMulTransA", dst, a, b)
 	ad, bd, dd := a.Data, b.Data, dst.Data
+	skip := skipZeros(ad, bd)
 	par.For(m, par.GrainFor(2*k*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			mulRow(dd[i*n:(i+1)*n], ad[i:], m, bd, k)
+			mulRow(dd[i*n:(i+1)*n], ad[i:], m, bd, k, skip)
 		}
 	})
 }
@@ -272,10 +422,11 @@ func MatMulTransA(dst, a, b *Tensor) {
 func AddMatMulTransA(dst, a, b *Tensor) {
 	k, m, n := transADims("AddMatMulTransA", dst, a, b)
 	ad, bd, dd := a.Data, b.Data, dst.Data
+	skip := skipZeros(ad, bd)
 	par.For(m, par.GrainFor(2*k*n), func(lo, hi int) {
 		sum := make([]float32, n)
 		for i := lo; i < hi; i++ {
-			mulRow(sum, ad[i:], m, bd, k)
+			mulRow(sum, ad[i:], m, bd, k, skip)
 			drow := dd[i*n:][:len(sum)]
 			for j, v := range sum {
 				drow[j] += v
@@ -298,6 +449,8 @@ func transADims(name string, dst, a, b *Tensor) (k, m, n int) {
 }
 
 // MatMulTransB computes dst = a·bᵀ for a (m×k) and b (n×k); dst is m×n.
+// A row of a that is sparse enough (sparseRow) goes through dotRowSkip,
+// every other row through dot4.
 func MatMulTransB(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n, kb := b.Shape[0], b.Shape[1]
@@ -308,9 +461,14 @@ func MatMulTransB(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst %v, want [%d %d]", dst.Shape, m, n))
 	}
 	ad, bd, dd := a.Data, b.Data, dst.Data
+	skip := skipZeros(ad, bd)
 	par.For(m, par.GrainFor(2*k*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow, drow := ad[i*k:(i+1)*k], dd[i*n:(i+1)*n]
+			if skip && sparseRow(arow) {
+				dotRowSkip(drow, arow, bd)
+				continue
+			}
 			j := 0
 			for ; j+4 <= n; j += 4 {
 				drow[j], drow[j+1], drow[j+2], drow[j+3] = dot4(arow,
