@@ -2,7 +2,7 @@
 # the full test suite under the race detector.
 GO ?= go
 
-.PHONY: build test vet race fuzz bench traintest obssmoke simtest tunetest soaktest ci
+.PHONY: build test vet race fuzz bench traintest obssmoke simtest soaktest ci
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ vet:
 # collectives, training loops) plus everything else. The timeout is per
 # package and is not generous on a small box: measured on 2 vCPUs the run
 # took 67 min of wall clock, internal/experiments hit the 60 min limit
-# (TestFig4Output alone had run 45 min) and internal/train (54 min)
+# (its fig4 section alone had run 45 min) and internal/train (54 min)
 # failed its wall-clock gates, which the race runtime distorts; the
 # name-selected targets below are the slices that hold under -race there
 # (ROADMAP item 5, "Virtual time", whose gates fold them back into `race`).
@@ -86,8 +86,9 @@ obssmoke:
 
 # Simulator/collective correctness gate, under the race detector: the
 # whole model stack — the closed-form network model with the paper's
-# analytic formulas, the event-driven simulator, and the Table II/III
-# calibration on top of them — and the wire and collective stack of
+# analytic formulas, the event-driven simulator, the Table II/III
+# calibration on top of them, and the offline fitter and planner over
+# recorded traces (tune) — and the wire and collective stack of
 # DESIGN.md §3c, whose packages run real goroutines (ring's chunk sender,
 # tcpfabric's read loops) and otherwise reach the race detector only
 # through the all-or-nothing `race` target: the transports (comm,
@@ -99,21 +100,9 @@ obssmoke:
 # shards write one output from several goroutines, and the differential
 # tables that pin the kernels to the scalar loops run at worker counts 1-5.
 simtest:
-	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/trainsim ./internal/mpi \
+	$(GO) test -race ./internal/netsim ./internal/eventsim ./internal/trainsim ./internal/tune ./internal/mpi \
 		./internal/comm ./internal/fault ./internal/tcpfabric ./internal/ring ./internal/hierarchy \
 		./internal/par ./internal/tensor ./internal/nn ./internal/opt
-
-# Auto-tuner acceptance gate: the tune package's unit suite under the
-# race detector (the strict timing gate skips itself there — the race
-# runtime's ~30x slowdown changes the machine the probes measure), then
-# the end-to-end probe→fit→validate loop without -race with the timing
-# gates armed: the fitted model must track a pooled 3-run measured holdout's
-# communication phases within 15% (one refit retry on a miss), and the
-# tuner's pick must measure within 1.10x of the brute-force best of every
-# ranked candidate.
-tunetest:
-	$(GO) test -race ./internal/tune -count=1
-	TUNE_STRICT=1 $(GO) test ./internal/tune -run 'TestAutoTuneEndToEnd' -count=1 -timeout 15m
 
 # Randomized chaos soak, under the race detector: 20 seeded trials of
 # switch kills, mid-stream partitions, lossy links, and worker crashes,
@@ -129,4 +118,4 @@ soaktest:
 	$(GO) test -race -timeout 30m ./internal/soak -run 'TestSoak$$' -count=1 -v \
 		-soak-trials=$(SOAK_TRIALS) -soak-seed=$(SOAK_SEED) -soak-budget=20m
 
-ci: vet simtest traintest obssmoke tunetest soaktest race
+ci: vet simtest traintest obssmoke soaktest race

@@ -234,12 +234,12 @@ func cmdCalibrate(args []string) {
 	}
 }
 
-// cmdTune closes the observe→model→tune loop offline: it fits the α-β-γ
-// parameter set from one or more measured traces and sweeps the
-// strategy × chunk × compression plan space through the calibrated
-// models, with a what-if extrapolation to larger scales. Traces written
-// by auto-tuned or -trace-out runs carry a self-describing tune_meta
-// line; for raw traces the workload comes from the flags.
+// cmdTune runs the α-β-γ model offline: it fits the parameter set from
+// one or more measured traces and sweeps the strategy × chunk ×
+// compression plan space through the calibrated models, with a what-if
+// extrapolation to larger scales. Traces written by -trace-out runs carry
+// a self-describing tune_meta line; for raw traces the workload comes
+// from the flags.
 func cmdTune(args []string) {
 	fs := flag.NewFlagSet("tune", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "workload workers (default: the trace's tune_meta line)")
@@ -261,6 +261,15 @@ func cmdTune(args []string) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
+	// The scale overrides re-plan past the traces' own workloads, so they
+	// take the bounds Workload.Validate puts on a trace's workload.
+	if *workers != 0 {
+		checkScale("-workers", *workers, 1)
+	}
+	if *modelBytes != 0 {
+		checkScale("-model-bytes", 2, *modelBytes)
+	}
+	nodes := parseNodeList(*whatIf)
 
 	fallback := tune.Workload{
 		Workers:     *workers,
@@ -303,7 +312,7 @@ func cmdTune(args []string) {
 		pl.ModelBytes = *modelBytes
 	}
 	plans := pl.Rank(pl.Candidates())
-	rows := pl.WhatIf(parseNodeList(*whatIf))
+	rows := pl.WhatIf(nodes)
 
 	if *jsonOut {
 		out := struct {
@@ -328,7 +337,17 @@ func cmdTune(args []string) {
 	}
 }
 
-// parseNodeList parses "64,256,1024" (empty = nil, the default ladder).
+// checkScale exits 2 unless a workload of the given scale would pass
+// Workload.Validate.
+func checkScale(flag string, workers int, modelBytes int64) {
+	if err := (tune.Workload{Workers: workers, ModelBytes: modelBytes, Strategy: "ring"}).Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "inctrace tune: %s: %v\n", flag, err)
+		os.Exit(2)
+	}
+}
+
+// parseNodeList parses "64,256,1024" (empty = nil, the default ladder);
+// a malformed or out-of-range entry exits 2.
 func parseNodeList(s string) []int {
 	if s == "" {
 		return nil
@@ -336,9 +355,11 @@ func parseNodeList(s string) []int {
 	var nodes []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 2 {
-			fatal(fmt.Errorf("bad -what-if node count %q", part))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "inctrace tune: bad -what-if node count %q\n", part)
+			os.Exit(2)
 		}
+		checkScale("-what-if", n, 1)
 		nodes = append(nodes, n)
 	}
 	return nodes

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -11,6 +14,17 @@ import (
 
 	"inceptionn/internal/obs"
 )
+
+// TestMain lets the test binary double as the command: run with "inctrace"
+// as its first argument, it is inctrace on the arguments after that.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "inctrace" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // writeTrace writes what write emits to a file under t's temp dir.
 func writeTrace(t *testing.T, name string, write func(io.Writer) error) string {
@@ -72,5 +86,39 @@ func TestBlameReplaysOldBlackboxDump(t *testing.T) {
 	}
 	if p := r.DominantPhase(1); p != obs.PhaseCompute {
 		t.Fatalf("dominant phase %s, want compute (the dump's incident named compute)", p)
+	}
+}
+
+// TestTuneRejectsOutOfRangeScale: `inctrace tune`'s -workers, -model-bytes
+// and -what-if re-plan a fitted trace at another scale, so they take the
+// bounds a trace's own workload gets (2..2^20 workers, 1..2^40 model
+// bytes). Outside them the planner overflowed into a panic, ran for
+// minutes, or planned a one-worker "ring"; now each is a usage error.
+func TestTuneRejectsOutOfRangeScale(t *testing.T) {
+	trace := filepath.Join("..", "..", "internal", "tune", "testdata", "probe_ring.jsonl")
+	run := func(args ...string) (string, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		out, err := exec.CommandContext(ctx, os.Args[0], append(append([]string{"inctrace", "tune"}, args...), trace)...).CombinedOutput()
+		return string(out), err
+	}
+	for _, args := range [][]string{
+		{"-workers", "1"},
+		{"-workers", "-4"},
+		{"-workers", "3000000000"},
+		{"-model-bytes", "9223372036854775807"},
+		{"-model-bytes", "2000000000000"},
+		{"-model-bytes", "-1"},
+		{"-what-if", "64,5000000000"},
+		{"-what-if", "1"},
+	} {
+		out, err := run(args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tune %v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+	}
+	if out, err := run("-workers", "8", "-model-bytes", "4000000", "-what-if", "16,1024"); err != nil {
+		t.Fatalf("in-range overrides: %v\n%s", err, out)
 	}
 }

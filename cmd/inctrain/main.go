@@ -27,11 +27,11 @@ import (
 	"syscall"
 	"time"
 
+	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
-	"inceptionn/internal/nic"
 	"inceptionn/internal/obs"
 	"inceptionn/internal/opt"
 	"inceptionn/internal/train"
@@ -121,8 +121,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the final metrics snapshot as JSON to this file when the run ends (inctrace metrics reads it)")
 	traceCap := flag.Int("trace-cap", 1<<16, "step tracer ring-buffer capacity (spans; oldest overwritten)")
 	straggle := flag.String("straggle", "", "inject per-iteration compute delay on nodes, e.g. \"2:5ms\" or \"0:1ms,3:10ms\" (validates `inctrace blame`)")
-	autotune := flag.Bool("autotune", false, "probe the machine, fit the α-β-γ model from the probe traces, and train with the best strategy/chunk/compression plan (in-process fabric only; overrides -algo and chunking)")
-	probeIters := flag.Int("probe-iters", 16, "autotune: iterations per probe run")
 	flag.Parse()
 
 	build, ok := models.Builders[*model]
@@ -170,10 +168,8 @@ func main() {
 		os.Exit(2)
 	}
 	// Observability: a registry + bounded tracer feed the end-of-run
-	// trace/metrics files and the NIC datapath counters. Created before
-	// the processor so the engines get the recorder. Leaving every obs
-	// flag unset keeps o.Obs nil and the hot paths free of even a clock
-	// read.
+	// trace/metrics files. Leaving every obs flag unset keeps o.Obs nil
+	// and the hot paths free of even a clock read.
 	var reg *obs.Registry
 	var tracer *obs.Tracer
 	if *traceOut != "" || *traceDir != "" || *metricsOut != "" {
@@ -191,12 +187,9 @@ func main() {
 	}
 
 	// The TCP plane's fabric embeds its own engines at o.Bound; the
-	// in-process plane takes them as a wire processor. -autotune needs the
-	// processor even when -compress is off, so the planner can probe and
-	// rank compressed candidates; o.Compress still follows the flag (the
-	// tuner flips it when a compressed plan wins).
+	// in-process plane takes the codec as a wire processor.
 	o.Compress = *compress
-	if *tcp || *compress || *autotune {
+	if *tcp || *compress {
 		b, err := fpcodec.NewBound(*bound)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "inctrain:", err)
@@ -205,7 +198,7 @@ func main() {
 		if *tcp {
 			o.Plane, o.Bound = train.TCP, b
 		} else {
-			o.Processor = nic.Processor{Bound: b, Obs: o.Obs}
+			o.Processor = comm.CodecProcessor{Bound: b}
 		}
 	}
 	if *straggle != "" {
@@ -218,10 +211,6 @@ func main() {
 		fmt.Printf("straggle: %v\n", s)
 	}
 
-	if *autotune && *tcp {
-		fmt.Fprintln(os.Stderr, "inctrain: -autotune probes the in-process fabric and cannot combine with -tcp")
-		os.Exit(2)
-	}
 	// Chaos faults the TCP fabric's frames; the in-process fabric has no
 	// wire to fault.
 	if *chaosDrop > 0 || *chaosCorrupt > 0 || *chaosCrash != "" {
@@ -247,8 +236,7 @@ func main() {
 	}
 
 	// tuneMeta, when set, is appended to -trace-out as a self-describing
-	// tune_meta line: the run's workload plus (for auto-tuned runs) the
-	// chosen plan and fitted parameters. `inctrace tune` then re-fits and
+	// tune_meta line: the run's workload. `inctrace tune` then re-fits and
 	// re-plans from the trace file alone.
 	var tuneMeta *tune.Meta
 
@@ -337,35 +325,6 @@ func main() {
 	}()
 	defer signal.Stop(sig)
 
-	// The auto-tune loop: short probe runs, a fitted model, a ranked plan
-	// sweep, and the winning exchange configuration installed into the
-	// options the real run trains with.
-	if *autotune {
-		fmt.Printf("autotune: probing the fabric (%d iterations per probe)\n", *probeIters)
-		tres, applied, terr := tune.AutoTune(build, trainDS, testDS, o, tune.AutoOptions{ProbeIters: *probeIters})
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, "inctrain:", terr)
-			os.Exit(1)
-		}
-		tres.Render(os.Stdout)
-		o = applied
-		if o.Obs != nil {
-			tres.PublishGauges(o.Obs)
-		}
-		w := tres.Workload
-		w.Strategy = tres.Chosen.Strategy
-		w.ChunkFloats = tres.Chosen.ChunkFloats
-		w.Compress = tres.Chosen.Compress
-		if w.Compress {
-			w.Ratio = tres.Fit.Ratio
-		}
-		w.Iters = *iters
-		m := tres.MetaFor(w)
-		tuneMeta = &m
-		fmt.Printf("\nautotune: chosen %s, predicted %.4fs/iter (probe cost %.1fs)\n",
-			tres.Chosen.PlanOption, tres.Chosen.PredIterSec, tres.ProbeSeconds)
-	}
-
 	transport := "in-process fabric"
 	if *tcp {
 		transport = "loopback TCP"
@@ -390,18 +349,18 @@ func main() {
 		fmt.Printf("timing: compute %.3fs, comm %.3fs, straggler wait %.3fs (summed across workers)\n",
 			res.ComputeSeconds, res.CommSeconds, res.StragglerWaitSeconds)
 	}
-	// Plain runs get a self-describing tune_meta line too, so
-	// `inctrace tune run.jsonl` can re-fit from the trace file alone.
-	if tuneMeta == nil && tracer != nil && *traceOut != "" {
+	// The run's self-describing tune_meta line, so `inctrace tune
+	// run.jsonl` can re-fit from the trace file alone.
+	if tracer != nil && *traceOut != "" {
 		w := tune.Workload{
 			Workers:     *workers,
 			ModelBytes:  build(rand.New(rand.NewSource(*seed))).SizeBytes(),
-			Strategy:    strategyName(*algo),
+			Strategy:    o.Algo.String(),
 			ChunkFloats: o.ChunkSize,
 			Compress:    o.Compress,
 			Iters:       *iters,
 		}
-		if *algo == "switch" {
+		if o.Algo == train.SwitchReduce {
 			w.ChunkFloats = o.SwitchChunk
 		}
 		if o.Compress && res.RawBytes > 0 && res.WireBytes > 0 {
@@ -415,22 +374,4 @@ func main() {
 	if !flushObs() {
 		os.Exit(1)
 	}
-}
-
-// strategyName maps the -algo flag onto the tune package's strategy
-// vocabulary.
-func strategyName(algo string) string {
-	switch algo {
-	case "ring":
-		return "ring"
-	case "wa":
-		return "worker-aggregator"
-	case "tree2":
-		return "hierarchical-tree"
-	case "ring2":
-		return "hierarchical-ring"
-	case "switch":
-		return "switch"
-	}
-	return algo
 }

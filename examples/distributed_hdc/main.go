@@ -2,7 +2,7 @@
 // end to end on a simulated 4-worker cluster, comparing the worker-
 // aggregator baseline against the INCEPTIONN ring algorithm with and
 // without in-NIC gradient compression. Every byte really moves through the
-// fabric and the NIC engine model; only the network link timing is
+// fabric and the NIC codec's group kernel; only the network link timing is
 // simulated.
 package main
 
@@ -10,10 +10,10 @@ import (
 	"fmt"
 	"log"
 
+	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
-	"inceptionn/internal/nic"
 	"inceptionn/internal/opt"
 	"inceptionn/internal/train"
 )
@@ -47,7 +47,7 @@ func main() {
 		}},
 		{"INCEPTIONN ring + NIC compression (INC+C)", func(o train.Options) train.Options {
 			o.Algo = train.Ring
-			o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
+			o.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(10)}
 			o.Compress = true
 			return o
 		}},

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"log"
 
+	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
-	"inceptionn/internal/nic"
 	"inceptionn/internal/opt"
 	"inceptionn/internal/train"
 )
@@ -28,7 +28,7 @@ func main() {
 		WeightDecay:  0.00005,
 		Seed:         5,
 		EvalSamples:  600,
-		Processor:    nic.Processor{Bound: fpcodec.MustBound(10)},
+		Processor:    comm.CodecProcessor{Bound: fpcodec.MustBound(10)},
 		Compress:     true,
 	}
 	const iters = 200

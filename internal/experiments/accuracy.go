@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 
+	"inceptionn/internal/comm"
 	"inceptionn/internal/compress/truncate"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/gradgen"
 	"inceptionn/internal/models"
-	"inceptionn/internal/nic"
 	"inceptionn/internal/train"
 	"inceptionn/internal/trainsim"
 )
@@ -162,7 +162,7 @@ func Fig14(w io.Writer, o Options) error {
 	}
 	for _, e := range []int{10, 8, 6} {
 		oc := opts
-		oc.Processor = nic.Processor{Bound: fpcodec.MustBound(e)}
+		oc.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(e)}
 		oc.Compress = true
 		if err := report(fmt.Sprintf("INC(2^-%d)", e), oc); err != nil {
 			return err
@@ -198,7 +198,7 @@ func measureEpochInflation(o Options) (itersBase, itersComp int, target float64,
 	}
 	itersBase = firstReach(base)
 
-	opts.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
+	opts.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(10)}
 	opts.Compress = true
 	comp, err := train.Run(buildHDCForScale(o), tds, eds, total, opts)
 	if err != nil {

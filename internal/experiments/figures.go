@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"inceptionn/internal/bitio"
+	"inceptionn/internal/comm"
 	"inceptionn/internal/compress/lz"
 	"inceptionn/internal/compress/szlike"
 	"inceptionn/internal/compress/truncate"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 	"inceptionn/internal/netsim"
-	"inceptionn/internal/nic"
 	"inceptionn/internal/stats"
 	"inceptionn/internal/train"
 	"inceptionn/internal/trainsim"
@@ -212,7 +212,7 @@ func timeToAccuracy(w io.Writer, o Options) error {
 		return err
 	}
 	opts.Algo = train.Ring
-	opts.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
+	opts.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(10)}
 	opts.Compress = true
 	incRes, err := train.Run(buildHDCForScale(o), tds, eds, total, opts)
 	if err != nil {

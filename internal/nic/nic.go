@@ -22,12 +22,9 @@ package nic
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
-	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
-	"inceptionn/internal/obs"
 )
 
 // Hardware constants from the paper's Sec. VI/VII.
@@ -47,10 +44,6 @@ const (
 // accounting around it: one cycle per input burst of eight values.
 type CompressionEngine struct {
 	Bound fpcodec.Bound
-	// Obs, when set, accumulates the engine's burst/size counters
-	// (nic_compress_bursts, nic_compress_in_bytes, nic_compress_out_bits)
-	// — the same registry schema measured runs export.
-	Obs *obs.Recorder
 
 	out    []byte // CompressPayload's storage, reused call to call
 	cycles atomic.Int64
@@ -72,13 +65,7 @@ func (e *CompressionEngine) Cycles() int64 { return e.cycles.Load() }
 // the cycle counter, so one engine serves concurrent senders.
 func (e *CompressionEngine) CompressInto(dst []byte, payload []float32) (data []byte, bits int) {
 	data, bits = fpcodec.AppendGroups(dst[:0], 0, payload, e.Bound)
-	bursts := CompressionCycles(len(payload))
-	e.cycles.Add(bursts)
-	if e.Obs != nil {
-		e.Obs.Counter("nic_compress_bursts").Add(bursts)
-		e.Obs.Counter("nic_compress_in_bytes").Add(4 * int64(len(payload)))
-		e.Obs.Counter("nic_compress_out_bits").Add(int64(bits))
-	}
+	e.cycles.Add(CompressionCycles(len(payload)))
 	return data, bits
 }
 
@@ -94,9 +81,6 @@ func (e *CompressionEngine) CompressPayload(payload []float32) (data []byte, bit
 // concurrent use.
 type DecompressionEngine struct {
 	Bound fpcodec.Bound
-	// Obs, when set, accumulates nic_decompress_cycles and
-	// nic_decompress_out_bytes.
-	Obs *obs.Recorder
 
 	cycles atomic.Int64
 }
@@ -127,12 +111,7 @@ func (e *DecompressionEngine) DecompressInto(dst []float32, data []byte, bits, c
 	if _, err := fpcodec.DecodeGroups(out, data, 0, bits, e.Bound); err != nil {
 		return nil, fmt.Errorf("nic: %w", err)
 	}
-	cycles := CompressionCycles(count) + 1 // one per output burst, and the initial Burst Buffer fill
-	e.cycles.Add(cycles)
-	if e.Obs != nil {
-		e.Obs.Counter("nic_decompress_cycles").Add(cycles)
-		e.Obs.Counter("nic_decompress_out_bytes").Add(4 * int64(count))
-	}
+	e.cycles.Add(CompressionCycles(count) + 1) // one per output burst, and the initial Burst Buffer fill
 	return out, nil
 }
 
@@ -152,43 +131,3 @@ func CompressionCycles(n int) int64 {
 func EngineSeconds(cycles int64) float64 {
 	return float64(cycles) / ClockHz
 }
-
-// Processor is a comm.WireProcessor backed by the hardware engine models:
-// the full NIC datapath of Fig. 8. Payloads tagged comm.ToSCompress are
-// compressed by a CompressionEngine on the sender NIC and decompressed by
-// a DecompressionEngine on the receiver NIC; all other traffic bypasses
-// the engines, exactly as the ToS comparator in the paper routes packets.
-type Processor struct {
-	Bound fpcodec.Bound
-	// Obs, when set, is handed to the engines so every processed payload
-	// lands in the nic_* burst/size counters, plus the datapath totals
-	// nic_offload_payloads and nic_offload_bypass.
-	Obs *obs.Recorder
-}
-
-// streamScratch recycles the compressed stream a Processor call builds and
-// consumes: the receiver only ever sees the decompressed payload.
-var streamScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// Process implements comm.WireProcessor.
-func (p Processor) Process(payload []float32, tos uint8) ([]float32, int64) {
-	if tos != comm.ToSCompress {
-		p.Obs.Counter("nic_offload_bypass").Add(1)
-		return payload, 4 * int64(len(payload))
-	}
-	p.Obs.Counter("nic_offload_payloads").Add(1)
-	ce := CompressionEngine{Bound: p.Bound, Obs: p.Obs}
-	scratch := streamScratch.Get().(*[]byte)
-	data, bits := ce.CompressInto(*scratch, payload)
-	de := DecompressionEngine{Bound: p.Bound, Obs: p.Obs}
-	out, err := de.DecompressPayload(data, bits, len(payload))
-	if err != nil {
-		panic(fmt.Sprintf("nic: engine roundtrip failed: %v", err))
-	}
-	*scratch = data
-	streamScratch.Put(scratch)
-	// On the wire the payload occupies whole bytes of compressed stream.
-	return out, int64(len(data))
-}
-
-var _ comm.WireProcessor = Processor{}

@@ -13,7 +13,6 @@ import (
 	"inceptionn/internal/bitio"
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
-	"inceptionn/internal/obs"
 )
 
 func gradientVector(n int, seed int64) []float32 {
@@ -322,26 +321,6 @@ func TestEnginesServeConcurrentCallers(t *testing.T) {
 	}
 }
 
-func TestProcessorIsWireProcessor(t *testing.T) {
-	bound := fpcodec.MustBound(8)
-	p := Processor{Bound: bound}
-	payload := gradientVector(1024, 5)
-	out, bytes := p.Process(payload, comm.ToSCompress)
-	if bytes >= 4*1024 {
-		t.Errorf("processor did not compress: %d bytes", bytes)
-	}
-	for i := range payload {
-		want := fpcodec.Roundtrip(payload[i], bound)
-		if out[i] != want {
-			t.Fatalf("value %d: %g, want %g", i, out[i], want)
-		}
-	}
-	out2, bytes2 := p.Process(payload, 0)
-	if bytes2 != 4*1024 || &out2[0] != &payload[0] {
-		t.Error("untagged traffic must bypass unchanged")
-	}
-}
-
 // TestQuickEngineCodecEquivalence is the property-based version of the
 // bit-exactness cross-check.
 func TestQuickEngineCodecEquivalence(t *testing.T) {
@@ -388,41 +367,5 @@ func BenchmarkEngineCompress64K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ce.CompressPayload(payload)
-	}
-}
-
-// TestProcessorObsCounters: an attached recorder must see the datapath
-// totals and the engines' burst/byte/cycle accounting; a detached
-// processor (nil Obs) must keep working through the nil-safe handles.
-func TestProcessorObsCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := Processor{Bound: fpcodec.MustBound(8), Obs: obs.NewRecorder(reg, nil)}
-	payload := gradientVector(1024, 5)
-	p.Process(payload, comm.ToSCompress)
-	p.Process(payload, 0)
-
-	snap := reg.Snapshot()
-	want := map[string]int64{
-		"nic_offload_payloads":     1,
-		"nic_offload_bypass":       1,
-		"nic_compress_bursts":      CompressionCycles(len(payload)),
-		"nic_compress_in_bytes":    4 * 1024,
-		"nic_decompress_out_bytes": 4 * 1024,
-	}
-	for name, v := range want {
-		if got, _ := snap[name].(int64); got != v {
-			t.Errorf("%s = %v, want %d", name, snap[name], v)
-		}
-	}
-	for _, name := range []string{"nic_compress_out_bits", "nic_decompress_cycles"} {
-		if got, _ := snap[name].(int64); got <= 0 {
-			t.Errorf("%s = %v, want > 0", name, snap[name])
-		}
-	}
-
-	// Detached: same path, no recorder.
-	p2 := Processor{Bound: fpcodec.MustBound(8)}
-	if out, _ := p2.Process(payload, comm.ToSCompress); len(out) != len(payload) {
-		t.Fatal("nil-Obs processor broke the datapath")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
-	"inceptionn/internal/nic"
 	"inceptionn/internal/opt"
 )
 
@@ -68,7 +67,7 @@ func TestRingReplicasStayIdentical(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		o := digitsOptions()
 		if compress {
-			o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
+			o.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(10)}
 			o.Compress = true
 		}
 		weights, err := replicaWeights(models.NewHDCSmall, trainDS, 30, o)
@@ -128,7 +127,7 @@ func TestCompressionPreservesConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
+	o.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(10)}
 	o.Compress = true
 	comp, err := Run(models.NewHDCSmall, trainDS, testDS, 300, o)
 	if err != nil {
@@ -151,7 +150,7 @@ func TestCompressionReducesTrafficWAGradLegOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
+	o.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(10)}
 	o.Compress = true
 	comp, err := Run(models.NewHDCSmall, trainDS, testDS, 20, o)
 	if err != nil {
@@ -325,31 +324,6 @@ func TestRunSingleConverges(t *testing.T) {
 	}
 }
 
-// TestCodecProcessorEquivalentToNICProcessor: training through the
-// software reference codec and through the hardware engine model must
-// produce identical results (they are bit-exact by construction).
-func TestCodecProcessorEquivalentToNICProcessor(t *testing.T) {
-	trainDS, testDS := digitsData()
-	bound := fpcodec.MustBound(8)
-	o := digitsOptions()
-	o.Compress = true
-	o.Processor = comm.CodecProcessor{Bound: bound}
-	a, err := Run(models.NewHDCSmall, trainDS, testDS, 25, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Processor = nic.Processor{Bound: bound}
-	b, err := Run(models.NewHDCSmall, trainDS, testDS, 25, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.FinalWeights {
-		if a.FinalWeights[i] != b.FinalWeights[i] {
-			t.Fatalf("weight %d differs between codec and engine paths", i)
-		}
-	}
-}
-
 // TestHierarchicalTrainingConverges exercises the Fig. 1b/1c organizations
 // end to end: 8 workers in two ring groups of four.
 func TestHierarchicalTrainingConverges(t *testing.T) {
@@ -379,7 +353,7 @@ func TestHierarchicalRingCompressedConverges(t *testing.T) {
 	o.GroupSize = 4
 	o.Algo = HierarchicalRing
 	o.BatchPerNode = 8
-	o.Processor = nic.Processor{Bound: fpcodec.MustBound(10)}
+	o.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(10)}
 	o.Compress = true
 	res, err := Run(models.NewHDCSmall, trainDS, testDS, 150, o)
 	if err != nil {
@@ -411,7 +385,7 @@ func TestErrorFeedbackImprovesCoarseCompression(t *testing.T) {
 	trainDS, testDS := digitsData()
 	run := func(ef bool) float64 {
 		o := digitsOptions()
-		o.Processor = nic.Processor{Bound: fpcodec.MustBound(6)}
+		o.Processor = comm.CodecProcessor{Bound: fpcodec.MustBound(6)}
 		o.Compress = true
 		o.ErrorFeedback = ef
 		res, err := Run(models.NewHDCSmall, trainDS, testDS, 200, o)

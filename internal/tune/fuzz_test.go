@@ -39,10 +39,14 @@ func withDur(s Sample, f func(int64) int64) Sample {
 // fail with an error or yield parameters, and plan predictions over every
 // candidate, that are finite and non-negative. It must never panic.
 func FuzzFit(f *testing.F) {
-	for _, path := range []string{
+	paths := []string{
 		filepath.Join("testdata", "golden_meta.jsonl"),
 		filepath.Join("..", "obs", "testdata", "tuned.jsonl"),
-	} {
+	}
+	for _, name := range append(probeFiles, holdoutFile) {
+		paths = append(paths, filepath.Join("testdata", name))
+	}
+	for _, path := range paths {
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

@@ -10,24 +10,22 @@ import (
 	"inceptionn/internal/obs"
 )
 
-// Meta is the auxiliary trace line that makes a run self-describing:
-// the workload that produced the spans and — after an auto-tuned run —
-// the plan that was applied and the parameters that were fitted. It is
-// written as one JSONL line whose leading "tune_meta" key names its kind;
-// obs.ReadTrace sets such lines aside undecoded, ParseTrace decodes
-// them, so a trace file alone is enough to re-fit and re-plan
-// (`inctrace tune run.jsonl`).
+// Meta is the auxiliary trace line that makes a run self-describing: the
+// workload that produced the spans. It is written as one JSONL line whose
+// leading "tune_meta" key names its kind; obs.ReadTrace sets such lines
+// aside undecoded, ParseTrace decodes them, so a trace file alone is
+// enough to re-fit and re-plan (`inctrace tune run.jsonl`).
 type Meta struct {
 	// Version is the schema version (currently 1); its JSON key, first
 	// on the line, is metaKey.
 	Version  int      `json:"tune_meta"`
 	Workload Workload `json:"workload"`
 
-	// Chosen and PredIterSec record an auto-tuner decision (absent on
-	// plain runs).
-	Chosen      *PlanOption `json:"chosen,omitempty"`
-	PredIterSec float64     `json:"pred_iter_seconds,omitempty"`
-	// Params is the fitted parameter set behind the decision.
+	// Chosen, PredIterSec, Params and MaxCommRelErr record a tuned run's
+	// plan and the fitted parameters behind it. No writer sets them any
+	// more; they stay so that traces saved by tuned runs still parse.
+	Chosen        *PlanOption    `json:"chosen,omitempty"`
+	PredIterSec   float64        `json:"pred_iter_seconds,omitempty"`
 	Params        *netsim.Params `json:"fitted_params,omitempty"`
 	MaxCommRelErr float64        `json:"max_comm_rel_err,omitempty"`
 }

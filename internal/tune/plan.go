@@ -54,10 +54,6 @@ type Plan struct {
 	// prediction for the same plan (0 = strategy has no event model, or
 	// the plan was not cross-checked).
 	CrossCheckSec float64 `json:"crosscheck_iter_seconds,omitempty"`
-	// MeasuredIterSec is the verification run's measured seconds per
-	// iteration (0 = the plan was outside the verify band and never
-	// measured). See AutoTune's score-then-verify pass.
-	MeasuredIterSec float64 `json:"measured_iter_seconds,omitempty"`
 }
 
 // Planner sweeps plan options through a fitted model at one scale.
@@ -295,23 +291,19 @@ func RenderPlans(w io.Writer, plans []Plan, top int) {
 	if top <= 0 || top > len(plans) {
 		top = len(plans)
 	}
-	fmt.Fprintf(w, "%-34s %14s %14s %14s %14s\n", "plan", "pred iter", "exchange", "eventsim", "measured")
+	fmt.Fprintf(w, "%-34s %14s %14s %14s\n", "plan", "pred iter", "exchange", "eventsim")
 	for i := 0; i < top; i++ {
 		p := plans[i]
 		cc := "-"
 		if p.CrossCheckSec > 0 {
 			cc = secondsStr(p.CrossCheckSec)
 		}
-		ms := "-"
-		if p.MeasuredIterSec > 0 {
-			ms = secondsStr(p.MeasuredIterSec)
-		}
 		marker := "  "
 		if i == 0 {
 			marker = "> "
 		}
-		fmt.Fprintf(w, "%s%-32s %14s %14s %14s %14s\n", marker, p.PlanOption.String(),
-			secondsStr(p.PredIterSec), secondsStr(p.PredExchangeSec), cc, ms)
+		fmt.Fprintf(w, "%s%-32s %14s %14s %14s\n", marker, p.PlanOption.String(),
+			secondsStr(p.PredIterSec), secondsStr(p.PredExchangeSec), cc)
 	}
 }
 

@@ -1,12 +1,11 @@
-// Package tune closes the observe→model→tune loop: it fits the
+// Package tune is the offline half of the model stack: it fits the
 // simulators' parameters to measured span traces (upgrading
 // obs.Calibrate from a diff table to a calibrated model), sweeps the
 // exchange-strategy × chunk-size × compression search space through the
 // fitted netsim/eventsim models, and ranks the plans by predicted
-// iteration time — replacing the hand-tuned constants the runners
-// shipped with.
+// iteration time.
 //
-// The flow has three stages:
+// The flow has two stages:
 //
 //  1. Fit: one or more measured traces (each described by a Workload —
 //     worker count, model bytes, strategy, chunking, compression ratio)
@@ -26,9 +25,12 @@
 //     What-if extrapolation re-runs the sweep at simulated scales far
 //     past the testbed (100s–1000s of nodes) with FireCaffe-style
 //     hierarchical reduction trees in the candidate set.
-//  3. Apply: AutoTune runs a short probe (a plain ring run, plus a
-//     compressed one when a codec is configured), fits, plans, and
-//     returns train.Options with the winning plan applied.
+//
+// Both run offline over saved traces (a run's -trace-out file carries its
+// Workload as a tune_meta line, read by ReadTraceFile), never to configure
+// a live run: the paper uses its model (Sec. VIII-D) for scalability
+// analysis alone. `inctrace tune` is the command; the probe traces
+// recorded under testdata/ gate Fit, Validate and Plan deterministically.
 package tune
 
 import (
@@ -121,22 +123,16 @@ func (w Workload) chunksPerBlock() int64 {
 type Sample struct {
 	Workload Workload
 	Spans    []obs.Span
-	// IterSeconds is the measured mean wall-clock seconds per iteration
-	// (0 = derive from the span extents).
-	IterSeconds float64
 	// WarmupIters drops the first iterations' cells from the fit: cold
 	// caches, first-touch allocation and scheduler ramp-up make them
 	// unrepresentative of steady state.
 	WarmupIters int
 }
 
-// iterSeconds resolves the sample's mean measured iteration time: the
-// explicit value when given, otherwise the mean per-iteration span
-// extent (max end − min start over each iteration's spans).
+// iterSeconds returns the sample's mean measured iteration time: the mean
+// per-iteration span extent (max end − min start over each iteration's
+// spans).
 func (s Sample) iterSeconds() float64 {
-	if s.IterSeconds > 0 {
-		return s.IterSeconds
-	}
 	type extent struct{ lo, hi int64 }
 	iters := make(map[int]extent)
 	for _, sp := range s.Spans {
