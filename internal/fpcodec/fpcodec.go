@@ -184,25 +184,38 @@ func Decompress(v uint32, tag Tag, b Bound) float32 {
 // Roundtrip returns Decompress(Compress(f, b), b): the value a receiver
 // would observe. It is the identity for |f| ≥ 1.0, NaN and ±Inf, and +0 for
 // the TagZero class. A Tag8 or Tag16 value keeps its sign and exponent and
-// loses the fraction bits below its window — the low d+16−s8 (Tag8) or d+8
-// (Tag16) bits of |f| ∈ [2^-d, 2^-d+1) — so it is computed by mask, with
-// Compress and Decompress its reference.
+// loses the fraction bits below its window, so the result is f's bits under
+// a mask that depends only on the bound and f's exponent: one lookup in
+// rtMask, with no branch. Compress and Decompress are its reference.
 func Roundtrip(f float32, b Bound) float32 {
 	bits := math.Float32bits(f)
-	e := int(bits>>23) & 0xFF
-	if e >= 127 {
-		return f
-	}
-	d := 127 - e // e = 0 (zero, denormal) gives d = 127 > b.e
-	if d > b.e {
-		return 0
-	}
-	cut := d + 8 // Tag16: fraction positions 1 … 15 survive
-	if d > b.s8 {
-		cut = d + 16 - b.s8 // Tag8: positions s8+1 … s8+7
-	}
-	return math.Float32frombits(bits &^ (1<<cut - 1))
+	return math.Float32frombits(bits & rtMask[b.e][bits>>23&0xFF])
 }
+
+// rtMask[e][x] is Roundtrip's mask for the bound 2^-e and the biased
+// exponent x: all ones for x ≥ 127 (|f| ≥ 1.0, NaN, ±Inf); zero for
+// |f| < 2^-e (d = 127−x > e; x = 0, zero and denormals, gives d = 127);
+// otherwise the low d+16−s8 (Tag8, d > s8) or d+8 (Tag16) bits of
+// |f| ∈ [2^-d, 2^-d+1) cleared. Row 0 serves the zero Bound.
+var rtMask = func() (t [16][256]uint32) {
+	for e := range t {
+		s8 := max(e-7, 0)
+		for x := range t[e] {
+			d := 127 - x
+			switch {
+			case d <= 0:
+				t[e][x] = ^uint32(0)
+			case d <= e:
+				cut := d + 8 // Tag16: fraction positions 1 … 15 survive
+				if d > s8 {
+					cut = d + 16 - s8 // Tag8: positions s8+1 … s8+7
+				}
+				t[e][x] = ^uint32(1<<cut - 1)
+			}
+		}
+	}
+	return t
+}()
 
 // TagOf returns only the classification of f under bound b.
 func TagOf(f float32, b Bound) Tag {

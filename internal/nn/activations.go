@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"inceptionn/internal/tensor"
@@ -17,18 +18,18 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward implements Layer. NaN passes through (and its gradient with it):
 // `v > 0` alone is false for NaN, which would turn a diverging replica's
 // activations into zeros and let it train on, silently (DESIGN.md §8).
+// `!(v <= 0)` is that rule in one comparison, and the output selects
+// through the mask's bit pattern, with no data-dependent branch.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
 	if len(r.mask) != x.Len() {
 		r.mask = make([]bool, x.Len())
 	}
+	mask, y := r.mask[:len(x.Data)], out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 || v != v {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-		}
+		keep := !(v <= 0)
+		mask[i] = keep
+		y[i] = selectBits(keep, v)
 	}
 	return out
 }
@@ -36,12 +37,21 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(dout.Shape...)
+	mask, d := r.mask[:len(dout.Data)], dx.Data[:len(dout.Data)]
 	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		}
+		d[i] = selectBits(mask[i], v)
 	}
 	return dx
+}
+
+// selectBits returns v if keep and +0 otherwise, by masking v's bits: the
+// compiler turns the condition into a conditional move.
+func selectBits(keep bool, v float32) float32 {
+	var m uint32
+	if keep {
+		m = ^uint32(0)
+	}
+	return math.Float32frombits(math.Float32bits(v) & m)
 }
 
 // Params implements Layer.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"inceptionn/internal/par"
@@ -19,6 +20,10 @@ type Conv2D struct {
 	x          *tensor.Tensor
 	cols       []*tensor.Tensor // per-batch-element im2col matrices
 	outH, outW int
+
+	// backward scratch, kept across steps
+	gw     *tensor.Tensor   // one sample's weight-gradient contribution
+	dcolsT []*tensor.Tensor // per-shard dcolsᵀ, under the shard's first sample
 }
 
 // NewConv2D constructs a convolution with He-normal initialization.
@@ -40,14 +45,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.outH = tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	c.outW = tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
 	c.x = x
-	// Grow the per-sample im2col cache without discarding survivors: the
-	// old `len != batch` reset meant one trailing partial batch forced a
-	// full reallocation on every subsequent full-size step. Entries keep
-	// their matrices across shrink-then-grow batch sequences; stale
-	// geometry is caught per entry below.
-	for len(c.cols) < batch {
-		c.cols = append(c.cols, nil)
-	}
+	c.cols = growCache(c.cols, batch)
 	out := tensor.New(batch, c.OutC, c.outH, c.outW)
 	rows := c.InC * c.K * c.K
 	spatial := c.outH * c.outW
@@ -55,10 +53,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for bi := lo; bi < hi; bi++ {
 			img := tensor.FromSlice(
 				x.Data[bi*c.InC*h*w:(bi+1)*c.InC*h*w], c.InC, h, w)
-			if col := c.cols[bi]; col == nil || col.Shape[0] != rows || col.Shape[1] != spatial {
-				c.cols[bi] = tensor.New(rows, spatial)
-			}
-			tensor.Im2Col(c.cols[bi], img, c.K, c.K, c.Stride, c.Pad)
+			tensor.Im2Col(reuse(&c.cols[bi], rows, spatial), img, c.K, c.K, c.Stride, c.Pad)
 			res := tensor.FromSlice(
 				out.Data[bi*c.OutC*spatial:(bi+1)*c.OutC*spatial], c.OutC, spatial)
 			tensor.MatMul(res, c.w.W, c.cols[bi])
@@ -74,62 +69,72 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer. Per-sample work runs in parallel into
-// private buffers; the weight/bias gradient contributions are then
-// reduced into the shared accumulators in ascending sample order, so the
-// result is bit-identical to the sequential loop for any worker count.
-// The first layer of a network skips the input gradient and returns nil.
+// Backward implements Layer. The weight and bias gradients take the
+// samples in ascending order, each product parallel over its rows and
+// added to the accumulators before the next sample's, so no per-sample
+// contribution outlives its turn; the input gradient runs in parallel
+// shards of samples, each writing its own slice of dx. The result is
+// bit-identical for any worker count. The first layer of a network skips
+// the input gradient and returns nil.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	batch, h, w := c.x.Shape[0], c.x.Shape[2], c.x.Shape[3]
 	rows := c.InC * c.K * c.K
 	spatial := c.outH * c.outW
-	var dx *tensor.Tensor
-	if !c.first {
-		dx = tensor.New(batch, c.InC, h, w)
+	dres := func(bi int) *tensor.Tensor {
+		return tensor.FromSlice(dout.Data[bi*c.OutC*spatial:(bi+1)*c.OutC*spatial], c.OutC, spatial)
 	}
-	gws := make([]*tensor.Tensor, batch)
-	dbs := make([][]float32, batch)
-	par.For(batch, 1, func(lo, hi int) {
-		// Scratch shared across this shard's samples only.
-		var dcols, dimg *tensor.Tensor
-		if dx != nil {
-			dcols = tensor.New(rows, spatial)
-			dimg = tensor.New(c.InC, h, w)
-		}
-		for bi := lo; bi < hi; bi++ {
-			dres := tensor.FromSlice(
-				dout.Data[bi*c.OutC*spatial:(bi+1)*c.OutC*spatial], c.OutC, spatial)
-			// dW contribution: dres · colsᵀ
-			gw := tensor.New(c.OutC, rows)
-			tensor.MatMulTransB(gw, dres, c.cols[bi])
-			gws[bi] = gw
-			// db contribution: row sums of dres
-			db := make([]float32, c.OutC)
-			for oc := 0; oc < c.OutC; oc++ {
-				var s float32
-				row := dres.Data[oc*spatial : (oc+1)*spatial]
-				for _, v := range row {
-					s += v
-				}
-				db[oc] = s
-			}
-			dbs[bi] = db
-			if dx == nil {
-				continue
-			}
-			// dcols = Wᵀ · dres, then scatter back to image space.
-			tensor.MatMulTransA(dcols, c.w.W, dres)
-			tensor.Col2Im(dimg, dcols, c.K, c.K, c.Stride, c.Pad)
-			copy(dx.Data[bi*c.InC*h*w:(bi+1)*c.InC*h*w], dimg.Data)
-		}
-	})
+	gw := reuse(&c.gw, c.OutC, rows)
 	for bi := 0; bi < batch; bi++ {
-		c.w.G.AddInPlace(gws[bi])
-		for oc, s := range dbs[bi] {
+		d := dres(bi)
+		tensor.MatMulTransB(gw, d, c.cols[bi]) // dres · colsᵀ
+		c.w.G.AddInPlace(gw)
+		for oc := range c.OutC {
+			var s float32
+			for _, v := range d.Data[oc*spatial : (oc+1)*spatial] {
+				s += v
+			}
 			c.b.G.Data[oc] += s
 		}
 	}
+	if c.first {
+		return nil
+	}
+	dx := tensor.New(batch, c.InC, h, w)
+	c.dcolsT = growCache(c.dcolsT, batch)
+	par.For(batch, 1, func(lo, hi int) {
+		// dcolsᵀ is scratch shared across this shard's samples only, kept
+		// under the shard's first sample: the shards are a function of the
+		// batch and the worker count, so a step reuses the last one's.
+		dcolsT := reuse(&c.dcolsT[lo], spatial, rows)
+		for bi := lo; bi < hi; bi++ {
+			// dcolsᵀ = dresᵀ · W, with dres — mostly exact zeros after
+			// ReLU and max-pool — as the coefficient operand whose zero
+			// terms the kernel leaves out; then gather into image space.
+			tensor.MatMulTransA(dcolsT, dres(bi), c.w.W)
+			tensor.Col2Im(tensor.FromSlice(dx.Data[bi*c.InC*h*w:(bi+1)*c.InC*h*w], c.InC, h, w),
+				dcolsT, c.K, c.K, c.Stride, c.Pad)
+		}
+	})
 	return dx
+}
+
+// growCache extends a per-sample cache to n entries, keeping the ones it
+// has: a trailing partial batch must not cost the full-size steps after it
+// their buffers.
+func growCache(cache []*tensor.Tensor, n int) []*tensor.Tensor {
+	for len(cache) < n {
+		cache = append(cache, nil)
+	}
+	return cache
+}
+
+// reuse returns *slot if it is an r×c matrix, and otherwise replaces it
+// with a new one: stale geometry is caught per entry.
+func reuse(slot **tensor.Tensor, r, c int) *tensor.Tensor {
+	if t := *slot; t == nil || t.Shape[0] != r || t.Shape[1] != c {
+		*slot = tensor.New(r, c)
+	}
+	return *slot
 }
 
 // Params implements Layer.
@@ -152,7 +157,10 @@ func NewMaxPool2D(k, stride int) *MaxPool2D {
 
 // Forward implements Layer. A NaN anywhere in a window is its maximum —
 // `>` alone would skip every NaN but the window's first element — so
-// non-finite activations reach the loss, and the gradient routes to them.
+// non-finite activations reach the loss, and the gradient routes to them;
+// of equal maxima the first wins. The windows need no clipping: without
+// padding, ConvOutSize keeps the last one inside the input. The running
+// maximum is selected by its index and bits, with no data-dependent branch.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH := tensor.ConvOutSize(h, p.K, p.Stride, 0)
@@ -163,34 +171,28 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		p.argmax = make([]int32, out.Len())
 	}
 	oi := 0
-	for bi := 0; bi < batch; bi++ {
-		for c := 0; c < ch; c++ {
-			plane := x.Data[(bi*ch+c)*h*w : (bi*ch+c+1)*h*w]
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					best := float32(0)
-					bestIdx := -1
-					for ky := 0; ky < p.K; ky++ {
-						iy := oy*p.Stride + ky
-						if iy >= h {
-							break
+	for pl := 0; pl < batch*ch; pl++ {
+		plane := x.Data[pl*h*w : (pl+1)*h*w]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				corner := oy*p.Stride*w + ox*p.Stride
+				bestIdx, bestBits := corner, math.Float32bits(plane[corner])
+				for ky := 0; ky < p.K; ky++ {
+					for kx, v := range plane[corner+ky*w:][:p.K] {
+						gt, nan := v > math.Float32frombits(bestBits), v != v
+						take := gt != nan // never both: NaN > x is false
+						idx, bits := corner+ky*w+kx, math.Float32bits(v)
+						if take {
+							bestIdx = idx
 						}
-						for kx := 0; kx < p.K; kx++ {
-							ix := ox*p.Stride + kx
-							if ix >= w {
-								break
-							}
-							idx := iy*w + ix
-							if v := plane[idx]; bestIdx < 0 || v > best || v != v {
-								best = v
-								bestIdx = idx
-							}
+						if take {
+							bestBits = bits
 						}
 					}
-					out.Data[oi] = best
-					p.argmax[oi] = int32((bi*ch+c)*h*w + bestIdx)
-					oi++
 				}
+				out.Data[oi] = math.Float32frombits(bestBits)
+				p.argmax[oi] = int32(pl*h*w + bestIdx)
+				oi++
 			}
 		}
 	}

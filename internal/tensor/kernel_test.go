@@ -150,6 +150,19 @@ func operand(rng *rand.Rand, poisoned bool, shape ...int) *Tensor {
 	return t
 }
 
+// transposed returns the transpose of the 2-D tensor t: Col2Im reads
+// Im2Col's matrix in this layout.
+func transposed(t *Tensor) *Tensor {
+	m, n := t.Shape[0], t.Shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.Data[j*m+i] = t.Data[i*n+j]
+		}
+	}
+	return out
+}
+
 // garbage returns a tensor no kernel output may be confused with, so an
 // element a kernel fails to write shows.
 func garbage(shape ...int) *Tensor {
@@ -340,7 +353,7 @@ func TestIm2ColCol2ImMatchReferenceBits(t *testing.T) {
 
 								mat := operand(rng, true, rows, cols)
 								back, wantBack := garbage(c, h, w), garbage(c, h, w)
-								Col2Im(back, mat, kh, kw, stride, pad)
+								Col2Im(back, transposed(mat), kh, kw, stride, pad)
 								refCol2Im(wantBack, mat, kh, kw, stride, pad)
 								requireSameBits(t, "Col2Im "+what, back, wantBack)
 							}
@@ -400,11 +413,16 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ReportMetric(float64(4*cols.Len())/1e6*float64(b.N)/b.Elapsed().Seconds(), "MB/s")
 }
 
-// FuzzKernels checks the four matmul entry points against their ref* loops
-// on operands of arbitrary float32 bits. The first three bytes give m, k
-// and n in [1, 9]; the rest are little-endian floats that fill a (m×k), b
-// (k×n) and the accumulator (m×n) in turn, zero-padded when the input runs
-// out. a's and b's data, read as k×m and n×k, are the transposed operands.
+// FuzzKernels checks the four matmul entry points and Col2Im against their
+// ref* loops on operands of arbitrary float32 bits. The first three bytes
+// give m, k and n in [1, 9]; the rest are little-endian floats that fill a
+// (m×k), b (k×n), the accumulator (m×n) and then Col2Im's column matrix in
+// turn, zero-padded when the input runs out. a's and b's data, read as k×m
+// and n×k, are the transposed operands. The same three bytes, read past
+// their residue mod 9, give Col2Im's geometry: 1, 4 or 7 channels (the
+// single-channel tail, one group of four, both), height
+// and width in [1, 8], kernel sides in [1, 4], stride in [1, 3] and padding
+// in [0, 2].
 func FuzzKernels(f *testing.F) {
 	le := func(vs ...float32) []byte {
 		out := make([]byte, 0, 4*len(vs))
@@ -421,11 +439,15 @@ func FuzzKernels(f *testing.F) {
 	f.Add(append([]byte{2, 3, 4}, le(0, 0, 1, negZero, 0, 2, 0, 0, 0, 0, 0, 0,
 		nan, 1, 2, 3, -inf, 4, 5, 6, denorm, -denorm, 0, 1)...))
 	f.Add(append([]byte{8, 8, 8}, le(1e38, 1e38, 1e38, 1e38, -1e38, 0, 0, denorm, 3e-39, 0, 1)...))
+	f.Add(append([]byte{171, 180, 126}, le(1, negZero, 0, 0, nan, 2, 3, 0, inf, 0, 4, 5, 6, 7, 0, 0, 8, 9, 10, 11)...)) // c=4 5×7, 3×3, stride 2, pad 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		m, k, n := 1+int(data[0])%9, 1+int(data[1])%9, 1+int(data[2])%9
+		c, h, w := 1+3*(int(data[0]/9)%3), 1+int(data[1]/9)%8, 1+int(data[2]/9)%8
+		kh, kw := 1+int(data[0]/27)%4, 1+int(data[1]/72)%4
+		stride, pad := 1+int(data[2]/72)%3, int(data[0]/108)%3
 		data = data[3:]
 		next := func(count int) []float32 {
 			vs := make([]float32, count)
@@ -439,5 +461,15 @@ func FuzzKernels(f *testing.F) {
 		ad, bd, accd := next(m*k), next(k*n), next(m*n)
 		requireKernelsMatch(t, fmt.Sprintf("m=%d k=%d n=%d", m, k, n),
 			FromSlice(ad, m, k), FromSlice(ad, k, m), FromSlice(bd, k, n), FromSlice(bd, n, k), FromSlice(accd, m, n))
+
+		if h+2*pad < kh || w+2*pad < kw {
+			return
+		}
+		rows, cols := c*kh*kw, ConvOutSize(h, kh, stride, pad)*ConvOutSize(w, kw, stride, pad)
+		mat := FromSlice(next(rows*cols), rows, cols)
+		got, want := garbage(c, h, w), garbage(c, h, w)
+		Col2Im(got, transposed(mat), kh, kw, stride, pad)
+		refCol2Im(want, mat, kh, kw, stride, pad)
+		requireSameBits(t, fmt.Sprintf("Col2Im c=%d h=%d w=%d kh=%d kw=%d stride=%d pad=%d", c, h, w, kh, kw, stride, pad), got, want)
 	})
 }

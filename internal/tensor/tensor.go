@@ -538,47 +538,76 @@ func Im2Col(dst, img *Tensor, kh, kw, stride, pad int) {
 	}
 }
 
-// Col2Im scatters a column matrix (as produced by Im2Col) back into a CHW
-// image, accumulating overlapping contributions. It is the adjoint of
-// Im2Col, used by the convolution backward pass. img is zeroed first. An
-// image element takes its contributions in (ky, kx, oy, ox) order — the
-// loop nest's; the spans only skip the columns that fall on padding.
+// Col2Im is Im2Col's adjoint, used by the convolution backward pass: it
+// sums a column matrix back into the CHW image img. cols is Im2Col's matrix
+// transposed, (outH*outW) × (channels*kh*kw) — the layout in which conv's
+// input gradient is a product with the output gradient as its coefficient
+// operand. It gathers: every image element is written once, as a sum that
+// starts at +0 and takes its contributions in (ky, kx) order. A kernel
+// offset reaches an element from at most one output position; the offsets
+// that would reach it from padding or from between strides are left out.
+// The taps of an image position are the same in every channel, kh·kw
+// floats apart, so they are found once per position and four channels'
+// sums are carried at a time, as dot4 carries four outputs.
 func Col2Im(img, cols *Tensor, kh, kw, stride, pad int) {
 	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
-	nCols := outH * outW
-	if cols.Shape[0] != c*kh*kw || cols.Shape[1] != nCols {
-		panic(fmt.Sprintf("tensor: Col2Im cols %v, want [%d %d]", cols.Shape, c*kh*kw, nCols))
+	rows, kk, hw := c*kh*kw, kh*kw, h*w
+	if cols.Shape[0] != outH*outW || cols.Shape[1] != rows {
+		panic(fmt.Sprintf("tensor: Col2Im cols %v, want [%d %d]", cols.Shape, outH*outW, rows))
 	}
-	img.Zero()
 	id, cd := img.Data, cols.Data
-	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			oyLo, oyHi := validSpan(outH, h, stride, ky-pad)
-			for kx := 0; kx < kw; kx++ {
-				oxLo, oxHi := validSpan(outW, w, stride, kx-pad)
-				row := (ch*kh+ky)*kw + kx
-				crow := cd[row*nCols : (row+1)*nCols]
-				for oy := oyLo; oy < oyHi; oy++ {
-					in := crow[oy*outW:][oxLo:oxHi]
-					out := id[(ch*h+oy*stride+ky-pad)*w:][:w]
-					ix := oxLo*stride + kx - pad
-					if stride == 1 && len(in) > 0 {
-						out = out[ix:][:len(in)]
-						for i, v := range in {
-							out[i] += v
-						}
-						continue
-					}
-					for _, v := range in {
-						out[ix] += v
-						ix += stride
+	// One step to the next tap: kx += stride moves ox back by one, and
+	// ky += stride moves oy back by one.
+	xstep, ystep := stride-rows, stride*kw-outW*rows
+	for iy := 0; iy < h; iy++ {
+		kyLo, kyHi, oy := taps((iy+pad)/stride, (iy+pad)%stride, kh, outH, stride)
+		// t = ix + pad = q·stride + r, carried along the row.
+		q, r := pad/stride, pad%stride
+		for ix := 0; ix < w; ix++ {
+			kxLo, kxHi, ox := taps(q, r, kw, outW, stride)
+			if r++; r == stride {
+				q, r = q+1, 0
+			}
+			base := (oy*outW+ox)*rows + kyLo*kw + kxLo // channel 0's first tap
+			d := id[iy*w+ix:]
+			ch := 0
+			for ; ch+4 <= c; ch += 4 {
+				var s0, s1, s2, s3 float32
+				for ky, yo := kyLo, base; ky <= kyHi; ky, yo = ky+stride, yo+ystep {
+					for kx, o := kxLo, yo; kx <= kxHi; kx, o = kx+stride, o+xstep {
+						v := cd[o : o+3*kk+1]
+						s0 += v[0]
+						s1 += v[kk]
+						s2 += v[2*kk]
+						s3 += v[3*kk]
 					}
 				}
+				d[ch*hw], d[(ch+1)*hw], d[(ch+2)*hw], d[(ch+3)*hw] = s0, s1, s2, s3
+				base += 4 * kk
+			}
+			for ; ch < c; ch++ {
+				var s float32
+				for ky, yo := kyLo, base; ky <= kyHi; ky, yo = ky+stride, yo+ystep {
+					for kx, o := kxLo, yo; kx <= kxHi; kx, o = kx+stride, o+xstep {
+						s += cd[o]
+					}
+				}
+				d[ch*hw] = s
+				base += kk
 			}
 		}
 	}
+}
+
+// taps returns the kernel offsets kLo, kLo+stride, …, up to kHi that reach
+// the input coordinate t−pad, t = q·stride + r, from an output inside
+// [0, out), and the output oLo that kLo reaches it from. kLo > kHi means
+// none does.
+func taps(q, r, k, out, stride int) (kLo, kHi, oLo int) {
+	t := q*stride + r
+	return max(r, t-(out-1)*stride), min(k-1, t), min(q, out-1)
 }
 
 // ConvOutSize returns the output spatial size of a convolution/pooling with

@@ -251,7 +251,7 @@ func TestCol2ImAdjoint(t *testing.T) {
 	lhs := ix.Dot(y)
 
 	cy := New(c, h, w)
-	Col2Im(cy, y, kh, kw, stride, pad)
+	Col2Im(cy, transposed(y), kh, kw, stride, pad)
 	rhs := x.Dot(cy)
 
 	if math.Abs(lhs-rhs) > 1e-3*(math.Abs(lhs)+1) {

@@ -201,7 +201,7 @@ func overlap(transport, cpu float64, k int64) float64 {
 
 // Rank predicts every option, sorts by predicted iteration time, and
 // cross-checks the best crossCheckTop plans on the fluid-flow event
-// simulator.
+// simulator, those within crossCheckMaxWorkers and crossCheckMaxFlows.
 func (pl *Planner) Rank(opts []PlanOption) []Plan {
 	plans := make([]Plan, 0, len(opts))
 	for _, o := range opts {
@@ -210,7 +210,9 @@ func (pl *Planner) Rank(opts []PlanOption) []Plan {
 	sortPlans(plans)
 	if !pl.SkipCrossCheck && pl.Workers <= crossCheckMaxWorkers {
 		for i := 0; i < len(plans) && i < crossCheckTop; i++ {
-			plans[i].CrossCheckSec = pl.CrossCheck(plans[i].PlanOption)
+			if w := pl.workload(plans[i].PlanOption); w.Workers*pl.Fit.switchChunks(w) <= crossCheckMaxFlows {
+				plans[i].CrossCheckSec = pl.CrossCheck(plans[i].PlanOption)
+			}
 		}
 	}
 	return plans
@@ -223,6 +225,13 @@ func (pl *Planner) Rank(opts []PlanOption) []Plan {
 // decision value (on a 2-vCPU box a fit's replay took ~6 s at 256
 // workers, ~60 ms at 64).
 const crossCheckMaxWorkers = 64
+
+// crossCheckMaxFlows bounds it by flows as well: the switch replay moves one
+// flow per worker per on-switch chunk, so a large model through a small
+// switch buffer is as many flows as hundreds of nodes. The replay is
+// superlinear in them: on a 2-vCPU box `inctrace tune` on a probe trace
+// took ~0.1 s at about 1,800 flows and ~1.1 s at about 6,100.
+const crossCheckMaxFlows = 2048
 
 // crossCheckTop is how many top-ranked plans get the dynamic eventsim
 // cross-check.

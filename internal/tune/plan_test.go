@@ -198,3 +198,29 @@ func TestRenders(t *testing.T) {
 		t.Fatal("RenderWhatIf missing scale row")
 	}
 }
+
+// TestCrossCheckBoundedByFlows: a switch plan whose replay would move more
+// than crossCheckMaxFlows flows (workers × on-switch chunks) is ranked
+// without a cross-check, and one within the bound keeps it, as the ring
+// does at any model size.
+func TestCrossCheckBoundedByFlows(t *testing.T) {
+	opts := []PlanOption{{Strategy: "switch", ChunkFloats: 1 << 14}, {Strategy: "switch"}, {Strategy: "ring"}}
+	for _, c := range []struct {
+		modelBytes int64
+		over       bool
+	}{{4 << 20, false}, {1_000_000_000, true}} {
+		pl := &Planner{Fit: testFit(), Workers: 4, ModelBytes: c.modelBytes}
+		for _, p := range pl.Rank(opts) {
+			w := pl.workload(p.PlanOption)
+			flows := w.Workers * pl.Fit.switchChunks(w)
+			over := flows > crossCheckMaxFlows
+			if over != (c.over && p.Strategy == "switch") {
+				t.Fatalf("%d bytes, %s: %d flows, over the bound %v", c.modelBytes, p.PlanOption, flows, over)
+			}
+			if checked := p.CrossCheckSec > 0; checked == over {
+				t.Fatalf("%d bytes, %s: %d flows (bound %d), cross-check %v",
+					c.modelBytes, p.PlanOption, flows, crossCheckMaxFlows, p.CrossCheckSec)
+			}
+		}
+	}
+}

@@ -631,6 +631,17 @@ func (f *Fitted) netParams(w Workload) netsim.Params {
 	return p
 }
 
+// switchChunks returns how many chunks the switch replay streams the
+// workload's wire bytes in, one on-switch buffer each, and 1 for every other
+// strategy.
+func (f *Fitted) switchChunks(w Workload) int {
+	if w.Strategy != "switch" {
+		return 1
+	}
+	mem := f.netParams(w).SwitchMem()
+	return int((w.traffic(w.ModelBytes).WireBytes + mem - 1) / mem)
+}
+
 // replay runs iters iterations of the workload through the fitted event
 // simulator (eventsim.Replay), emitting the measured-run span schema into
 // rec, and returns their summed virtual duration. The flows carry the
