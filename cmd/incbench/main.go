@@ -88,6 +88,9 @@ func runSimTrace(out string, c simTraceConfig) error {
 	}
 	np := netsim.Default10GbE()
 	np.SwitchMemBytes, np.SwitchSumRate = c.switchMem, c.switchRate
+	if err := np.Validate(); err != nil {
+		return err
+	}
 
 	tr := obs.NewTracer(1 << 18)
 	// The flows carry the raw gradient bytes (no Traffic): -sim-bytes is

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -18,6 +19,10 @@ func TestSimTraceRejectsOutOfRangeFlags(t *testing.T) {
 		{"negative compute", func(c *simTraceConfig) { c.compute = -1 }},
 		{"negative bytes", func(c *simTraceConfig) { c.bytes = -5 }},
 		{"zero iters", func(c *simTraceConfig) { c.iters = 0 }},
+		{"negative switch rate", func(c *simTraceConfig) { c.switchRate = -1 }},
+		{"NaN switch rate", func(c *simTraceConfig) { c.switchRate = math.NaN() }},
+		{"-Inf switch rate", func(c *simTraceConfig) { c.switchRate = math.Inf(-1) }},
+		{"negative switch memory", func(c *simTraceConfig) { c.switchMem = -8 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := valid

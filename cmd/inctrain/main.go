@@ -123,6 +123,10 @@ func main() {
 	straggle := flag.String("straggle", "", "inject per-iteration compute delay on nodes, e.g. \"2:5ms\" or \"0:1ms,3:10ms\" (validates `inctrace blame`)")
 	flag.Parse()
 
+	if *traceCap < 1 {
+		fmt.Fprintf(os.Stderr, "inctrain: -trace-cap %d, want at least 1 span\n", *traceCap)
+		os.Exit(2)
+	}
 	build, ok := models.Builders[*model]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "inctrain: unknown model %q\n", *model)

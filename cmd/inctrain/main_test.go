@@ -64,6 +64,30 @@ func TestChaosRequiresTCP(t *testing.T) {
 	}
 }
 
+// TestBadValuesFailByName: a flag value no run could honour fails before
+// training, naming its flag or the option it sets — a usage error exits 2,
+// an option train.Run refuses exits 1.
+func TestBadValuesFailByName(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-trace-cap", "0", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")}, 2, "-trace-cap"},
+		{[]string{"-straggle", "9:1ms"}, 1, "Straggler"},
+		{[]string{"-algo", "switch", "-switch-chunk", "-7"}, 1, "SwitchChunk"},
+		{[]string{"-step-timeout", "-1s"}, 1, "StepTimeout"},
+		{[]string{"-iters", "-5"}, 1, "iters"},
+	} {
+		args := append([]string{"inctrain", "-model", "hdc-small", "-workers", "4", "-samples", "100", "-eval", "1"}, tc.args...)
+		out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: err = %v, want exit status %d naming %s\n%s", tc.args, err, tc.code, tc.want, out)
+		}
+	}
+}
+
 // TestDivergedRunKeepsItsRecord: a learning rate that sends the loss to
 // NaN still saves the metrics record, with train_loss as "NaN", and a
 // record that cannot be written fails the run instead of exiting 0.

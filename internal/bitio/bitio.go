@@ -145,12 +145,6 @@ func (r *Reader) ReadBit() (uint, error) {
 // consumed through Skip.
 func (r *Reader) Lend() (buf []byte, pos, nbit int) { return r.buf, r.pos, r.nbit }
 
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.nbit - r.pos }
-
-// Pos returns the bit position of the next read.
-func (r *Reader) Pos() int { return r.pos }
-
 // Skip advances past n bits.
 func (r *Reader) Skip(n int) error {
 	if n < 0 || r.pos+n > r.nbit {

@@ -276,3 +276,9 @@ func TestWriterResetReuseRoundtrip(t *testing.T) {
 		}
 	}
 }
+
+// Remaining returns the number of unread bits.
+func (r *Reader) Remaining() int { return r.nbit - r.pos }
+
+// Pos returns the bit position of the next read.
+func (r *Reader) Pos() int { return r.pos }

@@ -131,20 +131,6 @@ func (s *LinkStats) ObserveRecvWait(d int64) {
 	}
 }
 
-// Reset zeroes every counter on the link.
-func (s *LinkStats) Reset() {
-	s.Messages.Store(0)
-	s.PayloadBytes.Store(0)
-	s.WireBytes.Store(0)
-	s.RawBytes.Store(0)
-	s.Retransmits.Store(0)
-	s.Nacks.Store(0)
-	s.Degraded.Store(0)
-	s.Timeouts.Store(0)
-	s.RecvWaitNanos.Store(0)
-	s.MaxRecvWaitNanos.Store(0)
-}
-
 // message is one in-flight transfer.
 type message struct {
 	payload []float32
@@ -272,26 +258,6 @@ func (f *Fabric) TotalWireBytes() int64 {
 		}
 	}
 	return total
-}
-
-// TotalRawBytes sums pre-compression payload bytes over all links.
-func (f *Fabric) TotalRawBytes() int64 {
-	var total int64
-	for i := range f.stats {
-		for j := range f.stats[i] {
-			total += f.stats[i][j].RawBytes.Load()
-		}
-	}
-	return total
-}
-
-// ResetStats zeroes all traffic counters.
-func (f *Fabric) ResetStats() {
-	for i := range f.stats {
-		for j := range f.stats[i] {
-			f.stats[i][j].Reset()
-		}
-	}
 }
 
 // CtxPeer is the one peer contract the collective algorithms in

@@ -44,13 +44,6 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
-// MaxEncodedLen returns an upper bound on the size of Encode's output for
-// an input of length n.
-func MaxEncodedLen(n int) int {
-	// Worst case: all literals, one tag byte per 64 bytes, plus the header.
-	return n + n/maxLiteral + 1 + binary.MaxVarintLen64
-}
-
 // Encode compresses src, appending to dst (which may be nil).
 func Encode(dst, src []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
@@ -151,12 +144,4 @@ func Decode(dst, src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(dst)-base, want)
 	}
 	return dst, nil
-}
-
-// Ratio returns len(src)/len(Encode(src)) for convenience in experiments.
-func Ratio(src []byte) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	return float64(len(src)) / float64(len(Encode(nil, src)))
 }

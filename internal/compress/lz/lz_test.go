@@ -2,6 +2,7 @@ package lz
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,7 +73,7 @@ func TestGradientStreamRatioPoor(t *testing.T) {
 		bits := math.Float32bits(v)
 		floats = append(floats, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
 	}
-	r := Ratio(floats)
+	r := float64(len(floats)) / float64(len(Encode(nil, floats)))
 	if r > 2.0 {
 		t.Errorf("gradient stream ratio = %g; the Snappy family should stay below ~2", r)
 	}
@@ -190,4 +191,11 @@ func BenchmarkDecodeGradients(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// MaxEncodedLen returns an upper bound on the size of Encode's output for
+// an input of length n.
+func MaxEncodedLen(n int) int {
+	// Worst case: all literals, one tag byte per 64 bytes, plus the header.
+	return n + n/maxLiteral + 1 + binary.MaxVarintLen64
 }

@@ -51,9 +51,6 @@ func MustNew(bound float64, binBits int) Codec {
 	return c
 }
 
-// Bound returns the absolute error bound.
-func (c Codec) Bound() float64 { return c.bound }
-
 // predict returns the two-predictor estimate given the last two
 // reconstructed values; n is how many reconstructed values exist.
 func predict(prev1, prev2 float64, n int) float64 {

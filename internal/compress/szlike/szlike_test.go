@@ -177,3 +177,6 @@ func BenchmarkDecompressGradients(b *testing.B) {
 		}
 	}
 }
+
+// Bound returns the absolute error bound.
+func (c Codec) Bound() float64 { return c.bound }

@@ -34,9 +34,6 @@ func MustNew(drop int) Codec {
 	return c
 }
 
-// Drop returns the number of truncated LSBs.
-func (c Codec) Drop() int { return c.drop }
-
 // KeptBits returns the number of bits stored per value.
 func (c Codec) KeptBits() int { return 32 - c.drop }
 
@@ -45,12 +42,6 @@ func (c Codec) Ratio() float64 { return 32 / float64(c.KeptBits()) }
 
 // String implements fmt.Stringer, e.g. "16b-T".
 func (c Codec) String() string { return fmt.Sprintf("%db-T", c.drop) }
-
-// Apply returns v with the configured LSBs zeroed. This is the value a
-// receiver reconstructs; it is used directly by the accuracy experiments.
-func (c Codec) Apply(v float32) float32 {
-	return bitsToFloat(floatToBits(v) &^ (1<<uint(c.drop) - 1))
-}
 
 // ApplyAll truncates every element of vs in place.
 func (c Codec) ApplyAll(vs []float32) {
@@ -80,9 +71,6 @@ func (c Codec) Decompress(r *bitio.Reader, dst []float32) error {
 	}
 	return nil
 }
-
-// CompressedBits returns the exact packed size of n values in bits.
-func (c Codec) CompressedBits(n int) int64 { return int64(n) * int64(c.KeptBits()) }
 
 func floatToBits(f float32) uint32 { return math.Float32bits(f) }
 

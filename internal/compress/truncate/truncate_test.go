@@ -177,3 +177,12 @@ func BenchmarkPack64K(b *testing.B) {
 		c.Compress(w, vs)
 	}
 }
+
+// Apply returns v with the configured LSBs zeroed: the value a receiver
+// reconstructs, one element of ApplyAll.
+func (c Codec) Apply(v float32) float32 {
+	return bitsToFloat(floatToBits(v) &^ (1<<uint(c.drop) - 1))
+}
+
+// CompressedBits returns the exact packed size of n values in bits.
+func (c Codec) CompressedBits(n int) int64 { return int64(n) * int64(c.KeptBits()) }

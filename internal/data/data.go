@@ -17,8 +17,6 @@ import (
 type Dataset interface {
 	// Len returns the number of samples.
 	Len() int
-	// Classes returns the number of target classes.
-	Classes() int
 	// FeatureLen returns the flattened feature size of one sample.
 	FeatureLen() int
 	// FeatureShape returns the per-sample tensor shape (excluding batch).
@@ -109,9 +107,6 @@ func NewDigits(n int, seed int64) *Digits { return &Digits{N: n, Seed: seed} }
 // Len implements Dataset.
 func (d *Digits) Len() int { return d.N }
 
-// Classes implements Dataset.
-func (d *Digits) Classes() int { return 10 }
-
 // FeatureLen implements Dataset.
 func (d *Digits) FeatureLen() int { return 28 * 28 }
 
@@ -201,9 +196,6 @@ func NewImages(n int, seed int64) *Images { return &Images{N: n, Seed: seed} }
 
 // Len implements Dataset.
 func (im *Images) Len() int { return im.N }
-
-// Classes implements Dataset.
-func (im *Images) Classes() int { return 10 }
 
 // FeatureLen implements Dataset.
 func (im *Images) FeatureLen() int { return 3 * 32 * 32 }

@@ -27,7 +27,7 @@ func TestDigitsValueRangeAndLabels(t *testing.T) {
 	seen := make(map[int]int)
 	for i := 0; i < d.Len(); i++ {
 		label := d.Sample(i, x)
-		if label < 0 || label >= d.Classes() {
+		if label < 0 || label >= 10 {
 			t.Fatalf("label %d out of range", label)
 		}
 		seen[label]++

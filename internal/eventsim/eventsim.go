@@ -507,21 +507,3 @@ func switchChunks(modelBytes, chunkBytes float64) []float64 {
 	}
 	return sizes
 }
-
-// SwitchTimeDelays builds and runs the in-network switch all-reduce DAG:
-// p workers stream a modelBytes gradient through the switch's reduction
-// unit in chunkBytes chunks, the combine of each chunk costs its bytes ×
-// combinePerByte seconds (serialized across chunks), and combined chunks
-// multicast back down every port. nodeDelay adds per-worker straggler
-// delay before the first upload. Returns the time the last worker holds
-// the fully combined gradient — downloads of different chunks overlap on
-// the downlinks (down_k only waits for combine_k), so that is when the
-// last of ALL chunks lands, not the last-indexed one.
-func SwitchTimeDelays(p Params, workers int, modelBytes, chunkBytes, combinePerByte float64, nodeDelay []float64) float64 {
-	if workers < 1 || modelBytes <= 0 {
-		return 0
-	}
-	s := New(p, 2*workers)
-	switchDAG(s, workers, switchChunks(modelBytes, chunkBytes), combinePerByte, nodeDelay)
-	return latest(s.Run())
-}

@@ -61,7 +61,7 @@ func TestSwitchMatchesClosedForm(t *testing.T) {
 	for _, spec := range []models.Spec{models.AlexNet, models.HDC} {
 		for _, workers := range []int{4, 8} {
 			n := float64(spec.ParamBytes)
-			ev := SwitchTimeDelays(ep, workers, n, float64(np.SwitchMemBytes), combinePerByte, nil)
+			ev := switchTime(ep, workers, n, float64(np.SwitchMemBytes), combinePerByte)
 			cf := np.SwitchAllReduce(workers, spec.ParamBytes, nil).Total()
 			if rel := math.Abs(ev-cf) / cf; rel > 0.10 {
 				t.Errorf("%s workers=%d: event %gs vs closed-form %gs (%.1f%% apart)",
@@ -79,7 +79,7 @@ func TestSwitchBeatsWAInEventSim(t *testing.T) {
 	sumRate := 8e9
 	for _, workers := range []int{8, 16} {
 		wa := WorkerAggregatorTimeDelays(ep, workers, n, n, float64(workers-1)*n/sumRate, nil)
-		sw := SwitchTimeDelays(ep, workers, n, 8<<20, 1/sumRate, nil)
+		sw := switchTime(ep, workers, n, 8<<20, 1/sumRate)
 		if sw >= wa {
 			t.Errorf("workers=%d: switch %gs >= WA %gs", workers, sw, wa)
 		}
@@ -88,14 +88,14 @@ func TestSwitchBeatsWAInEventSim(t *testing.T) {
 
 func TestSwitchTimeDegenerate(t *testing.T) {
 	ep := testParams()
-	if got := SwitchTimeDelays(ep, 0, 1e6, 1e5, 1e-10, nil); got != 0 {
+	if got := switchTime(ep, 0, 1e6, 1e5, 1e-10); got != 0 {
 		t.Errorf("workers=0: %g, want 0", got)
 	}
-	if got := SwitchTimeDelays(ep, 4, 0, 1e5, 1e-10, nil); got != 0 {
+	if got := switchTime(ep, 4, 0, 1e5, 1e-10); got != 0 {
 		t.Errorf("bytes=0: %g, want 0", got)
 	}
 	// One worker still round-trips its own gradient through the switch.
-	if got := SwitchTimeDelays(ep, 1, 1e6, 1e5, 1e-10, nil); got <= 0 {
+	if got := switchTime(ep, 1, 1e6, 1e5, 1e-10); got <= 0 {
 		t.Errorf("workers=1: %g, want > 0", got)
 	}
 }
@@ -143,13 +143,8 @@ func TestSwitchTraceBlameNamesThrottledSwitch(t *testing.T) {
 	}
 }
 
-// TestSwitchTraceMatchesSwitchTime: the trace-emitting variant must
-// reproduce the plain DAG's finish time exactly.
-func TestSwitchTraceMatchesSwitchTime(t *testing.T) {
-	p := testParams()
-	want := SwitchTimeDelays(p, 4, 2.5e6, 1e6, 2e-10, nil)
-	got := SwitchTraceDelays(p, 4, 2.5e6, 1e6, 2e-10, 0, nil, nil, 0, 0)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("trace variant %g, plain %g", got, want)
-	}
+// switchTime is the switch all-reduce DAG's finish time with no compute
+// phase, straggler delay or recorder.
+func switchTime(p Params, workers int, modelBytes, chunkBytes, combinePerByte float64) float64 {
+	return SwitchTraceDelays(p, workers, modelBytes, chunkBytes, combinePerByte, 0, nil, nil, 0, 0)
 }

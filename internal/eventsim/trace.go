@@ -19,17 +19,20 @@ func traced(s *Sim, workers int, computeTime float64, nodeDelay []float64, rec *
 	return compute
 }
 
-// SwitchTraceDelays runs the in-network switch all-reduce DAG of
-// SwitchTimeDelays and emits the measured-run span schema on the
-// simulator's virtual timeline: compute/send/recv spans for each worker,
-// and send (multicast down), recv (wait for the next chunk's uploads) and
-// reduce (combine engine busy) spans for the switch, which appears in the
-// trace as one logical node with id == workers (its per-port sim nodes
-// are remapped onto it). A throttled combine engine therefore shows up in
-// `inctrace blame` exactly like a straggler worker: the switch's recv
-// waits collapse toward zero while every worker piles up wait on the
-// downlink, and its reduce spans carry the gating time. Returns the
-// exchange finish time in virtual seconds (relative to iteration start).
+// SwitchTraceDelays runs the in-network switch all-reduce DAG (switchDAG:
+// p workers stream a modelBytes gradient up in chunkBytes chunks, each
+// combine costs its bytes × combinePerByte seconds, serialized across
+// chunks, and combined chunks multicast back down every port) and emits
+// the measured-run span schema on the simulator's virtual timeline:
+// compute/send/recv spans for each worker, and send (multicast down), recv
+// (wait for the next chunk's uploads) and reduce (combine engine busy)
+// spans for the switch, which appears in the trace as one logical node
+// with id == workers (its per-port sim nodes are remapped onto it). A
+// throttled combine engine therefore shows up in `inctrace blame` exactly
+// like a straggler worker: the switch's recv waits collapse toward zero
+// while every worker piles up wait on the downlink, and its reduce spans
+// carry the gating time. Returns the exchange finish time in virtual
+// seconds (relative to iteration start).
 func SwitchTraceDelays(p Params, workers int, modelBytes, chunkBytes, combinePerByte, computeTime float64, nodeDelay []float64, rec *obs.Recorder, iter int, baseNs int64) float64 {
 	if workers < 1 || modelBytes <= 0 {
 		return 0

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"inceptionn/internal/data"
 	"inceptionn/internal/opt"
@@ -73,16 +72,6 @@ func Lookup(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Names returns the sorted registry keys.
-func Names() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // digitsTask returns the standard HDC training task used by the accuracy

@@ -157,13 +157,6 @@ func (inj *Injector) draw(src, dst int, seq uint64, attempt int, stream uint64) 
 	return float64(h>>11) / float64(1<<53)
 }
 
-// Partitioned reports whether the directed link src→dst is blackholed at
-// frame sequence seq.
-func (inj *Injector) Partitioned(src, dst int, seq uint64) bool {
-	lf := inj.linkFaults(src, dst)
-	return lf.PartitionFrom != nil && seq >= *lf.PartitionFrom
-}
-
 // Decide returns the fault verdict for transmission attempt `attempt` of
 // the frame with per-link sequence number seq on link src→dst. Identical
 // arguments always return identical verdicts for a given Config.
@@ -209,15 +202,4 @@ func (inj *Injector) RecordSend(id int) bool {
 		return false
 	}
 	return c.sent.Add(1) >= limit
-}
-
-// Crashed reports whether node id has crashed (without advancing the
-// counter).
-func (inj *Injector) Crashed(id int) bool {
-	if id < 0 || id >= len(inj.crashed) {
-		return false
-	}
-	c := &inj.crashed[id]
-	limit := c.limit.Load()
-	return limit != 0 && c.sent.Load() >= limit
 }

@@ -92,11 +92,7 @@ func TestInjectorPartition(t *testing.T) {
 		Links: map[Link]LinkFaults{{0, 1}: Partition(5)},
 	})
 	for seq := uint64(0); seq < 10; seq++ {
-		want := seq >= 5
-		if inj.Partitioned(0, 1, seq) != want {
-			t.Fatalf("seq %d: Partitioned != %v", seq, want)
-		}
-		if inj.Decide(0, 1, seq, 7).Drop != want {
+		if inj.Decide(0, 1, seq, 7).Drop != (seq >= 5) {
 			t.Fatalf("seq %d: partition must drop every attempt", seq)
 		}
 	}
@@ -104,9 +100,6 @@ func TestInjectorPartition(t *testing.T) {
 
 func TestInjectorCrashSchedule(t *testing.T) {
 	inj := NewInjector(2, Config{Seed: 1, CrashAfter: map[int]uint64{1: 3}})
-	if inj.Crashed(1) {
-		t.Fatal("crashed before any send")
-	}
 	for i := 0; i < 3; i++ {
 		if inj.RecordSend(1) {
 			t.Fatalf("crashed at send %d, budget is 3", i)
@@ -115,10 +108,10 @@ func TestInjectorCrashSchedule(t *testing.T) {
 	if !inj.RecordSend(1) {
 		t.Fatal("did not crash after budget")
 	}
-	if !inj.Crashed(1) {
-		t.Fatal("Crashed() disagrees with RecordSend")
+	if !inj.RecordSend(1) {
+		t.Fatal("a crashed node came back")
 	}
-	if inj.RecordSend(0) || inj.Crashed(0) {
+	if inj.RecordSend(0) {
 		t.Fatal("unscheduled node crashed")
 	}
 }

@@ -256,8 +256,8 @@ func TestGroupRoundtrip(t *testing.T) {
 	if got[3] != 1.25 {
 		t.Errorf("no-compress lane: got %g want 1.25", got[3])
 	}
-	if r.Remaining() != 0 {
-		t.Errorf("%d unread bits", r.Remaining())
+	if n := unread(r); n != 0 {
+		t.Errorf("%d unread bits", n)
 	}
 }
 

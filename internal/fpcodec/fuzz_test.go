@@ -93,8 +93,8 @@ func FuzzDecompressStream(f *testing.F) {
 				}
 				continue
 			}
-			if r.Pos() != ref.Pos() {
-				t.Fatalf("bits [%d,%d) count %d: kernel stopped at bit %d, reference at %d", start, limit, count, r.Pos(), ref.Pos())
+			if pos, refPos := bitPos(r), bitPos(ref); pos != refPos {
+				t.Fatalf("bits [%d,%d) count %d: kernel stopped at bit %d, reference at %d", start, limit, count, pos, refPos)
 			}
 			if !sameBits(got, want) {
 				t.Fatalf("bits [%d,%d) count %d: kernel decode differs from the reference's", start, limit, count)
@@ -150,4 +150,16 @@ func FuzzCompressStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bitPos is the bit position of r's next read.
+func bitPos(r *bitio.Reader) int {
+	_, pos, _ := r.Lend()
+	return pos
+}
+
+// unread is the number of bits r has not read.
+func unread(r *bitio.Reader) int {
+	_, pos, nbit := r.Lend()
+	return nbit - pos
 }

@@ -351,11 +351,19 @@ func TestAppendGroupsGrowsByNeed(t *testing.T) {
 		if worst := len(c.src) / GroupSize * maxGroupBytes; cap(data) > 2*len(data) || cap(data) > 5*worst/4 {
 			t.Errorf("%s: %d-byte stream in %d bytes of storage (worst case %d)", c.name, len(data), cap(data), worst)
 		}
+		if raceEnabled {
+			continue
+		}
 		if n := testing.AllocsPerRun(5, func() { AppendGroups(nil, 0, c.src, bound) }); n != c.allocs {
 			t.Errorf("%s: %v allocations from cold storage, want %v", c.name, n, c.allocs)
 		}
 	}
 }
+
+// raceEnabled is set by race_on_test.go under `go test -race`, whose
+// runtime allocates on its own account, so an exact allocation count
+// measures the race detector rather than the kernel.
+var raceEnabled bool
 
 func BenchmarkKernelEncodeTrainingMix(b *testing.B) {
 	bound := MustBound(10)

@@ -63,8 +63,8 @@ func TestStreamParallelBitIdentical(t *testing.T) {
 				if err := DecompressStream(r, dst, bound); err != nil {
 					t.Fatalf("n=%d offset=%d workers=%d: decode: %v", n, offset, workers, err)
 				}
-				if r.Remaining() != 0 {
-					t.Fatalf("n=%d offset=%d workers=%d: %d bits left after decode", n, offset, workers, r.Remaining())
+				if left := unread(r); left != 0 {
+					t.Fatalf("n=%d offset=%d workers=%d: %d bits left after decode", n, offset, workers, left)
 				}
 				if !sameBits(dst, want) {
 					t.Fatalf("n=%d offset=%d workers=%d: decode differs from the sequential stream's", n, offset, workers)

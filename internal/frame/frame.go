@@ -188,28 +188,9 @@ func (r *Reader) upfront(n, per int) int {
 	return n
 }
 
-// Bytes reads n raw bytes; the caller has read n in its own format and
-// checked it against its own limit. On a sized source the result is
-// allocated once; otherwise it grows as the bytes arrive.
-func (r *Reader) Bytes(n int) []byte {
-	if !r.backs(n, 1) {
-		return nil
-	}
-	out := make([]byte, r.upfront(n, chunk))
-	r.fill(out)
-	for len(out) < n && r.err == nil {
-		m := min(n-len(out), chunk)
-		out = append(out, make([]byte, m)...)
-		r.fill(out[len(out)-m:])
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
 // F32s reads n float32 values (never nil on success, so an empty vector
-// stays distinct from an absent one); n is the caller's, as for Bytes.
+// stays distinct from an absent one); n is the caller's: it has read n in
+// its own format and checked it against its own limit.
 func (r *Reader) F32s(n int) []float32 {
 	if !r.backs(n, 4) {
 		return nil

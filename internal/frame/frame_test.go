@@ -18,8 +18,9 @@ import (
 )
 
 // record is a format with one field of every kind the Reader decodes, in
-// the shape the real formats use: fixed fields, a u32-counted blob, a
-// u32-counted float vector and a trailing checksum.
+// the shape the real formats use: fixed fields, a u32-counted blob (read by
+// Reader.Bytes below, which no real format needs), a u32-counted float
+// vector and a trailing checksum.
 type record struct {
 	a    uint32
 	b    uint64
@@ -398,4 +399,24 @@ func TestFrameOwnsTheBytes(t *testing.T) {
 	if checked < 50 {
 		t.Fatalf("only %d source files found under %s", checked, root)
 	}
+}
+
+// Bytes reads n raw bytes; the caller has read n in its own format and
+// checked it against its own limit. On a sized source the result is
+// allocated once; otherwise it grows as the bytes arrive.
+func (r *Reader) Bytes(n int) []byte {
+	if !r.backs(n, 1) {
+		return nil
+	}
+	out := make([]byte, r.upfront(n, chunk))
+	r.fill(out)
+	for len(out) < n && r.err == nil {
+		m := min(n-len(out), chunk)
+		out = append(out, make([]byte, m)...)
+		r.fill(out[len(out)-m:])
+	}
+	if r.err != nil {
+		return nil
+	}
+	return out
 }

@@ -99,20 +99,6 @@ func (g *Generator) Stream(n int) []float32 {
 	return out
 }
 
-// Validate generates n values and reports the achieved class fractions and
-// compression ratio, for closing the loop against the prescription.
-func (g *Generator) Validate(n int) (got ClassFractions, ratio float64) {
-	stream := g.Stream(n)
-	var st fpcodec.TagStats
-	st.Observe(stream, g.Bound)
-	return ClassFractions{
-		Zero:       st.Fraction(fpcodec.TagZero),
-		Small:      st.Fraction(fpcodec.Tag8),
-		Large:      st.Fraction(fpcodec.Tag16),
-		NoCompress: st.Fraction(fpcodec.TagNone),
-	}, fpcodec.Ratio(stream, g.Bound)
-}
-
 // FromTableIII builds a generator from a paper Table III row given as the
 // four class fractions (already summing to ~1).
 func FromTableIII(boundExp int, f2, f10, f18, f34 float64, seed int64) (*Generator, error) {

@@ -89,3 +89,17 @@ func TestFromTableIIIValidation(t *testing.T) {
 		t.Fatal("expected error for invalid bound")
 	}
 }
+
+// Validate generates n values and reports the achieved class fractions and
+// compression ratio, for closing the loop against the prescription.
+func (g *Generator) Validate(n int) (got ClassFractions, ratio float64) {
+	stream := g.Stream(n)
+	var st fpcodec.TagStats
+	st.Observe(stream, g.Bound)
+	return ClassFractions{
+		Zero:       st.Fraction(fpcodec.TagZero),
+		Small:      st.Fraction(fpcodec.Tag8),
+		Large:      st.Fraction(fpcodec.Tag16),
+		NoCompress: st.Fraction(fpcodec.TagNone),
+	}, fpcodec.Ratio(stream, g.Bound)
+}

@@ -25,9 +25,7 @@ package hierarchy
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/ring"
@@ -198,44 +196,4 @@ func AllReduceCtx(ctx context.Context, t Topology, e comm.CtxPeer, grad []float3
 // naming it.
 func RunAggregatorCtx(ctx context.Context, t Topology, e comm.CtxPeer, gradLen int, opt ring.Options) error {
 	return ring.AggregateStepCtx(ctx, e, t.leaders(), gradLen, func(sum []float32) []float32 { return sum }, opt)
-}
-
-// RunAllReduce is a convenience harness: it spins up the full topology on
-// an in-process fabric, runs one hierarchical AllReduce with each worker's
-// input vector, and returns the per-worker results.
-func RunAllReduce(t Topology, proc comm.WireProcessor, inputs [][]float32, tos uint8, finalize func([]float32)) ([][]float32, *comm.Fabric, error) {
-	if err := t.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(inputs) != t.Workers {
-		return nil, nil, fmt.Errorf("hierarchy: %d inputs for %d workers", len(inputs), t.Workers)
-	}
-	f := comm.NewFabric(t.FabricSize(), proc)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := make([][]float32, t.Workers)
-	errs := make([]error, t.FabricSize())
-	var wg sync.WaitGroup
-	run := func(id int, body func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if errs[id] = body(); errs[id] != nil {
-				cancel() // unblock the other nodes
-			}
-		}()
-	}
-	if t.Mode == ModeAggregatorTree {
-		run(t.AggregatorID(), func() error {
-			return RunAggregatorCtx(ctx, t, f.Endpoint(t.AggregatorID()), len(inputs[0]), ring.Options{})
-		})
-	}
-	for id := 0; id < t.Workers; id++ {
-		run(id, func() error {
-			out[id] = append([]float32(nil), inputs[id]...)
-			return AllReduceCtx(ctx, t, f.Endpoint(id), out[id], tos, finalize, ring.Options{})
-		})
-	}
-	wg.Wait()
-	return out, f, errors.Join(errs...)
 }

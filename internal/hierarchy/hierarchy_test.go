@@ -1,13 +1,18 @@
 package hierarchy
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
+	"inceptionn/internal/ring"
 )
 
 func TestTopologyValidate(t *testing.T) {
@@ -115,8 +120,14 @@ func TestFig1cCompressesEverywhere(t *testing.T) {
 	_ = out
 	// Gradient legs dominate: totals must show heavy compression. The only
 	// uncompressed legs are the final intra-group result broadcasts.
-	if f.TotalWireBytes() > f.TotalRawBytes()/2 {
-		t.Errorf("wire %d vs raw %d: compression ineffective", f.TotalWireBytes(), f.TotalRawBytes())
+	var raw int64
+	for i := 0; i < f.N(); i++ {
+		for j := 0; j < f.N(); j++ {
+			raw += f.Stats(i, j).RawBytes.Load()
+		}
+	}
+	if f.TotalWireBytes() > raw/2 {
+		t.Errorf("wire %d vs raw %d: compression ineffective", f.TotalWireBytes(), raw)
 	}
 }
 
@@ -222,4 +233,44 @@ func TestRunAllReduceValidation(t *testing.T) {
 	if _, _, err := RunAllReduce(bad, nil, make([][]float32, 7), 0, nil); err == nil {
 		t.Error("expected error for invalid topology")
 	}
+}
+
+// RunAllReduce is the tests' harness: it spins up the full topology on
+// an in-process fabric, runs one hierarchical AllReduce with each worker's
+// input vector, and returns the per-worker results.
+func RunAllReduce(t Topology, proc comm.WireProcessor, inputs [][]float32, tos uint8, finalize func([]float32)) ([][]float32, *comm.Fabric, error) {
+	if err := t.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if len(inputs) != t.Workers {
+		return nil, nil, fmt.Errorf("hierarchy: %d inputs for %d workers", len(inputs), t.Workers)
+	}
+	f := comm.NewFabric(t.FabricSize(), proc)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := make([][]float32, t.Workers)
+	errs := make([]error, t.FabricSize())
+	var wg sync.WaitGroup
+	run := func(id int, body func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[id] = body(); errs[id] != nil {
+				cancel() // unblock the other nodes
+			}
+		}()
+	}
+	if t.Mode == ModeAggregatorTree {
+		run(t.AggregatorID(), func() error {
+			return RunAggregatorCtx(ctx, t, f.Endpoint(t.AggregatorID()), len(inputs[0]), ring.Options{})
+		})
+	}
+	for id := 0; id < t.Workers; id++ {
+		run(id, func() error {
+			out[id] = append([]float32(nil), inputs[id]...)
+			return AllReduceCtx(ctx, t, f.Endpoint(id), out[id], tos, finalize, ring.Options{})
+		})
+	}
+	wg.Wait()
+	return out, f, errors.Join(errs...)
 }

@@ -47,9 +47,6 @@ func (b Breakdown) Total() float64 {
 	return b.Forward + b.Backward + b.GPUCopy + b.GradSum + b.Communicate + b.Update
 }
 
-// Compute returns the non-communication seconds per 100 iterations.
-func (b Breakdown) Compute() float64 { return b.Total() - b.Communicate }
-
 // Convergence is the per-model data behind the paper's Fig. 13.
 type Convergence struct {
 	FinalAccuracy    float64 // fraction, e.g. 0.572

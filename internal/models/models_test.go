@@ -3,6 +3,7 @@ package models
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"inceptionn/internal/data"
@@ -91,7 +92,7 @@ func TestMiniModelsForwardBackward(t *testing.T) {
 		// Every parameter must receive some gradient signal.
 		dead := 0
 		for _, p := range net.Params() {
-			if p.G.MaxAbs() == 0 {
+			if !slices.ContainsFunc(p.G.Data, func(g float32) bool { return g != 0 }) {
 				dead++
 			}
 		}

@@ -90,19 +90,24 @@ func (p Params) SwitchMem() int64 {
 	return 1 << 20
 }
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable. Each check is
+// written so that a NaN fails it.
 func (p Params) Validate() error {
-	if p.LineRate <= 0 || p.SumRate <= 0 {
-		return fmt.Errorf("netsim: non-positive rate in %+v", p)
-	}
-	if p.StreamEfficiency <= 0 || p.StreamEfficiency > 1 {
-		return fmt.Errorf("netsim: stream efficiency %g out of (0,1]", p.StreamEfficiency)
-	}
-	if p.PerPacketTime < 0 || p.Latency < 0 {
-		return fmt.Errorf("netsim: negative overhead in %+v", p)
-	}
-	if p.SwitchSumRate < 0 || p.SwitchMemBytes < 0 {
-		return fmt.Errorf("netsim: negative switch parameter in %+v", p)
+	switch {
+	case !(p.LineRate > 0):
+		return fmt.Errorf("netsim: LineRate %g must be > 0", p.LineRate)
+	case !(p.SumRate > 0):
+		return fmt.Errorf("netsim: SumRate %g must be > 0", p.SumRate)
+	case !(p.StreamEfficiency > 0 && p.StreamEfficiency <= 1):
+		return fmt.Errorf("netsim: StreamEfficiency %g out of (0,1]", p.StreamEfficiency)
+	case !(p.PerPacketTime >= 0):
+		return fmt.Errorf("netsim: PerPacketTime %g must be >= 0", p.PerPacketTime)
+	case !(p.Latency >= 0):
+		return fmt.Errorf("netsim: Latency %g must be >= 0", p.Latency)
+	case !(p.SwitchSumRate >= 0):
+		return fmt.Errorf("netsim: SwitchSumRate %g must be >= 0", p.SwitchSumRate)
+	case p.SwitchMemBytes < 0:
+		return fmt.Errorf("netsim: SwitchMemBytes %d must be >= 0", p.SwitchMemBytes)
 	}
 	return nil
 }

@@ -62,16 +62,3 @@ func Predict(logits *tensor.Tensor) []int {
 	}
 	return out
 }
-
-// Accuracy returns the fraction of rows of logits whose argmax equals the
-// label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := Predict(logits)
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}

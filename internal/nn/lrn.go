@@ -102,11 +102,6 @@ type AvgPool2D struct {
 	inShape []int
 }
 
-// NewAvgPool2D constructs an average pooling layer (square window).
-func NewAvgPool2D(k, stride int) *AvgPool2D {
-	return &AvgPool2D{K: k, Stride: stride}
-}
-
 // Forward implements Layer.
 func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"inceptionn/internal/tensor"
@@ -36,7 +37,7 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Tensor, tol float6
 	out := layer.Forward(x, true)
 	dout := out.Clone() // dL/dout = out for our quadratic loss
 	for _, p := range layer.Params() {
-		p.G.Zero()
+		clear(p.G.Data)
 	}
 	dx := layer.Backward(dout)
 
@@ -436,7 +437,7 @@ func TestNetworkVectorRoundtrip(t *testing.T) {
 	}
 	net.ZeroGrads()
 	for _, p := range net.Params() {
-		if p.G.MaxAbs() != 0 {
+		if slices.ContainsFunc(p.G.Data, func(g float32) bool { return g != 0 }) {
 			t.Fatal("ZeroGrads left nonzero gradient")
 		}
 	}
@@ -533,7 +534,7 @@ func TestGradAccumulation(t *testing.T) {
 	out := d.Forward(x, true)
 	dout := out.Clone()
 	for _, p := range d.Params() {
-		p.G.Zero()
+		clear(p.G.Data)
 	}
 	d.Backward(dout)
 	once := d.Params()[0].G.Clone()
@@ -567,7 +568,9 @@ func TestTinyNetworkLearnsXOR(t *testing.T) {
 		loss, grad = sce.Loss(logits, labels)
 		net.Backward(grad)
 		for _, p := range net.Params() {
-			p.W.Axpy(-0.1, p.G)
+			for i, g := range p.G.Data {
+				p.W.Data[i] -= 0.1 * g
+			}
 		}
 	}
 	logits := net.Forward(x, false)
@@ -607,14 +610,14 @@ func TestLRNNormalizesLargeActivations(t *testing.T) {
 
 func TestAvgPoolGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	p := NewAvgPool2D(2, 2)
+	p := &AvgPool2D{K: 2, Stride: 2}
 	x := tensor.New(2, 3, 4, 4)
 	x.FillRandn(rng, 1)
 	checkLayerGradients(t, p, x, 1e-2)
 }
 
 func TestAvgPoolValues(t *testing.T) {
-	p := NewAvgPool2D(2, 2)
+	p := &AvgPool2D{K: 2, Stride: 2}
 	x := tensor.FromSlice([]float32{
 		1, 2, 3, 4,
 		5, 6, 7, 8,
@@ -628,4 +631,17 @@ func TestAvgPoolValues(t *testing.T) {
 			t.Fatalf("out[%d] = %g, want %g", i, out.Data[i], want[i])
 		}
 	}
+}
+
+// Accuracy returns the fraction of rows of logits whose argmax equals the
+// label.
+func Accuracy(logits *tensor.Tensor, labels []int) float64 {
+	pred := Predict(logits)
+	correct := 0
+	for i, p := range pred {
+		if p == labels[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(labels))
 }

@@ -87,7 +87,7 @@ func TestCalibrateNegativeIterFiltered(t *testing.T) {
 func TestCalibrateOneSidedPhases(t *testing.T) {
 	measured := []Span{
 		span(0, 0, PhaseSend, 10),
-		span(0, 0, PhaseCheckpoint, 30), // measured-only
+		span(0, 0, PhaseDecompress, 30), // measured-only
 	}
 	sim := []Span{
 		span(0, 0, PhaseSend, 11),
@@ -95,12 +95,12 @@ func TestCalibrateOneSidedPhases(t *testing.T) {
 	}
 	c := Calibrate(measured, sim, 0)
 
-	ck, ok := phaseCal(c, PhaseCheckpoint)
-	if !ok || ck.OneSided() != "m-only" {
-		t.Fatalf("checkpoint OneSided = %q, want m-only", ck.OneSided())
+	dc, ok := phaseCal(c, PhaseDecompress)
+	if !ok || dc.OneSided() != "m-only" {
+		t.Fatalf("decompress OneSided = %q, want m-only", dc.OneSided())
 	}
-	if ck.RelErr != 0 {
-		t.Fatalf("m-only RelErr = %v, want 0 (sCells guard)", ck.RelErr)
+	if dc.RelErr != 0 {
+		t.Fatalf("m-only RelErr = %v, want 0 (sCells guard)", dc.RelErr)
 	}
 	rd, ok := phaseCal(c, PhaseReduce)
 	if !ok || rd.OneSided() != "s-only" {

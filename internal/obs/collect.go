@@ -83,20 +83,6 @@ type Merged struct {
 	BaseUnixNs int64
 }
 
-// Nodes returns the sorted distinct node ids in the merged trace.
-func (m *Merged) Nodes() []int {
-	seen := make(map[int]bool)
-	for _, s := range m.Spans {
-		seen[s.Node] = true
-	}
-	nodes := make([]int, 0, len(seen))
-	for n := range seen {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes
-}
-
 // Merge puts every source on one timeline. A source with a meta epoch is
 // placed at that wall-clock epoch; every runner is one process, so all
 // its tracers read the same wall clock and the epochs alone align them

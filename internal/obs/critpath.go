@@ -81,20 +81,9 @@ func AttributeCriticalPath(spans []Span, minGap time.Duration) *BlameReport {
 	}
 	acc := make(map[int]map[int]*nodeIter)
 	nodeSet := make(map[int]bool)
-	// fallback[iter] is the node a collective-fallback span charged the
-	// iteration to (the dead switch). It overrides the recv-wait verdict:
-	// the iteration's stall was a component failure, not a straggler, and
-	// recv waits during a timeout-bounded detection window would otherwise
-	// point at an arbitrary worker.
-	fallback := make(map[int]int)
 	for _, s := range spans {
 		if s.Iter < 0 || s.Phase >= NumPhases {
 			continue
-		}
-		if s.Phase == PhaseFallback {
-			if _, seen := fallback[s.Iter]; !seen {
-				fallback[s.Iter] = s.Node
-			}
 		}
 		nodeSet[s.Node] = true
 		byNode := acc[s.Iter]
@@ -159,19 +148,6 @@ func AttributeCriticalPath(spans []Span, minGap time.Duration) *BlameReport {
 			continue
 		}
 		ia.Gap = maxWait - minWait
-		if fbNode, ok := fallback[it]; ok {
-			// Component failure: the fallback span names the culprit
-			// directly. No blame-matrix entries — the dead node is not a
-			// ring member, and the survivors' waits are detection time,
-			// not neighbor-induced stall.
-			ia.Balanced = false
-			ia.Gating = fbNode
-			ia.GatingPhase = PhaseFallback
-			r.GatingCount[fbNode]++
-			r.Attributed++
-			r.Iters = append(r.Iters, ia)
-			continue
-		}
 		if ia.Gap < minGap || len(ia.Wait) < 2 {
 			ia.Balanced = true
 			ia.Gating = -1

@@ -19,8 +19,8 @@ import (
 // 3-worker `-straggle 1:25ms` run with the since-retired health engine's
 // -blackbox-dir added, and tuned.jsonl, the same run's -trace-out with
 // the since-retired live auto-tuner choosing its plan (so its tune_meta
-// line carries a chosen plan and fitted parameters, fields tune.Meta
-// still parses) — each beside what that commit's three readers
+// line also carries that run's chosen plan and fitted parameters, keys
+// tune.Meta no longer has and ignores) — each beside what that commit's three readers
 // (obs.ReadTrace, health.ReadDump, tune.ParseTrace) returned for it
 // (*.parsed.json), and golden_spans.jsonl, that commit's WriteSpansJSONL
 // output for goldenSpans. None of them may be regenerated from the current

@@ -25,10 +25,8 @@ import (
 )
 
 // Phase identifies one class of work inside a training step. The set
-// mirrors the paper's Fig. 13/14 breakdown: computation, the
-// compress/transport/reduce/decompress legs of communication, plus
-// checkpoint and replay, which no runner records any more: they stay so
-// saved traces still parse and replay.
+// mirrors the paper's Fig. 13/14 breakdown: computation and the
+// compress/transport/reduce/decompress legs of communication.
 type Phase uint8
 
 // Span phases, in breakdown-table order.
@@ -39,22 +37,12 @@ const (
 	PhaseRecv
 	PhaseReduce
 	PhaseDecompress
-	PhaseCheckpoint
-	PhaseReplay
-	// PhaseFallback marks a mid-run collective degradation: the span's
-	// node is the component that failed (the switch), its duration the
-	// detection latency from fault onset to confirmation. Critical-path
-	// attribution treats it as overriding evidence — an iteration
-	// containing a fallback span is gated by that node, full stop. No
-	// runner records it since the switch fallback was retired; it stays in
-	// the trace vocabulary so saved traces keep replaying unchanged.
-	PhaseFallback
 	NumPhases // sentinel: number of phases
 )
 
 var phaseNames = [NumPhases]string{
 	"compute", "compress", "send", "recv",
-	"reduce", "decompress", "checkpoint", "replay", "fallback",
+	"reduce", "decompress",
 }
 
 // String returns the phase's wire name (used in trace JSONL).
@@ -126,22 +114,6 @@ func NewRecorder(reg *Registry, tr *Tracer) *Recorder {
 	return &Recorder{reg: reg, tr: tr}
 }
 
-// Registry returns the underlying registry (nil when off).
-func (r *Recorder) Registry() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
-
-// Tracer returns the underlying tracer (nil when off).
-func (r *Recorder) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tr
-}
-
 // Counter returns the named counter handle, or nil when the recorder is
 // off; the nil handle's Add is a no-op.
 func (r *Recorder) Counter(name string) *Counter {
@@ -203,14 +175,6 @@ func (s ActiveSpan) EndWith(d time.Duration) {
 		return
 	}
 	s.tr.record(int(s.node), int(s.iter), s.phase, s.start, d)
-}
-
-// RecordSpan records a fully-formed span measurement directly.
-func (r *Recorder) RecordSpan(node, iter int, phase Phase, start time.Time, d time.Duration) {
-	if r == nil || r.tr == nil || d < 0 {
-		return
-	}
-	r.tr.record(node, iter, phase, start, d)
 }
 
 // RecordRaw records a span with explicit timeline offsets, bypassing the

@@ -38,7 +38,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := reg.Counter("shared_counter").Value(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := reg.Histogram("shared_hist").Count(); got != goroutines*perG {
+	if got := reg.Histogram("shared_hist").count.Load(); got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 	gv := reg.Gauge("shared_gauge").Value()
@@ -56,16 +56,13 @@ func TestNilSafety(t *testing.T) {
 	r.Histogram("x").Observe(time.Second)
 	r.Span(0, 0, PhaseCompute).End()
 	r.Span(0, 0, PhaseSend).EndWith(time.Second)
-	r.RecordSpan(0, 0, PhaseRecv, time.Now(), time.Second)
-	if r.Registry() != nil || r.Tracer() != nil {
-		t.Error("nil recorder should expose nil registry/tracer")
-	}
+	r.RecordRaw(0, 0, PhaseRecv, 0, 1)
 	var reg *Registry
 	if reg.Counter("x") != nil || reg.Snapshot() != nil {
 		t.Error("nil registry should yield nil handles")
 	}
 	var tr *Tracer
-	if tr.Snapshot() != nil || tr.Total() != 0 {
+	if tr.Snapshot() != nil {
 		t.Error("nil tracer should be empty")
 	}
 	// Half-enabled recorders.
@@ -79,13 +76,9 @@ func TestTracerWraparound(t *testing.T) {
 	const capacity = 8
 	const total = 27 // not a multiple of capacity, to land mid-ring
 	tr := NewTracer(capacity)
-	rec := NewRecorder(nil, tr)
 	base := time.Now()
 	for i := 0; i < total; i++ {
-		rec.RecordSpan(0, i, PhaseCompute, base.Add(time.Duration(i)*time.Millisecond), time.Millisecond)
-	}
-	if got := tr.Total(); got != total {
-		t.Fatalf("Total = %d, want %d", got, total)
+		tr.record(0, i, PhaseCompute, base.Add(time.Duration(i)*time.Millisecond), time.Millisecond)
 	}
 	snap := tr.Snapshot()
 	if len(snap) != capacity {
@@ -102,10 +95,9 @@ func TestTracerWraparound(t *testing.T) {
 // TestTracerJSONLRoundTrip streams a trace and parses it back.
 func TestTracerJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(16)
-	rec := NewRecorder(nil, tr)
 	base := time.Now()
 	for i := 0; i < 5; i++ {
-		rec.RecordSpan(i%2, i, Phase(i%int(NumPhases)), base.Add(time.Duration(i)*time.Millisecond), 2*time.Millisecond)
+		tr.record(i%2, i, Phase(i%int(NumPhases)), base.Add(time.Duration(i)*time.Millisecond), 2*time.Millisecond)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -130,13 +122,18 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadSpansBadLine checks the reader reports line numbers.
+// TestReadSpansBadLine checks the reader reports line numbers, and that a
+// span of a retired phase fails closed rather than reading as another.
 func TestReadSpansBadLine(t *testing.T) {
-	in := `{"node":0,"iter":0,"phase":"compute","start_ns":0,"dur_ns":10}
-not json`
-	_, err := ReadTrace(strings.NewReader(in))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("want a line-2 error, got %v", err)
+	const good = `{"node":0,"iter":0,"phase":"compute","start_ns":0,"dur_ns":10}` + "\n"
+	for _, tc := range []struct{ line, want string }{
+		{"not json", "line 2"},
+		{`{"node":2,"iter":8,"phase":"fallback","start_ns":0,"dur_ns":1}`, `obs: trace line 2: obs: unknown phase "fallback"`},
+	} {
+		_, err := ReadTrace(strings.NewReader(good + tc.line))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want an error containing %q, got %v", tc.line, tc.want, err)
+		}
 	}
 }
 

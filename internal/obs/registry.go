@@ -101,22 +101,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations (0 for the nil handle).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total observed time (0 for the nil handle).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // HistBucket is one histogram bucket in a snapshot: the count of
 // observations at or below LESeconds. Observations above the last bound
 // are reported in HistSnapshot.Overflow rather than as a +Inf bucket

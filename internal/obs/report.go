@@ -139,14 +139,14 @@ func (b *Breakdown) RenderTable(w io.Writer) {
 }
 
 // timelineChars maps each phase to its timeline glyph.
-var timelineChars = [NumPhases]byte{'c', 'z', 's', 'r', '+', 'd', 'K', 'R', 'F'}
+var timelineChars = [NumPhases]byte{'c', 'z', 's', 'r', '+', 'd'}
 
 // RenderTimeline writes an ASCII step timeline: one row per node, the
 // trace's wall-clock extent divided into width buckets, each bucket
 // showing the phase that dominated it ('.' = idle):
 //
 //	c compute   z compress   s send   r recv
-//	+ reduce    d decompress K checkpoint R replay F fallback
+//	+ reduce    d decompress
 func RenderTimeline(w io.Writer, spans []Span, width int) {
 	if width < 10 {
 		width = 10
@@ -179,7 +179,7 @@ func RenderTimeline(w io.Writer, spans []Span, width int) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "timeline (%.3fs wall, %d buckets of %.1fms; c=compute z=compress s=send r=recv +=reduce d=decompress K=checkpoint R=replay F=fallback .=idle)\n",
+	fmt.Fprintf(w, "timeline (%.3fs wall, %d buckets of %.1fms; c=compute z=compress s=send r=recv +=reduce d=decompress .=idle)\n",
 		b.Wall().Seconds(), width, bucketNs/1e6)
 	for _, nb := range b.Nodes {
 		row := occ[nb.Node]

@@ -39,10 +39,9 @@ type Tracer struct {
 	epoch     time.Time
 	epochUnix int64 // epoch as wall-clock UnixNano (for TraceMeta)
 
-	mu    sync.Mutex
-	buf   []Span
-	next  int   // next write position
-	total int64 // spans ever recorded (≥ len(buf) once wrapped)
+	mu   sync.Mutex
+	buf  []Span
+	next int // next write position
 }
 
 // NewTracer returns a tracer retaining at most capacity spans
@@ -90,19 +89,7 @@ func (t *Tracer) RecordRaw(node, iter int, phase Phase, startNs, durNs int64) {
 		t.buf[t.next] = s
 	}
 	t.next = (t.next + 1) % cap(t.buf)
-	t.total++
 	t.mu.Unlock()
-}
-
-// Total returns how many spans were ever recorded (including ones the
-// ring has since evicted).
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Snapshot returns the retained spans in record order (oldest first).

@@ -57,10 +57,6 @@ func (h *Histogram) ObserveAll(vs []float32) {
 	}
 }
 
-// Total returns the number of binned observations (OutOfDomain values
-// are excluded).
-func (h *Histogram) Total() int64 { return h.total }
-
 // Fraction returns bin i's share of the total mass.
 func (h *Histogram) Fraction(i int) float64 {
 	if h.total == 0 {

@@ -160,3 +160,7 @@ func TestGradientShapedDistribution(t *testing.T) {
 		t.Errorf("mass within ±0.3 = %g", f)
 	}
 }
+
+// Total returns the number of binned observations (OutOfDomain values
+// are excluded).
+func (h *Histogram) Total() int64 { return h.total }

@@ -25,7 +25,8 @@ func TestChaosCountersUnderCorruption(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg, obs.NewTracer(4096))
+	tr := obs.NewTracer(4096)
+	rec := obs.NewRecorder(reg, tr)
 	cluster, err := NewClusterWithOptions(n, ClusterOptions{
 		Compress: true,
 		Bound:    bound,
@@ -73,7 +74,7 @@ func TestChaosCountersUnderCorruption(t *testing.T) {
 	}
 	// The recorder's tracer must hold the transport codec spans.
 	var sawCompress bool
-	for _, s := range rec.Tracer().Snapshot() {
+	for _, s := range tr.Snapshot() {
 		if s.Phase == obs.PhaseCompress {
 			sawCompress = true
 			break

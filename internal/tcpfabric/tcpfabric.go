@@ -25,9 +25,10 @@
 // per-link buffer, with capped attempts. A compressed frame whose CRC
 // validates but whose codec bitstream fails to decode is re-requested as
 // a *raw* frame (flagWantRaw): training degrades to an uncompressed hop
-// instead of dying — observable via DegradedFrames. Fault injection for
-// chaos testing plugs in through ClusterOptions.Chaos (internal/fault);
-// faults apply to the data plane only, control frames ride clean TCP.
+// instead of dying — observable in the link's Degraded counter. Fault
+// injection for chaos testing plugs in through ClusterOptions.Chaos
+// (internal/fault); faults apply to the data plane only, control frames
+// ride clean TCP.
 //
 // A stall NACK is a question, not a demand. While nothing at or past the
 // expected sequence has arrived on the link, the receiver has no evidence
@@ -48,7 +49,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 	"weak"
 
@@ -206,10 +206,8 @@ type Node struct {
 	ce *nic.CompressionEngine
 	de *nic.DecompressionEngine
 
-	degraded      atomic.Int64
-	sentBytes     int64
-	receivedBytes int64
-	statsMu       sync.Mutex
+	sentBytes int64
+	statsMu   sync.Mutex
 }
 
 // outLink is the sender side of one directed link: the frames not yet
@@ -496,10 +494,6 @@ func (nd *Node) Errors() <-chan error { return nd.errs }
 // with peer: NACKs issued, retransmissions performed, degraded frames
 // accepted, and receive-wait time (straggler detection).
 func (nd *Node) LinkStats(peer int) *comm.LinkStats { return nd.stats[peer] }
-
-// DegradedFrames counts compressed frames this node had to re-request and
-// accept as raw after a codec decode failure.
-func (nd *Node) DegradedFrames() int64 { return nd.degraded.Load() }
 
 // ID implements comm.CtxPeer.
 func (nd *Node) ID() int { return nd.id }
@@ -803,18 +797,6 @@ func (nd *Node) SentBytes() int64 {
 	return nd.sentBytes
 }
 
-// ReceivedBytes returns the total frame bytes read.
-func (nd *Node) ReceivedBytes() int64 {
-	nd.statsMu.Lock()
-	defer nd.statsMu.Unlock()
-	return nd.receivedBytes
-}
-
-// EngineCycles returns the node's NIC engine cycle counters.
-func (nd *Node) EngineCycles() (compress, decompress int64) {
-	return nd.ce.Cycles(), nd.de.Cycles()
-}
-
 // readLoop parses frames from one peer connection, dispatching data
 // frames through the verify/dedupe/reorder machinery and control frames
 // to the retransmit state. It is the connection's only reader, so every
@@ -850,10 +832,6 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 			}
 			return
 		}
-		nd.statsMu.Lock()
-		nd.receivedBytes += int64(len(header) + len(body))
-		nd.statsMu.Unlock()
-
 		switch h.kind {
 		case kindAck:
 			nd.handleAck(peer, h.seq)
@@ -999,7 +977,6 @@ func (nd *Node) handleData(peer int, h frameHeader, body []byte) bool {
 		}
 		payload = dst
 		if h.flags&flagRawFallback != 0 {
-			nd.degraded.Add(1)
 			nd.stats[peer].Degraded.Add(1)
 			if cobs != nil {
 				cobs.degraded.Add(1)

@@ -101,7 +101,7 @@ func refCol2Im(img, cols *Tensor, kh, kw, stride, pad int) {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	nCols := outH * outW
-	img.Zero()
+	clear(img.Data)
 	id, cd := img.Data, cols.Data
 	for ch := 0; ch < c; ch++ {
 		for ky := 0; ky < kh; ky++ {

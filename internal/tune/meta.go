@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"inceptionn/internal/netsim"
 	"inceptionn/internal/obs"
 )
 
@@ -20,14 +19,6 @@ type Meta struct {
 	// on the line, is metaKey.
 	Version  int      `json:"tune_meta"`
 	Workload Workload `json:"workload"`
-
-	// Chosen, PredIterSec, Params and MaxCommRelErr record a tuned run's
-	// plan and the fitted parameters behind it. No writer sets them any
-	// more; they stay so that traces saved by tuned runs still parse.
-	Chosen        *PlanOption    `json:"chosen,omitempty"`
-	PredIterSec   float64        `json:"pred_iter_seconds,omitempty"`
-	Params        *netsim.Params `json:"fitted_params,omitempty"`
-	MaxCommRelErr float64        `json:"max_comm_rel_err,omitempty"`
 }
 
 // Append writes the meta as one JSONL line.
