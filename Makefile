@@ -10,8 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second vet builds internal/tensor for arm64, a port without an
+# assembly kernel, where the portable Go loops in tensor.go are the whole
+# implementation (kernel_other.go): it keeps that path compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:" $$unformatted; exit 1; }
 
 # Race-detector run of the packages with real concurrency (transports,

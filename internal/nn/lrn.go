@@ -94,67 +94,3 @@ func (l *LRN) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Layer.
 func (l *LRN) Params() []*Param { return nil }
-
-// AvgPool2D is windowed average pooling over [B, C, H, W] inputs.
-type AvgPool2D struct {
-	K, Stride int
-
-	inShape []int
-}
-
-// Forward implements Layer.
-func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	batch, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outH := tensor.ConvOutSize(h, p.K, p.Stride, 0)
-	outW := tensor.ConvOutSize(w, p.K, p.Stride, 0)
-	p.inShape = x.Shape
-	out := tensor.New(batch, ch, outH, outW)
-	inv := 1 / float32(p.K*p.K)
-	oi := 0
-	for bc := 0; bc < batch*ch; bc++ {
-		plane := x.Data[bc*h*w : (bc+1)*h*w]
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				var s float32
-				for ky := 0; ky < p.K; ky++ {
-					row := (oy*p.Stride + ky) * w
-					for kx := 0; kx < p.K; kx++ {
-						s += plane[row+ox*p.Stride+kx]
-					}
-				}
-				out.Data[oi] = s * inv
-				oi++
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (p *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	batch, ch, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
-	outH := tensor.ConvOutSize(h, p.K, p.Stride, 0)
-	outW := tensor.ConvOutSize(w, p.K, p.Stride, 0)
-	dx := tensor.New(p.inShape...)
-	inv := 1 / float32(p.K*p.K)
-	oi := 0
-	for bc := 0; bc < batch*ch; bc++ {
-		plane := dx.Data[bc*h*w : (bc+1)*h*w]
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				g := dout.Data[oi] * inv
-				oi++
-				for ky := 0; ky < p.K; ky++ {
-					row := (oy*p.Stride + ky) * w
-					for kx := 0; kx < p.K; kx++ {
-						plane[row+ox*p.Stride+kx] += g
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (p *AvgPool2D) Params() []*Param { return nil }

@@ -608,31 +608,6 @@ func TestLRNNormalizesLargeActivations(t *testing.T) {
 	}
 }
 
-func TestAvgPoolGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	p := &AvgPool2D{K: 2, Stride: 2}
-	x := tensor.New(2, 3, 4, 4)
-	x.FillRandn(rng, 1)
-	checkLayerGradients(t, p, x, 1e-2)
-}
-
-func TestAvgPoolValues(t *testing.T) {
-	p := &AvgPool2D{K: 2, Stride: 2}
-	x := tensor.FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	out := p.Forward(x, true)
-	want := []float32{3.5, 5.5, 11.5, 13.5}
-	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Fatalf("out[%d] = %g, want %g", i, out.Data[i], want[i])
-		}
-	}
-}
-
 // Accuracy returns the fraction of rows of logits whose argmax equals the
 // label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {

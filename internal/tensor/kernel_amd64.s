@@ -1,0 +1,171 @@
+#include "textflag.h"
+
+// Each axpy kernel walks n floats (n > 0, a multiple of 8) eight lanes at
+// a time: load d, then per row one VMULPS of the broadcast coefficient by
+// the row and one VADDPS onto the running lane, in row order, then store
+// d. No VFMADD: the product is rounded before it is added, as MULSS then
+// ADDSS round it in the Go loop.
+
+// func axpy4AVX2(d, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
+TEXT ·axpy4AVX2(SB), NOSPLIT, $0-64
+	MOVQ         d+0(FP), DI
+	MOVQ         b0+8(FP), SI
+	MOVQ         b1+16(FP), R8
+	MOVQ         b2+24(FP), R9
+	MOVQ         b3+32(FP), R10
+	MOVQ         n+40(FP), CX
+	VBROADCASTSS a0+48(FP), Y8
+	VBROADCASTSS a1+52(FP), Y9
+	VBROADCASTSS a2+56(FP), Y10
+	VBROADCASTSS a3+60(FP), Y11
+	XORQ         AX, AX
+
+axpy4loop:
+	VMOVUPS (DI)(AX*4), Y0
+	VMULPS  (SI)(AX*4), Y8, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  (R8)(AX*4), Y9, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  (R9)(AX*4), Y10, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  (R10)(AX*4), Y11, Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JB      axpy4loop
+	VZEROUPPER
+	RET
+
+// func axpy3AVX2(d, b0, b1, b2 *float32, n int, a0, a1, a2 float32)
+TEXT ·axpy3AVX2(SB), NOSPLIT, $0-52
+	MOVQ         d+0(FP), DI
+	MOVQ         b0+8(FP), SI
+	MOVQ         b1+16(FP), R8
+	MOVQ         b2+24(FP), R9
+	MOVQ         n+32(FP), CX
+	VBROADCASTSS a0+40(FP), Y8
+	VBROADCASTSS a1+44(FP), Y9
+	VBROADCASTSS a2+48(FP), Y10
+	XORQ         AX, AX
+
+axpy3loop:
+	VMOVUPS (DI)(AX*4), Y0
+	VMULPS  (SI)(AX*4), Y8, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  (R8)(AX*4), Y9, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  (R9)(AX*4), Y10, Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JB      axpy3loop
+	VZEROUPPER
+	RET
+
+// func axpy2AVX2(d, b0, b1 *float32, n int, a0, a1 float32)
+TEXT ·axpy2AVX2(SB), NOSPLIT, $0-40
+	MOVQ         d+0(FP), DI
+	MOVQ         b0+8(FP), SI
+	MOVQ         b1+16(FP), R8
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS a0+32(FP), Y8
+	VBROADCASTSS a1+36(FP), Y9
+	XORQ         AX, AX
+
+axpy2loop:
+	VMOVUPS (DI)(AX*4), Y0
+	VMULPS  (SI)(AX*4), Y8, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  (R8)(AX*4), Y9, Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JB      axpy2loop
+	VZEROUPPER
+	RET
+
+// func axpy1AVX2(d, b *float32, n int, a float32)
+TEXT ·axpy1AVX2(SB), NOSPLIT, $0-28
+	MOVQ         d+0(FP), DI
+	MOVQ         b+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS a+24(FP), Y8
+	XORQ         AX, AX
+
+axpy1loop:
+	VMOVUPS (DI)(AX*4), Y0
+	VMULPS  (SI)(AX*4), Y8, Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JB      axpy1loop
+	VZEROUPPER
+	RET
+
+// func sumAVX2(x *float32, n int) float32
+// Four running sums of 32-float blocks, then single 8-float blocks into
+// the first, then the lanes folded together.
+TEXT ·sumAVX2(SB), NOSPLIT, $0-20
+	MOVQ   x+0(FP), SI
+	MOVQ   n+8(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-32, DX
+	JZ     sum8
+
+sum32loop:
+	VADDPS (SI)(AX*4), Y0, Y0
+	VADDPS 32(SI)(AX*4), Y1, Y1
+	VADDPS 64(SI)(AX*4), Y2, Y2
+	VADDPS 96(SI)(AX*4), Y3, Y3
+	ADDQ   $32, AX
+	CMPQ   AX, DX
+	JB     sum32loop
+
+sum8:
+	CMPQ AX, CX
+	JAE  fold
+
+sum8loop:
+	VADDPS (SI)(AX*4), Y0, Y0
+	ADDQ   $8, AX
+	CMPQ   AX, CX
+	JB     sum8loop
+
+fold:
+	VADDPS       Y1, Y0, Y0
+	VADDPS       Y3, Y2, Y2
+	VADDPS       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0
+	VHADDPS      X0, X0, X0
+	VHADDPS      X0, X0, X0
+	VZEROUPPER
+	MOVSS        X0, ret+16(FP)
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
+	RET

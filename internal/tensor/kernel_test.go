@@ -205,7 +205,8 @@ func coefficients(rng *rand.Rand, zeros float64, shape ...int) *Tensor {
 
 // requireKernelsMatch runs the four matmul entry points on a (m×k), its
 // transposed twin at (k×m), b (k×n), bt (n×k) and the accumulator acc
-// (m×n), and compares each with its ref* loop bit for bit.
+// (m×n), on every kernel path, and compares each with its ref* loop bit for
+// bit.
 func requireKernelsMatch(t *testing.T, what string, a, at, b, bt, acc *Tensor) {
 	t.Helper()
 	m, n := a.Shape[0], b.Shape[1]
@@ -217,26 +218,33 @@ func requireKernelsMatch(t *testing.T, what string, a, at, b, bt, acc *Tensor) {
 	refMatMulTransA(tmp, at, b)
 	wantAdd.AddInPlace(tmp)
 
-	got := garbage(m, n)
-	MatMul(got, a, b)
-	requireSameBits(t, "MatMul "+what, got, wantMul)
-	got = garbage(m, n)
-	MatMulTransA(got, at, b)
-	requireSameBits(t, "MatMulTransA "+what, got, wantA)
-	got = garbage(m, n)
-	MatMulTransB(got, a, bt)
-	requireSameBits(t, "MatMulTransB "+what, got, wantB)
-	got = acc.Clone()
-	AddMatMulTransA(got, at, b)
-	requireSameBits(t, "AddMatMulTransA "+what, got, wantAdd)
+	defer useKernelPath(useKernelPath("go"))
+	for _, path := range kernelPaths() {
+		useKernelPath(path)
+		what := what + " path=" + path
+		got := garbage(m, n)
+		MatMul(got, a, b)
+		requireSameBits(t, "MatMul "+what, got, wantMul)
+		got = garbage(m, n)
+		MatMulTransA(got, at, b)
+		requireSameBits(t, "MatMulTransA "+what, got, wantA)
+		got = garbage(m, n)
+		MatMulTransB(got, a, bt)
+		requireSameBits(t, "MatMulTransB "+what, got, wantB)
+		got = acc.Clone()
+		AddMatMulTransA(got, at, b)
+		requireSameBits(t, "AddMatMulTransA "+what, got, wantAdd)
+	}
 }
 
 // TestKernelsMatchReferenceBits is the accumulation contract checked
-// differentially: the benchmark's shapes and conv's weight gradient, every
-// residue of k and n mod 4 (the listed odd shapes plus all of k, n ≤ 9),
-// clean and poisoned operands, coefficient operands from no exact zeros to
-// all of them (the zero skip's dispatch both ways), every worker count
-// that changes the sharding.
+// differentially, on every kernel path: the benchmark's shapes and conv's
+// weight gradient, every residue of k and n mod 4 (the listed odd shapes
+// plus all of k, n ≤ 9), every row length n up to 67 and 8j ± 1 (the AVX2
+// lanes' whole blocks and each length of the Go tail after them), clean and
+// poisoned operands, coefficient operands from no exact zeros to all of
+// them (the zero skip's dispatch both ways), every worker count that
+// changes the sharding.
 func TestKernelsMatchReferenceBits(t *testing.T) {
 	shapes := [][3]int{
 		{16, 500, 500}, {16, 784, 500}, {16, 500, 10}, {4, 784, 500}, {32, 144, 256}, {32, 256, 144},
@@ -246,6 +254,12 @@ func TestKernelsMatchReferenceBits(t *testing.T) {
 		for n := 1; n <= 9; n++ {
 			shapes = append(shapes, [3]int{3, k, n})
 		}
+	}
+	for n := 10; n <= 67; n++ {
+		shapes = append(shapes, [3]int{2, 6, n})
+	}
+	for _, n := range []int{127, 129, 503, 505} {
+		shapes = append(shapes, [3]int{2, 7, n})
 	}
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
 	rng := rand.New(rand.NewSource(23))
@@ -317,6 +331,123 @@ func countNaN(x *Tensor) int {
 		}
 	}
 	return c
+}
+
+// laneLengths are the row lengths the axpy kernels and allFinite are
+// checked at: every length up to 67 (no whole 8-float block, one to eight
+// of them, each length of the portable tail after them) and 8j ± 1 around
+// the benchmark's rows.
+func laneLengths() []int {
+	var ns []int
+	for n := 0; n <= 67; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 127, 129, 255, 257, 503, 505)
+}
+
+// laneRow returns a row of n floats that starts off floats into its
+// allocation, so the AVX2 loads meet every alignment. About one element in
+// eight is one of special; a fifth are scaled by 1e-19, so that products
+// of two of them fall into the subnormals or to zero; the rest are normal
+// samples.
+func laneRow(rng *rand.Rand, n, off int, special []float32) []float32 {
+	x := make([]float32, off+n)[off:]
+	for i := range x {
+		switch r := rng.Intn(40); {
+		case r < 5 && len(special) > 0:
+			x[i] = special[rng.Intn(len(special))]
+		case r < 13:
+			x[i] = float32(rng.NormFloat64() * 1e-19)
+		default:
+			x[i] = float32(rng.NormFloat64())
+		}
+	}
+	return x
+}
+
+// TestAxpyKernelsMatchGoChain checks axpy4…axpy1 directly against the
+// chain they compute, d[j] = ((d[j] + a0·b0[j]) + a1·b1[j]) + …, on every
+// kernel path: every row length in laneLengths, rows starting at offsets
+// 0–7 floats into their allocations, operands and coefficients holding NaN,
+// ±Inf, ±0 and subnormals.
+func TestAxpyKernelsMatchGoChain(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	special := []float32{nan, inf, -inf, 0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff), math.Float32frombits(0x00800000), math.MaxFloat32}
+	coefs := [][]float32{{1.5, -0.75, 3, -2}}
+	for _, v := range special {
+		coefs = append(coefs, []float32{v, 0.5, v, -1}, []float32{-1, v, 2, v})
+	}
+	rng := rand.New(rand.NewSource(37))
+	defer useKernelPath(useKernelPath("go"))
+	for _, n := range laneLengths() {
+		for off := 0; off < 8; off++ {
+			d := laneRow(rng, n, off, special)
+			var b [4][]float32
+			for r := range b {
+				b[r] = laneRow(rng, n, (off+2*r+1)%8, special)
+			}
+			for _, a := range coefs {
+				for rows := 1; rows <= 4; rows++ {
+					want := append([]float32(nil), d...)
+					for j := range want {
+						s := want[j]
+						for r := 0; r < rows; r++ {
+							s += a[r] * b[r][j]
+						}
+						want[j] = s
+					}
+					for _, path := range kernelPaths() {
+						useKernelPath(path)
+						got := append(make([]float32, off, off+n), d...)[off:]
+						switch rows {
+						case 4:
+							axpy4(got, b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3])
+						case 3:
+							axpy3(got, b[0], b[1], b[2], a[0], a[1], a[2])
+						case 2:
+							axpy2(got, b[0], b[1], a[0], a[1])
+						case 1:
+							axpy1(got, b[0], a[0])
+						}
+						requireSameBits(t, fmt.Sprintf("axpy%d n=%d off=%d a=%v path=%s", rows, n, off, a[:rows], path),
+							FromSlice(got, n), FromSlice(want, n))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllFiniteFindsEveryPosition puts a single NaN or ±Inf at every
+// position of rows of every length in laneLengths — every position mod 16,
+// in the AVX2 blocks and in the tail — on every kernel path; a row of
+// finite values, subnormals and zeros among them, must pass.
+func TestAllFiniteFindsEveryPosition(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	finite := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), -math.Float32frombits(0x007fffff)}
+	defer useKernelPath(useKernelPath("go"))
+	for _, path := range kernelPaths() {
+		useKernelPath(path)
+		for _, n := range laneLengths() {
+			for _, off := range []int{0, 3, 5} {
+				x := laneRow(rng, n, off, finite)
+				if !allFinite(x) {
+					t.Fatalf("path=%s n=%d off=%d: a finite row reads non-finite", path, n, off)
+				}
+				for p := range x {
+					for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+						keep := x[p]
+						x[p] = float32(v)
+						if allFinite(x) {
+							t.Fatalf("path=%s n=%d off=%d: %v at %d reads finite", path, n, off, v, p)
+						}
+						x[p] = keep
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestIm2ColCol2ImMatchReferenceBits sweeps every geometry of the listed

@@ -120,12 +120,14 @@ func skipZeros(a, b []float32) bool {
 	return false
 }
 
-// allFinite reports whether x holds no NaN or ±Inf, by summing it: a NaN
+// allFiniteGo reports whether x holds no NaN or ±Inf, by summing it: a NaN
 // or an infinity makes every sum it enters NaN or infinite. A sum of finite
 // values can overflow too, but only with elements within a factor len(x) of
 // float32's maximum, and that false alarm costs the caller only the dense
-// path. Four sums of pairs keep four adds in flight.
-func allFinite(x []float32) bool {
+// path. Four sums of pairs keep four adds in flight. It is allFinite's
+// portable body (kernel_amd64.go, kernel_other.go), as axpy4Go…axpy1Go are
+// axpy4's…axpy1's.
+func allFiniteGo(x []float32) bool {
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+8 <= len(x); i += 8 {
@@ -142,11 +144,13 @@ func allFinite(x []float32) bool {
 	return s-s == 0
 }
 
-// axpy4 adds four scaled rows to d, in order:
+// axpy4Go adds four scaled rows to d, in order:
 // d[j] = (((d[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j] — one load
 // and one store of d per eight flops. The rows are cut to len(d) on entry so
-// the loop carries no bounds check.
-func axpy4(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+// the loop carries no bounds check. It is axpy4's portable body: the whole
+// kernel where there are no SIMD lanes (other ports, an amd64 CPU without
+// AVX2), the tail of a row past its last 8-float block where there are.
+func axpy4Go(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
 	for j := range d {
 		s := d[j]
@@ -158,9 +162,9 @@ func axpy4(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// axpy3, axpy2 and axpy1 are axpy4's tails: the same chain over three, two
-// and one rows, in one pass over d.
-func axpy3(d, b0, b1, b2 []float32, a0, a1, a2 float32) {
+// axpy3Go, axpy2Go and axpy1Go are axpy4Go's tails: the same chain over
+// three, two and one rows, in one pass over d.
+func axpy3Go(d, b0, b1, b2 []float32, a0, a1, a2 float32) {
 	b0, b1, b2 = b0[:len(d)], b1[:len(d)], b2[:len(d)]
 	for j := range d {
 		s := d[j]
@@ -171,7 +175,7 @@ func axpy3(d, b0, b1, b2 []float32, a0, a1, a2 float32) {
 	}
 }
 
-func axpy2(d, b0, b1 []float32, a0, a1 float32) {
+func axpy2Go(d, b0, b1 []float32, a0, a1 float32) {
 	b0, b1 = b0[:len(d)], b1[:len(d)]
 	for j := range d {
 		s := d[j]
@@ -181,7 +185,7 @@ func axpy2(d, b0, b1 []float32, a0, a1 float32) {
 	}
 }
 
-func axpy1(d, b []float32, a float32) {
+func axpy1Go(d, b []float32, a float32) {
 	b = b[:len(d)]
 	for j := range d {
 		d[j] += a * b[j]

@@ -320,9 +320,9 @@ func TestMatMulPropagatesNaNInf(t *testing.T) {
 }
 
 // TestMatMulParallelBitIdentical pins the determinism contract of the
-// parallel kernels: any worker count yields bit-for-bit the sequential
-// result, because shards own disjoint output rows and each element's
-// k-accumulation order is fixed.
+// parallel kernels: any worker count, on any kernel path, yields bit for
+// bit the sequential result of the portable loops, because shards own
+// disjoint output rows and each element's k-accumulation order is fixed.
 func TestMatMulParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, k, n := 37, 29, 41
@@ -343,22 +343,27 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 		{"MatMulTransA", func(dst *Tensor) { MatMulTransA(dst, at, b) }},
 		{"MatMulTransB", func(dst *Tensor) { MatMulTransB(dst, a, bt) }},
 	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
+	defer useKernelPath(useKernelPath("go"))
 	for _, kn := range kernels {
-		prev := par.SetMaxWorkers(1)
+		useKernelPath("go")
+		par.SetMaxWorkers(1)
 		want := New(m, n)
 		kn.run(want)
-		for _, workers := range []int{2, 5, 8} {
-			par.SetMaxWorkers(workers)
-			got := New(m, n)
-			kn.run(got)
-			for i := range got.Data {
-				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s workers=%d idx %d: %x vs %x",
-						kn.name, workers, i, got.Data[i], want.Data[i])
+		for _, path := range kernelPaths() {
+			useKernelPath(path)
+			for _, workers := range []int{1, 2, 5, 8} {
+				par.SetMaxWorkers(workers)
+				got := New(m, n)
+				kn.run(got)
+				for i := range got.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%s path=%s workers=%d idx %d: %x vs %x",
+							kn.name, path, workers, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}
-		par.SetMaxWorkers(prev)
 	}
 }
 

@@ -43,9 +43,10 @@ var keptUnreached = map[string]string{
 }
 
 // implicitMethods are the method names the standard library calls through
-// its own interfaces (fmt, errors, encoding/json, sort, io, flag, context):
-// a method of one of these names counts as reached, as does any method
-// whose name the module calls through an interface.
+// its own interfaces (fmt, errors, encoding/json, sort, io, flag, context).
+// A method of one of these names, or of a name the module calls through an
+// interface, counts as reached once its receiver type is live (see
+// TestEveryFunctionReachesABinary).
 var implicitMethods = map[string]bool{
 	"String": true, "GoString": true, "Format": true, "Error": true,
 	"Unwrap": true, "Is": true, "As": true,
@@ -56,10 +57,22 @@ var implicitMethods = map[string]bool{
 	"Deadline": true, "Done": true, "Err": true, "Value": true,
 }
 
+// TestEveryFunctionReachesABinary walks the call graph from every main
+// package's functions, every init and every package-level declaration. A
+// function or method named in reached code is reached. A method called
+// through an interface is reached by name, in every type that has it, but
+// only in types that are live: a value of the type appears somewhere in
+// reached code as a composite literal, as the result of a call (a
+// function, a conversion, new or make) or as a named constant. A type no
+// reached code makes a value of has nothing to call the method on, so an
+// implementation of an interface that no binary instantiates stays
+// unreached however often the interface is called. A declaration without a
+// body, the Go side of an assembly function, is reached from its callers
+// like any other.
 func TestEveryFunctionReachesABinary(t *testing.T) {
 	m := loadModule(t)
 
-	reached, ifaceNames := map[*types.Func]bool{}, map[string]bool{}
+	reached, ifaceNames, live := map[*types.Func]bool{}, map[string]bool{}, map[*types.TypeName]bool{}
 	var work []*types.Func
 	mark := func(f *types.Func) {
 		f = f.Origin()
@@ -72,24 +85,50 @@ func TestEveryFunctionReachesABinary(t *testing.T) {
 		if !ifaceNames[name] {
 			ifaceNames[name] = true
 			for _, f := range m.byName[name] {
-				mark(f)
+				if live[recvTypeName(f)] {
+					mark(f)
+				}
+			}
+		}
+	}
+	var markLive func(t types.Type)
+	markLive = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Tuple:
+			for i := range t.Len() {
+				markLive(t.At(i).Type())
+			}
+		case *types.Pointer:
+			markLive(t.Elem())
+		case *types.Named:
+			obj := t.Origin().Obj()
+			if live[obj] {
+				return
+			}
+			live[obj] = true
+			for _, f := range m.byRecv[obj] {
+				if ifaceNames[f.Name()] {
+					mark(f)
+				}
 			}
 		}
 	}
 	visit := func(n ast.Node, info *types.Info) {
 		ast.Inspect(n, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.CompositeLit, *ast.CallExpr:
+				markLive(info.Types[n.(ast.Expr)].Type)
+			case *ast.Ident:
+				switch obj := info.Uses[n].(type) {
+				case *types.Const:
+					markLive(obj.Type())
+				case *types.Func:
+					if recv := obj.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						markName(obj.Name())
+					}
+					mark(obj)
+				}
 			}
-			f, ok := info.Uses[id].(*types.Func)
-			if !ok {
-				return true
-			}
-			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				markName(f.Name())
-			}
-			mark(f)
 			return true
 		})
 	}
@@ -157,12 +196,8 @@ func TestEveryFunctionReachesABinary(t *testing.T) {
 
 // funcKey names f as "importpath.Func" or "importpath.Type.Method".
 func funcKey(f *types.Func) string {
-	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		return f.Pkg().Path() + "." + t.(*types.Named).Obj().Name() + "." + f.Name()
+	if f.Type().(*types.Signature).Recv() != nil {
+		return f.Pkg().Path() + "." + recvTypeName(f).Name() + "." + f.Name()
 	}
 	return f.Pkg().Path() + "." + f.Name()
 }
@@ -202,7 +237,17 @@ type module struct {
 	fset   *token.FileSet
 	pkgs   []*pkg
 	decls  map[*types.Func]funcDecl
-	byName map[string][]*types.Func // methods by name
+	byName map[string][]*types.Func          // methods by name
+	byRecv map[*types.TypeName][]*types.Func // methods by receiver type
+}
+
+// recvTypeName returns the named type the method f is declared on.
+func recvTypeName(f *types.Func) *types.TypeName {
+	t := f.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Origin().Obj()
 }
 
 // loadModule type-checks every package of the module, test files left out,
@@ -212,7 +257,8 @@ func loadModule(t *testing.T) *module {
 	const modPath = "inceptionn"
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil)
-	m := &module{fset: fset, decls: map[*types.Func]funcDecl{}, byName: map[string][]*types.Func{}}
+	m := &module{fset: fset, decls: map[*types.Func]funcDecl{},
+		byName: map[string][]*types.Func{}, byRecv: map[*types.TypeName][]*types.Func{}}
 	dirs := map[string]string{} // import path -> directory
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -246,8 +292,9 @@ func loadModule(t *testing.T) *module {
 			return nil, err
 		}
 		p := &pkg{info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
 		}}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(bp.Dir, name), nil, parser.ParseComments)
@@ -269,6 +316,8 @@ func loadModule(t *testing.T) *module {
 					m.decls[fn] = funcDecl{fd, p}
 					if fd.Recv != nil {
 						m.byName[fn.Name()] = append(m.byName[fn.Name()], fn)
+						recv := recvTypeName(fn)
+						m.byRecv[recv] = append(m.byRecv[recv], fn)
 					}
 				}
 			}
