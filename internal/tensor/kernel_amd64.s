@@ -106,6 +106,101 @@ axpy1loop:
 	VZEROUPPER
 	RET
 
+// The panel kernels carry the running sums of a 16-row panel of a against
+// b's rows through k terms: per term p, two loads of the panel's 16
+// coefficients a[i][p], then per row of b one VBROADCASTSS of b_c[p] and,
+// for each half of the panel, one VMULPS and one VADDPS onto that
+// output's running lanes. Each lane is dot4's chain s += a[i][p]·b_c[p]
+// in ascending p, the product rounded before the add: no VFMADD.
+
+// func dotPanel4AVX2(panel, b0, b1, b2, b3 *float32, k int, acc *[64]float32)
+// acc[16c+r] is the running sum of panel row r against b_c: the sixteen
+// sums of each b_c stay in two registers for the whole of k, rows 0–7 of
+// b_c in Y8+2c and rows 8–15 in Y9+2c.
+TEXT ·dotPanel4AVX2(SB), NOSPLIT, $0-56
+	MOVQ    panel+0(FP), SI
+	MOVQ    b0+8(FP), R8
+	MOVQ    b1+16(FP), R9
+	MOVQ    b2+24(FP), R10
+	MOVQ    b3+32(FP), R11
+	MOVQ    k+40(FP), CX
+	MOVQ    acc+48(FP), DI
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+	VMOVUPS 64(DI), Y10
+	VMOVUPS 96(DI), Y11
+	VMOVUPS 128(DI), Y12
+	VMOVUPS 160(DI), Y13
+	VMOVUPS 192(DI), Y14
+	VMOVUPS 224(DI), Y15
+	XORQ    AX, AX
+
+panel4loop:
+	VMOVUPS      (SI), Y0
+	VMOVUPS      32(SI), Y1
+	VBROADCASTSS (R8)(AX*4), Y2
+	VBROADCASTSS (R9)(AX*4), Y3
+	VBROADCASTSS (R10)(AX*4), Y4
+	VBROADCASTSS (R11)(AX*4), Y5
+	VMULPS       Y0, Y2, Y6
+	VADDPS       Y6, Y8, Y8
+	VMULPS       Y1, Y2, Y7
+	VADDPS       Y7, Y9, Y9
+	VMULPS       Y0, Y3, Y6
+	VADDPS       Y6, Y10, Y10
+	VMULPS       Y1, Y3, Y7
+	VADDPS       Y7, Y11, Y11
+	VMULPS       Y0, Y4, Y6
+	VADDPS       Y6, Y12, Y12
+	VMULPS       Y1, Y4, Y7
+	VADDPS       Y7, Y13, Y13
+	VMULPS       Y0, Y5, Y6
+	VADDPS       Y6, Y14, Y14
+	VMULPS       Y1, Y5, Y7
+	VADDPS       Y7, Y15, Y15
+	ADDQ         $64, SI
+	INCQ         AX
+	CMPQ         AX, CX
+	JB           panel4loop
+
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	VMOVUPS Y10, 64(DI)
+	VMOVUPS Y11, 96(DI)
+	VMOVUPS Y12, 128(DI)
+	VMOVUPS Y13, 160(DI)
+	VMOVUPS Y14, 192(DI)
+	VMOVUPS Y15, 224(DI)
+	VZEROUPPER
+	RET
+
+// func dotPanel1AVX2(panel, b *float32, k int, acc *[16]float32)
+// dotPanel4AVX2 against one row of b: the tail of b's rows past the last
+// four.
+TEXT ·dotPanel1AVX2(SB), NOSPLIT, $0-32
+	MOVQ    panel+0(FP), SI
+	MOVQ    b+8(FP), R8
+	MOVQ    k+16(FP), CX
+	MOVQ    acc+24(FP), DI
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+	XORQ    AX, AX
+
+panel1loop:
+	VBROADCASTSS (R8)(AX*4), Y2
+	VMULPS       (SI), Y2, Y6
+	VADDPS       Y6, Y8, Y8
+	VMULPS       32(SI), Y2, Y7
+	VADDPS       Y7, Y9, Y9
+	ADDQ         $64, SI
+	INCQ         AX
+	CMPQ         AX, CX
+	JB           panel1loop
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	VZEROUPPER
+	RET
+
 // func sumAVX2(x *float32, n int) float32
 // Four running sums of 32-float blocks, then single 8-float blocks into
 // the first, then the lanes folded together.

@@ -69,6 +69,12 @@ func refMatMulTransB(dst, a, b *Tensor) {
 	}
 }
 
+func refAddInPlace(dst, o *Tensor) {
+	for i, v := range o.Data {
+		dst.Data[i] += v
+	}
+}
+
 func refIm2Col(dst, img *Tensor, kh, kw, stride, pad int) {
 	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
 	outH := (h+2*pad-kh)/stride + 1
@@ -205,8 +211,8 @@ func coefficients(rng *rand.Rand, zeros float64, shape ...int) *Tensor {
 
 // requireKernelsMatch runs the four matmul entry points on a (m×k), its
 // transposed twin at (k×m), b (k×n), bt (n×k) and the accumulator acc
-// (m×n), on every kernel path, and compares each with its ref* loop bit for
-// bit.
+// (m×n), and AddInPlace of the a·b product onto acc, on every kernel path,
+// and compares each with its ref* loop bit for bit.
 func requireKernelsMatch(t *testing.T, what string, a, at, b, bt, acc *Tensor) {
 	t.Helper()
 	m, n := a.Shape[0], b.Shape[1]
@@ -216,7 +222,9 @@ func requireKernelsMatch(t *testing.T, what string, a, at, b, bt, acc *Tensor) {
 	refMatMulTransB(wantB, a, bt)
 	wantAdd := acc.Clone()
 	refMatMulTransA(tmp, at, b)
-	wantAdd.AddInPlace(tmp)
+	refAddInPlace(wantAdd, tmp)
+	wantInPlace := acc.Clone()
+	refAddInPlace(wantInPlace, wantMul)
 
 	defer useKernelPath(useKernelPath("go"))
 	for _, path := range kernelPaths() {
@@ -234,17 +242,24 @@ func requireKernelsMatch(t *testing.T, what string, a, at, b, bt, acc *Tensor) {
 		got = acc.Clone()
 		AddMatMulTransA(got, at, b)
 		requireSameBits(t, "AddMatMulTransA "+what, got, wantAdd)
+		got = acc.Clone()
+		got.AddInPlace(wantMul)
+		requireSameBits(t, "AddInPlace "+what, got, wantInPlace)
 	}
 }
 
 // TestKernelsMatchReferenceBits is the accumulation contract checked
 // differentially, on every kernel path: the benchmark's shapes and conv's
 // weight gradient, every residue of k and n mod 4 (the listed odd shapes
-// plus all of k, n ≤ 9), every row length n up to 67 and 8j ± 1 (the AVX2
-// lanes' whole blocks and each length of the Go tail after them), clean and
-// poisoned operands, coefficient operands from no exact zeros to all of
-// them (the zero skip's dispatch both ways), every worker count that
-// changes the sharding.
+// plus all of k, n ≤ 9), every row length n up to 67 and 8j ± 1 (the axpy
+// lanes' whole blocks and each length of the Go tail after them), every
+// row count m up to 17 and 31, 33 (each amount of a 16-row panel's
+// padding, both sides of a panel boundary; from m = 8 on with every n mod
+// 4, so the dot form's tail columns meet partial panels), k on both sides
+// of the panel depth's multiples (the dot form's running sums carried
+// across blocks), clean and poisoned operands, coefficient operands from
+// no exact zeros to all of them (the zero skip's dispatch both ways), every
+// worker count that changes the sharding.
 func TestKernelsMatchReferenceBits(t *testing.T) {
 	shapes := [][3]int{
 		{16, 500, 500}, {16, 784, 500}, {16, 500, 10}, {4, 784, 500}, {32, 144, 256}, {32, 256, 144},
@@ -261,6 +276,16 @@ func TestKernelsMatchReferenceBits(t *testing.T) {
 	for _, n := range []int{127, 129, 503, 505} {
 		shapes = append(shapes, [3]int{2, 7, n})
 	}
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33} {
+		if m < 8 {
+			shapes = append(shapes, [3]int{m, 11, 6})
+			continue
+		}
+		for n := 4; n <= 7; n++ {
+			shapes = append(shapes, [3]int{m, 11, n})
+		}
+	}
+	shapes = append(shapes, [3]int{16, 255, 5}, [3]int{17, 256, 6}, [3]int{5, 257, 7}, [3]int{33, 513, 9}, [3]int{3, 1024, 4})
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
 	rng := rand.New(rand.NewSource(23))
 	for _, s := range shapes {
@@ -517,6 +542,18 @@ func BenchmarkMatMul(b *testing.B) {
 	x, w, dout := benchFilled(rng, 16, 500), benchFilled(rng, 500, 500), benchFilled(rng, 16, 500)
 	y, gw, dx := New(16, 500), New(500, 500), New(16, 500)
 	filt, cols, out := benchFilled(rng, 32, 16*9), benchFilled(rng, 16*9, 16*16), New(32, 16*16)
+	// The input gradient as HDC runs it, with ReLU's zeros in dout, at
+	// batch 16 and 4, and mini-AlexNet's conv weight gradients dres·colsᵀ
+	// with max-pool's.
+	dout50, dout50b4, dxb4 := coefficients(rng, 0.5, 16, 500), coefficients(rng, 0.5, 4, 500), New(4, 500)
+	type wgrad struct{ dres, cols, gw *Tensor }
+	convWGrad := func(outC, rows, spatial int) wgrad {
+		return wgrad{coefficients(rng, 0.86, outC, spatial), benchFilled(rng, rows, spatial), New(outC, rows)}
+	}
+	conv1, conv2, conv3 := convWGrad(16, 27, 32*32), convWGrad(32, 144, 16*16), convWGrad(64, 288, 8*8)
+	wgradFlop := func(g wgrad) float64 {
+		return 2.0 * float64(g.dres.Shape[0]*g.dres.Shape[1]*g.cols.Shape[0]) / 1e9
+	}
 	for _, c := range []struct {
 		name  string
 		gflop float64
@@ -525,6 +562,11 @@ func BenchmarkMatMul(b *testing.B) {
 		{"dense", 2.0 * 16 * 500 * 500 / 1e9, func() { MatMul(y, x, w) }},
 		{"transa", 2.0 * 16 * 500 * 500 / 1e9, func() { MatMulTransA(gw, x, dout) }},
 		{"transb", 2.0 * 16 * 500 * 500 / 1e9, func() { MatMulTransB(dx, dout, w) }},
+		{"transb_hdc_zeros50", 2.0 * 16 * 500 * 500 / 1e9, func() { MatMulTransB(dx, dout50, w) }},
+		{"transb_hdc_b4_zeros50", 2.0 * 4 * 500 * 500 / 1e9, func() { MatMulTransB(dxb4, dout50b4, w) }},
+		{"transb_conv1_zeros86", wgradFlop(conv1), func() { MatMulTransB(conv1.gw, conv1.dres, conv1.cols) }},
+		{"transb_conv2_zeros86", wgradFlop(conv2), func() { MatMulTransB(conv2.gw, conv2.dres, conv2.cols) }},
+		{"transb_conv3_zeros86", wgradFlop(conv3), func() { MatMulTransB(conv3.gw, conv3.dres, conv3.cols) }},
 		{"conv", 2.0 * 32 * 16 * 9 * 16 * 16 / 1e9, func() { MatMul(out, filt, cols) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -544,13 +586,15 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ReportMetric(float64(4*cols.Len())/1e6*float64(b.N)/b.Elapsed().Seconds(), "MB/s")
 }
 
-// FuzzKernels checks the four matmul entry points and Col2Im against their
-// ref* loops on operands of arbitrary float32 bits. The first three bytes
-// give m, k and n in [1, 9]; the rest are little-endian floats that fill a
+// FuzzKernels checks the four matmul entry points, AddInPlace and Col2Im
+// against their ref* loops on operands of arbitrary float32 bits. The first
+// three bytes give m in [1, 33] (up to three of the dot form's 16-row
+// panels), k and n in [1, 9]; the rest are little-endian floats that fill a
 // (m×k), b (k×n), the accumulator (m×n) and then Col2Im's column matrix in
 // turn, zero-padded when the input runs out. a's and b's data, read as k×m
 // and n×k, are the transposed operands. The same three bytes, read past
-// their residue mod 9, give Col2Im's geometry: 1, 4 or 7 channels (the
+// their residue mod 9, give Col2Im's geometry (its check is independent of
+// the matmuls', so m's wider residue may overlap it): 1, 4 or 7 channels (the
 // single-channel tail, one group of four, both), height
 // and width in [1, 8], kernel sides in [1, 4], stride in [1, 3] and padding
 // in [0, 2].
@@ -570,12 +614,22 @@ func FuzzKernels(f *testing.F) {
 	f.Add(append([]byte{2, 3, 4}, le(0, 0, 1, negZero, 0, 2, 0, 0, 0, 0, 0, 0,
 		nan, 1, 2, 3, -inf, 4, 5, 6, denorm, -denorm, 0, 1)...))
 	f.Add(append([]byte{8, 8, 8}, le(1e38, 1e38, 1e38, 1e38, -1e38, 0, 0, denorm, 3e-39, 0, 1)...))
-	f.Add(append([]byte{171, 180, 126}, le(1, negZero, 0, 0, nan, 2, 3, 0, inf, 0, 4, 5, 6, 7, 0, 0, 8, 9, 10, 11)...)) // c=4 5×7, 3×3, stride 2, pad 1
+	f.Add(append([]byte{16, 4, 6}, le(1, 0, negZero, 2, nan, 3, 0, 0, -inf, 4, 5, 0, denorm, 6, 7, 8, 0, 9, inf, 1)...)) // m=17, one row into a second panel
+	// a (16×9) and b (9×5): a full panel, no padding rows, and a tail column.
+	full := make([]float32, 16*9+9*5)
+	for i := range full {
+		full[i] = float32(i%13 - 6)
+	}
+	f.Add(append([]byte{15, 8, 4}, le(full...)...))
+	// Col2Im at c=4 5×7, 3×3, stride 2, pad 1: the matmuls (m=7, k=1, n=1)
+	// read the first 15 floats, Col2Im's column matrix the rest.
+	f.Add(append([]byte{171, 180, 126}, le(1, negZero, 0, 2, -3, negZero, 4, 5, 0, 1, 2, 3, 4, 5, 6,
+		0, nan, 2, 3, 0, inf, 0, 4, 5, 6, 7, 0, 0, 8, 9, 10, 11)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
-		m, k, n := 1+int(data[0])%9, 1+int(data[1])%9, 1+int(data[2])%9
+		m, k, n := 1+int(data[0])%33, 1+int(data[1])%9, 1+int(data[2])%9
 		c, h, w := 1+3*(int(data[0]/9)%3), 1+int(data[1]/9)%8, 1+int(data[2]/9)%8
 		kh, kw := 1+int(data[0]/27)%4, 1+int(data[1]/72)%4
 		stride, pad := 1+int(data[2]/72)%3, int(data[0]/108)%3

@@ -84,13 +84,13 @@ func (t *Tensor) FillRandn(rng *rand.Rand, std float64) {
 }
 
 // AddInPlace computes t += o elementwise. Shapes must carry equal sizes.
+// It runs as axpy1 with coefficient 1, in the SIMD lanes where there are
+// any: 1·v is v, so each element takes the one add t[i] + o[i].
 func (t *Tensor) AddInPlace(o *Tensor) {
 	if len(t.Data) != len(o.Data) {
 		panic(fmt.Sprintf("tensor: AddInPlace size mismatch %d vs %d", len(t.Data), len(o.Data)))
 	}
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
+	axpy1(t.Data, o.Data, 1)
 }
 
 // The accumulation contract of every kernel below: an output element is a
@@ -352,8 +352,9 @@ func MatMulTransA(dst, a, b *Tensor) {
 
 // AddMatMulTransA computes dst += aᵀ·b for a (k×m) and b (k×n); dst is m×n.
 // Each row's product sum is formed from zero in a scratch row (one per
-// shard) and only then added — the arithmetic of MatMulTransA into a
-// temporary followed by AddInPlace, without the m×n temporary.
+// shard) and only then added, through axpy1 as AddInPlace adds — the
+// arithmetic of MatMulTransA into a temporary followed by AddInPlace,
+// without the m×n temporary.
 func AddMatMulTransA(dst, a, b *Tensor) {
 	k, m, n := transADims("AddMatMulTransA", dst, a, b)
 	ad, bd, dd := a.Data, b.Data, dst.Data
@@ -362,10 +363,7 @@ func AddMatMulTransA(dst, a, b *Tensor) {
 		sum := make([]float32, n)
 		for i := lo; i < hi; i++ {
 			mulRow(sum, ad[i:], m, bd, k, skip)
-			drow := dd[i*n:][:len(sum)]
-			for j, v := range sum {
-				drow[j] += v
-			}
+			axpy1(dd[i*n:][:n], sum, 1)
 		}
 	})
 }
@@ -384,8 +382,9 @@ func transADims(name string, dst, a, b *Tensor) (k, m, n int) {
 }
 
 // MatMulTransB computes dst = a·bᵀ for a (m×k) and b (n×k); dst is m×n.
-// A row of a that is sparse enough (sparseRow) goes through dotRowSkip,
-// every other row through dot4.
+// Where there are SIMD lanes it runs them across a's rows
+// (matMulTransBLanes); otherwise a row of a that is sparse enough
+// (sparseRow) goes through dotRowSkip, every other row through dot4.
 func MatMulTransB(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n, kb := b.Shape[0], b.Shape[1]
@@ -396,6 +395,9 @@ func MatMulTransB(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst %v, want [%d %d]", dst.Shape, m, n))
 	}
 	ad, bd, dd := a.Data, b.Data, dst.Data
+	if matMulTransBLanes(dd, ad, bd, m, k, n) {
+		return
+	}
 	skip := skipZeros(ad, bd)
 	par.For(m, par.GrainFor(2*k*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
