@@ -289,8 +289,9 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 // kernel into private storage, and because a burst group is self-contained
 // and a whole number of bytes the shard streams append into exactly the
 // sequential stream, for any worker count. Decoding is not sharded: finding
-// a shard's first bit means walking every tag vector before it, and the
-// decoder gained nothing from a second core when measured (DESIGN.md §8).
+// a shard's first bit means walking every tag vector before it, which
+// costs about what decoding those groups costs: measured, a second core
+// gained the Go loops nothing and made the AVX2 lanes slower (DESIGN.md §8).
 func CompressStream(w *bitio.Writer, src []float32, b Bound) {
 	shards := streamShards(len(src))
 	buf, nbit := w.Lend()

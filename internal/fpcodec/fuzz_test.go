@@ -43,13 +43,14 @@ func FuzzScalarRoundtrip(f *testing.F) {
 	})
 }
 
-// FuzzDecompressStream fuzzes the kernel's decoder with arbitrary byte
-// streams against the bit-at-a-time decoder built from scalar Decompress:
-// from a starting bit that need not be a byte's first, and truncated at
-// every point (every 64th of the stream once it is long), the two must agree
-// on error or no error and on every decoded bit pattern — and the kernel
-// must never panic. Arbitrary bytes put arbitrary tags in the lanes a final
-// partial group lacks, which neither decoder may honour.
+// FuzzDecompressStream fuzzes the kernel's decoder, on each kernel path,
+// with arbitrary byte streams against the bit-at-a-time decoder built from
+// scalar Decompress: from the first bit and from one that need not be a
+// byte's first, and truncated at every point (every 64th of the stream
+// once it is long), the two must agree on error or no error and on every
+// decoded bit pattern — and the kernel must never panic. Arbitrary bytes
+// put arbitrary tags in the lanes a final partial group lacks, which
+// neither decoder may honour.
 func FuzzDecompressStream(f *testing.F) {
 	bound := MustBound(10)
 	w := bitio.NewWriter(64)
@@ -71,42 +72,48 @@ func FuzzDecompressStream(f *testing.F) {
 			t.Skip()
 		}
 		bound := MustBound(len(data)%15 + 1)
-		start := min(len(data)%8, bits)
 		want, got := make([]float32, count), make([]float32, count)
-		for limit := bits; limit >= start; limit -= max(1, bits/64) {
-			ref := bitio.NewReader(data, limit)
-			if err := ref.Skip(start); err != nil {
-				t.Fatal(err)
-			}
-			errRef := refDecompressStream(ref, want, bound)
-			r := bitio.NewReader(data, limit)
-			if err := r.Skip(start); err != nil {
-				t.Fatal(err)
-			}
-			err := DecompressStream(r, got, bound)
-			if (errRef == nil) != (err == nil) {
-				t.Fatalf("bits [%d,%d) count %d: reference %v, kernel %v", start, limit, count, errRef, err)
-			}
-			if err != nil {
-				if !errors.Is(err, bitio.ErrShortRead) {
-					t.Fatalf("bits [%d,%d) count %d: kernel error %v is not an ErrShortRead", start, limit, count, err)
+		for _, path := range kernelPaths() {
+			prev := useKernelPath(path)
+			for _, start := range []int{0, min(len(data)%8, bits)} {
+				for limit := bits; limit >= start; limit -= max(1, bits/64) {
+					ref := bitio.NewReader(data, limit)
+					if err := ref.Skip(start); err != nil {
+						t.Fatal(err)
+					}
+					errRef := refDecompressStream(ref, want, bound)
+					r := bitio.NewReader(data, limit)
+					if err := r.Skip(start); err != nil {
+						t.Fatal(err)
+					}
+					err := DecompressStream(r, got, bound)
+					if (errRef == nil) != (err == nil) {
+						t.Fatalf("%s: bits [%d,%d) count %d: reference %v, kernel %v", path, start, limit, count, errRef, err)
+					}
+					if err != nil {
+						if !errors.Is(err, bitio.ErrShortRead) {
+							t.Fatalf("%s: bits [%d,%d) count %d: kernel error %v is not an ErrShortRead", path, start, limit, count, err)
+						}
+						continue
+					}
+					if pos, refPos := bitPos(r), bitPos(ref); pos != refPos {
+						t.Fatalf("%s: bits [%d,%d) count %d: kernel stopped at bit %d, reference at %d", path, start, limit, count, pos, refPos)
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("%s: bits [%d,%d) count %d: kernel decode differs from the reference's", path, start, limit, count)
+					}
 				}
-				continue
 			}
-			if pos, refPos := bitPos(r), bitPos(ref); pos != refPos {
-				t.Fatalf("bits [%d,%d) count %d: kernel stopped at bit %d, reference at %d", start, limit, count, pos, refPos)
-			}
-			if !sameBits(got, want) {
-				t.Fatalf("bits [%d,%d) count %d: kernel decode differs from the reference's", start, limit, count)
-			}
+			useKernelPath(prev)
 		}
 	})
 }
 
-// FuzzCompressStream fuzzes the kernel's encoder with arbitrary float bit
-// patterns appended at a starting bit offset of 0–7: bytes and bit length
-// must equal the reference built from scalar Compress and WriteBits, and
-// the stream must decode to what scalar Roundtrip gives.
+// FuzzCompressStream fuzzes the kernel's encoder, on each kernel path,
+// with arbitrary float bit patterns appended at a starting bit offset of
+// 0–7: bytes and bit length must equal the reference built from scalar
+// Compress and WriteBits, and the stream must decode to what scalar
+// Roundtrip gives.
 func FuzzCompressStream(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(10))
 	f.Add([]byte{0x00, 0x00, 0x80, 0x3E}, uint8(3), uint8(10)) // one value: 0.25
@@ -126,28 +133,33 @@ func FuzzCompressStream(f *testing.F) {
 		for i := range src {
 			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
-		ref, w := bitio.NewWriter(0), bitio.NewWriter(0)
+		ref := bitio.NewWriter(0)
 		ref.WriteBits(0x55, start)
-		w.WriteBits(0x55, start)
 		refCompressStream(ref, src, bound)
-		CompressStream(w, src, bound)
-		if w.Len() != ref.Len() || !bytes.Equal(w.Bytes(), ref.Bytes()) {
-			t.Fatalf("%d values at bit %d under %v: kernel stream differs from the reference's (%d vs %d bits)",
-				len(src), start, bound, w.Len(), ref.Len())
-		}
 		got := make([]float32, len(src))
-		r := bitio.NewReader(w.Bytes(), w.Len())
-		if err := r.Skip(start); err != nil {
-			t.Fatal(err)
-		}
-		if err := DecompressStream(r, got, bound); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range src {
-			if want := Roundtrip(v, bound); math.Float32bits(got[i]) != math.Float32bits(want) {
-				t.Fatalf("value %d (%#08x) under %v: kernel %#08x, scalar roundtrip %#08x",
-					i, math.Float32bits(v), bound, math.Float32bits(got[i]), math.Float32bits(want))
+		for _, path := range kernelPaths() {
+			prev := useKernelPath(path)
+			w := bitio.NewWriter(0)
+			w.WriteBits(0x55, start)
+			CompressStream(w, src, bound)
+			if w.Len() != ref.Len() || !bytes.Equal(w.Bytes(), ref.Bytes()) {
+				t.Fatalf("%s: %d values at bit %d under %v: kernel stream differs from the reference's (%d vs %d bits)",
+					path, len(src), start, bound, w.Len(), ref.Len())
 			}
+			r := bitio.NewReader(w.Bytes(), w.Len())
+			if err := r.Skip(start); err != nil {
+				t.Fatal(err)
+			}
+			if err := DecompressStream(r, got, bound); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range src {
+				if want := Roundtrip(v, bound); math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("%s: value %d (%#08x) under %v: kernel %#08x, scalar roundtrip %#08x",
+						path, i, math.Float32bits(v), bound, math.Float32bits(got[i]), math.Float32bits(want))
+				}
+			}
+			useKernelPath(prev)
 		}
 	})
 }

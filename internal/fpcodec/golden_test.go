@@ -83,8 +83,10 @@ func readGolden(path string) (golden, error) {
 // TestGoldenWireBytes: under each of the paper's three bounds, the bytes,
 // bit length and decoded bit patterns of goldenVector are the checked-in
 // ones — out of the kernel, out of the nic compression engine, and framed
-// in the packet NIC.Egress emits.
-func TestGoldenWireBytes(t *testing.T) {
+// in the packet NIC.Egress emits — on each kernel path.
+func TestGoldenWireBytes(t *testing.T) { fpcodec.OnKernelPaths(t, testGoldenWireBytes) }
+
+func testGoldenWireBytes(t *testing.T) {
 	src := goldenVector()
 	if len(src) != 43 {
 		t.Fatalf("golden vector has %d values, want 43", len(src))

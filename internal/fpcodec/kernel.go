@@ -162,7 +162,6 @@ func AppendGroups(buf []byte, nbit int, src []float32, b Bound) ([]byte, int) {
 	if nbit < 0 || len(buf) < (nbit+7)>>3 {
 		panic(fmt.Sprintf("fpcodec: %d bits declared in %d bytes", nbit, len(buf)))
 	}
-	enc := &kernelTables[b.e].enc
 	// A tag vector and every lane are whole bytes, so the groups are
 	// written byte-aligned from the next whole byte; an unaligned stream's
 	// spare bits are closed up afterwards.
@@ -181,13 +180,13 @@ func AppendGroups(buf []byte, nbit int, src []float32, b Bound) ([]byte, int) {
 		}
 		buf = buf[:cap(buf)]
 		whole := len(batch) &^ (GroupSize - 1)
-		pos = encodeGroups(buf, pos, batch[:whole], enc)
+		pos = encodeGroups(buf, pos, batch[:whole], b.e)
 		if whole < len(batch) {
 			// +0 is TagZero with no data: padding with it is the format's
 			// own rule for the lanes a final group lacks.
 			var last [GroupSize]float32
 			copy(last[:], batch[whole:])
-			pos = encodeGroups(buf, pos, last[:], enc)
+			pos = encodeGroups(buf, pos, last[:], b.e)
 		}
 	}
 	end := closeGap(buf[:pos], nbit)
@@ -196,11 +195,15 @@ func AppendGroups(buf []byte, nbit int, src []float32, b Bound) ([]byte, int) {
 	return buf[:(end+7)>>3], end
 }
 
-// encodeGroups encodes the whole groups of src from byte pos of buf, which
-// has room for their worst case and one lane store behind it, and returns
-// the byte position after them.
-func encodeGroups(buf []byte, pos int, src []float32, enc *[512]encRow) int {
-	for ; len(src) >= GroupSize; src = src[GroupSize:] {
+// encodeGroups encodes the whole groups of src under the bound 2^-e from
+// byte pos of buf, which has room for their worst case and one lane store
+// behind it, and returns the byte position after them. The AVX2 lanes take
+// the groups where the CPU has them (kernel_amd64.go); this loop is the
+// reference, and the kernel elsewhere.
+func encodeGroups(buf []byte, pos int, src []float32, e int) int {
+	done, pos := encodeLanes(buf, pos, src, e)
+	enc := &kernelTables[e].enc
+	for src := src[done:]; len(src) >= GroupSize; src = src[GroupSize:] {
 		tagPos := pos
 		pos += TagVectorBits / 8
 		var tags uint16
@@ -267,19 +270,18 @@ func DecodeGroups(dst []float32, data []byte, pos, limit int, b Bound) (int, err
 	if err := CheckStreamBits(len(dst), limit-pos); err != nil {
 		return pos, err
 	}
-	dec := &kernelTables[b.e].dec
 	// Tag vectors and lanes are whole bytes, so the cursor is a byte index
 	// and every load is shifted by the same sub-byte phase.
 	p, phase := pos>>3, uint(pos)&7
 	lim := (limit - int(phase)) >> 3 // whole bytes of stream at that phase
-	n, p := decodeStream(dst, data, p, lim, phase, dec)
+	n, p := decodeStream(dst, data, p, lim, phase, b.e)
 	if n < len(dst) && p > len(data)-loadReach {
 		// The groups within reach of the end of data run on a padded copy.
 		var tail [2 * loadReach]byte
 		skip := p
 		copy(tail[:], data[skip:])
 		var m int
-		m, p = decodeStream(dst[n:], tail[:], 0, lim-skip, phase, dec)
+		m, p = decodeStream(dst[n:], tail[:], 0, lim-skip, phase, b.e)
 		n, p = n+m, p+skip
 	}
 	if n < len(dst) {
@@ -291,13 +293,13 @@ func DecodeGroups(dst []float32, data []byte, pos, limit int, b Bound) (int, err
 // decodeStream runs decodeGroups over the whole groups of dst and then over
 // its final partial group, which decodes whole — the tags of the lanes it
 // lacks cleared — and hands over only the lanes it has.
-func decodeStream(dst []float32, data []byte, p, lim int, phase uint, dec *[4]decRow) (int, int) {
+func decodeStream(dst []float32, data []byte, p, lim int, phase uint, e int) (int, int) {
 	whole := len(dst) &^ (GroupSize - 1)
-	n, p := decodeGroups(dst[:whole], data, p, lim, phase, 1<<TagVectorBits-1, dec)
+	n, p := decodeGroups(dst[:whole], data, p, lim, phase, 1<<TagVectorBits-1, e)
 	if n == whole && whole < len(dst) {
 		var last [GroupSize]float32
 		var m int
-		m, p = decodeGroups(last[:], data, p, lim, phase, 1<<(2*uint(len(dst)-whole))-1, dec)
+		m, p = decodeGroups(last[:], data, p, lim, phase, 1<<(2*uint(len(dst)-whole))-1, e)
 		n += copy(dst[whole:], last[:m])
 	}
 	return n, p
@@ -310,9 +312,12 @@ const loadReach = maxGroupBytes + laneLoad
 // down by phase bits and each tag vector masked by keep, into dst. It stops
 // when dst is full, when a whole group's loads would no longer stay inside
 // data, or at a group that does not end within lim bytes, and returns how
-// many values it produced and the byte position it stopped at.
-func decodeGroups(dst []float32, data []byte, p, lim int, phase uint, keep uint32, dec *[4]decRow) (int, int) {
-	n := 0
+// many values it produced and the byte position it stopped at. The AVX2
+// lanes take the groups they can first (kernel_amd64.go); this loop is the
+// reference, and the kernel elsewhere.
+func decodeGroups(dst []float32, data []byte, p, lim int, phase uint, keep uint32, e int) (int, int) {
+	n, p := decodeLanes(dst, data, p, lim, phase, keep, e)
+	dec := &kernelTables[e].dec
 	for ; len(dst)-n >= GroupSize && p <= len(data)-loadReach; n += GroupSize {
 		tags := uint32(binary.LittleEndian.Uint64(data[p:])>>(phase&63)) & keep
 		if p+TagVectorBits/8+int(laneBytes[uint8(tags)])+int(laneBytes[uint8(tags>>8)]) > lim {

@@ -9,7 +9,38 @@ import (
 	"testing/quick"
 
 	"inceptionn/internal/bitio"
+	"inceptionn/internal/par"
 )
+
+// kernelPaths names the kernel paths this machine can run, the portable Go
+// loops first: the differential tables run the kernel on each.
+func kernelPaths() []string {
+	if par.HasAVX2() {
+		return []string{"go", "avx2"}
+	}
+	return []string{"go"}
+}
+
+// useKernelPath selects a path and returns the one it replaces.
+func useKernelPath(path string) string {
+	if SetLanes(path == "avx2") {
+		return "avx2"
+	}
+	return "go"
+}
+
+// onKernelPaths runs f as a subtest on each kernel path.
+func onKernelPaths(t *testing.T, f func(t *testing.T)) {
+	for _, path := range kernelPaths() {
+		t.Run(path, func(t *testing.T) {
+			defer useKernelPath(useKernelPath(path))
+			f(t)
+		})
+	}
+}
+
+// OnKernelPaths is onKernelPaths for the external test package.
+var OnKernelPaths = onKernelPaths
 
 // refCompressStream is the wire format spelled out with the scalar
 // reference: per group of eight a 16-bit tag vector, then each lane's data
@@ -113,7 +144,9 @@ func trainingMix(n int, seed int64) []float32 {
 
 // TestFastEncoderBitExact: the kernel must produce the identical byte
 // stream as the scalar reference, appending to storage it is handed.
-func TestFastEncoderBitExact(t *testing.T) {
+func TestFastEncoderBitExact(t *testing.T) { onKernelPaths(t, testFastEncoderBitExact) }
+
+func testFastEncoderBitExact(t *testing.T) {
 	for _, e := range []int{6, 10, 15} {
 		bound := MustBound(e)
 		var buf []byte
@@ -136,7 +169,9 @@ func TestFastEncoderBitExact(t *testing.T) {
 
 // TestFastDecoderMatchesReference: the kernel must reproduce the scalar
 // reference decode exactly on reference-encoded streams.
-func TestFastDecoderMatchesReference(t *testing.T) {
+func TestFastDecoderMatchesReference(t *testing.T) { onKernelPaths(t, testFastDecoderMatchesReference) }
+
+func testFastDecoderMatchesReference(t *testing.T) {
 	bound := MustBound(10)
 	for _, n := range []int{1, 8, 9, 511, 1000, 4096, 287252} {
 		src := fastTestVector(n, int64(n))
@@ -161,7 +196,9 @@ func TestFastDecoderMatchesReference(t *testing.T) {
 	}
 }
 
-func TestFastDecoderTruncated(t *testing.T) {
+func TestFastDecoderTruncated(t *testing.T) { onKernelPaths(t, testFastDecoderTruncated) }
+
+func testFastDecoderTruncated(t *testing.T) {
 	bound := MustBound(10)
 	src := fastTestVector(100, 3)
 	data, bits := AppendGroups(nil, 0, src, bound)
@@ -261,12 +298,81 @@ func TestKernelTableMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+	// The lanes compute what the rows compute, eight to a group. Encode:
+	// one group per tag vector, each lane drawn in turn from the values
+	// above of its class, so every sign, exponent and mantissa and every
+	// tag byte of each half is used, encodes to the reference's stream.
+	// Decode: every 8- and 16-bit lane, and verbatim and zero ones, in
+	// shuffled order, decodes to Decompress's bits.
+	onKernelPaths(t, func(t *testing.T) {
+		for e := 1; e <= 15; e++ {
+			b := MustBound(e)
+			var pools [4][]float32
+			for signExp := uint32(0); signExp < 512; signExp++ {
+				for _, m := range mantissas {
+					f := math.Float32frombits(signExp<<23 | m)
+					pools[TagOf(f, b)] = append(pools[TagOf(f, b)], f)
+				}
+			}
+			var src []float32
+			var next [4]int
+			for tv := 0; tv < 1<<TagVectorBits; tv++ {
+				for lane := 0; lane < GroupSize; lane++ {
+					tag := Tag(tv >> (2 * lane) & 0b11)
+					if len(pools[tag]) == 0 {
+						tag = TagZero // E ≤ 7 has no Tag16 class
+					}
+					src = append(src, pools[tag][next[tag]%len(pools[tag])])
+					next[tag]++
+				}
+			}
+			got, bits := AppendGroups(nil, 0, src, b)
+			ref := bitio.NewWriter(0)
+			refCompressStream(ref, src, b)
+			if bits != ref.Len() || !bytes.Equal(got, ref.Bytes()) {
+				t.Fatalf("E=%d: the lanes' stream differs from the reference's (%d vs %d bits)", e, bits, ref.Len())
+			}
+
+			type lane struct {
+				v   uint32
+				tag Tag
+			}
+			var lanes []lane
+			shuffle := rand.New(rand.NewSource(int64(e)))
+			for v := uint32(0); v < 1<<16; v++ {
+				lanes = append(lanes, lane{v, Tag16}, lane{v & 0xFF, Tag8}, lane{v<<16 | v ^ shuffle.Uint32(), TagNone}, lane{0, TagZero})
+			}
+			shuffle.Shuffle(len(lanes), func(i, j int) { lanes[i], lanes[j] = lanes[j], lanes[i] })
+			w := bitio.NewWriter(0)
+			for g := lanes; len(g) > 0; g = g[GroupSize:] {
+				var tags uint64
+				for i, l := range g[:GroupSize] {
+					tags |= uint64(l.tag) << (2 * i)
+				}
+				w.WriteBits(tags, TagVectorBits)
+				for _, l := range g[:GroupSize] {
+					w.WriteBits(uint64(l.v), l.tag.Bits())
+				}
+			}
+			dst := make([]float32, len(lanes))
+			if end, err := DecodeGroups(dst, w.Bytes(), 0, w.Len(), b); err != nil || end != w.Len() {
+				t.Fatalf("E=%d: decoding every lane: stopped at bit %d of %d, %v", e, end, w.Len(), err)
+			}
+			for i, l := range lanes {
+				if got, want := math.Float32bits(dst[i]), math.Float32bits(Decompress(l.v, l.tag, b)); got != want {
+					t.Fatalf("E=%d %s lane %#x: %#08x, Decompress %#08x", e, l.tag, l.v, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestAppendGroupsAtAnyBitOffset: appending to a stream that does not end on
 // a byte gives the reference's bits, whatever the offset, and leaves the
 // bits before it alone.
-func TestAppendGroupsAtAnyBitOffset(t *testing.T) {
+func TestAppendGroupsAtAnyBitOffset(t *testing.T) { onKernelPaths(t, testAppendGroupsAtAnyBitOffset) }
+
+func testAppendGroupsAtAnyBitOffset(t *testing.T) {
 	bound := MustBound(10)
 	for offset := 0; offset < 20; offset++ {
 		for _, n := range []int{0, 1, 3, 8, 9, 100, 1000} {

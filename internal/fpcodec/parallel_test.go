@@ -106,6 +106,10 @@ func TestShardBoundsGroupAligned(t *testing.T) {
 // honoured and only their data bits are consumed — even if a corrupt or
 // adversarial encoder stuffed non-TagZero tags into the trailing lanes.
 func TestDecompressGroupHostileTrailingTags(t *testing.T) {
+	onKernelPaths(t, testDecompressGroupHostileTrailingTags)
+}
+
+func testDecompressGroupHostileTrailingTags(t *testing.T) {
 	bound := MustBound(10)
 	for count := 1; count < GroupSize; count++ {
 		w := bitio.NewWriter(0)

@@ -3,6 +3,7 @@ package nic
 import (
 	"fmt"
 
+	"inceptionn/internal/bitio"
 	"inceptionn/internal/fpcodec"
 )
 
@@ -15,9 +16,9 @@ import (
 // the eight DBs emit one 256-bit output burst, and the consumed bits are
 // shifted away; otherwise the engine stalls for one cycle to refill.
 //
-// Its output is bit-exact with fpcodec.DecompressStream (verified by
-// tests); what it adds over DecompressionEngine is the cycle-level
-// buffer-occupancy behaviour.
+// Its output is bit-exact with fpcodec.DecodeGroups, and a stream that
+// runs out fails at the same bit (FuzzBurstDecompressor); what it adds
+// over DecompressionEngine is the cycle-level buffer-occupancy behaviour.
 type BurstDecompressor struct {
 	Bound fpcodec.Bound
 
@@ -91,15 +92,17 @@ func (d *BurstDecompressor) consume(n int) {
 	d.fill = rest
 }
 
-// groupBits returns the total size of the group at the buffer head, or -1
-// if the tag vector itself is not yet complete.
-func (d *BurstDecompressor) groupBits() int {
+// groupBits returns the size of the group at the buffer head, its tag
+// vector and the data of its first lanes lanes, or -1 if the tag vector
+// itself is not yet complete. A final partial group's other lanes carry no
+// data, whatever their tags say: the encoder pads them with TagZero.
+func (d *BurstDecompressor) groupBits(lanes int) int {
 	if d.fill < fpcodec.TagVectorBits {
 		return -1
 	}
 	tags := d.peekBits(0, fpcodec.TagVectorBits)
 	total := fpcodec.TagVectorBits
-	for lane := 0; lane < fpcodec.GroupSize; lane++ {
+	for lane := 0; lane < lanes; lane++ {
 		tag := fpcodec.Tag(tags >> uint(2*lane) & 0b11)
 		total += tag.Bits()
 	}
@@ -108,19 +111,19 @@ func (d *BurstDecompressor) groupBits() int {
 
 // NextGroup decodes the next burst group into dst (up to 8 lanes),
 // advancing the cycle counters: one cycle per refill attempt while
-// stalled, one cycle to emit. Returns the number of lanes produced, or an
-// error if the stream is exhausted mid-group.
+// stalled, one cycle to emit. Returns the number of lanes produced, or a
+// bitio.ErrShortRead if the stream is exhausted mid-group.
 func (d *BurstDecompressor) NextGroup(dst []float32) (int, error) {
 	if len(dst) == 0 || len(dst) > fpcodec.GroupSize {
 		panic(fmt.Sprintf("nic: group of %d lanes", len(dst)))
 	}
 	for {
-		need := d.groupBits()
+		need := d.groupBits(len(dst))
 		if need >= 0 && d.fill >= need {
 			break
 		}
 		if d.inputPos >= d.inputEnd {
-			return 0, fmt.Errorf("nic: compressed stream exhausted mid-group (have %d bits)", d.fill)
+			return 0, fmt.Errorf("nic: compressed stream exhausted mid-group (have %d bits): %w", d.fill, bitio.ErrShortRead)
 		}
 		d.refill()
 		d.cycles++
@@ -134,16 +137,18 @@ func (d *BurstDecompressor) NextGroup(dst []float32) (int, error) {
 		off += tag.Bits()
 		dst[lane] = fpcodec.Decompress(uint32(v), tag, d.Bound)
 	}
-	// Also consume any trailing zero-width lanes the encoder padded.
-	full := d.groupBits()
-	d.consume(full)
+	d.consume(d.groupBits(len(dst)))
 	d.cycles++
 	return len(dst), nil
 }
 
 // DecompressAll decodes count values, mirroring DecompressionEngine but
-// with the explicit Burst Buffer model.
+// with the explicit Burst Buffer model. On an error it returns the values
+// of the groups before the one that failed.
 func (d *BurstDecompressor) DecompressAll(count int) ([]float32, error) {
+	if err := fpcodec.CheckStreamBits(count, d.inputEnd-d.inputPos); err != nil {
+		return nil, err
+	}
 	out := make([]float32, count)
 	for off := 0; off < count; off += fpcodec.GroupSize {
 		hi := off + fpcodec.GroupSize
@@ -151,7 +156,7 @@ func (d *BurstDecompressor) DecompressAll(count int) ([]float32, error) {
 			hi = count
 		}
 		if _, err := d.NextGroup(out[off:hi]); err != nil {
-			return nil, err
+			return out[:off], err
 		}
 	}
 	return out, nil

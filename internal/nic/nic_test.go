@@ -322,8 +322,17 @@ func TestEnginesServeConcurrentCallers(t *testing.T) {
 }
 
 // TestQuickEngineCodecEquivalence is the property-based version of the
-// bit-exactness cross-check.
+// bit-exactness cross-check, on each of the codec kernel's paths.
 func TestQuickEngineCodecEquivalence(t *testing.T) {
+	for _, path := range kernelPaths() {
+		t.Run(path, func(t *testing.T) {
+			defer fpcodec.SetLanes(fpcodec.SetLanes(path == "avx2"))
+			testQuickEngineCodecEquivalence(t)
+		})
+	}
+}
+
+func testQuickEngineCodecEquivalence(t *testing.T) {
 	f := func(seed int64, nRaw uint16, eRaw uint8) bool {
 		n := int(nRaw)%500 + 1
 		e := int(eRaw)%15 + 1

@@ -1,0 +1,26 @@
+package par
+
+// HasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches (OSXSAVE set, XCR0's SSE and AVX
+// state bits on). It is the one CPU probe behind every package's AVX2
+// lanes (tensor's matmul kernels, fpcodec's group kernel).
+func HasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xgetbv()&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns the low word of XCR0, the state the OS saves.
+func xgetbv() uint32

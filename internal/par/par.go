@@ -1,6 +1,8 @@
 // Package par provides the shared worker pool behind every parallel hot
 // path in this repository: the tensor matmul kernels, the convolution
-// batch loops, and the codec stream sharding all fan out through For.
+// batch loops, and the codec stream sharding all fan out through For. It
+// also holds HasAVX2, the one CPU probe the SIMD kernels of tensor and
+// fpcodec choose their path by.
 //
 // Design constraints, in order:
 //

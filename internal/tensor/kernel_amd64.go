@@ -13,26 +13,7 @@ import "inceptionn/internal/par"
 
 // useAVX2 selects the AVX2 lanes: set once from the CPU, and by tests to
 // run the differential tables on both paths.
-var useAVX2 = hasAVX2()
-
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches (OSXSAVE set, XCR0's SSE and AVX
-// state bits on).
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xgetbv()&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
+var useAVX2 = par.HasAVX2()
 
 // allFinite is allFiniteGo with x's whole 8-float blocks summed in AVX2
 // lanes, in another order: either sum is non-finite if an element is.
@@ -215,8 +196,3 @@ func dotPanel1AVX2(panel, b *float32, k int, acc *[panelRows]float32)
 //
 //go:noescape
 func sumAVX2(x *float32, n int) float32
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv returns the low word of XCR0, the state the OS saves.
-func xgetbv() uint32

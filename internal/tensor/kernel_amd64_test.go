@@ -5,12 +5,14 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"inceptionn/internal/par"
 )
 
 // kernelPaths names the kernel paths this machine can run, the portable Go
 // loops first: the differential tables run every entry point on each.
 func kernelPaths() []string {
-	if hasAVX2() {
+	if par.HasAVX2() {
 		return []string{"go", "avx2"}
 	}
 	return []string{"go"}
@@ -26,20 +28,23 @@ func useKernelPath(path string) string {
 	return prev
 }
 
-// TestLanesNeverFuse fails if kernel_amd64.s holds a fused multiply-add or
-// multiply-subtract instruction (VFMADD…, VFMSUB…, VFNMADD…, VFNMSUB…):
-// every lane is bit-identical to the Go loops only because each product
-// is rounded before it is added (DESIGN.md §8, "the AVX2 lanes").
+// TestLanesNeverFuse fails if an AVX2 kernel file — this package's, or
+// fpcodec's group kernel — holds a fused multiply-add or multiply-subtract
+// instruction (VFMADD…, VFMSUB…, VFNMADD…, VFNMSUB…): every lane is
+// bit-identical to the Go loops only because each product is rounded
+// before it is added (DESIGN.md §8, "the AVX2 lanes"; §2, "the lanes").
 func TestLanesNeverFuse(t *testing.T) {
-	src, err := os.ReadFile("kernel_amd64.s")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fused := regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)`)
-	for i, line := range strings.Split(string(src), "\n") {
-		code, _, _ := strings.Cut(line, "//")
-		if fused.MatchString(code) {
-			t.Errorf("kernel_amd64.s:%d: fused multiply-add: %s", i+1, strings.TrimSpace(line))
+	for _, file := range []string{"kernel_amd64.s", "../fpcodec/kernel_amd64.s"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if fused.MatchString(code) {
+				t.Errorf("%s:%d: fused multiply-add: %s", file, i+1, strings.TrimSpace(line))
+			}
 		}
 	}
 }

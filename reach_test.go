@@ -32,6 +32,7 @@ var keptUnreached = map[string]string{
 	"inceptionn/internal/fpcodec.CompressGroup":               "the scalar group encoder the branch-free kernel is pinned against",
 	"inceptionn/internal/fpcodec.Decompress":                  "the scalar whole-stream decoder the sharded kernel path is pinned against",
 	"inceptionn/internal/fpcodec.DecompressGroup":             "the scalar group decoder the branch-free kernel is pinned against",
+	"inceptionn/internal/fpcodec.SetLanes":                    "the kernel-path hook the tests of fpcodec and nic run their tables on both paths with",
 	"inceptionn/internal/frame.ChecksumF32s":                  "the weight checksum TestTrainingArithmeticPinned pins training arithmetic with",
 	"inceptionn/internal/nic.BurstDecompressor.Cycles":        "the Fig. 10 burst-buffer model's cycle count, which its accounting test pins",
 	"inceptionn/internal/nic.BurstDecompressor.DecompressAll": "the Fig. 10 burst-buffer model (DESIGN.md §1), pinned bit-exact against the kernel",
