@@ -11,14 +11,14 @@ test:
 	$(GO) test ./...
 
 # The first vet's asmdecl checks every amd64 .s file against its Go
-# declarations (tensor's and fpcodec's AVX2 kernels, par's CPU probe). The
-# second vet builds the packages with assembly for arm64, a port without
-# it, where the portable Go loops (tensor.go, fpcodec's kernel.go) are the
-# whole implementation (kernel_other.go, cpu_other.go): it keeps that path
-# compiling.
+# declarations (tensor's, fpcodec's and opt's AVX2 kernels, par's CPU
+# probe). The second vet builds the whole module for arm64, a port without
+# assembly, where the portable Go loops (tensor.go, fpcodec's kernel.go,
+# opt's stepGo) are the whole implementation (the kernel_other.go files,
+# cpu_other.go): it keeps that path compiling.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/fpcodec ./internal/par
+	GOARCH=arm64 $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:" $$unformatted; exit 1; }
 
 # Race-detector run of the packages with real concurrency (transports,
@@ -36,8 +36,9 @@ race:
 # the frame decoder, the 4-wide float32 byte kernel against its scalar loop, the codec's group kernel against its scalar reference
 # in both directions (on each kernel path), the Fig. 10 burst-buffer model
 # against the group kernel, the JSONL trace document reader and the fitter it
-# feeds, the checkpoint reader on internal/frame, and the matmul kernels'
-# zero skip against their scalar loops on arbitrary float32 bits. The
+# feeds, the checkpoint reader on internal/frame, the matmul kernels'
+# zero skip against their scalar loops, and the optimizer's update against
+# the loops it fused, on arbitrary float32 bits. The
 # seed corpora (checked in under internal/tcpfabric/testdata and
 # internal/fpcodec/testdata, in code for the others) run on every plain
 # `make test`. FuzzFit's inputs take milliseconds each, so it caps input
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/tune -run FuzzFit -fuzz FuzzFit -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/train -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 30s
 	$(GO) test ./internal/tensor -run FuzzKernels -fuzz FuzzKernels -fuzztime 30s
+	$(GO) test ./internal/opt -run FuzzStep -fuzz FuzzStep -fuzztime 30s
 
 # The repo's one benchmark (BENCHMARK.json runs the same program through
 # bench/perf/run.sh): five end-to-end training workloads plus the

@@ -8,8 +8,11 @@
 //     [B, features] for dense layers, [B, C, H, W] for convolutional ones.
 //   - Backward must be called in reverse layer order immediately after
 //     Forward; layers cache whatever they need from the forward pass.
-//   - Parameter gradients are *accumulated* (+=); call Network.ZeroGrads
-//     before each optimization step.
+//   - Parameter gradients are *accumulated* (+=) and must start at zero.
+//     The optimizer's step (opt.SGD.Step and StepScaled) consumes them and
+//     leaves them zero for the next backward pass; a caller that takes the
+//     gradient without stepping on it (a training worker whose weights an
+//     aggregator stepped) clears it with Network.ZeroGrads.
 package nn
 
 import (

@@ -50,8 +50,15 @@ func (s *SGD) Velocity(params []*nn.Param) ([]float32, error) {
 }
 
 // Step applies one update to every parameter using its accumulated
-// gradient. It panics on a parameter list Velocity would reject.
-func (s *SGD) Step(params []*nn.Param) {
+// gradient, and consumes the gradient: StepScaled(params, 1), x·1 being
+// exact.
+func (s *SGD) Step(params []*nn.Param) { s.StepScaled(params, 1) }
+
+// StepScaled applies one update to every parameter using scale times its
+// accumulated gradient — the sum of N replicas' gradients at scale 1/N is
+// their average — and clears the gradient, ready for the next backward
+// pass. It panics on a parameter list Velocity would reject.
+func (s *SGD) StepScaled(params []*nn.Param, scale float32) {
 	velocity, err := s.Velocity(params)
 	if err != nil {
 		panic(err)
@@ -64,16 +71,34 @@ func (s *SGD) Step(params []*nn.Param) {
 		if !p.Decay {
 			decay = 0
 		}
-		// Three equal-length slices, so the loop re-derives nothing through
-		// p and carries no bounds check.
 		vel := velocity[:p.W.Len()]
 		velocity = velocity[len(vel):]
-		w, grad := p.W.Data[:len(vel)], p.G.Data[:len(vel)]
-		for i := range vel {
-			g := grad[i] + decay*w[i]
-			vel[i] = mom*vel[i] - lr*g
-			w[i] += vel[i]
-		}
+		step(p.W.Data[:len(vel)], vel, p.G.Data[:len(vel)], scale, decay, mom, lr)
+	}
+}
+
+// stepGo is the update's portable body, per element in this order and
+// each operation rounded to float32:
+//
+//	g ← G·scale;  g ← decay·W + g;  V ← mom·V − lr·g;  W ← W + V;  G ← 0
+//
+// Where both operands of an x86 add are NaN, the first one's payload
+// survives. Written this way, the loop compiles to the operand order
+// SGD.Step had before the scale and the clear were fused into it (decay·W
+// before the gradient, W before V), which the AVX2 lanes copy; inlining
+// could move it, hence noinline. w, v and g have equal lengths, so the
+// loop carries no bounds check.
+//
+//go:noinline
+func stepGo(w, v, g []float32, scale, decay, mom, lr float32) {
+	v, g = v[:len(w)], g[:len(w)]
+	for i := range w {
+		x := g[i] * scale
+		x = decay*w[i] + x
+		vi := mom*v[i] - lr*x
+		w[i] += vi
+		v[i] = vi
+		g[i] = 0
 	}
 }
 

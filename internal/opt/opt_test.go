@@ -30,6 +30,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 	s := NewSGD(0.1, 0.9, 0)
 	s.Step([]*nn.Param{p}) // v=-0.1, w=-0.1
+	p.G.Data[0] = 1        // the step consumed the gradient
 	s.Step([]*nn.Param{p}) // v=-0.19, w=-0.29
 	if math.Abs(float64(p.W.Data[0])+0.29) > 1e-6 {
 		t.Fatalf("w after two momentum steps = %g, want -0.29", p.W.Data[0])

@@ -3,7 +3,7 @@ package par
 // HasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches (OSXSAVE set, XCR0's SSE and AVX
 // state bits on). It is the one CPU probe behind every package's AVX2
-// lanes (tensor's matmul kernels, fpcodec's group kernel).
+// lanes (tensor's matmul kernels, fpcodec's group kernel, opt's update).
 func HasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false

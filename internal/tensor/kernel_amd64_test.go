@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -28,14 +30,34 @@ func useKernelPath(path string) string {
 	return prev
 }
 
-// TestLanesNeverFuse fails if an AVX2 kernel file — this package's, or
-// fpcodec's group kernel — holds a fused multiply-add or multiply-subtract
+// TestLanesNeverFuse fails if any amd64 assembly file in the module —
+// tensor's matmul lanes, fpcodec's group kernel, opt's update, and any
+// added later — holds a fused multiply-add or multiply-subtract
 // instruction (VFMADD…, VFMSUB…, VFNMADD…, VFNMSUB…): every lane is
 // bit-identical to the Go loops only because each product is rounded
 // before it is added (DESIGN.md §8, "the AVX2 lanes"; §2, "the lanes").
 func TestLanesNeverFuse(t *testing.T) {
 	fused := regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)`)
-	for _, file := range []string{"kernel_amd64.s", "../fpcodec/kernel_amd64.s"} {
+	const root = "../.." // the module root, from this package
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, and the build caches bench/perf/run.sh leaves
+		case strings.HasSuffix(path, "_amd64.s"):
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

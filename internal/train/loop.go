@@ -68,13 +68,9 @@ var waCollective = collective{
 		workers := r.workerIDs()
 		for iter := 0; iter < r.iters; iter++ {
 			err := ring.AggregateStepCtx(r.ctx, p, workers, gradLen, func(sum []float32) []float32 {
-				inv := float32(1) / float32(o.Workers)
-				grad := net.Grads()
-				for i, v := range sum {
-					grad[i] = v * inv
-				}
+				copy(net.Grads(), sum)
 				sgd.LR = o.Schedule.At(iter)
-				sgd.Step(net.Params())
+				sgd.StepScaled(net.Params(), float32(1)/float32(o.Workers))
 				if o.WeightTransform != nil {
 					o.WeightTransform(net.Weights())
 				}
@@ -384,7 +380,10 @@ func (r *fixedRun) commitStep(w *worker, iter int, passStart time.Time, weights 
 	o := r.o
 	ta := time.Now()
 	if weights != nil {
+		// The aggregator stepped the master copy: clear the gradient a
+		// local step would have consumed.
 		copy(w.net.Weights(), weights)
+		w.net.ZeroGrads()
 	} else {
 		w.applyAveraged(iter, o)
 	}

@@ -346,7 +346,8 @@ func RunSingle(build Builder, trainDS, testDS data.Dataset, iters int, o Options
 	}
 	var res Result
 	for iter := 0; iter < iters; iter++ {
-		// The optimizer steps on the gradient where backward left it.
+		// The optimizer steps on the gradient where backward left it, and
+		// clears it.
 		w.forwardBackward()
 		w.sgd.LR = o.Schedule.At(iter)
 		w.sgd.Step(w.net.Params())

@@ -12,7 +12,7 @@ import (
 // worker is the per-node training state. Its gradient vector — Algorithm
 // 1's g, the buffer every exchange reduces in place — is net.Grads()
 // itself: backward accumulates into it, the collective sums into it, the
-// optimizer steps on it.
+// optimizer steps on it and clears it.
 type worker struct {
 	id       int
 	net      *nn.Network
@@ -59,10 +59,10 @@ func (w *worker) applyErrorFeedback(o Options) {
 }
 
 // forwardBackward runs one forward/backward pass over the next minibatch,
-// leaving the local gradient in net.Grads().
+// leaving the local gradient in net.Grads(), which the previous
+// iteration's step (or commitStep, where an aggregator stepped) cleared.
 func (w *worker) forwardBackward() float64 {
 	batch := w.loader.Next()
-	w.net.ZeroGrads()
 	logits := w.net.Forward(batch.X, true)
 	var sce nn.SoftmaxCrossEntropy
 	loss, dlogits := sce.Loss(logits, batch.Labels)
@@ -70,17 +70,13 @@ func (w *worker) forwardBackward() float64 {
 	return loss
 }
 
-// applyAveraged turns the gradient sum the exchange left in net.Grads()
-// into the average over the o.Workers replicas, steps the local optimizer
-// on it and runs the optional weight transform.
+// applyAveraged steps the local optimizer on the average over the
+// o.Workers replicas of the gradient sum the exchange left in
+// net.Grads() — one pass that scales, steps and clears it — and runs the
+// optional weight transform.
 func (w *worker) applyAveraged(iter int, o Options) {
-	inv := float32(1) / float32(o.Workers)
-	summed := w.net.Grads()
-	for i := range summed {
-		summed[i] *= inv
-	}
 	w.sgd.LR = o.Schedule.At(iter)
-	w.sgd.Step(w.net.Params())
+	w.sgd.StepScaled(w.net.Params(), float32(1)/float32(o.Workers))
 	if o.WeightTransform != nil {
 		o.WeightTransform(w.net.Weights())
 	}
