@@ -63,16 +63,19 @@ bench:
 	$(GO) run ./bench/perf
 
 # Training-runner gate, under the race detector — the name-selected
-# slices of internal/train in one run, the two halves of the fault
-# contract every run keeps (DESIGN.md §7, §9):
-#  - heal: the conformance table — every data plane × collective ×
+# slices of internal/train in one run, the fault contract every run
+# keeps (DESIGN.md §7, §9):
+#  - clean: the conformance table — every data plane × collective ×
 #    chunking train.Run reaches lands bit-identical to the in-process
-#    ring, also over lossy TCP links the fabric's retransmission repairs;
-#  - fail closed: a permanently partitioned ring link or switch port
-#    fails the run with a deadline error naming the hop, and a switch
-#    that dies mid-multicast fails it with its cause.
+#    ring;
+#  - fail closed: a corrupted frame fails every collective with the
+#    fabric's bad-frame error (the table's lossy-link rows); a ring run
+#    fails with its cause under each fault the wire can show (corrupt,
+#    truncate, drop, partition, crash); a permanently partitioned ring
+#    link or switch port fails the run with a deadline error naming the
+#    hop, and a switch that dies mid-multicast fails it with its cause.
 # Minutes under -race, hence the headroom on the timeout.
-TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestRingTCPTrainingPartitionFails|TestSwitchCrashFailsClosed
+TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestRingTCPTrainingUnderChaos|TestRingTCPTrainingPartitionFails|TestSwitchCrashFailsClosed
 traintest:
 	$(GO) test ./internal/train -run '$(TRAINTEST_PATTERN)' -count=1 -race -timeout 30m
 
@@ -117,13 +120,13 @@ simtest:
 		./internal/par ./internal/tensor ./internal/nn ./internal/opt
 
 # Randomized chaos soak, under the race detector: 20 seeded trials of
-# switch kills, mid-stream partitions, lossy links, and worker crashes,
-# five kinds, all on train.Run's TCP plane (the one wire chaos faults):
-# switch runs and ring runs. Lossy trials must finish bit-exact with the
-# fault-free ring, and kills and partitions must fail closed with their
-# cause, not a bare context.Canceled; the wall-clock budget keeps a
-# pathological trial from eating the CI slot. Override SOAK_TRIALS /
-# SOAK_SEED to widen or replay a run.
+# switch kills, mid-stream partitions, a dropped or corrupted frame, and
+# worker crashes, five kinds, all on train.Run's TCP plane (the one wire
+# chaos faults): switch runs and ring runs. Every trial must fail closed
+# with its cause, not a bare context.Canceled — a bad frame with
+# fault.ErrBadFrame wherever a later frame follows it on its link; the
+# wall-clock budget keeps a pathological trial from eating the CI slot.
+# Override SOAK_TRIALS / SOAK_SEED to widen or replay a run.
 SOAK_TRIALS ?= 20
 SOAK_SEED ?= 1
 soaktest:

@@ -10,8 +10,8 @@
 //	inctrain -algo switch -workers 8 -switch-chunk 4096
 //	                                                 # in-network switch aggregation
 //	inctrain -tcp -compress                          # real loopback TCP sockets
-//	inctrain -tcp -algo wa -chaos-drop 0.02 -step-timeout 10s
-//	                                                 # any collective over a lossy wire
+//	inctrain -tcp -algo wa -chaos-corrupt 0.02 -step-timeout 10s
+//	                                                 # any collective fails closed on a bad frame
 package main
 
 import (

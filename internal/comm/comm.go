@@ -98,20 +98,15 @@ func (p CodecProcessor) Process(payload []float32, tos uint8) ([]float32, int64)
 }
 
 // LinkStats accumulates traffic counters for one directed link. Beyond the
-// byte accounting, it carries the fault-tolerance observability surface:
-// retransmissions, NACKs, degraded (raw-fallback) frames, receive timeouts,
-// and receive-wait time, which together expose stragglers and flaky links.
+// byte accounting, it counts receive timeouts and receive-wait time, which
+// together expose stragglers and dead links.
 type LinkStats struct {
 	Messages     atomic.Int64
 	PayloadBytes atomic.Int64 // post-compression payload bytes
 	WireBytes    atomic.Int64 // payload + packet headers
 	RawBytes     atomic.Int64 // pre-compression payload bytes (4·floats)
 
-	// Recovery counters (populated by fault-tolerant transports).
-	Retransmits atomic.Int64 // frames sent more than once
-	Nacks       atomic.Int64 // NACKs issued by the receiver
-	Degraded    atomic.Int64 // compressed frames refetched as raw
-	Timeouts    atomic.Int64 // receive deadlines that expired
+	Timeouts atomic.Int64 // receive deadlines that expired
 
 	// Straggler detection: cumulative and peak nanoseconds a receiver
 	// spent blocked waiting on this link.
@@ -163,8 +158,8 @@ func NewWireMeter(rec *obs.Recorder) *WireMeter {
 	}
 }
 
-// Observe accounts one transmission of rawBytes of floats that crossed the
-// wire as outBytes (retransmissions included — they cross it too).
+// Observe accounts one frame of rawBytes of floats that crossed the wire
+// as outBytes.
 func (m *WireMeter) Observe(rawBytes, outBytes int64, compressed bool) {
 	if m == nil {
 		return
@@ -283,8 +278,7 @@ type CtxPeer interface {
 	N() int
 	// SendCtx transmits payload to dst with the given ToS and tag,
 	// honouring ctx cancellation. The caller may reuse payload as soon as
-	// it returns. A fault-tolerant transport may block here for
-	// retransmissions.
+	// it returns.
 	SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error
 	// RecvCtx blocks for the next payload from src until ctx is done. A
 	// tag mismatch is a protocol error, returned rather than panicked. The

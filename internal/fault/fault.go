@@ -1,21 +1,20 @@
 // Package fault is the chaos-engineering layer of the transport stack: a
 // deterministic, seeded fault injector that the TCP fabric consults for
-// every frame it transmits — frame drops, bit-flip corruption, truncation,
-// duplication, reordering delay, per-link partitions, and node crashes, the
-// anomaly classes a production 10 GbE fabric actually exhibits — while the
-// fabric's recovery machinery (checksums, NACK/retransmit, deadlines) keeps
-// the exchange converging to the exact expected sums. It also holds the
-// transport error sentinels every failure is graded by.
+// every frame it writes — frame drops, bit-flip corruption, truncation,
+// per-link partitions, and node crashes, the faults a reader of a TCP
+// stream can see. The fabric repairs none of them: each fails the run
+// closed with its cause (a CRC, codec or sequence error, a step deadline,
+// a crash). It also holds the transport error sentinels every failure is
+// graded by.
 //
-// Every fault decision is a pure function of (seed, src, dst, seq, attempt),
-// so a chaos run is bit-reproducible regardless of goroutine scheduling:
-// re-running with the same seed injects the same faults at the same frames.
+// Every fault decision is a pure function of (seed, src, dst, seq), so a
+// chaos run is reproducible regardless of goroutine scheduling: re-running
+// with the same seed injects the same faults at the same frames.
 package fault
 
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 )
 
 // Transport error sentinels. A transport wraps them into its own errors, so
@@ -23,9 +22,10 @@ import (
 var (
 	// ErrCrashed marks an operation on a node past its scheduled crash.
 	ErrCrashed = errors.New("fault: node crashed")
-	// ErrMaxRetries marks a frame whose retransmission budget ran out
-	// (e.g. the link is partitioned).
-	ErrMaxRetries = errors.New("fault: retransmission budget exhausted")
+	// ErrBadFrame marks a frame its receiver cannot deliver: a CRC
+	// mismatch, a body the codec cannot decode, or a sequence gap or
+	// repeat.
+	ErrBadFrame = errors.New("fault: bad frame")
 	// ErrClosed marks an operation on a closed transport.
 	ErrClosed = errors.New("fault: transport closed")
 )
@@ -36,30 +36,20 @@ type Link struct {
 }
 
 // LinkFaults configures the fault mix on one directed link. Rates are
-// probabilities in [0,1] evaluated independently per frame transmission
-// attempt. The schedule window [From, Until) restricts injection to a
+// probabilities in [0,1] evaluated independently per frame. The schedule window [From, Until) restricts injection to a
 // range of per-link frame sequence numbers; Until == 0 means unbounded.
 type LinkFaults struct {
 	// DropRate silently discards the frame: the bytes never reach the
-	// wire, modelling congestion loss or a flapping switch port.
+	// wire, and the receiver sees a sequence gap at the next frame.
 	DropRate float64
 	// CorruptRate flips one bit of the frame payload after the integrity
 	// checksum is computed, modelling on-wire corruption that the
-	// receiver's CRC check catches and NACKs.
+	// receiver's CRC check catches.
 	CorruptRate float64
 	// TruncateRate shortens a compressed frame body before the checksum
 	// is computed, modelling a glitching compression engine: the CRC
-	// validates but decompression fails, forcing the degraded raw-frame
-	// fallback path.
+	// validates but decompression fails.
 	TruncateRate float64
-	// DupRate transmits the frame twice, exercising receiver-side
-	// dedupe.
-	DupRate float64
-	// DelayRate stalls the frame by Delay before transmission, modelling
-	// a straggler link.
-	DelayRate float64
-	// Delay is the stall applied when a DelayRate draw fires.
-	Delay time.Duration
 
 	// From and Until bound the injection window by per-link frame
 	// sequence number: faults fire only for From <= seq < Until
@@ -67,8 +57,8 @@ type LinkFaults struct {
 	From, Until uint64
 
 	// PartitionFrom blackholes the link permanently from the given frame
-	// sequence number onward (every later transmission is dropped and no
-	// retransmission can succeed). nil means never.
+	// sequence number onward (every later frame is dropped). nil means
+	// never.
 	PartitionFrom *uint64
 }
 
@@ -93,7 +83,7 @@ type Config struct {
 	CrashAfter map[int]uint64
 }
 
-// Verdict is the injector's decision for one frame transmission attempt.
+// Verdict is the injector's decision for one frame.
 type Verdict struct {
 	// Drop discards the frame entirely.
 	Drop bool
@@ -103,10 +93,6 @@ type Verdict struct {
 	// TruncateBytes > 0 removes that many trailing bytes from a
 	// compressed body before checksumming.
 	TruncateBytes int
-	// Duplicate transmits the frame twice.
-	Duplicate bool
-	// Delay stalls the attempt before transmission.
-	Delay time.Duration
 }
 
 // Injector makes deterministic per-frame fault decisions from a Config.
@@ -149,18 +135,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// draws returns k uniform floats in [0,1) keyed by the frame identity.
-func (inj *Injector) draw(src, dst int, seq uint64, attempt int, stream uint64) float64 {
+// draw returns a uniform float in [0,1) keyed by the frame identity and
+// the fault's stream. Its input must not change: a recorded chaos seed
+// must keep faulting the frames it faulted (TestInjectorDrawsPinned).
+func (inj *Injector) draw(src, dst int, seq uint64, stream uint64) float64 {
 	h := uint64(inj.cfg.Seed)
 	h = splitmix64(h ^ uint64(src)<<40 ^ uint64(dst)<<20 ^ seq)
-	h = splitmix64(h ^ uint64(attempt)<<8 ^ stream)
+	h = splitmix64(h ^ stream)
 	return float64(h>>11) / float64(1<<53)
 }
 
-// Decide returns the fault verdict for transmission attempt `attempt` of
-// the frame with per-link sequence number seq on link src→dst. Identical
-// arguments always return identical verdicts for a given Config.
-func (inj *Injector) Decide(src, dst int, seq uint64, attempt int) Verdict {
+// Decide returns the fault verdict for the frame with per-link sequence
+// number seq on link src→dst. Identical arguments always return identical
+// verdicts for a given Config.
+func (inj *Injector) Decide(src, dst int, seq uint64) Verdict {
 	v := Verdict{CorruptBit: -1}
 	lf := inj.linkFaults(src, dst)
 	if lf.PartitionFrom != nil && seq >= *lf.PartitionFrom {
@@ -170,22 +158,16 @@ func (inj *Injector) Decide(src, dst int, seq uint64, attempt int) Verdict {
 	if seq < lf.From || (lf.Until > 0 && seq >= lf.Until) {
 		return v
 	}
-	if lf.DelayRate > 0 && inj.draw(src, dst, seq, attempt, 1) < lf.DelayRate {
-		v.Delay = lf.Delay
-	}
-	if lf.DropRate > 0 && inj.draw(src, dst, seq, attempt, 2) < lf.DropRate {
+	if lf.DropRate > 0 && inj.draw(src, dst, seq, 2) < lf.DropRate {
 		v.Drop = true
 		return v
 	}
-	if lf.TruncateRate > 0 && inj.draw(src, dst, seq, attempt, 3) < lf.TruncateRate {
+	if lf.TruncateRate > 0 && inj.draw(src, dst, seq, 3) < lf.TruncateRate {
 		// 1–4 trailing bytes vanish inside the "engine".
 		v.TruncateBytes = 1 + int(splitmix64(uint64(inj.cfg.Seed)^seq^0x7C)%4)
 	}
-	if lf.CorruptRate > 0 && inj.draw(src, dst, seq, attempt, 4) < lf.CorruptRate {
-		v.CorruptBit = int(splitmix64(uint64(inj.cfg.Seed)^seq<<1^uint64(attempt)) % (1 << 20))
-	}
-	if lf.DupRate > 0 && inj.draw(src, dst, seq, attempt, 5) < lf.DupRate {
-		v.Duplicate = true
+	if lf.CorruptRate > 0 && inj.draw(src, dst, seq, 4) < lf.CorruptRate {
+		v.CorruptBit = int(splitmix64(uint64(inj.cfg.Seed)^seq<<1) % (1 << 20))
 	}
 	return v
 }

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,11 +14,10 @@ import (
 
 // chaosComms builds one communicator per rank over a loopback TCP cluster
 // whose links inject the given faults.
-func chaosComms(t *testing.T, n int, cfg fault.Config) ([]*Comm, func()) {
+func chaosComms(t *testing.T, n int, cfg fault.Config) (*tcpfabric.Cluster, []*Comm) {
 	t.Helper()
 	cl, err := tcpfabric.NewClusterWithOptions(n, tcpfabric.ClusterOptions{
 		Chaos: fault.NewInjector(n, cfg),
-		Retry: tcpfabric.RetryPolicy{ProbeRTO: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,58 +26,74 @@ func chaosComms(t *testing.T, n int, cfg fault.Config) ([]*Comm, func()) {
 	for i := range comms {
 		comms[i] = WorldPeer(cl.Node(i))
 	}
-	return comms, cl.Close
+	return cl, comms
 }
 
-func lossyConfig(seed int64) fault.Config {
-	return fault.Config{
-		Seed: seed,
-		Default: fault.LinkFaults{
-			DropRate: 0.05, CorruptRate: 0.05, DupRate: 0.02,
-			DelayRate: 0.01, Delay: time.Millisecond,
-		},
-	}
-}
-
-// TestCollectivesUnderChaos runs the ring all-reduce over a fabric with
-// 1–10% fault rates and checks exact results: the TCP fabric's ARQ must
-// make the lossy links indistinguishable from reliable ones.
+// TestCollectivesUnderChaos: one frame corrupted on the wire mid-stream
+// fails the communicator's all-reduce closed. Every rank returns within a
+// few step deadlines, at least one with an error and none with a bare
+// cancellation, and the receiving node's reader names the hop with
+// fault.ErrBadFrame.
 func TestCollectivesUnderChaos(t *testing.T) {
 	const n = 4
-	comms, closeAll := chaosComms(t, n, lossyConfig(31))
-	defer closeAll()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	cl, comms := chaosComms(t, n, fault.Config{
+		Seed:  31,
+		Links: map[fault.Link]fault.LinkFaults{{Src: 0, Dst: 1}: {CorruptRate: 1, From: 2, Until: 3}},
+	})
+	defer cl.Close()
 
+	errs := make([]error, n)
+	done := make(chan struct{})
 	var wg sync.WaitGroup
-	fail := make(chan string, n)
 	for rank := 0; rank < n; rank++ {
 		wg.Add(1)
+		comms[rank].SetStepTimeout(500 * time.Millisecond)
 		go func(rank int) {
 			defer wg.Done()
-			vec := []float32{float32(rank), float32(rank) * 2, 1}
-			if err := comms[rank].AllReduceCtx(ctx, vec); err != nil {
-				fail <- "allreduce: " + err.Error()
-			} else if vec[0] != 6 || vec[1] != 12 || vec[2] != 4 {
-				fail <- "allreduce values"
+			vec := make([]float32, 64)
+			for i := range vec {
+				vec[i] = float32(rank)
 			}
+			errs[rank] = comms[rank].AllReduceCtx(context.Background(), vec)
 		}(rank)
 	}
-	wg.Wait()
-	close(fail)
-	for msg := range fail {
-		t.Error(msg)
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("all-reduce over a corrupting link hung")
+	}
+	failed := 0
+	for rank, err := range errs {
+		if err == nil {
+			continue
+		}
+		failed++
+		if errors.Is(err, context.Canceled) {
+			t.Errorf("rank %d failed with a bare cancellation: %v", rank, err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("all-reduce succeeded over a corrupting link")
+	}
+	select {
+	case err := <-cl.Node(1).Errors():
+		if !errors.Is(err, fault.ErrBadFrame) || !strings.Contains(err.Error(), "0->1 seq 2: CRC mismatch") {
+			t.Errorf("node 1 reported %v, want a CRC error on 0->1 seq 2 wrapping fault.ErrBadFrame", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("node 1 reported no error")
 	}
 }
 
 // TestStepTimeoutStraggler: the per-step deadline catches a straggling
 // link even when the caller's context has no deadline of its own.
 func TestStepTimeoutStraggler(t *testing.T) {
-	comms, closeAll := chaosComms(t, 2, fault.Config{
+	cl, comms := chaosComms(t, 2, fault.Config{
 		Seed:  1,
 		Links: map[fault.Link]fault.LinkFaults{{Src: 1, Dst: 0}: fault.Partition(0)},
 	})
-	defer closeAll()
+	defer cl.Close()
 	comms[0].SetStepTimeout(200 * time.Millisecond)
 	comms[1].SetStepTimeout(200 * time.Millisecond)
 	errs := make([]error, 2)

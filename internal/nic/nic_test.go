@@ -281,7 +281,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 
 // TestEnginesServeConcurrentCallers: the engines keep nothing between
 // payloads but their cycle counters, so senders may share one pair without
-// a lock (tcpfabric's forward send and its retransmissions do). Run under
+// a lock (tcpfabric's senders and readers on every link do). Run under
 // -race.
 func TestEnginesServeConcurrentCallers(t *testing.T) {
 	bound := fpcodec.MustBound(10)

@@ -353,7 +353,7 @@ func TestAggregateAndRender(t *testing.T) {
 // that went through the JSON round trip a saved -metrics-out file takes.
 func TestRenderMetrics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("tcp_retransmits").Add(3)
+	reg.Counter("wire_bytes_raw").Add(3)
 	reg.Gauge("compression_ratio").Set(2.5)
 	reg.Histogram("ring_step_seconds").Observe(time.Millisecond)
 	body, err := json.Marshal(reg.Snapshot())
@@ -367,7 +367,7 @@ func TestRenderMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	RenderMetrics(&buf, snap)
 	out := buf.String()
-	for _, want := range []string{"tcp_retransmits", "compression_ratio", "2.5000", "ring_step_seconds", "count=1"} {
+	for _, want := range []string{"wire_bytes_raw", "compression_ratio", "2.5000", "ring_step_seconds", "count=1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderMetrics missing %q:\n%s", want, out)
 		}

@@ -1,18 +1,16 @@
 // Package soak is a randomized chaos soak harness for the training paths'
 // fault contract: each seeded trial draws a fault scenario — switch kills,
-// mid-stream partitions, lossy links, worker crashes — aims it at a switch
-// run or a ring run, all on the TCP plane whose fabric injects the faults,
-// and checks the outcome. Where retransmission can repair the fault the
-// trial must finish bit-exact with its fault-free reference; where a node
-// dies or a port goes silent it must fail closed with its cause, not a
-// bare cancellation. Every trial is reproducible from (Seed, trial index).
+// mid-stream partitions, a dropped or corrupted frame, worker crashes —
+// aims it at a switch run or a ring run, all on the TCP plane whose fabric
+// injects the faults, and checks the outcome. Nothing repairs a fault:
+// every trial must fail closed with its cause, not a bare cancellation.
+// Every trial is reproducible from (Seed, trial index).
 package soak
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -39,11 +37,9 @@ type Trial struct {
 	Elapsed time.Duration
 }
 
-// harness carries the shared datasets and the lazily computed fault-free
-// reference the lossy trials compare against.
+// harness carries the shared datasets.
 type harness struct {
 	trainDS, testDS data.Dataset
-	ringRef         *train.Result // plain in-process ring run
 }
 
 const (
@@ -51,65 +47,49 @@ const (
 	soakSwitch = 4 // switch node id = worker count
 )
 
-func soakOptions() train.Options {
-	return train.Options{
+// failedClosedRun runs algo on the TCP plane under chaos cfg, with a
+// one-second step deadline. The run must fail, and with its cause — a
+// stall, a transport self-report, a protocol violation — not a bare
+// context.Canceled, which names none. A non-nil want is the cause the
+// error must wrap.
+func (h *harness) failedClosedRun(algo train.Algorithm, cfg *fault.Config, want error) error {
+	o := train.Options{
 		Workers:      soakSwitch,
+		Algo:         algo,
 		BatchPerNode: 16,
 		Schedule:     opt.StepSchedule{Base: 0.02, Factor: 5, Every: 200},
 		Momentum:     0.9,
 		WeightDecay:  0.00005,
 		Seed:         42,
 		EvalSamples:  64,
+		Plane:        train.TCP,
+		Bound:        fpcodec.MustBound(10),
+		StepTimeout:  time.Second,
+		Chaos:        cfg,
 	}
-}
-
-// tcpOptions are soakOptions for algo on the TCP plane, under the given
-// step deadline.
-func tcpOptions(algo train.Algorithm, stepTimeout time.Duration) train.Options {
-	o := soakOptions()
-	o.Algo, o.Plane, o.Bound = algo, train.TCP, fpcodec.MustBound(10)
-	o.StepTimeout = stepTimeout
-	return o
-}
-
-func (h *harness) ring() (*train.Result, error) {
-	if h.ringRef == nil {
-		o := soakOptions()
-		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
-		if err != nil {
-			return nil, fmt.Errorf("fault-free ring reference: %w", err)
-		}
-		h.ringRef = &res
-	}
-	return h.ringRef, nil
-}
-
-func bitExact(got, want []float32) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("weight count %d, reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			return fmt.Errorf("weight %d = %g diverged from reference %g", i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
-// failedClosedRun runs algo under chaos no retransmission can repair. The
-// run must fail, and with its cause — a stall, a transport self-report, a
-// protocol violation — not a bare context.Canceled, which names none.
-func (h *harness) failedClosedRun(algo train.Algorithm, cfg *fault.Config) error {
-	o := tcpOptions(algo, time.Second)
-	o.Chaos = cfg
 	_, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
 	switch {
 	case err == nil:
-		return fmt.Errorf("run survived an unrecoverable fault")
+		return fmt.Errorf("run survived its fault")
 	case errors.Is(err, context.Canceled):
 		return fmt.Errorf("failed with a bare cancellation: %w", err)
+	case want != nil && !errors.Is(err, want):
+		return fmt.Errorf("failed with %w, want %w", err, want)
 	}
 	return nil
+}
+
+// wireFault spoils frame seq of link with the fault a TCP reader sees: a
+// drop (corrupt false) or a bit flipped on the wire.
+func wireFault(rng *rand.Rand, link fault.Link, seq uint64, corrupt bool) (*fault.Config, string) {
+	lf := fault.LinkFaults{DropRate: 1, From: seq, Until: seq + 1}
+	what := "dropped"
+	if corrupt {
+		lf = fault.LinkFaults{CorruptRate: 1, From: seq, Until: seq + 1}
+		what = "corrupted"
+	}
+	return &fault.Config{Seed: rng.Int63(), Links: map[fault.Link]fault.LinkFaults{link: lf}},
+		fmt.Sprintf("link %d->%d frame %d %s", link.Src, link.Dst, seq, what)
 }
 
 // trialKinds enumerates the scenario generators; trials cycle through
@@ -127,7 +107,7 @@ var trialKinds = []struct {
 		return desc + " → failed closed", h.failedClosedRun(train.SwitchReduce, &fault.Config{
 			Seed:       rng.Int63(),
 			CrashAfter: map[int]uint64{soakSwitch: frame},
-		})
+		}, nil)
 	}},
 	{"switch-partition", func(h *harness, rng *rand.Rand) (string, error) {
 		// Blackhole one worker's up- or downlink mid-run: no transport
@@ -144,30 +124,25 @@ var trialKinds = []struct {
 		return desc + " → failed closed", h.failedClosedRun(train.SwitchReduce, &fault.Config{
 			Seed:  rng.Int63(),
 			Links: map[fault.Link]fault.LinkFaults{link: fault.Partition(frame)},
-		})
+		}, nil)
 	}},
-	{"switch-lossy", func(h *harness, rng *rand.Rand) (string, error) {
-		// Recoverable chaos on every link: retransmission must make the
-		// lossy wire invisible — same bits as the ring.
-		lf := fault.LinkFaults{
-			DropRate:    0.01 + 0.04*rng.Float64(),
-			CorruptRate: 0.01 + 0.04*rng.Float64(),
-			DupRate:     0.02 * rng.Float64(),
-			DelayRate:   0.05,
-			Delay:       time.Duration(1+rng.Intn(3)) * time.Millisecond,
+	{"switch-wire", func(h *harness, rng *rand.Rand) (string, error) {
+		// One frame of a worker's up- or downlink is dropped or corrupted
+		// mid-run. A corrupted frame fails its CRC; a dropped one leaves
+		// the switch or the worker waiting for it, so nothing follows it
+		// on the link and the step deadline ends the run.
+		w := rng.Intn(soakSwitch)
+		link := fault.Link{Src: w, Dst: soakSwitch}
+		if rng.Intn(2) == 1 {
+			link = fault.Link{Src: soakSwitch, Dst: w}
 		}
-		desc := fmt.Sprintf("lossy links: drop %.3f corrupt %.3f dup %.3f", lf.DropRate, lf.CorruptRate, lf.DupRate)
-		ref, err := h.ring()
-		if err != nil {
-			return desc, err
+		corrupt := rng.Intn(2) == 1
+		cfg, desc := wireFault(rng, link, uint64(1+rng.Intn(soakIters-2)), corrupt)
+		var want error = context.DeadlineExceeded
+		if corrupt {
+			want = fault.ErrBadFrame
 		}
-		o := tcpOptions(train.SwitchReduce, 15*time.Second)
-		o.Chaos = &fault.Config{Seed: rng.Int63(), Default: lf}
-		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
-		if err != nil {
-			return desc, fmt.Errorf("lossy run failed: %w", err)
-		}
-		return desc, bitExact(res.FinalWeights, ref.FinalWeights)
+		return desc + " → failed closed", h.failedClosedRun(train.SwitchReduce, cfg, want)
 	}},
 	{"ring-kill", func(h *harness, rng *rand.Rand) (string, error) {
 		// A worker dies mid-run. A ring node sends 2(N−1) frames per
@@ -179,27 +154,17 @@ var trialKinds = []struct {
 		return desc + " → failed closed", h.failedClosedRun(train.Ring, &fault.Config{
 			Seed:       rng.Int63(),
 			CrashAfter: map[int]uint64{victim: frame},
-		})
+		}, nil)
 	}},
-	{"ring-lossy", func(h *harness, rng *rand.Rand) (string, error) {
-		// Recoverable chaos on every ring link: retransmission must make
-		// the lossy wire invisible — same bits as the fault-free ring.
-		lf := fault.LinkFaults{
-			DropRate:    0.01 + 0.02*rng.Float64(),
-			CorruptRate: 0.01 + 0.02*rng.Float64(),
-		}
-		desc := fmt.Sprintf("ring lossy links: drop %.3f corrupt %.3f", lf.DropRate, lf.CorruptRate)
-		ref, err := h.ring()
-		if err != nil {
-			return desc, err
-		}
-		o := tcpOptions(train.Ring, 15*time.Second)
-		o.Chaos = &fault.Config{Seed: rng.Int63(), Default: lf}
-		res, err := train.Run(models.NewHDCSmall, h.trainDS, h.testDS, soakIters, o)
-		if err != nil {
-			return desc, fmt.Errorf("lossy ring run failed: %w", err)
-		}
-		return desc, bitExact(res.FinalWeights, ref.FinalWeights)
+	{"ring-wire", func(h *harness, rng *rand.Rand) (string, error) {
+		// One frame of a ring link is dropped or corrupted mid-run. Its
+		// sender goes on to its next step, so a later frame follows on the
+		// link: the receiver fails closed on the sequence gap or the CRC.
+		src := rng.Intn(soakSwitch)
+		link := fault.Link{Src: src, Dst: (src + 1) % soakSwitch}
+		seq := uint64(1 + rng.Intn(2*(soakSwitch-1)*(soakIters-1)))
+		cfg, desc := wireFault(rng, link, seq, rng.Intn(2) == 1)
+		return desc + " → failed closed", h.failedClosedRun(train.Ring, cfg, fault.ErrBadFrame)
 	}},
 }
 

@@ -6,42 +6,16 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"inceptionn/internal/bitio"
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/ring"
 )
-
-// runChaosRing executes a 4-node ring AllReduce over the cluster and
-// returns every node's result vector, failing the test on any error.
-func runChaosRing(t *testing.T, c *Cluster, inputs [][]float32, tos uint8, finalize func([]float32), timeout time.Duration) [][]float32 {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	n := c.N()
-	out := make([][]float32, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			g := append([]float32(nil), inputs[id]...)
-			errs[id] = ring.AllReduceCtx(ctx, c.Node(id), g, tos, finalize, ring.Options{})
-			out[id] = g
-		}(id)
-	}
-	wg.Wait()
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", id, err)
-		}
-	}
-	return out
-}
 
 func chaosInputs(n, dim int, seed int64) [][]float32 {
 	rng := rand.New(rand.NewSource(seed))
@@ -55,128 +29,125 @@ func chaosInputs(n, dim int, seed int64) [][]float32 {
 	return inputs
 }
 
-// TestChaosRingAllReduceCompressed is the acceptance chaos test: a 4-node
-// TCP ring AllReduce with compression enabled, under 5% injected frame
-// corruption plus 5% drops, must complete with the exact sums a
-// fault-free run produces — the retransmit path repairs every anomaly
-// bit-exactly.
-func TestChaosRingAllReduceCompressed(t *testing.T) {
-	const n, dim = 4, 1000
-	bound := fpcodec.MustBound(10)
+// nodeError waits for node id's first reported link anomaly.
+func nodeError(t *testing.T, c *Cluster, id int) error {
+	t.Helper()
+	select {
+	case err := <-c.Node(id).Errors():
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("node %d reported no error", id)
+		return nil
+	}
+}
+
+// badFrame checks that err is the fabric's fail-closed error for a frame
+// on hop, wrapping fault.ErrBadFrame and saying what.
+func badFrame(t *testing.T, err error, hop, what string) {
+	t.Helper()
+	if !errors.Is(err, fault.ErrBadFrame) || !strings.Contains(err.Error(), hop) || !strings.Contains(err.Error(), what) {
+		t.Fatalf("err = %v, want one naming %q and %q and wrapping fault.ErrBadFrame", err, hop, what)
+	}
+}
+
+// ringFailsClosed runs a 4-node ring AllReduce over a cluster whose chaos
+// spoils one frame of link 0→1 mid-stream. Every node must return within
+// a few step deadlines, at least one with an error and none with a bare
+// cancellation; the error node 1's reader reports is returned.
+func ringFailsClosed(t *testing.T, c *Cluster, dim int, tos uint8, finalize func([]float32)) error {
+	t.Helper()
+	n := c.N()
 	inputs := chaosInputs(n, dim, 1)
+	errs := make([]error, n)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for id := 0; id < n; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			g := append([]float32(nil), inputs[id]...)
+			errs[id] = ring.AllReduceCtx(context.Background(), c.Node(id), g, tos, finalize, ring.Options{StepTimeout: time.Second})
+		}(id)
+	}
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("ring AllReduce over a faulted link hung")
+	}
+	failed := 0
+	for id, err := range errs {
+		if err == nil {
+			continue
+		}
+		failed++
+		if errors.Is(err, context.Canceled) {
+			t.Errorf("node %d failed with a bare cancellation: %v", id, err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("ring AllReduce succeeded over a faulted link")
+	}
+	return nodeError(t, c, 1)
+}
+
+// TestChaosRingAllReduceCompressed: one bit of a compressed frame flips on
+// the wire mid-stream. The CRC catches it and the ring fails closed with
+// an error naming the hop; nothing retransmits it.
+func TestChaosRingAllReduceCompressed(t *testing.T) {
+	const n = 4
+	bound := fpcodec.MustBound(10)
 	proc := comm.CodecProcessor{Bound: bound}
 	finalize := func(b []float32) {
 		out, _ := proc.Process(b, comm.ToSCompress)
 		copy(b, out)
 	}
-
-	reference, err := NewCluster(n, true, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runChaosRing(t, reference, inputs, comm.ToSCompress, finalize, 30*time.Second)
-	reference.Close()
-
-	chaotic, err := NewClusterWithOptions(n, ClusterOptions{
+	c, err := NewClusterWithOptions(n, ClusterOptions{
 		Compress: true,
 		Bound:    bound,
 		Chaos: fault.NewInjector(n, fault.Config{
-			Seed:    42,
-			Default: fault.LinkFaults{DropRate: 0.05, CorruptRate: 0.05},
+			Seed:  42,
+			Links: map[fault.Link]fault.LinkFaults{{Src: 0, Dst: 1}: {CorruptRate: 1, From: 2, Until: 3}},
 		}),
-		Retry: RetryPolicy{ProbeRTO: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer chaotic.Close()
-	got := runChaosRing(t, chaotic, inputs, comm.ToSCompress, finalize, 60*time.Second)
-
-	for node := range got {
-		for j := range got[node] {
-			if got[node][j] != want[node][j] {
-				t.Fatalf("node %d elem %d: chaos run %g != fault-free %g",
-					node, j, got[node][j], want[node][j])
-			}
-		}
-	}
-	var retransmits, nacks, raw int64
-	for id := 0; id < n; id++ {
-		for p := 0; p < n; p++ {
-			retransmits += chaotic.Node(id).LinkStats(p).Retransmits.Load()
-			nacks += chaotic.Node(id).LinkStats(p).Nacks.Load()
-			raw += chaotic.Node(id).LinkStats(p).RawBytes.Load()
-		}
-	}
-	// Pre-codec bytes count once per send: the ring's 2(n−1) blocks per
-	// node, however many times the ARQ put each on the wire.
-	if want := int64(2 * (n - 1) * 4 * dim); raw != want {
-		t.Errorf("RawBytes = %d over all links, want exactly %d", raw, want)
-	}
-	if retransmits == 0 {
-		t.Error("retransmit path was not exercised at 5%+5% fault rates")
-	}
-	if nacks == 0 {
-		t.Error("no NACKs issued under injected corruption")
-	}
+	defer c.Close()
+	badFrame(t, ringFailsClosed(t, c, 1000, comm.ToSCompress, finalize), "0->1 seq 2", "CRC mismatch")
 }
 
-// TestChaosRingAllReduceRaw repeats the chaos run without compression:
-// raw frames must also survive drops and corruption bit-exactly.
+// TestChaosRingAllReduceRaw: a raw frame is dropped mid-stream. The next
+// frame on the link arrives one sequence number ahead, and the ring fails
+// closed on the gap.
 func TestChaosRingAllReduceRaw(t *testing.T) {
-	const n, dim = 4, 500
-	bound := fpcodec.MustBound(10)
-	inputs := chaosInputs(n, dim, 2)
-
-	reference, err := NewCluster(n, false, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runChaosRing(t, reference, inputs, 0, nil, 30*time.Second)
-	reference.Close()
-
-	chaotic, err := NewClusterWithOptions(n, ClusterOptions{
-		Bound: bound,
+	const n = 4
+	c, err := NewClusterWithOptions(n, ClusterOptions{
+		Bound: fpcodec.MustBound(10),
 		Chaos: fault.NewInjector(n, fault.Config{
-			Seed:    7,
-			Default: fault.LinkFaults{DropRate: 0.05, CorruptRate: 0.05, DupRate: 0.03},
+			Seed:  7,
+			Links: map[fault.Link]fault.LinkFaults{{Src: 0, Dst: 1}: {DropRate: 1, From: 2, Until: 3}},
 		}),
-		Retry: RetryPolicy{ProbeRTO: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer chaotic.Close()
-	got := runChaosRing(t, chaotic, inputs, 0, nil, 60*time.Second)
-	for node := range got {
-		for j := range got[node] {
-			if got[node][j] != want[node][j] {
-				t.Fatalf("node %d elem %d diverged under chaos", node, j)
-			}
-		}
-	}
+	defer c.Close()
+	badFrame(t, ringFailsClosed(t, c, 500, 0, nil), "0->1 seq 3", "sequence gap, want seq 2")
 }
 
-// TestDecompressionFailureFallsBackToRaw forces an engine glitch: the
+// TestDecompressionFailureFailsClosed forces an engine glitch: the
 // compressed body is truncated before the CRC is computed, so the frame
-// passes the integrity check but fails to decode. The receiver must
-// re-request it raw, deliver the exact payload, and count the
-// degradation.
-func TestDecompressionFailureFallsBackToRaw(t *testing.T) {
-	bound := fpcodec.MustBound(10)
+// passes the integrity check but fails to decode. The receiver reports a
+// bad frame that also wraps the codec's short read, and delivers nothing.
+func TestDecompressionFailureFailsClosed(t *testing.T) {
 	c, err := NewClusterWithOptions(2, ClusterOptions{
 		Compress: true,
-		Bound:    bound,
+		Bound:    fpcodec.MustBound(10),
 		Chaos: fault.NewInjector(2, fault.Config{
-			Seed: 5,
-			Links: map[fault.Link]fault.LinkFaults{
-				// Glitch only the first transmission on 0→1; the raw
-				// retransmission is exempt (truncation targets compressed
-				// bodies, and the schedule window ends at seq 1).
-				{Src: 0, Dst: 1}: {TruncateRate: 1, Until: 1},
-			},
+			Seed:  5,
+			Links: map[fault.Link]fault.LinkFaults{{Src: 0, Dst: 1}: {TruncateRate: 1, Until: 1}},
 		}),
-		Retry: RetryPolicy{ProbeRTO: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,23 +159,18 @@ func TestDecompressionFailureFallsBackToRaw(t *testing.T) {
 	for i := range payload {
 		payload[i] = float32(rng.NormFloat64())
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	go func() {
-		_ = c.Node(0).SendCtx(ctx, 1, payload, comm.ToSCompress, 1)
-	}()
-	got, err := c.Node(1).RecvCtx(ctx, 0, 1)
-	if err != nil {
+	if err := c.Node(0).SendCtx(context.Background(), 1, payload, comm.ToSCompress, 1); err != nil {
 		t.Fatal(err)
 	}
-	// The raw fallback ships the original IEEE-754 bits: exact.
-	for i := range payload {
-		if got[i] != payload[i] {
-			t.Fatalf("elem %d: %g != %g (raw fallback must be exact)", i, got[i], payload[i])
-		}
+	err = nodeError(t, c, 1)
+	badFrame(t, err, "0->1 seq 0", "bits")
+	if !errors.Is(err, bitio.ErrShortRead) {
+		t.Errorf("err = %v, want one wrapping bitio.ErrShortRead", err)
 	}
-	if d := c.Node(1).LinkStats(0).Degraded.Load(); d != 1 {
-		t.Errorf("per-link degraded counter = %d, want 1", d)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if got, err := c.Node(1).RecvCtx(ctx, 0, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("recv after a bad frame = %d values, %v; want nothing before the deadline", len(got), err)
 	}
 }
 
@@ -218,7 +184,6 @@ func TestPermanentPartitionTimesOut(t *testing.T) {
 			Seed:  1,
 			Links: map[fault.Link]fault.LinkFaults{{Src: 1, Dst: 2}: fault.Partition(0)},
 		}),
-		Retry: RetryPolicy{ProbeRTO: 10 * time.Millisecond, MaxAttempts: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,25 +220,20 @@ func TestPermanentPartitionTimesOut(t *testing.T) {
 	}
 }
 
-// TestStragglerLinkObservable: a link with injected delay must show up in
+// TestStragglerLinkObservable: a sender that runs late must show up in
 // the receiver's LinkStats wait counters.
 func TestStragglerLinkObservable(t *testing.T) {
-	c, err := NewClusterWithOptions(2, ClusterOptions{
-		Bound: fpcodec.MustBound(10),
-		Chaos: fault.NewInjector(2, fault.Config{
-			Seed: 1,
-			Links: map[fault.Link]fault.LinkFaults{
-				{Src: 0, Dst: 1}: {DelayRate: 1, Delay: 40 * time.Millisecond},
-			},
-		}),
-	})
+	c, err := NewCluster(2, false, fpcodec.MustBound(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go func() { _ = c.Node(0).SendCtx(ctx, 1, []float32{1, 2}, 0, 0) }()
+	go func() {
+		time.Sleep(40 * time.Millisecond)
+		_ = c.Node(0).SendCtx(ctx, 1, []float32{1, 2}, 0, 0)
+	}()
 	if _, err := c.Node(1).RecvCtx(ctx, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -368,23 +328,45 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	c.Close() // and once more after the dust settles
 }
 
-// TestCloseUnblocksParkedSender: a sender parked inside the fabric — here
-// on a delay the link injects before every transmission — returns once the
-// cluster closes, with an error graded as a closed transport.
+// TestCloseUnblocksParkedSender: a sender parked inside a socket write —
+// its peer has stopped reading and the kernel buffers are full — returns
+// once the cluster closes, with an error graded as a closed transport.
 func TestCloseUnblocksParkedSender(t *testing.T) {
-	c, err := NewClusterWithOptions(2, ClusterOptions{
-		Bound: fpcodec.MustBound(10),
-		Chaos: fault.NewInjector(2, fault.Config{
-			Seed:  1,
-			Links: map[fault.Link]fault.LinkFaults{{Src: 0, Dst: 1}: {DelayRate: 1, Delay: time.Hour}},
-		}),
-	})
+	c, err := NewCluster(2, false, fpcodec.MustBound(10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Node 1's reader takes the in-link lock for every frame it decodes:
+	// holding it stops the reader after its first frame.
+	stalled := &c.Node(1).in[0].mu
+	stalled.Lock()
+	defer stalled.Unlock()
+
+	payload := make([]float32, 1<<20) // 4 MB frames: a few fill the buffers
+	var sends atomic.Int64
 	sent := make(chan error, 1)
-	go func() { sent <- c.Node(0).SendCtx(context.Background(), 1, []float32{1}, 0, 0) }()
-	time.Sleep(20 * time.Millisecond) // let the sender park
+	go func() {
+		for {
+			if err := c.Node(0).SendCtx(context.Background(), 1, payload, 0, 0); err != nil {
+				sent <- err
+				return
+			}
+			sends.Add(1)
+		}
+	}()
+	// Parked: at least one frame went out, and no more for 200 ms.
+	deadline := time.Now().Add(10 * time.Second)
+	for last := int64(-1); ; {
+		time.Sleep(200 * time.Millisecond)
+		n := sends.Load()
+		if n > 0 && n == last {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sender never parked: %d frames sent", n)
+		}
+		last = n
+	}
 	c.Close()
 	select {
 	case err := <-sent:
@@ -406,7 +388,6 @@ func TestNodeCrashSchedule(t *testing.T) {
 			Seed:       1,
 			CrashAfter: map[int]uint64{1: 1},
 		}),
-		Retry: RetryPolicy{ProbeRTO: 10 * time.Millisecond, MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,19 +411,16 @@ func TestNodeCrashSchedule(t *testing.T) {
 	}
 }
 
-// TestCleanLinkNeverRetransmits: on a link with no faults a stall probe is
-// a question TCP already answers, so nothing is ever sent twice. Four
-// nodes pass multi-MB payloads around a ring with a 1 ms probe interval,
-// each receiver sleeping through several intervals before it receives, so
-// every receive finds its frame still being encoded, written or read and
-// probes for it. Every payload must arrive exactly, with zero
-// retransmissions on every link.
+// TestCleanLinkNeverRetransmits: TCP is the link's one reliability
+// protocol, so every frame crosses the socket exactly once, however slow
+// its receiver. Four nodes pass multi-MB payloads around a ring, each
+// receiver sleeping before it receives, so every receive finds its frame
+// still being encoded, written or read. Every payload must arrive exactly,
+// and each node's socket bytes must be one header and one raw body per
+// send.
 func TestCleanLinkNeverRetransmits(t *testing.T) {
 	const n, dim, rounds = 4, 1 << 20, 4
-	c, err := NewClusterWithOptions(n, ClusterOptions{
-		Bound: fpcodec.MustBound(10),
-		Retry: RetryPolicy{ProbeRTO: time.Millisecond},
-	})
+	c, err := NewCluster(n, false, fpcodec.MustBound(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,13 +458,8 @@ func TestCleanLinkNeverRetransmits(t *testing.T) {
 	}
 	wg.Wait()
 	for id := 0; id < n; id++ {
-		for peer := 0; peer < n; peer++ {
-			if peer == id {
-				continue
-			}
-			if r := c.Node(id).LinkStats(peer).Retransmits.Load(); r != 0 {
-				t.Errorf("link %d->%d: %d retransmits on a clean link", id, peer, r)
-			}
+		if got, want := c.Node(id).SentBytes(), int64(rounds*(frameHeaderLen+4*dim)); got != want {
+			t.Errorf("node %d wrote %d bytes, want %d: one frame per send", id, got, want)
 		}
 	}
 }

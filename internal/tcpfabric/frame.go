@@ -3,7 +3,6 @@ package tcpfabric
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/frame"
@@ -11,21 +10,19 @@ import (
 
 // Wire frame v2 (all little-endian). The 32-byte header is followed by
 // payloadLen body bytes whose CRC32-C is carried in the header, so the
-// receiver can detect on-wire corruption and NACK the frame instead of
-// trusting it.
+// receiver detects on-wire corruption instead of trusting it.
 //
 //	off  field
 //	  0  u32 magic      0x494E4350 ("INCP")
-//	  4  u8  kind       0 data, 1 ack, 2 nack
+//	  4  u8  kind       0 data; kinds 1 (ack) and 2 (nack) are retired
+//	                    and rejected, like every other kind
 //	  5  u8  tos
-//	  6  u8  flags      bit0 compressed, bit1 raw-fallback (data frames,
-//	                    at most one); bit2 want-raw, bit3 probe (NACKs, at
-//	                    most one); every other bit, and any flag on an
-//	                    ACK, is rejected
+//	  6  u8  flags      bit0 compressed; bits 1–3 are retired and
+//	                    rejected, like every other bit
 //	  7  u8  reserved   must be zero
 //	  8  u32 seq        per-link frame sequence number
 //	 12  u32 tag
-//	 16  u32 count      float32 values represented (data frames)
+//	 16  u32 count      float32 values represented
 //	 20  u32 payloadLen body bytes following
 //	 24  u32 bitLen     exact compressed bit count (compressed frames)
 //	 28  u32 crc        CRC32-C of the body bytes
@@ -34,27 +31,12 @@ const (
 	frameHeaderLen = 32
 )
 
-// Frame kinds.
-const (
-	kindData = 0
-	kindAck  = 1
-	kindNack = 2
-)
+// kindData is the one frame kind.
+const kindData = 0
 
-// Frame flags.
-const (
-	flagCompressed  = 1 << 0 // body is a codec bitstream
-	flagRawFallback = 1 << 1 // data resent uncompressed after a decode failure
-	flagWantRaw     = 1 << 2 // NACK requests the retransmission uncompressed
-	flagProbe       = 1 << 3 // stall NACK with no evidence of loss: resend only a frame that left damaged
-)
-
-// kindFlags are the flags each frame kind may carry, one at a time.
-var kindFlags = [...]uint8{
-	kindData: flagCompressed | flagRawFallback,
-	kindAck:  0,
-	kindNack: flagWantRaw | flagProbe,
-}
+// flagCompressed marks a body that is a codec bitstream; it is the one
+// flag.
+const flagCompressed = 1 << 0
 
 // Hostility limits: a frame advertising more than these is rejected during
 // header validation, before any allocation, so a corrupt or malicious
@@ -97,8 +79,9 @@ func encodeHeader(h frameHeader) [frameHeaderLen]byte {
 }
 
 // decodeHeader parses and validates a frame header. Every anomaly — wrong
-// magic, unknown kind, hostile lengths, inconsistent raw sizing, a
-// compressed stream too short for its count — returns an error; the
+// magic, a kind other than data, a flag other than compressed, hostile
+// lengths, inconsistent raw sizing, a compressed stream too short for its
+// count — returns an error; the
 // function never panics and never commits the caller to an allocation
 // larger than maxFrameBytes, nor to one the body it carries cannot fill.
 func decodeHeader(b []byte) (frameHeader, error) {
@@ -122,21 +105,11 @@ func decodeHeader(b []byte) (frameHeader, error) {
 	h.bitLen = binary.LittleEndian.Uint32(b[24:])
 	h.crc = binary.LittleEndian.Uint32(b[28:])
 
-	if int(h.kind) >= len(kindFlags) {
+	if h.kind != kindData {
 		return h, fmt.Errorf("tcpfabric: unknown frame kind %d", h.kind)
 	}
-	if h.flags&^kindFlags[h.kind] != 0 || bits.OnesCount8(h.flags) > 1 {
-		return h, fmt.Errorf("tcpfabric: flags %#x on a kind-%d frame", h.flags, h.kind)
-	}
-	switch h.kind {
-	case kindAck, kindNack:
-		if h.payloadLen != 0 {
-			return h, fmt.Errorf("tcpfabric: control frame with %d-byte body", h.payloadLen)
-		}
-		return h, nil
-	case kindData:
-	default:
-		return h, fmt.Errorf("tcpfabric: unknown frame kind %d", h.kind)
+	if h.flags&^flagCompressed != 0 {
+		return h, fmt.Errorf("tcpfabric: unknown flags %#x", h.flags)
 	}
 	if h.count > maxFrameFloats {
 		return h, fmt.Errorf("tcpfabric: hostile count %d", h.count)

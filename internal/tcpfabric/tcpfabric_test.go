@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
-	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
@@ -32,7 +31,7 @@ func TestClusterConstruction(t *testing.T) {
 }
 
 // exchange sends payload 0→1 from a goroutine, receives it on node 1 and
-// joins the sender before returning: writeFrame adds to SentBytes after
+// joins the sender before returning: a send adds to SentBytes after its
 // Flush, on the sender's goroutine, so the counters may only be read once
 // SendCtx has returned.
 func exchange(t *testing.T, c *Cluster, payload []float32, tos uint8, tag int) []float32 {
@@ -249,13 +248,11 @@ func TestEmptyPayload(t *testing.T) {
 }
 
 // TestWarmLinkAllocatesNoFrames: once a link's free lists hold its
-// frames in flight, a frame costs the allocator bookkeeping only — no
-// body, float copy, read buffer or decoded payload — on the raw and the
-// compressed path alike. As on a ring, where a block is ACKed long before
-// the link's next one, each frame waits for its ACK: a sender racing ahead
-// of its own ACK reader keeps more frames in flight than a list holds. The
-// lists hold their buffers weakly, so the collector is off during the test
-// (a collection would empty them). A frame left unACKed fails the test.
+// frames, a frame costs the allocator bookkeeping only — no body, read
+// buffer or decoded payload — on the raw and the compressed path alike. A
+// send's body is back on its list when SendCtx returns. The lists hold
+// their buffers weakly, so the collector is off during the test (a
+// collection would empty them).
 func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	payload := make([]float32, 1<<14)
@@ -269,20 +266,10 @@ func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		tag := 0
-		ol := &c.Node(0).out[1]
 		pingPong := func(frames int) {
 			for i := 0; i < frames; i++ {
 				tag++
 				exchange(t, c, payload, comm.ToSCompress, tag)
-				deadline := time.Now().Add(5 * time.Second)
-				for unacked := 1; unacked > 0; runtime.Gosched() {
-					ol.mu.Lock()
-					unacked = len(ol.buf)
-					ol.mu.Unlock()
-					if unacked > 0 && time.Now().After(deadline) {
-						t.Fatalf("compress=%v: %d frame(s) still unACKed after 5s", compress, unacked)
-					}
-				}
 			}
 		}
 		pingPong(10)

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -31,10 +32,11 @@ func replicaWeights(build Builder, trainDS data.Dataset, iters int, o Options) (
 // reach must land on final weights bit-identical to the in-process
 // whole-block ring — chunking is purely a scheduling change, the TCP
 // fabric carries the same bits, and the switch's combine replays the
-// ring's per-block accumulation order. The same holds through the faults
-// the run is built to hide, on the one wire that can be faulted: TCP links
-// that drop and corrupt frames (retransmission). The lossy-codec group and
-// the collectives that sum in a different order have their own clean
+// ring's per-block accumulation order. The one wire that can be faulted
+// hides no fault: its `lossy links` rows corrupt a frame on every TCP
+// link, and each collective must fail closed with the fabric's bad-frame
+// error instead of landing anywhere. The lossy-codec group and the
+// collectives that sum in a different order have their own clean
 // in-process reference.
 // Three workers as well as four where the ring's blocks are in play, so
 // the uneven split is covered, and two — the smallest ring and a two-port
@@ -51,7 +53,9 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 		name string
 		opt  func(*Options) // applied on top of the group's reference options
 		// run returns the weight vectors that must all equal the
-		// reference's, and the Result when there is one.
+		// reference's, and the Result when there is one; a fail-closed
+		// row returns none and reports a run that did not fail closed as
+		// its error.
 		run func(o Options) ([][]float32, Result, error)
 		// rawVectors, when set, is the exact pre-codec traffic of one
 		// iteration in gradient vectors (the TCP plane's closed form; it
@@ -74,11 +78,17 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 	}
 	same := func(*Options) {}
 	ringVectors := func(n int) int64 { return 2 * int64(n-1) }
-	// lossyLinks drops and corrupts frames on every link, within what the
-	// TCP fabric's retransmission recovers.
+	// lossyLinks flips a bit of every link's sixth frame on the wire.
 	lossyLinks := func(o *Options) {
 		o.StepTimeout = 15 * time.Second
-		o.Chaos = &fault.Config{Seed: 11, Default: fault.LinkFaults{DropRate: 0.03, CorruptRate: 0.03}}
+		o.Chaos = &fault.Config{Seed: 11, Default: fault.LinkFaults{CorruptRate: 1, From: 5, Until: 6}}
+	}
+	failsClosed := func(o Options) ([][]float32, Result, error) {
+		_, err := Run(models.NewHDCSmall, trainDS, testDS, iters, o.onTCP(bound))
+		if !errors.Is(err, fault.ErrBadFrame) {
+			return nil, Result{}, fmt.Errorf("run over corrupting links: err = %v, want one wrapping fault.ErrBadFrame", err)
+		}
+		return nil, Result{}, nil
 	}
 	hierarchy := func(algo Algorithm) func(*Options) {
 		return func(o *Options) { o.Algo, o.GroupSize = algo, 2 }
@@ -93,7 +103,7 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 		{"lossless", []int{4, 3, 2}, same, []row{
 			{"ring chunk=100", func(o *Options) { o.ChunkSize = 100 }, inproc, nil},
 			{"ring chunk=4096", func(o *Options) { o.ChunkSize = 4096 }, inproc, nil},
-			{"ring lossy links", lossyLinks, tcp, ringVectors},
+			{"ring lossy links", lossyLinks, failsClosed, nil},
 			{"ring tcp", same, tcp, ringVectors},
 			{"ring tcp chunk=4096", func(o *Options) { o.ChunkSize = 4096 }, tcp, ringVectors},
 			{"switch", viaSwitch, inproc, nil},
@@ -108,15 +118,15 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 		}},
 		{"worker-aggregator", []int{4}, func(o *Options) { o.Algo = WorkerAggregator }, []row{
 			{"tcp", same, tcp, nil},
-			{"lossy links", lossyLinks, tcp, nil},
+			{"lossy links", lossyLinks, failsClosed, nil},
 		}},
 		{"hierarchical-tree", []int{4}, hierarchy(HierarchicalTree), []row{
 			{"tcp", same, tcp, nil},
-			{"lossy links", lossyLinks, tcp, nil},
+			{"lossy links", lossyLinks, failsClosed, nil},
 		}},
 		{"hierarchical-ring", []int{4}, hierarchy(HierarchicalRing), []row{
 			{"tcp", same, tcp, nil},
-			{"lossy links", lossyLinks, tcp, nil},
+			{"lossy links", lossyLinks, failsClosed, nil},
 		}},
 	}
 
@@ -139,8 +149,8 @@ func TestFixedRunnersBitIdenticalToRing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(got) == 0 {
-						t.Fatal("no weight vectors returned")
+					if got == nil {
+						return // a fail-closed row, checked by its run
 					}
 					for rep, w := range got {
 						if len(w) != len(ref.FinalWeights) {

@@ -87,9 +87,11 @@ func (p *dataPlane) peer(id int) comm.CtxPeer {
 }
 
 // watch starts the anomaly watcher: handle receives transport-level
-// failures that no exchange blocks on directly — exhausted retries on a
-// NACKed frame, a torn frame, stream desync — which must reach the runner
-// rather than leave a collective spinning on recovery probes forever.
+// failures that no exchange blocks on directly — a frame the receiver
+// cannot deliver (a CRC, codec or sequence error wrapping
+// fault.ErrBadFrame), a torn frame, stream desync — which must end the run
+// with their cause rather than leave a collective waiting out its step
+// deadline, or forever when it has none.
 // handle returns whether to keep watching that node; everything stops with
 // ctx. Only the TCP fabric reports anomalies out of band (the in-process
 // peers return theirs from the failing call).
@@ -118,8 +120,8 @@ func (p *dataPlane) watch(ctx context.Context, handle func(id int, err error) (a
 // straggler signal).
 func (p *dataPlane) traffic() (raw, wire int64, recvWait time.Duration) {
 	// Both fabrics keep one comm.LinkStats per directed node pair; the TCP
-	// fabric's wire total is what its sockets carried, control frames and
-	// retransmissions included.
+	// fabric's wire total is what its sockets carried, frame headers
+	// included.
 	var linkStats func(i, j int) *comm.LinkStats
 	if p.cluster != nil {
 		linkStats = func(i, j int) *comm.LinkStats { return p.cluster.Node(i).LinkStats(j) }

@@ -9,13 +9,11 @@ import (
 	"time"
 
 	"inceptionn/internal/comm"
-	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 )
 
 // TestTransportContract states comm.CtxPeer's contract once, over every
-// peer a dataPlane hands out — in-process, loopback TCP, and loopback TCP
-// whose ARQ repairs a lossy link:
+// peer a dataPlane hands out — in-process and loopback TCP:
 //
 //   - a payload arrives intact, and the sender may overwrite its buffer the
 //     moment SendCtx returns;
@@ -28,12 +26,10 @@ import (
 //
 // A compressed TCP plane runs the ownership rows over the codec path.
 func TestTransportContract(t *testing.T) {
-	lossy := &fault.Config{Seed: 4, Default: fault.LinkFaults{DropRate: 0.2, CorruptRate: 0.2, DupRate: 0.1}}
 	planes := map[string]Options{
-		"inproc":    {},
-		"tcp":       {Plane: TCP},
-		"tcp-chaos": {Plane: TCP, Chaos: lossy},
-		"tcp-comp":  {Plane: TCP, Compress: true, Bound: fpcodec.MustBound(10)},
+		"inproc":   {},
+		"tcp":      {Plane: TCP},
+		"tcp-comp": {Plane: TCP, Compress: true, Bound: fpcodec.MustBound(10)},
 	}
 	for name, o := range planes {
 		t.Run(name, func(t *testing.T) {

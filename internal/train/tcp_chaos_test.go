@@ -3,43 +3,75 @@ package train
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"inceptionn/internal/bitio"
 	"inceptionn/internal/fault"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/models"
 )
 
 // TestRingTCPTrainingUnderChaos: the full training loop over real sockets
-// with 2% drops and 2% corruption on every link must produce bitwise the
-// same final weights as the fault-free run — retransmission makes the
-// lossy wire invisible to the algorithm.
+// fails closed under every fault the wire can show, with an error that
+// names its cause — never a hang, never a bare context.Canceled. A frame's
+// fault on link 0→1 reaches the run through node 1's reader, the plane's
+// anomaly watcher and the run's first error; a partition through the
+// step deadline; a crash through the crashed node's own send.
 func TestRingTCPTrainingUnderChaos(t *testing.T) {
 	trainDS, testDS := digitsData()
-	bound := fpcodec.MustBound(10)
-	run := func(chaos *fault.Config) []float32 {
-		o := digitsOptions()
-		o.StepTimeout = 20 * time.Second
-		o.Chaos = chaos
-		res, err := Run(models.NewHDCSmall, trainDS, testDS, 30, o.onTCP(bound))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.FinalWeights
-	}
-	clean := run(nil)
-	chaotic := run(&fault.Config{
-		Seed:    17,
-		Default: fault.LinkFaults{DropRate: 0.02, CorruptRate: 0.02},
-	})
-	if len(clean) != len(chaotic) {
-		t.Fatalf("weight vector lengths differ: %d vs %d", len(clean), len(chaotic))
-	}
-	for i := range clean {
-		if clean[i] != chaotic[i] {
-			t.Fatalf("weight %d diverged under chaos: %g != %g", i, chaotic[i], clean[i])
-		}
+	link := fault.Link{Src: 0, Dst: 1}
+	for _, tc := range []struct {
+		name     string
+		compress bool
+		chaos    fault.Config
+		want     []error // every one must be wrapped
+		says     string  // and the message must say this
+	}{
+		{"corrupt", false, fault.Config{Seed: 1, Links: map[fault.Link]fault.LinkFaults{link: {CorruptRate: 1, From: 4, Until: 5}}},
+			[]error{fault.ErrBadFrame}, "0->1 seq 4: CRC mismatch"},
+		{"truncate", true, fault.Config{Seed: 1, Links: map[fault.Link]fault.LinkFaults{link: {TruncateRate: 1, From: 4, Until: 12}}},
+			[]error{fault.ErrBadFrame, bitio.ErrShortRead}, "0->1 seq"},
+		{"drop", false, fault.Config{Seed: 1, Links: map[fault.Link]fault.LinkFaults{link: {DropRate: 1, From: 4, Until: 5}}},
+			[]error{fault.ErrBadFrame}, "0->1 seq 5: sequence gap, want seq 4"},
+		{"partition", false, fault.Config{Seed: 1, Links: map[fault.Link]fault.LinkFaults{link: fault.Partition(4)}},
+			[]error{context.DeadlineExceeded}, "tcpfabric: recv "},
+		{"crash", false, fault.Config{Seed: 1, CrashAfter: map[int]uint64{1: 20}},
+			[]error{fault.ErrCrashed}, "node 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := digitsOptions()
+			o.StepTimeout = time.Second
+			o.Compress = tc.compress
+			o.Chaos = &tc.chaos
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(models.NewHDCSmall, trainDS, testDS, 10, o.onTCP(fpcodec.MustBound(10)))
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatal("training under chaos hung")
+			}
+			if err == nil {
+				t.Fatal("training under chaos reported success")
+			}
+			if errors.Is(err, context.Canceled) {
+				t.Fatalf("failed with a bare cancellation: %v", err)
+			}
+			for _, want := range tc.want {
+				if !errors.Is(err, want) {
+					t.Errorf("err = %v, want one wrapping %v", err, want)
+				}
+			}
+			if !strings.Contains(err.Error(), tc.says) {
+				t.Errorf("err = %v, want one saying %q", err, tc.says)
+			}
+			t.Logf("failed closed: %v", err)
+		})
 	}
 }
 

@@ -11,8 +11,7 @@
 // worker-aggregator, the two hierarchies, the in-network switch). Every
 // run is the one fixed-membership loop, runFixed, whose iterations are
 // computeStep → the collective's exchange → commitStep. Membership never
-// changes: a fault the fabric's retransmission cannot heal fails the run
-// with its cause.
+// changes, and nothing repairs a fault: it fails the run with its cause.
 package train
 
 import (
@@ -81,7 +80,7 @@ const (
 	InProcess Plane = iota
 	// TCP runs the nodes over genuine loopback sockets (internal/tcpfabric),
 	// whose embedded NIC engines compress with error bound Options.Bound and
-	// whose retransmit protocol carries Options.Chaos.
+	// whose frames Options.Chaos faults.
 	TCP
 )
 
@@ -142,11 +141,11 @@ type Options struct {
 	// whole gradient as one chunk.
 	SwitchChunk int
 	// Chaos, if non-nil, injects deterministic transport faults (drops,
-	// corruption, duplication, delay, partitions, crashes — see
-	// internal/fault) into the TCP plane's traffic through the fabric's
-	// injector; the in-process plane has no wire to fault and rejects it.
-	// The fabric's retransmit protocol repairs recoverable faults
-	// transparently; unrecoverable ones fail the run with their cause.
+	// corruption, truncation, partitions, crashes — see internal/fault)
+	// into the TCP plane's traffic through the fabric's injector; the
+	// in-process plane has no wire to fault and rejects it. Every fault
+	// fails the run closed with its cause: a bad frame (CRC, codec or
+	// sequence error), a step deadline, or a crash.
 	Chaos *fault.Config
 
 	// Obs, when non-nil, instruments the run: compute/exchange phase spans
