@@ -16,9 +16,11 @@ test:
 # assembly, where the portable Go loops (tensor.go, fpcodec's kernel.go,
 # opt's stepGo) are the whole implementation (the kernel_other.go files,
 # cpu_other.go): it keeps that path compiling.
+# The third vets big-endian s390x, where tcpfabric converts plain bodies.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:" $$unformatted; exit 1; }
 
 # Race-detector run of the packages with real concurrency (transports,

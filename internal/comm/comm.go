@@ -269,8 +269,8 @@ func (f *Fabric) TotalWireBytes() int64 {
 // the caller's next receive from the same source on the same peer, and the
 // caller must not write it. A caller that keeps a payload past that point
 // copies it. The TCP node takes the previous payload back on the next
-// receive from its link and decodes later frames into it; the in-process
-// Endpoint hands out fresh slices.
+// receive from its link and reads or decodes later frames into it; the
+// in-process Endpoint hands out fresh slices.
 type CtxPeer interface {
 	// ID returns this node's id in [0, N).
 	ID() int

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"inceptionn/internal/ring"
+	"inceptionn/internal/tensor"
 )
 
 // In-network switch all-reduce (NetReduce-style, arXiv:2009.09736): one
@@ -179,9 +180,7 @@ func (c *Comm) SwitchServeCtx(ctx context.Context, gradLen int, opt SwitchOption
 					copy(seg, src)
 					continue
 				}
-				for i, v := range src {
-					seg[i] += v
-				}
+				tensor.Add(seg, src)
 			}
 		}
 		if c.finalize != nil {

@@ -25,6 +25,7 @@ import (
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/obs"
+	"inceptionn/internal/tensor"
 )
 
 // BlockBounds returns block b of a length-n vector split parts ways: the
@@ -248,9 +249,7 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 			}
 			dsp := opt.Obs.Span(id, opt.ObsIter, obs.PhaseReduce)
 			if reduce {
-				for i, v := range rb {
-					recvBuf[i] += v
-				}
+				tensor.Add(recvBuf, rb)
 			} else {
 				copy(recvBuf, rb)
 			}
@@ -314,9 +313,7 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 				t0 = time.Now()
 			}
 			if reduce {
-				for i, v := range rb {
-					local[i] += v
-				}
+				tensor.Add(local, rb)
 			} else {
 				copy(local, rb)
 			}
@@ -447,9 +444,7 @@ func AggregateStepCtx(ctx context.Context, e comm.CtxPeer, workers []int, gradLe
 		if err != nil {
 			return fmt.Errorf("ring: aggregator gather: %w", err)
 		}
-		for i, v := range g {
-			sum[i] += v
-		}
+		tensor.Add(sum, g)
 	}
 	weights := update(sum)
 	for _, w := range workers {

@@ -336,8 +336,9 @@ func TestCloseUnblocksParkedSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 1's reader takes the in-link lock for every frame it decodes:
-	// holding it stops the reader after its first frame.
+	// Node 1's reader draws the buffer a plain frame's body is read into
+	// under the in-link lock: holding it stops the reader at its first
+	// frame's body. That frame is one float, which the socket buffers hold.
 	stalled := &c.Node(1).in[0].mu
 	stalled.Lock()
 	defer stalled.Unlock()
@@ -346,8 +347,12 @@ func TestCloseUnblocksParkedSender(t *testing.T) {
 	var sends atomic.Int64
 	sent := make(chan error, 1)
 	go func() {
-		for {
-			if err := c.Node(0).SendCtx(context.Background(), 1, payload, 0, 0); err != nil {
+		for i := 0; ; i++ {
+			p := payload
+			if i == 0 {
+				p = payload[:1]
+			}
+			if err := c.Node(0).SendCtx(context.Background(), 1, p, 0, 0); err != nil {
 				sent <- err
 				return
 			}

@@ -3,6 +3,7 @@ package tcpfabric
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/frame"
@@ -45,6 +46,17 @@ const (
 	maxFrameFloats = 1 << 24 // 16M float32 = 64 MiB decoded
 	maxFrameBytes  = 1 << 26 // 64 MiB on the wire
 )
+
+// viewed reports whether h's body is its floats' own memory: a plain
+// frame on a little-endian host (wireIsMemory), sent from the caller's
+// payload and read into the buffer it is delivered in.
+func viewed(h frameHeader) bool { return wireIsMemory && h.flags&flagCompressed == 0 }
+
+// floatBytes is the byte view of p's memory: on a little-endian host,
+// frame.PutF32s(b, p) would write exactly these bytes into b.
+func floatBytes(p []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), 4*len(p))
+}
 
 // bodyCRC is the integrity checksum carried in every frame header.
 func bodyCRC(body []byte) uint32 { return frame.Checksum(body) }
@@ -132,10 +144,11 @@ func decodeHeader(b []byte) (frameHeader, error) {
 }
 
 // decodeRawPayload converts a raw (uncompressed) data frame body into the
-// h.count float32 values of dst. The header has already been validated, so
-// the sizes are consistent; a short body or buffer (possible only when a
-// caller bypasses header validation, e.g. the fuzzer) is an error rather
-// than a panic.
+// h.count float32 values of dst: the receive of a plain frame on a
+// big-endian host, whose body is not its floats' memory. The header has
+// already been validated, so the sizes are consistent; a short body or
+// buffer (possible only when a caller bypasses header validation, e.g. the
+// fuzzer) is an error rather than a panic.
 func decodeRawPayload(dst []float32, h frameHeader, body []byte) error {
 	if len(body) != int(h.payloadLen) || len(body) != 4*int(h.count) || len(dst) != int(h.count) {
 		return fmt.Errorf("tcpfabric: raw body %dB for %d floats, want %d", len(body), len(dst), 4*h.count)

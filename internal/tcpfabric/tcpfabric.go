@@ -9,12 +9,14 @@
 // travel over the socket; the receiving side's ingress engine reconstructs
 // the floats. Untagged traffic ships raw IEEE-754 bytes.
 //
-// Each float crosses between host and bytes once per direction. A send
-// encodes its frame once, into a body drawn from the link's free list,
-// writes it once, and returns the body to the list. The reader reads every
-// body into the link's one read buffer and decodes it into a float buffer
-// from the link's free list, which it lends to the caller (comm.CtxPeer
-// states the ownership rule).
+// A plain frame is its floats' bytes. INCP's plain body is little-endian
+// IEEE-754 float32, which on a little-endian host is the payload's own
+// memory: a send writes the header and a byte view of the caller's payload
+// in one writev, and the reader reads the body straight into a float buffer
+// from the link's free list, which it lends to the caller once the frame
+// checks out (comm.CtxPeer states the ownership rule). A compressed frame
+// (and, on a big-endian host, a plain one) is encoded into a body drawn
+// from the link's free list and decoded out of the link's one read buffer.
 //
 // TCP is the one reliability protocol: it delivers the bytes it accepted,
 // in order, as the paper's NIC assumes of the stack above it. Every data
@@ -102,13 +104,17 @@ type Node struct {
 
 // outLink is the sender side of one directed link. A send holds mu from
 // its encode to the end of its write, so frames take their sequence
-// numbers in the order they reach the socket, and its body is back on the
-// free list before the next send draws one.
+// numbers in the order they reach the socket, and a body drawn from the
+// free list is back on it before the next send draws one. header, vec and
+// bufs are the write's storage, kept here so a write allocates none.
 type outLink struct {
 	mu     sync.Mutex
-	w      *bufio.Writer
+	conn   net.Conn
 	next   uint32
 	bodies freeList[byte]
+	header [frameHeaderLen]byte
+	vec    [2][]byte
+	bufs   net.Buffers
 }
 
 // inLink is the receiver side: the payload the last receive lent out and
@@ -291,7 +297,7 @@ func NewClusterWithOptions(n int, opts ClusterOptions) (*Cluster, error) {
 // attach wires a connection to a peer and starts its reader.
 func (nd *Node) attach(peer int, conn net.Conn) {
 	nd.conns[peer] = conn
-	nd.out[peer].w = bufio.NewWriterSize(conn, 64<<10)
+	nd.out[peer].conn = conn
 	go nd.readLoop(peer, conn)
 }
 
@@ -356,9 +362,10 @@ func (nd *Node) N() int { return nd.cluster.n }
 
 var _ comm.CtxPeer = (*Node)(nil)
 
-// SendCtx encodes the payload once into a body from the link's free list,
-// writes it as the link's next frame, and returns the body to the list.
-// The caller may reuse payload once SendCtx returns.
+// SendCtx writes the payload as the link's next frame: a plain frame's body
+// is the payload's bytes on a little-endian host; any other body is
+// encoded into storage from the link's free list, which goes back to the
+// list once written. The caller may reuse payload once SendCtx returns.
 func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {
 	if dst == nd.id {
 		return fmt.Errorf("tcpfabric: node %d send to self", nd.id)
@@ -379,7 +386,9 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 	h.seq = ol.next
 	ol.next++
 	err := nd.write(ol, dst, h, body)
-	ol.bodies.put(body)
+	if !viewed(h) {
+		ol.bodies.put(body)
+	}
 	if err != nil {
 		return err
 	}
@@ -387,9 +396,9 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 	return nil
 }
 
-// encode builds a data frame's header and body, into storage from the
-// link's free list, and checksums the body: the one conversion of the
-// payload's floats to bytes. The caller holds ol.mu.
+// encode builds a data frame's header and body and checksums the body. A
+// viewed frame's body is floatBytes(payload); any other is built in
+// storage from the link's free list. The caller holds ol.mu.
 func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (frameHeader, []byte) {
 	h := frameHeader{kind: kindData, tos: tos, tag: uint32(tag), count: uint32(len(payload))}
 	var body []byte
@@ -402,6 +411,8 @@ func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (fram
 		body, bits = nd.ce.CompressInto(body, payload)
 		sp.End()
 		h.flags, h.bitLen = flagCompressed, uint32(bits)
+	} else if wireIsMemory {
+		body = floatBytes(payload)
 	} else {
 		body = ol.bodies.get(4 * len(payload))
 		frame.PutF32s(body, payload)
@@ -411,10 +422,12 @@ func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (fram
 	return h, body
 }
 
-// write puts one frame on dst's socket under the chaos verdict for it.
-// Truncation happens before the CRC is recomputed (a glitching engine),
-// corruption after (on-wire damage); both edit the body in place, which is
-// spent once written. The caller holds ol.mu.
+// write puts one frame on dst's socket, header and body in one writev,
+// under the chaos verdict for it. Truncation happens before the CRC is
+// recomputed (a glitching engine), corruption after (on-wire damage). Both
+// edit the body in place, which is spent once written, except a viewed
+// body: that is the caller's payload, so corruption edits a copy from the
+// link's free list. The caller holds ol.mu.
 func (nd *Node) write(ol *outLink, dst int, h frameHeader, body []byte) error {
 	drop := false
 	if ch := nd.cluster.chaos; ch != nil {
@@ -432,6 +445,12 @@ func (nd *Node) write(ol *outLink, dst int, h frameHeader, body []byte) error {
 			h.crc = bodyCRC(body)
 		}
 		if v.CorruptBit >= 0 && len(body) > 0 {
+			if viewed(h) {
+				spoilt := ol.bodies.get(len(body))
+				copy(spoilt, body)
+				defer ol.bodies.put(spoilt)
+				body = spoilt
+			}
 			bit := v.CorruptBit % (8 * len(body))
 			body[bit/8] ^= 1 << (bit % 8)
 		}
@@ -443,17 +462,14 @@ func (nd *Node) write(ol *outLink, dst int, h frameHeader, body []byte) error {
 	if nd.isClosed() {
 		return ErrClosed
 	}
-	header := encodeHeader(h)
-	if _, err := ol.w.Write(header[:]); err != nil {
-		return nd.writeErr("header", dst, err)
+	ol.header = encodeHeader(h)
+	ol.bufs = append(ol.vec[:0], ol.header[:], body)
+	_, err := ol.bufs.WriteTo(ol.conn)
+	clear(ol.vec[:]) // keep no hold on the caller's payload
+	if err != nil {
+		return nd.writeErr("frame", dst, err)
 	}
-	if _, err := ol.w.Write(body); err != nil {
-		return nd.writeErr("body", dst, err)
-	}
-	if err := ol.w.Flush(); err != nil {
-		return nd.writeErr("flush", dst, err)
-	}
-	nd.sentBytes.Add(int64(len(header) + len(body)))
+	nd.sentBytes.Add(int64(frameHeaderLen + len(body)))
 	return nil
 }
 
@@ -503,16 +519,19 @@ func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error
 func (nd *Node) SentBytes() int64 { return nd.sentBytes.Load() }
 
 // readLoop parses frames from one peer connection and hands each to
-// handleData. It is the connection's only reader, so every body lands in
-// one read buffer, grown to the link's largest frame. A clean close (EOF
-// at a frame boundary, or a local Close) ends the loop silently; a torn
-// frame or stream desync is surfaced on the node's error channel first.
-// Once a frame fails, the link delivers nothing more, but its later
+// handleData. It is the connection's only reader. A viewed frame's body is
+// read straight into a float buffer drawn from the link's free list, which
+// handleData delivers if the frame checks out; every other body lands in
+// one read buffer, grown to the link's largest such frame. A clean close
+// (EOF at a frame boundary, or a local Close) ends the loop silently; a
+// torn frame or stream desync is surfaced on the node's error channel
+// first. Once a frame fails, the link delivers nothing more, but its later
 // frames are still read, so no sender blocks on a reader that stopped.
 func (nd *Node) readLoop(peer int, conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
+	il := &nd.in[peer]
 	var header [frameHeaderLen]byte
-	var body []byte
+	var buf []byte  // the read buffer
 	var want uint32 // the next frame's sequence number
 	failed := false
 	for {
@@ -528,10 +547,19 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 			nd.pushErr(fmt.Errorf("tcpfabric: node %d from %d: %w", nd.id, peer, err))
 			return
 		}
-		if cap(body) < int(h.payloadLen) {
-			body = make([]byte, h.payloadLen)
+		var payload []float32
+		var body []byte
+		if viewed(h) && !failed {
+			il.mu.Lock()
+			payload = il.free.get(int(h.count))
+			il.mu.Unlock()
+			body = floatBytes(payload)
+		} else {
+			if cap(buf) < int(h.payloadLen) {
+				buf = make([]byte, h.payloadLen)
+			}
+			body = buf[:h.payloadLen]
 		}
-		body = body[:h.payloadLen]
 		if n, err := io.ReadFull(r, body); err != nil {
 			if !nd.isClosed() {
 				nd.pushErr(fmt.Errorf("tcpfabric: node %d torn frame body from %d (%d/%dB): %w",
@@ -542,7 +570,7 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 		if failed {
 			continue
 		}
-		switch err := nd.handleData(peer, want, h, body); {
+		switch err := nd.handleData(peer, want, h, body, payload); {
 		case err == ErrClosed:
 			return
 		case err != nil:
@@ -553,13 +581,15 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 	}
 }
 
-// handleData checks one data frame's sequence number and CRC, decodes it
-// into a buffer from the link's free list, and delivers it. body is the
-// link's read buffer: the payload is decoded out of it before the next
-// frame is read. A frame it cannot deliver is an error naming the hop and
-// wrapping fault.ErrBadFrame; a codec failure also wraps the codec's
-// error. It returns ErrClosed when the node shuts down mid-delivery.
-func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte) error {
+// handleData checks one data frame's sequence number and CRC and delivers
+// its payload. A viewed frame's body is the byte view of payload, which
+// readLoop drew from the link's free list; any other body is the link's
+// read buffer, decoded out of it into a buffer from the free list before
+// the next frame is read. A frame it cannot deliver is an error naming the
+// hop and wrapping fault.ErrBadFrame; a codec failure also wraps the
+// codec's error. It returns ErrClosed when the node shuts down
+// mid-delivery.
+func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte, payload []float32) error {
 	var what string
 	switch {
 	case h.seq > want:
@@ -574,20 +604,22 @@ func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte) er
 	if what != "" {
 		return fmt.Errorf("tcpfabric: %d->%d seq %d: %s: %w", peer, nd.id, h.seq, what, fault.ErrBadFrame)
 	}
-	il := &nd.in[peer]
-	il.mu.Lock()
-	payload := il.free.get(int(h.count))
-	il.mu.Unlock()
-	var err error
-	if h.flags&flagCompressed != 0 {
-		sp := nd.cluster.rec.Span(nd.id, -1, obs.PhaseDecompress)
-		payload, err = nd.de.DecompressInto(payload, body, int(h.bitLen), int(h.count))
-		sp.End()
-	} else {
-		err = decodeRawPayload(payload, h, body)
-	}
-	if err != nil {
-		return fmt.Errorf("tcpfabric: %d->%d seq %d: %w: %w", peer, nd.id, h.seq, fault.ErrBadFrame, err)
+	if !viewed(h) {
+		il := &nd.in[peer]
+		il.mu.Lock()
+		payload = il.free.get(int(h.count))
+		il.mu.Unlock()
+		var err error
+		if h.flags&flagCompressed != 0 {
+			sp := nd.cluster.rec.Span(nd.id, -1, obs.PhaseDecompress)
+			payload, err = nd.de.DecompressInto(payload, body, int(h.bitLen), int(h.count))
+			sp.End()
+		} else {
+			err = decodeRawPayload(payload, h, body)
+		}
+		if err != nil {
+			return fmt.Errorf("tcpfabric: %d->%d seq %d: %w: %w", peer, nd.id, h.seq, fault.ErrBadFrame, err)
+		}
 	}
 	select {
 	case nd.inbox[peer] <- decodedFrame{tag: int(h.tag), payload: payload}:

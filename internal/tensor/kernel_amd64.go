@@ -64,6 +64,19 @@ func axpy1(d, b []float32, a float32) {
 	axpy1Go(d, b, a)
 }
 
+// add is addGo with d's whole 8-float blocks in axpy1's AVX2 lanes at
+// coefficient 1: each lane's VMULPS takes 1·s[i], which is s[i] (a
+// signalling NaN comes out quieted, as the add would quiet it), and its
+// VADDPS adds that to d[i] with d the first operand, as addGo does.
+func add(d, s []float32) {
+	s = s[:len(d)]
+	if n := len(d) &^ 7; useAVX2 && n > 0 {
+		axpy1AVX2(&d[0], &s[0], n, 1)
+		d, s = d[n:], s[n:]
+	}
+	addGo(d, s)
+}
+
 // panelRows is the height of a panel of a in matMulTransBLanes, and
 // panelDepth the most of a's columns one panel holds at a time: 16 KB on
 // the stack.

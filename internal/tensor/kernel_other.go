@@ -16,4 +16,6 @@ func axpy2(d, b0, b1 []float32, a0, a1 float32) { axpy2Go(d, b0, b1, a0, a1) }
 
 func axpy1(d, b []float32, a float32) { axpy1Go(d, b, a) }
 
+func add(d, s []float32) { addGo(d, s) }
+
 func matMulTransBLanes(dd, ad, bd []float32, m, k, n int) bool { return false }

@@ -444,6 +444,66 @@ func TestAxpyKernelsMatchGoChain(t *testing.T) {
 	}
 }
 
+// refAdd is the loop Add replaces, d[i] += s[i], in the form whose
+// -gcflags=-S listing adds s[i] to a loaded d[i] (d the first operand, the
+// one whose NaN a sum of two NaNs returns on amd64).
+//
+//go:noinline
+func refAdd(d, s []float32) {
+	s = s[:len(d)]
+	for i := range d {
+		d[i] += s[i]
+	}
+}
+
+// TestAddMatchesPlainLoopBits holds Add to refAdd bit for bit on every
+// kernel path, NaN payloads included: every length 0–17 and 8k ± 1, both
+// operands starting at offsets 0–7 floats into their allocations, and
+// elements drawn from ±0, ±Inf, subnormals, quiet and signalling NaNs
+// with distinct payloads in either operand or both, and normal values.
+func TestAddMatchesPlainLoopBits(t *testing.T) {
+	var special []float32
+	for _, b := range []uint32{
+		0, 0x80000000, 0x7f800000, 0xff800000, // ±0, ±Inf
+		1, 0x807fffff, 0x00400000, // subnormals
+		0x7fc00000, 0xffc00001, 0x7fe12345, // quiet NaNs
+		0x7f800001, 0xff812345, 0x7fa00000, // signalling NaNs
+		0x3f800000, 0xc0490fdb, 0x7f7fffff, 0x00800000,
+	} {
+		special = append(special, math.Float32frombits(b))
+	}
+	var lengths []int
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 8<<10-1, 8<<10, 8<<10+1)
+	rng := rand.New(rand.NewSource(51))
+	defer useKernelPath(useKernelPath("go"))
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			d := make([]float32, off+n)[off:]
+			s := make([]float32, (off+3)%8+n)[(off+3)%8:]
+			for i := range d {
+				d[i] = special[rng.Intn(len(special))]
+				s[i] = special[rng.Intn(len(special))]
+			}
+			want := append([]float32(nil), d...)
+			refAdd(want, s)
+			for _, path := range kernelPaths() {
+				useKernelPath(path)
+				got := append(make([]float32, off, off+n), d...)[off:]
+				Add(got, s)
+				for i := range got {
+					if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+						t.Fatalf("n=%d off=%d path=%s: %#08x + %#08x = %#08x, plain loop %#08x",
+							n, off, path, math.Float32bits(d[i]), math.Float32bits(s[i]), g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAllFiniteFindsEveryPosition puts a single NaN or ±Inf at every
 // position of rows of every length in laneLengths — every position mod 16,
 // in the AVX2 blocks and in the tail — on every kernel path; a row of
@@ -584,6 +644,23 @@ func BenchmarkIm2Col(b *testing.B) {
 		Im2Col(cols, img, 3, 3, 1, 1)
 	}
 	b.ReportMetric(float64(4*cols.Len())/1e6*float64(b.N)/b.Elapsed().Seconds(), "MB/s")
+}
+
+// BenchmarkAdd times the reduce add on each kernel path over 37,888
+// floats, a block that stays in cache; its MB/s count the floats added.
+func BenchmarkAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	d, s := benchFilled(rng, 37888).Data, benchFilled(rng, 37888).Data
+	defer useKernelPath(useKernelPath("go"))
+	for _, path := range kernelPaths() {
+		b.Run(path, func(b *testing.B) {
+			useKernelPath(path)
+			b.SetBytes(4 * int64(len(d)))
+			for i := 0; i < b.N; i++ {
+				Add(d, s)
+			}
+		})
+	}
 }
 
 // FuzzKernels checks the four matmul entry points, AddInPlace and Col2Im

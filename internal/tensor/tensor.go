@@ -84,13 +84,34 @@ func (t *Tensor) FillRandn(rng *rand.Rand, std float64) {
 }
 
 // AddInPlace computes t += o elementwise. Shapes must carry equal sizes.
-// It runs as axpy1 with coefficient 1, in the SIMD lanes where there are
-// any: 1·v is v, so each element takes the one add t[i] + o[i].
-func (t *Tensor) AddInPlace(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: AddInPlace size mismatch %d vs %d", len(t.Data), len(o.Data)))
+func (t *Tensor) AddInPlace(o *Tensor) { Add(t.Data, o.Data) }
+
+// Add computes d[i] += s[i] for every i, each element the one add
+// d[i] + s[i] with d the first operand: the reduce add of every collective
+// and of the error-feedback residual. It runs in the SIMD lanes where there
+// are any (kernel_amd64.go) and addGo elsewhere; the two are bit-identical,
+// NaN payloads included (DESIGN.md §8, "the reduce add in lanes"). The
+// lengths must be equal.
+func Add(d, s []float32) {
+	if len(d) != len(s) {
+		panic(fmt.Sprintf("tensor: Add size mismatch %d vs %d", len(d), len(s)))
 	}
-	axpy1(t.Data, o.Data, 1)
+	add(d, s)
+}
+
+// addGo is Add's portable body. Float addition commutes, so the compiler
+// picks which operand of d[i] + s[i] comes first, and on amd64 the first
+// operand's NaN is the one a sum of two NaNs returns: -gcflags=-S shows
+// this loop loading d[i] and adding s[i] to it (without the reslice of s
+// it loads s[i] first), the order the AVX2 lanes take. It is noinline so
+// that order cannot move with a caller.
+//
+//go:noinline
+func addGo(d, s []float32) {
+	s = s[:len(d)]
+	for i := range d {
+		d[i] += s[i]
+	}
 }
 
 // The accumulation contract of every kernel below: an output element is a
@@ -352,7 +373,7 @@ func MatMulTransA(dst, a, b *Tensor) {
 
 // AddMatMulTransA computes dst += aᵀ·b for a (k×m) and b (k×n); dst is m×n.
 // Each row's product sum is formed from zero in a scratch row (one per
-// shard) and only then added, through axpy1 as AddInPlace adds — the
+// shard) and only then added, through add as AddInPlace adds — the
 // arithmetic of MatMulTransA into a temporary followed by AddInPlace,
 // without the m×n temporary.
 func AddMatMulTransA(dst, a, b *Tensor) {
@@ -363,7 +384,7 @@ func AddMatMulTransA(dst, a, b *Tensor) {
 		sum := make([]float32, n)
 		for i := lo; i < hi; i++ {
 			mulRow(sum, ad[i:], m, bd, k, skip)
-			axpy1(dd[i*n:][:n], sum, 1)
+			add(dd[i*n:][:n], sum)
 		}
 	})
 }

@@ -256,10 +256,7 @@ func runFixed(plane *dataPlane, c collective, build Builder, trainDS, testDS dat
 	serveSlot, fabricSlot := o.Workers, o.Workers+1
 
 	// A fabric anomaly (a link that gave up) aborts the run.
-	plane.watch(r.ctx, func(_ int, err error) bool {
-		r.fail(fabricSlot, err)
-		return false
-	})
+	plane.watch(r.ctx, func(_ int, err error) { r.fail(fabricSlot, err) })
 
 	serveDone := make(chan struct{})
 	go func() {

@@ -92,24 +92,19 @@ func (p *dataPlane) peer(id int) comm.CtxPeer {
 // fault.ErrBadFrame), a torn frame, stream desync — which must end the run
 // with their cause rather than leave a collective waiting out its step
 // deadline, or forever when it has none.
-// handle returns whether to keep watching that node; everything stops with
-// ctx. Only the TCP fabric reports anomalies out of band (the in-process
-// peers return theirs from the failing call).
-func (p *dataPlane) watch(ctx context.Context, handle func(id int, err error) (again bool)) {
+// handle gets each node's first anomaly, after which that node's watcher
+// stops; everything stops with ctx. Only the TCP fabric reports anomalies
+// out of band (the in-process peers return theirs from the failing call).
+func (p *dataPlane) watch(ctx context.Context, handle func(id int, err error)) {
 	if p.cluster == nil {
 		return
 	}
 	for id := 0; id < p.n; id++ {
 		go func(id int, errCh <-chan error) {
-			for {
-				select {
-				case err := <-errCh:
-					if !handle(id, err) {
-						return
-					}
-				case <-ctx.Done():
-					return
-				}
+			select {
+			case err := <-errCh:
+				handle(id, err)
+			case <-ctx.Done():
 			}
 		}(id, p.cluster.Node(id).Errors())
 	}

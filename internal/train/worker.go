@@ -7,6 +7,7 @@ import (
 	"inceptionn/internal/data"
 	"inceptionn/internal/nn"
 	"inceptionn/internal/opt"
+	"inceptionn/internal/tensor"
 )
 
 // worker is the per-node training state. Its gradient vector — Algorithm
@@ -48,9 +49,7 @@ func (w *worker) applyErrorFeedback(o Options) {
 		return
 	}
 	grad := w.net.Grads()
-	for i := range grad {
-		grad[i] += w.residual[i]
-	}
+	tensor.Add(grad, w.residual)
 	delivered, _ := o.Processor.Process(grad, comm.ToSCompress)
 	for i := range grad {
 		w.residual[i] = grad[i] - delivered[i]
