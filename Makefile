@@ -75,9 +75,11 @@ bench:
 #    fails with its cause under each fault the wire can show (corrupt,
 #    truncate, drop, partition, crash); a permanently partitioned ring
 #    link or switch port fails the run with a deadline error naming the
-#    hop, and a switch that dies mid-multicast fails it with its cause.
+#    hop, and a switch that dies mid-multicast fails it with its cause;
+#  - ownership: the peer contract on every data plane (lent payloads
+#    stay intact until the next receive from their source).
 # Minutes under -race, hence the headroom on the timeout.
-TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestRingTCPTrainingUnderChaos|TestRingTCPTrainingPartitionFails|TestSwitchCrashFailsClosed
+TRAINTEST_PATTERN = TestFixedRunnersBitIdenticalToRing|TestRingTCPTrainingUnderChaos|TestRingTCPTrainingPartitionFails|TestSwitchCrashFailsClosed|TestTransportContract
 traintest:
 	$(GO) test ./internal/train -run '$(TRAINTEST_PATTERN)' -count=1 -race -timeout 30m
 

@@ -10,7 +10,7 @@
 //	inctrain -algo switch -workers 8 -switch-chunk 4096
 //	                                                 # in-network switch aggregation
 //	inctrain -tcp -compress                          # real loopback TCP sockets
-//	inctrain -tcp -algo wa -chaos-corrupt 0.02 -step-timeout 10s
+//	inctrain -tcp -algo wa -chaos-corrupt 0.02
 //	                                                 # any collective fails closed on a bad frame
 package main
 
@@ -110,7 +110,7 @@ func main() {
 	chaosDrop := flag.Float64("chaos-drop", 0, "chaos: frame drop rate on every link (0..1; requires -tcp)")
 	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "chaos: frame bit-flip rate on every link (0..1; requires -tcp)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: deterministic injection seed")
-	stepTimeout := flag.Duration("step-timeout", 0, "per-hop collective deadline (0 = none), e.g. 10s")
+	stepTimeout := flag.Duration("step-timeout", 10*time.Second, "per-hop collective deadline (0 = none): a dropped frame or a dead peer fails the run after it")
 	bound := flag.Int("bound", 10, "codec error bound exponent E (bound 2^-E)")
 	seed := flag.Int64("seed", 42, "seed for model init and data")
 	samples := flag.Int("samples", 4000, "synthetic training samples")

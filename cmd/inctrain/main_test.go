@@ -40,6 +40,18 @@ func TestStepTimeoutReachesEveryRunner(t *testing.T) {
 	}
 }
 
+// TestStepTimeoutDefault: the usage text gives -step-timeout a default of
+// 10s, so a run whose frame is dropped fails after it instead of hanging;
+// 0 still means no deadline.
+func TestStepTimeoutDefault(t *testing.T) {
+	out, _ := exec.Command(os.Args[0], "inctrain", "-h").CombinedOutput()
+	_, usage, ok := strings.Cut(string(out), "-step-timeout duration\n")
+	line, _, _ := strings.Cut(usage, "\n")
+	if !ok || !strings.Contains(line, "(0 = none)") || !strings.HasSuffix(line, "(default 10s)") {
+		t.Fatalf("-step-timeout usage is %q, want a 10s default and 0 meaning none:\n%s", line, out)
+	}
+}
+
 // TestEveryAlgoRunsOverTCP: -tcp is a plane, not a runner — the
 // worker-aggregator baseline trains over loopback sockets like the ring.
 func TestEveryAlgoRunsOverTCP(t *testing.T) {

@@ -336,12 +336,12 @@ func TestCloseUnblocksParkedSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 1's reader draws the buffer a plain frame's body is read into
-	// under the in-link lock: holding it stops the reader at its first
-	// frame's body. That frame is one float, which the socket buffers hold.
-	stalled := &c.Node(1).in[0].mu
-	stalled.Lock()
-	defer stalled.Unlock()
+	// Node 1's inbox from 0 is full, so its reader stops when it delivers
+	// its first frame. That frame is one float, which the socket buffers
+	// hold.
+	for inbox := c.Node(1).inbox[0]; len(inbox) < cap(inbox); {
+		inbox <- decodedFrame{}
+	}
 
 	payload := make([]float32, 1<<20) // 4 MB frames: a few fill the buffers
 	var sends atomic.Int64

@@ -39,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"weak"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fault"
@@ -86,7 +85,7 @@ type Node struct {
 
 	conns     []net.Conn          // conns[peer], nil for self
 	out       []outLink           // out[peer]: the write side
-	in        []inLink            // in[peer]: the payload lent from the link
+	in        []comm.Lender       // in[peer]: the payloads lent from the link
 	inbox     []chan decodedFrame // inbox[peer]: verified in-order data
 	stats     []*comm.LinkStats   // stats[peer]: this node's link counters
 	closed    chan struct{}
@@ -111,74 +110,17 @@ type outLink struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	next   uint32
-	bodies freeList[byte]
+	bodies comm.FreeList[byte]
 	header [frameHeaderLen]byte
 	vec    [2][]byte
 	bufs   net.Buffers
 }
 
-// inLink is the receiver side: the payload the last receive lent out and
-// the float buffers decoded payloads are drawn from.
-type inLink struct {
-	mu   sync.Mutex
-	lent weak.Pointer[[]float32]
-	free freeList[float32]
-}
-
+// decodedFrame is one verified payload on its way to RecvCtx, in the box
+// it was drawn from the in-link's free list with.
 type decodedFrame struct {
-	tag     int
-	payload []float32
-}
-
-// maxFree bounds each free list. A send holds its body only through its
-// write, and a ring link lends one or two payloads at a time; a longer
-// burst's surplus goes to the collector.
-const maxFree = 8
-
-// freeList is one link's store of spent buffers, drawn from before
-// allocating; its owner's mutex guards it. It holds each buffer weakly: a
-// buffer still idle when the collector runs is reclaimed, not kept live.
-// A warm link allocates next to nothing, so the collector's heap goal is
-// twice whatever is live at its last cycle, and a buffer held strongly
-// counts twice in peak RSS: strong lists, and a sync.Pool per link, whose
-// victim cache keeps a buffer through one cycle, measured 164–236 MB of
-// peak RSS on hdc_ring_tcp (2 vCPUs) against 150–160 MB weak. Held
-// weakly, a list saves the allocations between two cycles, which on a warm
-// link are nearly all.
-type freeList[T any] struct{ bufs []weak.Pointer[[]T] }
-
-// weakly boxes b so a free list can take it back without keeping it alive.
-func weakly[T any](b []T) weak.Pointer[[]T] { return weak.Make(&b) }
-
-// get returns a buffer of length n: the newest kept one that is still
-// alive and holds n, else a fresh one with 1/64 to spare, so that the
-// blocks of one ring, which differ in length by a value, share their
-// buffers. Buffers it passes over are dropped.
-func (f *freeList[T]) get(n int) []T {
-	for len(f.bufs) > 0 {
-		last := len(f.bufs) - 1
-		p := f.bufs[last].Value()
-		f.bufs[last] = weak.Pointer[[]T]{}
-		f.bufs = f.bufs[:last]
-		if p != nil && cap(*p) >= n {
-			return (*p)[:n]
-		}
-	}
-	return make([]T, n, n+n/64+1)
-}
-
-// put keeps b for a later get.
-func (f *freeList[T]) put(b []T) {
-	if cap(b) > 0 {
-		f.keep(weakly(b))
-	}
-}
-
-// keep adds a weakly held buffer, unless the list is full.
-func (f *freeList[T]) keep(w weak.Pointer[[]T]) {
-	if w != (weak.Pointer[[]T]{}) && len(f.bufs) < maxFree {
-		f.bufs = append(f.bufs, w)
-	}
+	tag int
+	buf *[]float32
 }
 
 // NewCluster starts n nodes on loopback and fully connects them. If
@@ -218,7 +160,7 @@ func NewClusterWithOptions(n int, opts ClusterOptions) (*Cluster, error) {
 			id:      i,
 			conns:   make([]net.Conn, n),
 			out:     make([]outLink, n),
-			in:      make([]inLink, n),
+			in:      make([]comm.Lender, n),
 			inbox:   make([]chan decodedFrame, n),
 			stats:   make([]*comm.LinkStats, n),
 			closed:  make(chan struct{}),
@@ -382,12 +324,12 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 	ol := &nd.out[dst]
 	ol.mu.Lock()
 	defer ol.mu.Unlock()
-	h, body := nd.encode(ol, payload, tos, tag)
+	h, body, box := nd.encode(ol, payload, tos, tag)
 	h.seq = ol.next
 	ol.next++
 	err := nd.write(ol, dst, h, body)
-	if !viewed(h) {
-		ol.bodies.put(body)
+	if box != nil {
+		ol.bodies.Put(box)
 	}
 	if err != nil {
 		return err
@@ -397,29 +339,30 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 }
 
 // encode builds a data frame's header and body and checksums the body. A
-// viewed frame's body is floatBytes(payload); any other is built in
-// storage from the link's free list. The caller holds ol.mu.
-func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (frameHeader, []byte) {
-	h := frameHeader{kind: kindData, tos: tos, tag: uint32(tag), count: uint32(len(payload))}
-	var body []byte
+// viewed frame's body is floatBytes(payload), and box is nil; any other is
+// built in box, drawn from the link's free list. The caller holds ol.mu.
+func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (h frameHeader, body []byte, box *[]byte) {
+	h = frameHeader{kind: kindData, tos: tos, tag: uint32(tag), count: uint32(len(payload))}
 	if nd.cluster.useC && tos == comm.ToSCompress {
 		// About one byte per float holds a typical gradient stream; a
 		// larger one grows the body, which returns to the list grown.
-		body = ol.bodies.get(len(payload))
+		box = ol.bodies.Get(len(payload))
 		sp := nd.cluster.rec.Span(nd.id, -1, obs.PhaseCompress)
 		var bits int
-		body, bits = nd.ce.CompressInto(body, payload)
+		*box, bits = nd.ce.CompressInto(*box, payload)
 		sp.End()
 		h.flags, h.bitLen = flagCompressed, uint32(bits)
+		body = *box
 	} else if wireIsMemory {
 		body = floatBytes(payload)
 	} else {
-		body = ol.bodies.get(4 * len(payload))
+		box = ol.bodies.Get(4 * len(payload))
+		body = *box
 		frame.PutF32s(body, payload)
 	}
 	h.payloadLen = uint32(len(body))
 	h.crc = bodyCRC(body)
-	return h, body
+	return h, body, box
 }
 
 // write puts one frame on dst's socket, header and body in one writev,
@@ -446,10 +389,10 @@ func (nd *Node) write(ol *outLink, dst int, h frameHeader, body []byte) error {
 		}
 		if v.CorruptBit >= 0 && len(body) > 0 {
 			if viewed(h) {
-				spoilt := ol.bodies.get(len(body))
-				copy(spoilt, body)
-				defer ol.bodies.put(spoilt)
-				body = spoilt
+				spoilt := ol.bodies.Get(len(body))
+				copy(*spoilt, body)
+				defer ol.bodies.Put(spoilt)
+				body = *spoilt
 			}
 			bit := v.CorruptBit % (8 * len(body))
 			body[bit/8] ^= 1 << (bit % 8)
@@ -489,22 +432,17 @@ func (nd *Node) writeErr(what string, dst int, err error) error {
 // into an error instead of a hang.
 func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
 	il := &nd.in[src]
-	il.mu.Lock()
-	il.free.keep(il.lent)
-	il.lent = weak.Pointer[[]float32]{}
-	il.mu.Unlock()
+	il.Reclaim()
 	start := time.Now()
 	select {
 	case f := <-nd.inbox[src]:
-		il.mu.Lock()
-		il.lent = weakly(f.payload)
-		il.mu.Unlock()
+		il.Lend(f.buf)
 		nd.stats[src].ObserveRecvWait(time.Since(start).Nanoseconds())
 		if f.tag != tag {
 			return nil, fmt.Errorf("tcpfabric: node %d expected tag %d from %d, got %d",
 				nd.id, tag, src, f.tag)
 		}
-		return f.payload, nil
+		return *f.buf, nil
 	case <-ctx.Done():
 		nd.stats[src].Timeouts.Add(1)
 		return nil, fmt.Errorf("tcpfabric: recv %d<-%d after %v: %w",
@@ -547,13 +485,11 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 			nd.pushErr(fmt.Errorf("tcpfabric: node %d from %d: %w", nd.id, peer, err))
 			return
 		}
-		var payload []float32
+		var payload *[]float32
 		var body []byte
 		if viewed(h) && !failed {
-			il.mu.Lock()
-			payload = il.free.get(int(h.count))
-			il.mu.Unlock()
-			body = floatBytes(payload)
+			payload = il.Draw(int(h.count))
+			body = floatBytes(*payload)
 		} else {
 			if cap(buf) < int(h.payloadLen) {
 				buf = make([]byte, h.payloadLen)
@@ -589,7 +525,7 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 // hop and wrapping fault.ErrBadFrame; a codec failure also wraps the
 // codec's error. It returns ErrClosed when the node shuts down
 // mid-delivery.
-func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte, payload []float32) error {
+func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte, payload *[]float32) error {
 	var what string
 	switch {
 	case h.seq > want:
@@ -605,24 +541,22 @@ func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte, pa
 		return fmt.Errorf("tcpfabric: %d->%d seq %d: %s: %w", peer, nd.id, h.seq, what, fault.ErrBadFrame)
 	}
 	if !viewed(h) {
-		il := &nd.in[peer]
-		il.mu.Lock()
-		payload = il.free.get(int(h.count))
-		il.mu.Unlock()
+		payload = nd.in[peer].Draw(int(h.count))
 		var err error
 		if h.flags&flagCompressed != 0 {
+			// The decoder writes over the drawn buffer, which holds count.
 			sp := nd.cluster.rec.Span(nd.id, -1, obs.PhaseDecompress)
-			payload, err = nd.de.DecompressInto(payload, body, int(h.bitLen), int(h.count))
+			_, err = nd.de.DecompressInto(*payload, body, int(h.bitLen), int(h.count))
 			sp.End()
 		} else {
-			err = decodeRawPayload(payload, h, body)
+			err = decodeRawPayload(*payload, h, body)
 		}
 		if err != nil {
 			return fmt.Errorf("tcpfabric: %d->%d seq %d: %w: %w", peer, nd.id, h.seq, fault.ErrBadFrame, err)
 		}
 	}
 	select {
-	case nd.inbox[peer] <- decodedFrame{tag: int(h.tag), payload: payload}:
+	case nd.inbox[peer] <- decodedFrame{tag: int(h.tag), buf: payload}:
 		return nil
 	case <-nd.closed:
 		return ErrClosed

@@ -248,11 +248,15 @@ func TestEmptyPayload(t *testing.T) {
 }
 
 // TestWarmLinkAllocatesNoFrames: once a link's free lists hold its
-// frames, a frame costs the allocator bookkeeping only — no body, read
-// buffer or decoded payload — on the raw and the compressed path alike. A
-// send's body is back on its list when SendCtx returns. The lists hold
-// their buffers weakly, so the collector is off during the test (a
-// collection would empty them).
+// buffers, a frame allocates nothing — no body, read buffer, decoded
+// payload, or box to hold one of them weakly — on every plane the one
+// free list serves: the in-process fabric's identity path, and TCP's raw
+// and compressed paths. A send's body is back on its list when SendCtx
+// returns, a received payload on its list at the next receive. The lists
+// hold their buffers weakly, so the collector is off during the test (a
+// collection would empty them). Under -race, whose runtime is free to
+// allocate on its own account, only the byte bound is checked: no
+// frame-sized buffer is allocated per frame.
 func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	payload := make([]float32, 1<<14)
@@ -260,27 +264,59 @@ func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 	for i := range payload {
 		payload[i] = float32(rng.NormFloat64() * 0.01)
 	}
-	for _, compress := range []bool{false, true} {
-		c, err := NewCluster(2, compress, fpcodec.MustBound(10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tag := 0
-		pingPong := func(frames int) {
-			for i := 0; i < frames; i++ {
-				tag++
-				exchange(t, c, payload, comm.ToSCompress, tag)
+	tcp := func(compress bool) func() (a, b comm.CtxPeer, stop func()) {
+		return func() (comm.CtxPeer, comm.CtxPeer, func()) {
+			c, err := NewCluster(2, compress, fpcodec.MustBound(10))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		pingPong(10)
-		const frames = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		pingPong(frames)
-		runtime.ReadMemStats(&after)
-		c.Close()
-		if perFrame := (after.TotalAlloc - before.TotalAlloc) / frames; perFrame > uint64(len(payload)/4) {
-			t.Errorf("compress=%v: %d bytes allocated per %d-byte frame on a warm link (%d GCs)", compress, perFrame, 4*len(payload), after.NumGC-before.NumGC)
+			return c.Node(0), c.Node(1), c.Close
 		}
 	}
+	for _, row := range []struct {
+		name  string
+		peers func() (a, b comm.CtxPeer, stop func())
+	}{
+		{"inproc", func() (comm.CtxPeer, comm.CtxPeer, func()) {
+			f := comm.NewFabric(2, nil)
+			return f.Endpoint(0), f.Endpoint(1), func() {}
+		}},
+		{"tcp", tcp(false)},
+		{"tcp-comp", tcp(true)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			a, b, stop := row.peers()
+			defer stop()
+			ctx := context.Background()
+			tag := 0
+			frame := func() {
+				tag++
+				if err := a.SendCtx(ctx, 1, payload, comm.ToSCompress, tag); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.RecvCtx(ctx, 0, tag); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 10 {
+				frame()
+			}
+			const n = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(n, frame)
+			runtime.ReadMemStats(&after)
+			if perFrame := (after.TotalAlloc - before.TotalAlloc) / (n + 1); perFrame > uint64(len(payload)/4) {
+				t.Errorf("%d bytes allocated per %d-byte frame on a warm link", perFrame, 4*len(payload))
+			}
+			if !raceEnabled && allocs != 0 {
+				t.Errorf("%v allocations per frame on a warm link, want none", allocs)
+			}
+		})
+	}
 }
+
+// raceEnabled is set by race_on_test.go under `go test -race`, whose
+// runtime is free to allocate on its own account, so an exact allocation
+// count is not asserted there.
+var raceEnabled bool

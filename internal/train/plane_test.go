@@ -24,12 +24,15 @@ import (
 //     context.DeadlineExceeded;
 //   - a wrong tag is an error, never a panic.
 //
-// A compressed TCP plane runs the ownership rows over the codec path.
+// The compressed planes run the ownership rows over the codec path; on
+// the in-process one, the codec's fresh payloads follow a lent identity
+// payload on the same link.
 func TestTransportContract(t *testing.T) {
 	planes := map[string]Options{
-		"inproc":   {},
-		"tcp":      {Plane: TCP},
-		"tcp-comp": {Plane: TCP, Compress: true, Bound: fpcodec.MustBound(10)},
+		"inproc":      {},
+		"inproc-comp": {Compress: true, Processor: comm.CodecProcessor{Bound: fpcodec.MustBound(10)}},
+		"tcp":         {Plane: TCP},
+		"tcp-comp":    {Plane: TCP, Compress: true, Bound: fpcodec.MustBound(10)},
 	}
 	for name, o := range planes {
 		t.Run(name, func(t *testing.T) {
