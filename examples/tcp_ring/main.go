@@ -43,8 +43,7 @@ func main() {
 			tos = comm.ToSCompress
 			proc := comm.CodecProcessor{Bound: bound}
 			finalize = func(b []float32) {
-				out, _ := proc.Process(b, comm.ToSCompress)
-				copy(b, out)
+				comm.ProcessInto(proc, b, b, comm.ToSCompress)
 			}
 		}
 		start := time.Now()

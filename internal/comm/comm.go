@@ -67,6 +67,12 @@ func (IdentityProcessor) Process(payload []float32, tos uint8) ([]float32, int64
 	return payload, 4 * int64(len(payload))
 }
 
+// processInto implements intoProcessor.
+func (IdentityProcessor) processInto(dst, payload []float32, tos uint8) int64 {
+	copy(dst, payload)
+	return 4 * int64(len(payload))
+}
+
 // CodecProcessor compresses ToSCompress-tagged payloads with the
 // INCEPTIONN codec's group kernel; other traffic passes through untouched.
 // It is the pure software model of the NIC engines (internal/nic provides
@@ -75,27 +81,65 @@ type CodecProcessor struct {
 	Bound fpcodec.Bound
 }
 
-// streamScratch recycles the compressed stream a Process call builds and
-// consumes: the receiver only ever sees the decompressed payload.
-var streamScratch = sync.Pool{New: func() any { return new([]byte) }}
+// processSection is how many floats a compressed payload is encoded and
+// decoded by at a time, through a stream on the stack of sectionBytes, the
+// most a section's stream can take: a tag vector and eight verbatim lanes
+// per group, and the one 4-byte lane store the encoder makes past its last
+// group. A stream's burst groups are independent and whole bytes, so
+// sections of whole groups give the one-pass values and byte count.
+const (
+	processSection = 4096
+	sectionBytes   = processSection/fpcodec.GroupSize*(fpcodec.TagVectorBits+fpcodec.GroupSize*32)/8 + 4
+)
 
-// Process implements WireProcessor. The returned payload is freshly
-// allocated: the receiver owns it.
+// Process implements WireProcessor. A compressed payload's result is
+// freshly allocated: the caller owns it.
 func (p CodecProcessor) Process(payload []float32, tos uint8) ([]float32, int64) {
 	if tos != ToSCompress {
 		return payload, 4 * int64(len(payload))
 	}
-	scratch := streamScratch.Get().(*[]byte)
-	data, bits := fpcodec.AppendGroups((*scratch)[:0], 0, payload, p.Bound)
 	out := make([]float32, len(payload))
-	if _, err := fpcodec.DecodeGroups(out, data, 0, bits, p.Bound); err != nil {
-		// The stream was produced by the matching encoder; failure here is
-		// a programming error, not an I/O condition.
-		panic(fmt.Sprintf("comm: internal codec roundtrip failed: %v", err))
+	return out, p.processInto(out, payload, tos)
+}
+
+// processInto implements intoProcessor.
+func (p CodecProcessor) processInto(dst, payload []float32, tos uint8) int64 {
+	if tos != ToSCompress {
+		copy(dst, payload)
+		return 4 * int64(len(payload))
 	}
-	*scratch = data
-	streamScratch.Put(scratch)
-	return out, int64(len(data))
+	var stream [sectionBytes]byte
+	var wire int64
+	for lo := 0; lo < len(payload); lo += processSection {
+		hi := min(lo+processSection, len(payload))
+		data, bits := fpcodec.AppendGroups(stream[:0], 0, payload[lo:hi], p.Bound)
+		if _, err := fpcodec.DecodeGroups(dst[lo:hi], data, 0, bits, p.Bound); err != nil {
+			// The stream was produced by the matching encoder; failure
+			// here is a programming error, not an I/O condition.
+			panic(fmt.Sprintf("comm: internal codec roundtrip failed: %v", err))
+		}
+		wire += int64(len(data))
+	}
+	return wire
+}
+
+// intoProcessor is a WireProcessor that writes what the receiver observes
+// into storage the caller has: the in-tree processors.
+type intoProcessor interface {
+	processInto(dst, payload []float32, tos uint8) int64
+}
+
+// ProcessInto runs payload through p and writes what the receiver observes
+// into dst, which has payload's length and may be payload itself; it
+// returns the payload bytes that cross the wire. The in-tree processors
+// write dst directly; any other takes Process and a copy.
+func ProcessInto(p WireProcessor, dst, payload []float32, tos uint8) int64 {
+	if q, ok := p.(intoProcessor); ok {
+		return q.processInto(dst, payload, tos)
+	}
+	out, n := p.Process(payload, tos)
+	copy(dst, out)
+	return n
 }
 
 // LinkStats accumulates traffic counters for one directed link. Beyond the
@@ -127,23 +171,13 @@ func (s *LinkStats) ObserveRecvWait(d int64) {
 	}
 }
 
-// message is one in-flight transfer. buf is the box of a payload drawn
-// from the link's free list (the identity path's copy), lent to the
-// receiver and reclaimed by its next receive; it is nil for a payload the
-// wire processor made, which the receiver owns.
+// message is one in-flight transfer: buf is the box of the payload the
+// wire processor wrote, drawn from the link's free list, lent to the
+// receiver and reclaimed by its next receive.
 type message struct {
-	payload []float32
-	buf     *[]float32
-	tag     int
+	buf *[]float32
+	tag int
 }
-
-// maxFree bounds each free list. A whole-block ring link lends one or two
-// payloads at a time, but a pipelined step puts all of a block's chunks in
-// flight at once (18 for HDC's blocks at 4096-float chunks), and a link
-// can carry two steps' worth; a list that kept 8 sent most chunks to the
-// collector and allocated them afresh. The lists hold their buffers
-// weakly, so a longer bound keeps nothing alive.
-const maxFree = 64
 
 // FreeList is one link's store of spent buffers, drawn from before
 // allocating; its owner's mutex guards it. It is the module's one free
@@ -159,6 +193,11 @@ const maxFree = 64
 // measured 164–236 MB of peak RSS on hdc_ring_tcp (2 vCPUs) against
 // 150–160 MB weak. Held weakly, a list saves the allocations between two
 // cycles, which on a warm link are nearly all.
+//
+// It has no bound. It never holds more entries than its link had buffers
+// in flight at once, which a pipelined step makes all of a block's chunks
+// (71 for HDC's 287,253-float blocks at 4096-float chunks), and an entry
+// keeps nothing alive.
 type FreeList[T any] struct{ bufs []weak.Pointer[[]T] }
 
 // Get returns a boxed buffer of length n: the newest kept one that is
@@ -183,9 +222,9 @@ func (f *FreeList[T]) Get(n int) *[]T {
 // Put keeps the box b, which Get returned, for a later Get.
 func (f *FreeList[T]) Put(b *[]T) { f.keep(weak.Make(b)) }
 
-// keep adds a weakly held buffer, unless the list is full.
+// keep adds a weakly held buffer.
 func (f *FreeList[T]) keep(w weak.Pointer[[]T]) {
-	if w != (weak.Pointer[[]T]{}) && len(f.bufs) < maxFree {
+	if w != (weak.Pointer[[]T]{}) {
 		f.bufs = append(f.bufs, w)
 	}
 }
@@ -370,11 +409,11 @@ func (f *Fabric) TotalWireBytes() int64 {
 // is lent: it stays valid, and unchanged by traffic from any source, until
 // the caller's next receive from the same source on the same peer, and the
 // caller must not write it. A caller that keeps a payload past that point
-// copies it. Both fabrics lend from one Lender per directed link: the next
-// receive from the link takes the previous payload back to the link's
-// free list, and later payloads are copied (in-process), or read or
-// decoded (TCP), into it. A payload the in-process wire processor made
-// (a decompressed one) is the receiver's, and no list takes it.
+// copies it. Every received payload is lent, on both fabrics, from one
+// Lender per directed link: the next receive from the link takes the
+// previous payload back to the link's free list, and later payloads are
+// written into it — by the wire processor (in-process: copied, or
+// decompressed), or read or decoded from the socket (TCP).
 type CtxPeer interface {
 	// ID returns this node's id in [0, N).
 	ID() int
@@ -396,23 +435,23 @@ type Endpoint struct {
 	id int
 }
 
-// process runs the wire processor with observability attached (when a
-// recorder is set on the fabric).
-func (e *Endpoint) process(payload []float32, tos uint8) ([]float32, int64) {
+// process runs the wire processor from payload into dst, with
+// observability attached (when a recorder is set on the fabric).
+func (e *Endpoint) process(dst, payload []float32, tos uint8) int64 {
 	o := e.f.obs.Load()
 	if o == nil {
-		return e.f.proc.Process(payload, tos)
+		return ProcessInto(e.f.proc, dst, payload, tos)
 	}
 	var sp obs.ActiveSpan
 	if tos == ToSCompress {
 		sp = o.rec.Span(e.id, -1, obs.PhaseCompress)
 	}
-	recv, payloadBytes := e.f.proc.Process(payload, tos)
+	payloadBytes := ProcessInto(e.f.proc, dst, payload, tos)
 	if tos == ToSCompress {
 		sp.End()
 	}
 	o.wire.Observe(4*int64(len(payload)), payloadBytes, tos == ToSCompress)
-	return recv, payloadBytes
+	return payloadBytes
 }
 
 var _ CtxPeer = (*Endpoint)(nil)
@@ -425,28 +464,19 @@ func (e *Endpoint) N() int { return e.f.n }
 
 // SendCtx transmits payload to node dst with the given ToS, giving up with
 // ctx.Err() if the (deeply buffered) stream would block past the context
-// deadline. The payload goes through the wire processor; one it passes
-// through unchanged is copied into a buffer from the link's free list, so
-// the caller may reuse its buffer. tag must match the receiver's RecvCtx
-// tag (streams are ordered per link, so tags serve as a protocol assertion
-// rather than reordering).
+// deadline. The wire processor writes what the receiver observes into a
+// buffer from the link's free list, so the caller may reuse its buffer.
+// tag must match the receiver's RecvCtx tag (streams are ordered per link,
+// so tags serve as a protocol assertion rather than reordering).
 func (e *Endpoint) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {
-	recv, payloadBytes := e.process(payload, tos)
 	l := &e.f.links[e.id][dst]
-	var buf *[]float32
-	if len(payload) > 0 && len(recv) > 0 && &recv[0] == &payload[0] {
-		// Identity path: copy so sender buffer reuse cannot race receiver.
-		buf = l.lend.Draw(len(recv))
-		copy(*buf, recv)
-		recv = *buf
-	}
+	buf := l.lend.Draw(len(payload))
+	payloadBytes := e.process(*buf, payload, tos)
 	s := &l.stats
 	select {
-	case l.ch <- message{payload: recv, buf: buf, tag: tag}:
+	case l.ch <- message{buf: buf, tag: tag}:
 	case <-ctx.Done():
-		if buf != nil {
-			l.lend.Return(buf)
-		}
+		l.lend.Return(buf)
 		s.Timeouts.Add(1)
 		return fmt.Errorf("comm: send %d->%d tag %d: %w", e.id, dst, tag, ctx.Err())
 	}
@@ -468,14 +498,12 @@ func (e *Endpoint) RecvCtx(ctx context.Context, src int, tag int) ([]float32, er
 	start := time.Now()
 	select {
 	case m := <-l.ch:
-		if m.buf != nil {
-			l.lend.Lend(m.buf)
-		}
+		l.lend.Lend(m.buf)
 		s.ObserveRecvWait(time.Since(start).Nanoseconds())
 		if m.tag != tag {
 			return nil, fmt.Errorf("comm: node %d expected tag %d from %d, got %d", e.id, tag, src, m.tag)
 		}
-		return m.payload, nil
+		return *m.buf, nil
 	case <-ctx.Done():
 		s.Timeouts.Add(1)
 		return nil, fmt.Errorf("comm: recv %d<-%d: %w", e.id, src, ctx.Err())

@@ -172,15 +172,16 @@ func TestEndpointRangeChecks(t *testing.T) {
 	f.Endpoint(2)
 }
 
-// raceEnabled is set by race_on_test.go under `go test -race`, where
-// sync.Pool drops items on purpose and allocation counts mean nothing.
+// raceEnabled is set by race_on_test.go under `go test -race`, whose
+// runtime is free to allocate on its own account, so allocation counts
+// mean nothing there.
 var raceEnabled bool
 
 // TestCodecProcessorOwnership: Process may be called from every sender at
 // once; each call's result is the scalar codec's roundtrip in storage no
 // other call shares (the receiver owns it), and a warm call allocates that
-// storage and nothing else — the compressed stream lives in recycled
-// scratch.
+// storage and nothing else — the compressed stream lives on the stack, and
+// ProcessInto, which writes into storage the caller has, allocates nothing.
 func TestCodecProcessorOwnership(t *testing.T) {
 	bound := fpcodec.MustBound(10)
 	proc := CodecProcessor{Bound: bound}
@@ -222,5 +223,10 @@ func TestCodecProcessorOwnership(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { proc.Process(payload, ToSCompress) }); n != 1 {
 		t.Errorf("Process on a 4096-float chunk: %v allocations, want 1 (the payload the receiver owns)", n)
+	}
+	var wire WireProcessor = proc // as the fabric holds it: boxing is not ProcessInto's
+	dst := make([]float32, len(payload))
+	if n := testing.AllocsPerRun(50, func() { ProcessInto(wire, dst, payload, ToSCompress) }); n != 0 {
+		t.Errorf("ProcessInto on a 4096-float chunk: %v allocations, want none", n)
 	}
 }

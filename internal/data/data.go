@@ -216,14 +216,19 @@ func (im *Images) Sample(i int, x []float32) int {
 		0.3 * math.Cos(float64(2*label)),
 		0.3 * math.Sin(float64(3*label)+1),
 	}
+	// The grating is the same in every channel: one Sin per pixel.
+	var grating [32 * 32]float64
+	for yy := 0; yy < 32; yy++ {
+		for xx := 0; xx < 32; xx++ {
+			u := cos*float64(xx) + sin*float64(yy)
+			grating[yy*32+xx] = math.Sin(u*freq + phase)
+		}
+	}
 	for c := 0; c < 3; c++ {
-		for yy := 0; yy < 32; yy++ {
-			for xx := 0; xx < 32; xx++ {
-				u := cos*float64(xx) + sin*float64(yy)
-				v := math.Sin(u*freq+phase)*0.5 + colorBias[c]
-				v += rng.NormFloat64() * 0.15
-				x[(c*32+yy)*32+xx] = float32(v)
-			}
+		for p, s := range grating {
+			v := s*0.5 + colorBias[c]
+			v += rng.NormFloat64() * 0.15
+			x[c*32*32+p] = float32(v)
 		}
 	}
 	return label

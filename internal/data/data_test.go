@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -96,6 +97,53 @@ func TestImagesDeterministicAndLabeled(t *testing.T) {
 	}
 	if im.FeatureLen() != 3*32*32 {
 		t.Fatalf("FeatureLen = %d", im.FeatureLen())
+	}
+}
+
+// refImagesSample is Images.Sample as it was written before the grating
+// was computed once per pixel: Sin once per channel.
+func refImagesSample(im *Images, i int, x []float32) int {
+	rng := rand.New(rand.NewSource(im.Seed*1_000_003 + int64(i)))
+	label := rng.Intn(10)
+	angle := float64(label) * math.Pi / 10
+	freq := 0.25 + 0.08*float64(label)
+	phase := rng.Float64() * 2 * math.Pi
+	cos, sin := math.Cos(angle), math.Sin(angle)
+	colorBias := [3]float64{
+		0.3 * math.Sin(float64(label)),
+		0.3 * math.Cos(float64(2*label)),
+		0.3 * math.Sin(float64(3*label)+1),
+	}
+	for c := 0; c < 3; c++ {
+		for yy := 0; yy < 32; yy++ {
+			for xx := 0; xx < 32; xx++ {
+				u := cos*float64(xx) + sin*float64(yy)
+				v := math.Sin(u*freq+phase)*0.5 + colorBias[c]
+				v += rng.NormFloat64() * 0.15
+				x[(c*32+yy)*32+xx] = float32(v)
+			}
+		}
+	}
+	return label
+}
+
+// TestImagesMatchPerChannelReference: computing the grating once per pixel
+// moves no bit of any sample.
+func TestImagesMatchPerChannelReference(t *testing.T) {
+	for _, seed := range []int64{42, 7} {
+		im := NewImages(4096, seed)
+		got := make([]float32, im.FeatureLen())
+		want := make([]float32, im.FeatureLen())
+		for i := 0; i < im.N; i += 13 {
+			if gl, wl := im.Sample(i, got), refImagesSample(im, i, want); gl != wl {
+				t.Fatalf("seed %d sample %d: label %d, want %d", seed, i, gl, wl)
+			}
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("seed %d sample %d: value %d is %g, want %g", seed, i, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }
 

@@ -110,8 +110,7 @@ func TestFig1cCompressesEverywhere(t *testing.T) {
 	}
 	bound := fpcodec.MustBound(10)
 	finalize := func(b []float32) {
-		out, _ := (comm.CodecProcessor{Bound: bound}).Process(b, comm.ToSCompress)
-		copy(b, out)
+		comm.ProcessInto(comm.CodecProcessor{Bound: bound}, b, b, comm.ToSCompress)
 	}
 	out, f, err := RunAllReduce(top, comm.CodecProcessor{Bound: bound}, inputs, comm.ToSCompress, finalize)
 	if err != nil {
@@ -162,8 +161,7 @@ func TestCompressedReplicasIdentical(t *testing.T) {
 	bound := fpcodec.MustBound(10)
 	proc := comm.CodecProcessor{Bound: bound}
 	finalize := func(b []float32) {
-		out, _ := proc.Process(b, comm.ToSCompress)
-		copy(b, out)
+		comm.ProcessInto(proc, b, b, comm.ToSCompress)
 	}
 	rng := rand.New(rand.NewSource(9))
 	for _, mode := range []Mode{ModeAggregatorTree, ModeRingOfLeaders} {

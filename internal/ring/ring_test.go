@@ -19,10 +19,7 @@ func finalizeFor(proc comm.WireProcessor, tos uint8) func([]float32) {
 	if proc == nil || tos != comm.ToSCompress {
 		return nil
 	}
-	return func(b []float32) {
-		out, _ := proc.Process(b, tos)
-		copy(b, out)
-	}
+	return func(b []float32) { comm.ProcessInto(proc, b, b, tos) }
 }
 
 // runAllReduce executes AllReduceCtx concurrently on n nodes with the

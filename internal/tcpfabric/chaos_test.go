@@ -99,8 +99,7 @@ func TestChaosRingAllReduceCompressed(t *testing.T) {
 	bound := fpcodec.MustBound(10)
 	proc := comm.CodecProcessor{Bound: bound}
 	finalize := func(b []float32) {
-		out, _ := proc.Process(b, comm.ToSCompress)
-		copy(b, out)
+		comm.ProcessInto(proc, b, b, comm.ToSCompress)
 	}
 	c, err := NewClusterWithOptions(n, ClusterOptions{
 		Compress: true,

@@ -21,8 +21,7 @@ func TestRecorderCountsWireAndCodec(t *testing.T) {
 	inputs := chaosInputs(n, dim, 3)
 	proc := comm.CodecProcessor{Bound: bound}
 	finalize := func(b []float32) {
-		out, _ := proc.Process(b, comm.ToSCompress)
-		copy(b, out)
+		comm.ProcessInto(proc, b, b, comm.ToSCompress)
 	}
 
 	reg := obs.NewRegistry()

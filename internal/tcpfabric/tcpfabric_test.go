@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
@@ -149,8 +150,7 @@ func TestRingAllReduceOverRealTCP(t *testing.T) {
 			tos = comm.ToSCompress
 			proc := comm.CodecProcessor{Bound: bound}
 			finalize = func(b []float32) {
-				out, _ := proc.Process(b, comm.ToSCompress)
-				copy(b, out)
+				comm.ProcessInto(proc, b, b, comm.ToSCompress)
 			}
 		}
 		out := make([][]float32, 4)
@@ -250,13 +250,20 @@ func TestEmptyPayload(t *testing.T) {
 // TestWarmLinkAllocatesNoFrames: once a link's free lists hold its
 // buffers, a frame allocates nothing — no body, read buffer, decoded
 // payload, or box to hold one of them weakly — on every plane the one
-// free list serves: the in-process fabric's identity path, and TCP's raw
-// and compressed paths. A send's body is back on its list when SendCtx
-// returns, a received payload on its list at the next receive. The lists
-// hold their buffers weakly, so the collector is off during the test (a
-// collection would empty them). Under -race, whose runtime is free to
-// allocate on its own account, only the byte bound is checked: no
-// frame-sized buffer is allocated per frame.
+// free list serves: the in-process fabric's identity and codec paths, and
+// TCP's raw and compressed paths. A send's body is back on its list when
+// SendCtx returns, a received payload on its list at the next receive.
+// Each plane is driven in two shapes: one frame sent and received at a
+// time, and a burst of 80 frames sent before any is received (more than a
+// pipelined step of HDC's blocks puts in flight), which a bounded list
+// would overflow to the allocator. A TCP link's reader draws a frame's
+// buffer when the frame arrives, so the warm-up bursts wait until every
+// frame has arrived before receiving any: then the link has made all the
+// buffers a burst can ever hold at once. The lists hold their buffers
+// weakly, so the collector is off during the test (a collection would
+// empty them). Under -race, whose runtime is free to allocate on its own
+// account, only the byte bound is checked: no frame-sized buffer is
+// allocated per frame.
 func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	payload := make([]float32, 1<<14)
@@ -264,53 +271,94 @@ func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 	for i := range payload {
 		payload[i] = float32(rng.NormFloat64() * 0.01)
 	}
-	tcp := func(compress bool) func() (a, b comm.CtxPeer, stop func()) {
-		return func() (comm.CtxPeer, comm.CtxPeer, func()) {
+	// A link is a sender a, a receiver b, arrived (nil in-process, where a
+	// send draws its buffer itself) waiting until b holds n frames from a,
+	// and stop.
+	type link struct {
+		a, b    comm.CtxPeer
+		arrived func(n int)
+		stop    func()
+	}
+	tcp := func(compress bool) func() link {
+		return func() link {
 			c, err := NewCluster(2, compress, fpcodec.MustBound(10))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c.Node(0), c.Node(1), c.Close
+			arrived := func(n int) {
+				for deadline := time.Now().Add(10 * time.Second); len(c.Node(1).inbox[0]) < n; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d of %d frames arrived", len(c.Node(1).inbox[0]), n)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			return link{c.Node(0), c.Node(1), arrived, c.Close}
+		}
+	}
+	inproc := func(proc comm.WireProcessor) func() link {
+		return func() link {
+			f := comm.NewFabric(2, proc)
+			return link{f.Endpoint(0), f.Endpoint(1), nil, func() {}}
 		}
 	}
 	for _, row := range []struct {
 		name  string
-		peers func() (a, b comm.CtxPeer, stop func())
+		peers func() link
 	}{
-		{"inproc", func() (comm.CtxPeer, comm.CtxPeer, func()) {
-			f := comm.NewFabric(2, nil)
-			return f.Endpoint(0), f.Endpoint(1), func() {}
-		}},
+		{"inproc", inproc(nil)},
+		{"inproc-comp", inproc(comm.CodecProcessor{Bound: fpcodec.MustBound(10)})},
 		{"tcp", tcp(false)},
 		{"tcp-comp", tcp(true)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			a, b, stop := row.peers()
-			defer stop()
+			l := row.peers()
+			defer l.stop()
 			ctx := context.Background()
 			tag := 0
-			frame := func() {
-				tag++
-				if err := a.SendCtx(ctx, 1, payload, comm.ToSCompress, tag); err != nil {
-					t.Fatal(err)
+			burst := func(frames int, settle bool) func() {
+				return func() {
+					for range frames {
+						tag++
+						if err := l.a.SendCtx(ctx, 1, payload, comm.ToSCompress, tag); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if settle && l.arrived != nil {
+						l.arrived(frames)
+					}
+					tag -= frames
+					for range frames {
+						tag++
+						if _, err := l.b.RecvCtx(ctx, 0, tag); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-				if _, err := b.RecvCtx(ctx, 0, tag); err != nil {
-					t.Fatal(err)
+			}
+			for _, shape := range []struct {
+				name         string
+				frames, warm int
+				runs         int
+			}{
+				{"one frame at a time", 1, 10, 200},
+				{"burst of 80 frames", 80, 3, 10},
+			} {
+				for range shape.warm {
+					burst(shape.frames, true)()
 				}
-			}
-			for range 10 {
-				frame()
-			}
-			const n = 200
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			allocs := testing.AllocsPerRun(n, frame)
-			runtime.ReadMemStats(&after)
-			if perFrame := (after.TotalAlloc - before.TotalAlloc) / (n + 1); perFrame > uint64(len(payload)/4) {
-				t.Errorf("%d bytes allocated per %d-byte frame on a warm link", perFrame, 4*len(payload))
-			}
-			if !raceEnabled && allocs != 0 {
-				t.Errorf("%v allocations per frame on a warm link, want none", allocs)
+				round := burst(shape.frames, false)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				allocs := testing.AllocsPerRun(shape.runs, round)
+				runtime.ReadMemStats(&after)
+				frames := uint64(shape.runs+1) * uint64(shape.frames)
+				if perFrame := (after.TotalAlloc - before.TotalAlloc) / frames; perFrame > uint64(len(payload)/4) {
+					t.Errorf("%s: %d bytes allocated per %d-byte frame on a warm link", shape.name, perFrame, 4*len(payload))
+				}
+				if !raceEnabled && allocs != 0 {
+					t.Errorf("%s: %v allocations per round on a warm link, want none", shape.name, allocs)
+				}
 			}
 		})
 	}

@@ -43,10 +43,7 @@ func newFabricPlane(n int, o Options) *dataPlane {
 	p.fabric.SetRecorder(o.Obs)
 	if o.Compress && o.Processor != nil {
 		proc := o.Processor
-		p.finalize = func(b []float32) {
-			out, _ := proc.Process(b, comm.ToSCompress)
-			copy(b, out)
-		}
+		p.finalize = func(b []float32) { comm.ProcessInto(proc, b, b, comm.ToSCompress) }
 	}
 	return p
 }

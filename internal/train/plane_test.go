@@ -24,9 +24,10 @@ import (
 //     context.DeadlineExceeded;
 //   - a wrong tag is an error, never a panic.
 //
-// The compressed planes run the ownership rows over the codec path; on
-// the in-process one, the codec's fresh payloads follow a lent identity
-// payload on the same link.
+// The compressed planes run the ownership rows over the codec path, whose
+// payloads are lent like plain ones on both planes: on the in-process one
+// they are decoded into buffers from the same link's list that lent the
+// identity payload before them.
 func TestTransportContract(t *testing.T) {
 	planes := map[string]Options{
 		"inproc":      {},

@@ -43,17 +43,18 @@ func newWorker(id int, build Builder, trainDS data.Dataset, o Options) *worker {
 }
 
 // applyErrorFeedback folds the residual into the gradient, replaces the
-// gradient with what the codec will deliver, and stores the new error.
+// gradient in place with what the codec will deliver, and stores the new
+// error, which the residual holds the folded gradient for meanwhile.
 func (w *worker) applyErrorFeedback(o Options) {
 	if w.residual == nil {
 		return
 	}
 	grad := w.net.Grads()
 	tensor.Add(grad, w.residual)
-	delivered, _ := o.Processor.Process(grad, comm.ToSCompress)
-	for i := range grad {
-		w.residual[i] = grad[i] - delivered[i]
-		grad[i] = delivered[i]
+	copy(w.residual, grad)
+	comm.ProcessInto(o.Processor, grad, grad, comm.ToSCompress)
+	for i, d := range grad {
+		w.residual[i] -= d
 	}
 }
 
