@@ -9,7 +9,14 @@
 // processor (either the reference codec here or the bit-exact engine model
 // in internal/nic) inspects the ToS byte: packets tagged ToSCompress
 // (0x28, as in the paper's Sec. VI-B) are lossily compressed on the way
-// out and decompressed on the way in, exactly like the FPGA NIC.
+// out and decompressed on the way in, exactly like the FPGA NIC. Through
+// the in-tree CodecProcessor a compressed message is its burst-group
+// stream, decoded by the receiver: straight into the caller's vector, or
+// into its add, when it receives with RecvIntoCtx.
+//
+// Every buffer a link reuses — a lent payload, a compressed stream, a TCP
+// frame body — comes from a FreeList in a Box that carries its own weak
+// handle, made once, when the box is.
 package comm
 
 import (
@@ -22,6 +29,7 @@ import (
 
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/obs"
+	"inceptionn/internal/tensor"
 )
 
 // ToSCompress is the reserved Type-of-Service value that marks a packet
@@ -82,15 +90,25 @@ type CodecProcessor struct {
 }
 
 // processSection is how many floats a compressed payload is encoded and
-// decoded by at a time, through a stream on the stack of sectionBytes, the
-// most a section's stream can take: a tag vector and eight verbatim lanes
-// per group, and the one 4-byte lane store the encoder makes past its last
-// group. A stream's burst groups are independent and whole bytes, so
-// sections of whole groups give the one-pass values and byte count.
+// decoded by at a time, through a stream on the stack of sectionBytes, and
+// how many a received stream is decoded by on its way into an add. A
+// stream's burst groups are independent and whole bytes, so sections of
+// whole groups give the one-pass values and byte count.
 const (
 	processSection = 4096
-	sectionBytes   = processSection/fpcodec.GroupSize*(fpcodec.TagVectorBits+fpcodec.GroupSize*32)/8 + 4
+	sectionBytes   = processSection/fpcodec.GroupSize*maxGroupBytes + 4
 )
+
+// maxGroupBytes is the most a burst group takes: a tag vector and eight
+// verbatim lanes.
+const maxGroupBytes = (fpcodec.TagVectorBits + fpcodec.GroupSize*32) / 8
+
+// maxStreamBytes is the most the stream of n values can take: its groups
+// at their most, and the one 4-byte lane store the encoder makes past its
+// last group. A stream drawn at that size never grows.
+func maxStreamBytes(n int) int {
+	return (n+fpcodec.GroupSize-1)/fpcodec.GroupSize*maxGroupBytes + 4
+}
 
 // Process implements WireProcessor. A compressed payload's result is
 // freshly allocated: the caller owns it.
@@ -121,6 +139,36 @@ func (p CodecProcessor) processInto(dst, payload []float32, tos uint8) int64 {
 		wire += int64(len(data))
 	}
 	return wire
+}
+
+// encode writes payload's burst-group stream into buf's storage and returns
+// it: what a compressed in-process message carries.
+func (p CodecProcessor) encode(buf []byte, payload []float32) []byte {
+	data, _ := fpcodec.AppendGroups(buf[:0], 0, payload, p.Bound)
+	return data
+}
+
+// decode decodes the stream encode made of len(dst) values into dst, or
+// adds them to it as tensor.Add does, a section at a time through the
+// stack.
+func (p CodecProcessor) decode(dst []float32, data []byte, add bool) {
+	var err error
+	if !add {
+		_, err = fpcodec.DecodeGroups(dst, data, 0, 8*len(data), p.Bound)
+	} else {
+		var sec [processSection]float32
+		pos := 0
+		for lo := 0; lo < len(dst) && err == nil; lo += processSection {
+			hi := min(lo+processSection, len(dst))
+			pos, err = fpcodec.DecodeGroups(sec[:hi-lo], data, pos, 8*len(data), p.Bound)
+			tensor.Add(dst[lo:hi], sec[:hi-lo])
+		}
+	}
+	if err != nil {
+		// The stream was produced by the matching encoder; failure here is
+		// a programming error, not an I/O condition.
+		panic(fmt.Sprintf("comm: internal codec stream failed: %v", err))
+	}
 }
 
 // intoProcessor is a WireProcessor that writes what the receiver observes
@@ -171,21 +219,34 @@ func (s *LinkStats) ObserveRecvWait(d int64) {
 	}
 }
 
-// message is one in-flight transfer: buf is the box of the payload the
-// wire processor wrote, drawn from the link's free list, lent to the
-// receiver and reclaimed by its next receive.
+// message is one in-flight transfer of n values: either buf, the box of the
+// payload the wire processor wrote, drawn from the link's lender, or
+// stream, the box of a compressed payload's burst-group stream, drawn from
+// the link's stream list, which the receiver decodes.
 type message struct {
-	buf *[]float32
-	tag int
+	buf    *Box[float32]
+	stream *Box[byte]
+	n      int
+	tag    int
+}
+
+// Box is a buffer a FreeList hands out. It carries the weak handle the list
+// keeps it by, made once, when the box is: weak.Make on a box that already
+// has a handle looks it up among its span's specials, a search that grows
+// with the boxes a link keeps.
+type Box[T any] struct {
+	Buf  []T
+	self weak.Pointer[Box[T]]
 }
 
 // FreeList is one link's store of spent buffers, drawn from before
 // allocating; its owner's mutex guards it. It is the module's one free
-// list: both fabrics' lent payloads and the TCP fabric's frame bodies are
-// drawn from one. A buffer travels in a box (a *[]T) that is made once,
-// with the buffer, so weakly holding it again allocates nothing.
+// list: both fabrics' lent payloads, the in-process fabric's compressed
+// streams and the TCP fabric's frame bodies are drawn from one. A buffer
+// travels in a Box that is made once, with the buffer and its weak handle,
+// so keeping it again allocates nothing.
 //
-// It holds each buffer weakly: a buffer still idle when the collector runs
+// It holds each box weakly: a buffer still idle when the collector runs
 // is reclaimed, not kept live. A warm link allocates next to nothing, so
 // the collector's heap goal is twice whatever is live at its last cycle,
 // and a buffer held strongly counts twice in peak RSS: strong lists, and a
@@ -198,34 +259,35 @@ type message struct {
 // in flight at once, which a pipelined step makes all of a block's chunks
 // (71 for HDC's 287,253-float blocks at 4096-float chunks), and an entry
 // keeps nothing alive.
-type FreeList[T any] struct{ bufs []weak.Pointer[[]T] }
+type FreeList[T any] struct{ boxes []weak.Pointer[Box[T]] }
 
-// Get returns a boxed buffer of length n: the newest kept one that is
+// Get returns a box whose buffer has length n: the newest kept one that is
 // still alive and holds n, else a fresh one with 1/64 to spare, so that
 // the blocks of one ring, which differ in length by a value, share their
-// buffers. Buffers it passes over are dropped.
-func (f *FreeList[T]) Get(n int) *[]T {
-	for len(f.bufs) > 0 {
-		last := len(f.bufs) - 1
-		p := f.bufs[last].Value()
-		f.bufs[last] = weak.Pointer[[]T]{}
-		f.bufs = f.bufs[:last]
-		if p != nil && cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
+// buffers. Boxes it passes over are dropped.
+func (f *FreeList[T]) Get(n int) *Box[T] {
+	for len(f.boxes) > 0 {
+		last := len(f.boxes) - 1
+		b := f.boxes[last].Value()
+		f.boxes[last] = weak.Pointer[Box[T]]{}
+		f.boxes = f.boxes[:last]
+		if b != nil && cap(b.Buf) >= n {
+			b.Buf = b.Buf[:n]
+			return b
 		}
 	}
-	b := make([]T, n, n+n/64+1)
-	return &b
+	b := &Box[T]{Buf: make([]T, n, n+n/64+1)}
+	b.self = weak.Make(b)
+	return b
 }
 
 // Put keeps the box b, which Get returned, for a later Get.
-func (f *FreeList[T]) Put(b *[]T) { f.keep(weak.Make(b)) }
+func (f *FreeList[T]) Put(b *Box[T]) { f.keep(b.self) }
 
-// keep adds a weakly held buffer.
-func (f *FreeList[T]) keep(w weak.Pointer[[]T]) {
-	if w != (weak.Pointer[[]T]{}) {
-		f.bufs = append(f.bufs, w)
+// keep adds a weakly held box.
+func (f *FreeList[T]) keep(w weak.Pointer[Box[T]]) {
+	if w != (weak.Pointer[Box[T]]{}) {
+		f.boxes = append(f.boxes, w)
 	}
 }
 
@@ -236,19 +298,19 @@ func (f *FreeList[T]) keep(w weak.Pointer[[]T]) {
 // lender's lock.
 type Lender struct {
 	mu   sync.Mutex
-	lent weak.Pointer[[]float32]
+	lent weak.Pointer[Box[float32]]
 	free FreeList[float32]
 }
 
-// Draw returns a boxed buffer of n floats for the link's next payload.
-func (l *Lender) Draw(n int) *[]float32 {
+// Draw returns a box of n floats for the link's next payload.
+func (l *Lender) Draw(n int) *Box[float32] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.free.Get(n)
 }
 
-// Return puts back a buffer Draw gave that was never lent.
-func (l *Lender) Return(b *[]float32) {
+// Return puts back a box Draw gave that was never lent.
+func (l *Lender) Return(b *Box[float32]) {
 	l.mu.Lock()
 	l.free.Put(b)
 	l.mu.Unlock()
@@ -259,15 +321,35 @@ func (l *Lender) Return(b *[]float32) {
 func (l *Lender) Reclaim() {
 	l.mu.Lock()
 	l.free.keep(l.lent)
-	l.lent = weak.Pointer[[]float32]{}
+	l.lent = weak.Pointer[Box[float32]]{}
 	l.mu.Unlock()
 }
 
 // Lend records b as the payload the receive in progress hands out.
-func (l *Lender) Lend(b *[]float32) {
+func (l *Lender) Lend(b *Box[float32]) {
 	l.mu.Lock()
-	l.lent = weak.Make(b)
+	l.lent = b.self
 	l.mu.Unlock()
+}
+
+// streamList is one in-process link's free list of compressed streams: its
+// sender draws a stream to encode into, and its receiver puts the stream
+// back once decoded.
+type streamList struct {
+	mu   sync.Mutex
+	free FreeList[byte]
+}
+
+func (s *streamList) get(n int) *Box[byte] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.free.Get(n)
+}
+
+func (s *streamList) put(b *Box[byte]) {
+	s.mu.Lock()
+	s.free.Put(b)
+	s.mu.Unlock()
 }
 
 // WireMeter is the wire-byte accounting every fabric reports through — this
@@ -326,23 +408,27 @@ type fabricObs struct {
 type Fabric struct {
 	n     int
 	proc  WireProcessor
-	links [][]link // links[src][dst]
+	codec *CodecProcessor // proc, when it is the in-tree codec: its messages are streams
+	links [][]link        // links[src][dst]
 	obs   atomic.Pointer[fabricObs]
 }
 
 // link is one directed link: its stream, its counters and the lending
 // state of the payloads it carries.
 type link struct {
-	ch    chan message
-	stats LinkStats
-	lend  Lender
+	ch      chan message
+	stats   LinkStats
+	lend    Lender
+	streams streamList
 }
 
 // SetRecorder attaches an observability recorder to the fabric: every
 // subsequent send reports wire_bytes_raw / wire_bytes_compressed
 // counters and the live compression_ratio gauge, and ToS-compressed
-// sends record a compress phase span (iteration -1: the codec runs
-// inside the transport, below iteration attribution). A nil rec detaches.
+// traffic records a compress phase span around its encode and, when the
+// receiver decodes a stream, a decompress span around that (iteration -1:
+// the codec runs inside the transport, below iteration attribution). A
+// nil rec detaches.
 func (f *Fabric) SetRecorder(rec *obs.Recorder) {
 	if rec == nil {
 		f.obs.Store(nil)
@@ -362,6 +448,9 @@ func NewFabric(n int, proc WireProcessor) *Fabric {
 		proc = IdentityProcessor{}
 	}
 	f := &Fabric{n: n, proc: proc, links: make([][]link, n)}
+	if c, ok := proc.(CodecProcessor); ok {
+		f.codec = &c
+	}
 	for i := range f.links {
 		f.links[i] = make([]link, n)
 		for j := range f.links[i] {
@@ -401,19 +490,21 @@ func (f *Fabric) TotalWireBytes() int64 {
 // in-process Endpoint below implements it, and so does the real-TCP node
 // in internal/tcpfabric. Sends and receives take a context whose deadline
 // or cancellation bounds the operation, and every anomaly —
-// transport failure, expired deadline, tag mismatch — is an error, never a
-// panic.
+// transport failure, expired deadline, tag mismatch, wrong length — is an
+// error, never a panic.
 //
 // Buffer ownership, the one statement of it. A sent payload stays the
-// caller's: it may be reused as soon as SendCtx returns. A received payload
-// is lent: it stays valid, and unchanged by traffic from any source, until
-// the caller's next receive from the same source on the same peer, and the
-// caller must not write it. A caller that keeps a payload past that point
-// copies it. Every received payload is lent, on both fabrics, from one
-// Lender per directed link: the next receive from the link takes the
-// previous payload back to the link's free list, and later payloads are
-// written into it — by the wire processor (in-process: copied, or
-// decompressed), or read or decoded from the socket (TCP).
+// caller's: it may be reused as soon as SendCtx returns. A payload RecvCtx
+// returns is lent: it stays valid, and unchanged by traffic from any
+// source, until the caller's next receive from the same source on the same
+// peer, and the caller must not write it. A caller that keeps a payload
+// past that point copies it. Every such payload is lent, on both fabrics,
+// from one Lender per directed link: the next receive from the link takes
+// the previous payload back to the link's free list, and later payloads
+// are written into it — by the wire processor or the receiver's decoder
+// (in-process), or read or decoded from the socket (TCP). RecvIntoCtx
+// lends nothing: it writes or adds the payload into the caller's vector,
+// and takes back the previous loan from its source like any receive.
 type CtxPeer interface {
 	// ID returns this node's id in [0, N).
 	ID() int
@@ -427,6 +518,11 @@ type CtxPeer interface {
 	// tag mismatch is a protocol error, returned rather than panicked. The
 	// payload is lent until the next receive from src.
 	RecvCtx(ctx context.Context, src int, tag int) ([]float32, error)
+	// RecvIntoCtx blocks for the next payload from src until ctx is done;
+	// it must carry tag and len(dst) values. It writes them into dst, or
+	// with add adds them to it exactly as tensor.Add(dst, payload) does.
+	// Nothing is lent, and dst is unchanged on any error.
+	RecvIntoCtx(ctx context.Context, src int, tag int, dst []float32, add bool) error
 }
 
 // Endpoint is one node's interface to the fabric.
@@ -435,23 +531,64 @@ type Endpoint struct {
 	id int
 }
 
-// process runs the wire processor from payload into dst, with
-// observability attached (when a recorder is set on the fabric).
-func (e *Endpoint) process(dst, payload []float32, tos uint8) int64 {
+// encode runs the wire processor over payload into storage from l's lists,
+// with observability attached (when a recorder is set on the fabric), and
+// returns the message and the payload bytes that cross the wire. A
+// ToS-compressed payload through the in-tree codec becomes its burst-group
+// stream, which the receiver decodes; any other payload becomes what the
+// receiver observes.
+func (e *Endpoint) encode(l *link, payload []float32, tos uint8) (message, int64) {
 	o := e.f.obs.Load()
-	if o == nil {
-		return ProcessInto(e.f.proc, dst, payload, tos)
-	}
 	var sp obs.ActiveSpan
-	if tos == ToSCompress {
+	if o != nil && tos == ToSCompress {
 		sp = o.rec.Span(e.id, -1, obs.PhaseCompress)
 	}
-	payloadBytes := ProcessInto(e.f.proc, dst, payload, tos)
-	if tos == ToSCompress {
-		sp.End()
+	m := message{n: len(payload)}
+	var payloadBytes int64
+	if e.f.codec != nil && tos == ToSCompress {
+		m.stream = l.streams.get(maxStreamBytes(len(payload)))
+		m.stream.Buf = e.f.codec.encode(m.stream.Buf, payload)
+		payloadBytes = int64(len(m.stream.Buf))
+	} else {
+		m.buf = l.lend.Draw(len(payload))
+		payloadBytes = ProcessInto(e.f.proc, m.buf.Buf, payload, tos)
 	}
-	o.wire.Observe(4*int64(len(payload)), payloadBytes, tos == ToSCompress)
-	return payloadBytes
+	sp.End()
+	if o != nil {
+		o.wire.Observe(4*int64(len(payload)), payloadBytes, tos == ToSCompress)
+	}
+	return m, payloadBytes
+}
+
+// place writes the values m carries into dst, or adds them to it, and puts
+// m's storage back on l's lists. A stream is decoded here, by the
+// receiver.
+func (e *Endpoint) place(l *link, m message, dst []float32, add bool) {
+	if m.stream == nil {
+		if add {
+			tensor.Add(dst, m.buf.Buf)
+		} else {
+			copy(dst, m.buf.Buf)
+		}
+		l.lend.Return(m.buf)
+		return
+	}
+	var sp obs.ActiveSpan
+	if o := e.f.obs.Load(); o != nil {
+		sp = o.rec.Span(e.id, -1, obs.PhaseDecompress)
+	}
+	e.f.codec.decode(dst, m.stream.Buf, add)
+	sp.End()
+	l.streams.put(m.stream)
+}
+
+// drop puts back the storage of a message no receive delivers.
+func (l *link) drop(m message) {
+	if m.stream != nil {
+		l.streams.put(m.stream)
+	} else {
+		l.lend.Return(m.buf)
+	}
 }
 
 var _ CtxPeer = (*Endpoint)(nil)
@@ -464,19 +601,20 @@ func (e *Endpoint) N() int { return e.f.n }
 
 // SendCtx transmits payload to node dst with the given ToS, giving up with
 // ctx.Err() if the (deeply buffered) stream would block past the context
-// deadline. The wire processor writes what the receiver observes into a
-// buffer from the link's free list, so the caller may reuse its buffer.
-// tag must match the receiver's RecvCtx tag (streams are ordered per link,
-// so tags serve as a protocol assertion rather than reordering).
+// deadline. The wire processor writes what the receiver observes, or the
+// codec its stream, into a buffer from the link's free lists, so the
+// caller may reuse its buffer. tag must match the receiver's tag (streams
+// are ordered per link, so tags serve as a protocol assertion rather than
+// reordering).
 func (e *Endpoint) SendCtx(ctx context.Context, dst int, payload []float32, tos uint8, tag int) error {
 	l := &e.f.links[e.id][dst]
-	buf := l.lend.Draw(len(payload))
-	payloadBytes := e.process(*buf, payload, tos)
+	m, payloadBytes := e.encode(l, payload, tos)
+	m.tag = tag
 	s := &l.stats
 	select {
-	case l.ch <- message{buf: buf, tag: tag}:
+	case l.ch <- m:
 	case <-ctx.Done():
-		l.lend.Return(buf)
+		l.drop(m)
 		s.Timeouts.Add(1)
 		return fmt.Errorf("comm: send %d->%d tag %d: %w", e.id, dst, tag, ctx.Err())
 	}
@@ -487,25 +625,60 @@ func (e *Endpoint) SendCtx(ctx context.Context, dst int, payload []float32, tos 
 	return nil
 }
 
-// RecvCtx blocks until a payload arrives from node src or ctx is done,
-// recording the blocked time into the link's straggler stats. The
-// message's tag must equal tag. The payload is lent until the next receive
-// from src, which takes it back to the link's free list (CtxPeer).
-func (e *Endpoint) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
+// recv blocks until a message arrives from node src or ctx is done, after
+// taking back the payload the last receive from src lent out, and records
+// the blocked time into the link's straggler stats. The message's tag must
+// equal tag; one that does not is dropped.
+func (e *Endpoint) recv(ctx context.Context, src int, tag int) (*link, message, error) {
 	l := &e.f.links[src][e.id]
 	l.lend.Reclaim()
 	s := &l.stats
 	start := time.Now()
 	select {
 	case m := <-l.ch:
-		l.lend.Lend(m.buf)
 		s.ObserveRecvWait(time.Since(start).Nanoseconds())
 		if m.tag != tag {
-			return nil, fmt.Errorf("comm: node %d expected tag %d from %d, got %d", e.id, tag, src, m.tag)
+			l.drop(m)
+			return nil, message{}, fmt.Errorf("comm: node %d expected tag %d from %d, got %d", e.id, tag, src, m.tag)
 		}
-		return *m.buf, nil
+		return l, m, nil
 	case <-ctx.Done():
 		s.Timeouts.Add(1)
-		return nil, fmt.Errorf("comm: recv %d<-%d: %w", e.id, src, ctx.Err())
+		return nil, message{}, fmt.Errorf("comm: recv %d<-%d: %w", e.id, src, ctx.Err())
 	}
+}
+
+// RecvCtx blocks until a payload arrives from node src or ctx is done. The
+// message's tag must equal tag. The payload is lent until the next receive
+// from src, which takes it back to the link's free list (CtxPeer); a
+// stream is decoded into a buffer from that list.
+func (e *Endpoint) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error) {
+	l, m, err := e.recv(ctx, src, tag)
+	if err != nil {
+		return nil, err
+	}
+	buf := m.buf
+	if buf == nil {
+		buf = l.lend.Draw(m.n)
+		e.place(l, m, buf.Buf, false)
+	}
+	l.lend.Lend(buf)
+	return buf.Buf, nil
+}
+
+// RecvIntoCtx blocks until a payload of len(dst) values arrives from node
+// src or ctx is done, and writes it into dst or adds it there (CtxPeer). A
+// stream is decoded straight into dst, or a section at a time into the
+// add.
+func (e *Endpoint) RecvIntoCtx(ctx context.Context, src int, tag int, dst []float32, add bool) error {
+	l, m, err := e.recv(ctx, src, tag)
+	if err != nil {
+		return err
+	}
+	if m.n != len(dst) {
+		l.drop(m)
+		return fmt.Errorf("comm: node %d tag %d: %d floats from %d, want %d", e.id, tag, m.n, src, len(dst))
+	}
+	e.place(l, m, dst, add)
+	return nil
 }

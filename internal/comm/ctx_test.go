@@ -53,7 +53,7 @@ func TestSendCtxDeadlineOnFullChannel(t *testing.T) {
 		t.Fatalf("want DeadlineExceeded on saturated link, got %v", err)
 	}
 	// The failed send's copy went back to the link's free list.
-	if kept := len(f.links[0][1].lend.free.bufs); kept != 1 {
+	if kept := len(f.links[0][1].lend.free.boxes); kept != 1 {
 		t.Errorf("%d buffers on the link's free list after a failed send, want 1", kept)
 	}
 }

@@ -180,11 +180,9 @@ func AllReduceCtx(ctx context.Context, t Topology, e comm.CtxPeer, grad []float3
 			}
 		}
 	} else {
-		rb, err := opt.RecvStep(ctx, e, groupIDs[0], tagLeaderDown, len(grad))
-		if err != nil {
+		if err := opt.RecvIntoStep(ctx, e, groupIDs[0], tagLeaderDown, grad, false); err != nil {
 			return fmt.Errorf("hierarchy: member awaiting leader: %w", err)
 		}
-		copy(grad, rb)
 	}
 	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/obs"
-	"inceptionn/internal/tensor"
 )
 
 // BlockBounds returns block b of a length-n vector split parts ways: the
@@ -74,7 +73,8 @@ type Options struct {
 	// confuse one level's messages with the other's.
 	TagOffset int
 
-	// Obs, when non-nil, records per-step send/recv/reduce phase spans, a
+	// Obs, when non-nil, records per-step send/recv phase spans (a receive
+	// sums or stores its block where it lands, so its span covers that), a
 	// ring_step_seconds latency histogram, and per-link receive-wait
 	// counters (the straggler signal: time this node sat blocked on its
 	// left neighbour). Nil disables all instrumentation at the cost of one
@@ -229,12 +229,14 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 			if err != nil {
 				return fmt.Errorf("ring: node %d send block %d to %d: %w", id, sendBlk, right, err)
 			}
+			// The block is summed or stored where it lands: the receive
+			// span covers its reduce.
 			var rstart time.Time
 			if obsOn {
 				rstart = time.Now()
 			}
 			rsp := opt.Obs.Span(id, opt.ObsIter, obs.PhaseRecv)
-			rb, err := e.RecvCtx(stepCtx, left, tag)
+			err = e.RecvIntoCtx(stepCtx, left, tag, recvBuf, reduce)
 			rsp.End()
 			if obsOn {
 				w := time.Since(rstart).Nanoseconds()
@@ -244,16 +246,6 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 			if err != nil {
 				return fmt.Errorf("ring: node %d recv block %d from %d: %w", id, recvBlk, left, err)
 			}
-			if len(rb) != len(recvBuf) {
-				return fmt.Errorf("ring: node %d tag %d: block size %d, want %d", id, tag, len(rb), len(recvBuf))
-			}
-			dsp := opt.Obs.Span(id, opt.ObsIter, obs.PhaseReduce)
-			if reduce {
-				tensor.Add(recvBuf, rb)
-			} else {
-				copy(recvBuf, rb)
-			}
-			dsp.End()
 			return nil
 		}
 
@@ -279,19 +271,19 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 			sendErr <- nil
 		}()
 
-		// Receive and reduce interleave per chunk; accumulate each phase's
-		// active time and record one aggregated span per phase per step
-		// rather than flooding the tracer with per-chunk events.
-		var recvDur, redDur time.Duration
+		// Each chunk is summed or stored where it lands; accumulate the
+		// receive time and record one span per step rather than flooding
+		// the tracer with per-chunk events.
+		var recvDur time.Duration
 		rsp := opt.Obs.Span(id, opt.ObsIter, obs.PhaseRecv)
-		dsp := opt.Obs.Span(id, opt.ObsIter, obs.PhaseReduce)
 		nc := numChunks(len(recvBuf), chunk)
 		for c := 0; c < nc; c++ {
 			var t0 time.Time
 			if obsOn {
 				t0 = time.Now()
 			}
-			rb, err := e.RecvCtx(stepCtx, left, tag)
+			clo, chi := chunkBounds(len(recvBuf), chunk, c)
+			err := e.RecvIntoCtx(stepCtx, left, tag, recvBuf[clo:chi], reduce)
 			if obsOn {
 				recvDur += time.Since(t0)
 			}
@@ -301,28 +293,8 @@ func AllReduceGroupCtx(ctx context.Context, e comm.CtxPeer, members []int, grad 
 				}
 				return fmt.Errorf("ring: node %d recv block %d chunk %d from %d: %w", id, recvBlk, c, left, err)
 			}
-			clo, chi := chunkBounds(len(recvBuf), chunk, c)
-			local := recvBuf[clo:chi]
-			if len(rb) != len(local) {
-				if cancel != nil {
-					cancel()
-				}
-				return fmt.Errorf("ring: node %d tag %d chunk %d: size %d, want %d", id, tag, c, len(rb), len(local))
-			}
-			if obsOn {
-				t0 = time.Now()
-			}
-			if reduce {
-				tensor.Add(local, rb)
-			} else {
-				copy(local, rb)
-			}
-			if obsOn {
-				redDur += time.Since(t0)
-			}
 		}
 		rsp.EndWith(recvDur)
-		dsp.EndWith(redDur)
 		if obsOn {
 			recvWaitNs.Add(recvDur.Nanoseconds())
 			linkWaitNs.Add(recvDur.Nanoseconds())
@@ -429,6 +401,19 @@ func (o Options) RecvStep(ctx context.Context, e comm.CtxPeer, src, tag, want in
 	return rb, nil
 }
 
+// RecvIntoStep is RecvStep's form for a leg whose receiver holds the
+// vector the payload goes into: a RecvIntoCtx under o.StepContext, which
+// writes the payload into dst or adds it there and rejects one of any
+// length but len(dst).
+func (o Options) RecvIntoStep(ctx context.Context, e comm.CtxPeer, src, tag int, dst []float32, add bool) error {
+	sctx, cancel := o.StepContext(ctx)
+	defer cancel()
+	if err := e.RecvIntoCtx(sctx, src, tag, dst, add); err != nil {
+		return fmt.Errorf("ring: node %d recv from %d: %w", e.ID(), src, err)
+	}
+	return nil
+}
+
 // AggregateStepCtx is the hub's side of a gather–sum–return step: gather
 // one gradLen-float vector from each of workers (node ids), sum them in
 // that order, let update produce the vector to return, and send it to
@@ -440,11 +425,9 @@ func (o Options) RecvStep(ctx context.Context, e comm.CtxPeer, src, tag, want in
 func AggregateStepCtx(ctx context.Context, e comm.CtxPeer, workers []int, gradLen int, update func(sum []float32) []float32, opt Options) error {
 	sum := make([]float32, gradLen)
 	for _, w := range workers {
-		g, err := opt.RecvStep(ctx, e, w, tagGradUp, gradLen)
-		if err != nil {
+		if err := opt.RecvIntoStep(ctx, e, w, tagGradUp, sum, true); err != nil {
 			return fmt.Errorf("ring: aggregator gather: %w", err)
 		}
-		tensor.Add(sum, g)
 	}
 	weights := update(sum)
 	for _, w := range workers {

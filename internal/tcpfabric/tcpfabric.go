@@ -46,6 +46,7 @@ import (
 	"inceptionn/internal/frame"
 	"inceptionn/internal/nic"
 	"inceptionn/internal/obs"
+	"inceptionn/internal/tensor"
 )
 
 // ErrClosed marks an operation on a closed cluster. It wraps
@@ -120,7 +121,7 @@ type outLink struct {
 // it was drawn from the in-link's free list with.
 type decodedFrame struct {
 	tag int
-	buf *[]float32
+	buf *comm.Box[float32]
 }
 
 // NewCluster starts n nodes on loopback and fully connects them. If
@@ -341,7 +342,7 @@ func (nd *Node) SendCtx(ctx context.Context, dst int, payload []float32, tos uin
 // encode builds a data frame's header and body and checksums the body. A
 // viewed frame's body is floatBytes(payload), and box is nil; any other is
 // built in box, drawn from the link's free list. The caller holds ol.mu.
-func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (h frameHeader, body []byte, box *[]byte) {
+func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (h frameHeader, body []byte, box *comm.Box[byte]) {
 	h = frameHeader{kind: kindData, tos: tos, tag: uint32(tag), count: uint32(len(payload))}
 	if nd.cluster.useC && tos == comm.ToSCompress {
 		// About one byte per float holds a typical gradient stream; a
@@ -349,15 +350,15 @@ func (nd *Node) encode(ol *outLink, payload []float32, tos uint8, tag int) (h fr
 		box = ol.bodies.Get(len(payload))
 		sp := nd.cluster.rec.Span(nd.id, -1, obs.PhaseCompress)
 		var bits int
-		*box, bits = nd.ce.CompressInto(*box, payload)
+		box.Buf, bits = nd.ce.CompressInto(box.Buf, payload)
 		sp.End()
 		h.flags, h.bitLen = flagCompressed, uint32(bits)
-		body = *box
+		body = box.Buf
 	} else if wireIsMemory {
 		body = floatBytes(payload)
 	} else {
 		box = ol.bodies.Get(4 * len(payload))
-		body = *box
+		body = box.Buf
 		frame.PutF32s(body, payload)
 	}
 	h.payloadLen = uint32(len(body))
@@ -390,9 +391,9 @@ func (nd *Node) write(ol *outLink, dst int, h frameHeader, body []byte) error {
 		if v.CorruptBit >= 0 && len(body) > 0 {
 			if viewed(h) {
 				spoilt := ol.bodies.Get(len(body))
-				copy(*spoilt, body)
+				copy(spoilt.Buf, body)
 				defer ol.bodies.Put(spoilt)
-				body = *spoilt
+				body = spoilt.Buf
 			}
 			bit := v.CorruptBit % (8 * len(body))
 			body[bit/8] ^= 1 << (bit % 8)
@@ -442,7 +443,7 @@ func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error
 			return nil, fmt.Errorf("tcpfabric: node %d expected tag %d from %d, got %d",
 				nd.id, tag, src, f.tag)
 		}
-		return *f.buf, nil
+		return f.buf.Buf, nil
 	case <-ctx.Done():
 		nd.stats[src].Timeouts.Add(1)
 		return nil, fmt.Errorf("tcpfabric: recv %d<-%d after %v: %w",
@@ -450,6 +451,25 @@ func (nd *Node) RecvCtx(ctx context.Context, src int, tag int) ([]float32, error
 	case <-nd.closed:
 		return nil, fmt.Errorf("tcpfabric: node %d recv from %d: %w", nd.id, src, ErrClosed)
 	}
+}
+
+// RecvIntoCtx receives the next payload from src as RecvCtx does, writes it
+// into dst or adds it there, and takes it back to the link's free list at
+// once, so nothing stays lent (comm.CtxPeer). The payload must carry
+// len(dst) values.
+func (nd *Node) RecvIntoCtx(ctx context.Context, src int, tag int, dst []float32, add bool) error {
+	rb, err := nd.RecvCtx(ctx, src, tag)
+	switch {
+	case err != nil:
+	case len(rb) != len(dst):
+		err = fmt.Errorf("tcpfabric: node %d tag %d: %d floats from %d, want %d", nd.id, tag, len(rb), src, len(dst))
+	case add:
+		tensor.Add(dst, rb)
+	default:
+		copy(dst, rb)
+	}
+	nd.in[src].Reclaim()
+	return err
 }
 
 // SentBytes returns the total bytes this node wrote to its sockets
@@ -485,11 +505,11 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 			nd.pushErr(fmt.Errorf("tcpfabric: node %d from %d: %w", nd.id, peer, err))
 			return
 		}
-		var payload *[]float32
+		var payload *comm.Box[float32]
 		var body []byte
 		if viewed(h) && !failed {
 			payload = il.Draw(int(h.count))
-			body = floatBytes(*payload)
+			body = floatBytes(payload.Buf)
 		} else {
 			if cap(buf) < int(h.payloadLen) {
 				buf = make([]byte, h.payloadLen)
@@ -525,7 +545,7 @@ func (nd *Node) readLoop(peer int, conn net.Conn) {
 // hop and wrapping fault.ErrBadFrame; a codec failure also wraps the
 // codec's error. It returns ErrClosed when the node shuts down
 // mid-delivery.
-func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte, payload *[]float32) error {
+func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte, payload *comm.Box[float32]) error {
 	var what string
 	switch {
 	case h.seq > want:
@@ -546,10 +566,10 @@ func (nd *Node) handleData(peer int, want uint32, h frameHeader, body []byte, pa
 		if h.flags&flagCompressed != 0 {
 			// The decoder writes over the drawn buffer, which holds count.
 			sp := nd.cluster.rec.Span(nd.id, -1, obs.PhaseDecompress)
-			_, err = nd.de.DecompressInto(*payload, body, int(h.bitLen), int(h.count))
+			_, err = nd.de.DecompressInto(payload.Buf, body, int(h.bitLen), int(h.count))
 			sp.End()
 		} else {
-			err = decodeRawPayload(*payload, h, body)
+			err = decodeRawPayload(payload.Buf, h, body)
 		}
 		if err != nil {
 			return fmt.Errorf("tcpfabric: %d->%d seq %d: %w: %w", peer, nd.id, h.seq, fault.ErrBadFrame, err)

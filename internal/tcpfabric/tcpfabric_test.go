@@ -248,15 +248,17 @@ func TestEmptyPayload(t *testing.T) {
 }
 
 // TestWarmLinkAllocatesNoFrames: once a link's free lists hold its
-// buffers, a frame allocates nothing — no body, read buffer, decoded
-// payload, or box to hold one of them weakly — on every plane the one
-// free list serves: the in-process fabric's identity and codec paths, and
-// TCP's raw and compressed paths. A send's body is back on its list when
-// SendCtx returns, a received payload on its list at the next receive.
-// Each plane is driven in two shapes: one frame sent and received at a
-// time, and a burst of 80 frames sent before any is received (more than a
-// pipelined step of HDC's blocks puts in flight), which a bounded list
-// would overflow to the allocator. A TCP link's reader draws a frame's
+// buffers, a frame allocates nothing — no body, stream, read buffer,
+// decoded payload, or box to hold one of them weakly — on every plane the
+// one free list serves: the in-process fabric's identity and codec paths,
+// and TCP's raw and compressed paths. A send's body is back on its list
+// when SendCtx returns, a received payload on its list at the next
+// receive, and a payload received into a vector, or an in-process stream
+// decoded there, when RecvIntoCtx returns. Each plane is driven in two
+// shapes, received by RecvCtx and by RecvIntoCtx: one frame sent and
+// received at a time, and a burst of 80 frames sent before any is received
+// (more than a pipelined step of HDC's blocks puts in flight), which a
+// bounded list would overflow to the allocator. A TCP link's reader draws a frame's
 // buffer when the frame arrives, so the warm-up bursts wait until every
 // frame has arrived before receiving any: then the link has made all the
 // buffers a burst can ever hold at once. The lists hold their buffers
@@ -316,6 +318,7 @@ func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 			defer l.stop()
 			ctx := context.Background()
 			tag := 0
+			var into []float32 // when set, frames are received into it, copied and added by turns
 			burst := func(frames int, settle bool) func() {
 				return func() {
 					for range frames {
@@ -330,7 +333,13 @@ func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 					tag -= frames
 					for range frames {
 						tag++
-						if _, err := l.b.RecvCtx(ctx, 0, tag); err != nil {
+						var err error
+						if into == nil {
+							_, err = l.b.RecvCtx(ctx, 0, tag)
+						} else {
+							err = l.b.RecvIntoCtx(ctx, 0, tag, into, tag%2 == 1)
+						}
+						if err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -340,10 +349,17 @@ func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 				name         string
 				frames, warm int
 				runs         int
+				into         bool
 			}{
-				{"one frame at a time", 1, 10, 200},
-				{"burst of 80 frames", 80, 3, 10},
+				{"one frame at a time", 1, 10, 200, false},
+				{"burst of 80 frames", 80, 3, 10, false},
+				{"one frame at a time into a vector", 1, 10, 200, true},
+				{"burst of 80 frames into a vector", 80, 3, 10, true},
 			} {
+				into = nil
+				if shape.into {
+					into = make([]float32, len(payload))
+				}
 				for range shape.warm {
 					burst(shape.frames, true)()
 				}
@@ -361,6 +377,66 @@ func TestWarmLinkAllocatesNoFrames(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecvIntoLendsNothing: RecvIntoCtx takes back its source's earlier
+// loan and puts its own payload straight back on the link's list, so the
+// next two frames that arrive are read into those two buffers, the second
+// into the loan's. A link's reader draws a buffer when a frame arrives, so
+// the test waits for each frame before receiving it. The lists hold their
+// buffers weakly, so the collector is off during the test.
+func TestRecvIntoLendsNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, compress := range []bool{false, true} {
+		c, err := NewCluster(2, compress, fpcodec.MustBound(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ctx := context.Background()
+		payload := make([]float32, 1024)
+		for i := range payload {
+			payload[i] = float32(i) / 1024
+		}
+		tag := 0
+		send := func(frames int) {
+			t.Helper()
+			for range frames {
+				tag++
+				if err := c.Node(0).SendCtx(ctx, 1, payload, comm.ToSCompress, tag); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for deadline := time.Now().Add(10 * time.Second); len(c.Node(1).inbox[0]) < frames; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d frames arrived", len(c.Node(1).inbox[0]), frames)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			tag -= frames
+		}
+		recv := func() []float32 {
+			t.Helper()
+			tag++
+			got, err := c.Node(1).RecvCtx(ctx, 0, tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		send(1)
+		loan := recv()
+		send(1)
+		tag++
+		if err := c.Node(1).RecvIntoCtx(ctx, 0, tag, make([]float32, len(payload)), true); err != nil {
+			t.Fatal(err)
+		}
+		send(2)
+		recv()
+		if last := recv(); &last[0] != &loan[0] {
+			t.Errorf("compress=%v: after a RecvIntoCtx, the frames that followed were not read into the storage of its source's earlier loan", compress)
+		}
 	}
 }
 

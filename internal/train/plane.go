@@ -6,7 +6,6 @@ import (
 
 	"inceptionn/internal/comm"
 	"inceptionn/internal/fault"
-	"inceptionn/internal/fpcodec"
 	"inceptionn/internal/tcpfabric"
 )
 
@@ -42,10 +41,15 @@ func newFabricPlane(n int, o Options) *dataPlane {
 	p := &dataPlane{n: n, fabric: comm.NewFabric(n, o.Processor)}
 	p.fabric.SetRecorder(o.Obs)
 	if o.Compress && o.Processor != nil {
-		proc := o.Processor
-		p.finalize = func(b []float32) { comm.ProcessInto(proc, b, b, comm.ToSCompress) }
+		p.finalize = finalizer(o.Processor)
 	}
 	return p
+}
+
+// finalizer is the owner-block finalizer of a compressed exchange: proc's
+// codec run over the block in place, on either plane.
+func finalizer(proc comm.WireProcessor) func([]float32) {
+	return func(b []float32) { comm.ProcessInto(proc, b, b, comm.ToSCompress) }
 }
 
 // newTCPPlane builds the loopback-socket plane: the TCP fabric embeds its
@@ -65,12 +69,8 @@ func newTCPPlane(n int, o Options) (*dataPlane, error) {
 		return nil, err
 	}
 	if o.Compress {
-		bound := o.Bound
-		p.finalize = func(b []float32) {
-			for i, v := range b {
-				b[i] = fpcodec.Roundtrip(v, bound)
-			}
-		}
+		// The in-tree codec's group kernel is bit-exact with the engines.
+		p.finalize = finalizer(comm.CodecProcessor{Bound: o.Bound})
 	}
 	return p, nil
 }
